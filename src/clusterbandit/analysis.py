@@ -303,10 +303,14 @@ def tsc_minimax_bound(stats: ClusterStats, T: float) -> float:
     """Instance-independent shape curve sqrt((A* + K(1+gamma)) T log T).
 
     Unit leading constant; intended as a reference curve, not a certified
-    numeric bound.
+    numeric bound. The size term can only be negative when strong dominance
+    fails (gamma < -1 - A*/K); the curve is then undefined and ``math.inf``
+    is returned.
     """
     T = _check_horizon(T)
     size_term = stats.a_star + stats.k_suboptimal * (1.0 + stats.gamma)
+    if size_term < 0.0:
+        return math.inf
     return math.sqrt(size_term * T * math.log(T))
 
 

@@ -65,7 +65,7 @@ def random_argmax(values: np.ndarray, rng: np.random.Generator) -> int:
     """
     best = int(values.argmax())
     tied = values == values[best]
-    if int(tied.sum()) > 1:
+    if np.count_nonzero(tied) > 1:
         ties = np.flatnonzero(tied)
         return int(ties[rng.integers(ties.size)])
     return best

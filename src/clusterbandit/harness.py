@@ -4,9 +4,10 @@ An experiment is a set of instance variants, a set of policies, a horizon,
 and a list of seeds. For every (variant, seed) the instance is generated
 from the seed's instance sub-stream, so every policy sees the identical
 instance realization (and, for contextual runs, the identical context
-sequence). Jobs fan out over (variant, policy, seed) across worker
-processes; aggregation sorts on (variant, policy, seed) first, so output
-is byte-identical regardless of scheduling.
+sequence). Tasks fan out over (variant, seed) across worker processes;
+each task builds its instance once and runs every policy of the variant
+on it as one (variant, policy, seed) job. Aggregation sorts on (variant,
+policy, seed) first, so output is byte-identical regardless of scheduling.
 
 Results export to CSV (one row per logged step), JSON (config plus
 summaries, round-trippable), and SVG (mean regret curve per policy with a
@@ -33,7 +34,7 @@ from .analysis import (
     tsc_minimax_bound,
 )
 from .contextual import CONTEXTUAL_POLICY_KEYS, ContextualInstance, make_contextual_policy
-from .core import rng_streams
+from .core import BanditInstance, RngStreams, rng_streams
 from .instances import build_instance, gen_context
 from .policies import POLICY_KEYS, make_policy
 from .simulate import simulate, simulate_contextual
@@ -252,10 +253,36 @@ class RunRow:
         return float(self.regret[-1])
 
 
+# The last instance built in this process, keyed on (canonical spec JSON,
+# seed). The jobs of one (variant, seed) task run back to back, so each task
+# builds its instance once; the key is the spec rather than the variant name
+# because different configs may reuse a name. Sharing is safe because
+# instances are read-only: no policy or simulation writes to one.
+_last_instance: tuple[tuple[str, int], BanditInstance | ContextualInstance] | None = None
+
+
+def _instance(
+    variant_name: str, spec: dict, seed: int, streams: RngStreams
+) -> BanditInstance | ContextualInstance:
+    global _last_instance
+    key = (json.dumps(spec, sort_keys=True), seed)
+    if _last_instance is not None and _last_instance[0] == key:
+        return _last_instance[1]
+    _last_instance = None  # release the old instance before building the next
+    try:
+        instance = build_instance(spec, streams.instance)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"instances: variant '{variant_name}' at seed {seed}: {exc}"
+        ) from exc
+    _last_instance = (key, instance)
+    return instance
+
+
 def _run_job(payload: tuple) -> RunRow:
     variant_name, spec, key, params, label, seed, horizon, stride, context_kind = payload
     streams = rng_streams(seed)
-    instance = build_instance(spec, streams.instance)
+    instance = _instance(variant_name, spec, seed, streams)
     try:
         if isinstance(instance, ContextualInstance):
             if key not in CONTEXTUAL_POLICY_KEYS:
@@ -295,6 +322,11 @@ def _run_job(payload: tuple) -> RunRow:
         regret=trace.cum_regret[ts - 1].copy(),
         top_counts=top,
     )
+
+
+def _run_task(payloads: list[tuple]) -> list[RunRow]:
+    """Run the jobs of one (variant, seed), all on one instance build."""
+    return [_run_job(p) for p in payloads]
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +382,31 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run all (variant, policy, seed) jobs and aggregate per policy."""
-    jobs = [
-        (v.name, v.spec, p.key, p.params, p.name, seed, config.horizon, config.stride,
-         config.context_kind)
+    """Run all (variant, policy, seed) jobs and aggregate per policy.
+
+    One task per (variant, seed) runs every policy of that variant, so each
+    instance is built once.
+    """
+    tasks = [
+        [
+            (v.name, v.spec, p.key, p.params, p.name, seed, config.horizon, config.stride,
+             config.context_kind)
+            for p in config.policies
+            if p.runs_on(v.name)
+        ]
         for v in config.variants
-        for p in config.policies
-        if p.runs_on(v.name)
         for seed in config.seeds
     ]
-    if not jobs:
+    tasks = [task for task in tasks if task]
+    if not tasks:
         raise ConfigError("policies: variant filters leave no (variant, policy) pairs")
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+            chunksize = max(1, len(tasks) // (4 * workers))
+            done = list(pool.map(_run_task, tasks, chunksize=chunksize))
     else:
-        rows = [_run_job(j) for j in jobs]
+        done = [_run_task(task) for task in tasks]
+    rows = [row for task_rows in done for row in task_rows]
     rows.sort(key=lambda r: (r.variant, r.policy, r.seed))
 
     summaries = []
@@ -399,8 +440,7 @@ def _bound_rows(config: ExperimentConfig) -> tuple[dict, ...]:
         dominance_ok = 0
         applicable = 0
         for seed in config.seeds:
-            streams = rng_streams(seed)
-            instance = build_instance(v.spec, streams.instance)
+            instance = _instance(v.name, v.spec, seed, rng_streams(seed))
             if isinstance(instance, ContextualInstance):
                 break
             if instance.clustering is not None:

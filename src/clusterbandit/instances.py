@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage as scipy_linkage
 
 from .analysis import ClusterStats, cluster_stats
 from .contextual import ContextualInstance
@@ -459,6 +458,9 @@ def gen_agglomerative_tree(features: np.ndarray, linkage: str = "single") -> Clu
     n = features.shape[0]
     if n < 2:
         raise ValueError("need at least 2 feature points")
+    # Imported here, its only use, so importing the package does not load scipy.
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
     merges = scipy_linkage(features, method=linkage)
 
     # scipy numbering: leaves 0..n-1, merge k creates node n+k; remap so the

@@ -165,6 +165,33 @@ class ClusteredThompsonSampling(BanditPolicy):
         self._cf[cluster] += 1.0 - reward
 
 
+class _TreeTables:
+    """A cluster tree as per-node Python lists, for descent and path checks.
+
+    ``kids[v]`` holds node v's children as an array (to index per-node
+    statistics) and ``kid_ids[v]`` as a list (empty at leaves);
+    ``parent[v]`` is -1 at the root and ``leaf_arm[v]`` is -1 at internal
+    nodes.
+    """
+
+    __slots__ = ("kids", "kid_ids", "parent", "leaf_arm")
+
+    def __init__(self, tree: ClusterTree) -> None:
+        self.kids = [tree.children(v) for v in range(tree.n_nodes)]
+        self.kid_ids = [kids.tolist() for kids in self.kids]
+        self.parent = tree.parent.tolist()
+        self.leaf_arm = tree.leaf_arms.tolist()
+
+    def check_path(self, path: tuple[int, ...]) -> None:
+        """Reject anything but a root-to-leaf path along tree edges."""
+        if not path or path[0] != 0 or self.kid_ids[path[-1]]:
+            raise ValueError(f"invalid root-to-leaf path {path}")
+        parent = self.parent
+        for v, w in zip(path, path[1:]):
+            if parent[w] != v:
+                raise ValueError(f"invalid root-to-leaf path {path}")
+
+
 class HierarchicalThompsonSampling(BanditPolicy):
     """Tree-recursive Thompson sampling.
 
@@ -185,32 +212,28 @@ class HierarchicalThompsonSampling(BanditPolicy):
         self.path_depth = tree.depth + 1
         self._s = np.ones(tree.n_nodes)
         self._f = np.ones(tree.n_nodes)
+        self._walk = _TreeTables(tree)
 
     @property
     def node_beliefs(self) -> dict[int, BetaBelief]:
         return {v: BetaBelief(float(self._s[v]), float(self._f[v])) for v in range(self.tree.n_nodes)}
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        tree = self.tree
-        node = tree.root
+        kid_ids, kid_arrays = self._walk.kid_ids, self._walk.kids
+        node = 0
         path = [node]
-        while not tree.is_leaf(node):
-            kids = tree.children(node)
+        while kid_ids[node]:
+            kids = kid_arrays[node]
             theta = rng.beta(self._s[kids], self._f[kids])
-            node = int(kids[random_argmax(theta, rng)])
+            node = kid_ids[node][random_argmax(theta, rng)]
             path.append(node)
-        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+        return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        tree = self.tree
         path = choice.path
-        if not path or path[0] != tree.root or not tree.is_leaf(path[-1]):
-            raise ValueError(f"invalid root-to-leaf path {path}")
-        for v, w in zip(path, path[1:]):
-            if int(tree.parent[w]) != v:
-                raise ValueError(f"invalid root-to-leaf path {path}")
-        if tree.arm_of_leaf(path[-1]) != choice.arm:
+        self._walk.check_path(path)
+        if self._walk.leaf_arm[path[-1]] != choice.arm:
             raise ValueError(f"path leaf does not map to arm {choice.arm}")
         fail = 1.0 - reward
         for v in path:
@@ -237,6 +260,12 @@ class TsMax(BanditPolicy):
         self._s = np.ones(n)
         self._f = np.ones(n)
         self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
+        # Arms in cluster order (each cluster's members ascending), where each
+        # cluster's segment starts in that order, and the cluster of each slot.
+        sizes = [m.size for m in self._members]
+        self._order = np.concatenate(self._members)
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._segment = np.repeat(np.arange(len(sizes)), sizes)
 
     @property
     def arm_beliefs(self) -> dict[int, BetaBelief]:
@@ -244,11 +273,10 @@ class TsMax(BanditPolicy):
 
     def cluster_representatives(self) -> np.ndarray:
         """Per-cluster arm id with the highest empirical mean (ties: lowest id)."""
-        emp = self._s / (self._s + self._f)
-        reps = np.empty(len(self._members), dtype=np.int64)
-        for c, members in enumerate(self._members):
-            reps[c] = members[int(np.argmax(emp[members]))]
-        return reps
+        emp = (self._s / (self._s + self._f))[self._order]
+        best = np.maximum.reduceat(emp, self._starts)
+        hits = np.flatnonzero(emp == best[self._segment])
+        return self._order[hits[np.searchsorted(hits, self._starts)]]
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         reps = self.cluster_representatives()
@@ -380,33 +408,29 @@ class TreeUcb(BanditPolicy):
         self.path_depth = tree.depth + 1
         self._n = np.zeros(tree.n_nodes)
         self._q = np.zeros(tree.n_nodes)
+        self._walk = _TreeTables(tree)
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
-        tree = self.tree
-        node = tree.root
+        kid_ids, kid_arrays = self._walk.kid_ids, self._walk.kids
+        node = 0
         path = [node]
-        while not tree.is_leaf(node):
-            kids = tree.children(node)
+        while kid_ids[node]:
+            kids = kid_arrays[node]
             counts = self._n[kids]
             fresh = np.flatnonzero(counts == 0)
             if fresh.size:
-                node = int(kids[fresh[0]])
+                node = kid_ids[node][fresh[0]]
             else:
                 idx = _ucb_index(self._q[kids], counts, math.log(self._n[node]))
-                node = int(kids[random_argmax(idx, rng)])
+                node = kid_ids[node][random_argmax(idx, rng)]
             path.append(node)
-        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+        return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        tree = self.tree
         path = choice.path
-        if not path or path[0] != tree.root or not tree.is_leaf(path[-1]):
-            raise ValueError(f"invalid root-to-leaf path {path}")
-        for v, w in zip(path, path[1:]):
-            if int(tree.parent[w]) != v:
-                raise ValueError(f"invalid root-to-leaf path {path}")
+        self._walk.check_path(path)
         for v in path:
             self._n[v] += 1.0
             self._q[v] += (reward - self._q[v]) / self._n[v]

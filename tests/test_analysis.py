@@ -216,6 +216,17 @@ class TestTscMinimaxBound:
         bigger = dataclasses.replace(stats, gamma=stats.gamma + 0.5)
         assert tsc_minimax_bound(bigger, 3000.0) > tsc_minimax_bound(stats, 3000.0)
 
+    def test_infinite_when_dominance_fails_with_negative_size_term(self):
+        # optimal cluster {0.9, 0.1} (A* = 2, width 0.8) sits below the other
+        # cluster's 0.3: distance -0.2, gamma = -4, A* + K(1 + gamma) = -1
+        instance = BanditInstance.from_means(
+            [0.9, 0.1, 0.3], clustering=DisjointClustering([0, 0, 1])
+        )
+        stats = cluster_stats(instance)
+        assert stats.gamma == pytest.approx(-4.0, abs=1e-12)
+        assert stats.a_star + stats.k_suboptimal * (1 + stats.gamma) < 0
+        assert tsc_minimax_bound(stats, 3000.0) == math.inf
+
     def test_minimax_lower_reference(self):
         stats = cluster_stats(_reference_instance())
         assert minimax_lower_reference(stats, 400.0) == pytest.approx(math.sqrt(20 * 400))

@@ -1,0 +1,25 @@
+"""The benchmark command end to end at its smoke size, so that it cannot rot.
+
+``perfbench/run.py --smoke`` runs every workload tiny, untraced and traced
+(the traced mode calls ``harness._run_job`` directly); each run prints one
+JSON result line. No timing is asserted.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_smoke_runs_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    assert results
+    for result in results:
+        assert result["correct"] is True
+        assert result["failed"] == 0

@@ -1,5 +1,6 @@
 """Command-line interface end to end on tiny workloads."""
 import json
+import math
 import subprocess
 import sys
 
@@ -146,6 +147,20 @@ class TestAuditAndBounds:
         assert main(["audit"]) == 2
 
 
+class TestRunBounds:
+    def test_bounds_on_a_clustering_without_dominance(self, tmp_path, capsys):
+        # At seed 0 the L1 clustering of hts-uct has gamma < -1 - A*/K.
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--preset", "hts-uct", "--base-seed", "0", "--seeds", "1",
+             "--horizon", "60", "--bounds", "--out", str(out)]
+        ) == 0
+        doc = json.loads((out / "hts-uct.json").read_text())
+        (minimax,) = [b for b in doc["bounds"] if b["bound"] == "tsc_minimax"]
+        assert minimax["mean_value_at_horizon"] == math.inf
+        assert minimax["dominance_ok_fraction"] == 0.0
+
+
 class TestConsoleEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(
@@ -155,3 +170,14 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "kmeans-small" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, clusterbandit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

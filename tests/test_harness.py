@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from clusterbandit import harness
 from clusterbandit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -198,6 +199,94 @@ class TestRunExperiment:
         assert {"tsc_instance", "tsc_minimax", "lai_robbins_lower"} <= names
         for b in result.bounds:
             assert b["dominance_ok_fraction"] == 1.0
+
+
+class TestInstanceReuse:
+    @staticmethod
+    def _two_variant_config():
+        return ExperimentConfig.from_json(
+            {
+                "name": "reuse",
+                "horizon": 30,
+                "seeds": [1, 2, 3],
+                "policies": [{"key": "ts"}, {"key": "tsc"}, {"key": "tsmax", "variants": ["b"]}],
+                "instances": [
+                    {"name": "a", "spec": TINY_SD_SPEC},
+                    {"name": "b", "spec": {**TINY_SD_SPEC, "separation": 0.3}},
+                ],
+            }
+        )
+
+    def test_one_build_per_variant_and_seed(self, monkeypatch):
+        builds = []
+        build = harness.build_instance
+
+        def counting_build(spec, rng):
+            builds.append(spec)
+            return build(spec, rng)
+
+        monkeypatch.setattr(harness, "build_instance", counting_build)
+        monkeypatch.setattr(harness, "_last_instance", None)
+        config = self._two_variant_config()
+        result = run_experiment(config)
+        assert len(builds) == len(config.variants) * len(config.seeds)
+        assert len(result.rows) == (2 + 3) * len(config.seeds)
+
+    def test_rows_equal_a_fresh_build_per_job(self, monkeypatch):
+        config = self._two_variant_config()
+        result = run_experiment(config)
+        specs = {v.name: v.spec for v in config.variants}
+        keys = {p.name: p.key for p in config.policies}
+        for row in result.rows:
+            monkeypatch.setattr(harness, "_last_instance", None)
+            fresh = harness._run_job(
+                (row.variant, specs[row.variant], keys[row.policy], {}, row.policy, row.seed,
+                 config.horizon, config.stride, config.context_kind)
+            )
+            assert np.array_equal(row.ts, fresh.ts)
+            assert np.array_equal(row.regret, fresh.regret)
+            assert np.array_equal(row.top_counts, fresh.top_counts)
+
+    def test_variant_name_reused_with_another_spec(self, monkeypatch):
+        def config(separation):
+            return ExperimentConfig.from_json(
+                {
+                    "name": "same-name",
+                    "horizon": 40,
+                    "seeds": [1],
+                    "policies": [{"key": "ts"}],
+                    "instances": [
+                        {"name": "v", "spec": {**TINY_SD_SPEC, "separation": separation}}
+                    ],
+                }
+            )
+
+        first = run_experiment(config(0.1))
+        second = run_experiment(config(0.3))
+        assert not np.array_equal(first.rows[0].regret, second.rows[0].regret)
+        monkeypatch.setattr(harness, "_last_instance", None)
+        fresh = run_experiment(config(0.3))
+        assert np.array_equal(second.rows[0].regret, fresh.rows[0].regret)
+
+    def test_build_failure_names_variant_and_seed(self):
+        config = ExperimentConfig.from_json(
+            {
+                "name": "bad-build",
+                "horizon": 10,
+                "seeds": [4, 5],
+                "policies": [{"key": "ts"}],
+                "instances": [
+                    {
+                        "name": "too-many-clusters",
+                        "spec": {"kind": "kmeans", "n_arms": 5, "n_clusters": 8,
+                                 "reward_fn": "sin-product"},
+                    }
+                ],
+            }
+        )
+        for workers in (1, 2):
+            with pytest.raises(ConfigError, match="variant 'too-many-clusters' at seed 4"):
+                run_experiment(config, workers=workers)
 
 
 class TestExports:

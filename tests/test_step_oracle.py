@@ -1,0 +1,175 @@
+"""Step-for-step oracle for the per-step code of the tree and TsMax policies.
+
+The reference policies below keep the straightforward per-step bodies: tree
+descent through ``ClusterTree`` accessors, a per-cluster loop for the TsMax
+representatives and a tie count by ``sum``. The table-driven descent and the
+segmented representatives must reproduce their traces exactly, arm, path and
+regret, since both consume the generator in the same order.
+"""
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
+from clusterbandit.harness import preset
+from clusterbandit.instances import build_instance
+from clusterbandit.policies import Choice, HierarchicalThompsonSampling, TreeUcb, TsMax
+from clusterbandit.simulate import simulate
+
+SEEDS = (0, 1, 2)
+HORIZON = 2000
+
+
+def _ref_random_argmax(values, rng):
+    best = int(values.argmax())
+    tied = values == values[best]
+    if int(tied.sum()) > 1:
+        ties = np.flatnonzero(tied)
+        return int(ties[rng.integers(ties.size)])
+    return best
+
+
+def _ref_check_path(tree, path):
+    if not path or path[0] != tree.root or not tree.is_leaf(path[-1]):
+        raise ValueError(f"invalid root-to-leaf path {path}")
+    for v, w in zip(path, path[1:]):
+        if int(tree.parent[w]) != v:
+            raise ValueError(f"invalid root-to-leaf path {path}")
+
+
+class RefHts(HierarchicalThompsonSampling):
+    def select(self, t, rng):
+        tree = self.tree
+        node = tree.root
+        path = [node]
+        while not tree.is_leaf(node):
+            kids = tree.children(node)
+            theta = rng.beta(self._s[kids], self._f[kids])
+            node = int(kids[_ref_random_argmax(theta, rng)])
+            path.append(node)
+        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+
+    def update(self, choice, reward):
+        tree = self.tree
+        path = choice.path
+        _ref_check_path(tree, path)
+        if tree.arm_of_leaf(path[-1]) != choice.arm:
+            raise ValueError(f"path leaf does not map to arm {choice.arm}")
+        fail = 1.0 - reward
+        for v in path:
+            self._s[v] += reward
+            self._f[v] += fail
+
+
+class RefUct(TreeUcb):
+    def select(self, t, rng):
+        tree = self.tree
+        node = tree.root
+        path = [node]
+        while not tree.is_leaf(node):
+            kids = tree.children(node)
+            counts = self._n[kids]
+            fresh = np.flatnonzero(counts == 0)
+            if fresh.size:
+                node = int(kids[fresh[0]])
+            else:
+                idx = self._q[kids] + np.sqrt(2.0 * math.log(self._n[node]) / counts)
+                node = int(kids[_ref_random_argmax(idx, rng)])
+            path.append(node)
+        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+
+    def update(self, choice, reward):
+        path = choice.path
+        _ref_check_path(self.tree, path)
+        for v in path:
+            self._n[v] += 1.0
+            self._q[v] += (reward - self._q[v]) / self._n[v]
+
+
+class RefTsMax(TsMax):
+    def cluster_representatives(self):
+        emp = self._s / (self._s + self._f)
+        reps = np.empty(len(self._members), dtype=np.int64)
+        for c, members in enumerate(self._members):
+            reps[c] = members[int(np.argmax(emp[members]))]
+        return reps
+
+    def select(self, t, rng):
+        reps = self.cluster_representatives()
+        theta_c = rng.beta(self._s[reps], self._f[reps])
+        cluster = _ref_random_argmax(theta_c, rng)
+        members = self._members[cluster]
+        theta_a = rng.beta(self._s[members], self._f[members])
+        arm = int(members[_ref_random_argmax(theta_a, rng)])
+        return Choice(arm=arm, path=(cluster,))
+
+
+def _variant_spec(preset_name, variant):
+    return next(v.spec for v in preset(preset_name).variants if v.name == variant)
+
+
+SPECS = {
+    "hts-uct/L2": _variant_spec("hts-uct", "L2"),
+    "hts-uct/L3": _variant_spec("hts-uct", "L3"),
+    "sorted-tree-256": {"kind": "sorted_tree", "n_arms": 256},
+    "kmeans-large": _variant_spec("kmeans-large", "N1000-K32"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _instance(name, seed):
+    return build_instance(SPECS[name], rng_streams(seed).instance)
+
+
+def _tied_instance():
+    # Means of exactly 0 and 1 keep the pseudo-counts of many arms equal, so
+    # representatives tie inside clusters; labels interleave clusters so that
+    # cluster order differs from arm order. Tied arms share their counts, so
+    # which of them represents a cluster never shows in a trace: the tie rule
+    # itself is checked on ``cluster_representatives`` below.
+    means = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+    labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+
+
+def _assert_same_trace(instance, policy, reference, seed):
+    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation)
+    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation)
+    assert np.array_equal(got.arms, want.arms)
+    assert np.array_equal(got.paths, want.paths)
+    assert np.array_equal(got.cum_regret, want.cum_regret)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["hts-uct/L2", "hts-uct/L3", "sorted-tree-256"])
+@pytest.mark.parametrize("policy_cls, ref_cls", [(HierarchicalThompsonSampling, RefHts), (TreeUcb, RefUct)])
+def test_tree_descent_matches_reference(name, seed, policy_cls, ref_cls):
+    instance = _instance(name, seed)
+    _assert_same_trace(instance, policy_cls(instance.tree), ref_cls(instance.tree), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tsmax_matches_reference_on_kmeans_large(seed):
+    instance = _instance("kmeans-large", seed)
+    clustering = instance.clustering
+    _assert_same_trace(instance, TsMax(clustering), RefTsMax(clustering), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tsmax_matches_reference_with_tied_representatives(seed):
+    instance = _tied_instance()
+    _assert_same_trace(instance, TsMax(instance.clustering), RefTsMax(instance.clustering), seed)
+
+
+def test_tied_representatives_go_to_the_lowest_arm_id():
+    instance = _tied_instance()
+    policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
+    assert policy.cluster_representatives().tolist() == [0, 1, 2]
+    # cluster 0 = arms 0, 3, 6, 9: arms 3 and 9 tie at the top
+    for pol in (policy, reference):
+        pol._s[[3, 9]] = 3.0
+        pol._f[6] = 4.0
+    assert policy.cluster_representatives().tolist() == [3, 1, 2]
+    assert np.array_equal(policy.cluster_representatives(), reference.cluster_representatives())
