@@ -6,8 +6,17 @@ starting at the identity, a reward-weighted context sum f, and the mean
 B^-1 f. Thompson variants sample a scalar score per entity from
 N(mu'x, v x'B^-1 x); UCB variants score with mu'x + alpha sqrt(x'B^-1 x).
 
-Inverses are maintained with rank-one updates and re-solved densely every
-1000 updates per entity to cap numerical drift.
+Posteriors are stacked across entities in ``_LinearBank``; ``LinearBelief``
+is a bank of one. Inverses are maintained with rank-one updates and
+re-solved densely every 1000 updates per entity to cap numerical drift.
+
+The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
+every entity is one product of those rows with the flattened x x'. Scores
+of bit-equal posteriors must stay bit-equal wherever the entities sit: UCB
+ties between unplayed arms are common, and a tie that rounding breaks
+changes the trace. So mu'x and x'B^-1 x use ``einsum``, which sums each row
+alone, and never a BLAS product (``@``, ``np.dot``), which rounds equal rows
+differently by their position in the matrix.
 """
 from __future__ import annotations
 
@@ -39,83 +48,9 @@ def _check_context(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (dim,):
         raise ValueError(f"context shape {x.shape} does not match dimension {dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("context has non-finite entries")
     return x
-
-
-# ---------------------------------------------------------------------------
-# Single ridge posterior
-# ---------------------------------------------------------------------------
-
-class LinearBelief:
-    """Ridge posterior over one d-dimensional coefficient vector.
-
-    Starts at B = I, f = 0, mu = 0. ``update`` adds one (context, reward)
-    observation: B += x x', f += r x, mu = B^-1 f, with the cached inverse
-    maintained by the Sherman-Morrison identity and refreshed by a dense
-    solve every ``RESOLVE_EVERY`` updates.
-    """
-
-    def __init__(self, dim: int, v: float = 1.0) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if v <= 0:
-            raise ValueError("sampling-variance scale v must be positive")
-        self.dim = dim
-        self.v = float(v)
-        self.b_matrix = np.eye(dim)
-        self.b_inv = np.eye(dim)
-        self.f_vec = np.zeros(dim)
-        self.mu_vec = np.zeros(dim)
-        self.n_updates = 0
-
-    def copy(self) -> "LinearBelief":
-        out = LinearBelief(self.dim, self.v)
-        out.b_matrix = self.b_matrix.copy()
-        out.b_inv = self.b_inv.copy()
-        out.f_vec = self.f_vec.copy()
-        out.mu_vec = self.mu_vec.copy()
-        out.n_updates = self.n_updates
-        return out
-
-    def update(self, x: np.ndarray, reward: float) -> None:
-        x = _check_context(x, self.dim)
-        if not np.isfinite(reward):
-            raise ValueError(f"non-finite reward {reward}")
-        u = self.b_inv @ x
-        self.b_inv -= np.outer(u, u) / (1.0 + x @ u)
-        self.b_matrix += np.outer(x, x)
-        self.f_vec += reward * x
-        self.n_updates += 1
-        if self.n_updates % RESOLVE_EVERY == 0:
-            self.b_inv = np.linalg.inv(self.b_matrix)
-            self.mu_vec = np.linalg.solve(self.b_matrix, self.f_vec)
-        else:
-            self.mu_vec = self.b_inv @ self.f_vec
-
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        x = _check_context(x, self.dim)
-        mean = float(self.mu_vec @ x)
-        var = self.v * float(x @ self.b_inv @ x)
-        return float(rng.normal(mean, math.sqrt(max(var, 0.0))))
-
-    def ucb_index(self, x: np.ndarray, alpha: float) -> float:
-        x = _check_context(x, self.dim)
-        width = math.sqrt(max(float(x @ self.b_inv @ x), 0.0))
-        return float(self.mu_vec @ x) + alpha * width
-
-
-def lin_sample(belief: LinearBelief, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Gaussian score draw N(mu'x, v x'B^-1 x) from one belief."""
-    return belief.sample(x, rng)
-
-
-def lin_update(belief: LinearBelief, x: np.ndarray, reward: float) -> LinearBelief:
-    """Posterior after one (context, reward) observation; the input is unchanged."""
-    out = belief.copy()
-    out.update(x, reward)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,42 +71,99 @@ class _LinearBank:
         self.Mu = np.zeros((n, dim))
         self.counts = np.zeros(n, dtype=np.int64)
 
+    def _mean(self, x: np.ndarray, subset: np.ndarray | None) -> np.ndarray:
+        mu = self.Mu if subset is None else self.Mu[subset]
+        return np.einsum("nk,k->n", mu, x)
+
     def _quad(self, x: np.ndarray, subset: np.ndarray | None) -> np.ndarray:
-        binv = self.Binv if subset is None else self.Binv[subset]
-        return np.maximum(np.einsum("nij,i,j->n", binv, x, x), 0.0)
+        rows = self.Binv.reshape(self.n, -1)  # a view, made per call so copies of a bank stay whole
+        if subset is not None:
+            rows = rows[subset]
+        return np.maximum(np.einsum("nk,k->n", rows, (x[:, None] * x).ravel()), 0.0)
 
     def sample(self, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None) -> np.ndarray:
-        mu = self.Mu if subset is None else self.Mu[subset]
-        mean = mu @ x
+        mean = self._mean(x, subset)
         scale = np.sqrt(self.v * self._quad(x, subset))
-        return rng.normal(mean, scale)
+        # the draws and the arithmetic of rng.normal(mean, scale), without its broadcasting
+        return mean + scale * rng.standard_normal(mean.size)
 
     def ucb(self, x: np.ndarray, alpha: float, subset: np.ndarray | None = None) -> np.ndarray:
-        mu = self.Mu if subset is None else self.Mu[subset]
-        return mu @ x + alpha * np.sqrt(self._quad(x, subset))
+        return self._mean(x, subset) + alpha * np.sqrt(self._quad(x, subset))
 
     def update(self, i: int, x: np.ndarray, reward: float) -> None:
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise ValueError(f"non-finite reward {reward}")
-        u = self.Binv[i] @ x
-        self.Binv[i] -= np.outer(u, u) / (1.0 + x @ u)
-        self.B[i] += np.outer(x, x)
-        self.F[i] += reward * x
+        binv, b, f = self.Binv[i], self.B[i], self.F[i]
+        u = binv @ x
+        binv -= u[:, None] * u / (1.0 + x @ u)
+        b += x[:, None] * x
+        f += reward * x
         self.counts[i] += 1
         if self.counts[i] % RESOLVE_EVERY == 0:
-            self.Binv[i] = np.linalg.inv(self.B[i])
-            self.Mu[i] = np.linalg.solve(self.B[i], self.F[i])
+            binv[...] = np.linalg.inv(b)
+            self.Mu[i] = np.linalg.solve(b, f)
         else:
-            self.Mu[i] = self.Binv[i] @ self.F[i]
+            self.Mu[i] = binv @ f
 
     def belief(self, i: int) -> LinearBelief:
+        """An independent copy of entity ``i``'s posterior."""
         out = LinearBelief(self.dim, self.v)
-        out.b_matrix = self.B[i].copy()
-        out.b_inv = self.Binv[i].copy()
-        out.f_vec = self.F[i].copy()
-        out.mu_vec = self.Mu[i].copy()
-        out.n_updates = int(self.counts[i])
+        for name in ("B", "Binv", "F", "Mu", "counts"):
+            getattr(out._bank, name)[0] = getattr(self, name)[i]
         return out
+
+
+# ---------------------------------------------------------------------------
+# Single ridge posterior
+# ---------------------------------------------------------------------------
+
+class LinearBelief:
+    """Ridge posterior over one d-dimensional coefficient vector.
+
+    Starts at B = I, f = 0, mu = 0. ``update`` adds one (context, reward)
+    observation: B += x x', f += r x, mu = B^-1 f, with the cached inverse
+    maintained by the Sherman-Morrison identity and refreshed by a dense
+    solve every ``RESOLVE_EVERY`` updates. The state is a one-entity
+    ``_LinearBank``.
+    """
+
+    def __init__(self, dim: int, v: float = 1.0) -> None:
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        if v <= 0:
+            raise ValueError("sampling-variance scale v must be positive")
+        self._bank = _LinearBank(1, dim, v)
+        self.dim, self.v = dim, self._bank.v
+
+    b_matrix = property(lambda self: self._bank.B[0], doc="Precision matrix B.")
+    b_inv = property(lambda self: self._bank.Binv[0], doc="Cached inverse of B.")
+    f_vec = property(lambda self: self._bank.F[0], doc="Reward-weighted context sum f.")
+    mu_vec = property(lambda self: self._bank.Mu[0], doc="Posterior mean B^-1 f.")
+    n_updates = property(lambda self: int(self._bank.counts[0]), doc="Observations so far.")
+
+    def copy(self) -> "LinearBelief":
+        return self._bank.belief(0)
+
+    def update(self, x: np.ndarray, reward: float) -> None:
+        self._bank.update(0, _check_context(x, self.dim), reward)
+
+    def sample(self, x: np.ndarray, rng: np.random.Generator) -> float:
+        return float(self._bank.sample(_check_context(x, self.dim), rng)[0])
+
+    def ucb_index(self, x: np.ndarray, alpha: float) -> float:
+        return float(self._bank.ucb(_check_context(x, self.dim), alpha)[0])
+
+
+def lin_sample(belief: LinearBelief, x: np.ndarray, rng: np.random.Generator) -> float:
+    """Gaussian score draw N(mu'x, v x'B^-1 x) from one belief."""
+    return belief.sample(x, rng)
+
+
+def lin_update(belief: LinearBelief, x: np.ndarray, reward: float) -> LinearBelief:
+    """Posterior after one (context, reward) observation; the input is unchanged."""
+    out = belief.copy()
+    out.update(x, reward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +245,10 @@ class ContextualPolicy(ABC):
     def get_params(self) -> dict:
         return {}
 
+    def arm_belief(self, arm: int) -> LinearBelief:
+        """A copy of one arm's posterior (every policy keeps its arms in ``_arms``)."""
+        return self._arms.belief(arm)
+
 
 class LinThompson(ContextualPolicy):
     """Linear Thompson sampling over a flat action set."""
@@ -266,9 +262,6 @@ class LinThompson(ContextualPolicy):
 
     def get_params(self) -> dict:
         return {"v": self.v}
-
-    def arm_belief(self, arm: int) -> LinearBelief:
-        return self._arms.belief(arm)
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
@@ -304,9 +297,6 @@ class ClusteredLinThompson(ContextualPolicy):
     def cluster_belief(self, cluster: int) -> LinearBelief:
         return self._clusters.belief(cluster)
 
-    def arm_belief(self, arm: int) -> LinearBelief:
-        return self._arms.belief(arm)
-
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
         cluster = random_argmax(self._clusters.sample(x, rng), rng)
@@ -339,9 +329,6 @@ class LinUcb(ContextualPolicy):
     def get_params(self) -> dict:
         return {"alpha": self.alpha}
 
-    def arm_belief(self, arm: int) -> LinearBelief:
-        return self._arms.belief(arm)
-
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
         return Choice(arm=random_argmax(self._arms.ucb(x, self.alpha), rng))
@@ -371,9 +358,6 @@ class ClusteredLinUcb(ContextualPolicy):
 
     def cluster_belief(self, cluster: int) -> LinearBelief:
         return self._clusters.belief(cluster)
-
-    def arm_belief(self, arm: int) -> LinearBelief:
-        return self._arms.belief(arm)
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)

@@ -5,9 +5,11 @@ and a list of seeds. For every (variant, seed) the instance is generated
 from the seed's instance sub-stream, so every policy sees the identical
 instance realization (and, for contextual runs, the identical context
 sequence). Tasks fan out over (variant, seed) across worker processes;
-each task builds its instance once and runs every policy of the variant
-on it as one (variant, policy, seed) job. Aggregation sorts on (variant,
-policy, seed) first, so output is byte-identical regardless of scheduling.
+each task builds its instance (and draws its context sequence) once, runs
+every policy of the variant on it as one (variant, policy, seed) job, and
+computes the instance's bound values when bounds are requested. Aggregation
+sorts on (variant, policy, seed) first, so output is byte-identical
+regardless of scheduling.
 
 Results export to CSV (one row per logged step), JSON (config plus
 summaries, round-trippable), and SVG (mean regret curve per policy with a
@@ -253,12 +255,14 @@ class RunRow:
         return float(self.regret[-1])
 
 
-# The last instance built in this process, keyed on (canonical spec JSON,
-# seed). The jobs of one (variant, seed) task run back to back, so each task
-# builds its instance once; the key is the spec rather than the variant name
-# because different configs may reuse a name. Sharing is safe because
-# instances are read-only: no policy or simulation writes to one.
-_last_instance: tuple[tuple[str, int], BanditInstance | ContextualInstance] | None = None
+# [key, instance, context key, contexts]: the last instance built in this
+# process, keyed on (canonical spec JSON, seed), and the last context
+# sequence drawn for it, keyed on (horizon, context kind). The jobs of one
+# (variant, seed) task run back to back, so each task builds its instance
+# and draws its contexts once; the key is the spec rather than the variant
+# name because different configs may reuse a name. Sharing is safe because
+# instances and contexts are read-only.
+_last_instance: list | None = None
 
 
 def _instance(
@@ -275,8 +279,18 @@ def _instance(
         raise ConfigError(
             f"instances: variant '{variant_name}' at seed {seed}: {exc}"
         ) from exc
-    _last_instance = (key, instance)
+    _last_instance = [key, instance, None, None]
     return instance
+
+
+def _contexts(instance: ContextualInstance, streams: RngStreams, horizon: int, kind: str) -> np.ndarray:
+    """The (horizon, dim) context sequence of the instance ``_instance`` just returned."""
+    ctx_key = (horizon, kind)
+    if _last_instance[2] != ctx_key:
+        contexts = np.stack([gen_context(instance.dim, streams.context, kind) for _ in range(horizon)])
+        contexts.setflags(write=False)
+        _last_instance[2:] = [ctx_key, contexts]
+    return _last_instance[3]
 
 
 def _run_job(payload: tuple) -> RunRow:
@@ -291,9 +305,7 @@ def _run_job(payload: tuple) -> RunRow:
                     f"'{variant_name}' is a contextual instance"
                 )
             policy = make_contextual_policy(key, instance, params)
-            contexts = np.stack(
-                [gen_context(instance.dim, streams.context, context_kind) for _ in range(horizon)]
-            )
+            contexts = _contexts(instance, streams, horizon, context_kind)
             trace = simulate_contextual(
                 instance, policy, horizon, streams.simulation, contexts=contexts, seed=seed
             )
@@ -324,9 +336,17 @@ def _run_job(payload: tuple) -> RunRow:
     )
 
 
-def _run_task(payloads: list[tuple]) -> list[RunRow]:
-    """Run the jobs of one (variant, seed), all on one instance build."""
-    return [_run_job(p) for p in payloads]
+def _run_task(task: tuple) -> tuple[list[RunRow], tuple | None]:
+    """Run the jobs of one (variant, seed) on one instance build; add its bounds if asked.
+
+    ``task`` is (variant name, spec, seed, job payloads, (T, eps) or None).
+    """
+    variant_name, spec, seed, payloads, bound_args = task
+    rows = [_run_job(p) for p in payloads]
+    if bound_args is None:
+        return rows, None
+    instance = _instance(variant_name, spec, seed, rng_streams(seed))
+    return rows, _seed_bounds(instance, *bound_args)
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +407,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     One task per (variant, seed) runs every policy of that variant, so each
     instance is built once.
     """
+    bound_args = (float(config.horizon), config.eps) if config.bounds else None
     tasks = [
-        [
+        (v.name, v.spec, seed, [
             (v.name, v.spec, p.key, p.params, p.name, seed, config.horizon, config.stride,
              config.context_kind)
             for p in config.policies
             if p.runs_on(v.name)
-        ]
+        ], bound_args)
         for v in config.variants
         for seed in config.seeds
     ]
-    tasks = [task for task in tasks if task]
-    if not tasks:
+    # a variant no policy runs on still gets its bound rows
+    tasks = [task for task in tasks if task[3] or config.bounds]
+    if not any(task[3] for task in tasks):
         raise ConfigError("policies: variant filters leave no (variant, policy) pairs")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -406,7 +428,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
             done = list(pool.map(_run_task, tasks, chunksize=chunksize))
     else:
         done = [_run_task(task) for task in tasks]
-    rows = [row for task_rows in done for row in task_rows]
+    rows = [row for task_rows, _ in done for row in task_rows]
     rows.sort(key=lambda r: (r.variant, r.policy, r.seed))
 
     summaries = []
@@ -425,46 +447,54 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                 )
             )
 
-    bounds = _bound_rows(config) if config.bounds else ()
+    bounds = ()
+    if config.bounds:
+        bounds = _bound_rows(config, {(t[0], t[2]): b for t, (_, b) in zip(tasks, done)})
     return ExperimentResult(
         config=config, rows=tuple(rows), summaries=tuple(summaries), bounds=bounds
     )
 
 
-def _bound_rows(config: ExperimentConfig) -> tuple[dict, ...]:
-    """Per-variant theoretical reference values, averaged over seeds."""
+def _seed_bounds(
+    instance: BanditInstance | ContextualInstance, T: float, eps: float
+) -> tuple[bool, dict[str, float]] | None:
+    """(dominance holds, bound values) of one instance; None where no bound applies."""
+    if isinstance(instance, ContextualInstance):
+        return None
+    if instance.clustering is not None:
+        stats = cluster_stats(instance)
+        ib = tsc_instance_bound(stats, T, eps)
+        return ib.dominance_ok, {
+            "tsc_instance": ib.leading,
+            "tsc_minimax": tsc_minimax_bound(stats, T),
+            "lai_robbins_lower": lai_robbins_lower(stats, T).leading,
+        }
+    if instance.tree is not None:
+        ib = hts_instance_bound(instance, T, eps)
+        return ib.dominance_ok, {"hts_instance": ib.leading}
+    return None
+
+
+def _bound_rows(
+    config: ExperimentConfig, seed_bounds: dict[tuple[str, int], tuple | None]
+) -> tuple[dict, ...]:
+    """Per-variant theoretical reference values, averaged over seeds in ``config.seeds`` order.
+
+    ``seed_bounds`` maps (variant name, seed) to ``_seed_bounds`` of that instance.
+    """
     out: list[dict] = []
-    T = float(config.horizon)
     for v in config.variants:
-        acc: dict[str, list[float]] = {}
-        dominance_ok = 0
-        applicable = 0
-        for seed in config.seeds:
-            instance = _instance(v.name, v.spec, seed, rng_streams(seed))
-            if isinstance(instance, ContextualInstance):
-                break
-            if instance.clustering is not None:
-                applicable += 1
-                stats = cluster_stats(instance)
-                ib = tsc_instance_bound(stats, T, config.eps)
-                dominance_ok += int(ib.dominance_ok)
-                acc.setdefault("tsc_instance", []).append(ib.leading)
-                acc.setdefault("tsc_minimax", []).append(tsc_minimax_bound(stats, T))
-                acc.setdefault("lai_robbins_lower", []).append(lai_robbins_lower(stats, T).leading)
-            elif instance.tree is not None:
-                applicable += 1
-                ib = hts_instance_bound(instance, T, config.eps)
-                dominance_ok += int(ib.dominance_ok)
-                acc.setdefault("hts_instance", []).append(ib.leading)
-        for name, values in sorted(acc.items()):
-            arr = np.asarray(values)
+        found = [seed_bounds[(v.name, seed)] for seed in config.seeds]
+        found = [b for b in found if b is not None]
+        for name in sorted(found[0][1]) if found else ():
+            arr = np.asarray([values[name] for _, values in found])
             out.append(
                 {
                     "experiment_id": config.experiment_id(v.name),
                     "bound": name,
                     "mean_value_at_horizon": float(arr.mean()) if np.isfinite(arr).all() else math.inf,
                     "n_seeds": int(arr.size),
-                    "dominance_ok_fraction": dominance_ok / applicable if applicable else None,
+                    "dominance_ok_fraction": sum(int(ok) for ok, _ in found) / len(found),
                     "note": "asymptotic leading term; o(log T) remainder not included",
                 }
             )

@@ -1,4 +1,5 @@
 """Ridge posteriors, Gaussian scoring, and linear contextual policies."""
+import copy
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 import scipy.stats
 
 from clusterbandit.contextual import (
+    RESOLVE_EVERY,
     ClusteredLinThompson,
     ClusteredLinUcb,
     LinThompson,
     LinUcb,
     LinearBelief,
+    _LinearBank,
     lin_sample,
     lin_update,
     make_contextual_policy,
@@ -134,6 +137,122 @@ class TestLinUpdate:
         belief.update(rng.random(20), rng.random())
         post = np.abs(belief.b_inv - np.linalg.inv(belief.b_matrix)).max()
         assert post < 1e-12  # dense resolve kicked in at the thousandth update
+
+
+# ---------------------------------------------------------------------------
+# Stacked posteriors
+# ---------------------------------------------------------------------------
+
+def _bank_of_equal_posteriors(n, dim, trained, rng):
+    """A bank whose n entities hold one bit-equal posterior."""
+    one = _LinearBank(1, dim, 1.0)
+    for _ in range(3 if trained else 0):
+        one.update(0, rng.random(dim), rng.uniform(0.5, 2.0))
+    bank = _LinearBank(n, dim, 1.0)
+    bank.B[:], bank.Binv[:], bank.F[:], bank.Mu[:] = one.B[0], one.Binv[0], one.F[0], one.Mu[0]
+    return bank
+
+
+class TestLinearBankTies:
+    """Bit-equal posteriors score bit-equal, wherever they sit in the bank.
+
+    UCB ties between unplayed arms are common and are broken at random, so
+    a kernel whose rounding depends on an entity's position (as BLAS
+    matrix-vector products do) changes which arms tie, and with that the
+    trace.
+    """
+
+    @pytest.mark.parametrize("trained", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 20])
+    def test_equal_posteriors_give_equal_scores(self, dim, trained):
+        rng = np.random.default_rng(100 + dim)
+        for n in range(1, 66):
+            bank = _bank_of_equal_posteriors(n, dim, trained, rng)
+            x = rng.random(dim)
+            subset = rng.permutation(n)[: max(1, n // 2)]
+            for sub in (None, subset, subset[::-1].copy()):
+                quad = bank._quad(x, sub)
+                ucb = bank.ucb(x, 2.0, sub)
+                assert np.all(quad == quad[0]), (n, sub)
+                assert np.all(ucb == ucb[0]), (n, sub)
+                if sub is not None:
+                    assert quad[0] == bank._quad(x, None)[0]
+                    assert ucb[0] == bank.ucb(x, 2.0)[0]
+
+
+class TestLinearBank:
+    def test_quad_matches_the_definition(self):
+        rng = np.random.default_rng(7)
+        bank = _LinearBank(6, 4, 1.0)
+        for _ in range(40):
+            bank.update(int(rng.integers(6)), rng.random(4), rng.random())
+        x = rng.random(4)
+        want = np.array([x @ bank.Binv[i] @ x for i in range(6)])
+        np.testing.assert_allclose(bank._quad(x, None), want, rtol=1e-12)
+        np.testing.assert_allclose(bank._mean(x, None), bank.Mu @ x, rtol=1e-12)
+
+    def test_split_gaussian_draw_is_rng_normal(self):
+        for case in range(200):
+            rng = np.random.default_rng(case)
+            n = int(rng.integers(1, 901))
+            mean = rng.standard_normal(n) * 3.0
+            scale = rng.random(n) * 2.0
+            scale[rng.random(n) < 0.1] = 0.0
+            split, whole = np.random.default_rng([case, 1]), np.random.default_rng([case, 1])
+            got = mean + scale * split.standard_normal(n)
+            want = whole.normal(mean, scale)
+            assert got.tobytes() == want.tobytes()
+            assert split.bit_generator.state == whole.bit_generator.state
+
+    def test_bank_sample_is_rng_normal_of_mean_and_width(self):
+        rng = np.random.default_rng(8)
+        bank = _LinearBank(50, 5, 0.7)
+        for _ in range(300):
+            bank.update(int(rng.integers(50)), rng.random(5), rng.random())
+        x = rng.random(5)
+        subset = np.array([3, 41, 7, 7, 0])
+        for sub in (None, subset):
+            mean, quad = bank._mean(x, sub), bank._quad(x, sub)
+            split, whole = np.random.default_rng(9), np.random.default_rng(9)
+            got = bank.sample(x, split, sub)
+            assert got.tobytes() == whole.normal(mean, np.sqrt(0.7 * quad)).tobytes()
+            assert split.bit_generator.state == whole.bit_generator.state
+
+    def test_deep_copied_policy_continues_identically(self):
+        inst = _ctx_instance(seed=12, n_arms=12, n_clusters=3, dim=4)
+        pol = ClusteredLinUcb(inst.clustering, inst.dim)
+        rng = np.random.default_rng(13)
+        for t in range(1, 51):
+            x = rng.random(4)
+            choice = pol.select(t, x, rng)
+            pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
+        twin = copy.deepcopy(pol)
+        for t in range(51, 101):
+            x = rng.random(4)
+            choice = pol.select(t, x, rng)
+            reward = inst.draw_reward(choice.arm, x, rng)
+            pol.update(choice, x, reward)
+            twin.update(choice, x, reward)
+            for a, b in ((pol._arms, twin._arms), (pol._clusters, twin._clusters)):
+                assert a.ucb(x, 2.0).tobytes() == b.ucb(x, 2.0).tobytes()
+        belief = copy.deepcopy(pol.arm_belief(choice.arm))
+        belief.update(x, 1.0)
+        assert belief.n_updates == pol.arm_belief(choice.arm).n_updates + 1
+        assert not np.array_equal(belief.b_matrix, pol.arm_belief(choice.arm).b_matrix)
+
+    def test_single_belief_is_a_bank_of_one(self):
+        rng = np.random.default_rng(10)
+        belief, bank = LinearBelief(4, v=0.5), _LinearBank(1, 4, 0.5)
+        for _ in range(RESOLVE_EVERY + 5):
+            x, r = rng.random(4), rng.random()
+            belief.update(x, r)
+            bank.update(0, x, r)
+        assert belief.n_updates == RESOLVE_EVERY + 5
+        assert belief.b_inv.tobytes() == bank.Binv[0].tobytes()
+        assert belief.mu_vec.tobytes() == bank.Mu[0].tobytes()
+        x = rng.random(4)
+        assert belief.ucb_index(x, 1.5) == bank.ucb(x, 1.5)[0]
+        assert belief.sample(x, np.random.default_rng(11)) == bank.sample(x, np.random.default_rng(11))[0]
 
 
 # ---------------------------------------------------------------------------

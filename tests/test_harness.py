@@ -1,10 +1,16 @@
 """Experiment runner: config parsing, determinism, pairing, exports, presets."""
+import functools
+import multiprocessing
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from clusterbandit import harness
+from clusterbandit.analysis import cluster_stats, lai_robbins_lower, tsc_instance_bound, tsc_minimax_bound
+from clusterbandit.contextual import make_contextual_policy
+from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +21,8 @@ from clusterbandit.harness import (
     preset_names,
     run_experiment,
 )
+from clusterbandit.instances import build_instance, gen_context
+from clusterbandit.simulate import simulate_contextual
 
 TINY_SD_SPEC = {
     "kind": "strong_dominance",
@@ -287,6 +295,98 @@ class TestInstanceReuse:
         for workers in (1, 2):
             with pytest.raises(ConfigError, match="variant 'too-many-clusters' at seed 4"):
                 run_experiment(config, workers=workers)
+
+
+TINY_CTX_SPEC = {"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}
+
+
+class TestContextAndBoundReuse:
+    def test_contexts_drawn_once_per_variant_and_seed(self, monkeypatch):
+        calls = []
+        gen = harness.gen_context
+
+        def counting_gen(dim, rng, kind="uniform"):
+            calls.append(dim)
+            return gen(dim, rng, kind)
+
+        monkeypatch.setattr(harness, "gen_context", counting_gen)
+        monkeypatch.setattr(harness, "_last_instance", None)
+        config = ExperimentConfig.from_json(
+            {
+                "name": "ctx-reuse",
+                "horizon": 30,
+                "seeds": [7],
+                "policies": [{"key": k} for k in ("lints", "lintsc", "linucb", "linucbc")],
+                "instance": TINY_CTX_SPEC,
+            }
+        )
+        result = run_experiment(config)
+        assert len(calls) == 30  # one per step, not one per step and policy
+        assert not harness._last_instance[3].flags.writeable
+        # each row equals a run on contexts drawn afresh for its job
+        for row in result.rows:
+            streams = rng_streams(row.seed)
+            instance = build_instance(TINY_CTX_SPEC, streams.instance)
+            contexts = np.stack([gen(instance.dim, streams.context) for _ in range(30)])
+            policy = make_contextual_policy(row.policy, instance)
+            trace = simulate_contextual(instance, policy, 30, streams.simulation, contexts=contexts)
+            assert np.array_equal(row.regret, trace.cum_regret[row.ts - 1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bounds_build_each_instance_once(self, monkeypatch, tmp_path, workers):
+        log = tmp_path / "builds.log"
+        build = harness.build_instance
+
+        def counting_build(spec, rng):
+            with open(log, "a") as fh:  # workers append here too
+                fh.write("build\n")
+            return build(spec, rng)
+
+        monkeypatch.setattr(harness, "build_instance", counting_build)
+        monkeypatch.setattr(harness, "_last_instance", None)
+        # forked workers inherit the counting build function
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(
+            harness, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+        )
+        result = run_experiment(_tiny_config(bounds=True), workers=workers)
+        assert len(log.read_text().split()) == 3
+        assert {b["bound"] for b in result.bounds} == {"tsc_instance", "tsc_minimax", "lai_robbins_lower"}
+
+    def test_bound_rows_equal_a_fresh_build_per_seed(self):
+        config = _tiny_config(bounds=True, horizon=500, eps=0.2)
+        T = float(config.horizon)
+        expected = {"tsc_instance": [], "tsc_minimax": [], "lai_robbins_lower": []}
+        for seed in config.seeds:
+            stats = cluster_stats(build_instance(TINY_SD_SPEC, rng_streams(seed).instance))
+            expected["tsc_instance"].append(tsc_instance_bound(stats, T, config.eps).leading)
+            expected["tsc_minimax"].append(tsc_minimax_bound(stats, T))
+            expected["lai_robbins_lower"].append(lai_robbins_lower(stats, T).leading)
+        for workers in (1, 2):
+            rows = run_experiment(config, workers=workers).bounds
+            assert [b["bound"] for b in rows] == sorted(expected)
+            for b in rows:
+                assert b["mean_value_at_horizon"] == float(np.mean(expected[b["bound"]]))
+                assert b["n_seeds"] == len(config.seeds)
+
+    def test_variant_without_policies_keeps_its_bound_rows(self):
+        config = ExperimentConfig.from_json(
+            {
+                "name": "unplayed",
+                "horizon": 20,
+                "seeds": [1, 2],
+                "bounds": True,
+                "policies": [{"key": "ts", "variants": ["played"]}],
+                "instances": [
+                    {"name": "played", "spec": TINY_SD_SPEC},
+                    {"name": "unplayed", "spec": {"kind": "sorted_tree", "n_arms": 8}},
+                ],
+            }
+        )
+        result = run_experiment(config)
+        assert {r.variant for r in result.rows} == {"played"}
+        (tree_row,) = [b for b in result.bounds if b["experiment_id"] == "unplayed/unplayed"]
+        assert tree_row["bound"] == "hts_instance" and tree_row["n_seeds"] == 2
 
 
 class TestExports:

@@ -1,10 +1,15 @@
-"""Step-for-step oracle for the per-step code of the tree and TsMax policies.
+"""Step-for-step oracle for the per-step code of the tree, TsMax and linear policies.
 
 The reference policies below keep the straightforward per-step bodies: tree
 descent through ``ClusterTree`` accessors, a per-cluster loop for the TsMax
 representatives and a tie count by ``sum``. The table-driven descent and the
 segmented representatives must reproduce their traces exactly, arm, path and
 regret, since both consume the generator in the same order.
+
+``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
+three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
+``np.outer``. The flat-row kernel of the contextual policies must reproduce
+its traces exactly, arm, reward and regret.
 """
 import functools
 import math
@@ -12,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
+from clusterbandit.contextual import RESOLVE_EVERY, make_contextual_policy
 from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
 from clusterbandit.harness import preset
-from clusterbandit.instances import build_instance
+from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import Choice, HierarchicalThompsonSampling, TreeUcb, TsMax
-from clusterbandit.simulate import simulate
+from clusterbandit.simulate import simulate, simulate_contextual
 
 SEEDS = (0, 1, 2)
 HORIZON = 2000
@@ -173,3 +179,76 @@ def test_tied_representatives_go_to_the_lowest_arm_id():
         pol._f[6] = 4.0
     assert policy.cluster_representatives().tolist() == [3, 1, 2]
     assert np.array_equal(policy.cluster_representatives(), reference.cluster_representatives())
+
+
+class RefLinearBank:
+    def __init__(self, n, dim, v):
+        eye = np.eye(dim)
+        self.v = float(v)
+        self.B = np.tile(eye, (n, 1, 1))
+        self.Binv = np.tile(eye, (n, 1, 1))
+        self.F = np.zeros((n, dim))
+        self.Mu = np.zeros((n, dim))
+        self.counts = np.zeros(n, dtype=np.int64)
+
+    def _quad(self, x, subset):
+        binv = self.Binv if subset is None else self.Binv[subset]
+        return np.maximum(np.einsum("nij,i,j->n", binv, x, x), 0.0)
+
+    def sample(self, x, rng, subset=None):
+        mu = self.Mu if subset is None else self.Mu[subset]
+        return rng.normal(mu @ x, np.sqrt(self.v * self._quad(x, subset)))
+
+    def ucb(self, x, alpha, subset=None):
+        mu = self.Mu if subset is None else self.Mu[subset]
+        return mu @ x + alpha * np.sqrt(self._quad(x, subset))
+
+    def update(self, i, x, reward):
+        if not np.isfinite(reward):
+            raise ValueError(f"non-finite reward {reward}")
+        u = self.Binv[i] @ x
+        self.Binv[i] -= np.outer(u, u) / (1.0 + x @ u)
+        self.B[i] += np.outer(x, x)
+        self.F[i] += reward * x
+        self.counts[i] += 1
+        if self.counts[i] % RESOLVE_EVERY == 0:
+            self.Binv[i] = np.linalg.inv(self.B[i])
+            self.Mu[i] = np.linalg.solve(self.B[i], self.F[i])
+        else:
+            self.Mu[i] = self.Binv[i] @ self.F[i]
+
+
+CTX_SPECS = {
+    "ctx-small": _variant_spec("ctx-small", "k20-n400-eps0.5"),
+    "ctx-large-eps05": _variant_spec("ctx-large-eps05", "k30-n900-eps0.5"),
+    # two clusters over six arms: the cluster bank passes RESOLVE_EVERY updates
+    "two-clusters": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 5, "epsilon": 0.5},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(CTX_SPECS))
+@pytest.mark.parametrize("key", ["lints", "lintsc", "linucb", "linucbc"])
+def test_linear_bank_matches_reference(name, seed, key):
+    streams = rng_streams(seed)
+    instance = build_instance(CTX_SPECS[name], streams.instance)
+    contexts = np.stack([gen_context(instance.dim, streams.context) for _ in range(HORIZON)])
+    policy = make_contextual_policy(key, instance)
+    reference = make_contextual_policy(key, instance)
+    for attr in ("_clusters", "_arms"):
+        if hasattr(reference, attr):
+            bank = getattr(reference, attr)
+            setattr(reference, attr, RefLinearBank(bank.n, bank.dim, bank.v))
+    got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    assert np.array_equal(got.arms, want.arms)
+    assert np.array_equal(got.rewards, want.rewards)
+    assert np.array_equal(got.cum_regret, want.cum_regret)
+    # the update is the same arithmetic, so the posteriors end bit-equal too
+    for attr in ("_clusters", "_arms"):
+        if hasattr(policy, attr):
+            bank, ref = getattr(policy, attr), getattr(reference, attr)
+            for field in ("B", "Binv", "F", "Mu", "counts"):
+                assert getattr(bank, field).tobytes() == getattr(ref, field).tobytes(), (attr, field)
+    if name == "two-clusters" and hasattr(policy, "_clusters"):
+        assert policy._clusters.counts.max() >= RESOLVE_EVERY  # the dense re-solve ran
