@@ -53,6 +53,11 @@ def _check_context(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha: exploration weight must be finite and >= 0, got {alpha}")
+
+
 # ---------------------------------------------------------------------------
 # Stacked posteriors (vectorized across entities)
 # ---------------------------------------------------------------------------
@@ -61,6 +66,8 @@ class _LinearBank:
     """Ridge posteriors for n entities, stored stacked for vector scoring."""
 
     def __init__(self, n: int, dim: int, v: float) -> None:
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"v: sampling-variance scale must be finite and > 0, got {v}")
         self.n = n
         self.dim = dim
         self.v = float(v)
@@ -130,8 +137,6 @@ class LinearBelief:
     def __init__(self, dim: int, v: float = 1.0) -> None:
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if v <= 0:
-            raise ValueError("sampling-variance scale v must be positive")
         self._bank = _LinearBank(1, dim, v)
         self.dim, self.v = dim, self._bank.v
 
@@ -320,8 +325,7 @@ class LinUcb(ContextualPolicy):
     key = "linucb"
 
     def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        _check_alpha(alpha)
         self._arms = _LinearBank(n_arms, dim, 1.0)
         self.dim = dim
         self.alpha = float(alpha)
@@ -345,8 +349,7 @@ class ClusteredLinUcb(ContextualPolicy):
     path_depth = 1
 
     def __init__(self, clustering: DisjointClustering, dim: int, alpha: float = 2.0) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        _check_alpha(alpha)
         self.clustering = clustering
         self.dim = dim
         self.alpha = float(alpha)

@@ -203,10 +203,16 @@ def kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centroids[c] = points[mask].mean(axis=0)
+        # Each cluster's points as one block, in ascending point order (the
+        # stable sort), so each mean adds the same rows in the same order as
+        # ``points[labels == c].mean(axis=0)``.
+        grouped = points[np.argsort(labels, kind="stable")]
+        sizes = np.bincount(labels, minlength=k).tolist()
+        start = 0
+        for c, m in enumerate(sizes):
+            if m:
+                centroids[c] = np.add.reduce(grouped[start:start + m], axis=0) / m
+                start += m
             else:
                 far = int(((points - centroids[c]) ** 2).sum(axis=1).argmax())
                 centroids[c] = points[far]

@@ -260,26 +260,30 @@ class TsMax(BanditPolicy):
         self._s = np.ones(n)
         self._f = np.ones(n)
         self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
-        # Arms in cluster order (each cluster's members ascending), where each
-        # cluster's segment starts in that order, and the cluster of each slot.
-        sizes = [m.size for m in self._members]
-        self._order = np.concatenate(self._members)
-        self._starts = np.cumsum([0] + sizes[:-1])
-        self._segment = np.repeat(np.arange(len(sizes)), sizes)
+        # Representatives as select reads them: taken in full at the first
+        # select, then re-taken by update for the played cluster only.
+        self._reps: np.ndarray | None = None
 
     @property
     def arm_beliefs(self) -> dict[int, BetaBelief]:
         return {a: BetaBelief(float(self._s[a]), float(self._f[a])) for a in range(self.clustering.n_arms)}
 
+    def _best_member(self, cluster: int) -> int:
+        members = self._members[cluster]
+        s, f = self._s[members], self._f[members]
+        return int(members[np.argmax(s / (s + f))])  # first maximum: the lowest id
+
     def cluster_representatives(self) -> np.ndarray:
-        """Per-cluster arm id with the highest empirical mean (ties: lowest id)."""
-        emp = (self._s / (self._s + self._f))[self._order]
-        best = np.maximum.reduceat(emp, self._starts)
-        hits = np.flatnonzero(emp == best[self._segment])
-        return self._order[hits[np.searchsorted(hits, self._starts)]]
+        """Per-cluster arm id with the highest empirical mean (ties: lowest id).
+
+        Recomputed from the current counts over every cluster.
+        """
+        return np.array([self._best_member(c) for c in range(len(self._members))], dtype=np.int64)
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        reps = self.cluster_representatives()
+        if self._reps is None:
+            self._reps = self.cluster_representatives()
+        reps = self._reps
         theta_c = rng.beta(self._s[reps], self._f[reps])
         cluster = random_argmax(theta_c, rng)
         members = self._members[cluster]
@@ -294,6 +298,8 @@ class TsMax(BanditPolicy):
             raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
         self._s[choice.arm] += reward
         self._f[choice.arm] += 1.0 - reward
+        if self._reps is not None:
+            self._reps[cluster] = self._best_member(cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +308,17 @@ class TsMax(BanditPolicy):
 
 def _ucb_index(means: np.ndarray, counts: np.ndarray, log_term: float) -> np.ndarray:
     return means + np.sqrt(2.0 * log_term / counts)
+
+
+def _first_unplayed(counts, start: int) -> int:
+    """First index at or after ``start`` whose count is zero, or ``len(counts)``.
+
+    Counts never fall, so a caller that keeps the result as the next
+    ``start`` scans each index once over a whole run.
+    """
+    while start < len(counts) and counts[start]:
+        start += 1
+    return start
 
 
 class Ucb1(BanditPolicy):
@@ -319,6 +336,7 @@ class Ucb1(BanditPolicy):
         self.n_arms = n_arms
         self._n = np.zeros(n_arms)
         self._q = np.zeros(n_arms)
+        self._unplayed = 0  # every arm below it has been played
 
     @property
     def counts(self) -> np.ndarray:
@@ -330,9 +348,9 @@ class Ucb1(BanditPolicy):
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
-        unpulled = np.flatnonzero(self._n == 0)
-        if unpulled.size:
-            return Choice(arm=int(unpulled[0]))
+        self._unplayed = _first_unplayed(self._n, self._unplayed)
+        if self._unplayed < self.n_arms:
+            return Choice(arm=self._unplayed)
         idx = _ucb_index(self._q, self._n, math.log(t))
         return Choice(arm=random_argmax(idx, rng))
 
@@ -362,21 +380,26 @@ class ClusteredUcb1(BanditPolicy):
         self._q = np.zeros(n)
         self._cn = np.zeros(k)
         self._cq = np.zeros(k)
+        # first unvisited cluster, and per cluster the position of its first
+        # unplayed member; everything before them has been played
+        self._unvisited = 0
+        self._unplayed = [0] * k
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
         log_t = math.log(t)
-        unvisited = np.flatnonzero(self._cn == 0)
-        if unvisited.size:
-            cluster = int(unvisited[0])
+        self._unvisited = _first_unplayed(self._cn, self._unvisited)
+        if self._unvisited < self._cn.size:
+            cluster = self._unvisited
         else:
             cluster = random_argmax(_ucb_index(self._cq, self._cn, log_t), rng)
         members = self.clustering.members(cluster)
-        unpulled = members[self._n[members] == 0]
-        if unpulled.size:
-            arm = int(unpulled[0])
+        counts = self._n[members]
+        pos = self._unplayed[cluster] = _first_unplayed(counts, self._unplayed[cluster])
+        if pos < members.size:
+            arm = int(members[pos])
         else:
-            idx = _ucb_index(self._q[members], self._n[members], log_t)
+            idx = _ucb_index(self._q[members], counts, log_t)
             arm = int(members[random_argmax(idx, rng)])
         return Choice(arm=arm, path=(cluster,))
 

@@ -454,3 +454,36 @@ class TestRegistry:
             make_contextual_policy("ts", inst)
         with pytest.raises(ValueError, match="alpha"):
             make_contextual_policy("lints", inst, {"alpha": 2.0})
+
+
+class TestHyperparameterValidation:
+    BAD_V = [0.0, -1.0, math.nan, math.inf, -math.inf]
+    BAD_ALPHA = [-1.0, math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("v", BAD_V)
+    def test_thompson_policies_reject_bad_v(self, v):
+        clustering = DisjointClustering([0, 0, 1])
+        with pytest.raises(ValueError, match="v: "):
+            LinThompson(3, 2, v=v)
+        with pytest.raises(ValueError, match="v: "):
+            ClusteredLinThompson(clustering, 2, v=v)
+        with pytest.raises(ValueError, match="v: "):
+            LinearBelief(2, v=v)
+        with pytest.raises(ValueError, match="v: "):
+            make_contextual_policy("lints", _ctx_instance(seed=10), {"v": v})
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHA)
+    def test_ucb_policies_reject_bad_alpha(self, alpha):
+        clustering = DisjointClustering([0, 0, 1])
+        with pytest.raises(ValueError, match="alpha: "):
+            LinUcb(3, 2, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha: "):
+            ClusteredLinUcb(clustering, 2, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha: "):
+            make_contextual_policy("linucbc", _ctx_instance(seed=10), {"alpha": alpha})
+
+    def test_boundary_values_accepted(self):
+        clustering = DisjointClustering([0, 0, 1])
+        assert LinThompson(3, 2, v=1e-12).v == 1e-12
+        assert ClusteredLinUcb(clustering, 2, alpha=0.0).alpha == 0.0
+        assert LinUcb(3, 2, alpha=0.0).alpha == 0.0

@@ -22,7 +22,8 @@ from clusterbandit.harness import (
     run_experiment,
 )
 from clusterbandit.instances import build_instance, gen_context
-from clusterbandit.simulate import simulate_contextual
+from clusterbandit.policies import make_policy
+from clusterbandit.simulate import simulate, simulate_contextual
 
 TINY_SD_SPEC = {
     "kind": "strong_dominance",
@@ -98,6 +99,23 @@ class TestConfigValidation:
     def test_config_json_roundtrip(self):
         config = _tiny_config()
         assert ExperimentConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("key, params", [("lints", {"v": -1}), ("linucbc", {"alpha": float("nan")})])
+    def test_bad_contextual_hyperparameter_names_policy_and_variant(self, key, params):
+        config = ExperimentConfig.from_json(
+            {
+                "name": "ctx",
+                "horizon": 5,
+                "seeds": [0],
+                "policies": [{"key": key, "params": params, "label": "bad-policy"}],
+                "instances": [
+                    {"name": "ctx-variant", "spec": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 3, "epsilon": 0.5}}
+                ],
+            }
+        )
+        with pytest.raises(ConfigError, match="'bad-policy' on variant 'ctx-variant'") as err:
+            run_experiment(config)
+        assert next(iter(params)) + ": " in str(err.value)
 
 
 class TestRunExperiment:
@@ -207,6 +225,65 @@ class TestRunExperiment:
         assert {"tsc_instance", "tsc_minimax", "lai_robbins_lower"} <= names
         for b in result.bounds:
             assert b["dominance_ok_fraction"] == 1.0
+
+
+class TestTopCounts:
+    HORIZON = 9  # fewer steps than flat clusters, so some are never played
+    SPECS = {
+        "flat": {"kind": "kmeans", "n_arms": 60, "n_clusters": 12, "reward_fn": "sin-product"},
+        "tree": {"kind": "kmeans_tree", "n_arms": 60, "branching": 5, "depth": 2, "reward_fn": "sin-product"},
+    }
+
+    @classmethod
+    def _result(cls):
+        return run_experiment(
+            ExperimentConfig.from_json(
+                {
+                    "name": "top",
+                    "horizon": cls.HORIZON,
+                    "seeds": [0, 1, 2, 3],
+                    "policies": [
+                        *({"key": k, "variants": ["flat"]} for k in ("tsc", "tsmax", "ucbc")),
+                        *({"key": k, "variants": ["tree"]} for k in ("hts", "uct")),
+                    ],
+                    "instances": [{"name": n, "spec": spec} for n, spec in cls.SPECS.items()],
+                }
+            )
+        )
+
+    def test_fixed_length_and_sum_to_horizon(self):
+        result = self._result()
+        n_top = {
+            "flat": build_instance(self.SPECS["flat"], rng_streams(0).instance).clustering.n_clusters,
+            "tree": build_instance(self.SPECS["tree"], rng_streams(0).instance).tree.children(0).size,
+        }
+        assert len(result.rows) == 5 * 4
+        for row in result.rows:
+            assert row.top_counts.shape == (n_top[row.variant],), (row.variant, row.policy, row.seed)
+            assert row.top_counts.sum() == self.HORIZON
+
+    def test_counts_plays_under_each_top_level_choice(self):
+        result = self._result()
+        for row in result.rows:
+            streams = rng_streams(row.seed)
+            instance = build_instance(self.SPECS[row.variant], streams.instance)
+            trace = simulate(instance, make_policy(row.policy, instance), self.HORIZON, streams.simulation)
+            if instance.tree is None:
+                groups = instance.clustering.members
+                tops = range(instance.clustering.n_clusters)
+            else:
+                groups = instance.tree.arms_under
+                tops = instance.tree.children(0).tolist()
+            want = [int(np.isin(trace.arms, groups(c)).sum()) for c in tops]
+            assert row.top_counts.tolist() == want, (row.variant, row.policy, row.seed)
+
+    def test_one_arm_tree_counts_the_root(self):
+        config = _tiny_config(
+            horizon=7, policies=[{"key": "hts"}, {"key": "uct"}],
+            instance={"kind": "kmeans_tree", "n_arms": 1, "branching": 2, "depth": 1, "reward_fn": "sin-product"},
+        )
+        for row in run_experiment(config).rows:
+            assert row.top_counts.tolist() == [7]
 
 
 class TestInstanceReuse:

@@ -1,10 +1,12 @@
-"""Step-for-step oracle for the per-step code of the tree, TsMax and linear policies.
+"""Step-for-step oracle for the per-step code of the tree, TsMax, UCB and linear policies.
 
 The reference policies below keep the straightforward per-step bodies: tree
-descent through ``ClusterTree`` accessors, a per-cluster loop for the TsMax
-representatives and a tie count by ``sum``. The table-driven descent and the
-segmented representatives must reproduce their traces exactly, arm, path and
-regret, since both consume the generator in the same order.
+descent through ``ClusterTree`` accessors, TsMax representatives recomputed
+over every cluster at every step, UCB play-once rules that rescan all counts
+for the first unplayed arm, and a tie count by ``sum``. The table-driven
+descent, the representatives that ``update`` keeps per played cluster and
+the first-unplayed pointers must reproduce their traces exactly, arm, path
+and regret, since they consume the generator in the same order.
 
 ``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
 three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
@@ -21,7 +23,14 @@ from clusterbandit.contextual import RESOLVE_EVERY, make_contextual_policy
 from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
-from clusterbandit.policies import Choice, HierarchicalThompsonSampling, TreeUcb, TsMax
+from clusterbandit.policies import (
+    Choice,
+    ClusteredUcb1,
+    HierarchicalThompsonSampling,
+    TreeUcb,
+    TsMax,
+    Ucb1,
+)
 from clusterbandit.simulate import simulate, simulate_contextual
 
 SEEDS = (0, 1, 2)
@@ -112,6 +121,37 @@ class RefTsMax(TsMax):
         return Choice(arm=arm, path=(cluster,))
 
 
+def _ref_ucb_index(means, counts, log_term):
+    return means + np.sqrt(2.0 * log_term / counts)
+
+
+class RefUcb1(Ucb1):
+    def select(self, t, rng):
+        unpulled = np.flatnonzero(self._n == 0)
+        if unpulled.size:
+            return Choice(arm=int(unpulled[0]))
+        idx = _ref_ucb_index(self._q, self._n, math.log(t))
+        return Choice(arm=_ref_random_argmax(idx, rng))
+
+
+class RefClusteredUcb1(ClusteredUcb1):
+    def select(self, t, rng):
+        log_t = math.log(t)
+        unvisited = np.flatnonzero(self._cn == 0)
+        if unvisited.size:
+            cluster = int(unvisited[0])
+        else:
+            cluster = _ref_random_argmax(_ref_ucb_index(self._cq, self._cn, log_t), rng)
+        members = self.clustering.members(cluster)
+        unpulled = members[self._n[members] == 0]
+        if unpulled.size:
+            arm = int(unpulled[0])
+        else:
+            idx = _ref_ucb_index(self._q[members], self._n[members], log_t)
+            arm = int(members[_ref_random_argmax(idx, rng)])
+        return Choice(arm=arm, path=(cluster,))
+
+
 def _variant_spec(preset_name, variant):
     return next(v.spec for v in preset(preset_name).variants if v.name == variant)
 
@@ -121,6 +161,7 @@ SPECS = {
     "hts-uct/L3": _variant_spec("hts-uct", "L3"),
     "sorted-tree-256": {"kind": "sorted_tree", "n_arms": 256},
     "kmeans-large": _variant_spec("kmeans-large", "N1000-K32"),
+    "kmeans-small": _variant_spec("kmeans-small", "N100-K10"),
 }
 
 
@@ -140,9 +181,9 @@ def _tied_instance():
     return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
 
 
-def _assert_same_trace(instance, policy, reference, seed):
-    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation)
-    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation)
+def _assert_same_trace(instance, policy, reference, seed, horizon=HORIZON):
+    got = simulate(instance, policy, horizon, rng_streams(seed).simulation)
+    want = simulate(instance, reference, horizon, rng_streams(seed).simulation)
     assert np.array_equal(got.arms, want.arms)
     assert np.array_equal(got.paths, want.paths)
     assert np.array_equal(got.cum_regret, want.cum_regret)
@@ -167,6 +208,44 @@ def test_tsmax_matches_reference_on_kmeans_large(seed):
 def test_tsmax_matches_reference_with_tied_representatives(seed):
     instance = _tied_instance()
     _assert_same_trace(instance, TsMax(instance.clustering), RefTsMax(instance.clustering), seed)
+
+
+FLAT_AND_TWO_LEVEL = {
+    "tsmax": (lambda inst: TsMax(inst.clustering), lambda inst: RefTsMax(inst.clustering)),
+    "ucb1": (lambda inst: Ucb1(inst.n_arms), lambda inst: RefUcb1(inst.n_arms)),
+    "ucbc": (lambda inst: ClusteredUcb1(inst.clustering), lambda inst: RefClusteredUcb1(inst.clustering)),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["kmeans-large", "kmeans-small", "tied"])
+@pytest.mark.parametrize("key", sorted(FLAT_AND_TWO_LEVEL))
+def test_kept_state_matches_rescanning_reference(key, name, seed):
+    instance = _tied_instance() if name == "tied" else _instance(name, seed)
+    make, make_ref = FLAT_AND_TWO_LEVEL[key]
+    _assert_same_trace(instance, make(instance), make_ref(instance), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key", sorted(FLAT_AND_TWO_LEVEL))
+def test_kept_state_matches_reference_after_external_updates(key, seed):
+    # updates from outside select, in scrambled arm order, before the first
+    # select and again between runs
+    instance = _instance("kmeans-small", seed)
+    make, make_ref = FLAT_AND_TWO_LEVEL[key]
+    policy, reference = make(instance), make_ref(instance)
+    rng = np.random.default_rng(seed)
+    labels = instance.clustering.labels
+    for _ in range(2):
+        arms = rng.choice(instance.n_arms, size=40, replace=False)
+        rewards = rng.integers(0, 2, size=40).astype(float)
+        for arm, reward in zip(arms.tolist(), rewards.tolist()):
+            path = () if key == "ucb1" else (int(labels[arm]),)
+            policy.update(Choice(arm=arm, path=path), reward)
+            reference.update(Choice(arm=arm, path=path), reward)
+        _assert_same_trace(instance, policy, reference, seed, horizon=300)
+    if key == "tsmax":
+        assert np.array_equal(policy._reps, policy.cluster_representatives())
 
 
 def test_tied_representatives_go_to_the_lowest_arm_id():
