@@ -40,12 +40,10 @@ from .core import (
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
-    beta_update,
     draw_reward,
     random_argmax,
     regret_of,
     rng_streams,
-    sample_beta,
 )
 from .harness import (
     ConfigError,

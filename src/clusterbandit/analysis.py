@@ -210,10 +210,6 @@ class InstanceBound:
     caveat: str = LEADING_TERM_CAVEAT
     warnings: tuple[str, ...] = ()
 
-    @property
-    def value(self) -> float:
-        return self.leading
-
 
 def _check_horizon(T: float) -> float:
     if T < 2:

@@ -247,9 +247,6 @@ class ContextualPolicy(ABC):
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         """Feed back the reward observed for ``choice`` under context ``x``."""
 
-    def get_params(self) -> dict:
-        return {}
-
     def arm_belief(self, arm: int) -> LinearBelief:
         """A copy of one arm's posterior (every policy keeps its arms in ``_arms``)."""
         return self._arms.belief(arm)
@@ -264,9 +261,6 @@ class LinThompson(ContextualPolicy):
         self._arms = _LinearBank(n_arms, dim, v)
         self.dim = dim
         self.v = float(v)
-
-    def get_params(self) -> dict:
-        return {"v": self.v}
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
@@ -295,9 +289,6 @@ class ClusteredLinThompson(ContextualPolicy):
         self.v = float(v)
         self._clusters = _LinearBank(clustering.n_clusters, dim, v)
         self._arms = _LinearBank(clustering.n_arms, dim, v)
-
-    def get_params(self) -> dict:
-        return {"v": self.v}
 
     def cluster_belief(self, cluster: int) -> LinearBelief:
         return self._clusters.belief(cluster)
@@ -330,9 +321,6 @@ class LinUcb(ContextualPolicy):
         self.dim = dim
         self.alpha = float(alpha)
 
-    def get_params(self) -> dict:
-        return {"alpha": self.alpha}
-
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
         return Choice(arm=random_argmax(self._arms.ucb(x, self.alpha), rng))
@@ -355,9 +343,6 @@ class ClusteredLinUcb(ContextualPolicy):
         self.alpha = float(alpha)
         self._clusters = _LinearBank(clustering.n_clusters, dim, 1.0)
         self._arms = _LinearBank(clustering.n_arms, dim, 1.0)
-
-    def get_params(self) -> dict:
-        return {"alpha": self.alpha}
 
     def cluster_belief(self, cluster: int) -> LinearBelief:
         return self._clusters.belief(cluster)

@@ -1,13 +1,13 @@
 """Core domain types for bandits with clustered arms.
 
 Defines the Bernoulli arm / clustering / tree containers shared by every
-policy, the Beta belief primitive used by all Thompson-sampling variants,
-the seeded-randomness contract, and regret accounting on simulation traces.
+policy, the Beta belief view that Thompson-sampling policies report, the
+seeded-randomness contract, and regret accounting on simulation traces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +21,6 @@ __all__ = [
     "RngStreams",
     "rng_streams",
     "random_argmax",
-    "sample_beta",
-    "beta_update",
     "draw_reward",
     "regret_of",
 ]
@@ -197,6 +195,29 @@ class ClusterTree:
                 under[v] = np.concatenate([under[int(c)] for c in self._children[v]])
         self._arms_under = under
 
+    @classmethod
+    def star(cls, n_arms: int) -> "ClusterTree":
+        """One-level tree: the root's children are leaves 1..n_arms, leaf a+1 holding arm a."""
+        if n_arms < 1:
+            raise ValueError("need at least one arm")
+        return cls([range(1, n_arms + 1)] + [()] * n_arms, [-1, *range(n_arms)])
+
+    @classmethod
+    def from_clustering(cls, clustering: DisjointClustering) -> "ClusterTree":
+        """Two-level tree of a clustering: cluster c is node c+1 under the root.
+
+        Leaves follow the clusters, cluster by cluster in ascending arm order,
+        so every node's children are one ascending contiguous run of ids.
+        """
+        k = clustering.n_clusters
+        children: list[Sequence[int]] = [range(1, k + 1)]
+        leaf_arms = [-1] * (k + 1)
+        for c in range(k):
+            members = clustering.members(c).tolist()
+            children.append(range(len(leaf_arms), len(leaf_arms) + len(members)))
+            leaf_arms += members
+        return cls(children + [()] * clustering.n_arms, leaf_arms)
+
     @property
     def n_nodes(self) -> int:
         return len(self._children)
@@ -286,22 +307,6 @@ class BetaBelief:
             raise ValueError("pseudo-counts must be finite")
         if self.s < 1.0 or self.f < 1.0:
             raise ValueError(f"pseudo-counts must be >= 1, got ({self.s}, {self.f})")
-
-    @property
-    def mean(self) -> float:
-        return self.s / (self.s + self.f)
-
-
-def sample_beta(belief: BetaBelief, rng: np.random.Generator) -> float:
-    """One draw from Beta(s, f)."""
-    return float(rng.beta(belief.s, belief.f))
-
-
-def beta_update(belief: BetaBelief, reward: float) -> BetaBelief:
-    """Posterior after observing ``reward``: s += r, f += (1 - r)."""
-    if not np.isfinite(reward) or not (0.0 <= reward <= 1.0):
-        raise ValueError(f"reward {reward} outside [0, 1]")
-    return BetaBelief(belief.s + reward, belief.f + (1.0 - reward))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +409,10 @@ def regret_of(instance: BanditInstance, arm: int) -> float:
 class SimulationTrace:
     """Per-step record of one simulation run.
 
-    ``paths`` holds the chosen cluster path per step (cluster id for
-    two-level policies, root-to-leaf node path for tree policies), padded
-    with -1; it is None for flat policies. ``cum_regret[t]`` is the
+    ``paths`` holds each step's ``Choice.path``, padded with -1: a cluster
+    id for ``tsmax``, ``ucbc`` and the clustered contextual policies, a
+    root-to-leaf node path for tree descents (``hts``, ``uct``, and ``tsc``
+    with ``(0, c+1, leaf)``); None for flat policies. ``cum_regret[t]`` is the
     cumulative pseudo-regret after step t+1 and equals the running sum of
     ``regret_of`` over the chosen arms.
     """
@@ -428,29 +434,11 @@ class SimulationTrace:
     def horizon(self) -> int:
         return int(self.arms.shape[0])
 
-    @property
-    def final_regret(self) -> float:
-        return float(self.cum_regret[-1])
-
-    def steps(self) -> Iterator[tuple[int, int, tuple[int, ...], float, float]]:
-        """Yield (t, arm, cluster_path, reward, cumulative_regret), t from 1."""
-        for i in range(self.horizon):
-            if self.paths is None:
-                path: tuple[int, ...] = ()
-            else:
-                row = self.paths[i]
-                path = tuple(int(x) for x in row[row >= 0])
-            yield i + 1, int(self.arms[i]), path, float(self.rewards[i]), float(
-                self.cum_regret[i]
-            )
-
-    def arm_counts(self, n_arms: int | None = None) -> np.ndarray:
-        """Number of plays per arm over the whole trace."""
-        minlength = n_arms if n_arms is not None else int(self.arms.max()) + 1
-        return np.bincount(self.arms, minlength=minlength)
-
     def top_level_counts(self, n_entities: int) -> np.ndarray:
-        """Plays per first path element (e.g. per cluster for TSC)."""
+        """Plays per first path element, e.g. per cluster for ``tsmax``.
+
+        Tree paths all start at the root; ``RunRow.top_counts`` counts root children.
+        """
         if self.paths is None:
             raise ValueError("trace has no cluster paths")
         return np.bincount(self.paths[:, 0], minlength=n_entities)

@@ -144,7 +144,6 @@ class ContextualSpec:
     n_clusters: int
     dim: int = 5
     epsilon: float = 0.5
-    horizon: int = 2000
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -153,8 +152,6 @@ class ContextualSpec:
             raise ValueError("epsilon must be >= 0")
         if not (1 <= self.n_clusters <= self.n_arms):
             raise ValueError("need 1 <= n_clusters <= n_arms")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +633,7 @@ _SPEC_FIELDS: dict[str, tuple[set[str], set[str]]] = {
     "kmeans_tree": ({"n_arms", "branching", "depth", "reward_fn"}, set()),
     "agglomerative": ({"n_arms", "reward_fn"}, {"linkage"}),
     "uniform": ({"n_arms", "n_clusters"}, set()),
-    "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim", "horizon"}),
+    "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim"}),
     "bernoulli": ({"means"}, {"clustering", "tree"}),
 }
 
@@ -712,7 +709,6 @@ def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | Con
                 n_clusters=int(spec["n_clusters"]),
                 dim=int(spec.get("dim", 5)),
                 epsilon=float(spec["epsilon"]),
-                horizon=int(spec.get("horizon", 2000)),
             ),
             rng,
         )

@@ -2,9 +2,13 @@
 
 Every policy exposes ``select(t, rng) -> Choice`` and
 ``update(choice, reward)``. A ``Choice`` carries the played arm plus the
-cluster path that led to it (empty for flat policies, the cluster id for
-two-level policies, the root-to-leaf node path for tree policies), so the
-simulator can log and replay the full decision.
+path that led to it, so the simulator can log and replay the full decision:
+empty for ``ucb1``, the cluster id for ``tsmax`` and ``ucbc``, and the
+root-to-leaf node path for tree descents. The three Thompson samplers are
+one descent kernel, ``HierarchicalThompsonSampling``: ``ts`` descends
+``ClusterTree.star(n)`` (its traces keep no paths) and ``tsc`` descends
+``ClusterTree.from_clustering(c)``, so a ``tsc`` path is ``(0, c+1, leaf)``
+for cluster c.
 
 Policies are addressed from configs by string key through
 :func:`make_policy`; all of them are parameter-free given the instance
@@ -76,102 +80,19 @@ class BanditPolicy(ABC):
     def update(self, choice: Choice, reward: float) -> None:
         """Feed back the observed reward for a previous choice."""
 
-    def get_params(self) -> dict:
-        return {}
-
 
 # ---------------------------------------------------------------------------
 # Thompson sampling family
 # ---------------------------------------------------------------------------
 
-class ThompsonSampling(BanditPolicy):
-    """Beta-Bernoulli Thompson sampling over a flat action set.
-
-    Keeps a Beta(s, f) belief per arm starting from the uniform prior,
-    samples one expected reward per arm each round, and plays the argmax.
-    """
-
-    key = "ts"
-
-    def __init__(self, n_arms: int) -> None:
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
-        self.n_arms = n_arms
-        self._s = np.ones(n_arms)
-        self._f = np.ones(n_arms)
-
-    @property
-    def arm_beliefs(self) -> dict[int, BetaBelief]:
-        return {a: BetaBelief(float(self._s[a]), float(self._f[a])) for a in range(self.n_arms)}
-
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        theta = rng.beta(self._s, self._f)
-        return Choice(arm=random_argmax(theta, rng))
-
-    def update(self, choice: Choice, reward: float) -> None:
-        reward = _check_reward(reward)
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
-
-
-class ClusteredThompsonSampling(BanditPolicy):
-    """Two-level Thompson sampling over a disjoint clustering.
-
-    Each round first samples one expected reward per *cluster* from a
-    cluster-level Beta belief and commits to the argmax cluster, then runs
-    ordinary Thompson sampling among that cluster's arms only. Arm and
-    cluster beliefs are both updated with the observed reward, so a
-    cluster's pseudo-counts always equal the prior-adjusted sum of its
-    member arms' counts.
-    """
-
-    key = "tsc"
-    path_depth = 1
-
-    def __init__(self, clustering: DisjointClustering) -> None:
-        self.clustering = clustering
-        n, k = clustering.n_arms, clustering.n_clusters
-        self._s = np.ones(n)
-        self._f = np.ones(n)
-        self._cs = np.ones(k)
-        self._cf = np.ones(k)
-
-    @property
-    def arm_beliefs(self) -> dict[int, BetaBelief]:
-        return {a: BetaBelief(float(self._s[a]), float(self._f[a])) for a in range(self.clustering.n_arms)}
-
-    @property
-    def cluster_beliefs(self) -> dict[int, BetaBelief]:
-        return {c: BetaBelief(float(self._cs[c]), float(self._cf[c])) for c in range(self.clustering.n_clusters)}
-
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        theta_c = rng.beta(self._cs, self._cf)
-        cluster = random_argmax(theta_c, rng)
-        members = self.clustering.members(cluster)
-        theta_a = rng.beta(self._s[members], self._f[members])
-        arm = int(members[random_argmax(theta_a, rng)])
-        return Choice(arm=arm, path=(cluster,))
-
-    def update(self, choice: Choice, reward: float) -> None:
-        reward = _check_reward(reward)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(
-                f"arm {choice.arm} is not in cluster {cluster}"
-            )
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
-        self._cs[cluster] += reward
-        self._cf[cluster] += 1.0 - reward
-
-
 class _TreeTables:
     """A cluster tree as per-node Python lists, for descent and path checks.
 
-    ``kids[v]`` holds node v's children as an array (to index per-node
-    statistics) and ``kid_ids[v]`` as a list (empty at leaves);
-    ``parent[v]`` is -1 at the root and ``leaf_arm[v]`` is -1 at internal
-    nodes.
+    ``kids[v]`` indexes node v's children in per-node statistics: a slice
+    when they are one ascending contiguous run of ids (so the statistics
+    are read as views), else an array. ``kid_ids[v]`` lists them (empty at
+    leaves); ``parent[v]`` is -1 at the root and ``leaf_arm[v]`` is -1 at
+    internal nodes.
     """
 
     __slots__ = ("kids", "kid_ids", "parent", "leaf_arm")
@@ -179,6 +100,9 @@ class _TreeTables:
     def __init__(self, tree: ClusterTree) -> None:
         self.kids = [tree.children(v) for v in range(tree.n_nodes)]
         self.kid_ids = [kids.tolist() for kids in self.kids]
+        for v, ids in enumerate(self.kid_ids):
+            if ids and ids == list(range(ids[0], ids[-1] + 1)):
+                self.kids[v] = slice(ids[0], ids[-1] + 1)
         self.parent = tree.parent.tolist()
         self.leaf_arm = tree.leaf_arms.tolist()
 
@@ -219,11 +143,11 @@ class HierarchicalThompsonSampling(BanditPolicy):
         return {v: BetaBelief(float(self._s[v]), float(self._f[v])) for v in range(self.tree.n_nodes)}
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        kid_ids, kid_arrays = self._walk.kid_ids, self._walk.kids
+        kid_ids, kid_index = self._walk.kid_ids, self._walk.kids
         node = 0
         path = [node]
         while kid_ids[node]:
-            kids = kid_arrays[node]
+            kids = kid_index[node]
             theta = rng.beta(self._s[kids], self._f[kids])
             node = kid_ids[node][random_argmax(theta, rng)]
             path.append(node)
@@ -239,6 +163,36 @@ class HierarchicalThompsonSampling(BanditPolicy):
         for v in path:
             self._s[v] += reward
             self._f[v] += fail
+
+
+class ThompsonSampling(HierarchicalThompsonSampling):
+    """Beta-Bernoulli Thompson sampling over a flat action set.
+
+    Tree descent on ``ClusterTree.star(n_arms)``: one Beta(s, f) belief per
+    arm (leaf a+1) from the uniform prior, one sampled expected reward per
+    arm each round, and the argmax is played. Traces keep no paths.
+    """
+
+    key = "ts"
+
+    def __init__(self, n_arms: int) -> None:
+        super().__init__(ClusterTree.star(n_arms))
+        self.path_depth = 0
+
+
+class ClusteredThompsonSampling(HierarchicalThompsonSampling):
+    """Two-level Thompson sampling over a disjoint clustering.
+
+    Tree descent on ``ClusterTree.from_clustering(clustering)``: each round
+    first samples one expected reward per cluster (node c+1) and commits to
+    the argmax cluster, then samples among that cluster's arms only; the
+    reward updates both, as on every descent path.
+    """
+
+    key = "tsc"
+
+    def __init__(self, clustering: DisjointClustering) -> None:
+        super().__init__(ClusterTree.from_clustering(clustering))
 
 
 class TsMax(BanditPolicy):
@@ -296,10 +250,21 @@ class TsMax(BanditPolicy):
         (cluster,) = choice.path
         if self.clustering.label_of(choice.arm) != cluster:
             raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
-        if self._reps is not None:
-            self._reps[cluster] = self._best_member(cluster)
+        s, f, arm = self._s, self._f, choice.arm
+        before = s[arm] / (s[arm] + f[arm])
+        s[arm] += reward
+        f[arm] += 1.0 - reward
+        reps = self._reps
+        if reps is None:
+            return
+        mean = s[arm] / (s[arm] + f[arm])
+        rep = reps[cluster]
+        if rep == arm and mean < before:  # the representative fell: re-take the cluster
+            reps[cluster] = self._best_member(cluster)
+        elif rep != arm:  # only this member moved: it wins on a higher mean, or a tie and a lower id
+            rep_mean = s[rep] / (s[rep] + f[rep])
+            if mean > rep_mean or (mean == rep_mean and arm < rep):
+                reps[cluster] = arm
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +302,6 @@ class Ucb1(BanditPolicy):
         self._n = np.zeros(n_arms)
         self._q = np.zeros(n_arms)
         self._unplayed = 0  # every arm below it has been played
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._n.copy()
-
-    @property
-    def empirical_means(self) -> np.ndarray:
-        return self._q.copy()
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
@@ -435,15 +392,15 @@ class TreeUcb(BanditPolicy):
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
-        kid_ids, kid_arrays = self._walk.kid_ids, self._walk.kids
+        kid_ids, kid_index = self._walk.kid_ids, self._walk.kids
         node = 0
         path = [node]
         while kid_ids[node]:
-            kids = kid_arrays[node]
+            kids = kid_index[node]
             counts = self._n[kids]
-            fresh = np.flatnonzero(counts == 0)
-            if fresh.size:
-                node = kid_ids[node][fresh[0]]
+            first = counts.argmin()
+            if counts[first] == 0:  # the first unvisited child
+                node = kid_ids[node][first]
             else:
                 idx = _ucb_index(self._q[kids], counts, math.log(self._n[node]))
                 node = kid_ids[node][random_argmax(idx, rng)]

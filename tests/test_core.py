@@ -11,14 +11,12 @@ from clusterbandit.core import (
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
-    beta_update,
     draw_reward,
     random_argmax,
     regret_of,
     rng_streams,
-    sample_beta,
 )
-from clusterbandit.policies import make_policy
+from clusterbandit.policies import Choice, HierarchicalThompsonSampling, make_policy
 from clusterbandit.simulate import simulate
 
 
@@ -26,66 +24,90 @@ from clusterbandit.simulate import simulate
 # Beta beliefs
 # ---------------------------------------------------------------------------
 
+def _beta_draws(s, f, n, rng):
+    """``n`` draws through the generator call the Thompson kernel makes."""
+    return rng.beta(np.full(n, float(s)), np.full(n, float(f)))
+
+
 class TestSampleBeta:
     def test_uniform_prior_mean(self, rng):
-        draws = np.array([sample_beta(BetaBelief(1, 1), rng) for _ in range(100_000)])
+        draws = _beta_draws(1, 1, 100_000, rng)
         assert abs(draws.mean() - 0.5) < 0.01
 
     def test_concentrated_mean_matches_analytic(self, rng):
         # Beta(s, f) has mean s / (s + f)
-        belief = BetaBelief(100, 1)
-        draws = np.array([sample_beta(belief, rng) for _ in range(100_000)])
+        draws = _beta_draws(100, 1, 100_000, rng)
         assert abs(draws.mean() - 100 / 101) < 0.01
 
     def test_fixed_seed_reproducibility(self):
-        a = sample_beta(BetaBelief(3, 7), np.random.default_rng(99))
-        b = sample_beta(BetaBelief(3, 7), np.random.default_rng(99))
+        a = np.random.default_rng(99).beta(3.0, 7.0)
+        b = np.random.default_rng(99).beta(3.0, 7.0)
         assert a == b
 
     @pytest.mark.parametrize("s,f", [(1, 1), (2, 5), (50, 50)])
     def test_ks_distance_against_analytic_cdf(self, s, f):
         rng = np.random.default_rng(1000 + s * 7 + f)
-        draws = np.array([sample_beta(BetaBelief(s, f), rng) for _ in range(100_000)])
+        draws = _beta_draws(s, f, 100_000, rng)
         stat = scipy.stats.kstest(draws, scipy.stats.beta(s, f).cdf).statistic
         assert stat <= 0.01
 
     def test_range(self, rng):
-        for _ in range(100):
-            assert 0.0 <= sample_beta(BetaBelief(2, 3), rng) <= 1.0
+        draws = _beta_draws(2, 3, 100, rng)
+        assert np.all((0.0 <= draws) & (draws <= 1.0))
+
+
+def _one_arm_posterior(*rewards):
+    """Thompson kernel on one arm (leaf 1) after ``rewards``, and the update."""
+    pol = HierarchicalThompsonSampling(ClusterTree.star(1))
+
+    def observe(r):
+        pol.update(Choice(arm=0, path=(0, 1)), r)
+
+    for r in rewards:
+        observe(r)
+    return pol, observe
 
 
 class TestBetaUpdate:
     def test_success(self):
-        assert beta_update(BetaBelief(1, 1), 1.0) == BetaBelief(2, 1)
+        pol, observe = _one_arm_posterior()
+        observe(1.0)
+        assert pol.node_beliefs[1] == BetaBelief(2, 1)
 
     def test_failure(self):
-        assert beta_update(BetaBelief(1, 1), 0.0) == BetaBelief(1, 2)
+        pol, observe = _one_arm_posterior()
+        observe(0.0)
+        assert pol.node_beliefs[1] == BetaBelief(1, 2)
 
     def test_fractional_reward(self):
-        assert beta_update(BetaBelief(4, 2), 0.5) == BetaBelief(4.5, 2.5)
+        pol, observe = _one_arm_posterior(1.0, 1.0, 1.0, 0.0)
+        assert pol.node_beliefs[1] == BetaBelief(4, 2)
+        observe(0.5)
+        assert pol.node_beliefs[1] == BetaBelief(4.5, 2.5)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rejects_out_of_range_reward(self, bad):
+        pol, observe = _one_arm_posterior()
         with pytest.raises(ValueError):
-            beta_update(BetaBelief(1, 1), bad)
+            observe(bad)
+        assert pol.node_beliefs[1] == BetaBelief(1, 1)
 
     def test_input_unchanged(self):
-        b = BetaBelief(2, 3)
-        beta_update(b, 1.0)
+        pol, observe = _one_arm_posterior(1.0, 0.0, 0.0)
+        b = pol.node_beliefs[1]
+        observe(1.0)
         assert b == BetaBelief(2, 3)
 
     @given(st.lists(st.integers(0, 1), max_size=200))
     def test_pseudo_count_conservation_binary(self, rewards):
-        b = BetaBelief()
-        for r in rewards:
-            b = beta_update(b, float(r))
+        pol, _ = _one_arm_posterior(*map(float, rewards))
+        b = pol.node_beliefs[1]
         assert b.s + b.f - 2 == len(rewards)
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), max_size=100))
     def test_pseudo_count_conservation_fractional(self, rewards):
-        b = BetaBelief()
-        for r in rewards:
-            b = beta_update(b, r)
+        pol, _ = _one_arm_posterior(*rewards)
+        b = pol.node_beliefs[1]
         assert b.s + b.f - 2 == pytest.approx(len(rewards), abs=1e-9)
 
     def test_counts_below_one_rejected(self):
@@ -202,6 +224,49 @@ class TestClusterTree:
         with pytest.raises(ValueError):
             ClusterTree([[1], [], []], [-1, 0, 1])
 
+    @staticmethod
+    def _assert_contiguous_children(tree):
+        for v in range(tree.n_nodes):
+            kids = tree.children(v).tolist()
+            if kids:
+                assert kids == list(range(kids[0], kids[-1] + 1)), v
+
+    @pytest.mark.parametrize("n_arms", [1, 2, 7])
+    def test_star(self, n_arms):
+        tree = ClusterTree.star(n_arms)
+        assert tree.n_nodes == n_arms + 1 and tree.depth == 1
+        assert tree.children(0).tolist() == list(range(1, n_arms + 1))
+        assert [tree.leaf_of_arm(a) for a in range(n_arms)] == list(range(1, n_arms + 1))
+        assert tree.leaf_arms.tolist() == [-1, *range(n_arms)]
+        self._assert_contiguous_children(tree)
+
+    def test_star_needs_an_arm(self):
+        with pytest.raises(ValueError):
+            ClusterTree.star(0)
+
+    def test_from_clustering(self):
+        # interleaved labels: cluster order differs from arm order
+        clustering = DisjointClustering([2, 0, 1, 0, 2, 2, 1])
+        tree = ClusterTree.from_clustering(clustering)
+        k = clustering.n_clusters
+        assert tree.n_nodes == 1 + k + clustering.n_arms and tree.depth == 2
+        assert tree.children(0).tolist() == [1, 2, 3]  # cluster c is node c+1
+        assert tree.children(1).tolist() == [4, 5]
+        assert tree.children(2).tolist() == [6, 7]
+        assert tree.children(3).tolist() == [8, 9, 10]
+        for c in range(k):
+            # a cluster's leaves hold its members in ascending arm order
+            leaves = tree.children(c + 1)
+            assert tree.leaf_arms[leaves].tolist() == clustering.members(c).tolist()
+            assert tree.arms_under(c + 1).tolist() == clustering.members(c).tolist()
+        # every arm maps to exactly one leaf, under its own cluster's node
+        leaves = [tree.leaf_of_arm(a) for a in range(clustering.n_arms)]
+        assert sorted(leaves) == list(range(1 + k, tree.n_nodes))
+        for a, leaf in enumerate(leaves):
+            assert tree.arm_of_leaf(leaf) == a
+            assert tree.path_to_root(leaf) == [leaf, clustering.label_of(a) + 1, 0]
+        self._assert_contiguous_children(tree)
+
 
 # ---------------------------------------------------------------------------
 # RNG contract
@@ -284,13 +349,12 @@ class TestSimulationTrace:
     def test_steps_view(self):
         inst = _small_clustered_instance()
         trace = simulate(inst, make_policy("tsc", inst), 10, rng_streams(2).simulation)
-        steps = list(trace.steps())
-        assert len(steps) == 10
-        t, arm, path, reward, creg = steps[0]
-        assert t == 1
-        assert arm == trace.arms[0]
-        assert len(path) == 1
-        assert reward in (0.0, 1.0)
+        assert trace.horizon == 10
+        assert trace.arms.shape == trace.rewards.shape == trace.cum_regret.shape == (10,)
+        path = trace.paths[0]
+        assert len(path) == 3  # (0, c+1, leaf)
+        assert path[0] == 0 and path[1] == inst.clustering.label_of(int(trace.arms[0])) + 1
+        assert trace.rewards[0] in (0.0, 1.0)
 
     def test_top_level_counts(self):
         inst = _small_clustered_instance()

@@ -117,6 +117,12 @@ class TestConfigValidation:
             run_experiment(config)
         assert next(iter(params)) + ": " in str(err.value)
 
+    def test_contextual_spec_horizon_is_an_unknown_field(self):
+        # the run's horizon is the config's; a spec-level one was never read
+        config = _tiny_config(instance={**TINY_CTX_SPEC, "horizon": 2000}, policies=[{"key": "lints"}])
+        with pytest.raises(ConfigError, match=r"variant 'default' .*unknown fields \['horizon'\]"):
+            run_experiment(config)
+
 
 class TestRunExperiment:
     def test_summary_mean_is_mean_of_finals(self):

@@ -1,4 +1,5 @@
 """Selection laws, update rules, and structural invariants of MAB policies."""
+import inspect
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from clusterbandit.core import (
     DisjointClustering,
     rng_streams,
 )
+from clusterbandit import contextual, policies
 from clusterbandit.instances import gen_sorted_binary_tree, sorted_tree_from_means
 from clusterbandit.policies import (
+    BanditPolicy,
     Choice,
     ClusteredThompsonSampling,
     ClusteredUcb1,
@@ -47,8 +50,8 @@ class TestThompsonSampling:
     def test_concentrated_beliefs_dominate(self):
         rng = np.random.default_rng(1)
         pol = ThompsonSampling(2)
-        pol._s[:] = [1e6, 1.0]
-        pol._f[:] = [1.0, 1e6]
+        pol._s[1:] = [1e6, 1.0]  # arm a is leaf a+1 of the star
+        pol._f[1:] = [1.0, 1e6]
         picks = sum(pol.select(1, rng).arm == 0 for _ in range(10_000))
         assert picks / 10_000 >= 0.999
 
@@ -60,14 +63,27 @@ class TestThompsonSampling:
 
     def test_update_moves_only_chosen_arm(self):
         pol = ThompsonSampling(3)
-        pol.update(Choice(arm=1), 1.0)
-        beliefs = pol.arm_beliefs
-        assert beliefs[1] == BetaBelief(2, 1)
-        assert beliefs[0] == beliefs[2] == BetaBelief(1, 1)
+        pol.update(Choice(arm=1, path=(0, 2)), 1.0)
+        beliefs = pol.node_beliefs  # arm a is leaf a+1 of the star
+        assert beliefs[2] == BetaBelief(2, 1)
+        assert beliefs[1] == beliefs[3] == BetaBelief(1, 1)
+        assert beliefs[0] == BetaBelief(2, 1)  # the root sums its leaves
+
+    def test_update_needs_the_star_path(self):
+        with pytest.raises(ValueError):
+            ThompsonSampling(3).update(Choice(arm=1), 1.0)
+
+
+TWO_CLUSTERS = DisjointClustering([0, 0, 1, 1])
 
 
 def _two_cluster_policy():
-    return ClusteredThompsonSampling(DisjointClustering([0, 0, 1, 1]))
+    return ClusteredThompsonSampling(TWO_CLUSTERS)
+
+
+def _path(pol, arm):
+    """The root-to-leaf path of ``arm`` in a tsc tree: cluster c is node c+1."""
+    return (0, TWO_CLUSTERS.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
 
 
 class TestClusteredThompsonSampling:
@@ -85,8 +101,8 @@ class TestClusteredThompsonSampling:
         picks = 0
         for _ in range(2_000):
             pol = _two_cluster_policy()
-            pol._cs[0] = 1e6
-            picks += pol.select(1, rng).path[0] == 0
+            pol._s[1] = 1e6  # cluster 0's success count
+            picks += pol.select(1, rng).path[1] == 1
         assert picks / 2_000 >= 0.99
 
     def test_containment(self):
@@ -94,27 +110,30 @@ class TestClusteredThompsonSampling:
         pol = _two_cluster_policy()
         for t in range(1, 1001):
             choice = pol.select(t, rng)
-            assert pol.clustering.label_of(choice.arm) == choice.path[0]
+            assert choice.path == _path(pol, choice.arm)
             pol.update(choice, float(rng.integers(2)))
 
     def test_update_touches_exactly_two_beliefs(self):
         pol = _two_cluster_policy()
-        pol.update(Choice(arm=2, path=(1,)), 1.0)
-        assert pol.arm_beliefs[2] == BetaBelief(2, 1)
-        assert pol.cluster_beliefs[1] == BetaBelief(2, 1)
-        assert pol.arm_beliefs[0] == pol.arm_beliefs[1] == pol.arm_beliefs[3] == BetaBelief(1, 1)
-        assert pol.cluster_beliefs[0] == BetaBelief(1, 1)
+        pol.update(Choice(arm=2, path=_path(pol, 2)), 1.0)
+        beliefs = pol.node_beliefs
+        leaf = pol.tree.leaf_of_arm
+        assert beliefs[leaf(2)] == BetaBelief(2, 1)
+        assert beliefs[2] == BetaBelief(2, 1)  # cluster 1
+        assert beliefs[leaf(0)] == beliefs[leaf(1)] == beliefs[leaf(3)] == BetaBelief(1, 1)
+        assert beliefs[1] == BetaBelief(1, 1)  # cluster 0
+        assert beliefs[0] == BetaBelief(2, 1)  # the root sums the clusters
 
     def test_update_failure_reward(self):
         pol = _two_cluster_policy()
-        pol.update(Choice(arm=0, path=(0,)), 0.0)
-        assert pol.arm_beliefs[0] == BetaBelief(1, 2)
-        assert pol.cluster_beliefs[0] == BetaBelief(1, 2)
+        pol.update(Choice(arm=0, path=_path(pol, 0)), 0.0)
+        assert pol.node_beliefs[pol.tree.leaf_of_arm(0)] == BetaBelief(1, 2)
+        assert pol.node_beliefs[1] == BetaBelief(1, 2)
 
     def test_containment_violation_rejected(self):
         pol = _two_cluster_policy()
         with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(1,)), 1.0)
+            pol.update(Choice(arm=0, path=(0, 2, pol.tree.leaf_of_arm(0))), 1.0)
 
     def test_count_consistency_replay(self):
         rng = np.random.default_rng(4)
@@ -123,21 +142,22 @@ class TestClusteredThompsonSampling:
         arm_f = np.ones(4)
         cl_s = np.ones(2)
         cl_f = np.ones(2)
+        leaves = np.array([pol.tree.leaf_of_arm(a) for a in range(4)])
         for t in range(1, 1001):
             choice = pol.select(t, rng)
             r = float(rng.integers(2))
             pol.update(choice, r)
             arm_s[choice.arm] += r
             arm_f[choice.arm] += 1 - r
-            cl_s[choice.path[0]] += r
-            cl_f[choice.path[0]] += 1 - r
+            cl_s[choice.path[1] - 1] += r
+            cl_f[choice.path[1] - 1] += 1 - r
             # cluster pseudo-counts equal prior-adjusted member sums
             for c in range(2):
-                members = pol.clustering.members(c)
-                assert pol._cs[c] - 1 == pytest.approx((pol._s[members] - 1).sum())
-                assert pol._cf[c] - 1 == pytest.approx((pol._f[members] - 1).sum())
-        assert np.array_equal(pol._s, arm_s) and np.array_equal(pol._f, arm_f)
-        assert np.array_equal(pol._cs, cl_s) and np.array_equal(pol._cf, cl_f)
+                members = leaves[TWO_CLUSTERS.members(c)]
+                assert pol._s[c + 1] - 1 == pytest.approx((pol._s[members] - 1).sum())
+                assert pol._f[c + 1] - 1 == pytest.approx((pol._f[members] - 1).sum())
+        assert np.array_equal(pol._s[leaves], arm_s) and np.array_equal(pol._f[leaves], arm_f)
+        assert np.array_equal(pol._s[1:3], cl_s) and np.array_equal(pol._f[1:3], cl_f)
 
     def test_single_cluster_reduces_to_ts_law(self):
         clustering = DisjointClustering([0, 0, 0, 0])
@@ -478,3 +498,24 @@ class TestMakePolicy:
         pol = make_policy("ts", BanditInstance.from_means([0.5]))
         with pytest.raises(ValueError):
             pol.update(Choice(arm=0), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Tracer naming
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "module, base", [(policies, BanditPolicy), (contextual, contextual.ContextualPolicy)]
+)
+def test_policy_classes_with_own_select_or_update_name_their_key(module, base):
+    # per-policy timings are named by the ``key`` of the class whose body
+    # holds ``select``/``update``; a body without one reports no metric
+    classes = [
+        cls for cls in vars(module).values()
+        if inspect.isclass(cls) and issubclass(cls, base) and cls.__module__ == module.__name__
+    ]
+    assert len(classes) >= 5
+    for cls in classes:
+        body = vars(cls)
+        if "select" in body or "update" in body:
+            assert isinstance(body.get("key"), str), cls.__name__

@@ -1,4 +1,11 @@
-"""Step-for-step oracle for the per-step code of the tree, TsMax, UCB and linear policies.
+"""Step-for-step oracle for the per-step code of the Thompson, TsMax, UCB and linear policies.
+
+``RefThompsonSampling`` and ``RefClusteredThompsonSampling`` keep flat and
+two-level Thompson sampling as their own Beta kernels: one draw per arm, or
+one per cluster and then one per member of the chosen cluster. ``ts`` and
+``tsc`` run the tree-descent kernel on a star and on the clustering's
+two-level tree, and must reproduce their traces exactly, arm, reward and
+regret; a ``tsc`` path ``(0, c+1, leaf)`` must name the reference's cluster c.
 
 The reference policies below keep the straightforward per-step bodies: tree
 descent through ``ClusterTree`` accessors, TsMax representatives recomputed
@@ -25,8 +32,10 @@ from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
     Choice,
+    ClusteredThompsonSampling,
     ClusteredUcb1,
     HierarchicalThompsonSampling,
+    ThompsonSampling,
     TreeUcb,
     TsMax,
     Ucb1,
@@ -76,6 +85,51 @@ class RefHts(HierarchicalThompsonSampling):
         for v in path:
             self._s[v] += reward
             self._f[v] += fail
+
+
+class RefThompsonSampling:
+    path_depth = 0
+
+    def __init__(self, n_arms):
+        self._s = np.ones(n_arms)
+        self._f = np.ones(n_arms)
+
+    def select(self, t, rng):
+        theta = rng.beta(self._s, self._f)
+        return Choice(arm=_ref_random_argmax(theta, rng))
+
+    def update(self, choice, reward):
+        self._s[choice.arm] += reward
+        self._f[choice.arm] += 1.0 - reward
+
+
+class RefClusteredThompsonSampling:
+    path_depth = 1
+
+    def __init__(self, clustering):
+        self.clustering = clustering
+        n, k = clustering.n_arms, clustering.n_clusters
+        self._s = np.ones(n)
+        self._f = np.ones(n)
+        self._cs = np.ones(k)
+        self._cf = np.ones(k)
+
+    def select(self, t, rng):
+        theta_c = rng.beta(self._cs, self._cf)
+        cluster = _ref_random_argmax(theta_c, rng)
+        members = self.clustering.members(cluster)
+        theta_a = rng.beta(self._s[members], self._f[members])
+        arm = int(members[_ref_random_argmax(theta_a, rng)])
+        return Choice(arm=arm, path=(cluster,))
+
+    def update(self, choice, reward):
+        (cluster,) = choice.path
+        if self.clustering.label_of(choice.arm) != cluster:
+            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
+        self._s[choice.arm] += reward
+        self._f[choice.arm] += 1.0 - reward
+        self._cs[cluster] += reward
+        self._cf[cluster] += 1.0 - reward
 
 
 class RefUct(TreeUcb):
@@ -162,6 +216,9 @@ SPECS = {
     "sorted-tree-256": {"kind": "sorted_tree", "n_arms": 256},
     "kmeans-large": _variant_spec("kmeans-large", "N1000-K32"),
     "kmeans-small": _variant_spec("kmeans-small", "N100-K10"),
+    "strong-dominance": _variant_spec("fig-d-sweep", "d=0.1"),
+    "appendix-uniform": _variant_spec("appendix-uniform", "N50-K10"),
+    "hts-uct/L1": _variant_spec("hts-uct", "L1"),
 }
 
 
@@ -248,6 +305,31 @@ def test_kept_state_matches_reference_after_external_updates(key, seed):
         assert np.array_equal(policy._reps, policy.cluster_representatives())
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "name", ["kmeans-large", "kmeans-small", "strong-dominance", "appendix-uniform", "hts-uct/L1", "tied"]
+)
+@pytest.mark.parametrize("key", ["ts", "tsc"])
+def test_thompson_descent_matches_own_beta_kernels(key, name, seed):
+    instance = _tied_instance() if name == "tied" else _instance(name, seed)
+    if key == "ts":
+        policy, reference = ThompsonSampling(instance.n_arms), RefThompsonSampling(instance.n_arms)
+    else:
+        policy = ClusteredThompsonSampling(instance.clustering)
+        reference = RefClusteredThompsonSampling(instance.clustering)
+    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation)
+    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation)
+    assert np.array_equal(got.arms, want.arms)
+    assert np.array_equal(got.rewards, want.rewards)
+    assert np.array_equal(got.cum_regret, want.cum_regret)
+    if key == "ts":
+        assert got.paths is None and want.paths is None
+    else:
+        assert np.array_equal(got.paths[:, 0], np.zeros(HORIZON, dtype=np.int64))
+        assert np.array_equal(got.paths[:, 1] - 1, want.paths[:, 0])
+        assert np.array_equal(policy.tree.leaf_arms[got.paths[:, 2]], got.arms)
+
+
 def test_tied_representatives_go_to_the_lowest_arm_id():
     instance = _tied_instance()
     policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
@@ -258,6 +340,29 @@ def test_tied_representatives_go_to_the_lowest_arm_id():
         pol._f[6] = 4.0
     assert policy.cluster_representatives().tolist() == [3, 1, 2]
     assert np.array_equal(policy.cluster_representatives(), reference.cluster_representatives())
+
+
+def test_kept_representatives_follow_falls_and_lower_id_ties():
+    instance = _tied_instance()  # cluster 0 = arms 0, 3, 6, 9
+    labels = instance.clustering.labels.tolist()
+    policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
+    policy.select(1, np.random.default_rng(0))  # takes every representative
+    assert policy._reps.tolist() == [0, 1, 2]
+
+    def play(arm, reward, rep):
+        for pol in (policy, reference):
+            pol.update(Choice(arm=arm, path=(labels[arm],)), reward)
+        want = reference.cluster_representatives()
+        assert policy._reps.tolist() == want.tolist()
+        assert int(want[0]) == rep
+
+    play(3, 1.0, rep=3)  # a higher mean takes over
+    play(9, 1.0, rep=3)  # an equal mean with a higher id does not
+    play(3, 0.0, rep=9)  # the representative falls: arm 9 is now the best
+    play(0, 1.0, rep=0)  # an equal mean with a lower id wins the tie
+    play(0, 0.5, rep=9)  # a fractional reward lowers the representative too
+    play(6, 0.0, rep=9)  # another member falls: nothing changes
+    _assert_same_trace(instance, policy, reference, seed=0, horizon=300)
 
 
 class RefLinearBank:
