@@ -28,9 +28,6 @@ from .contextual import (
     ClusteredLinUcb,
     LinThompson,
     LinUcb,
-    LinearBelief,
-    lin_sample,
-    lin_update,
     make_contextual_policy,
 )
 from .core import (

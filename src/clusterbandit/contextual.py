@@ -6,9 +6,12 @@ starting at the identity, a reward-weighted context sum f, and the mean
 B^-1 f. Thompson variants sample a scalar score per entity from
 N(mu'x, v x'B^-1 x); UCB variants score with mu'x + alpha sqrt(x'B^-1 x).
 
-Posteriors are stacked across entities in ``_LinearBank``; ``LinearBelief``
-is a bank of one. Inverses are maintained with rank-one updates and
-re-solved densely every 1000 updates per entity to cap numerical drift.
+Posteriors are stacked across entities in ``_LinearBank``. Inverses are
+maintained with rank-one updates and re-solved densely every 1000 updates
+per entity to cap numerical drift. ``LinThompson`` and
+``ClusteredLinThompson`` hold the flat and the two-level ``select``/
+``update``; ``LinUcb`` and ``ClusteredLinUcb`` run the same bodies and only
+score a bank with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
 
 The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
 every entity is one product of those rows with the flattened x x'. Scores
@@ -28,9 +31,6 @@ from .core import DisjointClustering, random_argmax
 from .policies import Choice
 
 __all__ = [
-    "LinearBelief",
-    "lin_sample",
-    "lin_update",
     "ContextualInstance",
     "ContextualPolicy",
     "LinThompson",
@@ -66,6 +66,8 @@ class _LinearBank:
     """Ridge posteriors for n entities, stored stacked for vector scoring."""
 
     def __init__(self, n: int, dim: int, v: float) -> None:
+        if dim < 1:
+            raise ValueError(f"dim: must be >= 1, got {dim}")
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"v: sampling-variance scale must be finite and > 0, got {v}")
         self.n = n
@@ -112,64 +114,6 @@ class _LinearBank:
         else:
             self.Mu[i] = binv @ f
 
-    def belief(self, i: int) -> LinearBelief:
-        """An independent copy of entity ``i``'s posterior."""
-        out = LinearBelief(self.dim, self.v)
-        for name in ("B", "Binv", "F", "Mu", "counts"):
-            getattr(out._bank, name)[0] = getattr(self, name)[i]
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Single ridge posterior
-# ---------------------------------------------------------------------------
-
-class LinearBelief:
-    """Ridge posterior over one d-dimensional coefficient vector.
-
-    Starts at B = I, f = 0, mu = 0. ``update`` adds one (context, reward)
-    observation: B += x x', f += r x, mu = B^-1 f, with the cached inverse
-    maintained by the Sherman-Morrison identity and refreshed by a dense
-    solve every ``RESOLVE_EVERY`` updates. The state is a one-entity
-    ``_LinearBank``.
-    """
-
-    def __init__(self, dim: int, v: float = 1.0) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self._bank = _LinearBank(1, dim, v)
-        self.dim, self.v = dim, self._bank.v
-
-    b_matrix = property(lambda self: self._bank.B[0], doc="Precision matrix B.")
-    b_inv = property(lambda self: self._bank.Binv[0], doc="Cached inverse of B.")
-    f_vec = property(lambda self: self._bank.F[0], doc="Reward-weighted context sum f.")
-    mu_vec = property(lambda self: self._bank.Mu[0], doc="Posterior mean B^-1 f.")
-    n_updates = property(lambda self: int(self._bank.counts[0]), doc="Observations so far.")
-
-    def copy(self) -> "LinearBelief":
-        return self._bank.belief(0)
-
-    def update(self, x: np.ndarray, reward: float) -> None:
-        self._bank.update(0, _check_context(x, self.dim), reward)
-
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        return float(self._bank.sample(_check_context(x, self.dim), rng)[0])
-
-    def ucb_index(self, x: np.ndarray, alpha: float) -> float:
-        return float(self._bank.ucb(_check_context(x, self.dim), alpha)[0])
-
-
-def lin_sample(belief: LinearBelief, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Gaussian score draw N(mu'x, v x'B^-1 x) from one belief."""
-    return belief.sample(x, rng)
-
-
-def lin_update(belief: LinearBelief, x: np.ndarray, reward: float) -> LinearBelief:
-    """Posterior after one (context, reward) observation; the input is unchanged."""
-    out = belief.copy()
-    out.update(x, reward)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Contextual environment
@@ -214,9 +158,6 @@ class ContextualInstance:
     def expected_rewards(self, x: np.ndarray) -> np.ndarray:
         return self.theta @ x
 
-    def best_expected(self, x: np.ndarray) -> float:
-        return float((self.theta @ x).max())
-
     def draw_reward(self, arm: int, x: np.ndarray, rng: np.random.Generator) -> float:
         m = self.expected_reward(arm, x)
         lo, hi = (0.0, 2.0 * m) if m >= 0.0 else (2.0 * m, 0.0)
@@ -247,10 +188,6 @@ class ContextualPolicy(ABC):
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         """Feed back the reward observed for ``choice`` under context ``x``."""
 
-    def arm_belief(self, arm: int) -> LinearBelief:
-        """A copy of one arm's posterior (every policy keeps its arms in ``_arms``)."""
-        return self._arms.belief(arm)
-
 
 class LinThompson(ContextualPolicy):
     """Linear Thompson sampling over a flat action set."""
@@ -262,10 +199,15 @@ class LinThompson(ContextualPolicy):
         self.dim = dim
         self.v = float(v)
 
+    def _score(
+        self, bank: _LinearBank, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One score per entity of ``bank`` (or of ``subset``): a posterior draw."""
+        return bank.sample(x, rng, subset)
+
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
-        theta = self._arms.sample(x, rng)
-        return Choice(arm=random_argmax(theta, rng))
+        return Choice(arm=random_argmax(self._score(self._arms, x, rng), rng))
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         x = _check_context(x, self.dim)
@@ -282,6 +224,7 @@ class ClusteredLinThompson(ContextualPolicy):
 
     key = "lintsc"
     path_depth = 1
+    _score = LinThompson._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, v: float = 1.0) -> None:
         self.clustering = clustering
@@ -290,15 +233,11 @@ class ClusteredLinThompson(ContextualPolicy):
         self._clusters = _LinearBank(clustering.n_clusters, dim, v)
         self._arms = _LinearBank(clustering.n_arms, dim, v)
 
-    def cluster_belief(self, cluster: int) -> LinearBelief:
-        return self._clusters.belief(cluster)
-
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
-        cluster = random_argmax(self._clusters.sample(x, rng), rng)
+        cluster = random_argmax(self._score(self._clusters, x, rng), rng)
         members = self.clustering.members(cluster)
-        theta = self._arms.sample(x, rng, subset=members)
-        arm = int(members[random_argmax(theta, rng)])
+        arm = int(members[random_argmax(self._score(self._arms, x, rng, members), rng)])
         return Choice(arm=arm, path=(cluster,))
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
@@ -310,58 +249,33 @@ class ClusteredLinThompson(ContextualPolicy):
         self._arms.update(choice.arm, x, reward)
 
 
-class LinUcb(ContextualPolicy):
+class LinUcb(LinThompson):
     """Linear UCB: mean score plus alpha times the posterior width."""
 
     key = "linucb"
 
     def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)
-        self._arms = _LinearBank(n_arms, dim, 1.0)
-        self.dim = dim
+        super().__init__(n_arms, dim)
         self.alpha = float(alpha)
 
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = _check_context(x, self.dim)
-        return Choice(arm=random_argmax(self._arms.ucb(x, self.alpha), rng))
-
-    def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, reward)
+    def _score(
+        self, bank: _LinearBank, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One score per entity of ``bank`` (or of ``subset``): its upper confidence index."""
+        return bank.ucb(x, self.alpha, subset)
 
 
-class ClusteredLinUcb(ContextualPolicy):
+class ClusteredLinUcb(ClusteredLinThompson):
     """Two-level linear UCB over a disjoint clustering."""
 
     key = "linucbc"
-    path_depth = 1
+    _score = LinUcb._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)
-        self.clustering = clustering
-        self.dim = dim
+        super().__init__(clustering, dim)
         self.alpha = float(alpha)
-        self._clusters = _LinearBank(clustering.n_clusters, dim, 1.0)
-        self._arms = _LinearBank(clustering.n_arms, dim, 1.0)
-
-    def cluster_belief(self, cluster: int) -> LinearBelief:
-        return self._clusters.belief(cluster)
-
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = _check_context(x, self.dim)
-        cluster = random_argmax(self._clusters.ucb(x, self.alpha), rng)
-        members = self.clustering.members(cluster)
-        idx = self._arms.ucb(x, self.alpha, subset=members)
-        arm = int(members[random_argmax(idx, rng)])
-        return Choice(arm=arm, path=(cluster,))
-
-    def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        x = _check_context(x, self.dim)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, reward)
-        self._arms.update(choice.arm, x, reward)
 
 
 # ---------------------------------------------------------------------------

@@ -413,8 +413,8 @@ class SimulationTrace:
     id for ``tsmax``, ``ucbc`` and the clustered contextual policies, a
     root-to-leaf node path for tree descents (``hts``, ``uct``, and ``tsc``
     with ``(0, c+1, leaf)``); None for flat policies. ``cum_regret[t]`` is the
-    cumulative pseudo-regret after step t+1 and equals the running sum of
-    ``regret_of`` over the chosen arms.
+    cumulative pseudo-regret after step t+1: the ``np.cumsum`` of
+    ``regret_of`` over the chosen arms, added in step order.
     """
 
     seed: int | None

@@ -138,6 +138,11 @@ class ExperimentConfig:
             raise ConfigError("policies: need at least one policy")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            dups = sorted(s for s in set(self.seeds) if self.seeds.count(s) > 1)
+            raise ConfigError(f"seeds: duplicate seeds {dups}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps: must be finite and > 0, got {self.eps}")
         if not self.variants:
             raise ConfigError("instances: need at least one instance spec")
         if self.stride is not None and self.stride < 1:
@@ -154,6 +159,12 @@ class ExperimentConfig:
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("instances: duplicate variant names")
+        for p in self.policies:
+            if p.variants is not None and (not p.variants or not set(p.variants) <= set(names)):
+                raise ConfigError(
+                    f"policies: '{p.name}' variants filter {list(p.variants)} must name "
+                    f"variants of the config {names}"
+                )
 
     def experiment_id(self, variant: str) -> str:
         return f"{self.name}/{variant}"

@@ -2,8 +2,9 @@
 
 One simulation owns its policy state and its RNG stream; runs across seeds
 are independent and safe to execute in parallel. Cumulative regret is
-pseudo-regret: the running sum of the optimal expected reward minus the
-played arm's expected reward (per-context for the contextual loop).
+pseudo-regret: each loop records the optimal expected reward minus the
+played arm's expected reward per step (per context for the contextual loop)
+and returns its ``np.cumsum``, which adds the steps in order.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import numpy as np
 
 from .contextual import ContextualInstance, ContextualPolicy
 from .core import BanditInstance, SimulationTrace, draw_reward
-from .instances import gen_context
 from .policies import BanditPolicy
 
 __all__ = ["simulate", "simulate_contextual"]
@@ -33,14 +33,10 @@ def simulate(
     """Run one policy for ``horizon`` steps on a Bernoulli instance."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    means = instance.means
-    best = float(means.max())
     arms = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)
-    cum_regret = np.empty(horizon)
     paths = _path_buffer(policy, horizon)
 
-    creg = 0.0
     for t in range(1, horizon + 1):
         choice = policy.select(t, rng)
         reward = draw_reward(instance, choice.arm, rng)
@@ -48,10 +44,10 @@ def simulate(
         i = t - 1
         arms[i] = choice.arm
         rewards[i] = reward
-        creg += best - means[choice.arm]
-        cum_regret[i] = creg
         if paths is not None and choice.path:
             paths[i, : len(choice.path)] = choice.path
+    means = instance.means
+    cum_regret = np.cumsum(means.max() - means[arms])
     return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=cum_regret, paths=paths)
 
 
@@ -60,44 +56,37 @@ def simulate_contextual(
     policy: ContextualPolicy,
     horizon: int,
     rng: np.random.Generator,
-    contexts: np.ndarray | None = None,
-    context_rng: np.random.Generator | None = None,
-    context_kind: str = "uniform",
+    contexts: np.ndarray,
     seed: int | None = None,
 ) -> SimulationTrace:
-    """Run one contextual policy for ``horizon`` steps.
+    """Run one contextual policy for ``horizon`` steps on the rows of ``contexts``.
 
-    Contexts can be supplied up front as a (horizon, dim) array so that
-    several policies see the identical context sequence; otherwise they are
-    drawn per round from ``context_rng`` (falling back to ``rng``).
+    ``contexts`` is the (horizon, dim) context sequence, so that several
+    policies can see the identical sequence.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if contexts is not None:
-        contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.shape != (horizon, instance.dim):
-            raise ValueError(
-                f"contexts must have shape ({horizon}, {instance.dim}), got {contexts.shape}"
-            )
-    crng = context_rng if context_rng is not None else rng
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.shape != (horizon, instance.dim):
+        raise ValueError(
+            f"contexts must have shape ({horizon}, {instance.dim}), got {contexts.shape}"
+        )
 
     arms = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)
-    cum_regret = np.empty(horizon)
+    regret = np.empty(horizon)
     paths = _path_buffer(policy, horizon)
 
-    creg = 0.0
     for t in range(1, horizon + 1):
         i = t - 1
-        x = contexts[i] if contexts is not None else gen_context(instance.dim, crng, context_kind)
+        x = contexts[i]
         choice = policy.select(t, x, rng)
         reward = instance.draw_reward(choice.arm, x, rng)
         policy.update(choice, x, reward)
         expected = instance.expected_rewards(x)
         arms[i] = choice.arm
         rewards[i] = reward
-        creg += float(expected.max() - expected[choice.arm])
-        cum_regret[i] = creg
+        regret[i] = expected.max() - expected[choice.arm]
         if paths is not None and choice.path:
             paths[i, : len(choice.path)] = choice.path
-    return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=cum_regret, paths=paths)
+    return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=np.cumsum(regret), paths=paths)

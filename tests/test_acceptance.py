@@ -20,7 +20,7 @@ from clusterbandit.analysis import (
     pooled_std,
     tsc_instance_bound,
 )
-from clusterbandit.contextual import LinearBelief
+from clusterbandit.contextual import _LinearBank
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
@@ -346,10 +346,10 @@ def test_criterion_10_exact_invariants():
             break
 
     # rank-one inverse maintenance vs dense inverse, d=20, 10^3 updates
-    belief = LinearBelief(20)
+    bank = _LinearBank(1, 20, 1.0)
     for _ in range(1000):
-        belief.update(rng.random(20), rng.random())
-    if np.abs(belief.b_inv - np.linalg.inv(belief.b_matrix)).max() >= 1e-8:
+        bank.update(0, rng.random(20), rng.random())
+    if np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max() >= 1e-8:
         failures.append("rank-one inverse drifted beyond 1e-8")
 
     # sampling laws at 10^5 draws, KS distance <= 0.01
@@ -361,15 +361,15 @@ def test_criterion_10_exact_invariants():
             failures.append(f"Beta({s},{f}) KS distance {stat:.4f} > 0.01")
         if not ((0 <= draws) & (draws <= 1)).all():
             failures.append(f"Beta({s},{f}) draws out of range")
-    gauss_belief = LinearBelief(3)
+    gauss_bank = _LinearBank(1, 3, 1.0)
     upd = np.random.default_rng(48_200)
     for _ in range(40):
-        gauss_belief.update(upd.random(3), upd.random())
+        gauss_bank.update(0, upd.random(3), upd.random())
     x = np.array([0.7, 0.1, 0.4])
-    mean = gauss_belief.mu_vec @ x
-    std = math.sqrt(x @ gauss_belief.b_inv @ x)
+    mean = gauss_bank.Mu[0] @ x
+    std = math.sqrt(x @ gauss_bank.Binv[0] @ x)
     g_rng = np.random.default_rng(48_300)
-    draws = np.array([gauss_belief.sample(x, g_rng) for _ in range(100_000)])
+    draws = np.array([gauss_bank.sample(x, g_rng)[0] for _ in range(100_000)])
     stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
     if stat > 0.01:
         failures.append(f"Gaussian score KS distance {stat:.4f} > 0.01")

@@ -7,21 +7,24 @@ import pytest
 import scipy.stats
 
 from clusterbandit.contextual import (
+    CONTEXTUAL_POLICY_KEYS,
     RESOLVE_EVERY,
     ClusteredLinThompson,
     ClusteredLinUcb,
     LinThompson,
     LinUcb,
-    LinearBelief,
     _LinearBank,
-    lin_sample,
-    lin_update,
     make_contextual_policy,
 )
 from clusterbandit.core import DisjointClustering, rng_streams
 from clusterbandit.instances import ContextualSpec, gen_contextual
 from clusterbandit.policies import Choice
 from clusterbandit.simulate import simulate_contextual
+
+
+def _first_choice(pol, inst):
+    """A valid choice of arm 0 for ``pol``: clustered policies name its cluster."""
+    return Choice(arm=0, path=(inst.clustering.label_of(0),) if pol.path_depth else ())
 
 
 def _e(i, d=3):
@@ -31,111 +34,126 @@ def _e(i, d=3):
 
 
 # ---------------------------------------------------------------------------
-# Single belief
+# One posterior: a bank of one entity
 # ---------------------------------------------------------------------------
 
 class TestLinSample:
     def test_fresh_belief_standard_normal(self):
         rng = np.random.default_rng(0)
-        belief = LinearBelief(3, v=1.0)
-        draws = np.array([lin_sample(belief, _e(0), rng) for _ in range(100_000)])
+        bank = _LinearBank(1, 3, 1.0)
+        draws = np.array([bank.sample(_e(0), rng)[0] for _ in range(100_000)])
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_zero_context_deterministic(self, rng):
-        belief = LinearBelief(3)
-        assert all(lin_sample(belief, np.zeros(3), rng) == 0.0 for _ in range(10))
+        bank = _LinearBank(1, 3, 1.0)
+        assert all(bank.sample(np.zeros(3), rng)[0] == 0.0 for _ in range(10))
 
     def test_trained_belief_ridge_mean(self):
         # closed-form ridge: after n unit observations of reward 1 on e1,
         # mean score is n / (1 + n) and variance shrinks to 1/(1+n)
         rng = np.random.default_rng(1)
-        belief = LinearBelief(3, v=1.0)
+        bank = _LinearBank(1, 3, 1.0)
         n = 10_000
         for _ in range(n):
-            belief.update(_e(0), 1.0)
-        draws = np.array([lin_sample(belief, _e(0), rng) for _ in range(10_000)])
+            bank.update(0, _e(0), 1.0)
+        draws = np.array([bank.sample(_e(0), rng)[0] for _ in range(10_000)])
         assert abs(draws.mean() - n / (1 + n)) < 0.01
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            lin_sample(LinearBelief(3), np.zeros(2), rng)
-        with pytest.raises(ValueError):
-            LinearBelief(0)
+        inst = _ctx_instance(dim=3)
+        for key in CONTEXTUAL_POLICY_KEYS:
+            pol = make_contextual_policy(key, inst)
+            with pytest.raises(ValueError, match="shape"):
+                pol.select(1, np.zeros(2), rng)
+            with pytest.raises(ValueError, match="shape"):
+                pol.update(_first_choice(pol, inst), np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="dim"):
+            _LinearBank(1, 0, 1.0)
 
     def test_non_finite_context(self, rng):
-        with pytest.raises(ValueError):
-            lin_sample(LinearBelief(2), np.array([np.nan, 0.0]), rng)
+        inst = _ctx_instance(dim=2)
+        x = np.array([np.nan, 0.0])
+        for key in CONTEXTUAL_POLICY_KEYS:
+            pol = make_contextual_policy(key, inst)
+            with pytest.raises(ValueError, match="non-finite"):
+                pol.select(1, x, rng)
+            with pytest.raises(ValueError, match="non-finite"):
+                pol.update(_first_choice(pol, inst), x, 1.0)
 
     def test_gaussian_law_ks(self):
         rng = np.random.default_rng(2)
-        belief = LinearBelief(3, v=1.0)
+        bank = _LinearBank(1, 3, 1.0)
         upd_rng = np.random.default_rng(3)
         for _ in range(50):
-            belief.update(upd_rng.random(3), upd_rng.random())
+            bank.update(0, upd_rng.random(3), upd_rng.random())
         x = np.array([0.3, 0.9, 0.1])
-        mean = belief.mu_vec @ x
-        std = math.sqrt(belief.v * x @ belief.b_inv @ x)
-        draws = np.array([lin_sample(belief, x, rng) for _ in range(100_000)])
+        mean = bank.Mu[0] @ x
+        std = math.sqrt(bank.v * x @ bank.Binv[0] @ x)
+        draws = np.array([bank.sample(x, rng)[0] for _ in range(100_000)])
         stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
         assert stat <= 0.01
 
 
 class TestLinUpdate:
     def test_hand_linear_algebra(self):
-        belief = lin_update(LinearBelief(3), _e(0), 1.0)
-        np.testing.assert_allclose(belief.b_matrix, np.diag([2.0, 1.0, 1.0]))
-        np.testing.assert_allclose(belief.f_vec, _e(0))
-        np.testing.assert_allclose(belief.mu_vec, _e(0) / 2)
+        bank = _LinearBank(1, 3, 1.0)
+        bank.update(0, _e(0), 1.0)
+        np.testing.assert_allclose(bank.B[0], np.diag([2.0, 1.0, 1.0]))
+        np.testing.assert_allclose(bank.F[0], _e(0))
+        np.testing.assert_allclose(bank.Mu[0], _e(0) / 2)
 
     def test_zero_reward_keeps_f(self):
-        belief = lin_update(LinearBelief(3), _e(1), 0.0)
-        assert np.all(belief.f_vec == 0.0)
-        np.testing.assert_allclose(belief.b_matrix, np.diag([1.0, 2.0, 1.0]))
+        bank = _LinearBank(1, 3, 1.0)
+        bank.update(0, _e(1), 0.0)
+        assert np.all(bank.F[0] == 0.0)
+        np.testing.assert_allclose(bank.B[0], np.diag([1.0, 2.0, 1.0]))
 
     def test_functional_input_unchanged(self):
-        base = LinearBelief(2)
-        lin_update(base, np.ones(2), 1.0)
-        np.testing.assert_array_equal(base.b_matrix, np.eye(2))
-        assert base.n_updates == 0
+        base = _LinearBank(1, 2, 1.0)
+        out = copy.deepcopy(base)
+        out.update(0, np.ones(2), 1.0)
+        np.testing.assert_array_equal(base.B[0], np.eye(2))
+        assert base.counts[0] == 0
+        assert out.counts[0] == 1
 
     def test_sherman_morrison_matches_dense_inverse(self):
         rng = np.random.default_rng(4)
-        belief = LinearBelief(5)
+        bank = _LinearBank(1, 5, 1.0)
         for _ in range(100):
-            belief.update(rng.random(5), rng.random())
-        dense = np.linalg.inv(belief.b_matrix)
-        assert np.abs(belief.b_inv - dense).max() < 1e-8
+            bank.update(0, rng.random(5), rng.random())
+        dense = np.linalg.inv(bank.B[0])
+        assert np.abs(bank.Binv[0] - dense).max() < 1e-8
 
     def test_mu_matches_dense_solve_after_every_update(self):
         rng = np.random.default_rng(5)
-        belief = LinearBelief(4)
+        bank = _LinearBank(1, 4, 1.0)
         for _ in range(200):
-            belief.update(rng.random(4), rng.uniform(-2, 2))
-            solved = np.linalg.solve(belief.b_matrix, belief.f_vec)
-            assert np.abs(belief.mu_vec - solved).max() < 1e-8
+            bank.update(0, rng.random(4), rng.uniform(-2, 2))
+            solved = np.linalg.solve(bank.B[0], bank.F[0])
+            assert np.abs(bank.Mu[0] - solved).max() < 1e-8
 
     def test_positive_definiteness_preserved(self):
         rng = np.random.default_rng(6)
-        belief = LinearBelief(6)
+        bank = _LinearBank(1, 6, 1.0)
         for _ in range(300):
-            belief.update(rng.standard_normal(6), rng.standard_normal())
-        eigs = np.linalg.eigvalsh(belief.b_matrix)
+            bank.update(0, rng.standard_normal(6), rng.standard_normal())
+        eigs = np.linalg.eigvalsh(bank.B[0])
         assert eigs.min() >= 1.0 - 1e-9
 
     def test_non_finite_reward(self):
         with pytest.raises(ValueError):
-            lin_update(LinearBelief(2), np.ones(2), float("inf"))
+            _LinearBank(1, 2, 1.0).update(0, np.ones(2), float("inf"))
 
     def test_long_run_drift_capped_with_periodic_resolve(self):
         rng = np.random.default_rng(7)
-        belief = LinearBelief(20)
+        bank = _LinearBank(1, 20, 1.0)
         for i in range(999):
-            belief.update(rng.random(20), rng.random())
-        pre = np.abs(belief.b_inv - np.linalg.inv(belief.b_matrix)).max()
+            bank.update(0, rng.random(20), rng.random())
+        pre = np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max()
         assert pre < 1e-8  # raw rank-one chain, no resolve yet
-        belief.update(rng.random(20), rng.random())
-        post = np.abs(belief.b_inv - np.linalg.inv(belief.b_matrix)).max()
+        bank.update(0, rng.random(20), rng.random())
+        post = np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max()
         assert post < 1e-12  # dense resolve kicked in at the thousandth update
 
 
@@ -235,24 +253,26 @@ class TestLinearBank:
             twin.update(choice, x, reward)
             for a, b in ((pol._arms, twin._arms), (pol._clusters, twin._clusters)):
                 assert a.ucb(x, 2.0).tobytes() == b.ucb(x, 2.0).tobytes()
-        belief = copy.deepcopy(pol.arm_belief(choice.arm))
-        belief.update(x, 1.0)
-        assert belief.n_updates == pol.arm_belief(choice.arm).n_updates + 1
-        assert not np.array_equal(belief.b_matrix, pol.arm_belief(choice.arm).b_matrix)
+        a = choice.arm
+        bank = copy.deepcopy(pol._arms)
+        bank.update(a, x, 1.0)
+        assert bank.counts[a] == pol._arms.counts[a] + 1
+        assert not np.array_equal(bank.B[a], pol._arms.B[a])
 
     def test_single_belief_is_a_bank_of_one(self):
+        # one posterior alone evolves and scores as the same entity of a larger bank
         rng = np.random.default_rng(10)
-        belief, bank = LinearBelief(4, v=0.5), _LinearBank(1, 4, 0.5)
+        one, bank = _LinearBank(1, 4, 0.5), _LinearBank(5, 4, 0.5)
         for _ in range(RESOLVE_EVERY + 5):
             x, r = rng.random(4), rng.random()
-            belief.update(x, r)
-            bank.update(0, x, r)
-        assert belief.n_updates == RESOLVE_EVERY + 5
-        assert belief.b_inv.tobytes() == bank.Binv[0].tobytes()
-        assert belief.mu_vec.tobytes() == bank.Mu[0].tobytes()
-        x = rng.random(4)
-        assert belief.ucb_index(x, 1.5) == bank.ucb(x, 1.5)[0]
-        assert belief.sample(x, np.random.default_rng(11)) == bank.sample(x, np.random.default_rng(11))[0]
+            one.update(0, x, r)
+            bank.update(2, x, r)
+        assert one.counts[0] == bank.counts[2] == RESOLVE_EVERY + 5
+        assert one.Binv[0].tobytes() == bank.Binv[2].tobytes()
+        assert one.Mu[0].tobytes() == bank.Mu[2].tobytes()
+        x, entity = rng.random(4), np.array([2])
+        assert one.ucb(x, 1.5)[0] == bank.ucb(x, 1.5)[2] == bank.ucb(x, 1.5, entity)[0]
+        assert one.sample(x, np.random.default_rng(11))[0] == bank.sample(x, np.random.default_rng(11), entity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +328,8 @@ class TestLinThompsonPolicies:
         pol = ClusteredLinThompson(clustering, 2)
         x = np.array([0.4, 0.7])
         pol.update(Choice(arm=2, path=(1,)), x, 1.0)
-        changed_arms = [
-            a for a in range(3) if not np.array_equal(pol.arm_belief(a).b_matrix, np.eye(2))
-        ]
-        changed_clusters = [
-            c for c in range(2) if not np.array_equal(pol.cluster_belief(c).b_matrix, np.eye(2))
-        ]
+        changed_arms = [a for a in range(3) if not np.array_equal(pol._arms.B[a], np.eye(2))]
+        changed_clusters = [c for c in range(2) if not np.array_equal(pol._clusters.B[c], np.eye(2))]
         assert changed_arms == [2] and changed_clusters == [1]
 
     def test_cluster_matrix_replay(self):
@@ -331,13 +347,13 @@ class TestLinThompsonPolicies:
             for cluster, x in seen:
                 if cluster == c:
                     expected += np.outer(x, x)
-            np.testing.assert_allclose(pol.cluster_belief(c).b_matrix, expected, atol=1e-12)
+            np.testing.assert_allclose(pol._clusters.B[c], expected, atol=1e-12)
 
     def test_zero_context_changes_nothing_numerically(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 3)
         pol.update(Choice(arm=0, path=(0,)), np.zeros(3), 1.0)
-        np.testing.assert_array_equal(pol.arm_belief(0).b_matrix, np.eye(3))
-        np.testing.assert_array_equal(pol.arm_belief(0).f_vec, np.zeros(3))
+        np.testing.assert_array_equal(pol._arms.B[0], np.eye(3))
+        np.testing.assert_array_equal(pol._arms.F[0], np.zeros(3))
 
     def test_containment_violation_rejected(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 2)
@@ -406,19 +422,19 @@ class TestSimulateContextual:
         assert np.array_equal(a.arms, b.arms)
         assert np.array_equal(a.cum_regret, b.cum_regret)
 
-    def test_regret_accounting_against_oracle(self):
+    @pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
+    def test_regret_accounting_against_oracle(self, key):
         inst = _ctx_instance(seed=4)
         streams = rng_streams(51)
         contexts = streams.context.random((100, inst.dim))
-        pol = make_contextual_policy("lints", inst)
+        pol = make_contextual_policy(key, inst)
         trace = simulate_contextual(inst, pol, 100, streams.simulation, contexts=contexts)
-        regret = np.cumsum(
-            [
-                inst.best_expected(x) - inst.expected_reward(int(a), x)
-                for a, x in zip(trace.arms, contexts)
-            ]
-        )
-        np.testing.assert_allclose(trace.cum_regret, regret, atol=1e-10)
+        running, creg = [], 0.0
+        for a, x in zip(trace.arms, contexts):
+            expected = inst.expected_rewards(x)
+            creg += float(expected.max() - expected[a])
+            running.append(creg)
+        assert trace.cum_regret.tobytes() == np.array(running).tobytes()
 
     def test_context_shape_validation(self):
         inst = _ctx_instance(seed=5)
@@ -468,7 +484,7 @@ class TestHyperparameterValidation:
         with pytest.raises(ValueError, match="v: "):
             ClusteredLinThompson(clustering, 2, v=v)
         with pytest.raises(ValueError, match="v: "):
-            LinearBelief(2, v=v)
+            _LinearBank(1, 2, v)
         with pytest.raises(ValueError, match="v: "):
             make_contextual_policy("lints", _ctx_instance(seed=10), {"v": v})
 

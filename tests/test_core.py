@@ -16,7 +16,7 @@ from clusterbandit.core import (
     regret_of,
     rng_streams,
 )
-from clusterbandit.policies import Choice, HierarchicalThompsonSampling, make_policy
+from clusterbandit.policies import POLICY_KEYS, Choice, HierarchicalThompsonSampling, make_policy
 from clusterbandit.simulate import simulate
 
 
@@ -333,12 +333,18 @@ class TestSimulationTrace:
         assert np.array_equal(a.cum_regret, b.cum_regret)
         assert np.array_equal(a.paths, b.paths)
 
-    def test_cumulative_regret_equals_sum_of_regret_of(self):
+    @pytest.mark.parametrize("key", sorted(POLICY_KEYS))
+    def test_cumulative_regret_equals_sum_of_regret_of(self, key):
         inst = _small_clustered_instance()
+        if key in ("hts", "uct"):  # the same means on the clustering's two-level tree
+            inst = BanditInstance.from_means(inst.means, tree=ClusterTree.from_clustering(inst.clustering))
         streams = rng_streams(3)
-        trace = simulate(inst, make_policy("tsc", inst), 500, streams.simulation)
-        oracle = np.cumsum([regret_of(inst, int(a)) for a in trace.arms])
-        np.testing.assert_allclose(trace.cum_regret, oracle, rtol=0, atol=1e-10)
+        trace = simulate(inst, make_policy(key, inst), 500, streams.simulation)
+        running, creg = [], 0.0
+        for a in trace.arms:
+            creg += regret_of(inst, int(a))
+            running.append(creg)
+        assert trace.cum_regret.tobytes() == np.array(running).tobytes()
 
     def test_regret_non_decreasing_and_length(self):
         inst = _small_clustered_instance()

@@ -117,6 +117,28 @@ class TestConfigValidation:
             run_experiment(config)
         assert next(iter(params)) + ": " in str(err.value)
 
+    def test_duplicate_seeds_rejected(self):
+        # a repeated seed would run twice and count twice in n_seeds
+        with pytest.raises(ConfigError, match=r"seeds: duplicate seeds \[1\]"):
+            _tiny_config(seeds=[1, 2, 1])
+
+    @pytest.mark.parametrize("variants", [["typo"], [], ["a", "typo"]])
+    def test_variant_filter_must_name_config_variants(self, variants):
+        # a filter naming no variant would drop the policy from the run silently
+        with pytest.raises(ConfigError, match=r"policies: 'tsc' variants filter .* must name variants"):
+            _tiny_config(
+                policies=[{"key": "ts"}, {"key": "tsc", "variants": variants}],
+                instances=[{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b", "spec": TINY_SD_SPEC}],
+            )
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # checked when the config is made, before any job runs, bounds or not
+        with pytest.raises(ConfigError, match="eps: must be finite and > 0"):
+            _tiny_config(eps=eps)
+        with pytest.raises(ConfigError, match="eps: "):
+            _tiny_config(eps=eps, bounds=True)
+
     def test_contextual_spec_horizon_is_an_unknown_field(self):
         # the run's horizon is the config's; a spec-level one was never read
         config = _tiny_config(instance={**TINY_CTX_SPEC, "horizon": 2000}, policies=[{"key": "lints"}])

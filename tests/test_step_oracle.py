@@ -19,6 +19,12 @@ and regret, since they consume the generator in the same order.
 three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
 ``np.outer``. The flat-row kernel of the contextual policies must reproduce
 its traces exactly, arm, reward and regret.
+
+``RefLinThompson``, ``RefClusteredLinThompson``, ``RefLinUcb`` and
+``RefClusteredLinUcb`` keep one ``select``/``update`` per contextual policy.
+``lints``/``lintsc`` hold the only flat and two-level bodies, and
+``linucb``/``linucbc`` only change how a bank scores; they must reproduce
+the references' traces and end with bit-equal banks.
 """
 import functools
 import math
@@ -26,8 +32,8 @@ import math
 import numpy as np
 import pytest
 
-from clusterbandit.contextual import RESOLVE_EVERY, make_contextual_policy
-from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
+from clusterbandit.contextual import RESOLVE_EVERY, _check_context, _LinearBank, make_contextual_policy
+from clusterbandit.core import BanditInstance, DisjointClustering, random_argmax, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
@@ -436,3 +442,123 @@ def test_linear_bank_matches_reference(name, seed, key):
                 assert getattr(bank, field).tobytes() == getattr(ref, field).tobytes(), (attr, field)
     if name == "two-clusters" and hasattr(policy, "_clusters"):
         assert policy._clusters.counts.max() >= RESOLVE_EVERY  # the dense re-solve ran
+
+
+class RefLinThompson:
+    path_depth = 0
+
+    def __init__(self, n_arms, dim, v=1.0):
+        self._arms = _LinearBank(n_arms, dim, v)
+        self.dim = dim
+
+    def select(self, t, x, rng):
+        x = _check_context(x, self.dim)
+        theta = self._arms.sample(x, rng)
+        return Choice(arm=random_argmax(theta, rng))
+
+    def update(self, choice, x, reward):
+        x = _check_context(x, self.dim)
+        self._arms.update(choice.arm, x, reward)
+
+
+class RefClusteredLinThompson:
+    path_depth = 1
+
+    def __init__(self, clustering, dim, v=1.0):
+        self.clustering = clustering
+        self.dim = dim
+        self._clusters = _LinearBank(clustering.n_clusters, dim, v)
+        self._arms = _LinearBank(clustering.n_arms, dim, v)
+
+    def select(self, t, x, rng):
+        x = _check_context(x, self.dim)
+        cluster = random_argmax(self._clusters.sample(x, rng), rng)
+        members = self.clustering.members(cluster)
+        theta = self._arms.sample(x, rng, subset=members)
+        arm = int(members[random_argmax(theta, rng)])
+        return Choice(arm=arm, path=(cluster,))
+
+    def update(self, choice, x, reward):
+        x = _check_context(x, self.dim)
+        (cluster,) = choice.path
+        if self.clustering.label_of(choice.arm) != cluster:
+            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
+        self._clusters.update(cluster, x, reward)
+        self._arms.update(choice.arm, x, reward)
+
+
+class RefLinUcb:
+    path_depth = 0
+
+    def __init__(self, n_arms, dim, alpha=2.0):
+        self._arms = _LinearBank(n_arms, dim, 1.0)
+        self.dim = dim
+        self.alpha = float(alpha)
+
+    def select(self, t, x, rng):
+        x = _check_context(x, self.dim)
+        return Choice(arm=random_argmax(self._arms.ucb(x, self.alpha), rng))
+
+    def update(self, choice, x, reward):
+        x = _check_context(x, self.dim)
+        self._arms.update(choice.arm, x, reward)
+
+
+class RefClusteredLinUcb:
+    path_depth = 1
+
+    def __init__(self, clustering, dim, alpha=2.0):
+        self.clustering = clustering
+        self.dim = dim
+        self.alpha = float(alpha)
+        self._clusters = _LinearBank(clustering.n_clusters, dim, 1.0)
+        self._arms = _LinearBank(clustering.n_arms, dim, 1.0)
+
+    def select(self, t, x, rng):
+        x = _check_context(x, self.dim)
+        cluster = random_argmax(self._clusters.ucb(x, self.alpha), rng)
+        members = self.clustering.members(cluster)
+        idx = self._arms.ucb(x, self.alpha, subset=members)
+        arm = int(members[random_argmax(idx, rng)])
+        return Choice(arm=arm, path=(cluster,))
+
+    def update(self, choice, x, reward):
+        x = _check_context(x, self.dim)
+        (cluster,) = choice.path
+        if self.clustering.label_of(choice.arm) != cluster:
+            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
+        self._clusters.update(cluster, x, reward)
+        self._arms.update(choice.arm, x, reward)
+
+
+CTX_REFS = {
+    "lints": lambda inst: RefLinThompson(inst.n_arms, inst.dim),
+    "lintsc": lambda inst: RefClusteredLinThompson(inst.clustering, inst.dim),
+    "linucb": lambda inst: RefLinUcb(inst.n_arms, inst.dim),
+    "linucbc": lambda inst: RefClusteredLinUcb(inst.clustering, inst.dim),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(CTX_SPECS))
+@pytest.mark.parametrize("key", sorted(CTX_REFS))
+def test_contextual_policies_match_their_own_references(name, seed, key):
+    streams = rng_streams(seed)
+    instance = build_instance(CTX_SPECS[name], streams.instance)
+    contexts = np.stack([gen_context(instance.dim, streams.context) for _ in range(HORIZON)])
+    policy, reference = make_contextual_policy(key, instance), CTX_REFS[key](instance)
+    got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    assert got.arms.tobytes() == want.arms.tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
+    if reference.path_depth:
+        assert got.paths.tobytes() == want.paths.tobytes()
+    else:
+        assert got.paths is None and want.paths is None
+    for attr in ("_clusters", "_arms"):
+        assert hasattr(policy, attr) == hasattr(reference, attr)
+        if hasattr(policy, attr):
+            bank, ref = getattr(policy, attr), getattr(reference, attr)
+            for field in ("B", "Binv", "F", "Mu", "counts"):
+                assert getattr(bank, field).tobytes() == getattr(ref, field).tobytes(), (attr, field)
