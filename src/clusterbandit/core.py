@@ -139,68 +139,102 @@ class DisjointClustering:
 
 
 class ClusterTree:
-    """Rooted tree whose leaves are arms.
+    """Rooted tree whose leaves are arms, held as flat read-only arrays.
 
-    Node 0 is the root. ``children[v]`` lists the children of node ``v`` in
-    a fixed order (the order matters for deterministic initialization rules
-    in UCB-style tree policies). ``leaf_arms[v]`` is the arm id mapped to a
-    leaf node, or -1 for internal nodes. Every arm maps to exactly one leaf
-    and every leaf to exactly one arm.
+    Node 0 is the root. The children of node ``v`` are
+    ``kids[ptr[v]:ptr[v+1]]``, in a fixed order (the order matters for
+    deterministic initialization rules in UCB-style tree policies).
+    ``slot[v]`` is v's position in ``kids``, and the root takes the last
+    slot, ``n_nodes - 1``: values kept in slot order hold every node's
+    children as one contiguous run. ``leaf_arms[v]`` is the arm id mapped to
+    a leaf node, or -1 for internal nodes. Every arm maps to exactly one leaf
+    and every leaf to exactly one arm. The arms under each node are one slice
+    of a single depth-first ordered arm array.
     """
 
     def __init__(self, children: Sequence[Sequence[int]], leaf_arms: Sequence[int]) -> None:
         n_nodes = len(children)
-        if n_nodes == 0:
-            raise ValueError("tree must have at least one node")
         if len(leaf_arms) != n_nodes:
             raise ValueError("children and leaf_arms must have equal length")
-        self._children = [np.asarray(kids, dtype=np.int64) for kids in children]
-        self._leaf_arms = np.asarray(leaf_arms, dtype=np.int64)
-        self._leaf_arms.setflags(write=False)
+        ptr = np.cumsum([0, *map(len, children)], dtype=np.int64)
+        kids = np.array([c for row in children for c in row], dtype=np.int64)
+        self._set_arrays(ptr, kids, np.array(leaf_arms, dtype=np.int64))
 
+    @classmethod
+    def from_csr(cls, ptr: np.ndarray, kids: np.ndarray, leaf_arms: np.ndarray) -> "ClusterTree":
+        """Tree whose node v has the children ``kids[ptr[v]:ptr[v+1]]``; keeps the arrays read-only."""
+        tree = cls.__new__(cls)
+        tree._set_arrays(*(np.asarray(a, dtype=np.int64) for a in (ptr, kids, leaf_arms)))
+        return tree
+
+    def _set_arrays(self, ptr: np.ndarray, kids: np.ndarray, leaf_arms: np.ndarray) -> None:
+        n_nodes = leaf_arms.size
+        if n_nodes == 0:
+            raise ValueError("tree must have at least one node")
+        n_kids = np.diff(ptr)
+        if ptr.shape != (n_nodes + 1,) or ptr[0] != 0 or ptr[-1] != kids.size or (n_kids < 0).any():
+            raise ValueError("ptr must rise from 0 to len(kids) in n_nodes + 1 offsets")
+        if not np.array_equal(np.sort(kids), np.arange(1, n_nodes)):
+            raise ValueError("malformed adjacency: each node but the root must be one node's child")
+        owner = np.repeat(np.arange(n_nodes), n_kids)  # the parent of kids[i]
         parent = np.full(n_nodes, -1, dtype=np.int64)
-        depth = np.full(n_nodes, -1, dtype=np.int64)
-        depth[0] = 0
-        order = [0]
-        for v in order:
-            for c in self._children[v]:
-                c = int(c)
-                if not (0 <= c < n_nodes) or c == 0 or parent[c] != -1:
-                    raise ValueError(f"malformed adjacency at node {v} -> {c}")
-                parent[c] = v
-                depth[c] = depth[v] + 1
-                order.append(c)
-        if len(order) != n_nodes:
+        parent[kids] = owner
+
+        # Breadth-first levels; with one parent per node, nodes on a cycle
+        # are never reached from the root.
+        levels = []
+        level = np.zeros(1, dtype=np.int64)
+        while level.size:
+            levels.append(level)
+            counts = n_kids[level]
+            ends = np.cumsum(counts)
+            level = kids[np.arange(ends[-1]) + np.repeat(ptr[level] - ends + counts, counts)]
+        if sum(map(len, levels)) != n_nodes:
             raise ValueError("tree has unreachable nodes")
-        self._parent = parent
-        self._parent.setflags(write=False)
-        self._depths = depth
+        depth = np.empty(n_nodes, dtype=np.int64)
+        for d, level in enumerate(levels):
+            depth[level] = d
 
-        is_leaf = np.array([kids.size == 0 for kids in self._children])
-        if ((self._leaf_arms >= 0) != is_leaf).any():
+        is_leaf = n_kids == 0
+        if ((leaf_arms >= 0) != is_leaf).any():
             raise ValueError("leaf/arm mapping must cover exactly the leaf nodes")
-        arms = self._leaf_arms[is_leaf]
-        n_arms = arms.size
-        if n_arms == 0 or not np.array_equal(np.sort(arms), np.arange(n_arms)):
+        leaves = np.flatnonzero(is_leaf)
+        arms = leaf_arms[leaves]
+        if not np.array_equal(np.sort(arms), np.arange(arms.size)):
             raise ValueError("leaf arms must be a bijection onto 0..n_arms-1")
-        self._leaf_of_arm = np.empty(n_arms, dtype=np.int64)
-        self._leaf_of_arm[arms] = np.flatnonzero(is_leaf)
+        leaf_of_arm = np.empty(arms.size, dtype=np.int64)
+        leaf_of_arm[arms] = leaves
 
-        # Arms under each subtree, computed bottom-up in reverse BFS order.
-        under: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_nodes
-        for v in reversed(order):
-            if is_leaf[v]:
-                under[v] = np.asarray([self._leaf_arms[v]], dtype=np.int64)
-            else:
-                under[v] = np.concatenate([under[int(c)] for c in self._children[v]])
-        self._arms_under = under
+        # Arms under each node: their count bottom-up, then the first
+        # depth-first position top-down (a child starts after its earlier siblings).
+        n_under = is_leaf.astype(np.int64)
+        for level in reversed(levels[1:]):
+            np.add.at(n_under, parent[level], n_under[level])
+        before = np.cumsum(n_under[kids]) - n_under[kids]
+        first = np.zeros(n_nodes, dtype=np.int64)
+        first[kids] = before - before[ptr[owner]]
+        for level in levels[1:]:
+            first[level] += first[parent[level]]
+        dfs_arms = np.empty(arms.size, dtype=np.int64)
+        dfs_arms[first[leaves]] = arms
+
+        slot = np.empty(n_nodes, dtype=np.int64)
+        slot[kids] = np.arange(kids.size)
+        slot[0] = n_nodes - 1
+        for a in (ptr, kids, slot, parent, depth, leaf_arms, leaf_of_arm, dfs_arms, first, n_under):
+            a.setflags(write=False)
+        self.ptr, self.kids, self.slot, self.parent = ptr, kids, slot, parent
+        self.leaf_arms, self._leaf_of_arm, self._depths = leaf_arms, leaf_of_arm, depth
+        self._dfs_arms, self._first, self._n_under = dfs_arms, first, n_under
 
     @classmethod
     def star(cls, n_arms: int) -> "ClusterTree":
         """One-level tree: the root's children are leaves 1..n_arms, leaf a+1 holding arm a."""
         if n_arms < 1:
             raise ValueError("need at least one arm")
-        return cls([range(1, n_arms + 1)] + [()] * n_arms, [-1, *range(n_arms)])
+        ptr = np.full(n_arms + 2, n_arms, dtype=np.int64)
+        ptr[0] = 0
+        return cls.from_csr(ptr, np.arange(1, n_arms + 1), np.arange(-1, n_arms))
 
     @classmethod
     def from_clustering(cls, clustering: DisjointClustering) -> "ClusterTree":
@@ -209,18 +243,15 @@ class ClusterTree:
         Leaves follow the clusters, cluster by cluster in ascending arm order,
         so every node's children are one ascending contiguous run of ids.
         """
-        k = clustering.n_clusters
-        children: list[Sequence[int]] = [range(1, k + 1)]
-        leaf_arms = [-1] * (k + 1)
-        for c in range(k):
-            members = clustering.members(c).tolist()
-            children.append(range(len(leaf_arms), len(leaf_arms) + len(members)))
-            leaf_arms += members
-        return cls(children + [()] * clustering.n_arms, leaf_arms)
+        k, n = clustering.n_clusters, clustering.n_arms
+        sizes = np.bincount(clustering.labels, minlength=k)
+        ptr = np.concatenate(([0, k], k + np.cumsum(sizes), np.full(n, k + n)))
+        leaf_arms = np.concatenate((np.full(k + 1, -1), np.argsort(clustering.labels, kind="stable")))
+        return cls.from_csr(ptr, np.arange(1, k + n + 1), leaf_arms)
 
     @property
     def n_nodes(self) -> int:
-        return len(self._children)
+        return int(self.leaf_arms.size)
 
     @property
     def n_arms(self) -> int:
@@ -235,22 +266,14 @@ class ClusterTree:
         """Maximum leaf depth (levels below the root)."""
         return int(self._depths.max())
 
-    @property
-    def parent(self) -> np.ndarray:
-        return self._parent
-
-    @property
-    def leaf_arms(self) -> np.ndarray:
-        return self._leaf_arms
-
     def children(self, node: int) -> np.ndarray:
-        return self._children[node]
+        return self.kids[self.ptr[node]:self.ptr[node + 1]]
 
     def is_leaf(self, node: int) -> bool:
-        return self._children[node].size == 0
+        return bool(self.ptr[node] == self.ptr[node + 1])
 
     def arm_of_leaf(self, node: int) -> int:
-        arm = int(self._leaf_arms[node])
+        arm = int(self.leaf_arms[node])
         if arm < 0:
             raise ValueError(f"node {node} is not a leaf")
         return arm
@@ -259,24 +282,25 @@ class ClusterTree:
         return int(self._leaf_of_arm[arm])
 
     def arms_under(self, node: int) -> np.ndarray:
-        """All arm ids in the subtree rooted at ``node``."""
-        return self._arms_under[node]
+        """All arm ids in the subtree rooted at ``node``, in depth-first order."""
+        first = self._first[node]
+        return self._dfs_arms[first:first + self._n_under[node]]
 
     def node_depth(self, node: int) -> int:
         return int(self._depths[node])
 
     def path_to_root(self, node: int) -> list[int]:
         path = [node]
-        while self._parent[path[-1]] >= 0:
-            path.append(int(self._parent[path[-1]]))
+        while self.parent[path[-1]] >= 0:
+            path.append(int(self.parent[path[-1]]))
         return path
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ClusterTree)
-            and len(self._children) == len(other._children)
-            and all(np.array_equal(a, b) for a, b in zip(self._children, other._children))
-            and np.array_equal(self._leaf_arms, other._leaf_arms)
+            and np.array_equal(self.ptr, other.ptr)
+            and np.array_equal(self.kids, other.kids)
+            and np.array_equal(self.leaf_arms, other.leaf_arms)
         )
 
     def __repr__(self) -> str:
@@ -316,31 +340,33 @@ class BetaBelief:
 class BanditInstance:
     """A set of Bernoulli arms with an optional clustering or cluster tree.
 
-    At most one of ``clustering`` / ``tree`` may be present; neither means a
-    flat multi-armed bandit.
+    The arms are held as one read-only array of means. At most one of
+    ``clustering`` / ``tree`` may be present; neither means a flat
+    multi-armed bandit.
     """
 
     def __init__(
         self,
-        arms: Sequence[BernoulliArm],
+        means: Sequence[float],
         clustering: DisjointClustering | None = None,
         tree: ClusterTree | None = None,
     ) -> None:
-        if len(arms) == 0:
-            raise ValueError("instance needs at least one arm")
-        ids = [a.id for a in arms]
-        if ids != list(range(len(arms))):
-            raise ValueError("arm ids must be 0..N-1 in order")
+        means = np.array(means, dtype=np.float64)
+        if means.ndim != 1 or means.size == 0:
+            raise ValueError("instance needs a non-empty 1-D array of arm means")
+        outside = np.flatnonzero(~((means >= 0.0) & (means <= 1.0)))  # NaN is outside
+        if outside.size:
+            arm = int(outside[0])
+            raise ValueError(f"arm {arm}: mean {means[arm]} outside [0, 1]")
         if clustering is not None and tree is not None:
             raise ValueError("instance may have a clustering or a tree, not both")
-        if clustering is not None and clustering.n_arms != len(arms):
+        if clustering is not None and clustering.n_arms != means.size:
             raise ValueError("clustering size does not match arm count")
-        if tree is not None and tree.n_arms != len(arms):
+        if tree is not None and tree.n_arms != means.size:
             raise ValueError("tree leaf count does not match arm count")
-        self.arms = tuple(arms)
         self.clustering = clustering
         self.tree = tree
-        self._means = np.asarray([a.mean for a in arms], dtype=np.float64)
+        self._means = means
         self._means.setflags(write=False)
 
     @classmethod
@@ -350,12 +376,17 @@ class BanditInstance:
         clustering: DisjointClustering | None = None,
         tree: ClusterTree | None = None,
     ) -> "BanditInstance":
-        arms = [BernoulliArm(i, float(m)) for i, m in enumerate(means)]
-        return cls(arms, clustering=clustering, tree=tree)
+        """The instance whose arm a has Bernoulli mean ``means[a]``; the same as the constructor."""
+        return cls(means, clustering=clustering, tree=tree)
+
+    @property
+    def arms(self) -> tuple[BernoulliArm, ...]:
+        """One ``BernoulliArm`` per arm, built on each read."""
+        return tuple(BernoulliArm(a, m) for a, m in enumerate(self._means.tolist()))
 
     @property
     def n_arms(self) -> int:
-        return len(self.arms)
+        return int(self._means.size)
 
     @property
     def means(self) -> np.ndarray:

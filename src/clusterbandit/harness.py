@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .contextual import CONTEXTUAL_POLICY_KEYS, ContextualInstance, make_contextual_policy
 from .core import BanditInstance, RngStreams, rng_streams
-from .instances import build_instance, gen_context
+from .instances import build_instance, gen_context, spec_structure
 from .policies import POLICY_KEYS, make_policy
 from .simulate import simulate, simulate_contextual
 
@@ -115,6 +115,11 @@ class InstanceVariant:
         return {"name": self.name, "spec": self.spec}
 
 
+# The instance structure (``spec_structure``) each policy needs; unlisted: any but contextual.
+_POLICY_NEEDS = {"tsc": "clustering", "ucbc": "clustering", "tsmax": "clustering", "hts": "tree",
+                 "uct": "tree", **dict.fromkeys(CONTEXTUAL_POLICY_KEYS, "contextual")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -165,6 +170,18 @@ class ExperimentConfig:
                     f"policies: '{p.name}' variants filter {list(p.variants)} must name "
                     f"variants of the config {names}"
                 )
+        for v in self.variants:
+            try:
+                has = spec_structure(v.spec)
+            except ValueError as exc:
+                raise ConfigError(f"instances: variant '{v.name}' spec: {exc}") from exc
+            for p in self.policies:
+                need = _POLICY_NEEDS.get(p.key, "bernoulli")
+                if p.runs_on(v.name) and has != need and (need != "bernoulli" or has == "contextual"):
+                    raise ConfigError(
+                        f"policies: '{p.name}' needs a {need} instance but variant '{v.name}' "
+                        f"(kind '{v.spec['kind']}') builds a {has} instance"
+                    )
 
     def experiment_id(self, variant: str) -> str:
         return f"{self.name}/{variant}"
@@ -313,28 +330,16 @@ def _run_job(payload: tuple) -> RunRow:
     variant_name, spec, key, params, label, seed, horizon, stride, context_kind = payload
     streams = rng_streams(seed)
     instance = _instance(variant_name, spec, seed, streams)
-    try:
+    try:  # the config has matched every policy to its variants' instance kind
         if isinstance(instance, ContextualInstance):
-            if key not in CONTEXTUAL_POLICY_KEYS:
-                raise ConfigError(
-                    f"policies: '{key}' is not a contextual policy but variant "
-                    f"'{variant_name}' is a contextual instance"
-                )
             policy = make_contextual_policy(key, instance, params)
             contexts = _contexts(instance, streams, horizon, context_kind)
             trace = simulate_contextual(
                 instance, policy, horizon, streams.simulation, contexts=contexts, seed=seed
             )
         else:
-            if key not in POLICY_KEYS:
-                raise ConfigError(
-                    f"policies: '{key}' is not a non-contextual policy but variant "
-                    f"'{variant_name}' is a Bernoulli instance"
-                )
             policy = make_policy(key, instance, params)
             trace = simulate(instance, policy, horizon, streams.simulation, seed=seed)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"policies: '{label}' on variant '{variant_name}': {exc}") from exc
 
@@ -353,19 +358,18 @@ def _top_counts(instance, policy, trace) -> np.ndarray | None:
     """Plays per top-level choice: per cluster, or per child of a tree's root.
 
     The length is fixed by the instance (root children in ``children(0)``
-    order), whichever of them the run played.
+    order), whichever of them the run played. The root's children fill the
+    first slots of ``kids``, so a root child's slot is its position.
     """
     if trace.paths is None:
         return None
     tree = getattr(policy, "tree", None)
     if tree is None:
         return trace.top_level_counts(instance.clustering.n_clusters)
-    kids = tree.children(0)
-    if not kids.size:  # a one-arm tree: every path is the root alone
+    n_kids = int(tree.ptr[1])
+    if not n_kids:  # a one-arm tree: every path is the root alone
         return trace.top_level_counts(1)
-    position = np.zeros(tree.n_nodes, dtype=np.int64)
-    position[kids] = np.arange(kids.size)
-    return np.bincount(position[trace.paths[:, 1]], minlength=kids.size)
+    return np.bincount(tree.slot[trace.paths[:, 1]], minlength=n_kids)
 
 
 def _run_task(task: tuple) -> tuple[list[RunRow], tuple | None]:

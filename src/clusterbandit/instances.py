@@ -12,7 +12,6 @@ reproduce identical instances. Instances serialize to JSON for exact replay.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +44,7 @@ __all__ = [
     "verify_strong_dominance",
     "instance_to_json",
     "instance_from_json",
+    "spec_structure",
     "build_instance",
 ]
 
@@ -319,39 +319,45 @@ def _compact_labels(labels: np.ndarray) -> np.ndarray:
 # Tree builders
 # ---------------------------------------------------------------------------
 
-class _TreeBuilder:
-    def __init__(self) -> None:
-        self.children: list[list[int]] = []
-        self.leaf_arms: list[int] = []
+def _grow(root, expand: Callable[[object], list]) -> ClusterTree:
+    """A tree numbered in depth-first preorder, the order a recursive builder numbers it.
 
-    def node(self) -> int:
-        self.children.append([])
-        self.leaf_arms.append(-1)
-        return len(self.children) - 1
-
-    def leaf(self, arm: int) -> int:
-        nid = self.node()
-        self.leaf_arms[nid] = int(arm)
-        return nid
-
-    def build(self) -> ClusterTree:
-        return ClusterTree(self.children, self.leaf_arms)
+    An item is an arm id (a Python int, made a leaf) or a subtree that
+    ``expand`` turns into the list of its child items. Items are expanded
+    in preorder from an explicit stack, so a builder that draws from a
+    generator as it expands keeps its recursive draw order at any depth.
+    """
+    parent: list[int] = []
+    leaf_arms: list[int] = []
+    stack = [(root, -1)]
+    while stack:
+        item, up = stack.pop()
+        node = len(parent)
+        parent.append(up)
+        if isinstance(item, int):
+            leaf_arms.append(item)
+        else:
+            leaf_arms.append(-1)
+            stack.extend((child, node) for child in reversed(expand(item)))
+    # siblings are numbered in child order, so grouping by parent keeps it
+    ups = np.asarray(parent[1:], dtype=np.int64)
+    ptr = np.zeros(len(parent) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ups, minlength=len(parent)), out=ptr[1:])
+    return ClusterTree.from_csr(ptr, np.argsort(ups, kind="stable") + 1, np.asarray(leaf_arms))
 
 
 def _balanced_tree(order: np.ndarray) -> ClusterTree:
-    tb = _TreeBuilder()
+    order = order.tolist()
 
-    def grow(lo: int, hi: int) -> int:
-        if hi - lo == 1:
-            return tb.leaf(order[lo])
-        node = tb.node()
+    def item(lo: int, hi: int):
+        return order[lo] if hi - lo == 1 else (lo, hi)
+
+    def expand(span: tuple[int, int]) -> list:
+        lo, hi = span
         mid = lo + (hi - lo + 1) // 2
-        tb.children[node].append(grow(lo, mid))
-        tb.children[node].append(grow(mid, hi))
-        return node
+        return [item(lo, mid), item(mid, hi)]
 
-    grow(0, order.size)
-    return tb.build()
+    return _grow(item(0, len(order)), expand)
 
 
 def sorted_tree_from_means(means: Sequence[float]) -> BanditInstance:
@@ -391,22 +397,18 @@ def truncate_tree(tree: ClusterTree, levels: int) -> ClusterTree:
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    tb = _TreeBuilder()
+    leaf_arms = tree.leaf_arms.tolist()
 
-    def clone(node: int, depth: int) -> int:
-        if tree.is_leaf(node):
-            return tb.leaf(tree.arm_of_leaf(node))
-        nid = tb.node()
+    def item(node: int, depth: int):
+        return leaf_arms[node] if leaf_arms[node] >= 0 else (node, depth)
+
+    def expand(node_depth: tuple[int, int]) -> list:
+        node, depth = node_depth
         if depth == levels:
-            for arm in tree.arms_under(node):
-                tb.children[nid].append(tb.leaf(arm))
-        else:
-            for child in tree.children(node):
-                tb.children[nid].append(clone(int(child), depth + 1))
-        return nid
+            return tree.arms_under(node).tolist()
+        return [item(child, depth + 1) for child in tree.children(node).tolist()]
 
-    clone(tree.root, 0)
-    return tb.build()
+    return _grow(item(tree.root, 0), expand)
 
 
 def gen_kmeans_tree(
@@ -431,26 +433,20 @@ def gen_kmeans_tree(
         raise ValueError("depth must be >= 1")
     fn, dim = reward_function(reward_fn_id)
     features = rng.random((n_arms, dim))
-    tb = _TreeBuilder()
 
-    def grow(arm_ids: np.ndarray, level: int) -> int:
-        if arm_ids.size == 1:
-            return tb.leaf(arm_ids[0])
-        node = tb.node()
+    def item(arm_ids: np.ndarray, level: int):
+        return int(arm_ids[0]) if arm_ids.size == 1 else (arm_ids, level)
+
+    def expand(block: tuple[np.ndarray, int]) -> list:
+        arm_ids, level = block
         if level == depth:
-            for arm in arm_ids:
-                tb.children[node].append(tb.leaf(arm))
-            return node
-        k = min(branching, arm_ids.size)
-        labels = kmeans(features[arm_ids], k, rng)
-        for c in range(int(labels.max()) + 1):
-            block = arm_ids[labels == c]
-            if block.size:
-                tb.children[node].append(grow(block, level + 1))
-        return node
+            return arm_ids.tolist()
+        labels = kmeans(features[arm_ids], min(branching, arm_ids.size), rng)
+        blocks = (arm_ids[labels == c] for c in range(int(labels.max()) + 1))
+        return [item(block, level + 1) for block in blocks if block.size]
 
-    grow(np.arange(n_arms, dtype=np.int64), 0)
-    return BanditInstance.from_means(fn(features), tree=tb.build())
+    tree = _grow(item(np.arange(n_arms, dtype=np.int64), 0), expand)
+    return BanditInstance.from_means(fn(features), tree=tree)
 
 
 def gen_agglomerative_tree(features: np.ndarray, linkage: str = "single") -> ClusterTree:
@@ -464,33 +460,22 @@ def gen_agglomerative_tree(features: np.ndarray, linkage: str = "single") -> Clu
     # Imported here, its only use, so importing the package does not load scipy.
     from scipy.cluster.hierarchy import linkage as scipy_linkage
 
-    merges = scipy_linkage(features, method=linkage)
+    return _merge_tree(scipy_linkage(features, method=linkage))
 
-    # scipy numbering: leaves 0..n-1, merge k creates node n+k; remap so the
-    # final merge becomes root node 0.
-    kids_sci: dict[int, tuple[int, int]] = {
-        n + k: (int(row[0]), int(row[1])) for k, row in enumerate(merges)
-    }
-    root_sci = n + len(merges) - 1
-    tb = _TreeBuilder()
 
-    def clone(sci: int) -> int:
-        if sci < n:
-            return tb.leaf(sci)
-        node = tb.node()
-        left, right = kids_sci[sci]
-        tb.children[node].append(clone(left))
-        tb.children[node].append(clone(right))
-        return node
+def _merge_tree(merges: np.ndarray) -> ClusterTree:
+    """The binary tree of a scipy linkage matrix, its final merge the root.
 
-    limit = sys.getrecursionlimit()
-    if 3 * n + 100 > limit:
-        sys.setrecursionlimit(3 * n + 100)
-    try:
-        clone(root_sci)
-    finally:
-        sys.setrecursionlimit(limit)
-    return tb.build()
+    In scipy's numbering, leaves (arms) are 0..n-1 and merge k creates
+    cluster n+k; the tree numbers nodes in preorder, left child first.
+    """
+    n = len(merges) + 1
+    pairs = merges[:, :2].astype(np.int64).tolist()
+
+    def item(cluster: int):
+        return cluster if cluster < n else tuple(pairs[cluster - n])
+
+    return _grow(tuple(pairs[-1]), lambda pair: [item(pair[0]), item(pair[1])])
 
 
 def gen_agglomerative_instance(
@@ -622,20 +607,50 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     return BanditInstance.from_means(doc["means"], clustering=clustering, tree=tree)
 
 
-_SPEC_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    # kind -> (required fields, optional fields)
+_SPEC_FIELDS: dict[str, tuple[set[str], set[str], str]] = {
+    # kind -> (required fields, optional fields, structure of the instance)
     "strong_dominance": (
         {"n_arms", "n_suboptimal_clusters", "optimal_cluster_size", "optimal_width", "separation"},
         set(),
+        "clustering",
     ),
-    "sorted_tree": ({"n_arms"}, {"levels"}),
-    "kmeans": ({"n_arms", "n_clusters", "reward_fn"}, set()),
-    "kmeans_tree": ({"n_arms", "branching", "depth", "reward_fn"}, set()),
-    "agglomerative": ({"n_arms", "reward_fn"}, {"linkage"}),
-    "uniform": ({"n_arms", "n_clusters"}, set()),
-    "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim"}),
-    "bernoulli": ({"means"}, {"clustering", "tree"}),
+    "sorted_tree": ({"n_arms"}, {"levels"}, "tree"),
+    "kmeans": ({"n_arms", "n_clusters", "reward_fn"}, set(), "clustering"),
+    "kmeans_tree": ({"n_arms", "branching", "depth", "reward_fn"}, set(), "tree"),
+    "agglomerative": ({"n_arms", "reward_fn"}, {"linkage"}, "tree"),
+    "uniform": ({"n_arms", "n_clusters"}, set(), "clustering"),
+    "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim"}, "contextual"),
+    "bernoulli": ({"means"}, {"clustering", "tree"}, "flat"),
 }
+
+
+def spec_structure(spec: dict) -> str:
+    """Check an instance spec's kind and fields, and name the structure it builds.
+
+    Returns ``"flat"``, ``"clustering"``, ``"tree"`` or ``"contextual"``,
+    without generating anything; a ``bernoulli`` document has the
+    ``clustering`` or ``tree`` it holds. Raises ValueError naming the field.
+    """
+    if "kind" not in spec:
+        raise ValueError("instance spec is missing the 'kind' field")
+    kind = spec["kind"]
+    if kind == "contextual" and "theta" in spec:
+        return "contextual"
+    if kind not in _SPEC_FIELDS:
+        raise ValueError(
+            f"unknown instance kind '{kind}'; valid kinds: {sorted(_SPEC_FIELDS)}"
+        )
+    required, optional, structure = _SPEC_FIELDS[kind]
+    fields = set(spec) - {"kind", "meta"}
+    missing = required - fields
+    if missing:
+        raise ValueError(f"instance spec '{kind}' is missing fields {sorted(missing)}")
+    extra = fields - required - optional
+    if extra:
+        raise ValueError(f"instance spec '{kind}' has unknown fields {sorted(extra)}")
+    if kind == "bernoulli":
+        return next((key for key in ("clustering", "tree") if spec.get(key) is not None), "flat")
+    return structure
 
 
 def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | ContextualInstance:
@@ -646,24 +661,8 @@ def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | Con
     are rebuilt as-is and ignore the random stream, so they stay fixed
     across seeds.
     """
-    if "kind" not in spec:
-        raise ValueError("instance spec is missing the 'kind' field")
+    spec_structure(spec)
     kind = spec["kind"]
-    if kind == "contextual" and "theta" in spec:
-        return instance_from_json(spec)
-    if kind not in _SPEC_FIELDS:
-        raise ValueError(
-            f"unknown instance kind '{kind}'; valid kinds: {sorted(_SPEC_FIELDS)}"
-        )
-    required, optional = _SPEC_FIELDS[kind]
-    fields = set(spec) - {"kind", "meta"}
-    missing = required - fields
-    if missing:
-        raise ValueError(f"instance spec '{kind}' is missing fields {sorted(missing)}")
-    extra = fields - required - optional
-    if extra:
-        raise ValueError(f"instance spec '{kind}' has unknown fields {sorted(extra)}")
-
     if kind == "strong_dominance":
         return gen_strong_dominance(
             StrongDominanceSpec(
@@ -702,7 +701,7 @@ def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | Con
         )
     if kind == "uniform":
         return gen_uniform_instance(int(spec["n_arms"]), int(spec["n_clusters"]), rng)
-    if kind == "contextual":
+    if kind == "contextual" and "theta" not in spec:
         return gen_contextual(
             ContextualSpec(
                 n_arms=int(spec["n_arms"]),

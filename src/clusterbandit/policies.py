@@ -86,29 +86,31 @@ class BanditPolicy(ABC):
 # ---------------------------------------------------------------------------
 
 class _TreeTables:
-    """A cluster tree as per-node Python lists, for descent and path checks.
+    """The flat arrays of a cluster tree as descents read them.
 
-    ``kids[v]`` indexes node v's children in per-node statistics: a slice
-    when they are one ascending contiguous run of ids (so the statistics
-    are read as views), else an array. ``kid_ids[v]`` lists them (empty at
-    leaves); ``parent[v]`` is -1 at the root and ``leaf_arm[v]`` is -1 at
-    internal nodes.
+    The children of node v are ``kids[ptr[v]:ptr[v+1]]``. Tree policies keep
+    per-node statistics in slot order (``ClusterTree.slot``: a node's
+    position in ``kids``, the root last), so ``stat[ptr[v]:ptr[v+1]]`` is a
+    view of v's children's statistics. The arrays are read through
+    memoryviews, which give Python ints and copy nothing.
     """
 
-    __slots__ = ("kids", "kid_ids", "parent", "leaf_arm")
+    __slots__ = ("tree", "ptr", "kids", "slot", "parent", "leaf_arm")
 
     def __init__(self, tree: ClusterTree) -> None:
-        self.kids = [tree.children(v) for v in range(tree.n_nodes)]
-        self.kid_ids = [kids.tolist() for kids in self.kids]
-        for v, ids in enumerate(self.kid_ids):
-            if ids and ids == list(range(ids[0], ids[-1] + 1)):
-                self.kids[v] = slice(ids[0], ids[-1] + 1)
-        self.parent = tree.parent.tolist()
-        self.leaf_arm = tree.leaf_arms.tolist()
+        self.tree = tree
+        self.ptr = memoryview(tree.ptr)
+        self.kids = memoryview(tree.kids)
+        self.slot = memoryview(tree.slot)
+        self.parent = memoryview(tree.parent)
+        self.leaf_arm = memoryview(tree.leaf_arms)
+
+    def __reduce__(self):  # memoryviews do not pickle or copy; rebuild from the tree
+        return _TreeTables, (self.tree,)
 
     def check_path(self, path: tuple[int, ...]) -> None:
         """Reject anything but a root-to-leaf path along tree edges."""
-        if not path or path[0] != 0 or self.kid_ids[path[-1]]:
+        if not path or path[0] != 0 or self.leaf_arm[path[-1]] < 0:
             raise ValueError(f"invalid root-to-leaf path {path}")
         parent = self.parent
         for v, w in zip(path, path[1:]):
@@ -124,6 +126,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
     to the argmax child, until it reaches a leaf, whose arm is played. The
     reward updates every belief on the traversed root-to-leaf path, so each
     internal node's counts stay the prior-adjusted sum of its children's.
+    The counts are kept in ``tree.slot`` order.
 
     Works on arbitrary trees: branching may vary and leaves may sit at
     different depths.
@@ -140,17 +143,20 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
     @property
     def node_beliefs(self) -> dict[int, BetaBelief]:
-        return {v: BetaBelief(float(self._s[v]), float(self._f[v])) for v in range(self.tree.n_nodes)}
+        s, f = self._s[self.tree.slot].tolist(), self._f[self.tree.slot].tolist()
+        return {v: BetaBelief(sv, fv) for v, (sv, fv) in enumerate(zip(s, f))}
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        kid_ids, kid_index = self._walk.kid_ids, self._walk.kids
+        ptr, kids = self._walk.ptr, self._walk.kids
+        s, f = self._s, self._f
         node = 0
         path = [node]
-        while kid_ids[node]:
-            kids = kid_index[node]
-            theta = rng.beta(self._s[kids], self._f[kids])
-            node = kid_ids[node][random_argmax(theta, rng)]
+        lo, hi = ptr[0], ptr[1]
+        while lo < hi:
+            theta = rng.beta(s[lo:hi], f[lo:hi])
+            node = kids[lo + random_argmax(theta, rng)]
             path.append(node)
+            lo, hi = ptr[node], ptr[node + 1]
         return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
 
     def update(self, choice: Choice, reward: float) -> None:
@@ -160,9 +166,11 @@ class HierarchicalThompsonSampling(BanditPolicy):
         if self._walk.leaf_arm[path[-1]] != choice.arm:
             raise ValueError(f"path leaf does not map to arm {choice.arm}")
         fail = 1.0 - reward
+        slot = self._walk.slot
         for v in path:
-            self._s[v] += reward
-            self._f[v] += fail
+            i = slot[v]
+            self._s[i] += reward
+            self._f[i] += fail
 
 
 class ThompsonSampling(HierarchicalThompsonSampling):
@@ -386,34 +394,38 @@ class TreeUcb(BanditPolicy):
     def __init__(self, tree: ClusterTree) -> None:
         self.tree = tree
         self.path_depth = tree.depth + 1
-        self._n = np.zeros(tree.n_nodes)
+        self._n = np.zeros(tree.n_nodes)  # per node in tree.slot order, as for hts
         self._q = np.zeros(tree.n_nodes)
         self._walk = _TreeTables(tree)
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
-        kid_ids, kid_index = self._walk.kid_ids, self._walk.kids
+        ptr, kids = self._walk.ptr, self._walk.kids
+        n, q = self._n, self._q
         node = 0
+        at = len(kids)  # the slot of ``node``
         path = [node]
-        while kid_ids[node]:
-            kids = kid_index[node]
-            counts = self._n[kids]
-            first = counts.argmin()
-            if counts[first] == 0:  # the first unvisited child
-                node = kid_ids[node][first]
-            else:
-                idx = _ucb_index(self._q[kids], counts, math.log(self._n[node]))
-                node = kid_ids[node][random_argmax(idx, rng)]
+        lo, hi = ptr[0], ptr[1]
+        while lo < hi:
+            counts = n[lo:hi]
+            i = int(counts.argmin())
+            if counts[i]:  # no unvisited child: the UCB index decides
+                i = random_argmax(_ucb_index(q[lo:hi], counts, math.log(n[at])), rng)
+            at = lo + i
+            node = kids[at]
             path.append(node)
+            lo, hi = ptr[node], ptr[node + 1]
         return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
         path = choice.path
         self._walk.check_path(path)
+        slot = self._walk.slot
         for v in path:
-            self._n[v] += 1.0
-            self._q[v] += (reward - self._q[v]) / self._n[v]
+            i = slot[v]
+            self._n[i] += 1.0
+            self._q[i] += (reward - self._q[i]) / self._n[i]
 
 
 # ---------------------------------------------------------------------------

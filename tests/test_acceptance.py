@@ -323,9 +323,10 @@ def test_criterion_10_exact_invariants():
     for t in range(1, 1001):
         choice = tsc.select(t, rng)
         tsc.update(choice, float(rng.integers(2)))
+        s = tsc._s[tsc.tree.slot]  # counts by node id
         for c in range(clustering.n_clusters):
             members = leaves[c]
-            if abs((tsc._s[c + 1] - 1) - (tsc._s[members] - 1).sum()) > 1e-9:
+            if abs((s[c + 1] - 1) - (s[members] - 1).sum()) > 1e-9:
                 failures.append(f"tsc count consistency broke at t={t}")
                 break
     tree_inst = gen_sorted_binary_tree(32, rng_streams(48_001).instance)
@@ -333,9 +334,10 @@ def test_criterion_10_exact_invariants():
     for t in range(1, 1001):
         choice = hts.select(t, rng)
         hts.update(choice, float(rng.integers(2)))
+    s = hts._s[tree_inst.tree.slot]  # counts by node id
     for v in range(tree_inst.tree.n_nodes):
         kids = tree_inst.tree.children(v)
-        if kids.size and abs((hts._s[v] - 1) - (hts._s[kids] - 1).sum()) > 1e-9:
+        if kids.size and abs((s[v] - 1) - (s[kids] - 1).sum()) > 1e-9:
             failures.append(f"hts count consistency broke at node {v}")
 
     # Pinsker on 10^4 random pairs

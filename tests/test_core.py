@@ -183,6 +183,16 @@ class TestBanditInstance:
         with pytest.raises(ValueError):
             inst.means[0] = 0.9
 
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
+    def test_mean_outside_unit_interval_names_the_arm(self, bad):
+        with pytest.raises(ValueError, match="arm 1: mean"):
+            BanditInstance.from_means([0.5, bad, 0.2])
+
+    def test_arms_built_on_read(self):
+        inst = BanditInstance.from_means([0.25, 0.75])
+        assert "arms" not in vars(inst)  # the instance holds its means only
+        assert inst.arms == (BernoulliArm(0, 0.25), BernoulliArm(1, 0.75))
+
 
 class TestDisjointClustering:
     def test_members_partition(self):

@@ -34,6 +34,8 @@ TINY_SD_SPEC = {
     "separation": 0.1,
 }
 
+TINY_CTX_SPEC = {"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}
+
 
 def _tiny_config(**overrides):
     doc = {
@@ -141,9 +143,70 @@ class TestConfigValidation:
 
     def test_contextual_spec_horizon_is_an_unknown_field(self):
         # the run's horizon is the config's; a spec-level one was never read
-        config = _tiny_config(instance={**TINY_CTX_SPEC, "horizon": 2000}, policies=[{"key": "lints"}])
         with pytest.raises(ConfigError, match=r"variant 'default' .*unknown fields \['horizon'\]"):
-            run_experiment(config)
+            _tiny_config(instance={**TINY_CTX_SPEC, "horizon": 2000}, policies=[{"key": "lints"}])
+
+    @staticmethod
+    def _count_jobs(monkeypatch):
+        jobs = []
+        run_job = harness._run_job
+        monkeypatch.setattr(harness, "_run_job", lambda payload: jobs.append(payload) or run_job(payload))
+        return jobs
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ({**TINY_SD_SPEC, "kind": "kmean"}, r"variant 'b' spec: unknown instance kind 'kmean'"),
+            ({k: v for k, v in TINY_SD_SPEC.items() if k != "separation"},
+             r"variant 'b' spec: .*missing fields \['separation'\]"),
+            ({**TINY_SD_SPEC, "n_clusters": 3}, r"variant 'b' spec: .*unknown fields \['n_clusters'\]"),
+            ({"n_arms": 4}, r"variant 'b' spec: .*missing the 'kind' field"),
+        ],
+    )
+    def test_bad_spec_in_a_later_variant_fails_before_any_job(self, monkeypatch, spec, match):
+        jobs = self._count_jobs(monkeypatch)
+        doc = {"instances": [{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b", "spec": spec}]}
+        with pytest.raises(ConfigError, match="instances: " + match):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+
+    @pytest.mark.parametrize(
+        "key, spec, match",
+        [
+            ("hts", {"kind": "kmeans", "n_arms": 20, "n_clusters": 3, "reward_fn": "sin-product"},
+             r"'hts' needs a tree instance but variant 'b' \(kind 'kmeans'\) builds a clustering instance"),
+            ("uct", {"kind": "bernoulli", "means": [0.1, 0.2], "clustering": {"labels": [0, 1]}},
+             r"'uct' needs a tree instance but variant 'b' \(kind 'bernoulli'\) builds a clustering"),
+            ("tsc", {"kind": "sorted_tree", "n_arms": 8},
+             r"'tsc' needs a clustering instance but variant 'b' \(kind 'sorted_tree'\) builds a tree"),
+            ("ucbc", {"kind": "bernoulli", "means": [0.1, 0.2]},
+             r"'ucbc' needs a clustering instance but .* builds a flat instance"),
+            ("tsmax", {"kind": "bernoulli", "means": [0.1, 0.2], "clustering": None},
+             r"'tsmax' needs a clustering instance but .* builds a flat instance"),
+            ("lints", TINY_SD_SPEC, r"'lints' needs a contextual instance but variant 'b'"),
+            ("ts", TINY_CTX_SPEC, r"'ts' needs a bernoulli instance but variant 'b' \(kind 'contextual'\)"),
+        ],
+    )
+    def test_structure_need_fails_before_any_job(self, monkeypatch, key, spec, match):
+        jobs = self._count_jobs(monkeypatch)
+        doc = {
+            "policies": [{"key": "ucb1", "variants": ["a"]}, {"key": key, "variants": ["b"]}],
+            "instances": [{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b", "spec": spec}],
+        }
+        with pytest.raises(ConfigError, match="policies: " + match):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+
+    def test_structure_needs_met_by_bernoulli_documents(self):
+        tree = {"children": [[1, 2], [], []], "leaf_arms": [-1, 0, 1]}
+        config = _tiny_config(
+            policies=[{"key": "ts"}, {"key": "hts", "variants": ["tree"]}, {"key": "tsc", "variants": ["clustered"]}],
+            instances=[
+                {"name": "tree", "spec": {"kind": "bernoulli", "means": [0.1, 0.2], "tree": tree}},
+                {"name": "clustered", "spec": {"kind": "bernoulli", "means": [0.1, 0.2], "clustering": {"labels": [0, 1]}}},
+            ],
+        )
+        assert len(run_experiment(config).rows) == 4 * len(config.seeds)
 
 
 class TestRunExperiment:
@@ -212,9 +275,8 @@ class TestRunExperiment:
         assert all(np.all(np.diff(r.regret) >= -1e-12) for r in result.rows)
 
     def test_policy_instance_kind_mismatch(self):
-        config = _tiny_config(policies=[{"key": "lints"}])
         with pytest.raises(ConfigError, match="contextual"):
-            run_experiment(config)
+            run_experiment(_tiny_config(policies=[{"key": "lints"}]))
 
     def test_selectable_context_distribution(self):
         doc = {
@@ -234,9 +296,8 @@ class TestRunExperiment:
             ExperimentConfig.from_json({**doc, "context_kind": "cauchy"})
 
     def test_tree_policy_on_clustered_instance_rejected(self):
-        config = _tiny_config(policies=[{"key": "hts"}])
         with pytest.raises(ConfigError, match="tree"):
-            run_experiment(config)
+            run_experiment(_tiny_config(policies=[{"key": "hts"}]))
 
     def test_top_counts_present_for_two_level_policies(self):
         result = run_experiment(_tiny_config())
@@ -400,9 +461,6 @@ class TestInstanceReuse:
         for workers in (1, 2):
             with pytest.raises(ConfigError, match="variant 'too-many-clusters' at seed 4"):
                 run_experiment(config, workers=workers)
-
-
-TINY_CTX_SPEC = {"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}
 
 
 class TestContextAndBoundReuse:

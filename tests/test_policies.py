@@ -50,8 +50,9 @@ class TestThompsonSampling:
     def test_concentrated_beliefs_dominate(self):
         rng = np.random.default_rng(1)
         pol = ThompsonSampling(2)
-        pol._s[1:] = [1e6, 1.0]  # arm a is leaf a+1 of the star
-        pol._f[1:] = [1.0, 1e6]
+        leaves = pol.tree.slot[1:]  # arm a is leaf a+1 of the star; counts sit at its slot
+        pol._s[leaves] = [1e6, 1.0]
+        pol._f[leaves] = [1.0, 1e6]
         picks = sum(pol.select(1, rng).arm == 0 for _ in range(10_000))
         assert picks / 10_000 >= 0.999
 
@@ -101,7 +102,7 @@ class TestClusteredThompsonSampling:
         picks = 0
         for _ in range(2_000):
             pol = _two_cluster_policy()
-            pol._s[1] = 1e6  # cluster 0's success count
+            pol._s[pol.tree.slot[1]] = 1e6  # cluster 0's success count
             picks += pol.select(1, rng).path[1] == 1
         assert picks / 2_000 >= 0.99
 
@@ -152,12 +153,13 @@ class TestClusteredThompsonSampling:
             cl_s[choice.path[1] - 1] += r
             cl_f[choice.path[1] - 1] += 1 - r
             # cluster pseudo-counts equal prior-adjusted member sums
+            s, f = pol._s[pol.tree.slot], pol._f[pol.tree.slot]  # by node id
             for c in range(2):
                 members = leaves[TWO_CLUSTERS.members(c)]
-                assert pol._s[c + 1] - 1 == pytest.approx((pol._s[members] - 1).sum())
-                assert pol._f[c + 1] - 1 == pytest.approx((pol._f[members] - 1).sum())
-        assert np.array_equal(pol._s[leaves], arm_s) and np.array_equal(pol._f[leaves], arm_f)
-        assert np.array_equal(pol._s[1:3], cl_s) and np.array_equal(pol._f[1:3], cl_f)
+                assert s[c + 1] - 1 == pytest.approx((s[members] - 1).sum())
+                assert f[c + 1] - 1 == pytest.approx((f[members] - 1).sum())
+        assert np.array_equal(s[leaves], arm_s) and np.array_equal(f[leaves], arm_f)
+        assert np.array_equal(s[1:3], cl_s) and np.array_equal(f[1:3], cl_f)
 
     def test_single_cluster_reduces_to_ts_law(self):
         clustering = DisjointClustering([0, 0, 0, 0])
@@ -210,7 +212,7 @@ class TestHierarchicalThompsonSampling:
         entered = 0
         for _ in range(2_000):
             pol = HierarchicalThompsonSampling(_depth2_tree())
-            pol._s[1] = 1e6
+            pol._s[pol.tree.slot[1]] = 1e6
             entered += pol.select(1, rng).path[1] == 1
         assert entered / 2_000 >= 0.99
 
@@ -244,12 +246,13 @@ class TestHierarchicalThompsonSampling:
         rng = rng_streams(30).simulation
         simulate(tree_inst, pol, 1000, rng)
         tree = tree_inst.tree
+        s, f = pol._s[tree.slot], pol._f[tree.slot]  # by node id
         for v in range(tree.n_nodes):
             kids = tree.children(v)
             if kids.size == 0:
                 continue
-            assert pol._s[v] - 1 == pytest.approx((pol._s[kids] - 1).sum())
-            assert pol._f[v] - 1 == pytest.approx((pol._f[kids] - 1).sum())
+            assert s[v] - 1 == pytest.approx((s[kids] - 1).sum())
+            assert f[v] - 1 == pytest.approx((f[kids] - 1).sum())
 
     def test_containment_along_path(self):
         rng = np.random.default_rng(10)
@@ -426,8 +429,8 @@ class TestTreeUcb:
     def test_child_index_evaluation(self):
         tree = ClusterTree([[1, 2], [], []], [-1, 0, 1])
         pol = TreeUcb(tree)
-        pol._n[:] = [100, 50, 50]
-        pol._q[:] = [0.5, 0.8, 0.2]
+        pol._n[tree.slot] = [100, 50, 50]  # by node id; the counts sit at tree.slot
+        pol._q[tree.slot] = [0.5, 0.8, 0.2]
         # direct oracle: equal bonuses, higher mean wins
         choice = pol.select(101, np.random.default_rng(0))
         assert choice.arm == 0
@@ -449,10 +452,11 @@ class TestTreeUcb:
         pol = TreeUcb(tree)
         pol.update(Choice(arm=0, path=(0, 1, 3)), 1.0)
         pol.update(Choice(arm=1, path=(0, 1, 4)), 0.0)
-        assert pol._n[0] == 2 and pol._q[0] == pytest.approx(0.5)
-        assert pol._n[1] == 2 and pol._q[1] == pytest.approx(0.5)
-        assert pol._n[3] == 1 and pol._q[3] == 1.0
-        assert pol._n[2] == 0
+        n, q = pol._n[tree.slot], pol._q[tree.slot]  # by node id
+        assert n[0] == 2 and q[0] == pytest.approx(0.5)
+        assert n[1] == 2 and q[1] == pytest.approx(0.5)
+        assert n[3] == 1 and q[3] == 1.0
+        assert n[2] == 0
 
     def test_invalid_path_rejected(self):
         pol = TreeUcb(_depth2_tree())
