@@ -345,12 +345,22 @@ def lai_robbins_lower(stats: ClusterStats, T: float) -> InstanceBound:
     )
 
 
-def _optimal_path(instance: BanditInstance) -> list[int]:
+def _off_path_siblings(instance: BanditInstance):
+    """Every sibling subtree branching off the root-to-optimal-leaf path.
+
+    Yields (on-path child, sibling, min mean under the on-path child, max
+    mean under the sibling), walking down from the root.
+    """
     tree = instance.tree
     assert tree is not None
+    means = instance.means
     path = tree.path_to_root(tree.leaf_of_arm(instance.optimal_arm))
     path.reverse()
-    return path
+    for v, nxt in zip(path, path[1:]):
+        opt_min = float(means[tree.arms_under(nxt)].min())
+        for sib in tree.children(v).tolist():
+            if sib != nxt:
+                yield nxt, sib, opt_min, float(means[tree.arms_under(sib)].max())
 
 
 def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> InstanceBound:
@@ -371,31 +381,18 @@ def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> 
     T = _check_horizon(T)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    tree = instance.tree
-    means = instance.means
     mu_star = instance.optimal_mean
 
     warnings: list[str] = []
     dominance_ok = True
-    finite = True
     coeff = 0.0
-    path = _optimal_path(instance)
-    for v, nxt in zip(path, path[1:]):
-        opt_min = float(means[tree.arms_under(nxt)].min())
-        for sib in tree.children(v):
-            sib = int(sib)
-            if sib == nxt:
-                continue
-            sib_max = float(means[tree.arms_under(sib)].max())
-            gap = mu_star - sib_max
-            dist = opt_min - sib_max
-            if dist <= 0.0:
-                dominance_ok = False
-                warnings.append(
-                    f"subtree {sib}: non-positive distance {dist:.6g}, term skipped"
-                )
-                continue
-            coeff += gap / (dist * dist)
+    for _, sib, opt_min, sib_max in _off_path_siblings(instance):
+        dist = opt_min - sib_max
+        if dist <= 0.0:
+            dominance_ok = False
+            warnings.append(f"subtree {sib}: non-positive distance {dist:.6g}, term skipped")
+            continue
+        coeff += (mu_star - sib_max) / (dist * dist)
     if not instance.has_unique_optimum:
         warnings.append("no unique optimal arm; bound premises violated")
 
@@ -403,7 +400,6 @@ def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> 
     return InstanceBound(
         coefficient=coeff,
         leading=coeff * math.log(T),
-        finite=finite,
         dominance_ok=dominance_ok,
         warnings=tuple(warnings),
     )
@@ -437,23 +433,12 @@ def audit_hierarchical_dominance(instance: BanditInstance) -> TreeDominanceRepor
     """
     if instance.tree is None:
         raise ValueError("instance has no cluster tree")
-    tree = instance.tree
-    means = instance.means
-    violations: list[TreeDominanceViolation] = []
-    path = _optimal_path(instance)
-    for v, nxt in zip(path, path[1:]):
-        opt_min = float(means[tree.arms_under(nxt)].min())
-        level = tree.node_depth(nxt)
-        for sib in tree.children(v):
-            sib = int(sib)
-            if sib == nxt:
-                continue
-            sib_max = float(means[tree.arms_under(sib)].max())
-            if not opt_min > sib_max:
-                violations.append(
-                    TreeDominanceViolation(level, nxt, sib, opt_min, sib_max)
-                )
-    return TreeDominanceReport(holds=not violations, violations=tuple(violations))
+    violations = tuple(
+        TreeDominanceViolation(instance.tree.node_depth(nxt), nxt, sib, opt_min, sib_max)
+        for nxt, sib, opt_min, sib_max in _off_path_siblings(instance)
+        if not opt_min > sib_max
+    )
+    return TreeDominanceReport(holds=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------

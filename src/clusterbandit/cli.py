@@ -32,7 +32,9 @@ from .contextual import ContextualInstance
 from .core import rng_streams
 from .harness import (
     ConfigError,
+    EXPORT_FORMATS,
     ExperimentConfig,
+    check_formats,
     export_result,
     preset,
     preset_names,
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--format",
         default="csv,json",
-        help="comma-separated export formats: csv, json, svg",
+        help=f"comma-separated export formats: {', '.join(EXPORT_FORMATS)}",
     )
     p_run.add_argument("--workers", type=int, default=1, help="parallel workers")
 
@@ -119,6 +121,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    formats = check_formats(f.strip() for f in args.format.split(",") if f.strip())
     if args.preset:
         config = preset(args.preset)
     else:
@@ -149,8 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         config = ExperimentConfig.from_json(doc)
 
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    result = run_experiment(config, workers=max(1, args.workers))
+    result = run_experiment(config, workers=args.workers)
     written = export_result(result, args.out, formats)
     for s in result.summaries:
         print(

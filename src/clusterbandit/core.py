@@ -441,8 +441,8 @@ class SimulationTrace:
     """Per-step record of one simulation run.
 
     ``paths`` holds each step's ``Choice.path``, padded with -1: a cluster
-    id for ``tsmax``, ``ucbc`` and the clustered contextual policies, a
-    root-to-leaf node path for tree descents (``hts``, ``uct``, and ``tsc``
+    id for ``tsmax`` and the clustered contextual policies, a root-to-leaf
+    node path for tree descents (``hts``, ``uct``, and ``tsc`` and ``ucbc``
     with ``(0, c+1, leaf)``); None for flat policies. ``cum_regret[t]`` is the
     cumulative pseudo-regret after step t+1: the ``np.cumsum`` of
     ``regret_of`` over the chosen arms, added in step order.
@@ -468,7 +468,9 @@ class SimulationTrace:
     def top_level_counts(self, n_entities: int) -> np.ndarray:
         """Plays per first path element, e.g. per cluster for ``tsmax``.
 
-        Tree paths all start at the root; ``RunRow.top_counts`` counts root children.
+        Only ``tsmax`` and the clustered contextual policies have such paths:
+        tree-descent paths (``tsc``, ``ucbc``, ``hts``, ``uct``) all start at
+        the root, and ``RunRow.top_counts`` counts their root children.
         """
         if self.paths is None:
             raise ValueError("trace has no cluster paths")

@@ -54,6 +54,8 @@ __all__ = [
     "RunRow",
     "ExperimentResult",
     "run_experiment",
+    "EXPORT_FORMATS",
+    "check_formats",
     "export_result",
     "load_results_json",
     "preset",
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 FULL_RESOLUTION_LIMIT = 10_000
+EXPORT_FORMATS = ("csv", "json", "svg")
 
 
 class ConfigError(ValueError):
@@ -443,6 +446,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     One task per (variant, seed) runs every policy of that variant, so each
     instance is built once.
     """
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
     bound_args = (float(config.horizon), config.eps) if config.bounds else None
     tasks = [
         (v.name, v.spec, seed, [
@@ -666,6 +671,7 @@ def export_result(
     result: ExperimentResult, out_dir: Path | str, formats: Sequence[str] = ("csv", "json")
 ) -> list[Path]:
     """Write the requested formats into ``out_dir`` and return the paths."""
+    formats = check_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -679,11 +685,20 @@ def export_result(
             path = out_dir / f"{base}.json"
             write_json(result, path)
             written.append(path)
-        elif fmt == "svg":
-            written.extend(write_svgs(result, out_dir))
         else:
-            raise ConfigError(f"format: unknown export format '{fmt}' (csv, json, svg)")
+            written.extend(write_svgs(result, out_dir))
     return written
+
+
+def check_formats(formats: Sequence[str]) -> tuple[str, ...]:
+    """The export formats as a tuple; none, or an unknown one, is a ``ConfigError``."""
+    formats = tuple(formats)
+    if not formats:
+        raise ConfigError(f"format: no export format given ({', '.join(EXPORT_FORMATS)})")
+    for fmt in formats:
+        if fmt not in EXPORT_FORMATS:
+            raise ConfigError(f"format: unknown export format '{fmt}' ({', '.join(EXPORT_FORMATS)})")
+    return formats
 
 
 # ---------------------------------------------------------------------------

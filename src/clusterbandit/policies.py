@@ -3,12 +3,15 @@
 Every policy exposes ``select(t, rng) -> Choice`` and
 ``update(choice, reward)``. A ``Choice`` carries the played arm plus the
 path that led to it, so the simulator can log and replay the full decision:
-empty for ``ucb1``, the cluster id for ``tsmax`` and ``ucbc``, and the
-root-to-leaf node path for tree descents. The three Thompson samplers are
-one descent kernel, ``HierarchicalThompsonSampling``: ``ts`` descends
-``ClusterTree.star(n)`` (its traces keep no paths) and ``tsc`` descends
-``ClusterTree.from_clustering(c)``, so a ``tsc`` path is ``(0, c+1, leaf)``
-for cluster c.
+the cluster id for ``tsmax`` and the root-to-leaf node path for every other
+policy. Each of them is one of two tree descents:
+``HierarchicalThompsonSampling`` for ``ts``, ``tsc`` and ``hts``, and
+``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` descend
+``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
+traces keep no paths; ``tsc`` and ``ucbc`` descend
+``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
+cluster c. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of
+the UCB index: the global log t instead of log N_parent.
 
 Policies are addressed from configs by string key through
 :func:`make_policy`; all of them are parameter-free given the instance
@@ -108,14 +111,18 @@ class _TreeTables:
     def __reduce__(self):  # memoryviews do not pickle or copy; rebuild from the tree
         return _TreeTables, (self.tree,)
 
-    def check_path(self, path: tuple[int, ...]) -> None:
-        """Reject anything but a root-to-leaf path along tree edges."""
+    def check_path(self, choice: Choice) -> tuple[int, ...]:
+        """``choice.path`` if it runs from the root along tree edges to the leaf of ``choice.arm``."""
+        path = choice.path
         if not path or path[0] != 0 or self.leaf_arm[path[-1]] < 0:
             raise ValueError(f"invalid root-to-leaf path {path}")
         parent = self.parent
         for v, w in zip(path, path[1:]):
             if parent[w] != v:
                 raise ValueError(f"invalid root-to-leaf path {path}")
+        if self.leaf_arm[path[-1]] != choice.arm:
+            raise ValueError(f"path leaf does not map to arm {choice.arm}")
+        return path
 
 
 class HierarchicalThompsonSampling(BanditPolicy):
@@ -161,10 +168,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = choice.path
-        self._walk.check_path(path)
-        if self._walk.leaf_arm[path[-1]] != choice.arm:
-            raise ValueError(f"path leaf does not map to arm {choice.arm}")
+        path = self._walk.check_path(choice)
         fail = 1.0 - reward
         slot = self._walk.slot
         for v in path:
@@ -283,110 +287,15 @@ def _ucb_index(means: np.ndarray, counts: np.ndarray, log_term: float) -> np.nda
     return means + np.sqrt(2.0 * log_term / counts)
 
 
-def _first_unplayed(counts, start: int) -> int:
-    """First index at or after ``start`` whose count is zero, or ``len(counts)``.
-
-    Counts never fall, so a caller that keeps the result as the next
-    ``start`` scans each index once over a whole run.
-    """
-    while start < len(counts) and counts[start]:
-        start += 1
-    return start
-
-
-class Ucb1(BanditPolicy):
-    """UCB1: empirical mean plus sqrt(2 ln t / N) exploration bonus.
-
-    Plays each arm once first (lowest index first), then the argmax index
-    with uniform tie-breaking.
-    """
-
-    key = "ucb1"
-
-    def __init__(self, n_arms: int) -> None:
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
-        self.n_arms = n_arms
-        self._n = np.zeros(n_arms)
-        self._q = np.zeros(n_arms)
-        self._unplayed = 0  # every arm below it has been played
-
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        _check_time(t)
-        self._unplayed = _first_unplayed(self._n, self._unplayed)
-        if self._unplayed < self.n_arms:
-            return Choice(arm=self._unplayed)
-        idx = _ucb_index(self._q, self._n, math.log(t))
-        return Choice(arm=random_argmax(idx, rng))
-
-    def update(self, choice: Choice, reward: float) -> None:
-        reward = _check_reward(reward)
-        a = choice.arm
-        self._n[a] += 1.0
-        self._q[a] += (reward - self._q[a]) / self._n[a]
-
-
-class ClusteredUcb1(BanditPolicy):
-    """Two-level UCB1 over a disjoint clustering.
-
-    Cluster statistics aggregate every reward observed from the cluster;
-    the UCB1 index with the global time's logarithm is applied first across
-    clusters and then across the chosen cluster's arms, with the play-once
-    initialization rule at each level.
-    """
-
-    key = "ucbc"
-    path_depth = 1
-
-    def __init__(self, clustering: DisjointClustering) -> None:
-        self.clustering = clustering
-        n, k = clustering.n_arms, clustering.n_clusters
-        self._n = np.zeros(n)
-        self._q = np.zeros(n)
-        self._cn = np.zeros(k)
-        self._cq = np.zeros(k)
-        # first unvisited cluster, and per cluster the position of its first
-        # unplayed member; everything before them has been played
-        self._unvisited = 0
-        self._unplayed = [0] * k
-
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        _check_time(t)
-        log_t = math.log(t)
-        self._unvisited = _first_unplayed(self._cn, self._unvisited)
-        if self._unvisited < self._cn.size:
-            cluster = self._unvisited
-        else:
-            cluster = random_argmax(_ucb_index(self._cq, self._cn, log_t), rng)
-        members = self.clustering.members(cluster)
-        counts = self._n[members]
-        pos = self._unplayed[cluster] = _first_unplayed(counts, self._unplayed[cluster])
-        if pos < members.size:
-            arm = int(members[pos])
-        else:
-            idx = _ucb_index(self._q[members], counts, log_t)
-            arm = int(members[random_argmax(idx, rng)])
-        return Choice(arm=arm, path=(cluster,))
-
-    def update(self, choice: Choice, reward: float) -> None:
-        reward = _check_reward(reward)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        a = choice.arm
-        self._n[a] += 1.0
-        self._q[a] += (reward - self._q[a]) / self._n[a]
-        self._cn[cluster] += 1.0
-        self._cq[cluster] += (reward - self._cq[cluster]) / self._cn[cluster]
-
-
 class TreeUcb(BanditPolicy):
     """UCB descent over a cluster tree.
 
     At each internal node, unvisited children are tried first (lowest index
     in child order); otherwise the child maximizing
-    mean + sqrt(2 ln N_parent / N_child) is taken. The reward and one visit
-    propagate to every node on the played path.
+    mean + sqrt(2 log_term / N_child) is taken. The reward and one visit
+    propagate to every node on the played path. The log term is the only
+    thing the UCB policies change: log N_parent here, the global log t for
+    ``ucb1`` and ``ucbc``.
     """
 
     key = "uct"
@@ -397,6 +306,9 @@ class TreeUcb(BanditPolicy):
         self._n = np.zeros(tree.n_nodes)  # per node in tree.slot order, as for hts
         self._q = np.zeros(tree.n_nodes)
         self._walk = _TreeTables(tree)
+
+    def _log_term(self, t: int, parent_count: float) -> float:
+        return math.log(parent_count)
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
@@ -410,7 +322,7 @@ class TreeUcb(BanditPolicy):
             counts = n[lo:hi]
             i = int(counts.argmin())
             if counts[i]:  # no unvisited child: the UCB index decides
-                i = random_argmax(_ucb_index(q[lo:hi], counts, math.log(n[at])), rng)
+                i = random_argmax(_ucb_index(q[lo:hi], counts, self._log_term(t, n[at])), rng)
             at = lo + i
             node = kids[at]
             path.append(node)
@@ -419,13 +331,48 @@ class TreeUcb(BanditPolicy):
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = choice.path
-        self._walk.check_path(path)
+        path = self._walk.check_path(choice)
         slot = self._walk.slot
         for v in path:
             i = slot[v]
             self._n[i] += 1.0
             self._q[i] += (reward - self._q[i]) / self._n[i]
+
+
+class Ucb1(TreeUcb):
+    """UCB1: empirical mean plus sqrt(2 ln t / N) exploration bonus.
+
+    Descent on ``ClusterTree.star(n_arms)`` with the global log t: plays each
+    arm (leaf a+1) once first, lowest index first, then the argmax index with
+    uniform tie-breaking. Traces keep no paths.
+    """
+
+    key = "ucb1"
+
+    def __init__(self, n_arms: int) -> None:
+        super().__init__(ClusterTree.star(n_arms))
+        self.path_depth = 0
+
+    def _log_term(self, t: int, parent_count: float) -> float:
+        return math.log(t)
+
+
+class ClusteredUcb1(TreeUcb):
+    """Two-level UCB1 over a disjoint clustering.
+
+    Descent on ``ClusterTree.from_clustering(clustering)`` with the global
+    log t: the UCB1 index, with the play-once rule, picks a cluster (node
+    c+1, whose statistics aggregate every reward observed from it) and then
+    one of its arms.
+    """
+
+    key = "ucbc"
+
+    def __init__(self, clustering: DisjointClustering) -> None:
+        super().__init__(ClusterTree.from_clustering(clustering))
+
+    def _log_term(self, t: int, parent_count: float) -> float:
+        return math.log(t)
 
 
 # ---------------------------------------------------------------------------

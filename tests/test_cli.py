@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from clusterbandit import harness
 from clusterbandit.cli import main
 
 SD_SPEC = {
@@ -100,6 +101,23 @@ class TestRun:
                                    "policies": [{"key": "ts"}], "instance": SD_SPEC}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--format", "csv,xml", "format"), ("--format", "", "format"), ("--format", " , ", "format"),
+         ("--workers", "0", "workers"), ("--workers", "-3", "workers")],
+    )
+    def test_bad_format_or_workers_fails_before_any_job(self, tmp_path, monkeypatch, capsys, option, value, field):
+        jobs = []
+        run_job = harness._run_job
+        monkeypatch.setattr(harness, "_run_job", lambda payload: jobs.append(payload) or run_job(payload))
+        out_dir = tmp_path / "results"
+        argv = ["run", "--preset", "appendix-uniform", "--seeds", "1", "--horizon", "20",
+                "--out", str(out_dir), option, value]
+        assert main(argv) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert jobs == []
+        assert not out_dir.exists()
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -197,6 +197,13 @@ class TestConfigValidation:
             run_experiment(_tiny_config(**doc))
         assert jobs == []
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_fail_before_any_job(self, monkeypatch, workers):
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match="^workers: must be >= 1"):
+            run_experiment(_tiny_config(), workers=workers)
+        assert jobs == []
+
     def test_structure_needs_met_by_bernoulli_documents(self):
         tree = {"children": [[1, 2], [], []], "leaf_arms": [-1, 0, 1]}
         config = _tiny_config(
@@ -599,6 +606,13 @@ class TestExports:
         result = run_experiment(_tiny_config())
         with pytest.raises(ConfigError, match="format"):
             export_result(result, tmp_path, formats=("parquet",))
+
+    @pytest.mark.parametrize("formats", [("csv", "xml"), ()])
+    def test_bad_formats_write_nothing(self, tmp_path, formats):
+        result = run_experiment(_tiny_config())
+        with pytest.raises(ConfigError, match="^format: "):
+            export_result(result, tmp_path / "out", formats=formats)
+        assert not (tmp_path / "out").exists()
 
 
 class TestPresets:

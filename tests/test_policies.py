@@ -274,13 +274,14 @@ class TestUcb1:
         pol = Ucb1(3)
         rng = np.random.default_rng(0)
         assert pol.select(1, rng).arm == 0
-        pol.update(Choice(arm=0), 1.0)
+        pol.update(Choice(arm=0, path=(0, 1)), 1.0)
         assert pol.select(2, rng).arm == 1
 
     def test_index_evaluation(self):
         pol = Ucb1(2)
-        pol._n[:] = [10, 10]
-        pol._q[:] = [0.9, 0.1]
+        leaves = pol.tree.slot[1:]  # arm a is leaf a+1 of the star; counts sit at its slot
+        pol._n[leaves] = [10, 10]
+        pol._q[leaves] = [0.9, 0.1]
         # direct index oracle: 0.9 + sqrt(2 ln 100 / 10) beats 0.1 + same bonus
         bonus = math.sqrt(2 * math.log(100) / 10)
         assert 0.9 + bonus > 0.1 + bonus
@@ -289,14 +290,24 @@ class TestUcb1:
     def test_uniform_tie_break(self):
         rng = np.random.default_rng(11)
         pol = Ucb1(2)
-        pol._n[:] = [5, 5]
-        pol._q[:] = [0.4, 0.4]
+        leaves = pol.tree.slot[1:]
+        pol._n[leaves] = [5, 5]
+        pol._q[leaves] = [0.4, 0.4]
         freq = sum(pol.select(50, rng).arm == 0 for _ in range(10_000)) / 10_000
         assert abs(freq - 0.5) < 0.02
 
     def test_time_validation(self):
         with pytest.raises(ValueError):
             Ucb1(2).select(0, np.random.default_rng(0))
+
+    def test_update_needs_the_star_path(self):
+        pol = Ucb1(3)
+        for path in ((), (2,), (0, 1)):  # path-less, leaf only, another arm's leaf
+            with pytest.raises(ValueError):
+                pol.update(Choice(arm=1, path=path), 1.0)
+        assert not pol._n.any()
+        pol.update(Choice(arm=1, path=(0, 2)), 1.0)
+        assert pol._n[pol.tree.slot[2]] == 1
 
 
 class TestClusteredUcb1:
@@ -319,12 +330,14 @@ class TestClusteredUcb1:
     def test_cluster_index_evaluation(self):
         clustering = DisjointClustering([0, 0, 1, 1])
         pol = ClusteredUcb1(clustering)
-        pol._cn[:] = [100, 100]
-        pol._cq[:] = [0.9, 0.1]
-        pol._n[:] = [50, 50, 50, 50]
-        pol._q[:] = [0.9, 0.8, 0.1, 0.2]
+        slot = pol.tree.slot  # cluster c is node c+1; counts sit at a node's slot
+        leaves = slot[[pol.tree.leaf_of_arm(a) for a in range(4)]]
+        pol._n[slot[[1, 2]]] = [100, 100]
+        pol._q[slot[[1, 2]]] = [0.9, 0.1]
+        pol._n[leaves] = [50, 50, 50, 50]
+        pol._q[leaves] = [0.9, 0.8, 0.1, 0.2]
         choice = pol.select(1000, np.random.default_rng(0))
-        assert choice.path == (0,)
+        assert choice.path[:2] == (0, 1)
         assert choice.arm == 0
 
     def test_round_robin_cluster_initialization(self):
@@ -334,9 +347,21 @@ class TestClusteredUcb1:
         seen = []
         for t in range(1, 4):
             choice = pol.select(t, rng)
-            seen.append(choice.path[0])
+            seen.append(choice.path[1] - 1)
             pol.update(choice, 0.0)
         assert seen == [0, 1, 2]
+
+    def test_update_needs_the_tree_path(self):
+        clustering = DisjointClustering([0, 0, 1, 1])
+        pol = ClusteredUcb1(clustering)
+        leaf = pol.tree.leaf_of_arm
+        # path-less, (cluster,), the other cluster, another arm's leaf
+        for path in ((), (1,), (0, 1, leaf(2)), (0, 2, leaf(3))):
+            with pytest.raises(ValueError):
+                pol.update(Choice(arm=2, path=path), 1.0)
+        assert not pol._n.any()
+        pol.update(Choice(arm=2, path=(0, 2, leaf(2))), 1.0)
+        assert pol._n[pol.tree.slot[2]] == 1
 
     def test_containment_and_aggregation(self):
         rng = np.random.default_rng(15)
@@ -346,15 +371,16 @@ class TestClusteredUcb1:
         count = {0: 0, 1: 0}
         for t in range(1, 501):
             choice = pol.select(t, rng)
-            assert clustering.label_of(choice.arm) == choice.path[0]
+            cluster = choice.path[1] - 1
+            assert clustering.label_of(choice.arm) == cluster
             r = float(rng.integers(2))
             pol.update(choice, r)
-            total[choice.path[0]] += r
-            count[choice.path[0]] += 1
+            total[cluster] += r
+            count[cluster] += 1
         for c in (0, 1):
             if count[c]:
-                assert pol._cq[c] == pytest.approx(total[c] / count[c])
-                assert pol._cn[c] == count[c]
+                assert pol._q[pol.tree.slot[c + 1]] == pytest.approx(total[c] / count[c])
+                assert pol._n[pol.tree.slot[c + 1]] == count[c]
 
 
 # ---------------------------------------------------------------------------

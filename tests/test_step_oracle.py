@@ -7,13 +7,18 @@ one per cluster and then one per member of the chosen cluster. ``ts`` and
 two-level tree, and must reproduce their traces exactly, arm, reward and
 regret; a ``tsc`` path ``(0, c+1, leaf)`` must name the reference's cluster c.
 
-The reference policies below keep the straightforward per-step bodies: tree
-descent through ``ClusterTree`` accessors, TsMax representatives recomputed
-over every cluster at every step, UCB play-once rules that rescan all counts
-for the first unplayed arm, and a tie count by ``sum``. The table-driven
-descent, the representatives that ``update`` keeps per played cluster and
-the first-unplayed pointers must reproduce their traces exactly, arm, path
-and regret, since they consume the generator in the same order.
+``RefUcb1`` and ``RefClusteredUcb1`` likewise keep flat and two-level UCB1
+as their own bodies over arm and cluster counts, with play-once rules that
+rescan all counts for the first unplayed arm or cluster. ``ucb1`` and
+``ucbc`` run ``uct``'s descent with the global log t on the same two trees
+and must reproduce their traces exactly in the same way.
+
+The other reference policies below keep the straightforward per-step
+bodies: tree descent through ``ClusterTree`` accessors, TsMax
+representatives recomputed over every cluster at every step, and a tie count
+by ``sum``. The table-driven descent and the representatives that ``update``
+keeps per played cluster must reproduce their traces exactly, arm, path and
+regret, since they consume the generator in the same order.
 
 ``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
 three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
@@ -185,7 +190,13 @@ def _ref_ucb_index(means, counts, log_term):
     return means + np.sqrt(2.0 * log_term / counts)
 
 
-class RefUcb1(Ucb1):
+class RefUcb1:
+    path_depth = 0
+
+    def __init__(self, n_arms):
+        self._n = np.zeros(n_arms)
+        self._q = np.zeros(n_arms)
+
     def select(self, t, rng):
         unpulled = np.flatnonzero(self._n == 0)
         if unpulled.size:
@@ -193,8 +204,23 @@ class RefUcb1(Ucb1):
         idx = _ref_ucb_index(self._q, self._n, math.log(t))
         return Choice(arm=_ref_random_argmax(idx, rng))
 
+    def update(self, choice, reward):
+        a = choice.arm
+        self._n[a] += 1.0
+        self._q[a] += (reward - self._q[a]) / self._n[a]
 
-class RefClusteredUcb1(ClusteredUcb1):
+
+class RefClusteredUcb1:
+    path_depth = 1
+
+    def __init__(self, clustering):
+        self.clustering = clustering
+        n, k = clustering.n_arms, clustering.n_clusters
+        self._n = np.zeros(n)
+        self._q = np.zeros(n)
+        self._cn = np.zeros(k)
+        self._cq = np.zeros(k)
+
     def select(self, t, rng):
         log_t = math.log(t)
         unvisited = np.flatnonzero(self._cn == 0)
@@ -210,6 +236,16 @@ class RefClusteredUcb1(ClusteredUcb1):
             idx = _ref_ucb_index(self._q[members], self._n[members], log_t)
             arm = int(members[_ref_random_argmax(idx, rng)])
         return Choice(arm=arm, path=(cluster,))
+
+    def update(self, choice, reward):
+        (cluster,) = choice.path
+        if self.clustering.label_of(choice.arm) != cluster:
+            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
+        a = choice.arm
+        self._n[a] += 1.0
+        self._q[a] += (reward - self._q[a]) / self._n[a]
+        self._cn[cluster] += 1.0
+        self._cq[cluster] += (reward - self._cq[cluster]) / self._cn[cluster]
 
 
 def _variant_spec(preset_name, variant):
@@ -244,11 +280,25 @@ def _tied_instance():
     return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
 
 
+def _assert_same_paths(got, want, policy):
+    """Equal paths, or a two-level descent's ``(0, c+1, leaf)`` against a reference's ``(c,)``."""
+    if want.paths is None:
+        assert got.paths is None
+        return
+    if want.paths.shape == got.paths.shape:
+        assert np.array_equal(got.paths, want.paths)
+        return
+    assert np.array_equal(got.paths[:, 0], np.zeros(got.horizon, dtype=np.int64))
+    assert np.array_equal(got.paths[:, 1] - 1, want.paths[:, 0])
+    assert np.array_equal(policy.tree.leaf_arms[got.paths[:, 2]], got.arms)
+
+
 def _assert_same_trace(instance, policy, reference, seed, horizon=HORIZON):
     got = simulate(instance, policy, horizon, rng_streams(seed).simulation)
     want = simulate(instance, reference, horizon, rng_streams(seed).simulation)
     assert np.array_equal(got.arms, want.arms)
-    assert np.array_equal(got.paths, want.paths)
+    assert np.array_equal(got.rewards, want.rewards)
+    _assert_same_paths(got, want, policy)
     assert np.array_equal(got.cum_regret, want.cum_regret)
 
 
@@ -281,7 +331,9 @@ FLAT_AND_TWO_LEVEL = {
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", ["kmeans-large", "kmeans-small", "tied"])
+@pytest.mark.parametrize(
+    "name", ["kmeans-large", "kmeans-small", "tied", "strong-dominance", "appendix-uniform", "hts-uct/L1"]
+)
 @pytest.mark.parametrize("key", sorted(FLAT_AND_TWO_LEVEL))
 def test_kept_state_matches_rescanning_reference(key, name, seed):
     instance = _tied_instance() if name == "tied" else _instance(name, seed)
@@ -303,9 +355,15 @@ def test_kept_state_matches_reference_after_external_updates(key, seed):
         arms = rng.choice(instance.n_arms, size=40, replace=False)
         rewards = rng.integers(0, 2, size=40).astype(float)
         for arm, reward in zip(arms.tolist(), rewards.tolist()):
-            path = () if key == "ucb1" else (int(labels[arm]),)
+            cluster = int(labels[arm])
+            if key == "ucb1":  # arm a is leaf a+1 of the star
+                path, ref_path = (0, arm + 1), ()
+            elif key == "ucbc":  # cluster c is node c+1
+                path, ref_path = (0, cluster + 1, policy.tree.leaf_of_arm(arm)), (cluster,)
+            else:
+                path = ref_path = (cluster,)
             policy.update(Choice(arm=arm, path=path), reward)
-            reference.update(Choice(arm=arm, path=path), reward)
+            reference.update(Choice(arm=arm, path=ref_path), reward)
         _assert_same_trace(instance, policy, reference, seed, horizon=300)
     if key == "tsmax":
         assert np.array_equal(policy._reps, policy.cluster_representatives())
@@ -323,17 +381,7 @@ def test_thompson_descent_matches_own_beta_kernels(key, name, seed):
     else:
         policy = ClusteredThompsonSampling(instance.clustering)
         reference = RefClusteredThompsonSampling(instance.clustering)
-    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation)
-    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation)
-    assert np.array_equal(got.arms, want.arms)
-    assert np.array_equal(got.rewards, want.rewards)
-    assert np.array_equal(got.cum_regret, want.cum_regret)
-    if key == "ts":
-        assert got.paths is None and want.paths is None
-    else:
-        assert np.array_equal(got.paths[:, 0], np.zeros(HORIZON, dtype=np.int64))
-        assert np.array_equal(got.paths[:, 1] - 1, want.paths[:, 0])
-        assert np.array_equal(policy.tree.leaf_arms[got.paths[:, 2]], got.arms)
+    _assert_same_trace(instance, policy, reference, seed)
 
 
 def test_tied_representatives_go_to_the_lowest_arm_id():
