@@ -12,6 +12,9 @@ per entity to cap numerical drift. ``LinThompson`` and
 ``ClusteredLinThompson`` hold the flat and the two-level ``select``/
 ``update``; ``LinUcb`` and ``ClusteredLinUcb`` run the same bodies and only
 score a bank with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
+Flat variants keep no path. The two-level ones descend
+``ClusterTree.from_clustering``, so their path is ``(0, c+1, leaf)`` for
+cluster c, as for ``tsc``.
 
 The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
 every entity is one product of those rows with the flattened x x'. Scores
@@ -27,8 +30,8 @@ import math
 from abc import ABC, abstractmethod
 import numpy as np
 
-from .core import DisjointClustering, random_argmax
-from .policies import Choice
+from .core import ClusterTree, DisjointClustering, random_argmax
+from .policies import Choice, _TreeTables
 
 __all__ = [
     "ContextualInstance",
@@ -38,6 +41,7 @@ __all__ = [
     "LinUcb",
     "ClusteredLinUcb",
     "CONTEXTUAL_POLICY_KEYS",
+    "check_params",
     "make_contextual_policy",
 ]
 
@@ -51,6 +55,11 @@ def _check_context(x: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("context has non-finite entries")
     return x
+
+
+def _check_v(v: float) -> None:
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"v: sampling-variance scale must be finite and > 0, got {v}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -68,8 +77,7 @@ class _LinearBank:
     def __init__(self, n: int, dim: int, v: float) -> None:
         if dim < 1:
             raise ValueError(f"dim: must be >= 1, got {dim}")
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"v: sampling-variance scale must be finite and > 0, got {v}")
+        _check_v(v)
         self.n = n
         self.dim = dim
         self.v = float(v)
@@ -217,17 +225,19 @@ class LinThompson(ContextualPolicy):
 class ClusteredLinThompson(ContextualPolicy):
     """Two-level linear Thompson sampling over a disjoint clustering.
 
-    Cluster-level posteriors pick the cluster, arm-level posteriors pick
-    the arm within it; both levels are updated with the same observed
-    (context, reward) pair.
+    Descent on ``ClusterTree.from_clustering(clustering)``: cluster-level
+    posteriors pick the cluster (node c+1), arm-level posteriors pick the
+    arm among ``tree.arms_under(c+1)``; both levels are updated with the
+    same observed (context, reward) pair.
     """
 
     key = "lintsc"
-    path_depth = 1
+    path_depth = 3
     _score = LinThompson._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, v: float = 1.0) -> None:
-        self.clustering = clustering
+        self.tree = ClusterTree.from_clustering(clustering)
+        self._walk = _TreeTables(self.tree)
         self.dim = dim
         self.v = float(v)
         self._clusters = _LinearBank(clustering.n_clusters, dim, v)
@@ -235,17 +245,15 @@ class ClusteredLinThompson(ContextualPolicy):
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         x = _check_context(x, self.dim)
-        cluster = random_argmax(self._score(self._clusters, x, rng), rng)
-        members = self.clustering.members(cluster)
-        arm = int(members[random_argmax(self._score(self._arms, x, rng, members), rng)])
-        return Choice(arm=arm, path=(cluster,))
+        node = random_argmax(self._score(self._clusters, x, rng), rng) + 1
+        i = random_argmax(self._score(self._arms, x, rng, self.tree.arms_under(node)), rng)
+        leaf = self._walk.kids[self._walk.ptr[node] + i]
+        return Choice(arm=self._walk.leaf_arm[leaf], path=(0, node, leaf))
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         x = _check_context(x, self.dim)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, reward)
+        path = self._walk.check_path(choice)
+        self._clusters.update(path[1] - 1, x, reward)
         self._arms.update(choice.arm, x, reward)
 
 
@@ -282,41 +290,49 @@ class ClusteredLinUcb(ClusteredLinThompson):
 # Registry
 # ---------------------------------------------------------------------------
 
-_ALLOWED_PARAMS = {
-    "lints": {"v", "d"},
-    "lintsc": {"v", "d"},
-    "linucb": {"alpha", "d"},
-    "linucbc": {"alpha", "d"},
+# key -> (class, accepted parameters)
+_REGISTRY = {
+    "lints": (LinThompson, {"v", "d"}),
+    "lintsc": (ClusteredLinThompson, {"v", "d"}),
+    "linucb": (LinUcb, {"alpha", "d"}),
+    "linucbc": (ClusteredLinUcb, {"alpha", "d"}),
 }
 
-CONTEXTUAL_POLICY_KEYS: tuple[str, ...] = tuple(sorted(_ALLOWED_PARAMS))
+CONTEXTUAL_POLICY_KEYS: tuple[str, ...] = tuple(sorted(_REGISTRY))
+
+
+def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
+    """Reject an unknown key or parameter, a bad ``v`` or ``alpha``, and a ``d`` other than ``dim``.
+
+    Accepted parameters: ``v`` for the Thompson variants, ``alpha`` for the
+    UCB variants, and an optional ``d`` that must match the instance
+    dimension when both are known.
+    """
+    if key not in _REGISTRY:
+        raise ValueError(
+            f"unknown contextual policy key '{key}'; valid keys: {sorted(_REGISTRY)}"
+        )
+    params = params or {}
+    unknown = set(params) - _REGISTRY[key][1]
+    if unknown:
+        raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
+    for name, check in (("v", _check_v), ("alpha", _check_alpha)):
+        if name in params:
+            check(float(params[name]))
+    d = params.get("d")
+    if d is not None and dim is not None and d != dim:
+        raise ValueError(f"parameter d={d} does not match instance dimension {dim}")
 
 
 def make_contextual_policy(
     key: str, instance: ContextualInstance, params: dict | None = None
 ) -> ContextualPolicy:
-    """Instantiate a contextual policy by string key.
+    """Instantiate a contextual policy by string key, after :func:`check_params`.
 
-    Accepted parameters: ``v`` for the Thompson variants, ``alpha`` for the
-    UCB variants, and an optional ``d`` that must match the instance
-    dimension when given.
+    The flat policies take the instance's arm count, the two-level ones its
+    clustering; ``d`` only checks the dimension.
     """
-    if key not in _ALLOWED_PARAMS:
-        raise ValueError(
-            f"unknown contextual policy key '{key}'; valid keys: {sorted(_ALLOWED_PARAMS)}"
-        )
-    params = dict(params or {})
-    unknown = set(params) - _ALLOWED_PARAMS[key]
-    if unknown:
-        raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
-    d = params.pop("d", None)
-    if d is not None and int(d) != instance.dim:
-        raise ValueError(f"parameter d={d} does not match instance dimension {instance.dim}")
-    dim = instance.dim
-    if key == "lints":
-        return LinThompson(instance.n_arms, dim, v=float(params.get("v", 1.0)))
-    if key == "lintsc":
-        return ClusteredLinThompson(instance.clustering, dim, v=float(params.get("v", 1.0)))
-    if key == "linucb":
-        return LinUcb(instance.n_arms, dim, alpha=float(params.get("alpha", 2.0)))
-    return ClusteredLinUcb(instance.clustering, dim, alpha=float(params.get("alpha", 2.0)))
+    check_params(key, params, instance.dim)
+    cls = _REGISTRY[key][0]
+    arms = instance.clustering if issubclass(cls, ClusteredLinThompson) else instance.n_arms
+    return cls(arms, instance.dim, **{k: float(value) for k, value in (params or {}).items() if k != "d"})

@@ -106,9 +106,11 @@ class DisjointClustering:
         if (counts == 0).any():
             empty = np.flatnonzero(counts == 0).tolist()
             raise ValueError(f"empty clusters: {empty}")
-        self._labels = labels
-        self._labels.setflags(write=False)
-        self._members = [np.flatnonzero(labels == c) for c in range(n_clusters)]
+        # Arm ids by cluster, ascending within each: cluster c is _arms[_first[c]:_first[c+1]].
+        self._labels, self._arms = labels, np.argsort(labels, kind="stable")
+        self._first = np.concatenate(([0], np.cumsum(counts)))
+        for a in (self._labels, self._arms, self._first):
+            a.setflags(write=False)
 
     @property
     def labels(self) -> np.ndarray:
@@ -120,14 +122,14 @@ class DisjointClustering:
 
     @property
     def n_clusters(self) -> int:
-        return len(self._members)
+        return self._first.size - 1
 
     def label_of(self, arm: int) -> int:
         return int(self._labels[arm])
 
     def members(self, cluster: int) -> np.ndarray:
         """Arm ids of a cluster, ascending."""
-        return self._members[cluster]
+        return self._arms[self._first[cluster]:self._first[cluster + 1]]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DisjointClustering) and np.array_equal(
@@ -244,9 +246,8 @@ class ClusterTree:
         so every node's children are one ascending contiguous run of ids.
         """
         k, n = clustering.n_clusters, clustering.n_arms
-        sizes = np.bincount(clustering.labels, minlength=k)
-        ptr = np.concatenate(([0, k], k + np.cumsum(sizes), np.full(n, k + n)))
-        leaf_arms = np.concatenate((np.full(k + 1, -1), np.argsort(clustering.labels, kind="stable")))
+        ptr = np.concatenate(([0], k + clustering._first, np.full(n, k + n)))
+        leaf_arms = np.concatenate((np.full(k + 1, -1), clustering._arms))
         return cls.from_csr(ptr, np.arange(1, k + n + 1), leaf_arms)
 
     @property
@@ -440,12 +441,11 @@ def regret_of(instance: BanditInstance, arm: int) -> float:
 class SimulationTrace:
     """Per-step record of one simulation run.
 
-    ``paths`` holds each step's ``Choice.path``, padded with -1: a cluster
-    id for ``tsmax`` and the clustered contextual policies, a root-to-leaf
-    node path for tree descents (``hts``, ``uct``, and ``tsc`` and ``ucbc``
-    with ``(0, c+1, leaf)``); None for flat policies. ``cum_regret[t]`` is the
-    cumulative pseudo-regret after step t+1: the ``np.cumsum`` of
-    ``regret_of`` over the chosen arms, added in step order.
+    ``paths`` holds each step's ``Choice.path``, padded with -1: a
+    root-to-leaf node path, ``(0, c+1, leaf)`` for the two-level policies;
+    None for flat policies. ``cum_regret[t]`` is the cumulative pseudo-regret
+    after step t+1: the ``np.cumsum`` of ``regret_of`` over the chosen arms,
+    added in step order.
     """
 
     seed: int | None
@@ -464,14 +464,3 @@ class SimulationTrace:
     @property
     def horizon(self) -> int:
         return int(self.arms.shape[0])
-
-    def top_level_counts(self, n_entities: int) -> np.ndarray:
-        """Plays per first path element, e.g. per cluster for ``tsmax``.
-
-        Only ``tsmax`` and the clustered contextual policies have such paths:
-        tree-descent paths (``tsc``, ``ucbc``, ``hts``, ``uct``) all start at
-        the root, and ``RunRow.top_counts`` counts their root children.
-        """
-        if self.paths is None:
-            raise ValueError("trace has no cluster paths")
-        return np.bincount(self.paths[:, 0], minlength=n_entities)

@@ -41,9 +41,10 @@ from .analysis import (
     tsc_minimax_bound,
 )
 from .contextual import CONTEXTUAL_POLICY_KEYS, ContextualInstance, make_contextual_policy
+from .contextual import check_params as check_contextual_params
 from .core import BanditInstance, RngStreams, rng_streams
-from .instances import build_instance, gen_context, spec_structure
-from .policies import POLICY_KEYS, make_policy
+from .instances import ContextualSpec, build_instance, gen_context, spec_structure
+from .policies import POLICY_KEYS, check_params, make_policy
 from .simulate import simulate, simulate_contextual
 
 __all__ = [
@@ -138,6 +139,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
+        if self.bounds and self.horizon < 2:
+            raise ConfigError(f"horizon: bounds need a horizon >= 2, got {self.horizon}")
         if self.context_kind not in ("uniform", "gaussian"):
             raise ConfigError(
                 f"context_kind: unknown distribution '{self.context_kind}' (uniform, gaussian)"
@@ -149,6 +152,8 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             dups = sorted(s for s in set(self.seeds) if self.seeds.count(s) > 1)
             raise ConfigError(f"seeds: duplicate seeds {dups}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds: must be >= 0, got {sorted(s for s in self.seeds if s < 0)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps: must be finite and > 0, got {self.eps}")
         if not self.variants:
@@ -178,13 +183,21 @@ class ExperimentConfig:
                 has = spec_structure(v.spec)
             except ValueError as exc:
                 raise ConfigError(f"instances: variant '{v.name}' spec: {exc}") from exc
-            for p in self.policies:
+            for p in filter(lambda p: p.runs_on(v.name), self.policies):
                 need = _POLICY_NEEDS.get(p.key, "bernoulli")
-                if p.runs_on(v.name) and has != need and (need != "bernoulli" or has == "contextual"):
+                if has != need and (need != "bernoulli" or has == "contextual"):
                     raise ConfigError(
                         f"policies: '{p.name}' needs a {need} instance but variant '{v.name}' "
                         f"(kind '{v.spec['kind']}') builds a {has} instance"
                     )
+                try:  # a generated contextual spec fixes the dimension; a serialized one at build
+                    if has != "contextual":
+                        check_params(p.key, p.params)
+                    else:
+                        dim = None if "theta" in v.spec else v.spec.get("dim", ContextualSpec.dim)
+                        check_contextual_params(p.key, p.params, dim)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"policies: '{p.name}' on variant '{v.name}': {exc}") from exc
 
     def experiment_id(self, variant: str) -> str:
         return f"{self.name}/{variant}"
@@ -353,12 +366,12 @@ def _run_job(payload: tuple) -> RunRow:
         seed=seed,
         ts=ts,
         regret=trace.cum_regret[ts - 1].copy(),
-        top_counts=_top_counts(instance, policy, trace),
+        top_counts=_top_counts(policy, trace),
     )
 
 
-def _top_counts(instance, policy, trace) -> np.ndarray | None:
-    """Plays per top-level choice: per cluster, or per child of a tree's root.
+def _top_counts(policy, trace) -> np.ndarray | None:
+    """Plays per child of the policy tree's root: per cluster on a two-level tree.
 
     The length is fixed by the instance (root children in ``children(0)``
     order), whichever of them the run played. The root's children fill the
@@ -366,12 +379,10 @@ def _top_counts(instance, policy, trace) -> np.ndarray | None:
     """
     if trace.paths is None:
         return None
-    tree = getattr(policy, "tree", None)
-    if tree is None:
-        return trace.top_level_counts(instance.clustering.n_clusters)
+    tree = policy.tree
     n_kids = int(tree.ptr[1])
     if not n_kids:  # a one-arm tree: every path is the root alone
-        return trace.top_level_counts(1)
+        return np.array([trace.horizon])
     return np.bincount(tree.slot[trace.paths[:, 1]], minlength=n_kids)
 
 

@@ -550,12 +550,12 @@ def verify_strong_dominance(instance: BanditInstance) -> DominanceReport:
         raise ValueError("instance has no disjoint clustering")
     stats = cluster_stats(instance)
     means = instance.means
-    star_members = clustering.members(stats.optimal_cluster)
+    star_arms = clustering.members(stats.optimal_cluster)
     violations: list[tuple[int, int]] = []
     for c in stats.suboptimal_clusters():
         if stats.distance[c] > 0.0:
             continue
-        for a in star_members:
+        for a in star_arms:
             for b in clustering.members(int(c)):
                 if means[a] - means[b] <= 0.0:
                     violations.append((int(a), int(b)))

@@ -2,16 +2,16 @@
 
 Every policy exposes ``select(t, rng) -> Choice`` and
 ``update(choice, reward)``. A ``Choice`` carries the played arm plus the
-path that led to it, so the simulator can log and replay the full decision:
-the cluster id for ``tsmax`` and the root-to-leaf node path for every other
-policy. Each of them is one of two tree descents:
-``HierarchicalThompsonSampling`` for ``ts``, ``tsc`` and ``hts``, and
-``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` descend
-``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
-traces keep no paths; ``tsc`` and ``ucbc`` descend
+root-to-leaf node path that led to it, so the simulator can log and replay
+the full decision. Every policy is one of two tree descents:
+``HierarchicalThompsonSampling`` for ``ts``, ``tsc``, ``tsmax`` and ``hts``,
+and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1``
+descend ``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and
+their traces keep no paths; ``tsc``, ``tsmax`` and ``ucbc`` descend
 ``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
-cluster c. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of
-the UCB index: the global log t instead of log N_parent.
+cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
+cluster belief. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log
+term of the UCB index: the global log t instead of log N_parent.
 
 Policies are addressed from configs by string key through
 :func:`make_policy`; all of them are parameter-free given the instance
@@ -45,13 +45,14 @@ __all__ = [
     "TsMax",
     "TreeUcb",
     "POLICY_KEYS",
+    "check_params",
     "make_policy",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class Choice:
-    """One selection: the arm played and the cluster path that chose it."""
+    """One selection: the arm played and the root-to-leaf node path that chose it."""
 
     arm: int
     path: tuple[int, ...] = ()
@@ -207,76 +208,53 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
         super().__init__(ClusterTree.from_clustering(clustering))
 
 
-class TsMax(BanditPolicy):
+class TsMax(HierarchicalThompsonSampling):
     """Two-level Thompson sampling with best-member cluster proxies.
 
-    No persistent cluster beliefs: each round every cluster is represented
-    by the Beta belief of its member arm with the highest empirical mean
-    s/(s+f) (ties going to the lowest arm index). One value is sampled from
-    each representative, the argmax cluster wins, and ordinary Thompson
-    sampling runs among its arms. Only the played arm's belief is updated.
+    Descent on ``ClusterTree.from_clustering(clustering)`` without cluster
+    beliefs: each round every cluster (node c+1) is represented by the Beta
+    belief of its leaf with the highest empirical mean s/(s+f) (ties going
+    to the lowest arm id). One value is sampled from each representative,
+    the argmax cluster wins, and ordinary Thompson sampling runs among its
+    leaves. Only the played leaf's belief is updated.
     """
 
     key = "tsmax"
-    path_depth = 1
 
     def __init__(self, clustering: DisjointClustering) -> None:
-        self.clustering = clustering
-        n = clustering.n_arms
-        self._s = np.ones(n)
-        self._f = np.ones(n)
-        self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
-        # Representatives as select reads them: taken in full at the first
-        # select, then re-taken by update for the played cluster only.
-        self._reps: np.ndarray | None = None
-
-    @property
-    def arm_beliefs(self) -> dict[int, BetaBelief]:
-        return {a: BetaBelief(float(self._s[a]), float(self._f[a])) for a in range(self.clustering.n_arms)}
+        super().__init__(ClusterTree.from_clustering(clustering))
+        # Representatives as select reads them (leaf slots), kept by update for
+        # the played cluster only; at the uniform prior each cluster's first leaf.
+        self._reps = np.array(self._walk.ptr[1:self._walk.ptr[1] + 1])
 
     def _best_member(self, cluster: int) -> int:
-        members = self._members[cluster]
-        s, f = self._s[members], self._f[members]
-        return int(members[np.argmax(s / (s + f))])  # first maximum: the lowest id
-
-    def cluster_representatives(self) -> np.ndarray:
-        """Per-cluster arm id with the highest empirical mean (ties: lowest id).
-
-        Recomputed from the current counts over every cluster.
-        """
-        return np.array([self._best_member(c) for c in range(len(self._members))], dtype=np.int64)
+        lo, hi = self._walk.ptr[cluster + 1], self._walk.ptr[cluster + 2]
+        s, f = self._s[lo:hi], self._f[lo:hi]
+        return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        if self._reps is None:
-            self._reps = self.cluster_representatives()
-        reps = self._reps
-        theta_c = rng.beta(self._s[reps], self._f[reps])
-        cluster = random_argmax(theta_c, rng)
-        members = self._members[cluster]
-        theta_a = rng.beta(self._s[members], self._f[members])
-        arm = int(members[random_argmax(theta_a, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        reps, s, f, ptr = self._reps, self._s, self._f, self._walk.ptr
+        cluster = random_argmax(rng.beta(s[reps], f[reps]), rng)
+        lo, hi = ptr[cluster + 1], ptr[cluster + 2]
+        leaf = self._walk.kids[lo + random_argmax(rng.beta(s[lo:hi], f[lo:hi]), rng)]
+        return Choice(arm=self._walk.leaf_arm[leaf], path=(0, cluster + 1, leaf))
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        s, f, arm = self._s, self._f, choice.arm
-        before = s[arm] / (s[arm] + f[arm])
-        s[arm] += reward
-        f[arm] += 1.0 - reward
-        reps = self._reps
-        if reps is None:
-            return
-        mean = s[arm] / (s[arm] + f[arm])
+        path = self._walk.check_path(choice)
+        s, f, i = self._s, self._f, self._walk.slot[path[-1]]
+        before = s[i] / (s[i] + f[i])
+        s[i] += reward
+        f[i] += 1.0 - reward
+        reps, cluster = self._reps, path[1] - 1
+        mean = s[i] / (s[i] + f[i])
         rep = reps[cluster]
-        if rep == arm and mean < before:  # the representative fell: re-take the cluster
+        if rep == i and mean < before:  # the representative fell: re-take the cluster
             reps[cluster] = self._best_member(cluster)
-        elif rep != arm:  # only this member moved: it wins on a higher mean, or a tie and a lower id
+        elif rep != i:  # only this leaf moved: it wins on a higher mean, or a tie and a lower arm id
             rep_mean = s[rep] / (s[rep] + f[rep])
-            if mean > rep_mean or (mean == rep_mean and arm < rep):
-                reps[cluster] = arm
+            if mean > rep_mean or (mean == rep_mean and i < rep):
+                reps[cluster] = i
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +380,10 @@ POLICY_KEYS: dict[str, Callable[[BanditInstance], BanditPolicy]] = {
 }
 
 
-def make_policy(key: str, instance: BanditInstance, params: dict | None = None) -> BanditPolicy:
-    """Instantiate a policy by string key for a given instance.
+def check_params(key: str, params: dict | None) -> None:
+    """Reject an unknown key or any parameter: given the instance structure, no policy takes one.
 
-    Non-contextual policies take no hyperparameters; a non-empty ``params``
-    is rejected so configuration typos surface early.
+    A non-empty ``params`` is rejected so configuration typos surface early.
     """
     if key not in POLICY_KEYS:
         raise ValueError(
@@ -414,4 +391,9 @@ def make_policy(key: str, instance: BanditInstance, params: dict | None = None) 
         )
     if params:
         raise ValueError(f"policy '{key}' accepts no parameters, got {sorted(params)}")
+
+
+def make_policy(key: str, instance: BanditInstance, params: dict | None = None) -> BanditPolicy:
+    """Instantiate a policy by string key for a given instance, after :func:`check_params`."""
+    check_params(key, params)
     return POLICY_KEYS[key](instance)

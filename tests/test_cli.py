@@ -108,12 +108,24 @@ class TestRun:
          ("--workers", "0", "workers"), ("--workers", "-3", "workers")],
     )
     def test_bad_format_or_workers_fails_before_any_job(self, tmp_path, monkeypatch, capsys, option, value, field):
+        self._assert_fails_before_any_job(tmp_path, monkeypatch, capsys, [option, value], field)
+
+    @pytest.mark.parametrize(
+        "args, field", [(["--base-seed", "-1"], "seeds"), (["--horizon", "1", "--bounds"], "horizon")]
+    )
+    def test_negative_seed_or_short_bound_horizon_fails_before_any_job(
+        self, tmp_path, monkeypatch, capsys, args, field
+    ):
+        self._assert_fails_before_any_job(tmp_path, monkeypatch, capsys, args, field)
+
+    @staticmethod
+    def _assert_fails_before_any_job(tmp_path, monkeypatch, capsys, args, field):
         jobs = []
         run_job = harness._run_job
         monkeypatch.setattr(harness, "_run_job", lambda payload: jobs.append(payload) or run_job(payload))
         out_dir = tmp_path / "results"
         argv = ["run", "--preset", "appendix-uniform", "--seeds", "1", "--horizon", "20",
-                "--out", str(out_dir), option, value]
+                "--out", str(out_dir), *args]
         assert main(argv) == 2
         assert f"error: {field}: " in capsys.readouterr().err
         assert jobs == []

@@ -22,9 +22,15 @@ from clusterbandit.policies import Choice
 from clusterbandit.simulate import simulate_contextual
 
 
+def _path_to(pol, arm):
+    """The path of ``arm`` in a two-level policy's tree: ``(0, c+1, leaf)`` for its cluster c."""
+    leaf = pol.tree.leaf_of_arm(arm)
+    return (0, int(pol.tree.parent[leaf]), leaf)
+
+
 def _first_choice(pol, inst):
-    """A valid choice of arm 0 for ``pol``: clustered policies name its cluster."""
-    return Choice(arm=0, path=(inst.clustering.label_of(0),) if pol.path_depth else ())
+    """A valid choice of arm 0 for ``pol``: clustered policies give its root-to-leaf path."""
+    return Choice(arm=0, path=_path_to(pol, 0) if pol.path_depth else ())
 
 
 def _e(i, d=3):
@@ -310,7 +316,7 @@ class TestLinThompsonPolicies:
             pol._clusters.update(0, x, 1.0)
             pol._clusters.update(1, x, 0.0)
         rng = np.random.default_rng(10)
-        hits = sum(pol.select(1, x, rng).path[0] == 0 for _ in range(2_000))
+        hits = sum(pol.select(1, x, rng).path[1] == 1 for _ in range(2_000))  # cluster 0 is node 1
         assert hits / 2_000 >= 0.99
 
     def test_containment(self):
@@ -320,14 +326,15 @@ class TestLinThompsonPolicies:
         for t in range(1, 201):
             x = rng.random(inst.dim)
             choice = pol.select(t, x, rng)
-            assert inst.clustering.label_of(choice.arm) == choice.path[0]
+            assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
+            assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
             pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
 
     def test_update_touches_exactly_two_beliefs(self):
         clustering = DisjointClustering([0, 0, 1])
         pol = ClusteredLinThompson(clustering, 2)
         x = np.array([0.4, 0.7])
-        pol.update(Choice(arm=2, path=(1,)), x, 1.0)
+        pol.update(Choice(arm=2, path=_path_to(pol, 2)), x, 1.0)
         changed_arms = [a for a in range(3) if not np.array_equal(pol._arms.B[a], np.eye(2))]
         changed_clusters = [c for c in range(2) if not np.array_equal(pol._clusters.B[c], np.eye(2))]
         assert changed_arms == [2] and changed_clusters == [1]
@@ -341,7 +348,7 @@ class TestLinThompsonPolicies:
             x = rng.random(inst.dim)
             choice = pol.select(t, x, rng)
             pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
-            seen.append((choice.path[0], x))
+            seen.append((choice.path[1] - 1, x))
         for c in range(inst.clustering.n_clusters):
             expected = np.eye(inst.dim)
             for cluster, x in seen:
@@ -351,14 +358,16 @@ class TestLinThompsonPolicies:
 
     def test_zero_context_changes_nothing_numerically(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 3)
-        pol.update(Choice(arm=0, path=(0,)), np.zeros(3), 1.0)
+        pol.update(Choice(arm=0, path=_path_to(pol, 0)), np.zeros(3), 1.0)
         np.testing.assert_array_equal(pol._arms.B[0], np.eye(3))
         np.testing.assert_array_equal(pol._arms.F[0], np.zeros(3))
 
     def test_containment_violation_rejected(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 2)
         with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(1,)), np.ones(2), 0.5)
+            pol.update(Choice(arm=0, path=(0, 2, pol.tree.leaf_of_arm(0))), np.ones(2), 0.5)  # arm 0 is in cluster 0
+        with pytest.raises(ValueError):
+            pol.update(Choice(arm=0, path=(1,)), np.ones(2), 0.5)  # the old (cluster,) path
 
 
 class TestLinUcbPolicies:
@@ -402,7 +411,8 @@ class TestLinUcbPolicies:
         for t in range(1, 201):
             x = rng.random(inst.dim)
             choice = pol.select(t, x, rng)
-            assert inst.clustering.label_of(choice.arm) == choice.path[0]
+            assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
+            assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
             pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
 
 

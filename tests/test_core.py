@@ -16,6 +16,8 @@ from clusterbandit.core import (
     regret_of,
     rng_streams,
 )
+from clusterbandit.harness import ExperimentConfig, run_experiment
+from clusterbandit.instances import build_instance
 from clusterbandit.policies import POLICY_KEYS, Choice, HierarchicalThompsonSampling, make_policy
 from clusterbandit.simulate import simulate
 
@@ -372,18 +374,31 @@ class TestSimulationTrace:
         assert path[0] == 0 and path[1] == inst.clustering.label_of(int(trace.arms[0])) + 1
         assert trace.rewards[0] in (0.0, 1.0)
 
-    def test_top_level_counts(self):
-        inst = _small_clustered_instance()
-        trace = simulate(inst, make_policy("tsc", inst), 100, rng_streams(4).simulation)
-        counts = trace.top_level_counts(2)
-        assert counts.sum() == 100
+    @staticmethod
+    def _row(key, spec, horizon):
+        doc = {"name": "t", "horizon": horizon, "seeds": [4], "policies": [{"key": key}], "instance": spec}
+        (row,) = run_experiment(ExperimentConfig.from_json(doc)).rows
+        return row
+
+    def test_top_counts(self):
+        for key, spec in [
+            ("tsmax", {"kind": "kmeans", "n_arms": 30, "n_clusters": 4, "reward_fn": "sin-product"}),
+            ("lintsc", {"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}),
+        ]:
+            counts = self._row(key, spec, 100).top_counts
+            instance = build_instance(spec, rng_streams(4).instance)
+            k = instance.clustering.n_clusters
+            assert counts.shape == (k,) and counts.sum() == 100, key
+            if key == "tsmax":  # the plays per cluster of the same run
+                trace = simulate(instance, make_policy(key, instance), 100, rng_streams(4).simulation)
+                assert counts.tolist() == np.bincount(instance.clustering.labels[trace.arms], minlength=k).tolist()
 
     def test_flat_trace_has_no_paths(self):
         inst = _small_clustered_instance()
         trace = simulate(inst, make_policy("ts", inst), 20, rng_streams(4).simulation)
         assert trace.paths is None
-        with pytest.raises(ValueError):
-            trace.top_level_counts(2)
+        spec = {"kind": "bernoulli", "means": inst.means.tolist()}
+        assert self._row("ts", spec, 20).top_counts is None
 
     def test_array_shape_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 from clusterbandit import harness
 from clusterbandit.analysis import cluster_stats, lai_robbins_lower, tsc_instance_bound, tsc_minimax_bound
-from clusterbandit.contextual import make_contextual_policy
+from clusterbandit.contextual import CONTEXTUAL_POLICY_KEYS, make_contextual_policy
 from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
@@ -21,8 +21,8 @@ from clusterbandit.harness import (
     preset_names,
     run_experiment,
 )
-from clusterbandit.instances import build_instance, gen_context
-from clusterbandit.policies import make_policy
+from clusterbandit.instances import build_instance, gen_context, instance_to_json
+from clusterbandit.policies import POLICY_KEYS, make_policy
 from clusterbandit.simulate import simulate, simulate_contextual
 
 TINY_SD_SPEC = {
@@ -104,19 +104,17 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, params", [("lints", {"v": -1}), ("linucbc", {"alpha": float("nan")})])
     def test_bad_contextual_hyperparameter_names_policy_and_variant(self, key, params):
-        config = ExperimentConfig.from_json(
-            {
-                "name": "ctx",
-                "horizon": 5,
-                "seeds": [0],
-                "policies": [{"key": key, "params": params, "label": "bad-policy"}],
-                "instances": [
-                    {"name": "ctx-variant", "spec": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 3, "epsilon": 0.5}}
-                ],
-            }
-        )
+        doc = {
+            "name": "ctx",
+            "horizon": 5,
+            "seeds": [0],
+            "policies": [{"key": key, "params": params, "label": "bad-policy"}],
+            "instances": [
+                {"name": "ctx-variant", "spec": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 3, "epsilon": 0.5}}
+            ],
+        }
         with pytest.raises(ConfigError, match="'bad-policy' on variant 'ctx-variant'") as err:
-            run_experiment(config)
+            run_experiment(ExperimentConfig.from_json(doc))
         assert next(iter(params)) + ": " in str(err.value)
 
     def test_duplicate_seeds_rejected(self):
@@ -196,6 +194,53 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="policies: " + match):
             run_experiment(_tiny_config(**doc))
         assert jobs == []
+
+    @pytest.mark.parametrize(
+        "key, params, match",
+        [
+            ("tsc", {"x": 1}, r"'tsc\(x=1\)' on variant 'b': policy 'tsc' accepts no parameters, got \['x'\]"),
+            ("linucb", {"v": 1.0}, r"'linucb\(v=1.0\)' on variant 'b': .*does not accept parameters \['v'\]"),
+            ("linucb", {"alpha": -1}, r"'linucb\(alpha=-1\)' on variant 'b': alpha: .*>= 0, got -1"),
+            ("lints", {"v": 0}, r"'lints\(v=0\)' on variant 'b': v: .*> 0, got 0"),
+            ("lints", {"d": 7}, r"'lints\(d=7\)' on variant 'b': parameter d=7 does not match instance dimension 5"),
+            ("lints", {"d": 5.5}, r"'lints\(d=5.5\)' on variant 'b': parameter d=5.5 does not match instance dimension 5"),
+        ],
+        ids=["tsc-x", "linucb-v", "linucb-alpha", "lints-v", "lints-d", "lints-fractional-d"],
+    )
+    def test_bad_policy_params_fail_before_any_job(self, monkeypatch, key, params, match):
+        # each of these used to run every job of variant 'a' before failing
+        jobs = self._count_jobs(monkeypatch)
+        ctx = {k: v for k, v in TINY_CTX_SPEC.items() if k != "dim"}  # the default dimension, 5
+        spec = TINY_SD_SPEC if key == "tsc" else ctx
+        doc = {
+            "policies": [{"key": "ucb1" if key == "tsc" else "lints", "variants": ["a"]},
+                         {"key": key, "params": params, "variants": ["b"]}],
+            "instances": [{"name": "a", "spec": spec}, {"name": "b", "spec": spec}],
+        }
+        with pytest.raises(ConfigError, match="^policies: " + match):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+
+    def test_dimension_of_a_serialized_contextual_spec_is_checked_at_build(self):
+        spec = instance_to_json(build_instance(TINY_CTX_SPEC, rng_streams(0).instance))
+        config = _tiny_config(policies=[{"key": "lints", "params": {"d": 5}}], instance=spec)
+        with pytest.raises(ConfigError, match="parameter d=5 does not match instance dimension 4"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("seeds", [[3, -1], {"base": -1, "count": 2}])
+    def test_negative_seeds_fail_before_any_job(self, monkeypatch, seeds):
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^seeds: must be >= 0, got \[-1\]"):
+            run_experiment(_tiny_config(seeds=seeds))
+        assert jobs == []
+
+    def test_bounds_need_a_horizon_of_two(self, monkeypatch):
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^horizon: bounds need a horizon >= 2, got 1"):
+            run_experiment(_tiny_config(horizon=1, bounds=True))
+        assert jobs == []
+        assert _tiny_config(horizon=1).horizon == 1  # without bounds one step is a run
+        assert _tiny_config(horizon=2, bounds=True).bounds
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_fail_before_any_job(self, monkeypatch, workers):
@@ -380,6 +425,33 @@ class TestTopCounts:
         )
         for row in run_experiment(config).rows:
             assert row.top_counts.tolist() == [7]
+
+    @pytest.mark.parametrize("key", [*sorted(POLICY_KEYS), *CONTEXTUAL_POLICY_KEYS])
+    def test_every_path_runs_root_to_leaf(self, monkeypatch, key):
+        # one path rule for every policy: from the root along tree.parent to
+        # the played arm's leaf; flat policies keep no paths and no counts
+        runs = []
+        for name in ("simulate", "simulate_contextual"):
+            def traced(instance, policy, *args, _sim=getattr(harness, name), **kwargs):
+                runs.append((policy, _sim(instance, policy, *args, **kwargs)))
+                return runs[-1][1]
+            monkeypatch.setattr(harness, name, traced)
+        spec = {"clustering": self.SPECS["flat"], "bernoulli": self.SPECS["flat"],
+                "tree": self.SPECS["tree"], "contextual": TINY_CTX_SPEC}[harness._POLICY_NEEDS.get(key, "bernoulli")]
+        doc = {"name": "paths", "horizon": 60, "seeds": [0, 1], "policies": [{"key": key}], "instance": spec}
+        rows = run_experiment(ExperimentConfig.from_json(doc)).rows
+        assert [row.seed for row in rows] == [0, 1] and len(runs) == 2
+        for row, (policy, trace) in zip(rows, runs):
+            if trace.paths is None:
+                assert policy.path_depth == 0 and row.top_counts is None
+                continue
+            tree = policy.tree
+            for arm, path in zip(trace.arms.tolist(), trace.paths.tolist()):
+                path = [v for v in path if v >= 0]
+                assert path[0] == 0, (key, path)
+                assert all(tree.parent[w] == v for v, w in zip(path, path[1:])), (key, path)
+                assert path[-1] == tree.leaf_of_arm(arm), (key, path, arm)
+            assert row.top_counts.sum() == 60
 
 
 class TestInstanceReuse:

@@ -387,6 +387,15 @@ class TestClusteredUcb1:
 # TSMax
 # ---------------------------------------------------------------------------
 
+def _leaf_slots(pol, arms):
+    """Slots of the leaves of ``arms`` in ``pol.tree``: where their counts sit."""
+    return pol.tree.slot[[pol.tree.leaf_of_arm(a) for a in arms]]
+
+
+def _path_to(pol, arm, cluster):
+    return (0, cluster + 1, pol.tree.leaf_of_arm(arm))
+
+
 class TestTsMax:
     def test_singleton_clusters_match_ts_law(self):
         clustering = DisjointClustering([0, 1, 2, 3])
@@ -399,39 +408,67 @@ class TestTsMax:
         assert np.all(np.abs(freq_max - freq_ts) < 0.02)
 
     def test_strong_arm_attracts_cluster_choice(self):
+        # arm 1 becomes cluster 0's representative by a higher mean, then its
+        # belief concentrates near 1: cluster 0 (node 1) must win nearly always.
+        # Were cluster 0 represented by its first arm instead, both clusters
+        # would sample Beta(1, 1) and each win about half the rounds.
         rng = np.random.default_rng(18)
         clustering = DisjointClustering([0, 0, 1, 1])
         picks = 0
         for _ in range(2_000):
             pol = TsMax(clustering)
-            pol._s[1] = 1e6
-            picks += pol.select(1, rng).path[0] == 0
+            pol.update(Choice(arm=1, path=_path_to(pol, 1, 0)), 1.0)
+            pol._s[_leaf_slots(pol, [1])] = 1e6
+            picks += pol.select(1, rng).path[1] == 1
         assert picks / 2_000 >= 0.99
 
     def test_fresh_uniform_cluster_choice(self):
         clustering = DisjointClustering([0, 0, 1, 1, 2, 2])
         freq = _selection_freq(
-            lambda rng: TsMax(clustering).select(1, rng).path[0], 10_000, 3, seed=19
+            lambda rng: TsMax(clustering).select(1, rng).path[1] - 1, 10_000, 3, seed=19
         )
         assert np.all(np.abs(freq - 1 / 3) < 0.02)
 
     def test_representative_is_best_empirical_mean_lowest_index(self):
         clustering = DisjointClustering([0, 0, 0, 1])
         pol = TsMax(clustering)
-        pol._s[:] = [3, 3, 9, 1]
-        pol._f[:] = [1, 1, 3, 1]  # arms 0,1 tie at 0.75; arm 2 also at 0.75
-        reps = pol.cluster_representatives()
-        assert reps[0] == 0  # lowest index among the tied maxima
-        pol._s[1] = 9
-        pol._f[1] = 1  # arm 1 now strictly best at 0.9
-        assert pol.cluster_representatives()[0] == 1
+        leaves = _leaf_slots(pol, range(4))
+        pol._s[leaves] = [3, 3, 9, 1]
+        pol._f[leaves] = [1, 1, 3, 1]  # arms 0,1 tie at 0.75; arm 2 also at 0.75
+
+        def rep_arm(cluster):
+            return pol.tree.leaf_arms[pol.tree.kids[pol._best_member(cluster)]]
+
+        assert rep_arm(0) == 0  # lowest index among the tied maxima
+        pol._s[leaves[1]] = 9
+        pol._f[leaves[1]] = 1  # arm 1 now strictly best at 0.9
+        assert rep_arm(0) == 1
 
     def test_update_is_arm_only(self):
         clustering = DisjointClustering([0, 0, 1])
         pol = TsMax(clustering)
-        pol.update(Choice(arm=0, path=(0,)), 1.0)
-        assert pol.arm_beliefs[0] == BetaBelief(2, 1)
-        assert pol.arm_beliefs[1] == pol.arm_beliefs[2] == BetaBelief(1, 1)
+        pol.update(Choice(arm=0, path=_path_to(pol, 0, 0)), 1.0)
+        beliefs = pol.node_beliefs
+        leaf = pol.tree.leaf_of_arm(0)
+        assert beliefs[leaf] == BetaBelief(2, 1)
+        # the other arms, both clusters and the root keep the prior
+        assert all(b == BetaBelief(1, 1) for v, b in beliefs.items() if v != leaf)
+        assert len(beliefs) == pol.tree.n_nodes
+
+    @pytest.mark.parametrize("make", [
+        lambda c: TsMax(c),
+        lambda c: contextual.ClusteredLinThompson(c, 2),
+    ])
+    def test_update_needs_the_tree_path(self, make):
+        pol = make(DisjointClustering([0, 0, 1]))
+        update = pol.update if isinstance(pol, TsMax) else (lambda ch, r: pol.update(ch, np.ones(2), r))
+        with pytest.raises(ValueError, match="invalid root-to-leaf path"):
+            update(Choice(arm=2, path=(1,)), 1.0)  # the old (cluster,) path
+        with pytest.raises(ValueError, match="does not map to arm 1"):
+            update(Choice(arm=1, path=_path_to(pol, 0, 0)), 1.0)  # the leaf of arm 0
+        with pytest.raises(ValueError, match="invalid root-to-leaf path"):
+            update(Choice(arm=2, path=(0, 1, pol.tree.leaf_of_arm(2))), 1.0)  # arm 2 is in cluster 1
+        update(Choice(arm=2, path=_path_to(pol, 2, 1)), 1.0)
 
     def test_containment(self):
         rng = np.random.default_rng(20)
@@ -439,7 +476,7 @@ class TestTsMax:
         pol = TsMax(clustering)
         for t in range(1, 301):
             choice = pol.select(t, rng)
-            assert clustering.label_of(choice.arm) == choice.path[0]
+            assert choice.path == _path_to(pol, choice.arm, clustering.label_of(choice.arm))
             pol.update(choice, float(rng.integers(2)))
 
 

@@ -14,11 +14,13 @@ rescan all counts for the first unplayed arm or cluster. ``ucb1`` and
 and must reproduce their traces exactly in the same way.
 
 The other reference policies below keep the straightforward per-step
-bodies: tree descent through ``ClusterTree`` accessors, TsMax
-representatives recomputed over every cluster at every step, and a tie count
-by ``sum``. The table-driven descent and the representatives that ``update``
-keeps per played cluster must reproduce their traces exactly, arm, path and
-regret, since they consume the generator in the same order.
+bodies: tree descent through ``ClusterTree`` accessors and a tie count by
+``sum``, and ``RefTsMax``, the arm-order two-level TsMax that recomputes
+every cluster's representative at every step and logs a cluster path
+``(c,)``. The table-driven descents, ``tsmax``'s included with the
+representatives that ``update`` keeps per played cluster, must reproduce
+their traces exactly, arm, path and regret, since they consume the
+generator in the same order.
 
 ``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
 three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
@@ -29,7 +31,8 @@ its traces exactly, arm, reward and regret.
 ``RefClusteredLinUcb`` keep one ``select``/``update`` per contextual policy.
 ``lints``/``lintsc`` hold the only flat and two-level bodies, and
 ``linucb``/``linucbc`` only change how a bank scores; they must reproduce
-the references' traces and end with bit-equal banks.
+the references' traces and end with bit-equal banks. The references log a
+cluster path ``(c,)``; ``lintsc``/``linucbc`` log ``(0, c+1, leaf)``.
 """
 import functools
 import math
@@ -168,7 +171,15 @@ class RefUct(TreeUcb):
             self._q[v] += (reward - self._q[v]) / self._n[v]
 
 
-class RefTsMax(TsMax):
+class RefTsMax:
+    path_depth = 1
+
+    def __init__(self, clustering):
+        self.clustering = clustering
+        self._s = np.ones(clustering.n_arms)
+        self._f = np.ones(clustering.n_arms)
+        self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
+
     def cluster_representatives(self):
         emp = self._s / (self._s + self._f)
         reps = np.empty(len(self._members), dtype=np.int64)
@@ -184,6 +195,13 @@ class RefTsMax(TsMax):
         theta_a = rng.beta(self._s[members], self._f[members])
         arm = int(members[_ref_random_argmax(theta_a, rng)])
         return Choice(arm=arm, path=(cluster,))
+
+    def update(self, choice, reward):
+        (cluster,) = choice.path
+        if self.clustering.label_of(choice.arm) != cluster:
+            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
+        self._s[choice.arm] += reward
+        self._f[choice.arm] += 1.0 - reward
 
 
 def _ref_ucb_index(means, counts, log_term):
@@ -274,7 +292,7 @@ def _tied_instance():
     # representatives tie inside clusters; labels interleave clusters so that
     # cluster order differs from arm order. Tied arms share their counts, so
     # which of them represents a cluster never shows in a trace: the tie rule
-    # itself is checked on ``cluster_representatives`` below.
+    # itself is checked on the representatives below.
     means = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
     labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
     return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
@@ -291,6 +309,15 @@ def _assert_same_paths(got, want, policy):
     assert np.array_equal(got.paths[:, 0], np.zeros(got.horizon, dtype=np.int64))
     assert np.array_equal(got.paths[:, 1] - 1, want.paths[:, 0])
     assert np.array_equal(policy.tree.leaf_arms[got.paths[:, 2]], got.arms)
+
+
+def _slots_of_arms(policy, arms):
+    """The slots of the leaves of ``arms`` in the policy's tree, where its counts sit."""
+    return policy.tree.slot[[policy.tree.leaf_of_arm(a) for a in arms]]
+
+
+def _arms_of_slots(policy, slots):
+    return policy.tree.leaf_arms[policy.tree.kids[slots]].tolist()
 
 
 def _assert_same_trace(instance, policy, reference, seed, horizon=HORIZON):
@@ -358,15 +385,13 @@ def test_kept_state_matches_reference_after_external_updates(key, seed):
             cluster = int(labels[arm])
             if key == "ucb1":  # arm a is leaf a+1 of the star
                 path, ref_path = (0, arm + 1), ()
-            elif key == "ucbc":  # cluster c is node c+1
+            else:  # cluster c is node c+1
                 path, ref_path = (0, cluster + 1, policy.tree.leaf_of_arm(arm)), (cluster,)
-            else:
-                path = ref_path = (cluster,)
             policy.update(Choice(arm=arm, path=path), reward)
             reference.update(Choice(arm=arm, path=ref_path), reward)
         _assert_same_trace(instance, policy, reference, seed, horizon=300)
     if key == "tsmax":
-        assert np.array_equal(policy._reps, policy.cluster_representatives())
+        assert _arms_of_slots(policy, policy._reps) == reference.cluster_representatives().tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -387,27 +412,33 @@ def test_thompson_descent_matches_own_beta_kernels(key, name, seed):
 def test_tied_representatives_go_to_the_lowest_arm_id():
     instance = _tied_instance()
     policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
-    assert policy.cluster_representatives().tolist() == [0, 1, 2]
+
+    def retaken():  # the policy's rule over every cluster, as arm ids
+        return _arms_of_slots(policy, [policy._best_member(c) for c in range(3)])
+
+    assert retaken() == _arms_of_slots(policy, policy._reps) == [0, 1, 2]
     # cluster 0 = arms 0, 3, 6, 9: arms 3 and 9 tie at the top
-    for pol in (policy, reference):
-        pol._s[[3, 9]] = 3.0
-        pol._f[6] = 4.0
-    assert policy.cluster_representatives().tolist() == [3, 1, 2]
-    assert np.array_equal(policy.cluster_representatives(), reference.cluster_representatives())
+    policy._s[_slots_of_arms(policy, [3, 9])] = 3.0
+    policy._f[_slots_of_arms(policy, [6])] = 4.0
+    reference._s[[3, 9]] = 3.0
+    reference._f[6] = 4.0
+    assert retaken() == [3, 1, 2]
+    assert retaken() == reference.cluster_representatives().tolist()
 
 
 def test_kept_representatives_follow_falls_and_lower_id_ties():
     instance = _tied_instance()  # cluster 0 = arms 0, 3, 6, 9
     labels = instance.clustering.labels.tolist()
     policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
-    policy.select(1, np.random.default_rng(0))  # takes every representative
-    assert policy._reps.tolist() == [0, 1, 2]
+    policy.select(1, np.random.default_rng(0))  # reads the representatives, moves none
+    assert _arms_of_slots(policy, policy._reps) == [0, 1, 2]  # the uniform prior: each first leaf
 
     def play(arm, reward, rep):
-        for pol in (policy, reference):
-            pol.update(Choice(arm=arm, path=(labels[arm],)), reward)
+        c = labels[arm]
+        policy.update(Choice(arm=arm, path=(0, c + 1, policy.tree.leaf_of_arm(arm))), reward)
+        reference.update(Choice(arm=arm, path=(c,)), reward)
         want = reference.cluster_representatives()
-        assert policy._reps.tolist() == want.tolist()
+        assert _arms_of_slots(policy, policy._reps) == want.tolist()
         assert int(want[0]) == rep
 
     play(3, 1.0, rep=3)  # a higher mean takes over
@@ -600,10 +631,7 @@ def test_contextual_policies_match_their_own_references(name, seed, key):
     assert got.arms.tobytes() == want.arms.tobytes()
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
-    if reference.path_depth:
-        assert got.paths.tobytes() == want.paths.tobytes()
-    else:
-        assert got.paths is None and want.paths is None
+    _assert_same_paths(got, want, policy)
     for attr in ("_clusters", "_arms"):
         assert hasattr(policy, attr) == hasattr(reference, attr)
         if hasattr(policy, attr):
