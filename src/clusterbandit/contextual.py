@@ -183,10 +183,20 @@ class ContextualInstance:
 # ---------------------------------------------------------------------------
 
 class ContextualPolicy(ABC):
-    """Select/update interface for contextual policies."""
+    """Select/update interface for contextual policies.
+
+    ``_selected`` and ``_seen`` are the ``Choice`` the last ``select`` returned
+    and the checked context it scored: ``update`` given both objects trusts
+    them, and checks any other pair.
+    """
 
     key: str = ""
     path_depth: int = 0
+    _selected: Choice | None = None
+    _seen: np.ndarray | None = None
+
+    def _trusts(self, choice: Choice, x: np.ndarray) -> bool:
+        return choice is self._selected and x is self._seen
 
     @abstractmethod
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
@@ -214,11 +224,13 @@ class LinThompson(ContextualPolicy):
         return bank.sample(x, rng, subset)
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = _check_context(x, self.dim)
-        return Choice(arm=random_argmax(self._score(self._arms, x, rng), rng))
+        x = self._seen = _check_context(x, self.dim)
+        choice = self._selected = Choice(arm=random_argmax(self._score(self._arms, x, rng), rng))
+        return choice
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        x = _check_context(x, self.dim)
+        if not self._trusts(choice, x):
+            x = _check_context(x, self.dim)
         self._arms.update(choice.arm, x, reward)
 
 
@@ -244,15 +256,18 @@ class ClusteredLinThompson(ContextualPolicy):
         self._arms = _LinearBank(clustering.n_arms, dim, v)
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = _check_context(x, self.dim)
+        x = self._seen = _check_context(x, self.dim)
         node = random_argmax(self._score(self._clusters, x, rng), rng) + 1
         i = random_argmax(self._score(self._arms, x, rng, self.tree.arms_under(node)), rng)
         leaf = self._walk.kids[self._walk.ptr[node] + i]
-        return Choice(arm=self._walk.leaf_arm[leaf], path=(0, node, leaf))
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[leaf], path=(0, node, leaf))
+        return choice
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        x = _check_context(x, self.dim)
-        path = self._walk.check_path(choice)
+        if self._trusts(choice, x):
+            path = choice.path
+        else:
+            x, path = _check_context(x, self.dim), self._walk.check_path(choice)
         self._clusters.update(path[1] - 1, x, reward)
         self._arms.update(choice.arm, x, reward)
 

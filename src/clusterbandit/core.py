@@ -69,6 +69,15 @@ def random_argmax(values: np.ndarray, rng: np.random.Generator) -> int:
     return best
 
 
+def _random_argmax_list(values: list[float], rng: np.random.Generator) -> int:
+    """:func:`random_argmax` of a list of floats: the same index and the same generator use."""
+    best = max(values)
+    if values.count(best) > 1:
+        ties = [i for i, v in enumerate(values) if v == best]
+        return ties[rng.integers(len(ties))]
+    return values.index(best)
+
+
 # ---------------------------------------------------------------------------
 # Arms, clusterings, trees
 # ---------------------------------------------------------------------------

@@ -124,6 +124,14 @@ _POLICY_NEEDS = {"tsc": "clustering", "ucbc": "clustering", "tsmax": "clustering
                  "uct": "tree", **dict.fromkeys(CONTEXTUAL_POLICY_KEYS, "contextual")}
 
 
+def _spec_dim(spec: dict) -> int | None:
+    """A contextual spec's dimension: a serialized theta's width, else ``dim``; None if theta is not 2-D."""
+    if "theta" not in spec:
+        return spec.get("dim", ContextualSpec.dim)
+    shape = np.shape(spec["theta"])
+    return shape[1] if len(shape) == 2 else None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -190,12 +198,11 @@ class ExperimentConfig:
                         f"policies: '{p.name}' needs a {need} instance but variant '{v.name}' "
                         f"(kind '{v.spec['kind']}') builds a {has} instance"
                     )
-                try:  # a generated contextual spec fixes the dimension; a serialized one at build
+                try:  # a contextual spec's dimension: its "dim", or a serialized theta's width
                     if has != "contextual":
                         check_params(p.key, p.params)
                     else:
-                        dim = None if "theta" in v.spec else v.spec.get("dim", ContextualSpec.dim)
-                        check_contextual_params(p.key, p.params, dim)
+                        check_contextual_params(p.key, p.params, _spec_dim(v.spec))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"policies: '{p.name}' on variant '{v.name}': {exc}") from exc
 

@@ -159,6 +159,12 @@ class ContextualSpec:
 # ---------------------------------------------------------------------------
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds.
+
+    Each D^2 draw is ``rng.choice(n, p=d2 / total)``'s own arithmetic
+    (cumulative sum, normalised, one uniform, right-side search) without its
+    per-call checks of ``p``; ``kmeans`` rejects non-finite points instead.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -168,7 +174,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[i] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
     return centroids
@@ -181,11 +189,14 @@ def kmeans(
 
     Returns cluster labels in 0..k-1. Iterates until the assignment is
     stable or ``max_iter`` passes, whichever comes first; an emptied cluster
-    is re-seeded to the point farthest from its current centroid.
+    is re-seeded to the point farthest from its current centroid. Raises
+    ValueError for NaN or infinite points.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
+    if not np.isfinite(points).all():
+        raise ValueError("points: k-means needs finite coordinates")
     n = points.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")

@@ -31,6 +31,7 @@ from .core import (
     BetaBelief,
     ClusterTree,
     DisjointClustering,
+    _random_argmax_list,
     random_argmax,
 )
 
@@ -70,11 +71,34 @@ def _check_time(t: int) -> None:
         raise ValueError(f"time step must be >= 1, got {t}")
 
 
+# Nodes with at most this many children draw one scalar per child and pick with
+# a list argmax; wider ones make one array call. On numpy 2.4 one array
+# ``rng.beta`` call costs about as much as 14-16 scalar ones.
+_NARROW = 16
+
+
 class BanditPolicy(ABC):
-    """Select/update interface shared by all non-contextual policies."""
+    """Select/update interface shared by all non-contextual policies.
+
+    The descents read and write their statistics through memoryviews, which
+    give Python floats; ``_bind`` makes them, and copies and pickles remake
+    them. ``_selected`` is the ``Choice`` the last ``select`` returned: ``update``
+    trusts that object and checks any other.
+    """
 
     key: str = ""
     path_depth: int = 0
+    _selected: Choice | None = None
+
+    def _bind(self) -> None:
+        """Make the memoryviews the step reads, after construction, copy or unpickle."""
+
+    def __getstate__(self) -> dict:  # memoryviews do not pickle or copy
+        return {k: v for k, v in vars(self).items() if k != "_selected" and not isinstance(v, memoryview)}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
 
     @abstractmethod
     def select(self, t: int, rng: np.random.Generator) -> Choice:
@@ -148,34 +172,43 @@ class HierarchicalThompsonSampling(BanditPolicy):
         self._s = np.ones(tree.n_nodes)
         self._f = np.ones(tree.n_nodes)
         self._walk = _TreeTables(tree)
+        self._bind()
+
+    def _bind(self) -> None:
+        self._sv, self._fv = memoryview(self._s), memoryview(self._f)
 
     @property
     def node_beliefs(self) -> dict[int, BetaBelief]:
         s, f = self._s[self.tree.slot].tolist(), self._f[self.tree.slot].tolist()
         return {v: BetaBelief(sv, fv) for v, (sv, fv) in enumerate(zip(s, f))}
 
+    def _draw(self, lo: int, hi: int, rng: np.random.Generator) -> int:
+        """Sample the beliefs in slots [lo, hi), in order, and return the argmax's offset."""
+        if hi - lo <= _NARROW:
+            return _random_argmax_list(list(map(rng.beta, self._sv[lo:hi], self._fv[lo:hi])), rng)
+        return random_argmax(rng.beta(self._s[lo:hi], self._f[lo:hi]), rng)
+
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         ptr, kids = self._walk.ptr, self._walk.kids
-        s, f = self._s, self._f
         node = 0
         path = [node]
         lo, hi = ptr[0], ptr[1]
         while lo < hi:
-            theta = rng.beta(s[lo:hi], f[lo:hi])
-            node = kids[lo + random_argmax(theta, rng)]
+            node = kids[lo + self._draw(lo, hi, rng)]
             path.append(node)
             lo, hi = ptr[node], ptr[node + 1]
-        return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        return choice
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = self._walk.check_path(choice)
+        path = choice.path if choice is self._selected else self._walk.check_path(choice)
         fail = 1.0 - reward
-        slot = self._walk.slot
+        s, f, slot = self._sv, self._fv, self._walk.slot
         for v in path:
             i = slot[v]
-            self._s[i] += reward
-            self._f[i] += fail
+            s[i] += reward
+            f[i] += fail
 
 
 class ThompsonSampling(HierarchicalThompsonSampling):
@@ -222,10 +255,15 @@ class TsMax(HierarchicalThompsonSampling):
     key = "tsmax"
 
     def __init__(self, clustering: DisjointClustering) -> None:
-        super().__init__(ClusterTree.from_clustering(clustering))
+        tree = ClusterTree.from_clustering(clustering)
         # Representatives as select reads them (leaf slots), kept by update for
         # the played cluster only; at the uniform prior each cluster's first leaf.
-        self._reps = np.array(self._walk.ptr[1:self._walk.ptr[1] + 1])
+        self._reps = tree.ptr[1:tree.ptr[1] + 1].copy()
+        super().__init__(tree)
+
+    def _bind(self) -> None:
+        super()._bind()
+        self._repv = memoryview(self._reps)
 
     def _best_member(self, cluster: int) -> int:
         lo, hi = self._walk.ptr[cluster + 1], self._walk.ptr[cluster + 2]
@@ -233,20 +271,25 @@ class TsMax(HierarchicalThompsonSampling):
         return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
-        reps, s, f, ptr = self._reps, self._s, self._f, self._walk.ptr
-        cluster = random_argmax(rng.beta(s[reps], f[reps]), rng)
-        lo, hi = ptr[cluster + 1], ptr[cluster + 2]
-        leaf = self._walk.kids[lo + random_argmax(rng.beta(s[lo:hi], f[lo:hi]), rng)]
-        return Choice(arm=self._walk.leaf_arm[leaf], path=(0, cluster + 1, leaf))
+        reps, ptr = self._reps, self._walk.ptr
+        if len(reps) <= _NARROW:
+            s, f = self._sv, self._fv
+            cluster = _random_argmax_list([rng.beta(s[r], f[r]) for r in self._repv], rng)
+        else:
+            cluster = random_argmax(rng.beta(self._s[reps], self._f[reps]), rng)
+        lo = ptr[cluster + 1]
+        leaf = self._walk.kids[lo + self._draw(lo, ptr[cluster + 2], rng)]
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[leaf], path=(0, cluster + 1, leaf))
+        return choice
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = self._walk.check_path(choice)
-        s, f, i = self._s, self._f, self._walk.slot[path[-1]]
+        path = choice.path if choice is self._selected else self._walk.check_path(choice)
+        s, f, i = self._sv, self._fv, self._walk.slot[path[-1]]
         before = s[i] / (s[i] + f[i])
         s[i] += reward
         f[i] += 1.0 - reward
-        reps, cluster = self._reps, path[1] - 1
+        reps, cluster = self._repv, path[1] - 1
         mean = s[i] / (s[i] + f[i])
         rep = reps[cluster]
         if rep == i and mean < before:  # the representative fell: re-take the cluster
@@ -284,6 +327,10 @@ class TreeUcb(BanditPolicy):
         self._n = np.zeros(tree.n_nodes)  # per node in tree.slot order, as for hts
         self._q = np.zeros(tree.n_nodes)
         self._walk = _TreeTables(tree)
+        self._bind()
+
+    def _bind(self) -> None:
+        self._nv, self._qv = memoryview(self._n), memoryview(self._q)
 
     def _log_term(self, t: int, parent_count: float) -> float:
         return math.log(parent_count)
@@ -291,30 +338,40 @@ class TreeUcb(BanditPolicy):
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         _check_time(t)
         ptr, kids = self._walk.ptr, self._walk.kids
-        n, q = self._n, self._q
+        n, nv, qv = self._n, self._nv, self._qv
         node = 0
         at = len(kids)  # the slot of ``node``
         path = [node]
         lo, hi = ptr[0], ptr[1]
         while lo < hi:
-            counts = n[lo:hi]
-            i = int(counts.argmin())
-            if counts[i]:  # no unvisited child: the UCB index decides
-                i = random_argmax(_ucb_index(q[lo:hi], counts, self._log_term(t, n[at])), rng)
+            if hi - lo <= _NARROW:
+                counts = nv[lo:hi].tolist()
+                least = min(counts)
+                i = counts.index(least)
+                if least:  # no unvisited child: the UCB index decides
+                    bonus = 2.0 * self._log_term(t, nv[at])
+                    index = [m + math.sqrt(bonus / c) for m, c in zip(qv[lo:hi].tolist(), counts)]
+                    i = _random_argmax_list(index, rng)
+            else:
+                counts = n[lo:hi]
+                i = int(counts.argmin())
+                if counts[i]:
+                    i = random_argmax(_ucb_index(self._q[lo:hi], counts, self._log_term(t, nv[at])), rng)
             at = lo + i
             node = kids[at]
             path.append(node)
             lo, hi = ptr[node], ptr[node + 1]
-        return Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        return choice
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = self._walk.check_path(choice)
-        slot = self._walk.slot
+        path = choice.path if choice is self._selected else self._walk.check_path(choice)
+        n, q, slot = self._nv, self._qv, self._walk.slot
         for v in path:
             i = slot[v]
-            self._n[i] += 1.0
-            self._q[i] += (reward - self._q[i]) / self._n[i]
+            n[i] += 1.0
+            q[i] += (reward - q[i]) / n[i]
 
 
 class Ucb1(TreeUcb):

@@ -36,16 +36,23 @@ def simulate(
     arms = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)
     paths = _path_buffer(policy, horizon)
+    # the buffers are written through memoryviews, which take Python numbers directly
+    arm_at, reward_at = memoryview(arms), memoryview(rewards)
+    node_at = None if paths is None else memoryview(paths.reshape(-1))
+    depth = policy.path_depth
 
     for t in range(1, horizon + 1):
         choice = policy.select(t, rng)
         reward = draw_reward(instance, choice.arm, rng)
         policy.update(choice, reward)
         i = t - 1
-        arms[i] = choice.arm
-        rewards[i] = reward
-        if paths is not None and choice.path:
-            paths[i, : len(choice.path)] = choice.path
+        arm_at[i] = choice.arm
+        reward_at[i] = reward
+        if node_at is not None:
+            if len(choice.path) > depth:
+                raise ValueError(f"path {choice.path} is longer than the policy's path_depth {depth}")
+            for j, v in enumerate(choice.path, i * depth):
+                node_at[j] = v
     means = instance.means
     cum_regret = np.cumsum(means.max() - means[arms])
     return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=cum_regret, paths=paths)
@@ -71,6 +78,8 @@ def simulate_contextual(
         raise ValueError(
             f"contexts must have shape ({horizon}, {instance.dim}), got {contexts.shape}"
         )
+    if not np.isfinite(contexts).all():
+        raise ValueError("contexts have non-finite entries")
 
     arms = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)

@@ -2,7 +2,10 @@
 
 ``perfbench/run.py --smoke`` runs every workload tiny, untraced and traced
 (the traced mode calls ``harness._run_job`` directly); each run prints one
-JSON result line. No timing is asserted.
+JSON result line. Each untraced result reports exactly the end-to-end
+metrics BENCHMARK.json declares and each traced one exactly its per-layer
+metrics, so a step the tracer cannot see (``select``/``update`` bypassed)
+fails here. No timing is asserted.
 """
 import json
 import subprocess
@@ -20,6 +23,11 @@ def test_benchmark_smoke_runs_correct():
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     assert results
-    for result in results:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
+    per_layer = {m["name"] for m in declared["per_layer"]}
+    assert len(results) == 2 * len(declared["workloads"])  # untraced, then traced, per workload
+    for i, result in enumerate(results):
         assert result["correct"] is True
         assert result["failed"] == 0
+        assert set(result["metrics"]) == (per_layer if i % 2 else end_to_end)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from clusterbandit import contextual, policies
 from clusterbandit.contextual import (
     CONTEXTUAL_POLICY_KEYS,
     RESOLVE_EVERY,
@@ -453,6 +454,59 @@ class TestSimulateContextual:
             simulate_contextual(
                 inst, pol, 10, rng_streams(0).simulation, contexts=np.zeros((5, inst.dim))
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_contexts_fail_before_any_step(self, bad):
+        inst = _ctx_instance(seed=5)
+        pol = make_contextual_policy("lintsc", inst)
+        contexts = np.ones((10, inst.dim))
+        contexts[9, 1] = bad
+        rng = rng_streams(0).simulation
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="contexts have non-finite entries"):
+            simulate_contextual(inst, pol, 10, rng, contexts=contexts)
+        assert rng.bit_generator.state == state
+        assert pol._arms.counts.sum() == 0
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every context and path check the contextual policies make, in call order."""
+    calls = []
+    context, path = contextual._check_context, policies._TreeTables.check_path
+    monkeypatch.setattr(contextual, "_check_context", lambda x, d: calls.append("x") or context(x, d))
+    monkeypatch.setattr(policies._TreeTables, "check_path", lambda self, c: calls.append("path") or path(self, c))
+    return calls
+
+
+@pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
+def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, checks):
+    inst = _ctx_instance(seed=14, n_arms=12, n_clusters=3, dim=4)
+    pol = make_contextual_policy(key, inst)
+    rng = np.random.default_rng(15)
+    two_level = pol.path_depth > 0
+    x = rng.random(4)
+    choice = pol.select(1, x, rng)
+    assert checks == ["x"]  # select checks its context
+    pol.update(choice, x, 0.5)
+    assert checks == ["x"]  # the pair select returned and saw: no check
+    twin = Choice(arm=choice.arm, path=choice.path)
+    pol.update(twin, x, 0.5)  # an equal Choice that select did not return
+    assert checks == ["x", "x"] + ["path"] * two_level
+    pol.update(choice, x.copy(), 0.5)  # an equal context that select did not see
+    assert checks == ["x", "x"] + ["path"] * two_level + ["x"] + ["path"] * two_level
+    with pytest.raises(ValueError, match="non-finite"):
+        pol.update(choice, np.array([np.nan, 0.0, 0.0, 0.0]), 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        pol.update(choice, x[:3], 0.5)
+    if two_level:
+        with pytest.raises(ValueError, match="path"):
+            pol.update(Choice(arm=(choice.arm + 1) % inst.n_arms, path=choice.path), x, 0.5)
+    del checks[:]
+    listed = list(x)
+    choice = pol.select(2, listed, rng)
+    pol.update(choice, listed, 0.5)  # select checked the list into a new array: update checks again
+    assert checks == ["x", "x"] + ["path"] * two_level
 
 
 class TestRegistry:

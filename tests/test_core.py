@@ -11,6 +11,7 @@ from clusterbandit.core import (
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
+    _random_argmax_list,
     draw_reward,
     random_argmax,
     regret_of,
@@ -319,6 +320,34 @@ class TestRandomArgmax:
         assert set(np.unique(picks)) == {0, 2}
         assert abs(freq0 - 0.5) < 0.02
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3], [0.1, 0.9, 0.5], [0.9, 0.9], [1.0, 0.5, 1.0, 1.0], [0.0, -0.0, 0.0],
+            [0.2, 0.7, 0.7, 0.1, 0.7], [0.5] * 17, [-1.0, -2.0, -1.0],
+        ],
+    )
+    def test_list_twin_picks_the_same_index_with_the_same_draws(self, values):
+        # the narrow-node argmax of the descents: first maximum, and one
+        # rng.integers over the ties only when there is a tie
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _random_argmax_list(list(values), twin)
+            assert got == random_argmax(np.array(values), rng)
+            assert type(got) is int
+            assert twin.bit_generator.state == rng.bit_generator.state
+
+    def test_list_twin_on_random_draws(self):
+        g = np.random.default_rng(1)
+        for _ in range(500):
+            values = g.integers(0, 4, size=int(g.integers(1, 20))).astype(float)
+            if g.random() < 0.5:
+                values = g.random(values.size)
+            seed = int(g.integers(1 << 30))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _random_argmax_list(values.tolist(), twin) == random_argmax(values, rng)
+            assert twin.bit_generator.state == rng.bit_generator.state
+
 
 # ---------------------------------------------------------------------------
 # Traces
@@ -392,6 +421,22 @@ class TestSimulationTrace:
             if key == "tsmax":  # the plays per cluster of the same run
                 trace = simulate(instance, make_policy(key, instance), 100, rng_streams(4).simulation)
                 assert counts.tolist() == np.bincount(instance.clustering.labels[trace.arms], minlength=k).tolist()
+
+    def test_paths_of_uneven_depth_are_padded_and_overlong_ones_rejected(self):
+        # leaves at depths 1 and 2: a shorter path leaves -1 in its row's tail
+        tree = ClusterTree([[1, 2], [], [3, 4], [], []], [-1, 0, -1, 1, 2])
+        inst = BanditInstance.from_means([0.5, 0.4, 0.6], tree=tree)
+        policy = make_policy("hts", inst)
+        chosen, select = [], policy.select
+        policy.select = lambda t, rng: chosen.append(select(t, rng)) or chosen[-1]
+        trace = simulate(inst, policy, 200, rng_streams(5).simulation)
+        assert trace.paths.shape == (200, 3)
+        want = [list(c.path) + [-1] * (3 - len(c.path)) for c in chosen]
+        assert trace.paths.tolist() == want
+        assert {len(c.path) for c in chosen} == {2, 3}
+        policy.path_depth = 2  # now the depth-2 leaves' paths do not fit a row
+        with pytest.raises(ValueError, match="longer than the policy's path_depth 2"):
+            simulate(inst, policy, 200, rng_streams(5).simulation)
 
     def test_flat_trace_has_no_paths(self):
         inst = _small_clustered_instance()

@@ -221,11 +221,19 @@ class TestConfigValidation:
             run_experiment(_tiny_config(**doc))
         assert jobs == []
 
-    def test_dimension_of_a_serialized_contextual_spec_is_checked_at_build(self):
+    def test_serialized_contextual_dimension_fails_before_any_job(self, monkeypatch):
+        # a serialized spec's dimension is its theta's width, known before any build
+        jobs = self._count_jobs(monkeypatch)
         spec = instance_to_json(build_instance(TINY_CTX_SPEC, rng_streams(0).instance))
-        config = _tiny_config(policies=[{"key": "lints", "params": {"d": 5}}], instance=spec)
-        with pytest.raises(ConfigError, match="parameter d=5 does not match instance dimension 4"):
-            run_experiment(config)
+        doc = {
+            "policies": [{"key": "lints", "params": {"d": 5}}],
+            "instances": [{"name": "a", "spec": {**TINY_CTX_SPEC, "dim": 5}}, {"name": "b", "spec": spec}],
+        }
+        with pytest.raises(ConfigError, match="on variant 'b': parameter d=5 does not match instance dimension 4"):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+        # the matching width runs
+        assert run_experiment(_tiny_config(policies=[{"key": "lints", "params": {"d": 4}}], instance=spec)).rows
 
     @pytest.mark.parametrize("seeds", [[3, -1], {"base": -1, "count": 2}])
     def test_negative_seeds_fail_before_any_job(self, monkeypatch, seeds):

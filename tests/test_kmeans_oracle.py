@@ -108,3 +108,54 @@ def test_random_inputs_match_reference(case):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ref_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding through ``rng.choice``, with its checks of ``p``."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centroids[i] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[i]) ** 2).sum(axis=1))
+    return centroids
+
+
+@pytest.mark.parametrize("case", range(120))
+def test_seeding_matches_rng_choice(case):
+    points, k, _ = _random_case(case)
+    points = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+    got = _kmeans_pp_init(points, k, rng)
+    want = ref_kmeans_pp_init(points, k, ref_rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeding_of_duplicate_points_takes_the_all_zero_branch(seed):
+    # three distinct points and k = 6: once they are all seeds every distance
+    # is zero, and the remaining seeds are drawn uniformly
+    points = np.repeat(np.array([[0.0, 1.0], [2.0, 2.0], [5.0, -1.0]]), 4, axis=0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _kmeans_pp_init(points, 6, rng)
+    want = ref_kmeans_pp_init(points, 6, ref_rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len({tuple(c) for c in got}) == 3  # every distinct point seeded, then repeats
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(bad):
+    points = np.random.default_rng(0).normal(size=(20, 2))
+    points[7, 1] = bad
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="points"):
+        kmeans(points, 3, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
+    with pytest.raises(ValueError, match="points"):
+        kmeans(points[:, 1], 3, rng)  # 1-D input too

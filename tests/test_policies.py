@@ -1,6 +1,8 @@
 """Selection laws, update rules, and structural invariants of MAB policies."""
+import copy
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -586,3 +588,96 @@ def test_policy_classes_with_own_select_or_update_name_their_key(module, base):
         body = vars(cls)
         if "select" in body or "update" in body:
             assert isinstance(body.get("key"), str), cls.__name__
+
+
+# ---------------------------------------------------------------------------
+# The step: trust in the selected Choice, copies and pickles
+# ---------------------------------------------------------------------------
+
+def _instance_for(key):
+    """40 arms, as a binary tree for ``hts``/``uct`` and in 6 clusters for the others."""
+    means = np.random.default_rng(11).random(40)
+    if key in ("hts", "uct"):
+        return sorted_tree_from_means(means)
+    return BanditInstance.from_means(means, clustering=DisjointClustering(np.arange(40) % 6))
+
+
+def _arrays(policy):
+    return {k: v.tobytes() for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
+
+
+def _run(policy, instance, rng, start, steps):
+    out = []
+    for t in range(start, start + steps):
+        choice = policy.select(t, rng)
+        reward = 1.0 if rng.random() < instance.means[choice.arm] else 0.0
+        policy.update(choice, reward)
+        out.append((choice.arm, choice.path, reward))
+    return out
+
+
+@pytest.fixture
+def path_checks(monkeypatch):
+    calls = []
+    check = policies._TreeTables.check_path
+    monkeypatch.setattr(policies._TreeTables, "check_path", lambda self, c: calls.append(c) or check(self, c))
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+def test_update_checks_every_choice_but_the_selected_one(key, path_checks):
+    instance = _instance_for(key)
+    policy = make_policy(key, instance)
+    rng = np.random.default_rng(3)
+    choice = policy.select(1, rng)
+    policy.update(choice, 1.0)
+    assert path_checks == []
+    twin = Choice(arm=choice.arm, path=choice.path)
+    assert twin == choice and twin is not choice
+    policy.update(twin, 0.0)  # equal, but not the object select returned
+    assert path_checks == [twin]
+    state = _arrays(policy)
+    other = next(a for a in range(instance.n_arms) if a != choice.arm)
+    with pytest.raises(ValueError, match="path"):
+        policy.update(Choice(arm=other, path=choice.path), 1.0)
+    with pytest.raises(ValueError, match="path"):
+        policy.update(Choice(arm=choice.arm, path=(0,) + choice.path), 1.0)
+    assert _arrays(policy) == state  # a rejected update changes nothing
+    policy.select(2, rng)
+    with pytest.raises(ValueError, match="outside"):
+        policy.update(policy._selected, 2.0)  # the selected Choice still has its reward checked
+
+
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+def test_a_valid_copy_of_the_choice_updates_like_the_selected_one(key):
+    instance = _instance_for(key)
+    original, copied = make_policy(key, instance), make_policy(key, instance)
+    rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for t in range(1, 301):
+        a, b = original.select(t, rng), copied.select(t, twin_rng)
+        reward = float(rng.random() < instance.means[a.arm])
+        twin_rng.random()
+        original.update(a, reward)
+        copied.update(Choice(arm=b.arm, path=b.path), reward)
+    assert _arrays(copied) == _arrays(original)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+def test_deep_copies_and_pickles_continue_byte_identically(key):
+    instance = _instance_for(key)
+    policy = make_policy(key, instance)
+    rng = np.random.default_rng(8)
+    _run(policy, instance, rng, 1, 500)
+    before = _arrays(policy)
+    clones = [copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))]
+    rngs = [copy.deepcopy(rng) for _ in clones]
+    traces = []
+    for clone, clone_rng in zip(clones, rngs):
+        assert clone._selected is None  # a copy trusts no Choice of the original
+        traces.append(_run(clone, instance, clone_rng, 501, 500))
+        assert _arrays(policy) == before  # the copy writes its own arrays only
+    want = _run(policy, instance, rng, 501, 500)
+    for clone, trace in zip(clones, traces):
+        assert trace == want
+        assert _arrays(clone) == _arrays(policy)

@@ -13,6 +13,12 @@ rescan all counts for the first unplayed arm or cluster. ``ucb1`` and
 ``ucbc`` run ``uct``'s descent with the global log t on the same two trees
 and must reproduce their traces exactly in the same way.
 
+``RefUctGlobalLog`` is ``RefUct`` with the global log t, the reference for
+``ucbc`` on its clustering's tree. On trees and clusterings with nodes of
+``_NARROW - 1``, ``_NARROW`` and ``_NARROW + 1`` children and a one-child
+chain, the descents' scalar steps (narrow nodes) and array steps (wide
+nodes) must reproduce these references byte for byte, UCB ties included.
+
 The other reference policies below keep the straightforward per-step
 bodies: tree descent through ``ClusterTree`` accessors and a tie count by
 ``sum``, and ``RefTsMax``, the arm-order two-level TsMax that recomputes
@@ -41,10 +47,11 @@ import numpy as np
 import pytest
 
 from clusterbandit.contextual import RESOLVE_EVERY, _check_context, _LinearBank, make_contextual_policy
-from clusterbandit.core import BanditInstance, DisjointClustering, random_argmax, rng_streams
+from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, random_argmax, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
+    _NARROW,
     Choice,
     ClusteredThompsonSampling,
     ClusteredUcb1,
@@ -147,6 +154,9 @@ class RefClusteredThompsonSampling:
 
 
 class RefUct(TreeUcb):
+    def _ref_log(self, t, parent_count):
+        return math.log(parent_count)
+
     def select(self, t, rng):
         tree = self.tree
         node = tree.root
@@ -158,7 +168,7 @@ class RefUct(TreeUcb):
             if fresh.size:
                 node = int(kids[fresh[0]])
             else:
-                idx = self._q[kids] + np.sqrt(2.0 * math.log(self._n[node]) / counts)
+                idx = self._q[kids] + np.sqrt(2.0 * self._ref_log(t, self._n[node]) / counts)
                 node = int(kids[_ref_random_argmax(idx, rng)])
             path.append(node)
         return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
@@ -169,6 +179,13 @@ class RefUct(TreeUcb):
         for v in path:
             self._n[v] += 1.0
             self._q[v] += (reward - self._q[v]) / self._n[v]
+
+
+class RefUctGlobalLog(RefUct):
+    """``RefUct`` with the global log t of ``ucb1`` and ``ucbc``."""
+
+    def _ref_log(self, t, parent_count):
+        return math.log(t)
 
 
 class RefTsMax:
@@ -335,6 +352,94 @@ def _assert_same_trace(instance, policy, reference, seed, horizon=HORIZON):
 def test_tree_descent_matches_reference(name, seed, policy_cls, ref_cls):
     instance = _instance(name, seed)
     _assert_same_trace(instance, policy_cls(instance.tree), ref_cls(instance.tree), seed)
+
+
+def _crossover_instance():
+    """A tree with nodes of ``_NARROW - 1``, ``_NARROW`` and ``_NARROW + 1`` children
+    and a one-child chain; means of mostly 0 and 1 make UCB indices tie."""
+    children, leaf_arms = [[]], [-1]
+
+    def node(parent, arm=-1):
+        children.append([])
+        leaf_arms.append(arm)
+        children[parent].append(len(children) - 1)
+        return len(children) - 1
+
+    n_arms = 0
+    for width in (_NARROW - 1, _NARROW, _NARROW + 1):
+        v = node(0)
+        for _ in range(width):
+            n_arms += 1
+            node(v, n_arms - 1)
+    node(node(node(0)), n_arms)  # root -> a -> b -> leaf
+    means = [(1.0, 0.0, 0.5, 0.0)[a % 4] for a in range(n_arms + 1)]
+    return BanditInstance.from_means(means, tree=ClusterTree(children, leaf_arms))
+
+
+def _crossover_clustering(root_width):
+    """Clusters of ``_NARROW - 1``, ``_NARROW``, ``_NARROW + 1`` and one arm, then
+    one-arm clusters up to ``root_width`` clusters; labels interleave arm order."""
+    sizes = [_NARROW - 1, _NARROW, _NARROW + 1, 1] + [1] * (root_width - 4)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    labels = labels[np.random.default_rng(len(sizes)).permutation(labels.size)]
+    means = [(1.0, 0.0, 0.5, 0.0)[a % 4] for a in range(labels.size)]
+    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+
+
+class _CountingTies:
+    """A generator proxy that counts ``integers`` calls: the tie-breaks."""
+
+    def __init__(self, rng):
+        self._rng, self.ties = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, **kwargs):
+        self.ties += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+CROSSOVER = {
+    "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree), lambda inst: RefHts(inst.tree)),
+    "uct": (lambda inst: TreeUcb(inst.tree), lambda inst: RefUct(inst.tree)),
+    "tsc": (lambda inst: ClusteredThompsonSampling(inst.clustering),
+            lambda inst: RefHts(ClusterTree.from_clustering(inst.clustering))),
+    "ucbc": (lambda inst: ClusteredUcb1(inst.clustering),
+             lambda inst: RefUctGlobalLog(ClusterTree.from_clustering(inst.clustering))),
+    "tsmax": (lambda inst: TsMax(inst.clustering), lambda inst: RefTsMax(inst.clustering)),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "key, root_width",
+    [("hts", None), ("uct", None), *((k, w) for k in ("tsc", "ucbc", "tsmax") for w in (4, _NARROW + 1))],
+)
+def test_descents_match_references_across_the_narrow_crossover(key, root_width, seed):
+    # both sides of _NARROW at every level, and a one-child chain: the scalar
+    # and the array step draw and break ties alike
+    instance = _crossover_instance() if root_width is None else _crossover_clustering(root_width)
+    make, make_ref = CROSSOVER[key]
+    policy, reference = make(instance), make_ref(instance)
+    rng, ref_rng = _CountingTies(rng_streams(seed).simulation), _CountingTies(rng_streams(seed).simulation)
+    got = simulate(instance, policy, HORIZON, rng)
+    want = simulate(instance, reference, HORIZON, ref_rng)
+    assert got.arms.tobytes() == want.arms.tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
+    _assert_same_paths(got, want, policy)
+    assert rng._rng.bit_generator.state == ref_rng._rng.bit_generator.state
+    assert rng.ties == ref_rng.ties
+    if key in ("uct", "ucbc"):
+        assert rng.ties > 20  # the UCB indices tie, and the tie rule is exercised
+        stats = [(policy._n, reference._n), (policy._q, reference._q)]
+    elif key == "tsmax":
+        stats = []
+    else:
+        stats = [(policy._s, reference._s), (policy._f, reference._f)]
+    for kept, ref in stats:  # the descents keep slot order, the references node order
+        assert kept[policy.tree.slot].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
