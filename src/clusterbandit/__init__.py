@@ -32,14 +32,12 @@ from .contextual import (
 )
 from .core import (
     BanditInstance,
-    BernoulliArm,
     BetaBelief,
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
     draw_reward,
     random_argmax,
-    regret_of,
     rng_streams,
 )
 from .harness import (

@@ -1,25 +1,29 @@
 """Linear contextual bandit policies with clustered arms.
 
-Each arm (and, for the clustered variants, each cluster) carries a ridge
-posterior over a d-dimensional coefficient vector: a precision matrix B
-starting at the identity, a reward-weighted context sum f, and the mean
-B^-1 f. Thompson variants sample a scalar score per entity from
-N(mu'x, v x'B^-1 x); UCB variants score with mu'x + alpha sqrt(x'B^-1 x).
+Every node of a policy's tree below the root carries a ridge posterior over
+a d-dimensional coefficient vector: a precision matrix B starting at the
+identity, a reward-weighted context sum f, and the mean B^-1 f. Thompson
+variants sample a scalar score per node from N(mu'x, v x'B^-1 x); UCB
+variants score with mu'x + alpha sqrt(x'B^-1 x).
 
-Posteriors are stacked across entities in ``_LinearBank``. Inverses are
+Every policy is one descent, ``ContextualPolicy.select``/``update``, over
+one ``_LinearBank`` with a row per non-root node in ``tree.slot`` order, so
+the children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. Each
+step scores the children of the current node and moves to the argmax,
+from the root to a leaf; the observed (context, reward) pair updates the
+row of every non-root node on the path. ``lints`` and ``linucb`` descend
+``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
+traces keep no paths, as for ``ts``; ``lintsc`` and ``linucbc`` descend
+``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
+cluster c, as for ``tsc``. The UCB variants only score rows with
+``_LinearBank.ucb`` instead of ``_LinearBank.sample``. Inverses are
 maintained with rank-one updates and re-solved densely every 1000 updates
-per entity to cap numerical drift. ``LinThompson`` and
-``ClusteredLinThompson`` hold the flat and the two-level ``select``/
-``update``; ``LinUcb`` and ``ClusteredLinUcb`` run the same bodies and only
-score a bank with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
-Flat variants keep no path. The two-level ones descend
-``ClusterTree.from_clustering``, so their path is ``(0, c+1, leaf)`` for
-cluster c, as for ``tsc``.
+per row to cap numerical drift.
 
 The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
-every entity is one product of those rows with the flattened x x'. Scores
-of bit-equal posteriors must stay bit-equal wherever the entities sit: UCB
-ties between unplayed arms are common, and a tie that rounding breaks
+every row of a slice is one product of those rows with the flattened x x'.
+Scores of bit-equal posteriors must stay bit-equal wherever the rows sit:
+UCB ties between unplayed arms are common, and a tie that rounding breaks
 changes the trace. So mu'x and x'B^-1 x use ``einsum``, which sums each row
 alone, and never a BLAS product (``@``, ``np.dot``), which rounds equal rows
 differently by their position in the matrix.
@@ -72,7 +76,7 @@ def _check_alpha(alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 class _LinearBank:
-    """Ridge posteriors for n entities, stored stacked for vector scoring."""
+    """Ridge posteriors for n rows, stored stacked; scores read the rows ``lo:hi``."""
 
     def __init__(self, n: int, dim: int, v: float) -> None:
         if dim < 1:
@@ -88,24 +92,21 @@ class _LinearBank:
         self.Mu = np.zeros((n, dim))
         self.counts = np.zeros(n, dtype=np.int64)
 
-    def _mean(self, x: np.ndarray, subset: np.ndarray | None) -> np.ndarray:
-        mu = self.Mu if subset is None else self.Mu[subset]
-        return np.einsum("nk,k->n", mu, x)
+    def _mean(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return np.einsum("nk,k->n", self.Mu[lo:hi], x)
 
-    def _quad(self, x: np.ndarray, subset: np.ndarray | None) -> np.ndarray:
-        rows = self.Binv.reshape(self.n, -1)  # a view, made per call so copies of a bank stay whole
-        if subset is not None:
-            rows = rows[subset]
+    def _quad(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        rows = self.Binv.reshape(self.n, -1)[lo:hi]  # a view, made per call so copies of a bank stay whole
         return np.maximum(np.einsum("nk,k->n", rows, (x[:, None] * x).ravel()), 0.0)
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None) -> np.ndarray:
-        mean = self._mean(x, subset)
-        scale = np.sqrt(self.v * self._quad(x, subset))
+    def sample(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        mean = self._mean(x, lo, hi)
+        scale = np.sqrt(self.v * self._quad(x, lo, hi))
         # the draws and the arithmetic of rng.normal(mean, scale), without its broadcasting
         return mean + scale * rng.standard_normal(mean.size)
 
-    def ucb(self, x: np.ndarray, alpha: float, subset: np.ndarray | None = None) -> np.ndarray:
-        return self._mean(x, subset) + alpha * np.sqrt(self._quad(x, subset))
+    def ucb(self, x: np.ndarray, alpha: float, lo: int, hi: int) -> np.ndarray:
+        return self._mean(x, lo, hi) + alpha * np.sqrt(self._quad(x, lo, hi))
 
     def update(self, i: int, x: np.ndarray, reward: float) -> None:
         if not math.isfinite(reward):
@@ -183,11 +184,14 @@ class ContextualInstance:
 # ---------------------------------------------------------------------------
 
 class ContextualPolicy(ABC):
-    """Select/update interface for contextual policies.
+    """The descent every contextual policy runs, over one bank in ``tree.slot`` order.
 
-    ``_selected`` and ``_seen`` are the ``Choice`` the last ``select`` returned
-    and the checked context it scored: ``update`` given both objects trusts
-    them, and checks any other pair.
+    ``select`` scores the children of each node on its way down, rows
+    ``ptr[v]:ptr[v+1]`` of the bank, with ``_score`` and moves to the argmax
+    child. ``update`` credits the (context, reward) pair to the row of every
+    non-root node on the path. ``_selected`` and ``_seen`` are the ``Choice``
+    the last ``select`` returned and the checked context it scored: ``update``
+    given both objects trusts them, and checks any other pair.
     """
 
     key: str = ""
@@ -198,49 +202,65 @@ class ContextualPolicy(ABC):
     def _trusts(self, choice: Choice, x: np.ndarray) -> bool:
         return choice is self._selected and x is self._seen
 
-    @abstractmethod
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        """Choose an arm for context ``x`` at step ``t``."""
+    def __init__(self, tree: ClusterTree, dim: int, v: float) -> None:
+        self.tree = tree
+        self._walk = _TreeTables(tree)
+        self.dim = dim
+        self.v = float(v)
+        self._bank = _LinearBank(len(tree.kids), dim, v)
 
     @abstractmethod
+    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        """One score per bank row in ``[lo, hi)``."""
+
+    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
+        """Choose an arm for context ``x`` at step ``t``."""
+        x = self._seen = _check_context(x, self.dim)
+        ptr, kids = self._walk.ptr, self._walk.kids
+        node = 0
+        path = [node]
+        lo, hi = ptr[0], ptr[1]
+        while lo < hi:
+            node = kids[lo + random_argmax(self._score(x, rng, lo, hi), rng)]
+            path.append(node)
+            lo, hi = ptr[node], ptr[node + 1]
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        return choice
+
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         """Feed back the reward observed for ``choice`` under context ``x``."""
+        if self._trusts(choice, x):
+            path = choice.path
+        else:
+            x, path = _check_context(x, self.dim), self._walk.check_path(choice)
+        slot = self._walk.slot
+        for v in path[1:]:
+            self._bank.update(slot[v], x, reward)
 
 
 class LinThompson(ContextualPolicy):
-    """Linear Thompson sampling over a flat action set."""
+    """Linear Thompson sampling over a flat action set: the descent on ``ClusterTree.star(n_arms)``.
+
+    Arm a is leaf a+1 and bank row a. Traces keep no paths.
+    """
 
     key = "lints"
 
     def __init__(self, n_arms: int, dim: int, v: float = 1.0) -> None:
-        self._arms = _LinearBank(n_arms, dim, v)
-        self.dim = dim
-        self.v = float(v)
+        super().__init__(ClusterTree.star(n_arms), dim, v)
 
-    def _score(
-        self, bank: _LinearBank, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One score per entity of ``bank`` (or of ``subset``): a posterior draw."""
-        return bank.sample(x, rng, subset)
-
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = self._seen = _check_context(x, self.dim)
-        choice = self._selected = Choice(arm=random_argmax(self._score(self._arms, x, rng), rng))
-        return choice
-
-    def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        if not self._trusts(choice, x):
-            x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, reward)
+    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        """One score per row in ``[lo, hi)``: a posterior draw."""
+        return self._bank.sample(x, rng, lo, hi)
 
 
 class ClusteredLinThompson(ContextualPolicy):
     """Two-level linear Thompson sampling over a disjoint clustering.
 
-    Descent on ``ClusterTree.from_clustering(clustering)``: cluster-level
-    posteriors pick the cluster (node c+1), arm-level posteriors pick the
-    arm among ``tree.arms_under(c+1)``; both levels are updated with the
-    same observed (context, reward) pair.
+    The descent on ``ClusterTree.from_clustering(clustering)``: cluster
+    posteriors (rows ``0..k-1``) pick the cluster, node c+1, and then the
+    posteriors of its arms, one contiguous run of rows, pick the arm; both
+    levels are updated with the same observed (context, reward) pair.
     """
 
     key = "lintsc"
@@ -248,28 +268,7 @@ class ClusteredLinThompson(ContextualPolicy):
     _score = LinThompson._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, v: float = 1.0) -> None:
-        self.tree = ClusterTree.from_clustering(clustering)
-        self._walk = _TreeTables(self.tree)
-        self.dim = dim
-        self.v = float(v)
-        self._clusters = _LinearBank(clustering.n_clusters, dim, v)
-        self._arms = _LinearBank(clustering.n_arms, dim, v)
-
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        x = self._seen = _check_context(x, self.dim)
-        node = random_argmax(self._score(self._clusters, x, rng), rng) + 1
-        i = random_argmax(self._score(self._arms, x, rng, self.tree.arms_under(node)), rng)
-        leaf = self._walk.kids[self._walk.ptr[node] + i]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[leaf], path=(0, node, leaf))
-        return choice
-
-    def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        if self._trusts(choice, x):
-            path = choice.path
-        else:
-            x, path = _check_context(x, self.dim), self._walk.check_path(choice)
-        self._clusters.update(path[1] - 1, x, reward)
-        self._arms.update(choice.arm, x, reward)
+        super().__init__(ClusterTree.from_clustering(clustering), dim, v)
 
 
 class LinUcb(LinThompson):
@@ -282,11 +281,9 @@ class LinUcb(LinThompson):
         super().__init__(n_arms, dim)
         self.alpha = float(alpha)
 
-    def _score(
-        self, bank: _LinearBank, x: np.ndarray, rng: np.random.Generator, subset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One score per entity of ``bank`` (or of ``subset``): its upper confidence index."""
-        return bank.ucb(x, self.alpha, subset)
+    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        """One score per row in ``[lo, hi)``: its upper confidence index."""
+        return self._bank.ucb(x, self.alpha, lo, hi)
 
 
 class ClusteredLinUcb(ClusteredLinThompson):

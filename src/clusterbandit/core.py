@@ -1,8 +1,8 @@
 """Core domain types for bandits with clustered arms.
 
-Defines the Bernoulli arm / clustering / tree containers shared by every
-policy, the Beta belief view that Thompson-sampling policies report, the
-seeded-randomness contract, and regret accounting on simulation traces.
+Defines the Bernoulli instance / clustering / tree containers shared by
+every policy, the Beta belief view that Thompson-sampling policies report,
+the seeded-randomness contract, and the simulation trace.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "BernoulliArm",
     "DisjointClustering",
     "ClusterTree",
     "BetaBelief",
@@ -22,7 +21,6 @@ __all__ = [
     "rng_streams",
     "random_argmax",
     "draw_reward",
-    "regret_of",
 ]
 
 
@@ -81,18 +79,6 @@ def _random_argmax_list(values: list[float], rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 # Arms, clusterings, trees
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BernoulliArm:
-    """A single action with Bernoulli(mean) rewards."""
-
-    id: int
-    mean: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.mean <= 1.0):
-            raise ValueError(f"arm {self.id}: mean {self.mean} outside [0, 1]")
-
 
 class DisjointClustering:
     """Partition of arms into non-empty clusters.
@@ -379,21 +365,6 @@ class BanditInstance:
         self._means = means
         self._means.setflags(write=False)
 
-    @classmethod
-    def from_means(
-        cls,
-        means: Sequence[float],
-        clustering: DisjointClustering | None = None,
-        tree: ClusterTree | None = None,
-    ) -> "BanditInstance":
-        """The instance whose arm a has Bernoulli mean ``means[a]``; the same as the constructor."""
-        return cls(means, clustering=clustering, tree=tree)
-
-    @property
-    def arms(self) -> tuple[BernoulliArm, ...]:
-        """One ``BernoulliArm`` per arm, built on each read."""
-        return tuple(BernoulliArm(a, m) for a, m in enumerate(self._means.tolist()))
-
     @property
     def n_arms(self) -> int:
         return int(self._means.size)
@@ -431,17 +402,6 @@ def draw_reward(instance: BanditInstance, arm: int, rng: np.random.Generator) ->
     return 1.0 if rng.random() < instance._means[arm] else 0.0
 
 
-def regret_of(instance: BanditInstance, arm: int) -> float:
-    """Instantaneous (pseudo-)regret of playing ``arm``: max mean minus its mean.
-
-    Defined against the maximum even when the maximum is tied; audits flag
-    non-unique optima separately.
-    """
-    if not 0 <= arm < instance.n_arms:
-        raise ValueError(f"unknown arm id {arm}")
-    return float(instance._means.max() - instance._means[arm])
-
-
 # ---------------------------------------------------------------------------
 # Simulation traces
 # ---------------------------------------------------------------------------
@@ -453,8 +413,8 @@ class SimulationTrace:
     ``paths`` holds each step's ``Choice.path``, padded with -1: a
     root-to-leaf node path, ``(0, c+1, leaf)`` for the two-level policies;
     None for flat policies. ``cum_regret[t]`` is the cumulative pseudo-regret
-    after step t+1: the ``np.cumsum`` of ``regret_of`` over the chosen arms,
-    added in step order.
+    after step t+1: the ``np.cumsum`` of each chosen arm's gap to the best
+    expected reward, added in step order.
     """
 
     seed: int | None

@@ -364,7 +364,7 @@ def _run_job(payload: tuple) -> RunRow:
             policy = make_policy(key, instance, params)
             trace = simulate(instance, policy, horizon, streams.simulation, seed=seed)
     except ValueError as exc:
-        raise ConfigError(f"policies: '{label}' on variant '{variant_name}': {exc}") from exc
+        raise ConfigError(f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {exc}") from exc
 
     ts = logging_grid(horizon, stride)
     return RunRow(

@@ -290,7 +290,7 @@ def gen_strong_dominance(
             means[members[1]] = bottom
         if members.size > 2:
             means[members[2:]] = rng.uniform(bottom, top, size=members.size - 2)
-    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
 def gen_uniform_instance(
@@ -301,7 +301,7 @@ def gen_uniform_instance(
         raise ValueError("need 1 <= n_clusters <= n_arms")
     means = rng.uniform(0.0, 1.0, size=n_arms)
     labels = _uniform_nonempty_labels(n_arms, np.arange(n_clusters), rng)
-    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
 def gen_kmeans_instance(
@@ -317,7 +317,7 @@ def gen_kmeans_instance(
     features = rng.random((n_arms, dim))
     labels = kmeans(features, n_clusters, rng)
     labels = _compact_labels(labels)
-    return BanditInstance.from_means(fn(features), clustering=DisjointClustering(labels))
+    return BanditInstance(fn(features), clustering=DisjointClustering(labels))
 
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
@@ -381,7 +381,7 @@ def sorted_tree_from_means(means: Sequence[float]) -> BanditInstance:
     if means.size < 2:
         raise ValueError("need at least 2 arms")
     order = np.argsort(means, kind="stable")
-    return BanditInstance.from_means(means, tree=_balanced_tree(order))
+    return BanditInstance(means, tree=_balanced_tree(order))
 
 
 def gen_sorted_binary_tree(n_arms: int, rng: np.random.Generator) -> BanditInstance:
@@ -457,7 +457,7 @@ def gen_kmeans_tree(
         return [item(block, level + 1) for block in blocks if block.size]
 
     tree = _grow(item(np.arange(n_arms, dtype=np.int64), 0), expand)
-    return BanditInstance.from_means(fn(features), tree=tree)
+    return BanditInstance(fn(features), tree=tree)
 
 
 def gen_agglomerative_tree(features: np.ndarray, linkage: str = "single") -> ClusterTree:
@@ -503,7 +503,7 @@ def gen_agglomerative_instance(
     fn, dim = reward_function(reward_fn_id)
     features = rng.random((n_arms, dim))
     tree = gen_agglomerative_tree(features, linkage=linkage)
-    return BanditInstance.from_means(fn(features), tree=tree)
+    return BanditInstance(fn(features), tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
         clustering = DisjointClustering(doc["clustering"]["labels"])
     if doc.get("tree") is not None:
         tree = ClusterTree(doc["tree"]["children"], doc["tree"]["leaf_arms"])
-    return BanditInstance.from_means(doc["means"], clustering=clustering, tree=tree)
+    return BanditInstance(doc["means"], clustering=clustering, tree=tree)
 
 
 _SPEC_FIELDS: dict[str, tuple[set[str], set[str], str]] = {
@@ -690,9 +690,7 @@ def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | Con
         levels = spec.get("levels")
         if levels is not None:
             assert instance.tree is not None
-            instance = BanditInstance.from_means(
-                instance.means, tree=truncate_tree(instance.tree, int(levels))
-            )
+            instance = BanditInstance(instance.means, tree=truncate_tree(instance.tree, int(levels)))
         return instance
     if kind == "kmeans":
         return gen_kmeans_instance(

@@ -371,7 +371,7 @@ def test_criterion_10_exact_invariants():
     mean = gauss_bank.Mu[0] @ x
     std = math.sqrt(x @ gauss_bank.Binv[0] @ x)
     g_rng = np.random.default_rng(48_300)
-    draws = np.array([gauss_bank.sample(x, g_rng)[0] for _ in range(100_000)])
+    draws = np.array([gauss_bank.sample(x, g_rng, 0, 1)[0] for _ in range(100_000)])
     stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
     if stat > 0.01:
         failures.append(f"Gaussian score KS distance {stat:.4f} > 0.01")
@@ -410,7 +410,7 @@ def test_criterion_10_exact_invariants():
         inst = gen_sorted_binary_tree(64, rng_streams(48_500 + seed).instance)
         if not audit_hierarchical_dominance(inst).holds:
             failures.append("sorted-tree audit unexpectedly failed")
-    swapped = BanditInstance.from_means(
+    swapped = BanditInstance(
         [0.2, 0.7, 0.5, 0.3],
         tree=ClusterTree([[1, 2], [3, 4], [5, 6], [], [], [], []], [-1, -1, -1, 0, 1, 2, 3]),
     )

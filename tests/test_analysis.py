@@ -102,7 +102,7 @@ class TestClusterStats:
         assert stats.gamma == 0.0
 
     def test_singleton_optimal_cluster(self):
-        inst = BanditInstance.from_means(
+        inst = BanditInstance(
             [0.6, 0.4, 0.3], clustering=DisjointClustering([0, 1, 1])
         )
         stats = cluster_stats(inst)
@@ -122,7 +122,7 @@ class TestClusterStats:
             labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
             rng.shuffle(labels)
             means = rng.random(n)
-            inst = BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+            inst = BanditInstance(means, clustering=DisjointClustering(labels))
             stats = cluster_stats(inst)
 
             c_star = labels[int(np.argmax(means))]
@@ -142,7 +142,7 @@ class TestClusterStats:
 
     def test_requires_clustering(self):
         with pytest.raises(ValueError):
-            cluster_stats(BanditInstance.from_means([0.1, 0.2]))
+            cluster_stats(BanditInstance([0.1, 0.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ class TestClusterStats:
 
 def _two_cluster_stats(means, labels):
     return cluster_stats(
-        BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+        BanditInstance(means, clustering=DisjointClustering(labels))
     )
 
 
@@ -198,7 +198,7 @@ class TestTscInstanceBound:
 class TestTscMinimaxBound:
     def test_single_cluster_degenerate(self):
         stats = cluster_stats(
-            BanditInstance.from_means([0.6, 0.5, 0.4], clustering=DisjointClustering([0, 0, 0]))
+            BanditInstance([0.6, 0.5, 0.4], clustering=DisjointClustering([0, 0, 0]))
         )
         assert stats.k_suboptimal == 0 and stats.gamma == 0.0
         T = 3000.0
@@ -219,7 +219,7 @@ class TestTscMinimaxBound:
     def test_infinite_when_dominance_fails_with_negative_size_term(self):
         # optimal cluster {0.9, 0.1} (A* = 2, width 0.8) sits below the other
         # cluster's 0.3: distance -0.2, gamma = -4, A* + K(1 + gamma) = -1
-        instance = BanditInstance.from_means(
+        instance = BanditInstance(
             [0.9, 0.1, 0.3], clustering=DisjointClustering([0, 0, 1])
         )
         stats = cluster_stats(instance)
@@ -251,7 +251,7 @@ class TestLaiRobbinsLower:
             means = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
             if len(np.unique(means)) < n:
                 continue
-            inst = BanditInstance.from_means(means, clustering=DisjointClustering(list(range(n))))
+            inst = BanditInstance(means, clustering=DisjointClustering(list(range(n))))
             stats = cluster_stats(inst)
             for T in (10.0, 100.0, 10_000.0):
                 lower = lai_robbins_lower(stats, T).leading
@@ -260,7 +260,7 @@ class TestLaiRobbinsLower:
 
     def test_empty_suboptimal_set(self):
         stats = cluster_stats(
-            BanditInstance.from_means([0.6, 0.5], clustering=DisjointClustering([0, 0]))
+            BanditInstance([0.6, 0.5], clustering=DisjointClustering([0, 0]))
         )
         bound = lai_robbins_lower(stats, 100.0)
         expected = 0.1 / kl_bernoulli(0.5, 0.6) * math.log(100.0)
@@ -283,14 +283,14 @@ def _balanced_4arm_instance():
         [[1, 2], [3, 4], [5, 6], [], [], [], []],
         [-1, -1, -1, 0, 1, 2, 3],
     )
-    return BanditInstance.from_means([0.2, 0.3, 0.5, 0.7], tree=tree)
+    return BanditInstance([0.2, 0.3, 0.5, 0.7], tree=tree)
 
 
 class TestHtsInstanceBound:
     def test_flat_star_reduces_to_per_arm_gaps(self):
         means = [0.7, 0.5, 0.2]
         tree = ClusterTree([[1, 2, 3], [], [], []], [-1, 0, 1, 2])
-        inst = BanditInstance.from_means(means, tree=tree)
+        inst = BanditInstance(means, tree=tree)
         bound = hts_instance_bound(inst, 100.0, eps=0.1)
         expected = 1.1 * (1 / 0.2 + 1 / 0.5) * math.log(100.0)
         assert bound.leading == pytest.approx(expected, rel=1e-9)
@@ -301,7 +301,7 @@ class TestHtsInstanceBound:
             [[1, 2], [3, 4], [5, 6], [], [], [], []],
             [-1, -1, -1, 0, 1, 2, 3],
         )
-        inst = BanditInstance.from_means([0.7, 0.5, 0.3, 0.2], tree=tree)
+        inst = BanditInstance([0.7, 0.5, 0.3, 0.2], tree=tree)
         bound = hts_instance_bound(inst, math.e, eps=0.1)
         # sibling block term: gap / distance^2 with distance = 0.5 - 0.3,
         # then the in-block leaf term 1/gap for the 0.5 arm
@@ -336,14 +336,14 @@ class TestHtsInstanceBound:
             [[1, 2], [3, 4], [5, 6], [], [], [], []],
             [-1, -1, -1, 0, 1, 2, 3],
         )
-        inst = BanditInstance.from_means([0.2, 0.7, 0.5, 0.3], tree=tree)
+        inst = BanditInstance([0.2, 0.7, 0.5, 0.3], tree=tree)
         bound = hts_instance_bound(inst, 100.0, eps=0.1)
         assert not bound.dominance_ok
         assert bound.leading > 0.0 and math.isfinite(bound.leading)
 
     def test_requires_tree(self):
         with pytest.raises(ValueError):
-            hts_instance_bound(BanditInstance.from_means([0.1, 0.2]), 100.0, 0.1)
+            hts_instance_bound(BanditInstance([0.1, 0.2]), 100.0, 0.1)
 
 
 class TestAuditHierarchicalDominance:
@@ -358,13 +358,13 @@ class TestAuditHierarchicalDominance:
             [-1, -1, -1, 0, 1, 2, 3],
         )
         # 0.7 sits in the left block, 0.3 in the right: the root split leaks
-        inst = BanditInstance.from_means([0.2, 0.7, 0.5, 0.3], tree=tree)
+        inst = BanditInstance([0.2, 0.7, 0.5, 0.3], tree=tree)
         report = audit_hierarchical_dominance(inst)
         assert not report.holds
         assert any(v.level == 1 for v in report.violations)
 
     def test_depth_zero_tree_vacuous(self):
-        inst = BanditInstance.from_means([0.4], tree=ClusterTree([[]], [0]))
+        inst = BanditInstance([0.4], tree=ClusterTree([[]], [0]))
         assert audit_hierarchical_dominance(inst).holds
 
 

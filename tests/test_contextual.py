@@ -17,21 +17,25 @@ from clusterbandit.contextual import (
     _LinearBank,
     make_contextual_policy,
 )
-from clusterbandit.core import DisjointClustering, rng_streams
+from clusterbandit.core import ClusterTree, DisjointClustering, rng_streams
 from clusterbandit.instances import ContextualSpec, gen_contextual
 from clusterbandit.policies import Choice
 from clusterbandit.simulate import simulate_contextual
 
 
 def _path_to(pol, arm):
-    """The path of ``arm`` in a two-level policy's tree: ``(0, c+1, leaf)`` for its cluster c."""
-    leaf = pol.tree.leaf_of_arm(arm)
-    return (0, int(pol.tree.parent[leaf]), leaf)
+    """The root-to-leaf path of ``arm`` in a policy's tree: ``(0, a+1)`` on the star, ``(0, c+1, leaf)`` for cluster c."""
+    return tuple(reversed(pol.tree.path_to_root(pol.tree.leaf_of_arm(arm))))
 
 
-def _first_choice(pol, inst):
-    """A valid choice of arm 0 for ``pol``: clustered policies give its root-to-leaf path."""
-    return Choice(arm=0, path=_path_to(pol, 0) if pol.path_depth else ())
+def _row(pol, arm):
+    """The bank row of ``arm``: the slot of its leaf."""
+    return int(pol.tree.slot[pol.tree.leaf_of_arm(arm)])
+
+
+def _first_choice(pol):
+    """A valid choice of arm 0 for ``pol``, with its root-to-leaf path."""
+    return Choice(arm=0, path=_path_to(pol, 0))
 
 
 def _e(i, d=3):
@@ -48,13 +52,13 @@ class TestLinSample:
     def test_fresh_belief_standard_normal(self):
         rng = np.random.default_rng(0)
         bank = _LinearBank(1, 3, 1.0)
-        draws = np.array([bank.sample(_e(0), rng)[0] for _ in range(100_000)])
+        draws = np.array([bank.sample(_e(0), rng, 0, 1)[0] for _ in range(100_000)])
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_zero_context_deterministic(self, rng):
         bank = _LinearBank(1, 3, 1.0)
-        assert all(bank.sample(np.zeros(3), rng)[0] == 0.0 for _ in range(10))
+        assert all(bank.sample(np.zeros(3), rng, 0, 1)[0] == 0.0 for _ in range(10))
 
     def test_trained_belief_ridge_mean(self):
         # closed-form ridge: after n unit observations of reward 1 on e1,
@@ -64,7 +68,7 @@ class TestLinSample:
         n = 10_000
         for _ in range(n):
             bank.update(0, _e(0), 1.0)
-        draws = np.array([bank.sample(_e(0), rng)[0] for _ in range(10_000)])
+        draws = np.array([bank.sample(_e(0), rng, 0, 1)[0] for _ in range(10_000)])
         assert abs(draws.mean() - n / (1 + n)) < 0.01
 
     def test_dimension_mismatch(self, rng):
@@ -74,7 +78,7 @@ class TestLinSample:
             with pytest.raises(ValueError, match="shape"):
                 pol.select(1, np.zeros(2), rng)
             with pytest.raises(ValueError, match="shape"):
-                pol.update(_first_choice(pol, inst), np.zeros(2), 1.0)
+                pol.update(_first_choice(pol), np.zeros(2), 1.0)
         with pytest.raises(ValueError, match="dim"):
             _LinearBank(1, 0, 1.0)
 
@@ -86,7 +90,7 @@ class TestLinSample:
             with pytest.raises(ValueError, match="non-finite"):
                 pol.select(1, x, rng)
             with pytest.raises(ValueError, match="non-finite"):
-                pol.update(_first_choice(pol, inst), x, 1.0)
+                pol.update(_first_choice(pol), x, 1.0)
 
     def test_gaussian_law_ks(self):
         rng = np.random.default_rng(2)
@@ -97,7 +101,7 @@ class TestLinSample:
         x = np.array([0.3, 0.9, 0.1])
         mean = bank.Mu[0] @ x
         std = math.sqrt(bank.v * x @ bank.Binv[0] @ x)
-        draws = np.array([bank.sample(x, rng)[0] for _ in range(100_000)])
+        draws = np.array([bank.sample(x, rng, 0, 1)[0] for _ in range(100_000)])
         stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
         assert stat <= 0.01
 
@@ -194,15 +198,15 @@ class TestLinearBankTies:
         for n in range(1, 66):
             bank = _bank_of_equal_posteriors(n, dim, trained, rng)
             x = rng.random(dim)
-            subset = rng.permutation(n)[: max(1, n // 2)]
-            for sub in (None, subset, subset[::-1].copy()):
-                quad = bank._quad(x, sub)
-                ucb = bank.ucb(x, 2.0, sub)
-                assert np.all(quad == quad[0]), (n, sub)
-                assert np.all(ucb == ucb[0]), (n, sub)
-                if sub is not None:
-                    assert quad[0] == bank._quad(x, None)[0]
-                    assert ucb[0] == bank.ucb(x, 2.0)[0]
+            lo = int(rng.integers(n))
+            hi = int(rng.integers(lo + 1, n + 1))
+            for rows in ((0, n), (lo, hi), (n - 1, n)):
+                quad = bank._quad(x, *rows)
+                ucb = bank.ucb(x, 2.0, *rows)
+                assert np.all(quad == quad[0]), (n, rows)
+                assert np.all(ucb == ucb[0]), (n, rows)
+                assert quad[0] == bank._quad(x, 0, n)[0]
+                assert ucb[0] == bank.ucb(x, 2.0, 0, n)[0]
 
 
 class TestLinearBank:
@@ -213,8 +217,10 @@ class TestLinearBank:
             bank.update(int(rng.integers(6)), rng.random(4), rng.random())
         x = rng.random(4)
         want = np.array([x @ bank.Binv[i] @ x for i in range(6)])
-        np.testing.assert_allclose(bank._quad(x, None), want, rtol=1e-12)
-        np.testing.assert_allclose(bank._mean(x, None), bank.Mu @ x, rtol=1e-12)
+        np.testing.assert_allclose(bank._quad(x, 0, 6), want, rtol=1e-12)
+        np.testing.assert_allclose(bank._mean(x, 0, 6), bank.Mu @ x, rtol=1e-12)
+        assert bank._quad(x, 2, 5).tobytes() == bank._quad(x, 0, 6)[2:5].tobytes()
+        assert bank._mean(x, 2, 5).tobytes() == bank._mean(x, 0, 6)[2:5].tobytes()
 
     def test_split_gaussian_draw_is_rng_normal(self):
         for case in range(200):
@@ -235,11 +241,10 @@ class TestLinearBank:
         for _ in range(300):
             bank.update(int(rng.integers(50)), rng.random(5), rng.random())
         x = rng.random(5)
-        subset = np.array([3, 41, 7, 7, 0])
-        for sub in (None, subset):
-            mean, quad = bank._mean(x, sub), bank._quad(x, sub)
+        for rows in ((0, 50), (3, 42)):
+            mean, quad = bank._mean(x, *rows), bank._quad(x, *rows)
             split, whole = np.random.default_rng(9), np.random.default_rng(9)
-            got = bank.sample(x, split, sub)
+            got = bank.sample(x, split, *rows)
             assert got.tobytes() == whole.normal(mean, np.sqrt(0.7 * quad)).tobytes()
             assert split.bit_generator.state == whole.bit_generator.state
 
@@ -258,13 +263,12 @@ class TestLinearBank:
             reward = inst.draw_reward(choice.arm, x, rng)
             pol.update(choice, x, reward)
             twin.update(choice, x, reward)
-            for a, b in ((pol._arms, twin._arms), (pol._clusters, twin._clusters)):
-                assert a.ucb(x, 2.0).tobytes() == b.ucb(x, 2.0).tobytes()
-        a = choice.arm
-        bank = copy.deepcopy(pol._arms)
+            assert pol._bank.ucb(x, 2.0, 0, 15).tobytes() == twin._bank.ucb(x, 2.0, 0, 15).tobytes()  # 3 cluster rows, 12 arm rows
+        a = _row(pol, choice.arm)
+        bank = copy.deepcopy(pol._bank)
         bank.update(a, x, 1.0)
-        assert bank.counts[a] == pol._arms.counts[a] + 1
-        assert not np.array_equal(bank.B[a], pol._arms.B[a])
+        assert bank.counts[a] == pol._bank.counts[a] + 1
+        assert not np.array_equal(bank.B[a], pol._bank.B[a])
 
     def test_single_belief_is_a_bank_of_one(self):
         # one posterior alone evolves and scores as the same entity of a larger bank
@@ -277,9 +281,9 @@ class TestLinearBank:
         assert one.counts[0] == bank.counts[2] == RESOLVE_EVERY + 5
         assert one.Binv[0].tobytes() == bank.Binv[2].tobytes()
         assert one.Mu[0].tobytes() == bank.Mu[2].tobytes()
-        x, entity = rng.random(4), np.array([2])
-        assert one.ucb(x, 1.5)[0] == bank.ucb(x, 1.5)[2] == bank.ucb(x, 1.5, entity)[0]
-        assert one.sample(x, np.random.default_rng(11))[0] == bank.sample(x, np.random.default_rng(11), entity)[0]
+        x = rng.random(4)
+        assert one.ucb(x, 1.5, 0, 1)[0] == bank.ucb(x, 1.5, 0, 5)[2] == bank.ucb(x, 1.5, 2, 3)[0]
+        assert one.sample(x, np.random.default_rng(11), 0, 1)[0] == bank.sample(x, np.random.default_rng(11), 2, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +317,9 @@ class TestLinThompsonPolicies:
         clustering = DisjointClustering([0, 0, 1, 1])
         x = np.array([1.0, 0.0])
         pol = ClusteredLinThompson(clustering, 2)
-        for _ in range(10_000):
-            pol._clusters.update(0, x, 1.0)
-            pol._clusters.update(1, x, 0.0)
+        for _ in range(10_000):  # cluster c is row c
+            pol._bank.update(0, x, 1.0)
+            pol._bank.update(1, x, 0.0)
         rng = np.random.default_rng(10)
         hits = sum(pol.select(1, x, rng).path[1] == 1 for _ in range(2_000))  # cluster 0 is node 1
         assert hits / 2_000 >= 0.99
@@ -336,9 +340,10 @@ class TestLinThompsonPolicies:
         pol = ClusteredLinThompson(clustering, 2)
         x = np.array([0.4, 0.7])
         pol.update(Choice(arm=2, path=_path_to(pol, 2)), x, 1.0)
-        changed_arms = [a for a in range(3) if not np.array_equal(pol._arms.B[a], np.eye(2))]
-        changed_clusters = [c for c in range(2) if not np.array_equal(pol._clusters.B[c], np.eye(2))]
+        changed_arms = [a for a in range(3) if not np.array_equal(pol._bank.B[_row(pol, a)], np.eye(2))]
+        changed_clusters = [c for c in range(2) if not np.array_equal(pol._bank.B[c], np.eye(2))]
         assert changed_arms == [2] and changed_clusters == [1]
+        assert pol._bank.counts.tolist() == [0, 1, 0, 0, 1]  # rows: clusters 0 and 1, then arms 0, 1, 2
 
     def test_cluster_matrix_replay(self):
         inst = _ctx_instance(seed=1)
@@ -355,13 +360,13 @@ class TestLinThompsonPolicies:
             for cluster, x in seen:
                 if cluster == c:
                     expected += np.outer(x, x)
-            np.testing.assert_allclose(pol._clusters.B[c], expected, atol=1e-12)
+            np.testing.assert_allclose(pol._bank.B[c], expected, atol=1e-12)
 
     def test_zero_context_changes_nothing_numerically(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 3)
         pol.update(Choice(arm=0, path=_path_to(pol, 0)), np.zeros(3), 1.0)
-        np.testing.assert_array_equal(pol._arms.B[0], np.eye(3))
-        np.testing.assert_array_equal(pol._arms.F[0], np.zeros(3))
+        np.testing.assert_array_equal(pol._bank.B[_row(pol, 0)], np.eye(3))
+        np.testing.assert_array_equal(pol._bank.F[_row(pol, 0)], np.zeros(3))
 
     def test_containment_violation_rejected(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 2)
@@ -384,25 +389,25 @@ class TestLinUcbPolicies:
     def test_trained_entity_wins_after_bonus_shrinks(self):
         x = np.array([1.0, 0.0])
         pol = LinUcb(2, 2, alpha=2.0)
-        for _ in range(400):
-            pol._arms.update(0, x, 1.0)
+        for _ in range(400):  # arm a is row a on the star
+            pol._bank.update(0, x, 1.0)
         # index oracle: trained arm ~ 400/401 + 2*sqrt(1/401), fresh arm 0 + 2*1
-        trained = pol._arms.ucb(x, 2.0)[0]
-        fresh = pol._arms.ucb(x, 2.0)[1]
+        trained = pol._bank.ucb(x, 2.0, 0, 2)[0]
+        fresh = pol._bank.ucb(x, 2.0, 0, 2)[1]
         assert trained < fresh  # bonus still dominates at alpha=2 with one fresh arm
         for _ in range(2000):
-            pol._arms.update(0, x, 1.0)
-        idx = pol._arms.ucb(x, 2.0)
+            pol._bank.update(0, x, 1.0)
+        idx = pol._bank.ucb(x, 2.0, 0, 2)
         assert idx[0] < idx[1]  # a never-pulled arm keeps the bigger upper bound
         greedy = LinUcb(2, 2, alpha=0.0)
         for _ in range(10):
-            greedy._arms.update(0, x, 1.0)
+            greedy._bank.update(0, x, 1.0)
         assert greedy.select(1, x, np.random.default_rng(0)).arm == 0
 
     def test_alpha_zero_greedy(self):
         x = np.array([0.0, 1.0])
         pol = LinUcb(2, 2, alpha=0.0)
-        pol._arms.update(1, x, 1.0)
+        pol._bank.update(1, x, 1.0)
         assert pol.select(1, x, np.random.default_rng(1)).arm == 1
 
     def test_clustered_containment(self):
@@ -466,7 +471,7 @@ class TestSimulateContextual:
         with pytest.raises(ValueError, match="contexts have non-finite entries"):
             simulate_contextual(inst, pol, 10, rng, contexts=contexts)
         assert rng.bit_generator.state == state
-        assert pol._arms.counts.sum() == 0
+        assert pol._bank.counts.sum() == 0
 
 
 @pytest.fixture
@@ -484,7 +489,6 @@ def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, check
     inst = _ctx_instance(seed=14, n_arms=12, n_clusters=3, dim=4)
     pol = make_contextual_policy(key, inst)
     rng = np.random.default_rng(15)
-    two_level = pol.path_depth > 0
     x = rng.random(4)
     choice = pol.select(1, x, rng)
     assert checks == ["x"]  # select checks its context
@@ -492,21 +496,58 @@ def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, check
     assert checks == ["x"]  # the pair select returned and saw: no check
     twin = Choice(arm=choice.arm, path=choice.path)
     pol.update(twin, x, 0.5)  # an equal Choice that select did not return
-    assert checks == ["x", "x"] + ["path"] * two_level
+    assert checks == ["x", "x", "path"]
     pol.update(choice, x.copy(), 0.5)  # an equal context that select did not see
-    assert checks == ["x", "x"] + ["path"] * two_level + ["x"] + ["path"] * two_level
+    assert checks == ["x", "x", "path", "x", "path"]
     with pytest.raises(ValueError, match="non-finite"):
         pol.update(choice, np.array([np.nan, 0.0, 0.0, 0.0]), 0.5)
     with pytest.raises(ValueError, match="shape"):
         pol.update(choice, x[:3], 0.5)
-    if two_level:
-        with pytest.raises(ValueError, match="path"):
-            pol.update(Choice(arm=(choice.arm + 1) % inst.n_arms, path=choice.path), x, 0.5)
+    with pytest.raises(ValueError, match="path"):
+        pol.update(Choice(arm=(choice.arm + 1) % inst.n_arms, path=choice.path), x, 0.5)
     del checks[:]
     listed = list(x)
     choice = pol.select(2, listed, rng)
     pol.update(choice, listed, 0.5)  # select checked the list into a new array: update checks again
-    assert checks == ["x", "x"] + ["path"] * two_level
+    assert checks == ["x", "x", "path"]
+
+
+@pytest.mark.parametrize("key", ["lints", "linucb"])
+def test_flat_policies_take_the_star_path(key):
+    inst = _ctx_instance(seed=16, n_arms=6, n_clusters=2, dim=3)
+    pol = make_contextual_policy(key, inst)
+    assert pol.tree == ClusterTree.star(6) and pol.path_depth == 0
+    rng = np.random.default_rng(17)
+    for t in range(1, 51):
+        x = rng.random(3)
+        choice = pol.select(t, x, rng)
+        assert choice.path == (0, choice.arm + 1)
+        pol.update(choice, x, 0.5)
+    counts = pol._bank.counts.copy()
+    x = np.ones(3)
+    for path in ((), (2,), (0, 2), (0, 1, 2)):  # path-less, leaf only, another arm's leaf, too long
+        with pytest.raises(ValueError, match="path"):
+            pol.update(Choice(arm=0, path=path), x, 0.5)
+    assert pol._bank.counts.tolist() == counts.tolist()
+    pol.update(Choice(arm=0, path=(0, 1)), x, 0.5)
+    assert pol._bank.counts[0] == counts[0] + 1  # arm a is row a
+    trace = simulate_contextual(inst, pol, 20, rng, contexts=rng.random((20, 3)))
+    assert trace.paths is None
+
+
+@pytest.mark.parametrize("key", ["lintsc", "linucbc"])
+def test_two_level_bank_rows_follow_the_tree_slots(key):
+    inst = _ctx_instance(seed=18, n_arms=12, n_clusters=4, dim=3)
+    pol = make_contextual_policy(key, inst)
+    k, clustering = inst.clustering.n_clusters, inst.clustering
+    assert pol._bank.n == len(pol.tree.kids) == k + inst.n_arms
+    for position, arm in enumerate(clustering._arms.tolist()):
+        assert _row(pol, arm) == k + position
+    x = np.array([0.2, 0.5, 0.9])
+    for arm in range(inst.n_arms):
+        pol.update(Choice(arm=arm, path=_path_to(pol, arm)), x, 1.0)
+        assert pol._bank.counts[k + clustering._arms.tolist().index(arm)] == 1
+    assert pol._bank.counts[:k].tolist() == np.bincount(clustering.labels, minlength=k).tolist()
 
 
 class TestRegistry:

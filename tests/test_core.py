@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from clusterbandit.core import (
     BanditInstance,
-    BernoulliArm,
     BetaBelief,
     ClusterTree,
     DisjointClustering,
@@ -14,7 +13,6 @@ from clusterbandit.core import (
     _random_argmax_list,
     draw_reward,
     random_argmax,
-    regret_of,
     rng_streams,
 )
 from clusterbandit.harness import ExperimentConfig, run_experiment
@@ -126,21 +124,21 @@ class TestBetaUpdate:
 
 class TestDrawReward:
     def test_sure_thing(self, rng):
-        inst = BanditInstance.from_means([1.0, 0.5])
+        inst = BanditInstance([1.0, 0.5])
         assert all(draw_reward(inst, 0, rng) == 1.0 for _ in range(100))
 
     def test_never_pays(self, rng):
-        inst = BanditInstance.from_means([0.0, 0.5])
+        inst = BanditInstance([0.0, 0.5])
         assert all(draw_reward(inst, 0, rng) == 0.0 for _ in range(100))
 
     def test_empirical_frequency(self, rng):
         # binomial oracle: 4 sigma at n=1e5 for p=0.6 is ~0.006 < 0.01
-        inst = BanditInstance.from_means([0.6])
+        inst = BanditInstance([0.6])
         draws = np.array([draw_reward(inst, 0, rng) for _ in range(100_000)])
         assert abs(draws.mean() - 0.6) < 0.01
 
     def test_unknown_arm(self, rng):
-        inst = BanditInstance.from_means([0.5])
+        inst = BanditInstance([0.5])
         with pytest.raises(ValueError):
             draw_reward(inst, 1, rng)
         with pytest.raises(ValueError):
@@ -148,26 +146,21 @@ class TestDrawReward:
 
 
 class TestRegretOf:
+    """An arm's pseudo-regret, as ``simulate`` takes it: the best mean minus the arm's mean."""
+
     def test_optimal_arm_zero(self):
-        inst = BanditInstance.from_means([0.2, 0.9, 0.5])
-        assert regret_of(inst, 1) == 0.0
+        inst = BanditInstance([0.2, 0.9, 0.5])
+        assert inst.means.max() - inst.means[1] == 0.0
 
     def test_direct_subtraction(self):
-        inst = BanditInstance.from_means([0.6, 0.4])
-        assert regret_of(inst, 1) == pytest.approx(0.2)
+        inst = BanditInstance([0.6, 0.4])
+        assert inst.means.max() - inst.means[1] == pytest.approx(0.2)
 
     def test_ties_still_computed_against_max(self):
-        inst = BanditInstance.from_means([0.6, 0.6, 0.4])
+        inst = BanditInstance([0.6, 0.6, 0.4])
         assert not inst.has_unique_optimum
-        assert regret_of(inst, 0) == 0.0
-        assert regret_of(inst, 2) == pytest.approx(0.2)
-
-
-class TestBernoulliArm:
-    @pytest.mark.parametrize("bad", [-0.01, 1.01])
-    def test_mean_range(self, bad):
-        with pytest.raises(ValueError):
-            BernoulliArm(0, bad)
+        assert inst.means.max() - inst.means[0] == 0.0
+        assert inst.means.max() - inst.means[2] == pytest.approx(0.2)
 
 
 class TestBanditInstance:
@@ -175,26 +168,32 @@ class TestBanditInstance:
         labels = DisjointClustering([0, 0, 1])
         tree = ClusterTree([[1, 2, 3], [], [], []], [-1, 0, 1, 2])
         with pytest.raises(ValueError):
-            BanditInstance.from_means([0.1, 0.2, 0.3], clustering=labels, tree=tree)
+            BanditInstance([0.1, 0.2, 0.3], clustering=labels, tree=tree)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            BanditInstance.from_means([0.1, 0.2], clustering=DisjointClustering([0, 0, 1]))
+            BanditInstance([0.1, 0.2], clustering=DisjointClustering([0, 0, 1]))
 
     def test_means_read_only(self):
-        inst = BanditInstance.from_means([0.1, 0.2])
+        inst = BanditInstance([0.1, 0.2])
         with pytest.raises(ValueError):
             inst.means[0] = 0.9
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
     def test_mean_outside_unit_interval_names_the_arm(self, bad):
         with pytest.raises(ValueError, match="arm 1: mean"):
-            BanditInstance.from_means([0.5, bad, 0.2])
+            BanditInstance([0.5, bad, 0.2])
 
-    def test_arms_built_on_read(self):
-        inst = BanditInstance.from_means([0.25, 0.75])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_mean_range(self, bad):
+        with pytest.raises(ValueError, match=rf"arm 0: mean {bad} outside \[0, 1\]"):
+            BanditInstance([bad])
+
+    def test_instance_holds_its_means_only(self):
+        inst = BanditInstance([0.25, 0.75])
         assert "arms" not in vars(inst)  # the instance holds its means only
-        assert inst.arms == (BernoulliArm(0, 0.25), BernoulliArm(1, 0.75))
+        assert inst.means.tolist() == [0.25, 0.75]
+        assert inst.means.dtype == np.float64
 
 
 class TestDisjointClustering:
@@ -354,7 +353,7 @@ class TestRandomArgmax:
 # ---------------------------------------------------------------------------
 
 def _small_clustered_instance():
-    return BanditInstance.from_means(
+    return BanditInstance(
         [0.6, 0.5, 0.4, 0.3], clustering=DisjointClustering([0, 0, 1, 1])
     )
 
@@ -378,12 +377,12 @@ class TestSimulationTrace:
     def test_cumulative_regret_equals_sum_of_regret_of(self, key):
         inst = _small_clustered_instance()
         if key in ("hts", "uct"):  # the same means on the clustering's two-level tree
-            inst = BanditInstance.from_means(inst.means, tree=ClusterTree.from_clustering(inst.clustering))
+            inst = BanditInstance(inst.means, tree=ClusterTree.from_clustering(inst.clustering))
         streams = rng_streams(3)
         trace = simulate(inst, make_policy(key, inst), 500, streams.simulation)
         running, creg = [], 0.0
         for a in trace.arms:
-            creg += regret_of(inst, int(a))
+            creg += float(inst.means.max() - inst.means[a])
             running.append(creg)
         assert trace.cum_regret.tobytes() == np.array(running).tobytes()
 
@@ -425,7 +424,7 @@ class TestSimulationTrace:
     def test_paths_of_uneven_depth_are_padded_and_overlong_ones_rejected(self):
         # leaves at depths 1 and 2: a shorter path leaves -1 in its row's tail
         tree = ClusterTree([[1, 2], [], [3, 4], [], []], [-1, 0, -1, 1, 2])
-        inst = BanditInstance.from_means([0.5, 0.4, 0.6], tree=tree)
+        inst = BanditInstance([0.5, 0.4, 0.6], tree=tree)
         policy = make_policy("hts", inst)
         chosen, select = [], policy.select
         policy.select = lambda t, rng: chosen.append(select(t, rng)) or chosen[-1]

@@ -549,6 +549,26 @@ class TestInstanceReuse:
             with pytest.raises(ConfigError, match="variant 'too-many-clusters' at seed 4"):
                 run_experiment(config, workers=workers)
 
+    def test_policy_failure_names_variant_policy_and_seed(self, monkeypatch):
+        def failing_at_seed_5(*args, seed=None, **kwargs):
+            if seed == 5:
+                raise ValueError("step failed")
+            return simulate_contextual(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_contextual", failing_at_seed_5)
+        config = ExperimentConfig.from_json(
+            {
+                "name": "bad-job",
+                "horizon": 10,
+                "seeds": [4, 5],
+                "policies": [{"key": "lintsc"}],
+                "instances": [{"name": "ctx-variant", "spec": TINY_CTX_SPEC}],
+            }
+        )
+        for workers in (1, 2):
+            with pytest.raises(ConfigError, match="policies: 'lintsc' on variant 'ctx-variant' at seed 5: step failed"):
+                run_experiment(config, workers=workers)
+
 
 class TestContextAndBoundReuse:
     def test_contexts_drawn_once_per_variant_and_seed(self, monkeypatch):

@@ -416,7 +416,7 @@ class TestGenContext:
 
 class TestVerifyStrongDominance:
     def test_violating_pairs_reported(self):
-        inst = BanditInstance.from_means(
+        inst = BanditInstance(
             [0.6, 0.3, 0.5], clustering=DisjointClustering([0, 0, 1])
         )
         report = verify_strong_dominance(inst)
@@ -437,7 +437,7 @@ class TestVerifyStrongDominance:
             assert report.holds == oracle_holds
 
     def test_single_cluster_vacuous(self):
-        inst = BanditInstance.from_means([0.4, 0.2], clustering=DisjointClustering([0, 0]))
+        inst = BanditInstance([0.4, 0.2], clustering=DisjointClustering([0, 0]))
         assert verify_strong_dominance(inst).holds
 
 
@@ -474,7 +474,7 @@ class TestSerialization:
         [
             lambda s: gen_strong_dominance(StrongDominanceSpec(30, 4, 5, 0.1, 0.1), s),
             lambda s: gen_sorted_binary_tree(12, s),
-            lambda s: BanditInstance.from_means([0.5, 0.25]),
+            lambda s: BanditInstance([0.5, 0.25]),
         ],
     )
     def test_bernoulli_roundtrip(self, builder):

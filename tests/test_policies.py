@@ -314,7 +314,7 @@ class TestUcb1:
 
 class TestClusteredUcb1:
     def test_singleton_clusters_reduce_to_ucb1(self):
-        inst = BanditInstance.from_means(
+        inst = BanditInstance(
             [0.8, 0.5, 0.2], clustering=DisjointClustering([0, 1, 2])
         )
         flat = Ucb1(3)
@@ -535,8 +535,8 @@ class TestTreeUcb:
 
 class TestMakePolicy:
     def test_all_keys(self):
-        flat = BanditInstance.from_means([0.5, 0.4])
-        clustered = BanditInstance.from_means(
+        flat = BanditInstance([0.5, 0.4])
+        clustered = BanditInstance(
             [0.5, 0.4], clustering=DisjointClustering([0, 1])
         )
         treed = sorted_tree_from_means([0.5, 0.4])
@@ -550,10 +550,10 @@ class TestMakePolicy:
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown policy key"):
-            make_policy("bogus", BanditInstance.from_means([0.5]))
+            make_policy("bogus", BanditInstance([0.5]))
 
     def test_structure_requirements(self):
-        flat = BanditInstance.from_means([0.5, 0.4])
+        flat = BanditInstance([0.5, 0.4])
         with pytest.raises(ValueError, match="clustering"):
             make_policy("tsc", flat)
         with pytest.raises(ValueError, match="tree"):
@@ -561,10 +561,10 @@ class TestMakePolicy:
 
     def test_rejects_parameters(self):
         with pytest.raises(ValueError, match="parameters"):
-            make_policy("ts", BanditInstance.from_means([0.5]), {"gamma": 1})
+            make_policy("ts", BanditInstance([0.5]), {"gamma": 1})
 
     def test_reward_validation(self):
-        pol = make_policy("ts", BanditInstance.from_means([0.5]))
+        pol = make_policy("ts", BanditInstance([0.5]))
         with pytest.raises(ValueError):
             pol.update(Choice(arm=0), 1.5)
 
@@ -599,7 +599,7 @@ def _instance_for(key):
     means = np.random.default_rng(11).random(40)
     if key in ("hts", "uct"):
         return sorted_tree_from_means(means)
-    return BanditInstance.from_means(means, clustering=DisjointClustering(np.arange(40) % 6))
+    return BanditInstance(means, clustering=DisjointClustering(np.arange(40) % 6))
 
 
 def _arrays(policy):

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its module table names live API."""
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -25,3 +26,31 @@ def test_library_quick_start_runs():
     assert float(cum_regret) > 0.0
     assert float(leading) > 0.0
     assert holds in ("True", "False")
+
+
+# A backticked name that starts upper-case and has a lower-case letter, such as
+# `ClusterTree` or `ClusterTree.star`; call forms and assignments do not match.
+CAMEL_NAME = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*(\.[A-Za-z_]\w*)*")
+
+
+def _module_table() -> list[tuple[str, str]]:
+    """(module, contents) of each row of the README's "What's inside" table."""
+    section = README.read_text().split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(clusterbandit\.\w+)` \|(.*)\|\s*$", section, re.MULTILINE)
+
+
+def test_module_table_names_exist():
+    rows = _module_table()
+    assert len(rows) >= 8, "the module table has fewer rows than the package has modules"
+    checked = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", contents):
+            if not CAMEL_NAME.fullmatch(name):
+                continue
+            obj = module
+            for part in name.split("."):
+                assert hasattr(obj, part), f"README names `{name}` in the {module_name} row, which has no such attribute"
+                obj = getattr(obj, part)
+            checked.append(name)
+    assert "ClusterTree" in checked and "BanditInstance" in checked

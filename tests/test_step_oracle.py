@@ -34,11 +34,16 @@ three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
 its traces exactly, arm, reward and regret.
 
 ``RefLinThompson``, ``RefClusteredLinThompson``, ``RefLinUcb`` and
-``RefClusteredLinUcb`` keep one ``select``/``update`` per contextual policy.
-``lints``/``lintsc`` hold the only flat and two-level bodies, and
-``linucb``/``linucbc`` only change how a bank scores; they must reproduce
-the references' traces and end with bit-equal banks. The references log a
-cluster path ``(c,)``; ``lintsc``/``linucbc`` log ``(0, c+1, leaf)``.
+``RefClusteredLinUcb`` keep one ``select``/``update`` per contextual policy
+over ``GatherBank``: ``RefLinearBank``'s posteriors in the arm-ordered
+layout, one bank per level, scored with the flat-row kernel on a whole bank
+or on a cluster's members gathered by index. The contextual policies run one
+descent over one bank in ``tree.slot`` order that reads a node's children
+as a contiguous slice; they must reproduce the references' traces and end
+with bit-equal posteriors, cluster c in row c and arm a in the row of its
+leaf's slot. The references log a cluster path ``(c,)``;
+``lintsc``/``linucbc`` log ``(0, c+1, leaf)`` and ``lints``/``linucb``
+keep no paths.
 """
 import functools
 import math
@@ -46,7 +51,7 @@ import math
 import numpy as np
 import pytest
 
-from clusterbandit.contextual import RESOLVE_EVERY, _check_context, _LinearBank, make_contextual_policy
+from clusterbandit.contextual import RESOLVE_EVERY, _check_context, make_contextual_policy
 from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, random_argmax, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
@@ -312,7 +317,7 @@ def _tied_instance():
     # itself is checked on the representatives below.
     means = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
     labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
-    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
 def _assert_same_paths(got, want, policy):
@@ -373,7 +378,7 @@ def _crossover_instance():
             node(v, n_arms - 1)
     node(node(node(0)), n_arms)  # root -> a -> b -> leaf
     means = [(1.0, 0.0, 0.5, 0.0)[a % 4] for a in range(n_arms + 1)]
-    return BanditInstance.from_means(means, tree=ClusterTree(children, leaf_arms))
+    return BanditInstance(means, tree=ClusterTree(children, leaf_arms))
 
 
 def _crossover_clustering(root_width):
@@ -383,7 +388,7 @@ def _crossover_clustering(root_width):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     labels = labels[np.random.default_rng(len(sizes)).permutation(labels.size)]
     means = [(1.0, 0.0, 0.5, 0.0)[a % 4] for a in range(labels.size)]
-    return BanditInstance.from_means(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
 class _CountingTies:
@@ -565,17 +570,14 @@ class RefLinearBank:
         self.Mu = np.zeros((n, dim))
         self.counts = np.zeros(n, dtype=np.int64)
 
-    def _quad(self, x, subset):
-        binv = self.Binv if subset is None else self.Binv[subset]
-        return np.maximum(np.einsum("nij,i,j->n", binv, x, x), 0.0)
+    def _quad(self, x, lo, hi):
+        return np.maximum(np.einsum("nij,i,j->n", self.Binv[lo:hi], x, x), 0.0)
 
-    def sample(self, x, rng, subset=None):
-        mu = self.Mu if subset is None else self.Mu[subset]
-        return rng.normal(mu @ x, np.sqrt(self.v * self._quad(x, subset)))
+    def sample(self, x, rng, lo, hi):
+        return rng.normal(self.Mu[lo:hi] @ x, np.sqrt(self.v * self._quad(x, lo, hi)))
 
-    def ucb(self, x, alpha, subset=None):
-        mu = self.Mu if subset is None else self.Mu[subset]
-        return mu @ x + alpha * np.sqrt(self._quad(x, subset))
+    def ucb(self, x, alpha, lo, hi):
+        return self.Mu[lo:hi] @ x + alpha * np.sqrt(self._quad(x, lo, hi))
 
     def update(self, i, x, reward):
         if not np.isfinite(reward):
@@ -609,30 +611,47 @@ def test_linear_bank_matches_reference(name, seed, key):
     contexts = np.stack([gen_context(instance.dim, streams.context) for _ in range(HORIZON)])
     policy = make_contextual_policy(key, instance)
     reference = make_contextual_policy(key, instance)
-    for attr in ("_clusters", "_arms"):
-        if hasattr(reference, attr):
-            bank = getattr(reference, attr)
-            setattr(reference, attr, RefLinearBank(bank.n, bank.dim, bank.v))
+    bank = reference._bank
+    reference._bank = RefLinearBank(bank.n, bank.dim, bank.v)
     got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
     want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
     assert np.array_equal(got.arms, want.arms)
     assert np.array_equal(got.rewards, want.rewards)
     assert np.array_equal(got.cum_regret, want.cum_regret)
     # the update is the same arithmetic, so the posteriors end bit-equal too
-    for attr in ("_clusters", "_arms"):
-        if hasattr(policy, attr):
-            bank, ref = getattr(policy, attr), getattr(reference, attr)
-            for field in ("B", "Binv", "F", "Mu", "counts"):
-                assert getattr(bank, field).tobytes() == getattr(ref, field).tobytes(), (attr, field)
-    if name == "two-clusters" and hasattr(policy, "_clusters"):
-        assert policy._clusters.counts.max() >= RESOLVE_EVERY  # the dense re-solve ran
+    for field in ("B", "Binv", "F", "Mu", "counts"):
+        assert getattr(policy._bank, field).tobytes() == getattr(reference._bank, field).tobytes(), field
+    if name == "two-clusters" and policy.path_depth:
+        assert policy._bank.counts[:2].max() >= RESOLVE_EVERY  # a cluster row ran the dense re-solve
+
+
+class GatherBank(RefLinearBank):
+    """Ridge posteriors in arm (or cluster) order, scored with the flat-row kernel whole or gathered by index."""
+
+    def _mean(self, x, subset):
+        mu = self.Mu if subset is None else self.Mu[subset]
+        return np.einsum("nk,k->n", mu, x)
+
+    def _quad(self, x, subset):
+        rows = self.Binv.reshape(len(self.Binv), -1)
+        if subset is not None:
+            rows = rows[subset]
+        return np.maximum(np.einsum("nk,k->n", rows, (x[:, None] * x).ravel()), 0.0)
+
+    def sample(self, x, rng, subset=None):
+        mean = self._mean(x, subset)
+        scale = np.sqrt(self.v * self._quad(x, subset))
+        return mean + scale * rng.standard_normal(mean.size)
+
+    def ucb(self, x, alpha, subset=None):
+        return self._mean(x, subset) + alpha * np.sqrt(self._quad(x, subset))
 
 
 class RefLinThompson:
     path_depth = 0
 
     def __init__(self, n_arms, dim, v=1.0):
-        self._arms = _LinearBank(n_arms, dim, v)
+        self._arms = GatherBank(n_arms, dim, v)
         self.dim = dim
 
     def select(self, t, x, rng):
@@ -651,8 +670,8 @@ class RefClusteredLinThompson:
     def __init__(self, clustering, dim, v=1.0):
         self.clustering = clustering
         self.dim = dim
-        self._clusters = _LinearBank(clustering.n_clusters, dim, v)
-        self._arms = _LinearBank(clustering.n_arms, dim, v)
+        self._clusters = GatherBank(clustering.n_clusters, dim, v)
+        self._arms = GatherBank(clustering.n_arms, dim, v)
 
     def select(self, t, x, rng):
         x = _check_context(x, self.dim)
@@ -675,7 +694,7 @@ class RefLinUcb:
     path_depth = 0
 
     def __init__(self, n_arms, dim, alpha=2.0):
-        self._arms = _LinearBank(n_arms, dim, 1.0)
+        self._arms = GatherBank(n_arms, dim, 1.0)
         self.dim = dim
         self.alpha = float(alpha)
 
@@ -695,8 +714,8 @@ class RefClusteredLinUcb:
         self.clustering = clustering
         self.dim = dim
         self.alpha = float(alpha)
-        self._clusters = _LinearBank(clustering.n_clusters, dim, 1.0)
-        self._arms = _LinearBank(clustering.n_arms, dim, 1.0)
+        self._clusters = GatherBank(clustering.n_clusters, dim, 1.0)
+        self._arms = GatherBank(clustering.n_arms, dim, 1.0)
 
     def select(self, t, x, rng):
         x = _check_context(x, self.dim)
@@ -737,9 +756,13 @@ def test_contextual_policies_match_their_own_references(name, seed, key):
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
     _assert_same_paths(got, want, policy)
-    for attr in ("_clusters", "_arms"):
-        assert hasattr(policy, attr) == hasattr(reference, attr)
-        if hasattr(policy, attr):
-            bank, ref = getattr(policy, attr), getattr(reference, attr)
-            for field in ("B", "Binv", "F", "Mu", "counts"):
-                assert getattr(bank, field).tobytes() == getattr(ref, field).tobytes(), (attr, field)
+    tree, bank = policy.tree, policy._bank
+    k = int(tree.ptr[1]) if policy.path_depth else 0  # cluster c is row c
+    arm_rows = tree.slot[[tree.leaf_of_arm(a) for a in range(instance.n_arms)]]
+    assert hasattr(reference, "_clusters") == (k > 0)
+    assert bank.n == k + instance.n_arms
+    for field in ("B", "Binv", "F", "Mu", "counts"):
+        got_rows = getattr(bank, field)
+        assert got_rows[arm_rows].tobytes() == getattr(reference._arms, field).tobytes(), ("arms", field)
+        if k:
+            assert got_rows[:k].tobytes() == getattr(reference._clusters, field).tobytes(), ("clusters", field)
