@@ -42,6 +42,7 @@ from .core import (
 )
 from .harness import (
     ConfigError,
+    JobError,
     ExperimentConfig,
     ExperimentResult,
     InstanceVariant,

@@ -22,11 +22,21 @@ per row to cap numerical drift.
 
 The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
 every row of a slice is one product of those rows with the flattened x x'.
+``select`` forms that flattened x x' once per step (``_outer``); every
+level's scores read it, and ``update`` adds it to the precision of every
+path row. ``update`` forms it anew only for a (choice, context) pair other
+than the one ``select`` returned and saw.
 Scores of bit-equal posteriors must stay bit-equal wherever the rows sit:
 UCB ties between unplayed arms are common, and a tie that rounding breaks
 changes the trace. So mu'x and x'B^-1 x use ``einsum``, which sums each row
 alone, and never a BLAS product (``@``, ``np.dot``), which rounds equal rows
 differently by their position in the matrix.
+
+The scores and the rank-one update work in place on their own temporaries.
+Where that reorders an operation, the swap is one IEEE makes exact: a*b is
+b*a and a+b is b+a, so ``v * quad``, ``scale * z``, ``mean + scale * z`` and
+``mean + alpha * width`` give the same bits as the in-place ``quad *= v``,
+``z *= scale``, ``z += mean`` and ``width += mean``.
 """
 from __future__ import annotations
 
@@ -61,6 +71,11 @@ def _check_context(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _outer(x: np.ndarray) -> np.ndarray:
+    """The flattened outer product x x', as the bank's scores and updates read it."""
+    return (x[:, None] * x).ravel()
+
+
 def _check_v(v: float) -> None:
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"v: sampling-variance scale must be finite and > 0, got {v}")
@@ -76,7 +91,16 @@ def _check_alpha(alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 class _LinearBank:
-    """Ridge posteriors for n rows, stored stacked; scores read the rows ``lo:hi``."""
+    """Ridge posteriors for n rows, stored stacked; scores read the rows ``lo:hi``.
+
+    Callers pass the context x with its flattened outer product ``xx``
+    (:func:`_outer`), formed once per step. The scores and the update compute
+    in place, with only the exact operand swaps the module docstring lists,
+    so they give the bits of the textbook expressions. ``_binv_rows`` and
+    ``_b_rows`` are flat ``(n, d*d)`` views of ``Binv`` and ``B``, and
+    ``_count`` reads the counts as Python ints; views do not survive a copy
+    or a pickle, so ``__setstate__`` remakes them.
+    """
 
     def __init__(self, n: int, dim: int, v: float) -> None:
         if dim < 1:
@@ -91,37 +115,66 @@ class _LinearBank:
         self.F = np.zeros((n, dim))
         self.Mu = np.zeros((n, dim))
         self.counts = np.zeros(n, dtype=np.int64)
+        self._bind()
+
+    def _bind(self) -> None:
+        self._binv_rows = self.Binv.reshape(self.n, self.dim * self.dim)
+        self._b_rows = self.B.reshape(self.n, self.dim * self.dim)
+        self._count = memoryview(self.counts)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("_binv_rows", "_b_rows", "_count"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def _mean(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return np.einsum("nk,k->n", self.Mu[lo:hi], x)
 
-    def _quad(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        rows = self.Binv.reshape(self.n, -1)[lo:hi]  # a view, made per call so copies of a bank stay whole
-        return np.maximum(np.einsum("nk,k->n", rows, (x[:, None] * x).ravel()), 0.0)
+    def _quad(self, xx: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        quad = np.einsum("nk,k->n", self._binv_rows[lo:hi], xx)
+        return np.maximum(quad, 0.0, out=quad)
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+    def sample(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         mean = self._mean(x, lo, hi)
-        scale = np.sqrt(self.v * self._quad(x, lo, hi))
+        scale = self._quad(xx, lo, hi)
+        scale *= self.v
+        np.sqrt(scale, out=scale)
         # the draws and the arithmetic of rng.normal(mean, scale), without its broadcasting
-        return mean + scale * rng.standard_normal(mean.size)
+        z = rng.standard_normal(hi - lo)
+        z *= scale
+        z += mean
+        return z
 
-    def ucb(self, x: np.ndarray, alpha: float, lo: int, hi: int) -> np.ndarray:
-        return self._mean(x, lo, hi) + alpha * np.sqrt(self._quad(x, lo, hi))
+    def ucb(self, x: np.ndarray, xx: np.ndarray, alpha: float, lo: int, hi: int) -> np.ndarray:
+        width = self._quad(xx, lo, hi)
+        np.sqrt(width, out=width)
+        width *= alpha
+        width += self._mean(x, lo, hi)
+        return width
 
-    def update(self, i: int, x: np.ndarray, reward: float) -> None:
+    def update(self, i: int, x: np.ndarray, xx: np.ndarray, reward: float) -> None:
         if not math.isfinite(reward):
             raise ValueError(f"non-finite reward {reward}")
-        binv, b, f = self.Binv[i], self.B[i], self.F[i]
+        binv, b, f, mu = self.Binv[i], self._b_rows[i], self.F[i], self.Mu[i]
         u = binv @ x
-        binv -= u[:, None] * u / (1.0 + x @ u)
-        b += x[:, None] * x
+        step = u[:, None] * u
+        step /= 1.0 + x @ u
+        binv -= step
+        b += xx
         f += reward * x
-        self.counts[i] += 1
-        if self.counts[i] % RESOLVE_EVERY == 0:
-            binv[...] = np.linalg.inv(b)
-            self.Mu[i] = np.linalg.solve(b, f)
+        count = self._count[i] + 1
+        self._count[i] = count
+        if count % RESOLVE_EVERY == 0:
+            precision = self.B[i]
+            binv[...] = np.linalg.inv(precision)
+            mu[...] = np.linalg.solve(precision, f)
         else:
-            self.Mu[i] = binv @ f
+            np.matmul(binv, f, out=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +221,18 @@ class ContextualInstance:
         return self.theta @ x
 
     def draw_reward(self, arm: int, x: np.ndarray, rng: np.random.Generator) -> float:
+        """``rng.uniform(lo, hi)`` on the reward interval, as its own arithmetic ``lo + (hi - lo) * U``.
+
+        One scalar ``rng.random()`` gives the same bits and leaves the
+        generator in the same state; a non-finite range raises ``uniform``'s
+        ``OverflowError`` before any draw.
+        """
         m = self.expected_reward(arm, x)
         lo, hi = (0.0, 2.0 * m) if m >= 0.0 else (2.0 * m, 0.0)
-        return float(rng.uniform(lo, hi))
+        width = hi - lo
+        if not math.isfinite(width):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return lo + width * rng.random()
 
     def __repr__(self) -> str:
         return (
@@ -189,15 +251,19 @@ class ContextualPolicy(ABC):
     ``select`` scores the children of each node on its way down, rows
     ``ptr[v]:ptr[v+1]`` of the bank, with ``_score`` and moves to the argmax
     child. ``update`` credits the (context, reward) pair to the row of every
-    non-root node on the path. ``_selected`` and ``_seen`` are the ``Choice``
-    the last ``select`` returned and the checked context it scored: ``update``
-    given both objects trusts them, and checks any other pair.
+    non-root node on the path. ``_selected``, ``_seen`` and ``_xx`` are the
+    ``Choice`` the last ``select`` returned, the checked context it scored and
+    that context's flattened outer product: ``update`` given the first two
+    objects trusts them and reuses ``_xx``, so a context must not change in
+    place between the two calls; any other pair is checked and its outer
+    product formed anew.
     """
 
     key: str = ""
     path_depth: int = 0
     _selected: Choice | None = None
     _seen: np.ndarray | None = None
+    _xx: np.ndarray | None = None
 
     def _trusts(self, choice: Choice, x: np.ndarray) -> bool:
         return choice is self._selected and x is self._seen
@@ -210,18 +276,19 @@ class ContextualPolicy(ABC):
         self._bank = _LinearBank(len(tree.kids), dim, v)
 
     @abstractmethod
-    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
-        """One score per bank row in ``[lo, hi)``."""
+    def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+        """One score per bank row in ``[lo, hi)``; ``xx`` is ``_outer(x)``."""
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         """Choose an arm for context ``x`` at step ``t``."""
         x = self._seen = _check_context(x, self.dim)
+        xx = self._xx = _outer(x)
         ptr, kids = self._walk.ptr, self._walk.kids
         node = 0
         path = [node]
         lo, hi = ptr[0], ptr[1]
         while lo < hi:
-            node = kids[lo + random_argmax(self._score(x, rng, lo, hi), rng)]
+            node = kids[lo + random_argmax(self._score(x, xx, rng, lo, hi), rng)]
             path.append(node)
             lo, hi = ptr[node], ptr[node + 1]
         choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
@@ -230,12 +297,13 @@ class ContextualPolicy(ABC):
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         """Feed back the reward observed for ``choice`` under context ``x``."""
         if self._trusts(choice, x):
-            path = choice.path
+            path, xx = choice.path, self._xx
         else:
             x, path = _check_context(x, self.dim), self._walk.check_path(choice)
-        slot = self._walk.slot
+            xx = _outer(x)
+        bank, slot = self._bank, self._walk.slot
         for v in path[1:]:
-            self._bank.update(slot[v], x, reward)
+            bank.update(slot[v], x, xx, reward)
 
 
 class LinThompson(ContextualPolicy):
@@ -249,9 +317,9 @@ class LinThompson(ContextualPolicy):
     def __init__(self, n_arms: int, dim: int, v: float = 1.0) -> None:
         super().__init__(ClusterTree.star(n_arms), dim, v)
 
-    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+    def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         """One score per row in ``[lo, hi)``: a posterior draw."""
-        return self._bank.sample(x, rng, lo, hi)
+        return self._bank.sample(x, xx, rng, lo, hi)
 
 
 class ClusteredLinThompson(ContextualPolicy):
@@ -281,9 +349,9 @@ class LinUcb(LinThompson):
         super().__init__(n_arms, dim)
         self.alpha = float(alpha)
 
-    def _score(self, x: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+    def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         """One score per row in ``[lo, hi)``: its upper confidence index."""
-        return self._bank.ucb(x, self.alpha, lo, hi)
+        return self._bank.ucb(x, xx, self.alpha, lo, hi)
 
 
 class ClusteredLinUcb(ClusteredLinThompson):

@@ -49,6 +49,7 @@ from .simulate import simulate, simulate_contextual
 
 __all__ = [
     "ConfigError",
+    "JobError",
     "PolicySpec",
     "InstanceVariant",
     "ExperimentConfig",
@@ -70,6 +71,10 @@ EXPORT_FORMATS = ("csv", "json", "svg")
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+class JobError(RuntimeError):
+    """A job failed with an error other than ``ValueError``; the message names its job and the error's type."""
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +370,10 @@ def _run_job(payload: tuple) -> RunRow:
             trace = simulate(instance, policy, horizon, streams.simulation, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {exc}") from exc
+    except Exception as exc:
+        raise JobError(
+            f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {type(exc).__name__}: {exc}"
+        ) from exc
 
     ts = logging_grid(horizon, stride)
     return RunRow(

@@ -85,17 +85,23 @@ def simulate_contextual(
     rewards = np.empty(horizon)
     regret = np.empty(horizon)
     paths = _path_buffer(policy, horizon)
+    # written through memoryviews, as in ``simulate``
+    arm_at, reward_at, regret_at = memoryview(arms), memoryview(rewards), memoryview(regret)
+    node_at = None if paths is None else memoryview(paths.reshape(-1))
+    depth = policy.path_depth
 
-    for t in range(1, horizon + 1):
-        i = t - 1
-        x = contexts[i]
-        choice = policy.select(t, x, rng)
-        reward = instance.draw_reward(choice.arm, x, rng)
+    for i, x in enumerate(contexts):
+        choice = policy.select(i + 1, x, rng)
+        arm = choice.arm
+        reward = instance.draw_reward(arm, x, rng)
         policy.update(choice, x, reward)
         expected = instance.expected_rewards(x)
-        arms[i] = choice.arm
-        rewards[i] = reward
-        regret[i] = expected.max() - expected[choice.arm]
-        if paths is not None and choice.path:
-            paths[i, : len(choice.path)] = choice.path
+        arm_at[i] = arm
+        reward_at[i] = reward
+        regret_at[i] = expected.max() - expected[arm]
+        if node_at is not None:
+            if len(choice.path) > depth:
+                raise ValueError(f"path {choice.path} is longer than the policy's path_depth {depth}")
+            for j, v in enumerate(choice.path, i * depth):
+                node_at[j] = v
     return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=np.cumsum(regret), paths=paths)

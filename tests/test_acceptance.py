@@ -20,7 +20,7 @@ from clusterbandit.analysis import (
     pooled_std,
     tsc_instance_bound,
 )
-from clusterbandit.contextual import _LinearBank
+from clusterbandit.contextual import _LinearBank, _outer
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
@@ -350,7 +350,8 @@ def test_criterion_10_exact_invariants():
     # rank-one inverse maintenance vs dense inverse, d=20, 10^3 updates
     bank = _LinearBank(1, 20, 1.0)
     for _ in range(1000):
-        bank.update(0, rng.random(20), rng.random())
+        x = rng.random(20)
+        bank.update(0, x, _outer(x), rng.random())
     if np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max() >= 1e-8:
         failures.append("rank-one inverse drifted beyond 1e-8")
 
@@ -366,12 +367,13 @@ def test_criterion_10_exact_invariants():
     gauss_bank = _LinearBank(1, 3, 1.0)
     upd = np.random.default_rng(48_200)
     for _ in range(40):
-        gauss_bank.update(0, upd.random(3), upd.random())
+        x = upd.random(3)
+        gauss_bank.update(0, x, _outer(x), upd.random())
     x = np.array([0.7, 0.1, 0.4])
     mean = gauss_bank.Mu[0] @ x
     std = math.sqrt(x @ gauss_bank.Binv[0] @ x)
     g_rng = np.random.default_rng(48_300)
-    draws = np.array([gauss_bank.sample(x, g_rng, 0, 1)[0] for _ in range(100_000)])
+    draws = np.array([gauss_bank.sample(x, _outer(x), g_rng, 0, 1)[0] for _ in range(100_000)])
     stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
     if stat > 0.01:
         failures.append(f"Gaussian score KS distance {stat:.4f} > 0.01")

@@ -1,6 +1,7 @@
 """Ridge posteriors, Gaussian scoring, and linear contextual policies."""
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from clusterbandit.contextual import (
     LinThompson,
     LinUcb,
     _LinearBank,
+    _outer,
     make_contextual_policy,
 )
 from clusterbandit.core import ClusterTree, DisjointClustering, rng_streams
@@ -38,6 +40,11 @@ def _first_choice(pol):
     return Choice(arm=0, path=_path_to(pol, 0))
 
 
+def _update(bank, i, x, reward):
+    """One bank update, with the context's outer product formed as ``select`` forms it."""
+    bank.update(i, x, _outer(x), reward)
+
+
 def _e(i, d=3):
     x = np.zeros(d)
     x[i] = 1.0
@@ -52,13 +59,15 @@ class TestLinSample:
     def test_fresh_belief_standard_normal(self):
         rng = np.random.default_rng(0)
         bank = _LinearBank(1, 3, 1.0)
-        draws = np.array([bank.sample(_e(0), rng, 0, 1)[0] for _ in range(100_000)])
+        x = _e(0)
+        draws = np.array([bank.sample(x, _outer(x), rng, 0, 1)[0] for _ in range(100_000)])
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_zero_context_deterministic(self, rng):
         bank = _LinearBank(1, 3, 1.0)
-        assert all(bank.sample(np.zeros(3), rng, 0, 1)[0] == 0.0 for _ in range(10))
+        x = np.zeros(3)
+        assert all(bank.sample(x, _outer(x), rng, 0, 1)[0] == 0.0 for _ in range(10))
 
     def test_trained_belief_ridge_mean(self):
         # closed-form ridge: after n unit observations of reward 1 on e1,
@@ -67,8 +76,9 @@ class TestLinSample:
         bank = _LinearBank(1, 3, 1.0)
         n = 10_000
         for _ in range(n):
-            bank.update(0, _e(0), 1.0)
-        draws = np.array([bank.sample(_e(0), rng, 0, 1)[0] for _ in range(10_000)])
+            _update(bank, 0, _e(0), 1.0)
+        x = _e(0)
+        draws = np.array([bank.sample(x, _outer(x), rng, 0, 1)[0] for _ in range(10_000)])
         assert abs(draws.mean() - n / (1 + n)) < 0.01
 
     def test_dimension_mismatch(self, rng):
@@ -97,11 +107,11 @@ class TestLinSample:
         bank = _LinearBank(1, 3, 1.0)
         upd_rng = np.random.default_rng(3)
         for _ in range(50):
-            bank.update(0, upd_rng.random(3), upd_rng.random())
+            _update(bank, 0, upd_rng.random(3), upd_rng.random())
         x = np.array([0.3, 0.9, 0.1])
         mean = bank.Mu[0] @ x
         std = math.sqrt(bank.v * x @ bank.Binv[0] @ x)
-        draws = np.array([bank.sample(x, rng, 0, 1)[0] for _ in range(100_000)])
+        draws = np.array([bank.sample(x, _outer(x), rng, 0, 1)[0] for _ in range(100_000)])
         stat = scipy.stats.kstest(draws, scipy.stats.norm(mean, std).cdf).statistic
         assert stat <= 0.01
 
@@ -109,21 +119,21 @@ class TestLinSample:
 class TestLinUpdate:
     def test_hand_linear_algebra(self):
         bank = _LinearBank(1, 3, 1.0)
-        bank.update(0, _e(0), 1.0)
+        _update(bank, 0, _e(0), 1.0)
         np.testing.assert_allclose(bank.B[0], np.diag([2.0, 1.0, 1.0]))
         np.testing.assert_allclose(bank.F[0], _e(0))
         np.testing.assert_allclose(bank.Mu[0], _e(0) / 2)
 
     def test_zero_reward_keeps_f(self):
         bank = _LinearBank(1, 3, 1.0)
-        bank.update(0, _e(1), 0.0)
+        _update(bank, 0, _e(1), 0.0)
         assert np.all(bank.F[0] == 0.0)
         np.testing.assert_allclose(bank.B[0], np.diag([1.0, 2.0, 1.0]))
 
     def test_functional_input_unchanged(self):
         base = _LinearBank(1, 2, 1.0)
         out = copy.deepcopy(base)
-        out.update(0, np.ones(2), 1.0)
+        _update(out, 0, np.ones(2), 1.0)
         np.testing.assert_array_equal(base.B[0], np.eye(2))
         assert base.counts[0] == 0
         assert out.counts[0] == 1
@@ -132,7 +142,7 @@ class TestLinUpdate:
         rng = np.random.default_rng(4)
         bank = _LinearBank(1, 5, 1.0)
         for _ in range(100):
-            bank.update(0, rng.random(5), rng.random())
+            _update(bank, 0, rng.random(5), rng.random())
         dense = np.linalg.inv(bank.B[0])
         assert np.abs(bank.Binv[0] - dense).max() < 1e-8
 
@@ -140,7 +150,7 @@ class TestLinUpdate:
         rng = np.random.default_rng(5)
         bank = _LinearBank(1, 4, 1.0)
         for _ in range(200):
-            bank.update(0, rng.random(4), rng.uniform(-2, 2))
+            _update(bank, 0, rng.random(4), rng.uniform(-2, 2))
             solved = np.linalg.solve(bank.B[0], bank.F[0])
             assert np.abs(bank.Mu[0] - solved).max() < 1e-8
 
@@ -148,22 +158,22 @@ class TestLinUpdate:
         rng = np.random.default_rng(6)
         bank = _LinearBank(1, 6, 1.0)
         for _ in range(300):
-            bank.update(0, rng.standard_normal(6), rng.standard_normal())
+            _update(bank, 0, rng.standard_normal(6), rng.standard_normal())
         eigs = np.linalg.eigvalsh(bank.B[0])
         assert eigs.min() >= 1.0 - 1e-9
 
     def test_non_finite_reward(self):
         with pytest.raises(ValueError):
-            _LinearBank(1, 2, 1.0).update(0, np.ones(2), float("inf"))
+            _update(_LinearBank(1, 2, 1.0), 0, np.ones(2), float("inf"))
 
     def test_long_run_drift_capped_with_periodic_resolve(self):
         rng = np.random.default_rng(7)
         bank = _LinearBank(1, 20, 1.0)
         for i in range(999):
-            bank.update(0, rng.random(20), rng.random())
+            _update(bank, 0, rng.random(20), rng.random())
         pre = np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max()
         assert pre < 1e-8  # raw rank-one chain, no resolve yet
-        bank.update(0, rng.random(20), rng.random())
+        _update(bank, 0, rng.random(20), rng.random())
         post = np.abs(bank.Binv[0] - np.linalg.inv(bank.B[0])).max()
         assert post < 1e-12  # dense resolve kicked in at the thousandth update
 
@@ -176,7 +186,7 @@ def _bank_of_equal_posteriors(n, dim, trained, rng):
     """A bank whose n entities hold one bit-equal posterior."""
     one = _LinearBank(1, dim, 1.0)
     for _ in range(3 if trained else 0):
-        one.update(0, rng.random(dim), rng.uniform(0.5, 2.0))
+        _update(one, 0, rng.random(dim), rng.uniform(0.5, 2.0))
     bank = _LinearBank(n, dim, 1.0)
     bank.B[:], bank.Binv[:], bank.F[:], bank.Mu[:] = one.B[0], one.Binv[0], one.F[0], one.Mu[0]
     return bank
@@ -201,12 +211,12 @@ class TestLinearBankTies:
             lo = int(rng.integers(n))
             hi = int(rng.integers(lo + 1, n + 1))
             for rows in ((0, n), (lo, hi), (n - 1, n)):
-                quad = bank._quad(x, *rows)
-                ucb = bank.ucb(x, 2.0, *rows)
+                quad = bank._quad(_outer(x), *rows)
+                ucb = bank.ucb(x, _outer(x), 2.0, *rows)
                 assert np.all(quad == quad[0]), (n, rows)
                 assert np.all(ucb == ucb[0]), (n, rows)
-                assert quad[0] == bank._quad(x, 0, n)[0]
-                assert ucb[0] == bank.ucb(x, 2.0, 0, n)[0]
+                assert quad[0] == bank._quad(_outer(x), 0, n)[0]
+                assert ucb[0] == bank.ucb(x, _outer(x), 2.0, 0, n)[0]
 
 
 class TestLinearBank:
@@ -214,12 +224,12 @@ class TestLinearBank:
         rng = np.random.default_rng(7)
         bank = _LinearBank(6, 4, 1.0)
         for _ in range(40):
-            bank.update(int(rng.integers(6)), rng.random(4), rng.random())
+            _update(bank, int(rng.integers(6)), rng.random(4), rng.random())
         x = rng.random(4)
         want = np.array([x @ bank.Binv[i] @ x for i in range(6)])
-        np.testing.assert_allclose(bank._quad(x, 0, 6), want, rtol=1e-12)
+        np.testing.assert_allclose(bank._quad(_outer(x), 0, 6), want, rtol=1e-12)
         np.testing.assert_allclose(bank._mean(x, 0, 6), bank.Mu @ x, rtol=1e-12)
-        assert bank._quad(x, 2, 5).tobytes() == bank._quad(x, 0, 6)[2:5].tobytes()
+        assert bank._quad(_outer(x), 2, 5).tobytes() == bank._quad(_outer(x), 0, 6)[2:5].tobytes()
         assert bank._mean(x, 2, 5).tobytes() == bank._mean(x, 0, 6)[2:5].tobytes()
 
     def test_split_gaussian_draw_is_rng_normal(self):
@@ -239,12 +249,12 @@ class TestLinearBank:
         rng = np.random.default_rng(8)
         bank = _LinearBank(50, 5, 0.7)
         for _ in range(300):
-            bank.update(int(rng.integers(50)), rng.random(5), rng.random())
+            _update(bank, int(rng.integers(50)), rng.random(5), rng.random())
         x = rng.random(5)
         for rows in ((0, 50), (3, 42)):
-            mean, quad = bank._mean(x, *rows), bank._quad(x, *rows)
+            mean, quad = bank._mean(x, *rows), bank._quad(_outer(x), *rows)
             split, whole = np.random.default_rng(9), np.random.default_rng(9)
-            got = bank.sample(x, split, *rows)
+            got = bank.sample(x, _outer(x), split, *rows)
             assert got.tobytes() == whole.normal(mean, np.sqrt(0.7 * quad)).tobytes()
             assert split.bit_generator.state == whole.bit_generator.state
 
@@ -263,10 +273,11 @@ class TestLinearBank:
             reward = inst.draw_reward(choice.arm, x, rng)
             pol.update(choice, x, reward)
             twin.update(choice, x, reward)
-            assert pol._bank.ucb(x, 2.0, 0, 15).tobytes() == twin._bank.ucb(x, 2.0, 0, 15).tobytes()  # 3 cluster rows, 12 arm rows
+            xx = _outer(x)
+            assert pol._bank.ucb(x, xx, 2.0, 0, 15).tobytes() == twin._bank.ucb(x, xx, 2.0, 0, 15).tobytes()  # 3 cluster rows, 12 arm rows
         a = _row(pol, choice.arm)
         bank = copy.deepcopy(pol._bank)
-        bank.update(a, x, 1.0)
+        _update(bank, a, x, 1.0)
         assert bank.counts[a] == pol._bank.counts[a] + 1
         assert not np.array_equal(bank.B[a], pol._bank.B[a])
 
@@ -276,14 +287,15 @@ class TestLinearBank:
         one, bank = _LinearBank(1, 4, 0.5), _LinearBank(5, 4, 0.5)
         for _ in range(RESOLVE_EVERY + 5):
             x, r = rng.random(4), rng.random()
-            one.update(0, x, r)
-            bank.update(2, x, r)
+            _update(one, 0, x, r)
+            _update(bank, 2, x, r)
         assert one.counts[0] == bank.counts[2] == RESOLVE_EVERY + 5
         assert one.Binv[0].tobytes() == bank.Binv[2].tobytes()
         assert one.Mu[0].tobytes() == bank.Mu[2].tobytes()
         x = rng.random(4)
-        assert one.ucb(x, 1.5, 0, 1)[0] == bank.ucb(x, 1.5, 0, 5)[2] == bank.ucb(x, 1.5, 2, 3)[0]
-        assert one.sample(x, np.random.default_rng(11), 0, 1)[0] == bank.sample(x, np.random.default_rng(11), 2, 3)[0]
+        xx = _outer(x)
+        assert one.ucb(x, xx, 1.5, 0, 1)[0] == bank.ucb(x, xx, 1.5, 0, 5)[2] == bank.ucb(x, xx, 1.5, 2, 3)[0]
+        assert one.sample(x, xx, np.random.default_rng(11), 0, 1)[0] == bank.sample(x, xx, np.random.default_rng(11), 2, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +330,8 @@ class TestLinThompsonPolicies:
         x = np.array([1.0, 0.0])
         pol = ClusteredLinThompson(clustering, 2)
         for _ in range(10_000):  # cluster c is row c
-            pol._bank.update(0, x, 1.0)
-            pol._bank.update(1, x, 0.0)
+            _update(pol._bank, 0, x, 1.0)
+            _update(pol._bank, 1, x, 0.0)
         rng = np.random.default_rng(10)
         hits = sum(pol.select(1, x, rng).path[1] == 1 for _ in range(2_000))  # cluster 0 is node 1
         assert hits / 2_000 >= 0.99
@@ -390,24 +402,24 @@ class TestLinUcbPolicies:
         x = np.array([1.0, 0.0])
         pol = LinUcb(2, 2, alpha=2.0)
         for _ in range(400):  # arm a is row a on the star
-            pol._bank.update(0, x, 1.0)
+            _update(pol._bank, 0, x, 1.0)
         # index oracle: trained arm ~ 400/401 + 2*sqrt(1/401), fresh arm 0 + 2*1
-        trained = pol._bank.ucb(x, 2.0, 0, 2)[0]
-        fresh = pol._bank.ucb(x, 2.0, 0, 2)[1]
+        trained = pol._bank.ucb(x, _outer(x), 2.0, 0, 2)[0]
+        fresh = pol._bank.ucb(x, _outer(x), 2.0, 0, 2)[1]
         assert trained < fresh  # bonus still dominates at alpha=2 with one fresh arm
         for _ in range(2000):
-            pol._bank.update(0, x, 1.0)
-        idx = pol._bank.ucb(x, 2.0, 0, 2)
+            _update(pol._bank, 0, x, 1.0)
+        idx = pol._bank.ucb(x, _outer(x), 2.0, 0, 2)
         assert idx[0] < idx[1]  # a never-pulled arm keeps the bigger upper bound
         greedy = LinUcb(2, 2, alpha=0.0)
         for _ in range(10):
-            greedy._bank.update(0, x, 1.0)
+            _update(greedy._bank, 0, x, 1.0)
         assert greedy.select(1, x, np.random.default_rng(0)).arm == 0
 
     def test_alpha_zero_greedy(self):
         x = np.array([0.0, 1.0])
         pol = LinUcb(2, 2, alpha=0.0)
-        pol._bank.update(1, x, 1.0)
+        _update(pol._bank, 1, x, 1.0)
         assert pol.select(1, x, np.random.default_rng(1)).arm == 1
 
     def test_clustered_containment(self):
@@ -474,6 +486,105 @@ class TestSimulateContextual:
         assert pol._bank.counts.sum() == 0
 
 
+class TestDrawReward:
+    """``draw_reward`` is ``Generator.uniform`` on the reward interval, drawn as one scalar ``random()``."""
+
+    @staticmethod
+    def _uniform(inst, arm, x, rng):
+        m = inst.expected_reward(arm, x)
+        lo, hi = (0.0, 2.0 * m) if m >= 0.0 else (2.0 * m, 0.0)
+        return float(rng.uniform(lo, hi))
+
+    def test_same_bytes_and_generator_state_as_uniform(self):
+        # 12 arms of mixed sign and two zero arms, under signed contexts
+        theta = np.random.default_rng(30).standard_normal((14, 3))
+        theta[[5, 11]] = 0.0
+        inst = contextual.ContextualInstance(theta, DisjointClustering(np.arange(14) % 2))
+        pairs = np.random.default_rng(31)
+        got_rng, want_rng = np.random.default_rng(32), np.random.default_rng(32)
+        got, want, signs = [], [], set()
+        for _ in range(12_000):
+            arm, x = int(pairs.integers(14)), pairs.standard_normal(3)
+            signs.add(np.sign(inst.expected_reward(arm, x)))
+            got.append(inst.draw_reward(arm, x, got_rng))
+            want.append(self._uniform(inst, arm, x, want_rng))
+            assert type(got[-1]) is float
+        assert signs == {-1.0, 0.0, 1.0}
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "row, x",
+        [
+            ([1e308, 0.0], [1.0, 0.0]),  # a finite mean whose interval 2m overflows
+            ([-1e308, 0.0], [1.0, 0.0]),
+            ([1e308, 1e308], [1.0, 1.0]),  # an infinite mean
+            ([1e308, -1e308], [2.0, 2.0]),  # inf - inf: a NaN mean
+        ],
+    )
+    def test_non_finite_range_raises_before_any_draw(self, row, x):
+        inst = contextual.ContextualInstance(np.array([row]), DisjointClustering([0]))
+        x = np.array(x)
+        rng = np.random.default_rng(33)
+        state = rng.bit_generator.state
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError):
+                self._uniform(inst, 0, x, rng)  # what the rule mirrors
+            with pytest.raises(OverflowError):
+                inst.draw_reward(0, x, rng)
+        assert rng.bit_generator.state == state
+
+
+def _bank_bytes(pol):
+    return {field: getattr(pol._bank, field).tobytes() for field in ("B", "Binv", "F", "Mu", "counts")}
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
+def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
+    inst = _ctx_instance(seed=19, n_arms=12, n_clusters=3, dim=4)
+    contexts = np.random.default_rng(20).standard_normal((90, 4))
+
+    def steps(pol, rng, start, stop):
+        out = []
+        for t in range(start, stop):
+            x = contexts[t]
+            choice = pol.select(t, x, rng)
+            reward = inst.draw_reward(choice.arm, x, rng)
+            pol.update(choice, x, reward)
+            out.append((choice.arm, choice.path, reward))
+        return out
+
+    pol, rng = make_contextual_policy(key, inst), np.random.default_rng(21)
+    steps(pol, rng, 0, 30)
+    # between steps: the copy trusts nothing of the original and continues alike
+    twin, twin_rng = clone((pol, rng))
+    assert twin._selected is not pol._selected and twin._bank.B is not pol._bank.B
+    assert steps(twin, twin_rng, 30, 60) == steps(pol, rng, 30, 60)
+    assert _bank_bytes(twin) == _bank_bytes(pol)
+    # within a step, after select: a copy taken with the returned pair trusts its own copy of it,
+    # and a copy of the policy alone checks the original's pair and forms its outer product anew
+    x = contexts[60]
+    choice = pol.select(60, x, rng)
+    together, together_choice, together_x, together_rng = clone((pol, choice, x, rng))
+    alone = clone(pol)
+    assert together._trusts(together_choice, together_x) and not alone._trusts(choice, x)
+    reward = inst.draw_reward(choice.arm, x, rng)
+    assert inst.draw_reward(together_choice.arm, together_x, together_rng) == reward
+    pol.update(choice, x, reward)
+    together.update(together_choice, together_x, reward)
+    alone.update(choice, x, reward)
+    alone_rng = copy.deepcopy(rng)
+    want = steps(pol, rng, 61, 90)
+    assert steps(together, together_rng, 61, 90) == want
+    assert steps(alone, alone_rng, 61, 90) == want
+    assert _bank_bytes(together) == _bank_bytes(alone) == _bank_bytes(pol)
+
+
 @pytest.fixture
 def checks(monkeypatch):
     """Every context and path check the contextual policies make, in call order."""
@@ -510,6 +621,20 @@ def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, check
     choice = pol.select(2, listed, rng)
     pol.update(choice, listed, 0.5)  # select checked the list into a new array: update checks again
     assert checks == ["x", "x", "path"]
+
+
+@pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
+def test_an_unseen_context_gets_its_own_outer_product(key):
+    inst = _ctx_instance(seed=22, n_arms=12, n_clusters=3, dim=4)
+    pol, fresh = make_contextual_policy(key, inst), make_contextual_policy(key, inst)
+    rng = np.random.default_rng(23)
+    choice = pol.select(1, rng.random(4), rng)
+    y = rng.standard_normal(4)
+    pol.update(choice, y, 0.5)  # the returned Choice with a context select did not see
+    fresh.update(Choice(arm=choice.arm, path=choice.path), y, 0.5)
+    assert _bank_bytes(pol) == _bank_bytes(fresh)
+    for v in choice.path[1:]:
+        np.testing.assert_array_equal(pol._bank.B[pol.tree.slot[v]], np.eye(4) + np.outer(y, y))
 
 
 @pytest.mark.parametrize("key", ["lints", "linucb"])

@@ -1,4 +1,6 @@
 """Core types: Beta beliefs, reward draws, regret accounting, RNG contract."""
+import importlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,10 +17,13 @@ from clusterbandit.core import (
     random_argmax,
     rng_streams,
 )
+from clusterbandit.contextual import make_contextual_policy
 from clusterbandit.harness import ExperimentConfig, run_experiment
 from clusterbandit.instances import build_instance
 from clusterbandit.policies import POLICY_KEYS, Choice, HierarchicalThompsonSampling, make_policy
-from clusterbandit.simulate import simulate
+from clusterbandit.simulate import simulate, simulate_contextual
+
+simulate_module = importlib.import_module("clusterbandit.simulate")  # the package exports a function of that name
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +441,27 @@ class TestSimulationTrace:
         policy.path_depth = 2  # now the depth-2 leaves' paths do not fit a row
         with pytest.raises(ValueError, match="longer than the policy's path_depth 2"):
             simulate(inst, policy, 200, rng_streams(5).simulation)
+
+    def test_both_loops_reject_an_overlong_path_alike_and_write_no_next_row(self, monkeypatch):
+        buffers = []
+        make_buffer = simulate_module._path_buffer
+        monkeypatch.setattr(
+            simulate_module, "_path_buffer", lambda policy, horizon: buffers.append(make_buffer(policy, horizon)) or buffers[-1]
+        )
+        inst = _small_clustered_instance()
+        ctx = build_instance({"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}, rng_streams(6).instance)
+        contexts = rng_streams(6).context.random((5, 4))
+        runs = [
+            (make_policy("tsc", inst), lambda p: simulate(inst, p, 5, rng_streams(6).simulation)),
+            (make_contextual_policy("lintsc", ctx), lambda p: simulate_contextual(ctx, p, 5, rng_streams(6).simulation, contexts)),
+        ]
+        for policy, run in runs:
+            policy.path_depth = 2  # the (0, c+1, leaf) paths do not fit a row
+            with pytest.raises(ValueError) as err:
+                run(policy)
+            assert str(err.value) == f"path {policy._selected.path} is longer than the policy's path_depth 2"
+            assert buffers[-1].shape == (5, 2)
+            assert (buffers[-1] == -1).all()  # the first step wrote nothing: not its row, not the next
 
     def test_flat_trace_has_no_paths(self):
         inst = _small_clustered_instance()

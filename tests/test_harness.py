@@ -14,6 +14,7 @@ from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
     ExperimentConfig,
+    JobError,
     export_result,
     load_results_json,
     logging_grid,
@@ -568,6 +569,34 @@ class TestInstanceReuse:
         for workers in (1, 2):
             with pytest.raises(ConfigError, match="policies: 'lintsc' on variant 'ctx-variant' at seed 5: step failed"):
                 run_experiment(config, workers=workers)
+
+    def test_any_job_error_names_variant_policy_seed_and_its_type(self, monkeypatch):
+        def overflowing_at_seed_5(*args, seed=None, **kwargs):
+            if seed == 5:
+                raise FloatingPointError("overflow in step")
+            return simulate_contextual(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_contextual", overflowing_at_seed_5)
+        config = ExperimentConfig.from_json(
+            {
+                "name": "bad-job",
+                "horizon": 10,
+                "seeds": [4, 5],
+                "policies": [{"key": "lintsc"}],
+                "instances": [{"name": "ctx-variant", "spec": TINY_CTX_SPEC}],
+            }
+        )
+        want = "policies: 'lintsc' on variant 'ctx-variant' at seed 5: FloatingPointError: overflow in step"
+        for workers in (1, 2):
+            with pytest.raises(JobError) as err:
+                run_experiment(config, workers=workers)
+            assert str(err.value) == want
+            assert not isinstance(err.value, ValueError)  # a run-time failure, not a config error
+            cause = err.value.__cause__
+            if workers == 1:
+                assert isinstance(cause, FloatingPointError)
+            else:  # a worker's cause comes back as its formatted traceback
+                assert "FloatingPointError: overflow in step" in str(cause)
 
 
 class TestContextAndBoundReuse:

@@ -561,6 +561,8 @@ def test_kept_representatives_follow_falls_and_lower_id_ties():
 
 
 class RefLinearBank:
+    """The ridge posteriors by their textbook arithmetic; it forms x x' itself and ignores the step's ``xx``."""
+
     def __init__(self, n, dim, v):
         eye = np.eye(dim)
         self.v = float(v)
@@ -573,13 +575,13 @@ class RefLinearBank:
     def _quad(self, x, lo, hi):
         return np.maximum(np.einsum("nij,i,j->n", self.Binv[lo:hi], x, x), 0.0)
 
-    def sample(self, x, rng, lo, hi):
+    def sample(self, x, xx, rng, lo, hi):
         return rng.normal(self.Mu[lo:hi] @ x, np.sqrt(self.v * self._quad(x, lo, hi)))
 
-    def ucb(self, x, alpha, lo, hi):
+    def ucb(self, x, xx, alpha, lo, hi):
         return self.Mu[lo:hi] @ x + alpha * np.sqrt(self._quad(x, lo, hi))
 
-    def update(self, i, x, reward):
+    def update(self, i, x, xx, reward):
         if not np.isfinite(reward):
             raise ValueError(f"non-finite reward {reward}")
         u = self.Binv[i] @ x
@@ -602,13 +604,27 @@ CTX_SPECS = {
 }
 
 
+# case -> (instance spec, context kind): uniform contexts are non-negative, gaussian ones
+# put signed entries into x, x x' and the scores the step computes in place
+CTX_CASES = {
+    **{name: (spec, "uniform") for name, spec in CTX_SPECS.items()},
+    **{f"{name}-gaussian": (spec, "gaussian") for name, spec in CTX_SPECS.items()},
+}
+
+
+def _ctx_case(name, seed):
+    """The instance and the context sequence of a case at a seed."""
+    spec, kind = CTX_CASES[name]
+    streams = rng_streams(seed)
+    instance = build_instance(spec, streams.instance)
+    return instance, np.stack([gen_context(instance.dim, streams.context, kind) for _ in range(HORIZON)])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", sorted(CTX_SPECS))
+@pytest.mark.parametrize("name", sorted(CTX_CASES))
 @pytest.mark.parametrize("key", ["lints", "lintsc", "linucb", "linucbc"])
 def test_linear_bank_matches_reference(name, seed, key):
-    streams = rng_streams(seed)
-    instance = build_instance(CTX_SPECS[name], streams.instance)
-    contexts = np.stack([gen_context(instance.dim, streams.context) for _ in range(HORIZON)])
+    instance, contexts = _ctx_case(name, seed)
     policy = make_contextual_policy(key, instance)
     reference = make_contextual_policy(key, instance)
     bank = reference._bank
@@ -621,7 +637,7 @@ def test_linear_bank_matches_reference(name, seed, key):
     # the update is the same arithmetic, so the posteriors end bit-equal too
     for field in ("B", "Binv", "F", "Mu", "counts"):
         assert getattr(policy._bank, field).tobytes() == getattr(reference._bank, field).tobytes(), field
-    if name == "two-clusters" and policy.path_depth:
+    if name.startswith("two-clusters") and policy.path_depth:
         assert policy._bank.counts[:2].max() >= RESOLVE_EVERY  # a cluster row ran the dense re-solve
 
 
@@ -661,7 +677,7 @@ class RefLinThompson:
 
     def update(self, choice, x, reward):
         x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, reward)
+        self._arms.update(choice.arm, x, None, reward)
 
 
 class RefClusteredLinThompson:
@@ -686,8 +702,8 @@ class RefClusteredLinThompson:
         (cluster,) = choice.path
         if self.clustering.label_of(choice.arm) != cluster:
             raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, reward)
-        self._arms.update(choice.arm, x, reward)
+        self._clusters.update(cluster, x, None, reward)
+        self._arms.update(choice.arm, x, None, reward)
 
 
 class RefLinUcb:
@@ -704,7 +720,7 @@ class RefLinUcb:
 
     def update(self, choice, x, reward):
         x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, reward)
+        self._arms.update(choice.arm, x, None, reward)
 
 
 class RefClusteredLinUcb:
@@ -730,8 +746,8 @@ class RefClusteredLinUcb:
         (cluster,) = choice.path
         if self.clustering.label_of(choice.arm) != cluster:
             raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, reward)
-        self._arms.update(choice.arm, x, reward)
+        self._clusters.update(cluster, x, None, reward)
+        self._arms.update(choice.arm, x, None, reward)
 
 
 CTX_REFS = {
@@ -743,12 +759,10 @@ CTX_REFS = {
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", sorted(CTX_SPECS))
+@pytest.mark.parametrize("name", sorted(CTX_CASES))
 @pytest.mark.parametrize("key", sorted(CTX_REFS))
 def test_contextual_policies_match_their_own_references(name, seed, key):
-    streams = rng_streams(seed)
-    instance = build_instance(CTX_SPECS[name], streams.instance)
-    contexts = np.stack([gen_context(instance.dim, streams.context) for _ in range(HORIZON)])
+    instance, contexts = _ctx_case(name, seed)
     policy, reference = make_contextual_policy(key, instance), CTX_REFS[key](instance)
     got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
     want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
