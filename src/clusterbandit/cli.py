@@ -14,6 +14,7 @@ naming the offending field), 1 on I/O failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -140,17 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["stride"] = args.stride
     if args.bounds:
         overrides["bounds"] = True
-    if overrides:
-        doc = config.to_json()
-        doc.update(
-            {
-                "seeds": list(overrides.get("seeds", config.seeds)),
-                "horizon": overrides.get("horizon", config.horizon),
-                "stride": overrides.get("stride", config.stride),
-                "bounds": overrides.get("bounds", config.bounds),
-            }
-        )
-        config = ExperimentConfig.from_json(doc)
+    config = dataclasses.replace(config, **overrides)
 
     result = run_experiment(config, workers=args.workers)
     written = export_result(result, args.out, formats)

@@ -6,12 +6,13 @@ identity, a reward-weighted context sum f, and the mean B^-1 f. Thompson
 variants sample a scalar score per node from N(mu'x, v x'B^-1 x); UCB
 variants score with mu'x + alpha sqrt(x'B^-1 x).
 
-Every policy is one descent, ``ContextualPolicy.select``/``update``, over
-one ``_LinearBank`` with a row per non-root node in ``tree.slot`` order, so
-the children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. Each
-step scores the children of the current node and moves to the argmax,
-from the root to a leaf; the observed (context, reward) pair updates the
-row of every non-root node on the path. ``lints`` and ``linucb`` descend
+Every policy is a ``ContextualPolicy``, a ``policies.BanditPolicy`` that
+runs the Bernoulli policies' one descent, copy rule and path check over one
+``_LinearBank`` with a row per non-root node in ``tree.slot`` order, so the
+children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. At each node
+``_pick`` scores the children and moves to the argmax, from the root to a
+leaf; the observed (context, reward) pair updates the row of every non-root
+node on the path. ``lints`` and ``linucb`` are ``flat``: they descend
 ``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
 traces keep no paths, as for ``ts``; ``lintsc`` and ``linucbc`` descend
 ``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
@@ -41,11 +42,11 @@ b*a and a+b is b+a, so ``v * quad``, ``scale * z``, ``mean + scale * z`` and
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 import numpy as np
 
 from .core import ClusterTree, DisjointClustering, random_argmax
-from .policies import Choice, _TreeTables
+from .policies import BanditPolicy, Choice
 
 __all__ = [
     "ContextualInstance",
@@ -245,23 +246,20 @@ class ContextualInstance:
 # Policies
 # ---------------------------------------------------------------------------
 
-class ContextualPolicy(ABC):
+class ContextualPolicy(BanditPolicy):
     """The descent every contextual policy runs, over one bank in ``tree.slot`` order.
 
-    ``select`` scores the children of each node on its way down, rows
+    ``_pick`` scores the children of each node on the way down, rows
     ``ptr[v]:ptr[v+1]`` of the bank, with ``_score`` and moves to the argmax
     child. ``update`` credits the (context, reward) pair to the row of every
-    non-root node on the path. ``_selected``, ``_seen`` and ``_xx`` are the
-    ``Choice`` the last ``select`` returned, the checked context it scored and
-    that context's flattened outer product: ``update`` given the first two
-    objects trusts them and reuses ``_xx``, so a context must not change in
-    place between the two calls; any other pair is checked and its outer
-    product formed anew.
+    non-root node on the path. ``_seen`` and ``_xx`` are the checked context
+    the last ``select`` scored and its flattened outer product: ``update``
+    given ``_selected`` and ``_seen`` trusts them and reuses ``_xx``, so a
+    context must not change in place between the two calls; any other pair
+    is checked and its outer product formed anew.
     """
 
-    key: str = ""
-    path_depth: int = 0
-    _selected: Choice | None = None
+    key: str = ""  # a class body with its own select/update declares the key its timings are named by
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
@@ -269,8 +267,7 @@ class ContextualPolicy(ABC):
         return choice is self._selected and x is self._seen
 
     def __init__(self, tree: ClusterTree, dim: int, v: float) -> None:
-        self.tree = tree
-        self._walk = _TreeTables(tree)
+        super().__init__(tree)
         self.dim = dim
         self.v = float(v)
         self._bank = _LinearBank(len(tree.kids), dim, v)
@@ -279,20 +276,14 @@ class ContextualPolicy(ABC):
     def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         """One score per bank row in ``[lo, hi)``; ``xx`` is ``_outer(x)``."""
 
+    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
+        return random_argmax(self._score(self._seen, self._xx, rng, lo, hi), rng)
+
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
         """Choose an arm for context ``x`` at step ``t``."""
         x = self._seen = _check_context(x, self.dim)
-        xx = self._xx = _outer(x)
-        ptr, kids = self._walk.ptr, self._walk.kids
-        node = 0
-        path = [node]
-        lo, hi = ptr[0], ptr[1]
-        while lo < hi:
-            node = kids[lo + random_argmax(self._score(x, xx, rng, lo, hi), rng)]
-            path.append(node)
-            lo, hi = ptr[node], ptr[node + 1]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
-        return choice
+        self._xx = _outer(x)
+        return self._descend(t, rng)
 
     def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
         """Feed back the reward observed for ``choice`` under context ``x``."""
@@ -313,6 +304,7 @@ class LinThompson(ContextualPolicy):
     """
 
     key = "lints"
+    flat = True
 
     def __init__(self, n_arms: int, dim: int, v: float = 1.0) -> None:
         super().__init__(ClusterTree.star(n_arms), dim, v)
@@ -332,7 +324,6 @@ class ClusteredLinThompson(ContextualPolicy):
     """
 
     key = "lintsc"
-    path_depth = 3
     _score = LinThompson._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, v: float = 1.0) -> None:

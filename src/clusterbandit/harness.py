@@ -237,9 +237,9 @@ class ExperimentConfig:
                 name=str(doc.get("name", "experiment")),
                 variants=variants,
                 policies=policies,
-                horizon=int(doc.get("horizon", 0)),
+                horizon=_integer("horizon", doc.get("horizon", 0)),
                 seeds=seeds,
-                stride=None if doc.get("stride") is None else int(doc["stride"]),
+                stride=None if doc.get("stride") is None else _integer("stride", doc["stride"]),
                 bounds=bool(doc.get("bounds", False)),
                 eps=float(doc.get("eps", 0.1)),
                 context_kind=str(doc.get("context_kind", "uniform")),
@@ -250,15 +250,22 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config document: {exc}") from exc
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int; a boolean or a number with a fractional part is a ``ConfigError`` naming ``field``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_seeds(raw) -> tuple[int, ...]:
     if raw is None:
         raise ConfigError("seeds: missing")
     if isinstance(raw, dict):
-        base, count = int(raw.get("base", 0)), int(raw.get("count", 0))
+        base, count = _integer("seeds.base", raw.get("base", 0)), _integer("seeds.count", raw.get("count", 0))
         if count < 1:
             raise ConfigError("seeds.count: must be >= 1")
         return tuple(range(base, base + count))
-    return tuple(int(s) for s in raw)
+    return tuple(_integer("seeds", s) for s in raw)
 
 
 def _parse_policy(doc: dict) -> PolicySpec:

@@ -633,6 +633,8 @@ _SPEC_FIELDS: dict[str, tuple[set[str], set[str], str]] = {
     "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim"}, "contextual"),
     "bernoulli": ({"means"}, {"clustering", "tree"}, "flat"),
 }
+# a contextual spec holding ``theta`` is a serialized instance, as ``instance_to_json`` writes it
+_SERIALIZED_CONTEXTUAL = ({"theta", "labels"}, {"epsilon"}, "contextual")
 
 
 def spec_structure(spec: dict) -> str:
@@ -645,13 +647,12 @@ def spec_structure(spec: dict) -> str:
     if "kind" not in spec:
         raise ValueError("instance spec is missing the 'kind' field")
     kind = spec["kind"]
-    if kind == "contextual" and "theta" in spec:
-        return "contextual"
     if kind not in _SPEC_FIELDS:
         raise ValueError(
             f"unknown instance kind '{kind}'; valid kinds: {sorted(_SPEC_FIELDS)}"
         )
-    required, optional, structure = _SPEC_FIELDS[kind]
+    serialized = kind == "contextual" and "theta" in spec
+    required, optional, structure = _SERIALIZED_CONTEXTUAL if serialized else _SPEC_FIELDS[kind]
     fields = set(spec) - {"kind", "meta"}
     missing = required - fields
     if missing:

@@ -3,11 +3,13 @@
 Every policy exposes ``select(t, rng) -> Choice`` and
 ``update(choice, reward)``. A ``Choice`` carries the played arm plus the
 root-to-leaf node path that led to it, so the simulator can log and replay
-the full decision. Every policy is one of two tree descents:
-``HierarchicalThompsonSampling`` for ``ts``, ``tsc``, ``tsmax`` and ``hts``,
-and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1``
-descend ``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and
-their traces keep no paths; ``tsc``, ``tsmax`` and ``ucbc`` descend
+the full decision. Every policy, the contextual ones included, runs one
+descent, ``BanditPolicy._descend``, and differs only in its per-node rule
+``_pick`` and its ``update``: ``HierarchicalThompsonSampling`` for ``ts``,
+``tsc`` and ``hts``, ``TsMax`` for ``tsmax``, and ``TreeUcb`` for ``ucb1``,
+``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are ``flat``: they descend
+``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
+traces keep no paths; ``tsc``, ``tsmax`` and ``ucbc`` descend
 ``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
 cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
 cluster belief. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log
@@ -66,52 +68,11 @@ def _check_reward(reward: float) -> float:
     return reward
 
 
-def _check_time(t: int) -> None:
-    if t < 1:
-        raise ValueError(f"time step must be >= 1, got {t}")
-
-
 # Nodes with at most this many children draw one scalar per child and pick with
 # a list argmax; wider ones make one array call. On numpy 2.4 one array
 # ``rng.beta`` call costs about as much as 14-16 scalar ones.
 _NARROW = 16
 
-
-class BanditPolicy(ABC):
-    """Select/update interface shared by all non-contextual policies.
-
-    The descents read and write their statistics through memoryviews, which
-    give Python floats; ``_bind`` makes them, and copies and pickles remake
-    them. ``_selected`` is the ``Choice`` the last ``select`` returned: ``update``
-    trusts that object and checks any other.
-    """
-
-    key: str = ""
-    path_depth: int = 0
-    _selected: Choice | None = None
-
-    def _bind(self) -> None:
-        """Make the memoryviews the step reads, after construction, copy or unpickle."""
-
-    def __getstate__(self) -> dict:  # memoryviews do not pickle or copy
-        return {k: v for k, v in vars(self).items() if k != "_selected" and not isinstance(v, memoryview)}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._bind()
-
-    @abstractmethod
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        """Choose an arm for step ``t`` (1-based), consuming only ``rng``."""
-
-    @abstractmethod
-    def update(self, choice: Choice, reward: float) -> None:
-        """Feed back the observed reward for a previous choice."""
-
-
-# ---------------------------------------------------------------------------
-# Thompson sampling family
-# ---------------------------------------------------------------------------
 
 class _TreeTables:
     """The flat arrays of a cluster tree as descents read them.
@@ -150,6 +111,74 @@ class _TreeTables:
         return path
 
 
+class BanditPolicy(ABC):
+    """The one root-to-leaf descent of every policy, Bernoulli and contextual.
+
+    ``_descend`` moves from the root of ``tree`` to the child ``_pick``
+    returns until it reaches a leaf, whose arm is played; the children of the
+    node in slot ``at`` are the slots ``[lo, hi)`` (``tree.slot`` order).
+    ``path_depth`` is a logged path's width, 0 for ``flat`` policies. ``_path``
+    trusts ``_selected``, the ``Choice`` the last ``select`` returned, and
+    checks any other. Statistics are read through memoryviews, which give
+    Python floats; ``_bind`` makes them. Copies and pickles drop memoryviews
+    only and remake them, so a copy trusts only a ``Choice`` copied with it.
+    """
+
+    key: str = ""
+    flat: bool = False
+    _selected: Choice | None = None
+
+    def __init__(self, tree: ClusterTree) -> None:
+        self.tree = tree
+        self.path_depth = 0 if self.flat else tree.depth + 1
+        self._walk = _TreeTables(tree)
+
+    def _bind(self) -> None:
+        """Make the memoryviews the step reads, after construction, copy or unpickle."""
+
+    def __getstate__(self) -> dict:  # memoryviews do not pickle or copy
+        return {k: v for k, v in vars(self).items() if not isinstance(v, memoryview)}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
+
+    def _path(self, choice: Choice) -> tuple[int, ...]:
+        return choice.path if choice is self._selected else self._walk.check_path(choice)
+
+    @abstractmethod
+    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
+        """The offset in ``[0, hi - lo)`` of the child to move to from the node in slot ``at``."""
+
+    def _descend(self, t: int, rng: np.random.Generator) -> Choice:
+        ptr, kids, pick = self._walk.ptr, self._walk.kids, self._pick
+        node = 0
+        at = len(kids)  # the slot of ``node``
+        path = [node]
+        lo, hi = ptr[0], ptr[1]
+        while lo < hi:
+            at = lo + pick(lo, hi, at, t, rng)
+            node = kids[at]
+            path.append(node)
+            lo, hi = ptr[node], ptr[node + 1]
+        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        return choice
+
+    def select(self, t: int, rng: np.random.Generator) -> Choice:
+        """Choose an arm for step ``t`` (1-based), consuming only ``rng``."""
+        if t < 1:
+            raise ValueError(f"time step must be >= 1, got {t}")
+        return self._descend(t, rng)
+
+    @abstractmethod
+    def update(self, choice: Choice, reward: float) -> None:
+        """Feed back the observed reward for a previous choice."""
+
+
+# ---------------------------------------------------------------------------
+# Thompson sampling family
+# ---------------------------------------------------------------------------
+
 class HierarchicalThompsonSampling(BanditPolicy):
     """Tree-recursive Thompson sampling.
 
@@ -167,11 +196,9 @@ class HierarchicalThompsonSampling(BanditPolicy):
     key = "hts"
 
     def __init__(self, tree: ClusterTree) -> None:
-        self.tree = tree
-        self.path_depth = tree.depth + 1
+        super().__init__(tree)
         self._s = np.ones(tree.n_nodes)
         self._f = np.ones(tree.n_nodes)
-        self._walk = _TreeTables(tree)
         self._bind()
 
     def _bind(self) -> None:
@@ -182,27 +209,15 @@ class HierarchicalThompsonSampling(BanditPolicy):
         s, f = self._s[self.tree.slot].tolist(), self._f[self.tree.slot].tolist()
         return {v: BetaBelief(sv, fv) for v, (sv, fv) in enumerate(zip(s, f))}
 
-    def _draw(self, lo: int, hi: int, rng: np.random.Generator) -> int:
+    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """Sample the beliefs in slots [lo, hi), in order, and return the argmax's offset."""
         if hi - lo <= _NARROW:
             return _random_argmax_list(list(map(rng.beta, self._sv[lo:hi], self._fv[lo:hi])), rng)
         return random_argmax(rng.beta(self._s[lo:hi], self._f[lo:hi]), rng)
 
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        ptr, kids = self._walk.ptr, self._walk.kids
-        node = 0
-        path = [node]
-        lo, hi = ptr[0], ptr[1]
-        while lo < hi:
-            node = kids[lo + self._draw(lo, hi, rng)]
-            path.append(node)
-            lo, hi = ptr[node], ptr[node + 1]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
-        return choice
-
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = choice.path if choice is self._selected else self._walk.check_path(choice)
+        path = self._path(choice)
         fail = 1.0 - reward
         s, f, slot = self._sv, self._fv, self._walk.slot
         for v in path:
@@ -220,10 +235,10 @@ class ThompsonSampling(HierarchicalThompsonSampling):
     """
 
     key = "ts"
+    flat = True
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(ClusterTree.star(n_arms))
-        self.path_depth = 0
 
 
 class ClusteredThompsonSampling(HierarchicalThompsonSampling):
@@ -256,7 +271,7 @@ class TsMax(HierarchicalThompsonSampling):
 
     def __init__(self, clustering: DisjointClustering) -> None:
         tree = ClusterTree.from_clustering(clustering)
-        # Representatives as select reads them (leaf slots), kept by update for
+        # Representatives as the root's _pick reads them (leaf slots), kept by update for
         # the played cluster only; at the uniform prior each cluster's first leaf.
         self._reps = tree.ptr[1:tree.ptr[1] + 1].copy()
         super().__init__(tree)
@@ -270,21 +285,19 @@ class TsMax(HierarchicalThompsonSampling):
         s, f = self._s[lo:hi], self._f[lo:hi]
         return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
 
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        reps, ptr = self._reps, self._walk.ptr
+    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
+        """At the root (the only node whose children start at slot 0) draw representatives; below it, as ``hts``."""
+        if lo:
+            return HierarchicalThompsonSampling._pick(self, lo, hi, at, t, rng)
+        reps = self._reps
         if len(reps) <= _NARROW:
             s, f = self._sv, self._fv
-            cluster = _random_argmax_list([rng.beta(s[r], f[r]) for r in self._repv], rng)
-        else:
-            cluster = random_argmax(rng.beta(self._s[reps], self._f[reps]), rng)
-        lo = ptr[cluster + 1]
-        leaf = self._walk.kids[lo + self._draw(lo, ptr[cluster + 2], rng)]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[leaf], path=(0, cluster + 1, leaf))
-        return choice
+            return _random_argmax_list([rng.beta(s[r], f[r]) for r in self._repv], rng)
+        return random_argmax(rng.beta(self._s[reps], self._f[reps]), rng)
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = choice.path if choice is self._selected else self._walk.check_path(choice)
+        path = self._path(choice)
         s, f, i = self._sv, self._fv, self._walk.slot[path[-1]]
         before = s[i] / (s[i] + f[i])
         s[i] += reward
@@ -322,11 +335,9 @@ class TreeUcb(BanditPolicy):
     key = "uct"
 
     def __init__(self, tree: ClusterTree) -> None:
-        self.tree = tree
-        self.path_depth = tree.depth + 1
+        super().__init__(tree)
         self._n = np.zeros(tree.n_nodes)  # per node in tree.slot order, as for hts
         self._q = np.zeros(tree.n_nodes)
-        self._walk = _TreeTables(tree)
         self._bind()
 
     def _bind(self) -> None:
@@ -335,38 +346,26 @@ class TreeUcb(BanditPolicy):
     def _log_term(self, t: int, parent_count: float) -> float:
         return math.log(parent_count)
 
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
-        _check_time(t)
-        ptr, kids = self._walk.ptr, self._walk.kids
-        n, nv, qv = self._n, self._nv, self._qv
-        node = 0
-        at = len(kids)  # the slot of ``node``
-        path = [node]
-        lo, hi = ptr[0], ptr[1]
-        while lo < hi:
-            if hi - lo <= _NARROW:
-                counts = nv[lo:hi].tolist()
-                least = min(counts)
-                i = counts.index(least)
-                if least:  # no unvisited child: the UCB index decides
-                    bonus = 2.0 * self._log_term(t, nv[at])
-                    index = [m + math.sqrt(bonus / c) for m, c in zip(qv[lo:hi].tolist(), counts)]
-                    i = _random_argmax_list(index, rng)
-            else:
-                counts = n[lo:hi]
-                i = int(counts.argmin())
-                if counts[i]:
-                    i = random_argmax(_ucb_index(self._q[lo:hi], counts, self._log_term(t, nv[at])), rng)
-            at = lo + i
-            node = kids[at]
-            path.append(node)
-            lo, hi = ptr[node], ptr[node + 1]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
-        return choice
+    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
+        if hi - lo <= _NARROW:
+            nv = self._nv
+            counts = nv[lo:hi].tolist()
+            least = min(counts)
+            i = counts.index(least)
+            if least:  # no unvisited child: the UCB index decides
+                bonus = 2.0 * self._log_term(t, nv[at])
+                index = [m + math.sqrt(bonus / c) for m, c in zip(self._qv[lo:hi].tolist(), counts)]
+                i = _random_argmax_list(index, rng)
+            return i
+        counts = self._n[lo:hi]
+        i = int(counts.argmin())
+        if self._nv[lo + i]:
+            i = random_argmax(_ucb_index(self._q[lo:hi], counts, self._log_term(t, self._nv[at])), rng)
+        return i
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
-        path = choice.path if choice is self._selected else self._walk.check_path(choice)
+        path = self._path(choice)
         n, q, slot = self._nv, self._qv, self._walk.slot
         for v in path:
             i = slot[v]
@@ -383,10 +382,10 @@ class Ucb1(TreeUcb):
     """
 
     key = "ucb1"
+    flat = True
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(ClusterTree.star(n_arms))
-        self.path_depth = 0
 
     def _log_term(self, t: int, parent_count: float) -> float:
         return math.log(t)

@@ -12,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 KMEANS = {"kind": "kmeans", "n_arms": 30, "n_clusters": 4, "reward_fn": "sin-product"}
+SORTED_TREE = {"kind": "sorted_tree", "n_arms": 16, "levels": 3}
 
 
 @pytest.mark.parametrize(
@@ -19,8 +20,9 @@ KMEANS = {"kind": "kmeans", "n_arms": 30, "n_clusters": 4, "reward_fn": "sin-pro
     [
         ([], ["lints", "lintsc", "linucb", "linucbc"]),  # the default: ctx-large-eps05's instance
         (["--keys", "ts,tsc,ucbc", "--spec", json.dumps(KMEANS)], ["ts", "tsc", "ucbc"]),
+        (["--keys", "hts,uct", "--spec", json.dumps(SORTED_TREE)], ["hts", "uct"]),
     ],
-    ids=["contextual", "bernoulli"],
+    ids=["contextual", "bernoulli", "tree"],
 )
 def test_ab_steps_on_one_tree_reports_identical_traces(extra, keys):
     proc = subprocess.run(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clusterbandit import harness
+from clusterbandit import cli, harness
 from clusterbandit.cli import main
 
 SD_SPEC = {
@@ -90,6 +90,24 @@ class TestRun:
         doc = json.loads((tmp_path / "appendix-uniform.json").read_text())
         assert doc["config"]["horizon"] == 25
         assert len(doc["config"]["seeds"]) == 2
+
+    @pytest.mark.parametrize("name", harness.preset_names())
+    def test_overrides_replace_only_their_fields(self, tmp_path, monkeypatch, name):
+        runs = []
+
+        def record(config, workers=None):  # stop before any job
+            runs.append(config)
+            raise harness.ConfigError("recorded")
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        out = str(tmp_path)
+        assert main(["run", "--preset", name, "--out", out]) == 2
+        argv = ["run", "--preset", name, "--seeds", "2", "--base-seed", "7", "--horizon", "30",
+                "--stride", "3", "--bounds", "--out", out]
+        assert main(argv) == 2
+        doc = {**harness.preset(name).to_json(), "seeds": [7, 8], "horizon": 30, "stride": 3, "bounds": True}
+        assert runs == [harness.preset(name), harness.ExperimentConfig.from_json(doc)]
+        assert runs[1].to_json() == doc
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["run", "--preset", "bogus", "--out", "/tmp/x"]) == 2

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, determinism, pairing, exports, presets."""
 import functools
 import multiprocessing
+import re
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 
@@ -235,6 +236,57 @@ class TestConfigValidation:
         assert jobs == []
         # the matching width runs
         assert run_experiment(_tiny_config(policies=[{"key": "lints", "params": {"d": 4}}], instance=spec)).rows
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda spec: {**spec, "bogus": 1}, r"has unknown fields \['bogus'\]"),
+            (lambda spec: {k: v for k, v in spec.items() if k != "labels"}, r"is missing fields \['labels'\]"),
+        ],
+        ids=["unknown-field", "missing-labels"],
+    )
+    def test_serialized_contextual_spec_fields_fail_before_any_job(self, monkeypatch, edit, match):
+        # a serialized spec used to skip the field check and fail only when variant 'b' was built
+        jobs = self._count_jobs(monkeypatch)
+        spec = instance_to_json(build_instance(TINY_CTX_SPEC, rng_streams(0).instance))
+        doc = {
+            "policies": [{"key": "lints"}],
+            "instances": [{"name": "a", "spec": TINY_CTX_SPEC}, {"name": "b", "spec": edit(spec)}],
+        }
+        with pytest.raises(ConfigError, match=r"^instances: variant 'b' spec: instance spec 'contextual' " + match):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+        # what instance_to_json writes, without its optional epsilon, and with generate's meta, all run
+        no_epsilon = {k: v for k, v in spec.items() if k != "epsilon"}
+        for ok in (spec, no_epsilon, {**spec, "meta": {"spec": TINY_CTX_SPEC, "seed": 0}}):
+            assert run_experiment(_tiny_config(policies=[{"key": "lints"}], instance=ok)).rows
+
+    @pytest.mark.parametrize(
+        "overrides, field, bad",
+        [
+            ({"seeds": [1.5]}, "seeds", 1.5),
+            ({"seeds": [0, True]}, "seeds", True),
+            ({"seeds": {"base": 0.5, "count": 2}}, "seeds.base", 0.5),
+            ({"seeds": {"base": 0, "count": 2.5}}, "seeds.count", 2.5),
+            ({"horizon": 2.9}, "horizon", 2.9),
+            ({"horizon": True}, "horizon", True),
+            ({"horizon": float("inf")}, "horizon", float("inf")),
+            ({"stride": 1.5}, "stride", 1.5),
+            ({"stride": True}, "stride", True),
+        ],
+    )
+    def test_non_integral_numbers_fail_before_any_job(self, monkeypatch, overrides, field, bad):
+        # each of these used to be truncated by int(): seed 1, 2 steps, every step, 1 step
+        jobs = self._count_jobs(monkeypatch)
+        match = rf"^{re.escape(field)}: must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_tiny_config(**overrides))
+        assert jobs == []
+
+    def test_integral_floats_are_integers(self):
+        floats = _tiny_config(seeds=[1.0, 2.0], horizon=40.0, stride=2.0)
+        assert floats == _tiny_config(seeds=[1, 2], horizon=40, stride=2)
+        assert _tiny_config(seeds={"base": 3.0, "count": 2.0}).seeds == (3, 4)
 
     @pytest.mark.parametrize("seeds", [[3, -1], {"base": -1, "count": 2}])
     def test_negative_seeds_fail_before_any_job(self, monkeypatch, seeds):

@@ -649,6 +649,17 @@ def test_update_checks_every_choice_but_the_selected_one(key, path_checks):
 
 
 @pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+def test_select_rejects_a_time_step_below_one(key):
+    policy = make_policy(key, _instance_for(key))
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"time step must be >= 1, got {t}"):
+            policy.select(t, rng)
+    assert rng.bit_generator.state == state and policy._selected is None
+
+
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
 def test_a_valid_copy_of_the_choice_updates_like_the_selected_one(key):
     instance = _instance_for(key)
     original, copied = make_policy(key, instance), make_policy(key, instance)
@@ -674,10 +685,52 @@ def test_deep_copies_and_pickles_continue_byte_identically(key):
     rngs = [copy.deepcopy(rng) for _ in clones]
     traces = []
     for clone, clone_rng in zip(clones, rngs):
-        assert clone._selected is None  # a copy trusts no Choice of the original
         traces.append(_run(clone, instance, clone_rng, 501, 500))
         assert _arrays(policy) == before  # the copy writes its own arrays only
     want = _run(policy, instance, rng, 501, 500)
     for clone, trace in zip(clones, traces):
         assert trace == want
         assert _arrays(clone) == _arrays(policy)
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+def test_a_copy_trusts_only_a_choice_copied_together_with_it(key, clone, path_checks):
+    instance = _instance_for(key)
+    policy = make_policy(key, instance)
+    rng = np.random.default_rng(9)
+    _run(policy, instance, rng, 1, 50)
+    choice = policy.select(51, rng)
+    alone = clone(policy)
+    together, together_choice = clone((policy, choice))
+    assert together_choice == choice and together_choice is not choice
+    together.update(together_choice, 1.0)
+    assert path_checks == []  # its own copy of the Choice select returned: trusted
+    alone.update(choice, 1.0)
+    assert path_checks == [choice]  # the original's Choice: checked
+    policy.update(choice, 1.0)
+    assert path_checks == [choice]
+    assert _arrays(alone) == _arrays(together) == _arrays(policy)
+
+
+def _any_instance_for(key):
+    if key in contextual.CONTEXTUAL_POLICY_KEYS:
+        theta = np.random.default_rng(12).standard_normal((40, 3))
+        return contextual.ContextualInstance(theta, DisjointClustering(np.arange(40) % 6))
+    return _instance_for(key)
+
+
+@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS) + list(contextual.CONTEXTUAL_POLICY_KEYS))
+def test_path_depth_is_the_tree_depth_plus_one_unless_flat(key):
+    instance = _any_instance_for(key)
+    if key in contextual.CONTEXTUAL_POLICY_KEYS:
+        policy = contextual.make_contextual_policy(key, instance)
+    else:
+        policy = make_policy(key, instance)
+    flat = key in ("ts", "ucb1", "lints", "linucb")
+    assert policy.flat is flat
+    assert policy.path_depth == (0 if flat else policy.tree.depth + 1)
