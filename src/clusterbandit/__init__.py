@@ -10,7 +10,6 @@ from .analysis import (
     InstanceBound,
     TraceSummary,
     aggregate_curves,
-    aggregate_traces,
     audit_hierarchical_dominance,
     cluster_stats,
     hts_instance_bound,
@@ -28,11 +27,9 @@ from .contextual import (
     ClusteredLinUcb,
     LinThompson,
     LinUcb,
-    make_contextual_policy,
 )
 from .core import (
     BanditInstance,
-    BetaBelief,
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
@@ -85,6 +82,6 @@ from .policies import (
     Ucb1,
     make_policy,
 )
-from .simulate import simulate, simulate_contextual
+from .simulate import simulate
 
 __version__ = "0.1.0"

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import BanditInstance, SimulationTrace
+from .core import BanditInstance
 
 __all__ = [
     "kl_bernoulli",
@@ -35,7 +34,6 @@ __all__ = [
     "audit_hierarchical_dominance",
     "TraceSummary",
     "aggregate_curves",
-    "aggregate_traces",
     "pooled_std",
 ]
 
@@ -471,19 +469,6 @@ def aggregate_curves(curves: np.ndarray) -> TraceSummary:
     mean = curves.mean(axis=0)
     std = curves.std(axis=0, ddof=1) if n > 1 else np.zeros(curves.shape[1])
     return TraceSummary(n=n, mean_curve=mean, std_curve=std)
-
-
-def aggregate_traces(traces: Sequence[SimulationTrace]) -> TraceSummary:
-    """Summarize the cumulative-regret curves of several traces.
-
-    All traces must share one horizon.
-    """
-    if len(traces) == 0:
-        raise ValueError("need at least one trace")
-    horizons = {t.horizon for t in traces}
-    if len(horizons) != 1:
-        raise ValueError(f"mismatched horizons: {sorted(horizons)}")
-    return aggregate_curves(np.stack([t.cum_regret for t in traces]))
 
 
 def pooled_std(std_a: float, n_a: int, std_b: float, n_b: int) -> float:

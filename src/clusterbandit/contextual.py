@@ -7,19 +7,20 @@ variants sample a scalar score per node from N(mu'x, v x'B^-1 x); UCB
 variants score with mu'x + alpha sqrt(x'B^-1 x).
 
 Every policy is a ``ContextualPolicy``, a ``policies.BanditPolicy`` that
-runs the Bernoulli policies' one descent, copy rule and path check over one
-``_LinearBank`` with a row per non-root node in ``tree.slot`` order, so the
-children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. At each node
-``_pick`` scores the children and moves to the argmax, from the root to a
-leaf; the observed (context, reward) pair updates the row of every non-root
-node on the path. ``lints`` and ``linucb`` are ``flat``: they descend
-``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
-traces keep no paths, as for ``ts``; ``lintsc`` and ``linucbc`` descend
-``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
-cluster c, as for ``tsc``. The UCB variants only score rows with
-``_LinearBank.ucb`` instead of ``_LinearBank.sample``. Inverses are
-maintained with rank-one updates and re-solved densely every 1000 updates
-per row to cap numerical drift.
+``needs`` a contextual instance and is made by ``policies.make_policy``. It
+runs the Bernoulli policies' one descent, time rule, copy rule and path
+check over one ``_LinearBank`` with a row per non-root node in ``tree.slot``
+order, so the children of node v are the contiguous rows
+``ptr[v]:ptr[v+1]``. At each node ``_pick`` scores the children and moves to
+the argmax, from the root to a leaf; the observed (context, reward) pair
+updates the row of every non-root node on the path. ``lints`` and ``linucb``
+are ``flat``: they descend ``ClusterTree.star(n)``, so their path to arm a
+is ``(0, a+1)`` and their traces keep no paths, as for ``ts``; ``lintsc``
+and ``linucbc`` descend ``ClusterTree.from_clustering(c)``, so their path is
+``(0, c+1, leaf)`` for cluster c, as for ``tsc``. The UCB variants only
+score rows with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
+Inverses are maintained with rank-one updates and re-solved densely every
+1000 updates per row to cap numerical drift.
 
 The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
 every row of a slice is one product of those rows with the flattened x x'.
@@ -55,9 +56,6 @@ __all__ = [
     "ClusteredLinThompson",
     "LinUcb",
     "ClusteredLinUcb",
-    "CONTEXTUAL_POLICY_KEYS",
-    "check_params",
-    "make_contextual_policy",
 ]
 
 RESOLVE_EVERY = 1000
@@ -192,6 +190,8 @@ class ContextualInstance:
     exactly theta_j'x.
     """
 
+    structure = "contextual"  # as ``instances.spec_structure`` names a contextual spec's
+
     def __init__(self, theta: np.ndarray, clustering: DisjointClustering, epsilon: float = 0.0) -> None:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim != 2:
@@ -260,6 +260,8 @@ class ContextualPolicy(BanditPolicy):
     """
 
     key: str = ""  # a class body with its own select/update declares the key its timings are named by
+    needs = "contextual"
+    params = {"v": _check_v, "d": None}
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
@@ -280,7 +282,7 @@ class ContextualPolicy(BanditPolicy):
         return random_argmax(self._score(self._seen, self._xx, rng, lo, hi), rng)
 
     def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
-        """Choose an arm for context ``x`` at step ``t``."""
+        """Choose an arm for context ``x`` at step ``t`` (1-based), consuming only ``rng``."""
         x = self._seen = _check_context(x, self.dim)
         self._xx = _outer(x)
         return self._descend(t, rng)
@@ -334,6 +336,7 @@ class LinUcb(LinThompson):
     """Linear UCB: mean score plus alpha times the posterior width."""
 
     key = "linucb"
+    params = {"alpha": _check_alpha, "d": None}
 
     def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)
@@ -349,6 +352,7 @@ class ClusteredLinUcb(ClusteredLinThompson):
     """Two-level linear UCB over a disjoint clustering."""
 
     key = "linucbc"
+    params = LinUcb.params
     _score = LinUcb._score
 
     def __init__(self, clustering: DisjointClustering, dim: int, alpha: float = 2.0) -> None:
@@ -356,54 +360,3 @@ class ClusteredLinUcb(ClusteredLinThompson):
         super().__init__(clustering, dim)
         self.alpha = float(alpha)
 
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-# key -> (class, accepted parameters)
-_REGISTRY = {
-    "lints": (LinThompson, {"v", "d"}),
-    "lintsc": (ClusteredLinThompson, {"v", "d"}),
-    "linucb": (LinUcb, {"alpha", "d"}),
-    "linucbc": (ClusteredLinUcb, {"alpha", "d"}),
-}
-
-CONTEXTUAL_POLICY_KEYS: tuple[str, ...] = tuple(sorted(_REGISTRY))
-
-
-def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
-    """Reject an unknown key or parameter, a bad ``v`` or ``alpha``, and a ``d`` other than ``dim``.
-
-    Accepted parameters: ``v`` for the Thompson variants, ``alpha`` for the
-    UCB variants, and an optional ``d`` that must match the instance
-    dimension when both are known.
-    """
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"unknown contextual policy key '{key}'; valid keys: {sorted(_REGISTRY)}"
-        )
-    params = params or {}
-    unknown = set(params) - _REGISTRY[key][1]
-    if unknown:
-        raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
-    for name, check in (("v", _check_v), ("alpha", _check_alpha)):
-        if name in params:
-            check(float(params[name]))
-    d = params.get("d")
-    if d is not None and dim is not None and d != dim:
-        raise ValueError(f"parameter d={d} does not match instance dimension {dim}")
-
-
-def make_contextual_policy(
-    key: str, instance: ContextualInstance, params: dict | None = None
-) -> ContextualPolicy:
-    """Instantiate a contextual policy by string key, after :func:`check_params`.
-
-    The flat policies take the instance's arm count, the two-level ones its
-    clustering; ``d`` only checks the dimension.
-    """
-    check_params(key, params, instance.dim)
-    cls = _REGISTRY[key][0]
-    arms = instance.clustering if issubclass(cls, ClusteredLinThompson) else instance.n_arms
-    return cls(arms, instance.dim, **{k: float(value) for k, value in (params or {}).items() if k != "d"})

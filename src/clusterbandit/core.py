@@ -1,8 +1,7 @@
 """Core domain types for bandits with clustered arms.
 
 Defines the Bernoulli instance / clustering / tree containers shared by
-every policy, the Beta belief view that Thompson-sampling policies report,
-the seeded-randomness contract, and the simulation trace.
+every policy, the seeded-randomness contract, and the simulation trace.
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import numpy as np
 __all__ = [
     "DisjointClustering",
     "ClusterTree",
-    "BetaBelief",
     "BanditInstance",
     "SimulationTrace",
     "RngStreams",
@@ -265,15 +263,6 @@ class ClusterTree:
     def children(self, node: int) -> np.ndarray:
         return self.kids[self.ptr[node]:self.ptr[node + 1]]
 
-    def is_leaf(self, node: int) -> bool:
-        return bool(self.ptr[node] == self.ptr[node + 1])
-
-    def arm_of_leaf(self, node: int) -> int:
-        arm = int(self.leaf_arms[node])
-        if arm < 0:
-            raise ValueError(f"node {node} is not a leaf")
-        return arm
-
     def leaf_of_arm(self, arm: int) -> int:
         return int(self._leaf_of_arm[arm])
 
@@ -304,29 +293,6 @@ class ClusterTree:
             f"ClusterTree(n_nodes={self.n_nodes}, n_arms={self.n_arms}, "
             f"depth={self.depth})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Beta beliefs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BetaBelief:
-    """Beta(s, f) posterior over a Bernoulli mean.
-
-    Pseudo-counts are real-valued so rewards in [0, 1] (not just {0, 1})
-    update cleanly; binary rewards keep them integral. Both counts start at
-    one (uniform prior) and never drop below one.
-    """
-
-    s: float = 1.0
-    f: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.s) and np.isfinite(self.f)):
-            raise ValueError("pseudo-counts must be finite")
-        if self.s < 1.0 or self.f < 1.0:
-            raise ValueError(f"pseudo-counts must be >= 1, got ({self.s}, {self.f})")
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +352,13 @@ class BanditInstance:
     def has_unique_optimum(self) -> bool:
         return int((self._means == self._means.max()).sum()) == 1
 
+    @property
+    def structure(self) -> str:
+        """``"clustering"``, ``"tree"`` or ``"flat"``, as ``instances.spec_structure`` names a spec's."""
+        return "clustering" if self.clustering is not None else "tree" if self.tree is not None else "flat"
+
     def __repr__(self) -> str:
-        structure = (
-            "flat"
-            if self.clustering is None and self.tree is None
-            else ("clustering" if self.clustering is not None else "tree")
-        )
-        return f"BanditInstance(n_arms={self.n_arms}, structure={structure})"
+        return f"BanditInstance(n_arms={self.n_arms}, structure={self.structure})"
 
 
 def draw_reward(instance: BanditInstance, arm: int, rng: np.random.Generator) -> float:

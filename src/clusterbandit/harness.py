@@ -40,12 +40,11 @@ from .analysis import (
     tsc_instance_bound,
     tsc_minimax_bound,
 )
-from .contextual import CONTEXTUAL_POLICY_KEYS, ContextualInstance, make_contextual_policy
-from .contextual import check_params as check_contextual_params
+from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams
 from .instances import ContextualSpec, build_instance, gen_context, spec_structure
 from .policies import POLICY_KEYS, check_params, make_policy
-from .simulate import simulate, simulate_contextual
+from .simulate import simulate
 
 __all__ = [
     "ConfigError",
@@ -124,11 +123,6 @@ class InstanceVariant:
         return {"name": self.name, "spec": self.spec}
 
 
-# The instance structure (``spec_structure``) each policy needs; unlisted: any but contextual.
-_POLICY_NEEDS = {"tsc": "clustering", "ucbc": "clustering", "tsmax": "clustering", "hts": "tree",
-                 "uct": "tree", **dict.fromkeys(CONTEXTUAL_POLICY_KEYS, "contextual")}
-
-
 def _spec_dim(spec: dict) -> int | None:
     """A contextual spec's dimension: a serialized theta's width, else ``dim``; None if theta is not 2-D."""
     if "theta" not in spec:
@@ -173,11 +167,10 @@ class ExperimentConfig:
             raise ConfigError("instances: need at least one instance spec")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
-        known = set(POLICY_KEYS) | set(CONTEXTUAL_POLICY_KEYS)
         for p in self.policies:
-            if p.key not in known:
+            if p.key not in POLICY_KEYS:
                 raise ConfigError(
-                    f"policies: unknown policy key '{p.key}'; valid keys: {sorted(known)}"
+                    f"policies: unknown policy key '{p.key}'; valid keys: {sorted(POLICY_KEYS)}"
                 )
         labels = [p.name for p in self.policies]
         if len(set(labels)) != len(labels):
@@ -197,17 +190,14 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"instances: variant '{v.name}' spec: {exc}") from exc
             for p in filter(lambda p: p.runs_on(v.name), self.policies):
-                need = _POLICY_NEEDS.get(p.key, "bernoulli")
-                if has != need and (need != "bernoulli" or has == "contextual"):
+                cls = POLICY_KEYS[p.key]
+                if not cls.accepts(has):
                     raise ConfigError(
-                        f"policies: '{p.name}' needs a {need} instance but variant '{v.name}' "
+                        f"policies: '{p.name}' needs a {cls.needs} instance but variant '{v.name}' "
                         f"(kind '{v.spec['kind']}') builds a {has} instance"
                     )
-                try:  # a contextual spec's dimension: its "dim", or a serialized theta's width
-                    if has != "contextual":
-                        check_params(p.key, p.params)
-                    else:
-                        check_contextual_params(p.key, p.params, _spec_dim(v.spec))
+                try:  # only contextual policies take d; their spec's dimension is its "dim" or its theta's width
+                    check_params(p.key, p.params, _spec_dim(v.spec) if has == "contextual" else None)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"policies: '{p.name}' on variant '{v.name}': {exc}") from exc
 
@@ -231,16 +221,16 @@ class ExperimentConfig:
     def from_json(doc: dict) -> "ExperimentConfig":
         try:
             seeds = _parse_seeds(doc.get("seeds"))
-            policies = tuple(_parse_policy(p) for p in doc.get("policies", []))
+            policies = tuple(_parse_policy(i, p) for i, p in enumerate(doc.get("policies", [])))
             variants = _parse_variants(doc)
             return ExperimentConfig(
-                name=str(doc.get("name", "experiment")),
+                name=_typed("name", doc.get("name", "experiment"), str),
                 variants=variants,
                 policies=policies,
                 horizon=_integer("horizon", doc.get("horizon", 0)),
                 seeds=seeds,
                 stride=None if doc.get("stride") is None else _integer("stride", doc["stride"]),
-                bounds=bool(doc.get("bounds", False)),
+                bounds=_typed("bounds", doc.get("bounds", False), bool),
                 eps=float(doc.get("eps", 0.1)),
                 context_kind=str(doc.get("context_kind", "uniform")),
             )
@@ -248,6 +238,13 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config document: {exc}") from exc
+
+
+def _typed(field: str, value, kind: type):
+    """``value`` if it is of ``kind`` (``str`` or ``bool``); otherwise a ``ConfigError`` naming ``field``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{field}: must be a {'boolean' if kind is bool else 'string'}, got {value!r}")
+    return value
 
 
 def _integer(field: str, value) -> int:
@@ -268,21 +265,21 @@ def _parse_seeds(raw) -> tuple[int, ...]:
     return tuple(_integer("seeds", s) for s in raw)
 
 
-def _parse_policy(doc: dict) -> PolicySpec:
+def _parse_policy(i: int, doc: dict) -> PolicySpec:
     if "key" not in doc:
         raise ConfigError("policies: entry missing 'key'")
     return PolicySpec(
         key=str(doc["key"]),
         params=dict(doc.get("params", {})),
         variants=None if doc.get("variants") is None else tuple(doc["variants"]),
-        label=doc.get("label"),
+        label=None if doc.get("label") is None else _typed(f"policies[{i}].label", doc["label"], str),
     )
 
 
 def _parse_variants(doc: dict) -> tuple[InstanceVariant, ...]:
     if "instances" in doc:
         return tuple(
-            InstanceVariant(name=str(v.get("name", f"v{i}")), spec=dict(v["spec"]))
+            InstanceVariant(name=_typed(f"instances[{i}].name", v.get("name", f"v{i}"), str), spec=dict(v["spec"]))
             for i, v in enumerate(doc["instances"])
         )
     if "instance" in doc:
@@ -366,15 +363,9 @@ def _run_job(payload: tuple) -> RunRow:
     streams = rng_streams(seed)
     instance = _instance(variant_name, spec, seed, streams)
     try:  # the config has matched every policy to its variants' instance kind
-        if isinstance(instance, ContextualInstance):
-            policy = make_contextual_policy(key, instance, params)
-            contexts = _contexts(instance, streams, horizon, context_kind)
-            trace = simulate_contextual(
-                instance, policy, horizon, streams.simulation, contexts=contexts, seed=seed
-            )
-        else:
-            policy = make_policy(key, instance, params)
-            trace = simulate(instance, policy, horizon, streams.simulation, seed=seed)
+        policy = make_policy(key, instance, params)
+        contexts = _contexts(instance, streams, horizon, context_kind) if policy.needs == "contextual" else None
+        trace = simulate(instance, policy, horizon, streams.simulation, seed=seed, contexts=contexts)
     except ValueError as exc:
         raise ConfigError(f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {exc}") from exc
     except Exception as exc:

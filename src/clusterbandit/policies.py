@@ -15,9 +15,11 @@ cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
 cluster belief. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log
 term of the UCB index: the global log t instead of log N_parent.
 
-Policies are addressed from configs by string key through
-:func:`make_policy`; all of them are parameter-free given the instance
-structure.
+Every policy class with a ``key``, the contextual ones included, declares
+the instance structure it ``needs`` and the ``params`` it accepts, and is
+recorded in ``POLICY_KEYS``; :func:`make_policy` and :func:`check_params`
+serve all eleven keys from that one registry. The Bernoulli policies take
+no parameters.
 """
 from __future__ import annotations
 
@@ -29,8 +31,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    BanditInstance,
-    BetaBelief,
     ClusterTree,
     DisjointClustering,
     _random_argmax_list,
@@ -111,6 +111,12 @@ class _TreeTables:
         return path
 
 
+# key -> policy class: every class whose body sets a non-empty ``key``, recorded by
+# ``BanditPolicy.__init_subclass__``. Importing this module imports the package,
+# which imports ``contextual``, so the contextual classes are always recorded.
+POLICY_KEYS: dict[str, type[BanditPolicy]] = {}
+
+
 class BanditPolicy(ABC):
     """The one root-to-leaf descent of every policy, Bernoulli and contextual.
 
@@ -122,11 +128,28 @@ class BanditPolicy(ABC):
     checks any other. Statistics are read through memoryviews, which give
     Python floats; ``_bind`` makes them. Copies and pickles drop memoryviews
     only and remake them, so a copy trusts only a ``Choice`` copied with it.
+
+    ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
+    Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
+    ``"tree"`` or ``"contextual"``. ``params`` maps each parameter the class
+    accepts to its value check (None: checked by :func:`check_params` itself).
     """
 
     key: str = ""
     flat: bool = False
+    needs: str = "bernoulli"
+    params: dict[str, Callable[[float], None] | None] = {}
     _selected: Choice | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if vars(cls).get("key"):
+            POLICY_KEYS[cls.key] = cls
+
+    @classmethod
+    def accepts(cls, structure: str) -> bool:
+        """Whether the class runs on an instance of ``structure``, named as ``instances.spec_structure`` names it."""
+        return structure == cls.needs or (cls.needs == "bernoulli" and structure != "contextual")
 
     def __init__(self, tree: ClusterTree) -> None:
         self.tree = tree
@@ -151,6 +174,8 @@ class BanditPolicy(ABC):
         """The offset in ``[0, hi - lo)`` of the child to move to from the node in slot ``at``."""
 
     def _descend(self, t: int, rng: np.random.Generator) -> Choice:
+        if t < 1:
+            raise ValueError(f"time step must be >= 1, got {t}")
         ptr, kids, pick = self._walk.ptr, self._walk.kids, self._pick
         node = 0
         at = len(kids)  # the slot of ``node``
@@ -166,8 +191,6 @@ class BanditPolicy(ABC):
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
         """Choose an arm for step ``t`` (1-based), consuming only ``rng``."""
-        if t < 1:
-            raise ValueError(f"time step must be >= 1, got {t}")
         return self._descend(t, rng)
 
     @abstractmethod
@@ -194,6 +217,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
     """
 
     key = "hts"
+    needs = "tree"
 
     def __init__(self, tree: ClusterTree) -> None:
         super().__init__(tree)
@@ -203,11 +227,6 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
     def _bind(self) -> None:
         self._sv, self._fv = memoryview(self._s), memoryview(self._f)
-
-    @property
-    def node_beliefs(self) -> dict[int, BetaBelief]:
-        s, f = self._s[self.tree.slot].tolist(), self._f[self.tree.slot].tolist()
-        return {v: BetaBelief(sv, fv) for v, (sv, fv) in enumerate(zip(s, f))}
 
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """Sample the beliefs in slots [lo, hi), in order, and return the argmax's offset."""
@@ -236,6 +255,7 @@ class ThompsonSampling(HierarchicalThompsonSampling):
 
     key = "ts"
     flat = True
+    needs = "bernoulli"
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(ClusterTree.star(n_arms))
@@ -251,6 +271,7 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
     """
 
     key = "tsc"
+    needs = "clustering"
 
     def __init__(self, clustering: DisjointClustering) -> None:
         super().__init__(ClusterTree.from_clustering(clustering))
@@ -268,6 +289,7 @@ class TsMax(HierarchicalThompsonSampling):
     """
 
     key = "tsmax"
+    needs = "clustering"
 
     def __init__(self, clustering: DisjointClustering) -> None:
         tree = ClusterTree.from_clustering(clustering)
@@ -333,6 +355,7 @@ class TreeUcb(BanditPolicy):
     """
 
     key = "uct"
+    needs = "tree"
 
     def __init__(self, tree: ClusterTree) -> None:
         super().__init__(tree)
@@ -383,6 +406,7 @@ class Ucb1(TreeUcb):
 
     key = "ucb1"
     flat = True
+    needs = "bernoulli"
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(ClusterTree.star(n_arms))
@@ -401,6 +425,7 @@ class ClusteredUcb1(TreeUcb):
     """
 
     key = "ucbc"
+    needs = "clustering"
 
     def __init__(self, clustering: DisjointClustering) -> None:
         super().__init__(ClusterTree.from_clustering(clustering))
@@ -413,43 +438,38 @@ class ClusteredUcb1(TreeUcb):
 # Registry
 # ---------------------------------------------------------------------------
 
-def _need_clustering(instance: BanditInstance, key: str) -> DisjointClustering:
-    if instance.clustering is None:
-        raise ValueError(f"policy '{key}' needs an instance with a disjoint clustering")
-    return instance.clustering
+def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
+    """Reject an unknown key or parameter, a bad parameter value, and a ``d`` other than ``dim``.
 
-
-def _need_tree(instance: BanditInstance, key: str) -> ClusterTree:
-    if instance.tree is None:
-        raise ValueError(f"policy '{key}' needs an instance with a cluster tree")
-    return instance.tree
-
-
-POLICY_KEYS: dict[str, Callable[[BanditInstance], BanditPolicy]] = {
-    "ts": lambda inst: ThompsonSampling(inst.n_arms),
-    "tsc": lambda inst: ClusteredThompsonSampling(_need_clustering(inst, "tsc")),
-    "hts": lambda inst: HierarchicalThompsonSampling(_need_tree(inst, "hts")),
-    "ucb1": lambda inst: Ucb1(inst.n_arms),
-    "ucbc": lambda inst: ClusteredUcb1(_need_clustering(inst, "ucbc")),
-    "tsmax": lambda inst: TsMax(_need_clustering(inst, "tsmax")),
-    "uct": lambda inst: TreeUcb(_need_tree(inst, "uct")),
-}
-
-
-def check_params(key: str, params: dict | None) -> None:
-    """Reject an unknown key or any parameter: given the instance structure, no policy takes one.
-
-    A non-empty ``params`` is rejected so configuration typos surface early.
+    A class accepts only the ``params`` it declares, so configuration typos
+    surface early: none for the Bernoulli policies, ``v`` and ``d`` for the
+    contextual Thompson ones and ``alpha`` and ``d`` for the contextual UCB
+    ones. ``d`` must match the instance dimension when both are known.
     """
     if key not in POLICY_KEYS:
-        raise ValueError(
-            f"unknown policy key '{key}'; valid keys: {sorted(POLICY_KEYS)}"
-        )
-    if params:
-        raise ValueError(f"policy '{key}' accepts no parameters, got {sorted(params)}")
+        raise ValueError(f"unknown policy key '{key}'; valid keys: {sorted(POLICY_KEYS)}")
+    accepted, params = POLICY_KEYS[key].params, params or {}
+    unknown = set(params) - set(accepted)
+    if unknown:
+        raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
+    for name, check in accepted.items():
+        if check is not None and name in params:
+            check(float(params[name]))
+    d = params.get("d")
+    if d is not None and dim is not None and d != dim:
+        raise ValueError(f"parameter d={d} does not match instance dimension {dim}")
 
 
-def make_policy(key: str, instance: BanditInstance, params: dict | None = None) -> BanditPolicy:
-    """Instantiate a policy by string key for a given instance, after :func:`check_params`."""
-    check_params(key, params)
-    return POLICY_KEYS[key](instance)
+def make_policy(key: str, instance, params: dict | None = None) -> BanditPolicy:
+    """Instantiate a policy by string key for a given instance, after :func:`check_params`.
+
+    Flat policies take the instance's arm count, the others its clustering or
+    tree; contextual policies also take its dimension, which ``d`` only checks.
+    """
+    check_params(key, params, getattr(instance, "dim", None))
+    cls = POLICY_KEYS[key]
+    if not cls.accepts(instance.structure):
+        raise ValueError(f"policy '{key}' needs a {cls.needs} instance, got a {instance.structure} instance")
+    arms = instance.n_arms if cls.flat else instance.tree if cls.needs == "tree" else instance.clustering
+    args = (arms, instance.dim) if cls.needs == "contextual" else (arms,)
+    return cls(*args, **{k: float(value) for k, value in (params or {}).items() if k != "d"})

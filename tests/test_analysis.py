@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from clusterbandit.analysis import (
     aggregate_curves,
-    aggregate_traces,
     audit_hierarchical_dominance,
     cluster_stats,
     hts_instance_bound,
@@ -382,33 +381,42 @@ def _const_trace(value, horizon=5):
     )
 
 
+def _aggregate(traces):
+    """``aggregate_curves`` of the traces' stacked cumulative-regret curves, as the harness summarizes its runs."""
+    return aggregate_curves(np.stack([t.cum_regret for t in traces]))
+
+
 class TestAggregateTraces:
     def test_single_trace_zero_std(self):
-        s = aggregate_traces([_const_trace(3.0)])
+        s = _aggregate([_const_trace(3.0)])
         assert np.all(s.std_curve == 0.0)
         assert s.final_mean == 3.0
 
     def test_two_constant_curves(self):
-        s = aggregate_traces([_const_trace(0.0), _const_trace(2.0)])
+        s = _aggregate([_const_trace(0.0), _const_trace(2.0)])
         assert s.final_mean == pytest.approx(1.0)
         assert s.final_std == pytest.approx(math.sqrt(2.0))
 
     def test_permutation_invariance(self):
         traces = [_const_trace(v) for v in (0.0, 1.0, 5.0)]
-        a = aggregate_traces(traces)
-        b = aggregate_traces(traces[::-1])
+        a = _aggregate(traces)
+        b = _aggregate(traces[::-1])
         assert np.array_equal(a.mean_curve, b.mean_curve)
         assert np.array_equal(a.std_curve, b.std_curve)
 
     def test_mismatched_horizons(self):
         with pytest.raises(ValueError):
-            aggregate_traces([_const_trace(1.0, 5), _const_trace(1.0, 6)])
+            _aggregate([_const_trace(1.0, 5), _const_trace(1.0, 6)])
+        with pytest.raises(ValueError):
+            aggregate_curves([[1.0] * 5, [1.0] * 6])  # a ragged stack
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            aggregate_traces([])
+            _aggregate([])
         with pytest.raises(ValueError):
             aggregate_curves(np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            aggregate_curves(np.zeros(5))  # one curve, not a stack
 
 
 class TestPooledStd:

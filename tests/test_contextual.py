@@ -9,7 +9,6 @@ import scipy.stats
 
 from clusterbandit import contextual, policies
 from clusterbandit.contextual import (
-    CONTEXTUAL_POLICY_KEYS,
     RESOLVE_EVERY,
     ClusteredLinThompson,
     ClusteredLinUcb,
@@ -17,12 +16,13 @@ from clusterbandit.contextual import (
     LinUcb,
     _LinearBank,
     _outer,
-    make_contextual_policy,
 )
-from clusterbandit.core import ClusterTree, DisjointClustering, rng_streams
+from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, rng_streams
 from clusterbandit.instances import ContextualSpec, gen_contextual
-from clusterbandit.policies import Choice
-from clusterbandit.simulate import simulate_contextual
+from clusterbandit.policies import Choice, make_policy
+from clusterbandit.simulate import simulate
+
+CONTEXTUAL_POLICY_KEYS = ("lints", "lintsc", "linucb", "linucbc")
 
 
 def _path_to(pol, arm):
@@ -84,7 +84,7 @@ class TestLinSample:
     def test_dimension_mismatch(self, rng):
         inst = _ctx_instance(dim=3)
         for key in CONTEXTUAL_POLICY_KEYS:
-            pol = make_contextual_policy(key, inst)
+            pol = make_policy(key, inst)
             with pytest.raises(ValueError, match="shape"):
                 pol.select(1, np.zeros(2), rng)
             with pytest.raises(ValueError, match="shape"):
@@ -96,7 +96,7 @@ class TestLinSample:
         inst = _ctx_instance(dim=2)
         x = np.array([np.nan, 0.0])
         for key in CONTEXTUAL_POLICY_KEYS:
-            pol = make_contextual_policy(key, inst)
+            pol = make_policy(key, inst)
             with pytest.raises(ValueError, match="non-finite"):
                 pol.select(1, x, rng)
             with pytest.raises(ValueError, match="non-finite"):
@@ -440,9 +440,9 @@ class TestSimulateContextual:
 
         def run():
             streams = rng_streams(50)
-            pol = make_contextual_policy("lintsc", inst, {"v": 1.0})
+            pol = make_policy("lintsc", inst, {"v": 1.0})
             contexts = streams.context.random((150, inst.dim))
-            return simulate_contextual(
+            return simulate(
                 inst, pol, 150, streams.simulation, contexts=contexts, seed=50
             )
 
@@ -455,8 +455,8 @@ class TestSimulateContextual:
         inst = _ctx_instance(seed=4)
         streams = rng_streams(51)
         contexts = streams.context.random((100, inst.dim))
-        pol = make_contextual_policy(key, inst)
-        trace = simulate_contextual(inst, pol, 100, streams.simulation, contexts=contexts)
+        pol = make_policy(key, inst)
+        trace = simulate(inst, pol, 100, streams.simulation, contexts=contexts)
         running, creg = [], 0.0
         for a, x in zip(trace.arms, contexts):
             expected = inst.expected_rewards(x)
@@ -466,22 +466,27 @@ class TestSimulateContextual:
 
     def test_context_shape_validation(self):
         inst = _ctx_instance(seed=5)
-        pol = make_contextual_policy("lints", inst)
+        pol = make_policy("lints", inst)
         with pytest.raises(ValueError):
-            simulate_contextual(
+            simulate(
                 inst, pol, 10, rng_streams(0).simulation, contexts=np.zeros((5, inst.dim))
             )
+        # contexts go with a contextual instance and only with one
+        flat = BanditInstance([0.5, 0.4])
+        for instance, policy, contexts in ((inst, pol, None), (flat, make_policy("ts", flat), np.zeros((10, 2)))):
+            with pytest.raises(ValueError, match="^contexts are given for a contextual instance, and only for one$"):
+                simulate(instance, policy, 10, rng_streams(0).simulation, contexts=contexts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_contexts_fail_before_any_step(self, bad):
         inst = _ctx_instance(seed=5)
-        pol = make_contextual_policy("lintsc", inst)
+        pol = make_policy("lintsc", inst)
         contexts = np.ones((10, inst.dim))
         contexts[9, 1] = bad
         rng = rng_streams(0).simulation
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="contexts have non-finite entries"):
-            simulate_contextual(inst, pol, 10, rng, contexts=contexts)
+            simulate(inst, pol, 10, rng, contexts=contexts)
         assert rng.bit_generator.state == state
         assert pol._bank.counts.sum() == 0
 
@@ -553,13 +558,13 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
         out = []
         for t in range(start, stop):
             x = contexts[t]
-            choice = pol.select(t, x, rng)
+            choice = pol.select(t + 1, x, rng)
             reward = inst.draw_reward(choice.arm, x, rng)
             pol.update(choice, x, reward)
             out.append((choice.arm, choice.path, reward))
         return out
 
-    pol, rng = make_contextual_policy(key, inst), np.random.default_rng(21)
+    pol, rng = make_policy(key, inst), np.random.default_rng(21)
     steps(pol, rng, 0, 30)
     # between steps: the copy trusts nothing of the original and continues alike
     twin, twin_rng = clone((pol, rng))
@@ -598,7 +603,7 @@ def checks(monkeypatch):
 @pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
 def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, checks):
     inst = _ctx_instance(seed=14, n_arms=12, n_clusters=3, dim=4)
-    pol = make_contextual_policy(key, inst)
+    pol = make_policy(key, inst)
     rng = np.random.default_rng(15)
     x = rng.random(4)
     choice = pol.select(1, x, rng)
@@ -626,7 +631,7 @@ def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, check
 @pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
 def test_an_unseen_context_gets_its_own_outer_product(key):
     inst = _ctx_instance(seed=22, n_arms=12, n_clusters=3, dim=4)
-    pol, fresh = make_contextual_policy(key, inst), make_contextual_policy(key, inst)
+    pol, fresh = make_policy(key, inst), make_policy(key, inst)
     rng = np.random.default_rng(23)
     choice = pol.select(1, rng.random(4), rng)
     y = rng.standard_normal(4)
@@ -640,7 +645,7 @@ def test_an_unseen_context_gets_its_own_outer_product(key):
 @pytest.mark.parametrize("key", ["lints", "linucb"])
 def test_flat_policies_take_the_star_path(key):
     inst = _ctx_instance(seed=16, n_arms=6, n_clusters=2, dim=3)
-    pol = make_contextual_policy(key, inst)
+    pol = make_policy(key, inst)
     assert pol.tree == ClusterTree.star(6) and pol.path_depth == 0
     rng = np.random.default_rng(17)
     for t in range(1, 51):
@@ -656,14 +661,14 @@ def test_flat_policies_take_the_star_path(key):
     assert pol._bank.counts.tolist() == counts.tolist()
     pol.update(Choice(arm=0, path=(0, 1)), x, 0.5)
     assert pol._bank.counts[0] == counts[0] + 1  # arm a is row a
-    trace = simulate_contextual(inst, pol, 20, rng, contexts=rng.random((20, 3)))
+    trace = simulate(inst, pol, 20, rng, contexts=rng.random((20, 3)))
     assert trace.paths is None
 
 
 @pytest.mark.parametrize("key", ["lintsc", "linucbc"])
 def test_two_level_bank_rows_follow_the_tree_slots(key):
     inst = _ctx_instance(seed=18, n_arms=12, n_clusters=4, dim=3)
-    pol = make_contextual_policy(key, inst)
+    pol = make_policy(key, inst)
     k, clustering = inst.clustering.n_clusters, inst.clustering
     assert pol._bank.n == len(pol.tree.kids) == k + inst.n_arms
     for position, arm in enumerate(clustering._arms.tolist()):
@@ -678,28 +683,30 @@ def test_two_level_bank_rows_follow_the_tree_slots(key):
 class TestRegistry:
     def test_defaults(self):
         inst = _ctx_instance(seed=6)
-        assert make_contextual_policy("lints", inst).v == 1.0
-        assert make_contextual_policy("lintsc", inst).v == 1.0
-        assert make_contextual_policy("linucb", inst).alpha == 2.0
-        assert make_contextual_policy("linucbc", inst).alpha == 2.0
+        assert make_policy("lints", inst).v == 1.0
+        assert make_policy("lintsc", inst).v == 1.0
+        assert make_policy("linucb", inst).alpha == 2.0
+        assert make_policy("linucbc", inst).alpha == 2.0
 
     def test_param_overrides(self):
         inst = _ctx_instance(seed=7)
-        assert make_contextual_policy("lints", inst, {"v": 0.5}).v == 0.5
-        assert make_contextual_policy("linucb", inst, {"alpha": 1.0}).alpha == 1.0
+        assert make_policy("lints", inst, {"v": 0.5}).v == 0.5
+        assert make_policy("linucb", inst, {"alpha": 1.0}).alpha == 1.0
 
     def test_dim_checked(self):
         inst = _ctx_instance(seed=8)
-        make_contextual_policy("lints", inst, {"d": inst.dim})
+        make_policy("lints", inst, {"d": inst.dim})
         with pytest.raises(ValueError, match="dimension"):
-            make_contextual_policy("lints", inst, {"d": inst.dim + 1})
+            make_policy("lints", inst, {"d": inst.dim + 1})
 
     def test_unknown_key_and_params(self):
         inst = _ctx_instance(seed=9)
-        with pytest.raises(ValueError, match="unknown contextual policy"):
-            make_contextual_policy("ts", inst)
+        with pytest.raises(ValueError, match="unknown policy key 'bogus'"):
+            make_policy("bogus", inst)
+        with pytest.raises(ValueError, match="'ts' needs a bernoulli instance"):
+            make_policy("ts", inst)
         with pytest.raises(ValueError, match="alpha"):
-            make_contextual_policy("lints", inst, {"alpha": 2.0})
+            make_policy("lints", inst, {"alpha": 2.0})
 
 
 class TestHyperparameterValidation:
@@ -716,7 +723,7 @@ class TestHyperparameterValidation:
         with pytest.raises(ValueError, match="v: "):
             _LinearBank(1, 2, v)
         with pytest.raises(ValueError, match="v: "):
-            make_contextual_policy("lints", _ctx_instance(seed=10), {"v": v})
+            make_policy("lints", _ctx_instance(seed=10), {"v": v})
 
     @pytest.mark.parametrize("alpha", BAD_ALPHA)
     def test_ucb_policies_reject_bad_alpha(self, alpha):
@@ -726,7 +733,7 @@ class TestHyperparameterValidation:
         with pytest.raises(ValueError, match="alpha: "):
             ClusteredLinUcb(clustering, 2, alpha=alpha)
         with pytest.raises(ValueError, match="alpha: "):
-            make_contextual_policy("linucbc", _ctx_instance(seed=10), {"alpha": alpha})
+            make_policy("linucbc", _ctx_instance(seed=10), {"alpha": alpha})
 
     def test_boundary_values_accepted(self):
         clustering = DisjointClustering([0, 0, 1])

@@ -1,4 +1,4 @@
-"""Core types: Beta beliefs, reward draws, regret accounting, RNG contract."""
+"""Core types: Beta draws and updates, reward draws, regret accounting, RNG contract."""
 import importlib
 
 import numpy as np
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from clusterbandit.core import (
     BanditInstance,
-    BetaBelief,
     ClusterTree,
     DisjointClustering,
     SimulationTrace,
@@ -17,11 +16,10 @@ from clusterbandit.core import (
     random_argmax,
     rng_streams,
 )
-from clusterbandit.contextual import make_contextual_policy
 from clusterbandit.harness import ExperimentConfig, run_experiment
 from clusterbandit.instances import build_instance
 from clusterbandit.policies import POLICY_KEYS, Choice, HierarchicalThompsonSampling, make_policy
-from clusterbandit.simulate import simulate, simulate_contextual
+from clusterbandit.simulate import simulate
 
 simulate_module = importlib.import_module("clusterbandit.simulate")  # the package exports a function of that name
 
@@ -74,53 +72,53 @@ def _one_arm_posterior(*rewards):
     return pol, observe
 
 
+def _leaf_counts(pol):
+    """The Beta (s, f) counts of leaf 1, read at its ``tree.slot``."""
+    i = pol.tree.slot[1]
+    return pol._s[i], pol._f[i]
+
+
 class TestBetaUpdate:
     def test_success(self):
         pol, observe = _one_arm_posterior()
         observe(1.0)
-        assert pol.node_beliefs[1] == BetaBelief(2, 1)
+        assert _leaf_counts(pol) == (2, 1)
 
     def test_failure(self):
         pol, observe = _one_arm_posterior()
         observe(0.0)
-        assert pol.node_beliefs[1] == BetaBelief(1, 2)
+        assert _leaf_counts(pol) == (1, 2)
 
     def test_fractional_reward(self):
         pol, observe = _one_arm_posterior(1.0, 1.0, 1.0, 0.0)
-        assert pol.node_beliefs[1] == BetaBelief(4, 2)
+        assert _leaf_counts(pol) == (4, 2)
         observe(0.5)
-        assert pol.node_beliefs[1] == BetaBelief(4.5, 2.5)
+        assert _leaf_counts(pol) == (4.5, 2.5)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rejects_out_of_range_reward(self, bad):
         pol, observe = _one_arm_posterior()
         with pytest.raises(ValueError):
             observe(bad)
-        assert pol.node_beliefs[1] == BetaBelief(1, 1)
+        assert _leaf_counts(pol) == (1, 1)
 
     def test_input_unchanged(self):
         pol, observe = _one_arm_posterior(1.0, 0.0, 0.0)
-        b = pol.node_beliefs[1]
+        b = _leaf_counts(pol)
         observe(1.0)
-        assert b == BetaBelief(2, 3)
+        assert b == (2, 3)
 
     @given(st.lists(st.integers(0, 1), max_size=200))
     def test_pseudo_count_conservation_binary(self, rewards):
         pol, _ = _one_arm_posterior(*map(float, rewards))
-        b = pol.node_beliefs[1]
-        assert b.s + b.f - 2 == len(rewards)
+        s, f = _leaf_counts(pol)
+        assert s + f - 2 == len(rewards)
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), max_size=100))
     def test_pseudo_count_conservation_fractional(self, rewards):
         pol, _ = _one_arm_posterior(*rewards)
-        b = pol.node_beliefs[1]
-        assert b.s + b.f - 2 == pytest.approx(len(rewards), abs=1e-9)
-
-    def test_counts_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            BetaBelief(0.5, 1)
-        with pytest.raises(ValueError):
-            BetaBelief(1, 0.0)
+        s, f = _leaf_counts(pol)
+        assert s + f - 2 == pytest.approx(len(rewards), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ class TestClusterTree:
         leaves = [tree.leaf_of_arm(a) for a in range(clustering.n_arms)]
         assert sorted(leaves) == list(range(1 + k, tree.n_nodes))
         for a, leaf in enumerate(leaves):
-            assert tree.arm_of_leaf(leaf) == a
+            assert tree.leaf_arms[leaf] == a
             assert tree.path_to_root(leaf) == [leaf, clustering.label_of(a) + 1, 0]
         self._assert_contiguous_children(tree)
 
@@ -378,7 +376,7 @@ class TestSimulationTrace:
         assert np.array_equal(a.cum_regret, b.cum_regret)
         assert np.array_equal(a.paths, b.paths)
 
-    @pytest.mark.parametrize("key", sorted(POLICY_KEYS))
+    @pytest.mark.parametrize("key", sorted(k for k, cls in POLICY_KEYS.items() if cls.needs != "contextual"))
     def test_cumulative_regret_equals_sum_of_regret_of(self, key):
         inst = _small_clustered_instance()
         if key in ("hts", "uct"):  # the same means on the clustering's two-level tree
@@ -453,7 +451,7 @@ class TestSimulationTrace:
         contexts = rng_streams(6).context.random((5, 4))
         runs = [
             (make_policy("tsc", inst), lambda p: simulate(inst, p, 5, rng_streams(6).simulation)),
-            (make_contextual_policy("lintsc", ctx), lambda p: simulate_contextual(ctx, p, 5, rng_streams(6).simulation, contexts)),
+            (make_policy("lintsc", ctx), lambda p: simulate(ctx, p, 5, rng_streams(6).simulation, contexts=contexts)),
         ]
         for policy, run in runs:
             policy.path_depth = 2  # the (0, c+1, leaf) paths do not fit a row

@@ -10,7 +10,6 @@ import pytest
 
 from clusterbandit import harness
 from clusterbandit.analysis import cluster_stats, lai_robbins_lower, tsc_instance_bound, tsc_minimax_bound
-from clusterbandit.contextual import CONTEXTUAL_POLICY_KEYS, make_contextual_policy
 from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
@@ -25,7 +24,7 @@ from clusterbandit.harness import (
 )
 from clusterbandit.instances import build_instance, gen_context, instance_to_json
 from clusterbandit.policies import POLICY_KEYS, make_policy
-from clusterbandit.simulate import simulate, simulate_contextual
+from clusterbandit.simulate import simulate
 
 TINY_SD_SPEC = {
     "kind": "strong_dominance",
@@ -200,7 +199,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, params, match",
         [
-            ("tsc", {"x": 1}, r"'tsc\(x=1\)' on variant 'b': policy 'tsc' accepts no parameters, got \['x'\]"),
+            ("tsc", {"x": 1}, r"'tsc\(x=1\)' on variant 'b': policy 'tsc' does not accept parameters \['x'\]"),
             ("linucb", {"v": 1.0}, r"'linucb\(v=1.0\)' on variant 'b': .*does not accept parameters \['v'\]"),
             ("linucb", {"alpha": -1}, r"'linucb\(alpha=-1\)' on variant 'b': alpha: .*>= 0, got -1"),
             ("lints", {"v": 0}, r"'lints\(v=0\)' on variant 'b': v: .*> 0, got 0"),
@@ -282,6 +281,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             run_experiment(_tiny_config(**overrides))
         assert jobs == []
+
+    @pytest.mark.parametrize(
+        "overrides, field, bad",
+        [
+            ({"bounds": "false"}, "bounds", "false"),
+            ({"bounds": 1}, "bounds", 1),
+            ({"bounds": None}, "bounds", None),
+            ({"name": None}, "name", None),
+            ({"name": 3}, "name", 3),
+            ({"instances": [{"name": "a", "spec": TINY_SD_SPEC}, {"name": None, "spec": TINY_SD_SPEC}]},
+             "instances[1].name", None),
+            ({"policies": [{"key": "ts"}, {"key": "tsc", "label": 7}]}, "policies[1].label", 7),
+        ],
+    )
+    def test_untyped_fields_fail_before_any_job(self, monkeypatch, overrides, field, bad):
+        # "bounds": "false" used to run with bounds on, a null name to name the experiment or variant 'None'
+        jobs = self._count_jobs(monkeypatch)
+        kind = "boolean" if field == "bounds" else "string"
+        match = rf"^{re.escape(field)}: must be a {kind}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_tiny_config(**overrides))
+        assert jobs == []
+
+    def test_typed_fields_keep_their_values_and_defaults(self):
+        config = _tiny_config(bounds=False, policies=[{"key": "ts", "label": "ts-a"}],
+                              instances=[{"name": "a", "spec": TINY_SD_SPEC}, {"spec": TINY_SD_SPEC}])
+        assert (config.name, config.bounds) == ("tiny", False)
+        assert [v.name for v in config.variants] == ["a", "v1"] and config.policies[0].label == "ts-a"
+        doc = config.to_json()
+        del doc["name"], doc["bounds"]
+        defaults = ExperimentConfig.from_json(doc)
+        assert (defaults.name, defaults.bounds) == ("experiment", False)
 
     def test_integral_floats_are_integers(self):
         floats = _tiny_config(seeds=[1.0, 2.0], horizon=40.0, stride=2.0)
@@ -487,18 +518,18 @@ class TestTopCounts:
         for row in run_experiment(config).rows:
             assert row.top_counts.tolist() == [7]
 
-    @pytest.mark.parametrize("key", [*sorted(POLICY_KEYS), *CONTEXTUAL_POLICY_KEYS])
+    @pytest.mark.parametrize("key", sorted(POLICY_KEYS))
     def test_every_path_runs_root_to_leaf(self, monkeypatch, key):
         # one path rule for every policy: from the root along tree.parent to
         # the played arm's leaf; flat policies keep no paths and no counts
         runs = []
-        for name in ("simulate", "simulate_contextual"):
-            def traced(instance, policy, *args, _sim=getattr(harness, name), **kwargs):
-                runs.append((policy, _sim(instance, policy, *args, **kwargs)))
-                return runs[-1][1]
-            monkeypatch.setattr(harness, name, traced)
+
+        def traced(instance, policy, *args, **kwargs):
+            runs.append((policy, simulate(instance, policy, *args, **kwargs)))
+            return runs[-1][1]
+        monkeypatch.setattr(harness, "simulate", traced)
         spec = {"clustering": self.SPECS["flat"], "bernoulli": self.SPECS["flat"],
-                "tree": self.SPECS["tree"], "contextual": TINY_CTX_SPEC}[harness._POLICY_NEEDS.get(key, "bernoulli")]
+                "tree": self.SPECS["tree"], "contextual": TINY_CTX_SPEC}[POLICY_KEYS[key].needs]
         doc = {"name": "paths", "horizon": 60, "seeds": [0, 1], "policies": [{"key": key}], "instance": spec}
         rows = run_experiment(ExperimentConfig.from_json(doc)).rows
         assert [row.seed for row in rows] == [0, 1] and len(runs) == 2
@@ -606,9 +637,9 @@ class TestInstanceReuse:
         def failing_at_seed_5(*args, seed=None, **kwargs):
             if seed == 5:
                 raise ValueError("step failed")
-            return simulate_contextual(*args, seed=seed, **kwargs)
+            return simulate(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(harness, "simulate_contextual", failing_at_seed_5)
+        monkeypatch.setattr(harness, "simulate", failing_at_seed_5)
         config = ExperimentConfig.from_json(
             {
                 "name": "bad-job",
@@ -626,9 +657,9 @@ class TestInstanceReuse:
         def overflowing_at_seed_5(*args, seed=None, **kwargs):
             if seed == 5:
                 raise FloatingPointError("overflow in step")
-            return simulate_contextual(*args, seed=seed, **kwargs)
+            return simulate(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(harness, "simulate_contextual", overflowing_at_seed_5)
+        monkeypatch.setattr(harness, "simulate", overflowing_at_seed_5)
         config = ExperimentConfig.from_json(
             {
                 "name": "bad-job",
@@ -679,8 +710,8 @@ class TestContextAndBoundReuse:
             streams = rng_streams(row.seed)
             instance = build_instance(TINY_CTX_SPEC, streams.instance)
             contexts = np.stack([gen(instance.dim, streams.context) for _ in range(30)])
-            policy = make_contextual_policy(row.policy, instance)
-            trace = simulate_contextual(instance, policy, 30, streams.simulation, contexts=contexts)
+            policy = make_policy(row.policy, instance)
+            trace = simulate(instance, policy, 30, streams.simulation, contexts=contexts)
             assert np.array_equal(row.regret, trace.cum_regret[row.ts - 1])
 
     @pytest.mark.parametrize("workers", [1, 2])

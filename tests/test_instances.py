@@ -323,7 +323,7 @@ class TestAgglomerativeTree:
     def test_internal_node_count(self):
         n = 24
         tree = gen_agglomerative_tree(rng_streams(3).instance.random(n))
-        internal = sum(1 for v in range(tree.n_nodes) if not tree.is_leaf(v))
+        internal = sum(1 for v in range(tree.n_nodes) if tree.ptr[v] != tree.ptr[v + 1])
         assert internal == n - 1
 
     def test_instance_wrapper_shares_feature_draw_with_kmeans(self):

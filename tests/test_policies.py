@@ -9,7 +9,6 @@ import pytest
 
 from clusterbandit.core import (
     BanditInstance,
-    BetaBelief,
     ClusterTree,
     DisjointClustering,
     rng_streams,
@@ -29,6 +28,12 @@ from clusterbandit.policies import (
     make_policy,
 )
 from clusterbandit.simulate import simulate
+
+
+def _beliefs(pol):
+    """Each node's Beta counts (s, f) by node id; the policy keeps them in ``tree.slot`` order."""
+    slot = pol.tree.slot
+    return dict(enumerate(zip(pol._s[slot].tolist(), pol._f[slot].tolist())))
 
 
 def _selection_freq(select, n_trials, n_entities, seed=0):
@@ -67,10 +72,10 @@ class TestThompsonSampling:
     def test_update_moves_only_chosen_arm(self):
         pol = ThompsonSampling(3)
         pol.update(Choice(arm=1, path=(0, 2)), 1.0)
-        beliefs = pol.node_beliefs  # arm a is leaf a+1 of the star
-        assert beliefs[2] == BetaBelief(2, 1)
-        assert beliefs[1] == beliefs[3] == BetaBelief(1, 1)
-        assert beliefs[0] == BetaBelief(2, 1)  # the root sums its leaves
+        beliefs = _beliefs(pol)  # arm a is leaf a+1 of the star
+        assert beliefs[2] == (2, 1)
+        assert beliefs[1] == beliefs[3] == (1, 1)
+        assert beliefs[0] == (2, 1)  # the root sums its leaves
 
     def test_update_needs_the_star_path(self):
         with pytest.raises(ValueError):
@@ -119,19 +124,19 @@ class TestClusteredThompsonSampling:
     def test_update_touches_exactly_two_beliefs(self):
         pol = _two_cluster_policy()
         pol.update(Choice(arm=2, path=_path(pol, 2)), 1.0)
-        beliefs = pol.node_beliefs
+        beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm
-        assert beliefs[leaf(2)] == BetaBelief(2, 1)
-        assert beliefs[2] == BetaBelief(2, 1)  # cluster 1
-        assert beliefs[leaf(0)] == beliefs[leaf(1)] == beliefs[leaf(3)] == BetaBelief(1, 1)
-        assert beliefs[1] == BetaBelief(1, 1)  # cluster 0
-        assert beliefs[0] == BetaBelief(2, 1)  # the root sums the clusters
+        assert beliefs[leaf(2)] == (2, 1)
+        assert beliefs[2] == (2, 1)  # cluster 1
+        assert beliefs[leaf(0)] == beliefs[leaf(1)] == beliefs[leaf(3)] == (1, 1)
+        assert beliefs[1] == (1, 1)  # cluster 0
+        assert beliefs[0] == (2, 1)  # the root sums the clusters
 
     def test_update_failure_reward(self):
         pol = _two_cluster_policy()
         pol.update(Choice(arm=0, path=_path(pol, 0)), 0.0)
-        assert pol.node_beliefs[pol.tree.leaf_of_arm(0)] == BetaBelief(1, 2)
-        assert pol.node_beliefs[1] == BetaBelief(1, 2)
+        assert _beliefs(pol)[pol.tree.leaf_of_arm(0)] == (1, 2)
+        assert _beliefs(pol)[1] == (1, 2)
 
     def test_containment_violation_rejected(self):
         pol = _two_cluster_policy()
@@ -221,17 +226,17 @@ class TestHierarchicalThompsonSampling:
     def test_update_increments_exactly_path_nodes(self):
         pol = HierarchicalThompsonSampling(_depth2_tree())
         pol.update(Choice(arm=0, path=(0, 1, 3)), 1.0)
-        beliefs = pol.node_beliefs
-        assert beliefs[0] == beliefs[1] == beliefs[3] == BetaBelief(2, 1)
+        beliefs = _beliefs(pol)
+        assert beliefs[0] == beliefs[1] == beliefs[3] == (2, 1)
         for v in (2, 4, 5, 6):
-            assert beliefs[v] == BetaBelief(1, 1)
+            assert beliefs[v] == (1, 1)
 
     def test_update_failure_on_fresh_state(self):
         pol = HierarchicalThompsonSampling(_depth2_tree())
         pol.update(Choice(arm=3, path=(0, 2, 6)), 0.0)
-        beliefs = pol.node_beliefs
-        assert beliefs[0] == beliefs[2] == beliefs[6] == BetaBelief(1, 2)
-        assert beliefs[1] == BetaBelief(1, 1)
+        beliefs = _beliefs(pol)
+        assert beliefs[0] == beliefs[2] == beliefs[6] == (1, 2)
+        assert beliefs[1] == (1, 1)
 
     def test_invalid_path_rejected(self):
         pol = HierarchicalThompsonSampling(_depth2_tree())
@@ -450,11 +455,11 @@ class TestTsMax:
         clustering = DisjointClustering([0, 0, 1])
         pol = TsMax(clustering)
         pol.update(Choice(arm=0, path=_path_to(pol, 0, 0)), 1.0)
-        beliefs = pol.node_beliefs
+        beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm(0)
-        assert beliefs[leaf] == BetaBelief(2, 1)
+        assert beliefs[leaf] == (2, 1)
         # the other arms, both clusters and the root keep the prior
-        assert all(b == BetaBelief(1, 1) for v, b in beliefs.items() if v != leaf)
+        assert all(b == (1, 1) for v, b in beliefs.items() if v != leaf)
         assert len(beliefs) == pol.tree.n_nodes
 
     @pytest.mark.parametrize("make", [
@@ -533,6 +538,63 @@ class TestTreeUcb:
 # Registry
 # ---------------------------------------------------------------------------
 
+CONTEXTUAL_KEYS = ("lints", "lintsc", "linucb", "linucbc")
+BERNOULLI_KEYS = ("hts", "ts", "tsc", "tsmax", "ucb1", "ucbc", "uct")
+ALL_KEYS = sorted(BERNOULLI_KEYS + CONTEXTUAL_KEYS)
+NEEDS = {"ts": "bernoulli", "ucb1": "bernoulli", "tsc": "clustering", "tsmax": "clustering", "ucbc": "clustering",
+         "hts": "tree", "uct": "tree", **dict.fromkeys(CONTEXTUAL_KEYS, "contextual")}
+ACCEPTED = {"bernoulli": {"flat", "clustering", "tree"}, "clustering": {"clustering"}, "tree": {"tree"},
+            "contextual": {"contextual"}}
+PARAMS = {"lints": {"v", "d"}, "lintsc": {"v", "d"}, "linucb": {"alpha", "d"}, "linucbc": {"alpha", "d"}}
+
+
+def _one_instance_per_structure():
+    """Four arms as each structure ``instances.spec_structure`` names; the contextual one has dimension 3."""
+    means = [0.5, 0.4, 0.3, 0.2]
+    clustering = DisjointClustering([0, 0, 1, 1])
+    return {
+        "flat": BanditInstance(means),
+        "clustering": BanditInstance(means, clustering=clustering),
+        "tree": sorted_tree_from_means(means),
+        "contextual": contextual.ContextualInstance(np.ones((4, 3)), clustering),
+    }
+
+
+def test_the_registry_is_every_key_with_its_class():
+    assert sorted(policies.POLICY_KEYS) == ALL_KEYS
+    for key, cls in policies.POLICY_KEYS.items():
+        assert cls.key == key and vars(cls)["key"] == key
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_make_policy_and_check_params_serve_every_key(key):
+    cls = policies.POLICY_KEYS[key]
+    assert cls.needs == NEEDS[key]
+    for structure, instance in _one_instance_per_structure().items():
+        assert instance.structure == structure
+        if structure in ACCEPTED[NEEDS[key]]:
+            policy = make_policy(key, instance)
+            assert policy.key == key and type(policy) is cls
+        else:  # the text the experiment config reports for a variant of that structure
+            with pytest.raises(ValueError, match=f"^policy '{key}' needs a {NEEDS[key]} instance, got a {structure} instance$"):
+                make_policy(key, instance)
+    accepted = PARAMS.get(key, set())
+    assert set(cls.params) == accepted
+    for name, value in (("v", 0.5), ("alpha", 1.0), ("d", 3), ("gamma", 1.0)):
+        if name in accepted:
+            policies.check_params(key, {name: value}, dim=3)
+        else:
+            with pytest.raises(ValueError, match=rf"^policy '{key}' does not accept parameters \['{name}'\]$"):
+                policies.check_params(key, {name: value}, dim=3)
+    if "d" in accepted:
+        policies.check_params(key, {"d": 4})  # no dimension known: nothing to check d against
+        with pytest.raises(ValueError, match="^parameter d=4 does not match instance dimension 3$"):
+            policies.check_params(key, {"d": 4}, dim=3)
+        instance = _one_instance_per_structure()["contextual"]
+        assert make_policy(key, instance, {"d": 3}).key == key
+        with pytest.raises(ValueError, match="does not match instance dimension 3"):
+            make_policy(key, instance, {"d": 4})
+
 class TestMakePolicy:
     def test_all_keys(self):
         flat = BanditInstance([0.5, 0.4])
@@ -602,6 +664,14 @@ def _instance_for(key):
     return BanditInstance(means, clustering=DisjointClustering(np.arange(40) % 6))
 
 
+def _any_instance_for(key):
+    """``_instance_for(key)``, or 40 arms in 6 clusters with 3-dimensional coefficients for a contextual key."""
+    if key in CONTEXTUAL_KEYS:
+        theta = np.random.default_rng(12).standard_normal((40, 3))
+        return contextual.ContextualInstance(theta, DisjointClustering(np.arange(40) % 6))
+    return _instance_for(key)
+
+
 def _arrays(policy):
     return {k: v.tobytes() for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
 
@@ -624,7 +694,7 @@ def path_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+@pytest.mark.parametrize("key", BERNOULLI_KEYS)
 def test_update_checks_every_choice_but_the_selected_one(key, path_checks):
     instance = _instance_for(key)
     policy = make_policy(key, instance)
@@ -648,18 +718,20 @@ def test_update_checks_every_choice_but_the_selected_one(key, path_checks):
         policy.update(policy._selected, 2.0)  # the selected Choice still has its reward checked
 
 
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_select_rejects_a_time_step_below_one(key):
-    policy = make_policy(key, _instance_for(key))
+    instance = _any_instance_for(key)
+    policy = make_policy(key, instance)
+    x = (np.ones(instance.dim),) if policy.needs == "contextual" else ()  # the context a contextual select takes
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    for t in (0, -1):
+    for t in (0, -1, -5):
         with pytest.raises(ValueError, match=f"time step must be >= 1, got {t}"):
-            policy.select(t, rng)
+            policy.select(t, *x, rng)
     assert rng.bit_generator.state == state and policy._selected is None
 
 
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+@pytest.mark.parametrize("key", BERNOULLI_KEYS)
 def test_a_valid_copy_of_the_choice_updates_like_the_selected_one(key):
     instance = _instance_for(key)
     original, copied = make_policy(key, instance), make_policy(key, instance)
@@ -674,7 +746,7 @@ def test_a_valid_copy_of_the_choice_updates_like_the_selected_one(key):
     assert rng.bit_generator.state == twin_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+@pytest.mark.parametrize("key", BERNOULLI_KEYS)
 def test_deep_copies_and_pickles_continue_byte_identically(key):
     instance = _instance_for(key)
     policy = make_policy(key, instance)
@@ -698,7 +770,7 @@ def _pickled(obj):
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS))
+@pytest.mark.parametrize("key", BERNOULLI_KEYS)
 def test_a_copy_trusts_only_a_choice_copied_together_with_it(key, clone, path_checks):
     instance = _instance_for(key)
     policy = make_policy(key, instance)
@@ -717,20 +789,9 @@ def test_a_copy_trusts_only_a_choice_copied_together_with_it(key, clone, path_ch
     assert _arrays(alone) == _arrays(together) == _arrays(policy)
 
 
-def _any_instance_for(key):
-    if key in contextual.CONTEXTUAL_POLICY_KEYS:
-        theta = np.random.default_rng(12).standard_normal((40, 3))
-        return contextual.ContextualInstance(theta, DisjointClustering(np.arange(40) % 6))
-    return _instance_for(key)
-
-
-@pytest.mark.parametrize("key", sorted(policies.POLICY_KEYS) + list(contextual.CONTEXTUAL_POLICY_KEYS))
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_path_depth_is_the_tree_depth_plus_one_unless_flat(key):
-    instance = _any_instance_for(key)
-    if key in contextual.CONTEXTUAL_POLICY_KEYS:
-        policy = contextual.make_contextual_policy(key, instance)
-    else:
-        policy = make_policy(key, instance)
+    policy = make_policy(key, _any_instance_for(key))
     flat = key in ("ts", "ucb1", "lints", "linucb")
     assert policy.flat is flat
     assert policy.path_depth == (0 if flat else policy.tree.depth + 1)

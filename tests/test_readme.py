@@ -1,4 +1,4 @@
-"""The README's library quick start runs as written, and its module table names live API."""
+"""The README's library quick start runs as written, a Bernoulli and a contextual run, and its module table names live API."""
 import contextlib
 import importlib
 import io
@@ -21,9 +21,10 @@ def test_library_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(_quick_start(), str(README), "exec"), {})
     lines = out.getvalue().split()
-    assert len(lines) == 3
-    cum_regret, leading, holds = lines
+    assert len(lines) == 4
+    cum_regret, contextual_regret, leading, holds = lines
     assert float(cum_regret) > 0.0
+    assert float(contextual_regret) > 0.0
     assert float(leading) > 0.0
     assert holds in ("True", "False")
 

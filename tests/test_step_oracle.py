@@ -51,7 +51,7 @@ import math
 import numpy as np
 import pytest
 
-from clusterbandit.contextual import RESOLVE_EVERY, _check_context, make_contextual_policy
+from clusterbandit.contextual import RESOLVE_EVERY, _check_context
 from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, random_argmax, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
@@ -65,8 +65,9 @@ from clusterbandit.policies import (
     TreeUcb,
     TsMax,
     Ucb1,
+    make_policy,
 )
-from clusterbandit.simulate import simulate, simulate_contextual
+from clusterbandit.simulate import simulate
 
 SEEDS = (0, 1, 2)
 HORIZON = 2000
@@ -82,7 +83,7 @@ def _ref_random_argmax(values, rng):
 
 
 def _ref_check_path(tree, path):
-    if not path or path[0] != tree.root or not tree.is_leaf(path[-1]):
+    if not path or path[0] != tree.root or tree.ptr[path[-1]] != tree.ptr[path[-1] + 1]:
         raise ValueError(f"invalid root-to-leaf path {path}")
     for v, w in zip(path, path[1:]):
         if int(tree.parent[w]) != v:
@@ -94,18 +95,18 @@ class RefHts(HierarchicalThompsonSampling):
         tree = self.tree
         node = tree.root
         path = [node]
-        while not tree.is_leaf(node):
+        while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
             theta = rng.beta(self._s[kids], self._f[kids])
             node = int(kids[_ref_random_argmax(theta, rng)])
             path.append(node)
-        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+        return Choice(arm=int(tree.leaf_arms[node]), path=tuple(path))
 
     def update(self, choice, reward):
         tree = self.tree
         path = choice.path
         _ref_check_path(tree, path)
-        if tree.arm_of_leaf(path[-1]) != choice.arm:
+        if tree.leaf_arms[path[-1]] != choice.arm:
             raise ValueError(f"path leaf does not map to arm {choice.arm}")
         fail = 1.0 - reward
         for v in path:
@@ -166,7 +167,7 @@ class RefUct(TreeUcb):
         tree = self.tree
         node = tree.root
         path = [node]
-        while not tree.is_leaf(node):
+        while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
             counts = self._n[kids]
             fresh = np.flatnonzero(counts == 0)
@@ -176,7 +177,7 @@ class RefUct(TreeUcb):
                 idx = self._q[kids] + np.sqrt(2.0 * self._ref_log(t, self._n[node]) / counts)
                 node = int(kids[_ref_random_argmax(idx, rng)])
             path.append(node)
-        return Choice(arm=tree.arm_of_leaf(node), path=tuple(path))
+        return Choice(arm=int(tree.leaf_arms[node]), path=tuple(path))
 
     def update(self, choice, reward):
         path = choice.path
@@ -625,12 +626,12 @@ def _ctx_case(name, seed):
 @pytest.mark.parametrize("key", ["lints", "lintsc", "linucb", "linucbc"])
 def test_linear_bank_matches_reference(name, seed, key):
     instance, contexts = _ctx_case(name, seed)
-    policy = make_contextual_policy(key, instance)
-    reference = make_contextual_policy(key, instance)
+    policy = make_policy(key, instance)
+    reference = make_policy(key, instance)
     bank = reference._bank
     reference._bank = RefLinearBank(bank.n, bank.dim, bank.v)
-    got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
-    want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
     assert np.array_equal(got.arms, want.arms)
     assert np.array_equal(got.rewards, want.rewards)
     assert np.array_equal(got.cum_regret, want.cum_regret)
@@ -763,9 +764,9 @@ CTX_REFS = {
 @pytest.mark.parametrize("key", sorted(CTX_REFS))
 def test_contextual_policies_match_their_own_references(name, seed, key):
     instance, contexts = _ctx_case(name, seed)
-    policy, reference = make_contextual_policy(key, instance), CTX_REFS[key](instance)
-    got = simulate_contextual(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
-    want = simulate_contextual(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    policy, reference = make_policy(key, instance), CTX_REFS[key](instance)
+    got = simulate(instance, policy, HORIZON, rng_streams(seed).simulation, contexts=contexts)
+    want = simulate(instance, reference, HORIZON, rng_streams(seed).simulation, contexts=contexts)
     assert got.arms.tobytes() == want.arms.tobytes()
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.cum_regret.tobytes() == want.cum_regret.tobytes()

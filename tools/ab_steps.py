@@ -12,8 +12,11 @@ two separately started benchmark processes.
 Each tree builds the instance of ``--spec`` (default: the ``ctx-large-eps05``
 variant) from the instance stream of ``--seed``, with the context sequence of
 that seed for a contextual spec. One job is a fresh policy plus one
-``simulate``/``simulate_contextual`` run of ``--horizon`` steps on the
-simulation stream of ``--seed``. Every round runs one job per key on each
+simulation run of ``--horizon`` steps on the simulation stream of ``--seed``.
+A tree has either one ``make_policy`` and ``simulate(..., contexts=)`` for
+every policy, or, before those served contextual policies too,
+``contextual.make_contextual_policy`` and ``simulate.simulate_contextual``
+for contextual ones; each side looks up what its tree has. Every round runs one job per key on each
 tree, the first tree alternating between rounds, and times it with
 ``time.perf_counter``.
 
@@ -65,25 +68,21 @@ class Side:
         instances = importlib.import_module(f"{name}.instances")
         streams = self.core.rng_streams(seed)
         self.instance = instances.build_instance(spec, streams.instance)
-        self.contexts = None
+        self.make, self.run, self.kwargs = self.policies.make_policy, self.simulate.simulate, {}
         if isinstance(self.instance, self.contextual.ContextualInstance):
-            self.contexts = np.stack(
+            self.make = getattr(self.contextual, "make_contextual_policy", self.make)
+            self.run = getattr(self.simulate, "simulate_contextual", self.run)
+            self.kwargs = {"contexts": np.stack(
                 [instances.gen_context(self.instance.dim, streams.context) for _ in range(horizon)]
-            )
+            )}
         self.horizon, self.seed = horizon, seed
 
     def job(self, key: str):
         """(seconds, trace) of one fresh policy run on the seed's simulation stream."""
         rng = self.core.rng_streams(self.seed).simulation
         start = time.perf_counter()
-        if self.contexts is not None:
-            policy = self.contextual.make_contextual_policy(key, self.instance)
-            trace = self.simulate.simulate_contextual(
-                self.instance, policy, self.horizon, rng, contexts=self.contexts
-            )
-        else:
-            policy = self.policies.make_policy(key, self.instance)
-            trace = self.simulate.simulate(self.instance, policy, self.horizon, rng)
+        policy = self.make(key, self.instance)
+        trace = self.run(self.instance, policy, self.horizon, rng, **self.kwargs)
         return time.perf_counter() - start, trace
 
 
