@@ -359,4 +359,3 @@ class ClusteredLinUcb(ClusteredLinThompson):
         _check_alpha(alpha)
         super().__init__(clustering, dim)
         self.alpha = float(alpha)
-
