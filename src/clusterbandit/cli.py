@@ -132,8 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seeds is not None or args.base_seed is not None:
         base = args.base_seed if args.base_seed is not None else config.seeds[0]
         count = args.seeds if args.seeds is not None else len(config.seeds)
-        if count < 1:
-            raise ConfigError("seeds: must be >= 1")
         overrides["seeds"] = tuple(range(base, base + count))
     if args.horizon is not None:
         overrides["horizon"] = args.horizon

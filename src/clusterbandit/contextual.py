@@ -261,7 +261,7 @@ class ContextualPolicy(BanditPolicy):
 
     key: str = ""  # a class body with its own select/update declares the key its timings are named by
     needs = "contextual"
-    params = {"v": _check_v, "d": None}
+    params = {"v": (float, _check_v), "d": (int, None)}
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
@@ -336,7 +336,7 @@ class LinUcb(LinThompson):
     """Linear UCB: mean score plus alpha times the posterior width."""
 
     key = "linucb"
-    params = {"alpha": _check_alpha, "d": None}
+    params = {"alpha": (float, _check_alpha), "d": (int, None)}
 
     def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)

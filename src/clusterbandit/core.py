@@ -1,10 +1,12 @@
 """Core domain types for bandits with clustered arms.
 
 Defines the Bernoulli instance / clustering / tree containers shared by
-every policy, the seeded-randomness contract, and the simulation trace.
+every policy, the seeded-randomness contract, the simulation trace, and
+``typed``, the one rule every value read from a config or spec passes.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,7 +21,25 @@ __all__ = [
     "rng_streams",
     "random_argmax",
     "draw_reward",
+    "typed",
 ]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               list: "a list", dict: "an object"}
+
+
+def typed(field: str, value, kind: type):
+    """``value`` as ``kind``, else a ValueError ``<field>: must be an integer, got <value!r>``.
+
+    An integer (``int``) is any integral real number and a number (``float``) any real one, never a bool, and
+    each comes back as ``kind``; ``str``, ``bool``, ``list`` and ``dict`` take exactly their type.
+    """
+    numeric = kind is int or kind is float
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) if numeric else isinstance(value, kind)
+    if not ok or (kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
+        raise ValueError(f"{field}: must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value) if numeric else value
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ each task builds its instance (and draws its context sequence) once, runs
 every policy of the variant on it as one (variant, policy, seed) job, and
 computes the instance's bound values when bounds are requested. Aggregation
 sorts on (variant, policy, seed) first, so output is byte-identical
-regardless of scheduling.
+regardless of scheduling. A config is checked when it is made: every value
+is read through ``core.typed`` and every spec through
+``instances.spec_fields``, so a bad one fails before any job with a
+``ConfigError`` naming the field.
 
 Results export to CSV (one row per logged step), JSON (config plus
 summaries, round-trippable), and SVG (mean regret curve per policy with a
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -41,8 +44,8 @@ from .analysis import (
     tsc_minimax_bound,
 )
 from .contextual import ContextualInstance
-from .core import BanditInstance, RngStreams, rng_streams
-from .instances import ContextualSpec, build_instance, gen_context, spec_structure
+from .core import BanditInstance, RngStreams, rng_streams, typed
+from .instances import StrongDominanceSpec, build_instance, gen_context, spec_fields, spec_structure
 from .policies import POLICY_KEYS, check_params, make_policy
 from .simulate import simulate
 
@@ -124,9 +127,9 @@ class InstanceVariant:
 
 
 def _spec_dim(spec: dict) -> int | None:
-    """A contextual spec's dimension: a serialized theta's width, else ``dim``; None if theta is not 2-D."""
+    """A contextual spec's dimension: a serialized theta's width, else its checked ``dim``; None if theta is not 2-D."""
     if "theta" not in spec:
-        return spec.get("dim", ContextualSpec.dim)
+        return spec_fields(spec)["dim"]
     shape = np.shape(spec["theta"])
     return shape[1] if len(shape) == 2 else None
 
@@ -221,69 +224,63 @@ class ExperimentConfig:
     def from_json(doc: dict) -> "ExperimentConfig":
         try:
             seeds = _parse_seeds(doc.get("seeds"))
-            policies = tuple(_parse_policy(i, p) for i, p in enumerate(doc.get("policies", [])))
+            entries = typed("policies", doc.get("policies", []), list)
+            policies = tuple(_parse_policy(i, p) for i, p in enumerate(entries))
             variants = _parse_variants(doc)
             return ExperimentConfig(
-                name=_typed("name", doc.get("name", "experiment"), str),
+                name=typed("name", doc.get("name", "experiment"), str),
                 variants=variants,
                 policies=policies,
-                horizon=_integer("horizon", doc.get("horizon", 0)),
+                horizon=typed("horizon", doc.get("horizon", 0), int),
                 seeds=seeds,
-                stride=None if doc.get("stride") is None else _integer("stride", doc["stride"]),
-                bounds=_typed("bounds", doc.get("bounds", False), bool),
-                eps=float(doc.get("eps", 0.1)),
-                context_kind=str(doc.get("context_kind", "uniform")),
+                stride=None if doc.get("stride") is None else typed("stride", doc["stride"], int),
+                bounds=typed("bounds", doc.get("bounds", False), bool),
+                eps=typed("eps", doc.get("eps", 0.1), float),
+                context_kind=typed("context_kind", doc.get("context_kind", "uniform"), str),
             )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # a ConfigError, or ``typed``'s error naming its field
+            raise ConfigError(str(exc)) from exc
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid config document: {exc}") from exc
-
-
-def _typed(field: str, value, kind: type):
-    """``value`` if it is of ``kind`` (``str`` or ``bool``); otherwise a ``ConfigError`` naming ``field``."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{field}: must be a {'boolean' if kind is bool else 'string'}, got {value!r}")
-    return value
-
-
-def _integer(field: str, value) -> int:
-    """``value`` as an int; a boolean or a number with a fractional part is a ``ConfigError`` naming ``field``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{field}: must be an integer, got {value!r}")
-    return int(value)
 
 
 def _parse_seeds(raw) -> tuple[int, ...]:
     if raw is None:
         raise ConfigError("seeds: missing")
     if isinstance(raw, dict):
-        base, count = _integer("seeds.base", raw.get("base", 0)), _integer("seeds.count", raw.get("count", 0))
+        base, count = typed("seeds.base", raw.get("base", 0), int), typed("seeds.count", raw.get("count", 0), int)
         if count < 1:
             raise ConfigError("seeds.count: must be >= 1")
         return tuple(range(base, base + count))
-    return tuple(_integer("seeds", s) for s in raw)
+    return tuple(typed("seeds", s, int) for s in raw)
 
 
-def _parse_policy(i: int, doc: dict) -> PolicySpec:
-    if "key" not in doc:
+def _parse_policy(i: int, doc) -> PolicySpec:
+    field = f"policies[{i}]"
+    if "key" not in typed(field, doc, dict):
         raise ConfigError("policies: entry missing 'key'")
-    return PolicySpec(
-        key=str(doc["key"]),
-        params=dict(doc.get("params", {})),
-        variants=None if doc.get("variants") is None else tuple(doc["variants"]),
-        label=None if doc.get("label") is None else _typed(f"policies[{i}].label", doc["label"], str),
-    )
+    key, params = typed(f"{field}.key", doc["key"], str), typed(f"{field}.params", doc.get("params", {}), dict)
+    declared = POLICY_KEYS[key].params if key in POLICY_KEYS else {}
+    for name in filter(declared.__contains__, params):  # an unknown key or name is reported when the config is made
+        typed(f"{field}.params.{name}", params[name], declared[name][0])
+    variants, label = doc.get("variants"), doc.get("label")
+    if variants is not None:
+        variants = tuple(typed(f"{field}.variants[{j}]", name, str)
+                         for j, name in enumerate(typed(f"{field}.variants", variants, list)))
+    return PolicySpec(key, dict(params), variants, None if label is None else typed(f"{field}.label", label, str))
 
 
 def _parse_variants(doc: dict) -> tuple[InstanceVariant, ...]:
     if "instances" in doc:
         return tuple(
-            InstanceVariant(name=_typed(f"instances[{i}].name", v.get("name", f"v{i}"), str), spec=dict(v["spec"]))
-            for i, v in enumerate(doc["instances"])
+            InstanceVariant(
+                name=typed(f"instances[{i}].name", typed(f"instances[{i}]", v, dict).get("name", f"v{i}"), str),
+                spec=dict(typed(f"instances[{i}].spec", v["spec"], dict)),
+            )
+            for i, v in enumerate(typed("instances", doc["instances"], list))
         )
     if "instance" in doc:
-        return (InstanceVariant(name="default", spec=dict(doc["instance"])),)
+        return (InstanceVariant(name="default", spec=dict(typed("instance", doc["instance"], dict))),)
     raise ConfigError("instances: missing ('instance' or 'instances')")
 
 
@@ -730,73 +727,30 @@ def check_formats(formats: Sequence[str]) -> tuple[str, ...]:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _sd_spec(n: int, k: int, a_star: int, w: float, d: float) -> dict:
-    return {
-        "kind": "strong_dominance",
-        "n_arms": n,
-        "n_suboptimal_clusters": k,
-        "optimal_cluster_size": a_star,
-        "optimal_width": w,
-        "separation": d,
-    }
-
-
 def _policies(*keys: str, **kw) -> list[dict]:
     return [{"key": k, **kw} for k in keys]
 
 
 def _preset_docs() -> dict[str, dict]:
     docs: dict[str, dict] = {}
-    docs["fig-d-sweep"] = {
-        "name": "fig-d-sweep",
-        "horizon": 3000,
-        "seeds": {"base": 1000, "count": 50},
-        "policies": _policies("ts", "tsc"),
-        "instances": [
-            {"name": f"d={d}", "spec": _sd_spec(100, 10, 10, 0.1, d)}
-            for d in (0.05, 0.1, 0.2, 0.3)
-        ],
-    }
-    docs["fig-w-sweep"] = {
-        "name": "fig-w-sweep",
-        "horizon": 3000,
-        "seeds": {"base": 1100, "count": 50},
-        "policies": _policies("ts", "tsc"),
-        "instances": [
-            {"name": f"w={w}", "spec": _sd_spec(100, 10, 10, w, 0.1)}
-            for w in (0.0, 0.1, 0.2, 0.3)
-        ],
-    }
-    docs["fig-n-sweep"] = {
-        "name": "fig-n-sweep",
-        "horizon": 3000,
-        "seeds": {"base": 1200, "count": 50},
-        "policies": _policies("ts", "tsc"),
-        "instances": [
-            {"name": f"N={n}", "spec": _sd_spec(n, int(math.isqrt(n)), int(math.isqrt(n)), 0.1, 0.1)}
-            for n in (25, 100, 400)
-        ],
-    }
-    docs["fig-k-sweep"] = {
-        "name": "fig-k-sweep",
-        "horizon": 3000,
-        "seeds": {"base": 1300, "count": 50},
-        "policies": _policies("ts", "tsc"),
-        "instances": [
-            {"name": f"K={k}", "spec": _sd_spec(100, k, 10, 0.1, 0.1)}
-            for k in (2, 5, 10, 20, 45)
-        ],
-    }
-    docs["fig-a-sweep"] = {
-        "name": "fig-a-sweep",
-        "horizon": 3000,
-        "seeds": {"base": 1400, "count": 50},
-        "policies": _policies("ts", "tsc"),
-        "instances": [
-            {"name": f"A={a}", "spec": _sd_spec(100, 10, a, 0.1, 0.1)}
-            for a in (2, 5, 10, 25, 50)
-        ],
-    }
+    # the figure sweeps of the dominance generator: (name, seed base, variant label, values, parameters of a value)
+    for name, base, label, values, args in (
+        ("fig-d-sweep", 1000, "d", (0.05, 0.1, 0.2, 0.3), lambda d: (100, 10, 10, 0.1, d)),
+        ("fig-w-sweep", 1100, "w", (0.0, 0.1, 0.2, 0.3), lambda w: (100, 10, 10, w, 0.1)),
+        ("fig-n-sweep", 1200, "N", (25, 100, 400), lambda n: (n, math.isqrt(n), math.isqrt(n), 0.1, 0.1)),
+        ("fig-k-sweep", 1300, "K", (2, 5, 10, 20, 45), lambda k: (100, k, 10, 0.1, 0.1)),
+        ("fig-a-sweep", 1400, "A", (2, 5, 10, 25, 50), lambda a: (100, 10, a, 0.1, 0.1)),
+    ):
+        docs[name] = {
+            "name": name,
+            "horizon": 3000,
+            "seeds": {"base": base, "count": 50},
+            "policies": _policies("ts", "tsc"),
+            "instances": [
+                {"name": f"{label}={v}", "spec": {"kind": "strong_dominance", **asdict(StrongDominanceSpec(*args(v)))}}
+                for v in values
+            ],
+        }
     docs["fig-depth"] = {
         "name": "fig-depth",
         "horizon": 3000,

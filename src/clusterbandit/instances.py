@@ -9,17 +9,23 @@ centroids.
 
 Every generator is a pure function of (spec, seed stream): identical seeds
 reproduce identical instances. Instances serialize to JSON for exact replay.
+
+``SPEC_KINDS`` is the one schema of the generated spec kinds. A config
+reads its specs through it (:func:`spec_fields`) with no draw and no build,
+running the checks each generator runs before its first draw, so a bad spec
+fails before any job with an error naming the field.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .analysis import ClusterStats, cluster_stats
 from .contextual import ContextualInstance
-from .core import BanditInstance, ClusterTree, DisjointClustering
+from .core import BanditInstance, ClusterTree, DisjointClustering, typed
 
 __all__ = [
     "REWARD_FUNCTIONS",
@@ -44,6 +50,9 @@ __all__ = [
     "verify_strong_dominance",
     "instance_to_json",
     "instance_from_json",
+    "SpecKind",
+    "SPEC_KINDS",
+    "spec_fields",
     "spec_structure",
     "build_instance",
 ]
@@ -85,7 +94,7 @@ def reward_function(fn_id: str) -> tuple[Callable[[np.ndarray], np.ndarray], int
     """Look up a reward landscape by id, returning (function, feature dim)."""
     if fn_id not in REWARD_FUNCTIONS:
         raise ValueError(
-            f"unknown reward function '{fn_id}'; valid ids: {sorted(REWARD_FUNCTIONS)}"
+            f"reward_fn: unknown reward function '{fn_id}'; valid ids: {sorted(REWARD_FUNCTIONS)}"
         )
     return REWARD_FUNCTIONS[fn_id]
 
@@ -102,6 +111,18 @@ def evaluate_reward_fn(fn_id: str, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Specs
 # ---------------------------------------------------------------------------
+
+def _at_least(field: str, value, low) -> None:
+    """Raise a ValueError naming ``field`` unless ``value >= low``."""
+    if not value >= low:
+        raise ValueError(f"{field}: must be >= {low}, got {value}")
+
+
+def _check_n_clusters(n_arms: int, n_clusters: int) -> None:
+    """Every one of ``n_clusters`` clusters gets at least one of ``n_arms`` arms."""
+    if not 1 <= n_clusters <= n_arms:
+        raise ValueError(f"n_clusters: must be in [1, n_arms], got n_clusters={n_clusters} with n_arms={n_arms}")
+
 
 @dataclass(frozen=True)
 class StrongDominanceSpec:
@@ -120,20 +141,16 @@ class StrongDominanceSpec:
     separation: float
 
     def __post_init__(self) -> None:
-        if self.optimal_cluster_size < 2:
-            raise ValueError("optimal cluster needs at least 2 arms")
-        if self.n_suboptimal_clusters < 1:
-            raise ValueError("need at least one sub-optimal cluster")
-        if self.n_arms - self.optimal_cluster_size < self.n_suboptimal_clusters:
-            raise ValueError("not enough arms to populate every sub-optimal cluster")
+        _at_least("optimal_cluster_size", self.optimal_cluster_size, 2)
+        _at_least("n_suboptimal_clusters", self.n_suboptimal_clusters, 1)
+        # every sub-optimal cluster needs an arm
+        _at_least("n_arms", self.n_arms, self.optimal_cluster_size + self.n_suboptimal_clusters)
         if not (0.0 <= self.optimal_width < 1.0):
-            raise ValueError("optimal_width must be in [0, 1)")
-        if self.separation <= 0.0:
-            raise ValueError("separation must be positive")
+            raise ValueError(f"optimal_width: must be in [0, 1), got {self.optimal_width}")
+        if not self.separation > 0.0:
+            raise ValueError(f"separation: must be > 0, got {self.separation}")
         if 0.5 - self.optimal_width - self.separation < -1e-12:
-            raise ValueError(
-                "0.5 - optimal_width - separation must be >= 0 to keep means in [0, 1]"
-            )
+            raise ValueError(f"separation: optimal_width + separation must be <= 0.5, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +163,10 @@ class ContextualSpec:
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not (1 <= self.n_clusters <= self.n_arms):
-            raise ValueError("need 1 <= n_clusters <= n_arms")
+        _at_least("dim", self.dim, 1)
+        if not (0.0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon: must be finite and >= 0, got {self.epsilon}")
+        _check_n_clusters(self.n_arms, self.n_clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +261,7 @@ def kmeans_distortion(points: np.ndarray, labels: np.ndarray) -> float:
 def _uniform_nonempty_labels(
     n_items: int, cluster_ids: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform assignment over ``cluster_ids``, re-drawn until none is empty."""
-    if n_items < cluster_ids.size:
-        raise ValueError("fewer items than clusters")
+    """Uniform assignment over ``cluster_ids``, re-drawn until none is empty; needs ``n_items >= cluster_ids.size``."""
     while True:
         pick = rng.integers(cluster_ids.size, size=n_items)
         if np.unique(pick).size == cluster_ids.size:
@@ -297,15 +310,20 @@ def gen_uniform_instance(
     n_arms: int, n_clusters: int, rng: np.random.Generator
 ) -> BanditInstance:
     """Arms with U(0, 1) means assigned to clusters uniformly (no correlation)."""
-    if not (1 <= n_clusters <= n_arms):
-        raise ValueError("need 1 <= n_clusters <= n_arms")
+    _check_n_clusters(n_arms, n_clusters)
     means = rng.uniform(0.0, 1.0, size=n_arms)
     labels = _uniform_nonempty_labels(n_arms, np.arange(n_clusters), rng)
     return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
+def _check_kmeans(n_arms: int, n_clusters: int, reward_fn: str) -> tuple[Callable, int]:
+    """``gen_kmeans_instance``'s checks, made before its first draw; returns the reward landscape."""
+    _check_n_clusters(n_arms, n_clusters)
+    return reward_function(reward_fn)
+
+
 def gen_kmeans_instance(
-    n_arms: int, n_clusters: int, reward_fn_id: str, rng: np.random.Generator
+    n_arms: int, n_clusters: int, reward_fn: str, rng: np.random.Generator
 ) -> BanditInstance:
     """Arms at uniform feature points, clustered by k-means on the features.
 
@@ -313,7 +331,7 @@ def gen_kmeans_instance(
     features, so nearby arms share similar means but nothing guarantees the
     optimal cluster dominates.
     """
-    fn, dim = reward_function(reward_fn_id)
+    fn, dim = _check_kmeans(n_arms, n_clusters, reward_fn)
     features = rng.random((n_arms, dim))
     labels = kmeans(features, n_clusters, rng)
     labels = _compact_labels(labels)
@@ -357,6 +375,13 @@ def _grow(root, expand: Callable[[object], list]) -> ClusterTree:
     return ClusterTree.from_csr(ptr, np.argsort(ups, kind="stable") + 1, np.asarray(leaf_arms))
 
 
+def _check_tree(n_arms: int = 2, levels: int | None = None) -> None:
+    """A tree needs at least 2 arms, and a cut at ``levels`` (None: no cut) at least 0 levels."""
+    _at_least("n_arms", n_arms, 2)
+    if levels is not None:
+        _at_least("levels", levels, 0)
+
+
 def _balanced_tree(order: np.ndarray) -> ClusterTree:
     order = order.tolist()
 
@@ -378,8 +403,7 @@ def sorted_tree_from_means(means: Sequence[float]) -> BanditInstance:
     means this gives every subtree dominance over its left siblings.
     """
     means = np.asarray(means, dtype=np.float64)
-    if means.size < 2:
-        raise ValueError("need at least 2 arms")
+    _check_tree(means.size)
     order = np.argsort(means, kind="stable")
     return BanditInstance(means, tree=_balanced_tree(order))
 
@@ -390,8 +414,7 @@ def gen_sorted_binary_tree(n_arms: int, rng: np.random.Generator) -> BanditInsta
     Duplicate mean draws are re-drawn so the tree-level dominance audit
     holds with probability one. Tree depth is ceil(log2 N).
     """
-    if n_arms < 2:
-        raise ValueError("need at least 2 arms")
+    _check_tree(n_arms)
     means = rng.uniform(0.1, 0.8, size=n_arms)
     while np.unique(means).size < n_arms:
         means = rng.uniform(0.1, 0.8, size=n_arms)
@@ -406,8 +429,7 @@ def truncate_tree(tree: ClusterTree, levels: int) -> ClusterTree:
     direct leaves. ``levels=0`` yields the flat star (every arm under the
     root), ``levels >= depth`` reproduces the tree.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
+    _check_tree(levels=levels)
     leaf_arms = tree.leaf_arms.tolist()
 
     def item(node: int, depth: int):
@@ -422,11 +444,25 @@ def truncate_tree(tree: ClusterTree, levels: int) -> ClusterTree:
     return _grow(item(tree.root, 0), expand)
 
 
+def _sorted_tree(n_arms: int, levels: int | None, rng: np.random.Generator) -> BanditInstance:
+    """:func:`gen_sorted_binary_tree` cut by :func:`truncate_tree` at ``levels`` (None: no cut)."""
+    instance = gen_sorted_binary_tree(n_arms, rng)
+    return instance if levels is None else BanditInstance(instance.means, tree=truncate_tree(instance.tree, levels))
+
+
+def _check_kmeans_tree(n_arms: int, branching: int, depth: int, reward_fn: str) -> tuple[Callable, int]:
+    """``gen_kmeans_tree``'s checks, made before its first draw; returns the reward landscape."""
+    _at_least("n_arms", n_arms, 1)
+    _at_least("branching", branching, 2)
+    _at_least("depth", depth, 1)
+    return reward_function(reward_fn)
+
+
 def gen_kmeans_tree(
     n_arms: int,
     branching: int,
     depth: int,
-    reward_fn_id: str,
+    reward_fn: str,
     rng: np.random.Generator,
 ) -> BanditInstance:
     """Recursive k-means refinement of uniform feature points into a tree.
@@ -438,11 +474,7 @@ def gen_kmeans_tree(
     :func:`gen_kmeans_instance` with ``n_clusters=branching`` on the same
     seed.
     """
-    if branching < 2:
-        raise ValueError("branching must be >= 2")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    fn, dim = reward_function(reward_fn_id)
+    fn, dim = _check_kmeans_tree(n_arms, branching, depth, reward_fn)
     features = rng.random((n_arms, dim))
 
     def item(arm_ids: np.ndarray, level: int):
@@ -465,9 +497,7 @@ def gen_agglomerative_tree(features: np.ndarray, linkage: str = "single") -> Clu
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
-    n = features.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 feature points")
+    _check_tree(features.shape[0])
     # Imported here, its only use, so importing the package does not load scipy.
     from scipy.cluster.hierarchy import linkage as scipy_linkage
 
@@ -489,9 +519,21 @@ def _merge_tree(merges: np.ndarray) -> ClusterTree:
     return _grow(tuple(pairs[-1]), lambda pair: [item(pair[0]), item(pair[1])])
 
 
+# scipy's linkage methods, named here so a config is checked without importing scipy
+_LINKAGES = ("single", "complete", "average", "weighted", "centroid", "median", "ward")
+
+
+def _check_agglomerative(n_arms: int, reward_fn: str, linkage: str) -> tuple[Callable, int]:
+    """``gen_agglomerative_instance``'s checks, made before its first draw; returns the reward landscape."""
+    _check_tree(n_arms)
+    if linkage not in _LINKAGES:
+        raise ValueError(f"linkage: unknown method '{linkage}'; valid methods: {list(_LINKAGES)}")
+    return reward_function(reward_fn)
+
+
 def gen_agglomerative_instance(
     n_arms: int,
-    reward_fn_id: str,
+    reward_fn: str,
     rng: np.random.Generator,
     linkage: str = "single",
 ) -> BanditInstance:
@@ -500,7 +542,7 @@ def gen_agglomerative_instance(
     Draws the same features as :func:`gen_kmeans_instance` on the same seed
     so flat and tree structures over one arm population can be paired.
     """
-    fn, dim = reward_function(reward_fn_id)
+    fn, dim = _check_agglomerative(n_arms, reward_fn, linkage)
     features = rng.random((n_arms, dim))
     tree = gen_agglomerative_tree(features, linkage=linkage)
     return BanditInstance(fn(features), tree=tree)
@@ -528,8 +570,7 @@ def gen_contextual(spec: ContextualSpec, rng: np.random.Generator) -> Contextual
 
 def gen_context(dim: int, rng: np.random.Generator, kind: str = "uniform") -> np.ndarray:
     """One context vector: U([0,1]^d) by default, or standard normal."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _at_least("dim", dim, 1)
     if kind == "uniform":
         return rng.random(dim)
     if kind == "gaussian":
@@ -618,107 +659,86 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     return BanditInstance(doc["means"], clustering=clustering, tree=tree)
 
 
-_SPEC_FIELDS: dict[str, tuple[set[str], set[str], str]] = {
-    # kind -> (required fields, optional fields, structure of the instance)
-    "strong_dominance": (
-        {"n_arms", "n_suboptimal_clusters", "optimal_cluster_size", "optimal_width", "separation"},
-        set(),
-        "clustering",
-    ),
-    "sorted_tree": ({"n_arms"}, {"levels"}, "tree"),
-    "kmeans": ({"n_arms", "n_clusters", "reward_fn"}, set(), "clustering"),
-    "kmeans_tree": ({"n_arms", "branching", "depth", "reward_fn"}, set(), "tree"),
-    "agglomerative": ({"n_arms", "reward_fn"}, {"linkage"}, "tree"),
-    "uniform": ({"n_arms", "n_clusters"}, set(), "clustering"),
-    "contextual": ({"n_arms", "n_clusters", "epsilon"}, {"dim"}, "contextual"),
-    "bernoulli": ({"means"}, {"clustering", "tree"}, "flat"),
+# ---------------------------------------------------------------------------
+# Spec schema
+# ---------------------------------------------------------------------------
+
+class SpecKind(NamedTuple):
+    """A generated kind: the structure it builds, its fields' types (``core.typed`` kinds), its optional fields'
+    defaults, its range checks that need no draw, and its generator; both take the typed fields by name."""
+
+    structure: str
+    required: dict[str, type]
+    optional: dict[str, tuple[type, object]]
+    check: Callable[..., object]
+    generate: Callable[..., BanditInstance | ContextualInstance]
+
+
+SPEC_KINDS: dict[str, SpecKind] = {
+    "strong_dominance": SpecKind(
+        "clustering", {"n_arms": int, "n_suboptimal_clusters": int, "optimal_cluster_size": int,
+                       "optimal_width": float, "separation": float}, {},
+        StrongDominanceSpec, lambda rng, **fields: gen_strong_dominance(StrongDominanceSpec(**fields), rng)),
+    "sorted_tree": SpecKind("tree", {"n_arms": int}, {"levels": (int, None)}, _check_tree, _sorted_tree),
+    "kmeans": SpecKind("clustering", {"n_arms": int, "n_clusters": int, "reward_fn": str}, {},
+                       _check_kmeans, gen_kmeans_instance),
+    "kmeans_tree": SpecKind("tree", {"n_arms": int, "branching": int, "depth": int, "reward_fn": str}, {},
+                            _check_kmeans_tree, gen_kmeans_tree),
+    "agglomerative": SpecKind("tree", {"n_arms": int, "reward_fn": str}, {"linkage": (str, "single")},
+                              _check_agglomerative, gen_agglomerative_instance),
+    "uniform": SpecKind("clustering", {"n_arms": int, "n_clusters": int}, {}, _check_n_clusters, gen_uniform_instance),
+    "contextual": SpecKind("contextual", {"n_arms": int, "n_clusters": int, "epsilon": float},
+                           {"dim": (int, ContextualSpec.dim)}, ContextualSpec,
+                           lambda rng, **fields: gen_contextual(ContextualSpec(**fields), rng)),
 }
-# a contextual spec holding ``theta`` is a serialized instance, as ``instance_to_json`` writes it
-_SERIALIZED_CONTEXTUAL = ({"theta", "labels"}, {"epsilon"}, "contextual")
+# a serialized document's (required, optional) fields, as ``instance_to_json`` writes it
+_DOCUMENT_FIELDS = {"bernoulli": ({"means"}, {"clustering", "tree"}), "contextual": ({"theta", "labels"}, {"epsilon"})}
+
+
+def spec_fields(spec: dict) -> dict | None:
+    """A spec's typed, range-checked fields as its generator takes them, an optional one missing or null at its
+    default; None for a serialized document (``bernoulli``, or ``contextual`` with ``theta``), whose field names
+    only are checked. Raises ValueError naming the field."""
+    if "kind" not in spec:
+        raise ValueError("instance spec is missing the 'kind' field")
+    name = typed("kind", spec["kind"], str)
+    document = name == "bernoulli" or (name == "contextual" and "theta" in spec)
+    if not document and name not in SPEC_KINDS:
+        raise ValueError(f"unknown instance kind '{name}'; valid kinds: {sorted({*SPEC_KINDS, 'bernoulli'})}")
+    kind = SPEC_KINDS.get(name)
+    required, optional = _DOCUMENT_FIELDS[name] if document else (set(kind.required), set(kind.optional))
+    fields = set(spec) - {"kind", "meta"}
+    for problem, names in (("is missing", required - fields), ("has unknown", fields - required - optional)):
+        if names:
+            raise ValueError(f"instance spec '{name}' {problem} fields {sorted(names)}")
+    if document:
+        return None
+    values = {field: typed(field, spec[field], t) for field, t in kind.required.items()}
+    for field, (t, default) in kind.optional.items():
+        values[field] = default if spec.get(field) is None else typed(field, spec[field], t)
+    kind.check(**values)
+    return values
 
 
 def spec_structure(spec: dict) -> str:
-    """Check an instance spec's kind and fields, and name the structure it builds.
-
-    Returns ``"flat"``, ``"clustering"``, ``"tree"`` or ``"contextual"``,
-    without generating anything; a ``bernoulli`` document has the
-    ``clustering`` or ``tree`` it holds. Raises ValueError naming the field.
-    """
-    if "kind" not in spec:
-        raise ValueError("instance spec is missing the 'kind' field")
-    kind = spec["kind"]
-    if kind not in _SPEC_FIELDS:
-        raise ValueError(
-            f"unknown instance kind '{kind}'; valid kinds: {sorted(_SPEC_FIELDS)}"
-        )
-    serialized = kind == "contextual" and "theta" in spec
-    required, optional, structure = _SERIALIZED_CONTEXTUAL if serialized else _SPEC_FIELDS[kind]
-    fields = set(spec) - {"kind", "meta"}
-    missing = required - fields
-    if missing:
-        raise ValueError(f"instance spec '{kind}' is missing fields {sorted(missing)}")
-    extra = fields - required - optional
-    if extra:
-        raise ValueError(f"instance spec '{kind}' has unknown fields {sorted(extra)}")
-    if kind == "bernoulli":
-        return next((key for key in ("clustering", "tree") if spec.get(key) is not None), "flat")
-    return structure
+    """Check a spec (:func:`spec_fields`) and name the structure it builds: ``"flat"``,
+    ``"clustering"``, ``"tree"`` or ``"contextual"``; a ``bernoulli`` document has the
+    ``clustering`` or ``tree`` it holds."""
+    if spec_fields(spec) is not None:
+        return SPEC_KINDS[spec["kind"]].structure
+    if spec["kind"] == "contextual":
+        return "contextual"
+    return next((key for key in ("clustering", "tree") if spec.get(key) is not None), "flat")
 
 
 def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | ContextualInstance:
     """Generate (or deserialize) an instance from a JSON-style spec document.
 
-    ``spec["kind"]`` picks the generator; remaining fields are its
-    parameters. Serialized instances (kinds ``bernoulli`` / ``contextual``)
-    are rebuilt as-is and ignore the random stream, so they stay fixed
-    across seeds.
+    ``spec["kind"]`` picks the generator; its fields, read by
+    :func:`spec_fields`, are the parameters. Serialized instances are
+    rebuilt as-is and ignore the random stream, so they stay fixed across seeds.
     """
-    spec_structure(spec)
-    kind = spec["kind"]
-    if kind == "strong_dominance":
-        return gen_strong_dominance(
-            StrongDominanceSpec(
-                n_arms=int(spec["n_arms"]),
-                n_suboptimal_clusters=int(spec["n_suboptimal_clusters"]),
-                optimal_cluster_size=int(spec["optimal_cluster_size"]),
-                optimal_width=float(spec["optimal_width"]),
-                separation=float(spec["separation"]),
-            ),
-            rng,
-        )
-    if kind == "sorted_tree":
-        instance = gen_sorted_binary_tree(int(spec["n_arms"]), rng)
-        levels = spec.get("levels")
-        if levels is not None:
-            assert instance.tree is not None
-            instance = BanditInstance(instance.means, tree=truncate_tree(instance.tree, int(levels)))
-        return instance
-    if kind == "kmeans":
-        return gen_kmeans_instance(
-            int(spec["n_arms"]), int(spec["n_clusters"]), spec["reward_fn"], rng
-        )
-    if kind == "kmeans_tree":
-        return gen_kmeans_tree(
-            int(spec["n_arms"]),
-            int(spec["branching"]),
-            int(spec["depth"]),
-            spec["reward_fn"],
-            rng,
-        )
-    if kind == "agglomerative":
-        return gen_agglomerative_instance(
-            int(spec["n_arms"]), spec["reward_fn"], rng, linkage=spec.get("linkage", "single")
-        )
-    if kind == "uniform":
-        return gen_uniform_instance(int(spec["n_arms"]), int(spec["n_clusters"]), rng)
-    if kind == "contextual" and "theta" not in spec:
-        return gen_contextual(
-            ContextualSpec(
-                n_arms=int(spec["n_arms"]),
-                n_clusters=int(spec["n_clusters"]),
-                dim=int(spec.get("dim", 5)),
-                epsilon=float(spec["epsilon"]),
-            ),
-            rng,
-        )
-    return instance_from_json(spec)
+    fields = spec_fields(spec)
+    if fields is None:
+        return instance_from_json(spec)
+    return SPEC_KINDS[spec["kind"]].generate(**fields, rng=rng)

@@ -35,6 +35,7 @@ from .core import (
     DisjointClustering,
     _random_argmax_list,
     random_argmax,
+    typed,
 )
 
 __all__ = [
@@ -132,13 +133,14 @@ class BanditPolicy(ABC):
     ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
     ``"tree"`` or ``"contextual"``. ``params`` maps each parameter the class
-    accepts to its value check (None: checked by :func:`check_params` itself).
+    accepts to its type, as ``core.typed`` reads it, and its value check
+    (None: checked by :func:`check_params` itself).
     """
 
     key: str = ""
     flat: bool = False
     needs: str = "bernoulli"
-    params: dict[str, Callable[[float], None] | None] = {}
+    params: dict[str, tuple[type, Callable[[float], None] | None]] = {}
     _selected: Choice | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -452,9 +454,11 @@ def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
     unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
-    for name, check in accepted.items():
-        if check is not None and name in params:
-            check(float(params[name]))
+    for name, value in params.items():
+        kind, check = accepted[name]
+        value = typed(name, value, kind)
+        if check is not None:
+            check(value)
     d = params.get("d")
     if d is not None and dim is not None and d != dim:
         raise ValueError(f"parameter d={d} does not match instance dimension {dim}")

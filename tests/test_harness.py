@@ -1,9 +1,15 @@
 """Experiment runner: config parsing, determinism, pairing, exports, presets."""
 import functools
+import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from clusterbandit.harness import (
     preset_names,
     run_experiment,
 )
-from clusterbandit.instances import build_instance, gen_context, instance_to_json
+from clusterbandit.instances import SPEC_KINDS, build_instance, gen_context, instance_to_json, spec_fields
 from clusterbandit.policies import POLICY_KEYS, make_policy
 from clusterbandit.simulate import simulate
 
@@ -36,6 +42,55 @@ TINY_SD_SPEC = {
 }
 
 TINY_CTX_SPEC = {"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}
+
+
+# A good spec of every generated kind, and for each field a value out of its range
+GOOD_SPECS = {
+    "strong_dominance": TINY_SD_SPEC,
+    "sorted_tree": {"kind": "sorted_tree", "n_arms": 8, "levels": 1},
+    "kmeans": {"kind": "kmeans", "n_arms": 20, "n_clusters": 3, "reward_fn": "sin-product"},
+    "kmeans_tree": {"kind": "kmeans_tree", "n_arms": 20, "branching": 3, "depth": 2, "reward_fn": "sin-product"},
+    "agglomerative": {"kind": "agglomerative", "n_arms": 12, "reward_fn": "bump-2d", "linkage": "average"},
+    "uniform": {"kind": "uniform", "n_arms": 12, "n_clusters": 3},
+    "contextual": TINY_CTX_SPEC,
+}
+OUT_OF_RANGE = {
+    "strong_dominance": {"n_arms": 4, "n_suboptimal_clusters": 0, "optimal_cluster_size": 1,
+                         "optimal_width": 1.0, "separation": 0.0},
+    "sorted_tree": {"n_arms": 1, "levels": -1},
+    "kmeans": {"n_arms": 2, "n_clusters": 50, "reward_fn": "sin"},
+    "kmeans_tree": {"n_arms": 0, "branching": 1, "depth": 0, "reward_fn": "sin"},
+    "agglomerative": {"n_arms": 1, "reward_fn": "sin", "linkage": "nearest"},
+    "uniform": {"n_arms": 2, "n_clusters": 0},
+    "contextual": {"n_arms": 2, "n_clusters": 0, "dim": 0, "epsilon": -0.5},
+}
+WRONG_TYPES = {int: [True, 2.5, "3"], float: [True, "3"], str: [True, 3]}
+POLICY_FOR = {"clustering": "tsc", "tree": "hts", "contextual": "lints"}
+
+
+def _field_type(kind, field):
+    schema = SPEC_KINDS[kind]
+    return schema.required[field] if field in schema.required else schema.optional[field][0]
+
+
+BAD_SPEC_CASES = [
+    (kind, field, bad)
+    for kind, fields in OUT_OF_RANGE.items()
+    for field, out_of_range in fields.items()
+    for bad in [*WRONG_TYPES[_field_type(kind, field)], out_of_range]
+]
+
+
+def _bad_spec_doc(kind, field, bad):
+    """A config with a good variant 'a' and variant 'b' whose ``field`` is ``bad``."""
+    good = GOOD_SPECS[kind]
+    return {
+        "name": "tiny",
+        "horizon": 40,
+        "seeds": [1, 2, 3],
+        "policies": [{"key": POLICY_FOR[SPEC_KINDS[kind].structure]}],
+        "instances": [{"name": "a", "spec": good}, {"name": "b", "spec": {**good, field: bad}}],
+    }
 
 
 def _tiny_config(**overrides):
@@ -169,6 +224,116 @@ class TestConfigValidation:
             run_experiment(_tiny_config(**doc))
         assert jobs == []
 
+    def test_bad_spec_cases_cover_every_field_of_every_kind(self):
+        assert set(GOOD_SPECS) == set(OUT_OF_RANGE) == set(SPEC_KINDS)
+        for kind, schema in SPEC_KINDS.items():
+            assert set(OUT_OF_RANGE[kind]) == {*schema.required, *schema.optional}
+            good = _tiny_config(policies=[{"key": POLICY_FOR[schema.structure]}], instance=GOOD_SPECS[kind], seeds=[1])
+            assert run_experiment(good).rows
+
+    @pytest.mark.parametrize("kind, field, bad", BAD_SPEC_CASES, ids=[f"{k}-{f}-{b!r}" for k, f, b in BAD_SPEC_CASES])
+    def test_bad_spec_fields_fail_before_any_job(self, monkeypatch, kind, field, bad):
+        # each of these used to run the 3 jobs of variant 'a' first, or to run with a truncated or coerced value
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match=rf"^instances: variant 'b' spec: (.* )?{field}\b"):
+            run_experiment(ExperimentConfig.from_json(_bad_spec_doc(kind, field, bad)))
+        assert jobs == []
+
+    def test_spec_fields_are_typed_and_take_their_defaults(self):
+        assert spec_fields({**TINY_CTX_SPEC, "n_arms": 9.0, "epsilon": 1}) == {
+            "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 1.0}
+        no_dim = {k: v for k, v in TINY_CTX_SPEC.items() if k != "dim"}
+        assert spec_fields(no_dim)["dim"] == spec_fields({**no_dim, "dim": None})["dim"] == 5
+        assert spec_fields({"kind": "agglomerative", "n_arms": 4, "reward_fn": "bump-2d"})["linkage"] == "single"
+        assert spec_fields({"kind": "sorted_tree", "n_arms": 4})["levels"] is None
+        assert spec_fields({"kind": "bernoulli", "means": [0.5, 0.25]}) is None
+        # the spec is echoed into the results as given
+        config = _tiny_config(instance={**TINY_SD_SPEC, "n_arms": 12.0})
+        assert config.to_json()["instances"][0]["spec"]["n_arms"] == 12.0
+
+    def test_config_checks_import_no_scipy_and_build_nothing(self):
+        # setup_s times the config parse: it must not pay for scipy's import or for any build
+        script = textwrap.dedent("""
+            import json, sys
+            from clusterbandit import harness, instances
+
+            def no_build(spec, rng):
+                raise AssertionError("build_instance called while a config was made")
+
+            instances.build_instance = harness.build_instance = no_build
+            presets = [harness.preset(name) for name in harness.preset_names()]
+            for doc in json.load(sys.stdin):
+                try:
+                    harness.ExperimentConfig.from_json(doc)
+                except harness.ConfigError:
+                    pass
+            print(len(presets), "scipy" in sys.modules)
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        docs = json.dumps([_bad_spec_doc(*case) for case in BAD_SPEC_CASES])
+        out = subprocess.run([sys.executable, "-c", script], input=docs, capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(len(preset_names())), "False"]
+
+    @pytest.mark.parametrize(
+        "overrides, field, bad, kind",
+        [
+            ({"eps": True}, "eps", True, "number"),
+            ({"eps": "0.2"}, "eps", "0.2", "number"),
+            ({"policies": [{"key": "lints", "params": {"v": True}}]}, "policies[0].params.v", True, "number"),
+            ({"policies": [{"key": "lints", "params": {"v": "1"}}]}, "policies[0].params.v", "1", "number"),
+            ({"policies": [{"key": "lints"}, {"key": "linucb", "params": {"alpha": "2"}}]},
+             "policies[1].params.alpha", "2", "number"),
+            ({"policies": [{"key": "linucbc", "params": {"alpha": False}}]},
+             "policies[0].params.alpha", False, "number"),
+            ({"policies": [{"key": "lintsc", "params": {"d": True}}]}, "policies[0].params.d", True, "integer"),
+            ({"policies": [{"key": "lintsc", "params": {"d": "4"}}]}, "policies[0].params.d", "4", "integer"),
+        ],
+    )
+    def test_typed_numbers_and_params_fail_before_any_job(self, monkeypatch, overrides, field, bad, kind):
+        # "eps": true ran with eps = 1.0, "eps": "0.2" with 0.2, and {"v": true} as 'lints(v=True)'
+        jobs = self._count_jobs(monkeypatch)
+        article = "an" if kind == "integer" else "a"
+        match = rf"^{re.escape(field)}: must be {article} {kind}, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_tiny_config(**{"instance": TINY_CTX_SPEC, **overrides}))
+        assert jobs == []
+        # the same values given to the policy registry directly
+        for name, value in overrides.get("policies", [{}])[-1].get("params", {}).items():
+            with pytest.raises(ValueError, match=rf"^{name}: must be {article} {kind}"):
+                make_policy(overrides["policies"][-1]["key"], build_instance(TINY_CTX_SPEC, rng_streams(0).instance),
+                            {name: value})
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"policies": [{"key": "ts"}, {"key": "tsc", "variants": "ab"}]},
+             r"^policies\[1\]\.variants: must be a list, got 'ab'$"),
+            ({"policies": [{"key": "ts"}, {"key": "tsc", "variants": ["a", 2]}]},
+             r"^policies\[1\]\.variants\[1\]: must be a string, got 2$"),
+            ({"policies": [{"key": "ts"}, {"key": "tsc", "params": None}]},
+             r"^policies\[1\]\.params: must be an object, got None$"),
+            ({"policies": [{"key": "ts"}, "tsc"]}, r"^policies\[1\]: must be an object, got 'tsc'$"),
+            ({"instances": [{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b", "spec": "kmeans"}]},
+             r"^instances\[1\]\.spec: must be an object, got 'kmeans'$"),
+            ({"instance": "kmeans"}, r"^instance: must be an object, got 'kmeans'$"),
+            ({"instances": {"a": TINY_SD_SPEC}}, r"^instances: must be a list, got \{"),
+            ({"policies": {"key": "ts"}}, r"^policies: must be a list, got \{"),
+        ],
+        ids=["variants-string", "variants-element", "params-null", "policy-string", "spec-string",
+             "instance-string", "instances-object", "policies-object"],
+    )
+    def test_container_fields_name_themselves(self, monkeypatch, overrides, match):
+        # "variants": "ab" was split into ['a', 'b'], and a null params or a string spec failed with Python's own text
+        jobs = self._count_jobs(monkeypatch)
+        doc = {"instances": [{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b", "spec": TINY_SD_SPEC}], **overrides}
+        if "instance" in overrides:
+            del doc["instances"]
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_tiny_config(**doc))
+        assert jobs == []
+
     @pytest.mark.parametrize(
         "key, spec, match",
         [
@@ -199,12 +364,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, params, match",
         [
-            ("tsc", {"x": 1}, r"'tsc\(x=1\)' on variant 'b': policy 'tsc' does not accept parameters \['x'\]"),
-            ("linucb", {"v": 1.0}, r"'linucb\(v=1.0\)' on variant 'b': .*does not accept parameters \['v'\]"),
-            ("linucb", {"alpha": -1}, r"'linucb\(alpha=-1\)' on variant 'b': alpha: .*>= 0, got -1"),
-            ("lints", {"v": 0}, r"'lints\(v=0\)' on variant 'b': v: .*> 0, got 0"),
-            ("lints", {"d": 7}, r"'lints\(d=7\)' on variant 'b': parameter d=7 does not match instance dimension 5"),
-            ("lints", {"d": 5.5}, r"'lints\(d=5.5\)' on variant 'b': parameter d=5.5 does not match instance dimension 5"),
+            ("tsc", {"x": 1}, r": 'tsc\(x=1\)' on variant 'b': policy 'tsc' does not accept parameters \['x'\]"),
+            ("linucb", {"v": 1.0}, r": 'linucb\(v=1.0\)' on variant 'b': .*does not accept parameters \['v'\]"),
+            ("linucb", {"alpha": -1}, r": 'linucb\(alpha=-1\)' on variant 'b': alpha: .*>= 0, got -1"),
+            ("lints", {"v": 0}, r": 'lints\(v=0\)' on variant 'b': v: .*> 0, got 0"),
+            ("lints", {"d": 7}, r": 'lints\(d=7\)' on variant 'b': parameter d=7 does not match instance dimension 5"),
+            # d is an integer, so a fractional one fails as it is read, naming the field
+            ("lints", {"d": 5.5}, r"\[1\]\.params\.d: must be an integer, got 5\.5$"),
         ],
         ids=["tsc-x", "linucb-v", "linucb-alpha", "lints-v", "lints-d", "lints-fractional-d"],
     )
@@ -218,7 +384,7 @@ class TestConfigValidation:
                          {"key": key, "params": params, "variants": ["b"]}],
             "instances": [{"name": "a", "spec": spec}, {"name": "b", "spec": spec}],
         }
-        with pytest.raises(ConfigError, match="^policies: " + match):
+        with pytest.raises(ConfigError, match="^policies" + match):
             run_experiment(_tiny_config(**doc))
         assert jobs == []
 
@@ -613,7 +779,21 @@ class TestInstanceReuse:
         fresh = run_experiment(config(0.3))
         assert np.array_equal(second.rows[0].regret, fresh.rows[0].regret)
 
-    def test_build_failure_names_variant_and_seed(self):
+    def test_build_failure_names_variant_and_seed(self, monkeypatch):
+        # a spec's draw-free checks run when the config is made (5 arms in 8 clusters fails there),
+        # so a build that fails at all fails in the draws; this one fails at every seed
+        with pytest.raises(ConfigError, match=r"variant 'too-many-clusters' spec: n_clusters: .*n_arms=5"):
+            ExperimentConfig.from_json({
+                "horizon": 10, "seeds": [4, 5], "policies": [{"key": "ts"}],
+                "instances": [{"name": "too-many-clusters",
+                               "spec": {"kind": "kmeans", "n_arms": 5, "n_clusters": 8, "reward_fn": "sin-product"}}],
+            })
+
+        def failing_build(spec, rng):
+            raise ValueError("build failed")
+
+        monkeypatch.setattr(harness, "build_instance", failing_build)
+        monkeypatch.setattr(harness, "_last_instance", None)
         config = ExperimentConfig.from_json(
             {
                 "name": "bad-build",
@@ -622,15 +802,15 @@ class TestInstanceReuse:
                 "policies": [{"key": "ts"}],
                 "instances": [
                     {
-                        "name": "too-many-clusters",
-                        "spec": {"kind": "kmeans", "n_arms": 5, "n_clusters": 8,
+                        "name": "failing-build",
+                        "spec": {"kind": "kmeans", "n_arms": 5, "n_clusters": 3,
                                  "reward_fn": "sin-product"},
                     }
                 ],
             }
         )
         for workers in (1, 2):
-            with pytest.raises(ConfigError, match="variant 'too-many-clusters' at seed 4"):
+            with pytest.raises(ConfigError, match="variant 'failing-build' at seed 4: build failed"):
                 run_experiment(config, workers=workers)
 
     def test_policy_failure_names_variant_policy_and_seed(self, monkeypatch):

@@ -468,6 +468,37 @@ class TestGeneratorDeterminism:
         assert instance_to_json(a) == instance_to_json(b)
 
 
+class TestGeneratorChecks:
+    """A bad direct call fails before the generator's first draw, with the field named, as a config does."""
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda rng: gen_kmeans_instance(5, 8, "sin-product", rng), "n_clusters"),
+            (lambda rng: gen_kmeans_instance(20, 3, "sin", rng), "reward_fn"),
+            (lambda rng: gen_kmeans_tree(0, 3, 1, "sin-product", rng), "n_arms"),
+            (lambda rng: gen_kmeans_tree(20, 1, 1, "sin-product", rng), "branching"),
+            (lambda rng: gen_kmeans_tree(20, 3, 0, "sin-product", rng), "depth"),
+            (lambda rng: gen_agglomerative_instance(1, "bump-2d", rng), "n_arms"),
+            (lambda rng: gen_agglomerative_instance(10, "bump-2d", rng, linkage="nearest"), "linkage"),
+            (lambda rng: gen_sorted_binary_tree(1, rng), "n_arms"),
+            (lambda rng: gen_uniform_instance(3, 5, rng), "n_clusters"),
+            (lambda rng: gen_contextual(ContextualSpec(6, 2, dim=0), rng), "dim"),
+            (lambda rng: gen_context(0, rng), "dim"),
+        ],
+    )
+    def test_rejected_before_any_draw(self, call, field):
+        rng = rng_streams(0).instance
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            call(rng)
+        assert rng.bit_generator.state == state
+
+    def test_truncate_rejects_negative_levels(self):
+        with pytest.raises(ValueError, match="^levels: must be >= 0, got -1$"):
+            truncate_tree(gen_sorted_binary_tree(8, rng_streams(0).instance).tree, -1)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "builder",

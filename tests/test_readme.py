@@ -1,9 +1,12 @@
-"""The README's library quick start runs as written, a Bernoulli and a contextual run, and its module table names live API."""
+"""The README's library quick start runs as written, a Bernoulli and a contextual run, its module table names live
+API, and its instance spec table is the spec schema."""
 import contextlib
 import importlib
 import io
 import re
 from pathlib import Path
+
+from clusterbandit.instances import SPEC_KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +58,21 @@ def test_module_table_names_exist():
                 obj = getattr(obj, part)
             checked.append(name)
     assert "ClusterTree" in checked and "BanditInstance" in checked
+
+
+def _spec_table() -> list[tuple[str, ...]]:
+    """(kind, builds, field, type, default) of each row of the README's instance spec table."""
+    table = README.read_text().split("| kind | builds | field | type | default | range |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| (\w+) \| `(\w+)` \| (\w+) \| ([^|]+?) \|", table, re.MULTILINE)
+
+
+def test_spec_table_is_the_schema():
+    type_names = {int: "integer", float: "number", str: "string"}
+    want = []
+    for kind, schema in SPEC_KINDS.items():
+        for field, kind_type in schema.required.items():
+            want.append((kind, schema.structure, field, type_names[kind_type], "required"))
+        for field, (kind_type, default) in schema.optional.items():
+            shown = "no cut" if default is None else f"`{default}`"
+            want.append((kind, schema.structure, field, type_names[kind_type], shown))
+    assert sorted(_spec_table()) == sorted(want)
