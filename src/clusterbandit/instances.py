@@ -639,14 +639,24 @@ def instance_to_json(instance: BanditInstance | ContextualInstance) -> dict:
     return doc
 
 
+def _numbers(field: str, values, depth: int) -> list:
+    """``values``, a list of numbers (``depth`` 1) or a list of such lists (2), each entry read through
+    ``core.typed`` under its own name, ``theta[2][1]``."""
+    values = typed(field, values, list)
+    if depth == 1:
+        return [typed(f"{field}[{i}]", v, float) for i, v in enumerate(values)]
+    return [_numbers(f"{field}[{i}]", row, depth - 1) for i, row in enumerate(values)]
+
+
 def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
-    """Rebuild an instance from its JSON document."""
+    """Rebuild an instance from its JSON document; ``means``, ``theta`` and ``epsilon`` are read through
+    ``core.typed``, so a bool or a string fails naming its entry."""
     kind = doc.get("kind")
     if kind == "contextual":
         return ContextualInstance(
-            np.asarray(doc["theta"], dtype=np.float64),
+            np.asarray(_numbers("theta", doc["theta"], 2), dtype=np.float64),
             DisjointClustering(doc["labels"]),
-            epsilon=float(doc.get("epsilon", 0.0)),
+            epsilon=typed("epsilon", doc.get("epsilon", 0.0), float),
         )
     if kind != "bernoulli":
         raise ValueError(f"unknown instance kind '{kind}'")
@@ -656,7 +666,7 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
         clustering = DisjointClustering(doc["clustering"]["labels"])
     if doc.get("tree") is not None:
         tree = ClusterTree(doc["tree"]["children"], doc["tree"]["leaf_arms"])
-    return BanditInstance(doc["means"], clustering=clustering, tree=tree)
+    return BanditInstance(_numbers("means", doc["means"], 1), clustering=clustering, tree=tree)
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,38 @@ class TestSerialization:
         assert clone.clustering == inst.clustering
         assert clone.epsilon == inst.epsilon
 
+    @pytest.mark.parametrize("means, match", [
+        (["0.5", 0.25], r"^means\[0\]: must be a number, got '0.5'$"),
+        ([0.5, True], r"^means\[1\]: must be a number, got True$"),
+        ([0.5, None], r"^means\[1\]: must be a number, got None$"),
+        ([0.5, [0.25]], r"^means\[1\]: must be a number, got \[0.25\]$"),
+        ("0.5", r"^means: must be a list, got '0.5'$"),
+    ])
+    def test_bernoulli_document_means_are_typed(self, means, match):
+        with pytest.raises(ValueError, match=match):
+            build_instance({"kind": "bernoulli", "means": means}, rng_streams(0).instance)
+        with pytest.raises(ValueError, match=match):
+            instance_from_json({"kind": "bernoulli", "means": means, "clustering": {"labels": [0, 1]}})
+
+    def test_bernoulli_document_takes_integral_means(self):
+        assert build_instance({"kind": "bernoulli", "means": [1, 0]}, rng_streams(0).instance).means.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.update(epsilon=True), r"^epsilon: must be a number, got True$"),
+        (lambda doc: doc.update(epsilon="0.2"), r"^epsilon: must be a number, got '0.2'$"),
+        (lambda doc: doc.update(epsilon=None), r"^epsilon: must be a number, got None$"),
+        (lambda doc: doc["theta"][1].__setitem__(2, "0.1"), r"^theta\[1\]\[2\]: must be a number, got '0.1'$"),
+        (lambda doc: doc["theta"][0].__setitem__(0, False), r"^theta\[0\]\[0\]: must be a number, got False$"),
+        (lambda doc: doc["theta"].__setitem__(3, 0.5), r"^theta\[3\]: must be a list, got 0.5$"),
+        (lambda doc: doc.update(theta="[[0.1]]"), r"^theta: must be a list, got '\[\[0.1\]\]'$"),
+    ])
+    def test_contextual_document_entries_are_typed(self, edit, match):
+        doc = instance_to_json(gen_contextual(ContextualSpec(6, 2, 3, 0.2), rng_streams(18).instance))
+        assert build_instance(doc, rng_streams(0).instance).epsilon == 0.2
+        edit(doc)
+        with pytest.raises(ValueError, match=match):
+            build_instance(doc, rng_streams(0).instance)
+
     def test_build_instance_dispatch(self):
         spec = {
             "kind": "strong_dominance",

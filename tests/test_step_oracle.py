@@ -1,8 +1,18 @@
 """Step-for-step oracle for the per-step code of the Thompson, TsMax, UCB and linear policies.
 
+The Thompson references (``RefHts``, ``RefThompsonSampling``,
+``RefClusteredThompsonSampling`` and ``RefTsMax``) draw through
+``_values``: a fresh scalar per child at a node of fewer than ``_BLOCK_MIN``
+children, else ``law.BlockDraws``, the block contract written out plainly:
+per node (or per cluster, and a root key), rows of pre-drawn values over the
+children's beliefs gathered by index, and after an update the moved child,
+as a position in the node's child order. Whether that law is Thompson
+sampling's is ``test_law.py``'s question, against the per-visit kernel;
+here the kernels must draw exactly what the contract draws.
+
 ``RefThompsonSampling`` and ``RefClusteredThompsonSampling`` keep flat and
-two-level Thompson sampling as their own Beta kernels: one draw per arm, or
-one per cluster and then one per member of the chosen cluster. ``ts`` and
+two-level Thompson sampling as their own kernels: one block over the arms,
+or one over the clusters and one per cluster over its members. ``ts`` and
 ``tsc`` run the tree-descent kernel on a star and on the clustering's
 two-level tree, and must reproduce their traces exactly, arm, reward and
 regret; a ``tsc`` path ``(0, c+1, leaf)`` must name the reference's cluster c.
@@ -15,18 +25,22 @@ and must reproduce their traces exactly in the same way.
 
 ``RefUctGlobalLog`` is ``RefUct`` with the global log t, the reference for
 ``ucbc`` on its clustering's tree. On trees and clusterings with nodes of
-``_NARROW - 1``, ``_NARROW`` and ``_NARROW + 1`` children and a one-child
-chain, the descents' scalar steps (narrow nodes) and array steps (wide
-nodes) must reproduce these references byte for byte, UCB ties included.
+``_BLOCK_MIN - 1``, ``_BLOCK_MIN``, ``_NARROW - 1``, ``_NARROW`` and
+``_NARROW + 1`` children and a one-child chain, the descents' per-visit
+Thompson draws (below ``_BLOCK_MIN``), blocks, list argmax (narrow nodes)
+and array steps (wide nodes) must reproduce these references byte for
+byte, UCB ties included.
 
 The other reference policies below keep the straightforward per-step
 bodies: tree descent through ``ClusterTree`` accessors and a tie count by
 ``sum``, and ``RefTsMax``, the arm-order two-level TsMax that recomputes
-every cluster's representative at every step and logs a cluster path
-``(c,)``. The table-driven descents, ``tsmax``'s included with the
-representatives that ``update`` keeps per played cluster, must reproduce
-their traces exactly, arm, path and regret, since they consume the
-generator in the same order.
+every cluster's representative at every step, draws the root's block over
+the representatives' beliefs, marks cluster c moved on every update in it,
+and logs a cluster path ``(c,)``. The table-driven descents, ``tsmax``'s
+included with the representatives that ``update`` keeps per played cluster,
+must reproduce their traces exactly, arm, path and regret, since they
+consume the generator in the same order. Updates from outside ``select``
+move several children of one node between visits, which drops its block.
 
 ``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
 three-operand ``einsum`` over the stacked inverses, ``rng.normal`` and
@@ -56,6 +70,7 @@ from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, 
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
+    _BLOCK_MIN,
     _NARROW,
     Choice,
     ClusteredThompsonSampling,
@@ -68,6 +83,7 @@ from clusterbandit.policies import (
     make_policy,
 )
 from clusterbandit.simulate import simulate
+from law import BlockDraws
 
 SEEDS = (0, 1, 2)
 HORIZON = 2000
@@ -90,14 +106,31 @@ def _ref_check_path(tree, path):
             raise ValueError(f"invalid root-to-leaf path {path}")
 
 
+def _position(items, item):
+    return int(np.flatnonzero(np.asarray(items) == item)[0])
+
+
+def _values(draws, key, s, f, rng):
+    """One value per child of beliefs Beta(s, f): fresh scalars below ``_BLOCK_MIN`` children, else a block row."""
+    if len(s) < _BLOCK_MIN:
+        return np.array([rng.beta(a, b) for a, b in zip(s, f)])
+    return draws.row(key, s, f, rng)
+
+
 class RefHts(HierarchicalThompsonSampling):
+    """Beliefs by node id, one block per node."""
+
+    def __init__(self, tree):
+        super().__init__(tree)
+        self._draws = BlockDraws()
+
     def select(self, t, rng):
         tree = self.tree
         node = tree.root
         path = [node]
         while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
-            theta = rng.beta(self._s[kids], self._f[kids])
+            theta = _values(self._draws, node, self._s[kids], self._f[kids], rng)
             node = int(kids[_ref_random_argmax(theta, rng)])
             path.append(node)
         return Choice(arm=int(tree.leaf_arms[node]), path=tuple(path))
@@ -112,6 +145,8 @@ class RefHts(HierarchicalThompsonSampling):
         for v in path:
             self._s[v] += reward
             self._f[v] += fail
+        for v, w in zip(path, path[1:]):
+            self._draws.moved(v, _position(tree.children(v), w))
 
 
 class RefThompsonSampling:
@@ -120,14 +155,16 @@ class RefThompsonSampling:
     def __init__(self, n_arms):
         self._s = np.ones(n_arms)
         self._f = np.ones(n_arms)
+        self._draws = BlockDraws()
 
     def select(self, t, rng):
-        theta = rng.beta(self._s, self._f)
+        theta = _values(self._draws, "arms", self._s, self._f, rng)
         return Choice(arm=_ref_random_argmax(theta, rng))
 
     def update(self, choice, reward):
         self._s[choice.arm] += reward
         self._f[choice.arm] += 1.0 - reward
+        self._draws.moved("arms", choice.arm)
 
 
 class RefClusteredThompsonSampling:
@@ -140,12 +177,13 @@ class RefClusteredThompsonSampling:
         self._f = np.ones(n)
         self._cs = np.ones(k)
         self._cf = np.ones(k)
+        self._draws = BlockDraws()
 
     def select(self, t, rng):
-        theta_c = rng.beta(self._cs, self._cf)
+        theta_c = _values(self._draws, "clusters", self._cs, self._cf, rng)
         cluster = _ref_random_argmax(theta_c, rng)
         members = self.clustering.members(cluster)
-        theta_a = rng.beta(self._s[members], self._f[members])
+        theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
         arm = int(members[_ref_random_argmax(theta_a, rng)])
         return Choice(arm=arm, path=(cluster,))
 
@@ -157,6 +195,8 @@ class RefClusteredThompsonSampling:
         self._f[choice.arm] += 1.0 - reward
         self._cs[cluster] += reward
         self._cf[cluster] += 1.0 - reward
+        self._draws.moved("clusters", cluster)
+        self._draws.moved(cluster, _position(self.clustering.members(cluster), choice.arm))
 
 
 class RefUct(TreeUcb):
@@ -202,6 +242,7 @@ class RefTsMax:
         self._s = np.ones(clustering.n_arms)
         self._f = np.ones(clustering.n_arms)
         self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
+        self._draws = BlockDraws()
 
     def cluster_representatives(self):
         emp = self._s / (self._s + self._f)
@@ -212,10 +253,10 @@ class RefTsMax:
 
     def select(self, t, rng):
         reps = self.cluster_representatives()
-        theta_c = rng.beta(self._s[reps], self._f[reps])
+        theta_c = _values(self._draws, "clusters", self._s[reps], self._f[reps], rng)
         cluster = _ref_random_argmax(theta_c, rng)
         members = self._members[cluster]
-        theta_a = rng.beta(self._s[members], self._f[members])
+        theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
         arm = int(members[_ref_random_argmax(theta_a, rng)])
         return Choice(arm=arm, path=(cluster,))
 
@@ -225,6 +266,8 @@ class RefTsMax:
             raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
         self._s[choice.arm] += reward
         self._f[choice.arm] += 1.0 - reward
+        self._draws.moved("clusters", cluster)  # its representative's belief, or its representative, moved
+        self._draws.moved(cluster, _position(self._members[cluster], choice.arm))
 
 
 def _ref_ucb_index(means, counts, log_term):
@@ -361,8 +404,8 @@ def test_tree_descent_matches_reference(name, seed, policy_cls, ref_cls):
 
 
 def _crossover_instance():
-    """A tree with nodes of ``_NARROW - 1``, ``_NARROW`` and ``_NARROW + 1`` children
-    and a one-child chain; means of mostly 0 and 1 make UCB indices tie."""
+    """A tree with nodes of ``_BLOCK_MIN - 1``, ``_BLOCK_MIN``, ``_NARROW - 1``, ``_NARROW`` and
+    ``_NARROW + 1`` children and a one-child chain; means of mostly 0 and 1 make UCB indices tie."""
     children, leaf_arms = [[]], [-1]
 
     def node(parent, arm=-1):
@@ -372,7 +415,7 @@ def _crossover_instance():
         return len(children) - 1
 
     n_arms = 0
-    for width in (_NARROW - 1, _NARROW, _NARROW + 1):
+    for width in (_BLOCK_MIN - 1, _BLOCK_MIN, _NARROW - 1, _NARROW, _NARROW + 1):
         v = node(0)
         for _ in range(width):
             n_arms += 1
@@ -420,7 +463,8 @@ CROSSOVER = {
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "key, root_width",
-    [("hts", None), ("uct", None), *((k, w) for k in ("tsc", "ucbc", "tsmax") for w in (4, _NARROW + 1))],
+    [("hts", None), ("uct", None),
+     *((k, w) for k in ("tsc", "ucbc", "tsmax") for w in (4, _BLOCK_MIN, _NARROW + 1))],
 )
 def test_descents_match_references_across_the_narrow_crossover(key, root_width, seed):
     # both sides of _NARROW at every level, and a one-child chain: the scalar
@@ -479,13 +523,22 @@ def test_kept_state_matches_rescanning_reference(key, name, seed):
     _assert_same_trace(instance, make(instance), make_ref(instance), seed)
 
 
+# the kept state of the UCB and TsMax descents, and the Thompson blocks
+EXTERNAL_UPDATES = {
+    **FLAT_AND_TWO_LEVEL,
+    "ts": (lambda inst: ThompsonSampling(inst.n_arms), lambda inst: RefThompsonSampling(inst.n_arms)),
+    "tsc": (lambda inst: ClusteredThompsonSampling(inst.clustering),
+            lambda inst: RefClusteredThompsonSampling(inst.clustering)),
+}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("key", sorted(FLAT_AND_TWO_LEVEL))
+@pytest.mark.parametrize("key", sorted(EXTERNAL_UPDATES))
 def test_kept_state_matches_reference_after_external_updates(key, seed):
     # updates from outside select, in scrambled arm order, before the first
     # select and again between runs
     instance = _instance("kmeans-small", seed)
-    make, make_ref = FLAT_AND_TWO_LEVEL[key]
+    make, make_ref = EXTERNAL_UPDATES[key]
     policy, reference = make(instance), make_ref(instance)
     rng = np.random.default_rng(seed)
     labels = instance.clustering.labels
@@ -494,7 +547,7 @@ def test_kept_state_matches_reference_after_external_updates(key, seed):
         rewards = rng.integers(0, 2, size=40).astype(float)
         for arm, reward in zip(arms.tolist(), rewards.tolist()):
             cluster = int(labels[arm])
-            if key == "ucb1":  # arm a is leaf a+1 of the star
+            if key in ("ucb1", "ts"):  # arm a is leaf a+1 of the star
                 path, ref_path = (0, arm + 1), ()
             else:  # cluster c is node c+1
                 path, ref_path = (0, cluster + 1, policy.tree.leaf_of_arm(arm)), (cluster,)
@@ -542,6 +595,7 @@ def test_kept_representatives_follow_falls_and_lower_id_ties():
     labels = instance.clustering.labels.tolist()
     policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
     policy.select(1, np.random.default_rng(0))  # reads the representatives, moves none
+    reference.select(1, np.random.default_rng(0))  # so that both hold the same blocks
     assert _arms_of_slots(policy, policy._reps) == [0, 1, 2]  # the uniform prior: each first leaf
 
     def play(arm, reward, rep):
