@@ -388,7 +388,7 @@ class TsMax(HierarchicalThompsonSampling):
 
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         if lo or hi >= _BLOCK_MIN:  # below the root, or a root wide enough for a block
-            return super()._pick(lo, hi, at, t, rng)
+            return HierarchicalThompsonSampling._pick(self, lo, hi, at, t, rng)
         s, f = self._sv, self._fv
         return _random_argmax_list([rng.beta(s[r], f[r]) for r in self._repv], rng)
 

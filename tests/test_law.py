@@ -7,6 +7,7 @@ must fail (power); two of them on criterion 5 are strict xfails, with the
 seed counts that resolve them. Run with ``pytest -s`` to see each run's
 p-values.
 """
+import numpy as np
 import pytest
 
 import law
@@ -69,6 +70,6 @@ def test_chi_square_pools_sparse_columns():
     # columns 2 and 3 expect 2 and 1.5 per row: pooled, the pool (3.5) joins column 1
     a = [0] * 10 + [1] * 6 + [2] * 2 + [3] * 2
     b = [0] * 10 + [1] * 6 + [2] * 2 + [3] * 1 + [0]
-    assert 0.0 < law.chi_square_p(law.np.array(a), law.np.array(b)) <= 1.0
+    assert 0.0 < law.chi_square_p(np.array(a), np.array(b)) <= 1.0
     # every column sparse: nothing to test
-    assert law.chi_square_p(law.np.arange(8), law.np.arange(8) + 1) == 1.0
+    assert law.chi_square_p(np.arange(8), np.arange(8) + 1) == 1.0
