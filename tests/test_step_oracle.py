@@ -1,18 +1,20 @@
 """Step-for-step oracle for the per-step code of the Thompson, TsMax, UCB and linear policies.
 
-The Thompson references (``RefHts``, ``RefThompsonSampling``,
-``RefClusteredThompsonSampling`` and ``RefTsMax``) draw through
-``_values``: a fresh scalar per child at a node of fewer than ``_BLOCK_MIN``
-children, else ``law.BlockDraws``, the block contract written out plainly:
+The Thompson references (``RefHts``, ``RefThompsonSampling`` and
+``RefTsMax``) draw through ``_values``: a fresh scalar per child at a node
+of fewer than ``_BLOCK_MIN`` children, else ``law.BlockDraws``, the block
+contract written out plainly:
 per node (or per cluster, and a root key), rows of pre-drawn values over the
 children's beliefs gathered by index, and after an update the moved child,
 as a position in the node's child order. Whether that law is Thompson
 sampling's is ``test_law.py``'s question, against the per-visit kernel;
-here the kernels must draw exactly what the contract draws.
+here the kernels must draw exactly what the contract draws. ``tsc`` draws
+afresh at every visit, so ``RefClusteredThompsonSampling`` and the ``RefHts``
+that stands for ``tsc`` on its clustering's tree draw through ``_fresh``.
 
 ``RefThompsonSampling`` and ``RefClusteredThompsonSampling`` keep flat and
 two-level Thompson sampling as their own kernels: one block over the arms,
-or one over the clusters and one per cluster over its members. ``ts`` and
+or fresh values over the clusters and then over one cluster's members. ``ts`` and
 ``tsc`` run the tree-descent kernel on a star and on the clustering's
 two-level tree, and must reproduce their traces exactly, arm, reward and
 regret; a ``tsc`` path ``(0, c+1, leaf)`` must name the reference's cluster c.
@@ -110,19 +112,25 @@ def _position(items, item):
     return int(np.flatnonzero(np.asarray(items) == item)[0])
 
 
+def _fresh(s, f, rng):
+    """One fresh scalar value per child of beliefs Beta(s, f)."""
+    return np.array([rng.beta(a, b) for a, b in zip(s, f)])
+
+
 def _values(draws, key, s, f, rng):
-    """One value per child of beliefs Beta(s, f): fresh scalars below ``_BLOCK_MIN`` children, else a block row."""
-    if len(s) < _BLOCK_MIN:
-        return np.array([rng.beta(a, b) for a, b in zip(s, f)])
+    """One value per child of beliefs Beta(s, f): fresh scalars without ``draws`` or below
+    ``_BLOCK_MIN`` children, else a block row."""
+    if draws is None or len(s) < _BLOCK_MIN:
+        return _fresh(s, f, rng)
     return draws.row(key, s, f, rng)
 
 
 class RefHts(HierarchicalThompsonSampling):
-    """Beliefs by node id, one block per node."""
+    """Beliefs by node id, one block per node, or fresh values at every visit without ``blocks``."""
 
-    def __init__(self, tree):
+    def __init__(self, tree, blocks=True):
         super().__init__(tree)
-        self._draws = BlockDraws()
+        self._draws = BlockDraws() if blocks else None
 
     def select(self, t, rng):
         tree = self.tree
@@ -145,8 +153,9 @@ class RefHts(HierarchicalThompsonSampling):
         for v in path:
             self._s[v] += reward
             self._f[v] += fail
-        for v, w in zip(path, path[1:]):
-            self._draws.moved(v, _position(tree.children(v), w))
+        if self._draws is not None:
+            for v, w in zip(path, path[1:]):
+                self._draws.moved(v, _position(tree.children(v), w))
 
 
 class RefThompsonSampling:
@@ -177,13 +186,12 @@ class RefClusteredThompsonSampling:
         self._f = np.ones(n)
         self._cs = np.ones(k)
         self._cf = np.ones(k)
-        self._draws = BlockDraws()
 
     def select(self, t, rng):
-        theta_c = _values(self._draws, "clusters", self._cs, self._cf, rng)
+        theta_c = _fresh(self._cs, self._cf, rng)
         cluster = _ref_random_argmax(theta_c, rng)
         members = self.clustering.members(cluster)
-        theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
+        theta_a = _fresh(self._s[members], self._f[members], rng)
         arm = int(members[_ref_random_argmax(theta_a, rng)])
         return Choice(arm=arm, path=(cluster,))
 
@@ -195,8 +203,6 @@ class RefClusteredThompsonSampling:
         self._f[choice.arm] += 1.0 - reward
         self._cs[cluster] += reward
         self._cf[cluster] += 1.0 - reward
-        self._draws.moved("clusters", cluster)
-        self._draws.moved(cluster, _position(self.clustering.members(cluster), choice.arm))
 
 
 class RefUct(TreeUcb):
@@ -453,7 +459,7 @@ CROSSOVER = {
     "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree), lambda inst: RefHts(inst.tree)),
     "uct": (lambda inst: TreeUcb(inst.tree), lambda inst: RefUct(inst.tree)),
     "tsc": (lambda inst: ClusteredThompsonSampling(inst.clustering),
-            lambda inst: RefHts(ClusterTree.from_clustering(inst.clustering))),
+            lambda inst: RefHts(ClusterTree.from_clustering(inst.clustering), blocks=False)),
     "ucbc": (lambda inst: ClusteredUcb1(inst.clustering),
              lambda inst: RefUctGlobalLog(ClusterTree.from_clustering(inst.clustering))),
     "tsmax": (lambda inst: TsMax(inst.clustering), lambda inst: RefTsMax(inst.clustering)),
