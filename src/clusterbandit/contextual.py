@@ -213,22 +213,20 @@ class ContextualInstance:
     def dim(self) -> int:
         return int(self.theta.shape[1])
 
-    def expected_reward(self, arm: int, x: np.ndarray) -> float:
-        if not 0 <= arm < self.n_arms:
-            raise ValueError(f"unknown arm id {arm}")
-        return float(self.theta[arm] @ x)
-
     def expected_rewards(self, x: np.ndarray) -> np.ndarray:
         return self.theta @ x
 
-    def draw_reward(self, arm: int, x: np.ndarray, rng: np.random.Generator) -> float:
-        """``rng.uniform(lo, hi)`` on the reward interval, as its own arithmetic ``lo + (hi - lo) * U``.
+    def draw_reward(self, arm: int, expected: np.ndarray, rng: np.random.Generator) -> float:
+        """``rng.uniform(lo, hi)`` on the reward interval of mean ``expected[arm]``, as its own arithmetic
+        ``lo + (hi - lo) * U``; ``expected`` is the step's :meth:`expected_rewards`, which its regret reads too.
 
         One scalar ``rng.random()`` gives the same bits and leaves the
-        generator in the same state; a non-finite range raises ``uniform``'s
-        ``OverflowError`` before any draw.
+        generator in the same state; an unknown arm and a non-finite range
+        (``uniform``'s ``OverflowError``) raise before any draw.
         """
-        m = self.expected_reward(arm, x)
+        if not 0 <= arm < self.n_arms:
+            raise ValueError(f"unknown arm id {arm}")
+        m = float(expected[arm])
         lo, hi = (0.0, 2.0 * m) if m >= 0.0 else (2.0 * m, 0.0)
         width = hi - lo
         if not math.isfinite(width):
@@ -261,7 +259,7 @@ class ContextualPolicy(BanditPolicy):
 
     key: str = ""  # a class body with its own select/update declares the key its timings are named by
     needs = "contextual"
-    params = {"v": (float, _check_v), "d": (int, None)}
+    params = {"v": (float, _check_v)}
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
@@ -273,6 +271,7 @@ class ContextualPolicy(BanditPolicy):
         self.dim = dim
         self.v = float(v)
         self._bank = _LinearBank(len(tree.kids), dim, v)
+        self._bind()
 
     @abstractmethod
     def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
@@ -292,9 +291,9 @@ class ContextualPolicy(BanditPolicy):
         if self._trusts(choice, x):
             path, xx = choice.path, self._xx
         else:
-            x, path = _check_context(x, self.dim), self._walk.check_path(choice)
+            x, path = _check_context(x, self.dim), self._check_path(choice)
             xx = _outer(x)
-        bank, slot = self._bank, self._walk.slot
+        bank, slot = self._bank, self._slot
         for v in path[1:]:
             bank.update(slot[v], x, xx, reward)
 
@@ -336,7 +335,7 @@ class LinUcb(LinThompson):
     """Linear UCB: mean score plus alpha times the posterior width."""
 
     key = "linucb"
-    params = {"alpha": (float, _check_alpha), "d": (int, None)}
+    params = {"alpha": (float, _check_alpha)}
 
     def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)

@@ -45,7 +45,7 @@ from .analysis import (
 )
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
-from .instances import StrongDominanceSpec, build_instance, gen_context, spec_fields, spec_structure
+from .instances import StrongDominanceSpec, build_instance, gen_context, spec_structure
 from .policies import POLICY_KEYS, check_params, make_policy
 from .simulate import simulate
 
@@ -126,14 +126,6 @@ class InstanceVariant:
         return {"name": self.name, "spec": self.spec}
 
 
-def _spec_dim(spec: dict) -> int | None:
-    """A contextual spec's dimension: a serialized theta's width, else its checked ``dim``; None if theta is not 2-D."""
-    if "theta" not in spec:
-        return spec_fields(spec)["dim"]
-    shape = np.shape(spec["theta"])
-    return shape[1] if len(shape) == 2 else None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -175,6 +167,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"policies: unknown policy key '{p.key}'; valid keys: {sorted(POLICY_KEYS)}"
                 )
+            try:
+                check_params(p.key, p.params)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"policies: '{p.name}': {exc}") from exc
         labels = [p.name for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ConfigError("policies: duplicate policy labels; set explicit labels")
@@ -199,10 +195,6 @@ class ExperimentConfig:
                         f"policies: '{p.name}' needs a {cls.needs} instance but variant '{v.name}' "
                         f"(kind '{v.spec['kind']}') builds a {has} instance"
                     )
-                try:  # only contextual policies take d; their spec's dimension is its "dim" or its theta's width
-                    check_params(p.key, p.params, _spec_dim(v.spec) if has == "contextual" else None)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"policies: '{p.name}' on variant '{v.name}': {exc}") from exc
 
     def experiment_id(self, variant: str) -> str:
         return f"{self.name}/{variant}"
@@ -483,8 +475,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     ]
     # a variant no policy runs on still gets its bound rows
     tasks = [task for task in tasks if task[3] or config.bounds]
-    if not any(task[3] for task in tasks):
-        raise ConfigError("policies: variant filters leave no (variant, policy) pairs")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))

@@ -639,23 +639,24 @@ def instance_to_json(instance: BanditInstance | ContextualInstance) -> dict:
     return doc
 
 
-def _numbers(field: str, values, depth: int) -> list:
-    """``values``, a list of numbers (``depth`` 1) or a list of such lists (2), each entry read through
-    ``core.typed`` under its own name, ``theta[2][1]``."""
+def _numbers(field: str, values, kind: type, depth: int) -> list:
+    """``values``, a list of ``kind`` entries (``depth`` 1) or a list of such lists (2), each entry read
+    through ``core.typed`` under its own name, ``theta[2][1]``."""
     values = typed(field, values, list)
     if depth == 1:
-        return [typed(f"{field}[{i}]", v, float) for i, v in enumerate(values)]
-    return [_numbers(f"{field}[{i}]", row, depth - 1) for i, row in enumerate(values)]
+        return [typed(f"{field}[{i}]", v, kind) for i, v in enumerate(values)]
+    return [_numbers(f"{field}[{i}]", row, kind, depth - 1) for i, row in enumerate(values)]
 
 
 def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
-    """Rebuild an instance from its JSON document; ``means``, ``theta`` and ``epsilon`` are read through
-    ``core.typed``, so a bool or a string fails naming its entry."""
+    """Rebuild an instance from its JSON document; ``clustering`` and ``tree`` are read as objects and
+    every number through ``core.typed`` (``means``, ``theta`` and ``epsilon`` as numbers, labels, child
+    ids and leaf arms as integers), so a bool, a string or a fraction fails naming its entry."""
     kind = doc.get("kind")
     if kind == "contextual":
         return ContextualInstance(
-            np.asarray(_numbers("theta", doc["theta"], 2), dtype=np.float64),
-            DisjointClustering(doc["labels"]),
+            np.asarray(_numbers("theta", doc["theta"], float, 2), dtype=np.float64),
+            DisjointClustering(_numbers("labels", doc["labels"], int, 1)),
             epsilon=typed("epsilon", doc.get("epsilon", 0.0), float),
         )
     if kind != "bernoulli":
@@ -663,10 +664,13 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     clustering = None
     tree = None
     if doc.get("clustering") is not None:
-        clustering = DisjointClustering(doc["clustering"]["labels"])
+        labels = typed("clustering", doc["clustering"], dict)["labels"]
+        clustering = DisjointClustering(_numbers("clustering.labels", labels, int, 1))
     if doc.get("tree") is not None:
-        tree = ClusterTree(doc["tree"]["children"], doc["tree"]["leaf_arms"])
-    return BanditInstance(_numbers("means", doc["means"], 1), clustering=clustering, tree=tree)
+        adjacency = typed("tree", doc["tree"], dict)
+        tree = ClusterTree(_numbers("tree.children", adjacency["children"], int, 2),
+                           _numbers("tree.leaf_arms", adjacency["leaf_arms"], int, 1))
+    return BanditInstance(_numbers("means", doc["means"], float, 1), clustering=clustering, tree=tree)
 
 
 # ---------------------------------------------------------------------------

@@ -81,43 +81,6 @@ _BLOCK_MIN = 5
 _BLOCK_ROWS = 32
 
 
-class _TreeTables:
-    """The flat arrays of a cluster tree as descents read them.
-
-    The children of node v are ``kids[ptr[v]:ptr[v+1]]``. Tree policies keep
-    per-node statistics in slot order (``ClusterTree.slot``: a node's
-    position in ``kids``, the root last), so ``stat[ptr[v]:ptr[v+1]]`` is a
-    view of v's children's statistics. The arrays are read through
-    memoryviews, which give Python ints and copy nothing.
-    """
-
-    __slots__ = ("tree", "ptr", "kids", "slot", "parent", "leaf_arm")
-
-    def __init__(self, tree: ClusterTree) -> None:
-        self.tree = tree
-        self.ptr = memoryview(tree.ptr)
-        self.kids = memoryview(tree.kids)
-        self.slot = memoryview(tree.slot)
-        self.parent = memoryview(tree.parent)
-        self.leaf_arm = memoryview(tree.leaf_arms)
-
-    def __reduce__(self):  # memoryviews do not pickle or copy; rebuild from the tree
-        return _TreeTables, (self.tree,)
-
-    def check_path(self, choice: Choice) -> tuple[int, ...]:
-        """``choice.path`` if it runs from the root along tree edges to the leaf of ``choice.arm``."""
-        path = choice.path
-        if not path or path[0] != 0 or self.leaf_arm[path[-1]] < 0:
-            raise ValueError(f"invalid root-to-leaf path {path}")
-        parent = self.parent
-        for v, w in zip(path, path[1:]):
-            if parent[w] != v:
-                raise ValueError(f"invalid root-to-leaf path {path}")
-        if self.leaf_arm[path[-1]] != choice.arm:
-            raise ValueError(f"path leaf does not map to arm {choice.arm}")
-        return path
-
-
 # key -> policy class: every class whose body sets a non-empty ``key``, recorded by
 # ``BanditPolicy.__init_subclass__``. Importing this module imports the package,
 # which imports ``contextual``, so the contextual classes are always recorded.
@@ -132,21 +95,21 @@ class BanditPolicy(ABC):
     node in slot ``at`` are the slots ``[lo, hi)`` (``tree.slot`` order).
     ``path_depth`` is a logged path's width, 0 for ``flat`` policies. ``_path``
     trusts ``_selected``, the ``Choice`` the last ``select`` returned, and
-    checks any other. Statistics are read through memoryviews, which give
-    Python floats; ``_bind`` makes them. Copies and pickles drop memoryviews
-    only and remake them, so a copy trusts only a ``Choice`` copied with it.
+    checks any other. The tree's arrays and the statistics are read through
+    memoryviews, which give Python numbers and copy nothing; ``_bind`` makes
+    them. Copies and pickles drop memoryviews only and remake them, so a copy
+    trusts only a ``Choice`` copied with it.
 
     ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
     ``"tree"`` or ``"contextual"``. ``params`` maps each parameter the class
-    accepts to its type, as ``core.typed`` reads it, and its value check
-    (None: checked by :func:`check_params` itself).
+    accepts to its type, as ``core.typed`` reads it, and its value check.
     """
 
     key: str = ""
     flat: bool = False
     needs: str = "bernoulli"
-    params: dict[str, tuple[type, Callable[[float], None] | None]] = {}
+    params: dict[str, tuple[type, Callable[[float], None]]] = {}
     _selected: Choice | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -162,10 +125,13 @@ class BanditPolicy(ABC):
     def __init__(self, tree: ClusterTree) -> None:
         self.tree = tree
         self.path_depth = 0 if self.flat else tree.depth + 1
-        self._walk = _TreeTables(tree)
 
     def _bind(self) -> None:
-        """Make the memoryviews the step reads, after construction, copy or unpickle."""
+        """Make the memoryviews the step reads, after construction, copy or unpickle: the tree's arrays
+        here, a subclass's statistics in its own ``_bind``, which calls this one."""
+        tree = self.tree
+        self._ptr, self._kids, self._slot = memoryview(tree.ptr), memoryview(tree.kids), memoryview(tree.slot)
+        self._parent, self._leaf_arms = memoryview(tree.parent), memoryview(tree.leaf_arms)
 
     def __getstate__(self) -> dict:  # memoryviews do not pickle or copy
         return {k: v for k, v in vars(self).items() if not isinstance(v, memoryview)}
@@ -174,8 +140,21 @@ class BanditPolicy(ABC):
         vars(self).update(state)
         self._bind()
 
+    def _check_path(self, choice: Choice) -> tuple[int, ...]:
+        """``choice.path`` if it runs from the root along tree edges to the leaf of ``choice.arm``."""
+        path, leaf_arms = choice.path, self._leaf_arms
+        if not path or path[0] != 0 or leaf_arms[path[-1]] < 0:
+            raise ValueError(f"invalid root-to-leaf path {path}")
+        parent = self._parent
+        for v, w in zip(path, path[1:]):
+            if parent[w] != v:
+                raise ValueError(f"invalid root-to-leaf path {path}")
+        if leaf_arms[path[-1]] != choice.arm:
+            raise ValueError(f"path leaf does not map to arm {choice.arm}")
+        return path
+
     def _path(self, choice: Choice) -> tuple[int, ...]:
-        return choice.path if choice is self._selected else self._walk.check_path(choice)
+        return choice.path if choice is self._selected else self._check_path(choice)
 
     @abstractmethod
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
@@ -184,7 +163,7 @@ class BanditPolicy(ABC):
     def _descend(self, t: int, rng: np.random.Generator) -> Choice:
         if t < 1:
             raise ValueError(f"time step must be >= 1, got {t}")
-        ptr, kids, pick = self._walk.ptr, self._walk.kids, self._pick
+        ptr, kids, pick = self._ptr, self._kids, self._pick
         node = 0
         at = len(kids)  # the slot of ``node``
         path = [node]
@@ -194,7 +173,7 @@ class BanditPolicy(ABC):
             node = kids[at]
             path.append(node)
             lo, hi = ptr[node], ptr[node + 1]
-        choice = self._selected = Choice(arm=self._walk.leaf_arm[node], path=tuple(path))
+        choice = self._selected = Choice(arm=self._leaf_arms[node], path=tuple(path))
         return choice
 
     def select(self, t: int, rng: np.random.Generator) -> Choice:
@@ -260,6 +239,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
         self._bind()
 
     def _bind(self) -> None:
+        super()._bind()
         self._sv, self._fv = memoryview(self._s), memoryview(self._f)
 
     def _beliefs(self, lo: int, hi: int) -> tuple[Sequence[float], Sequence[float]]:
@@ -288,7 +268,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
     def _moved(self, path: tuple[int, ...]) -> None:
         """Mark, in the block of each parent on ``path``, the child whose belief moved."""
-        blocks, ptr, slot = self._blocks, self._walk.ptr, self._walk.slot
+        blocks, ptr, slot = self._blocks, self._ptr, self._slot
         if not blocks:  # every node visited so far draws afresh
             return
         lo = ptr[path[0]]
@@ -306,7 +286,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
         reward = _check_reward(reward)
         path = self._path(choice)
         fail = 1.0 - reward
-        s, f, slot = self._sv, self._fv, self._walk.slot
+        s, f, slot = self._sv, self._fv, self._slot
         for v in path:
             i = slot[v]
             s[i] += reward
@@ -388,7 +368,7 @@ class TsMax(HierarchicalThompsonSampling):
         self._repv = memoryview(self._reps)
 
     def _best_member(self, cluster: int) -> int:
-        lo, hi = self._walk.ptr[cluster + 1], self._walk.ptr[cluster + 2]
+        lo, hi = self._ptr[cluster + 1], self._ptr[cluster + 2]
         s, f = self._s[lo:hi], self._f[lo:hi]
         return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
 
@@ -408,7 +388,7 @@ class TsMax(HierarchicalThompsonSampling):
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
         path = self._path(choice)
-        s, f, i = self._sv, self._fv, self._walk.slot[path[-1]]
+        s, f, i = self._sv, self._fv, self._slot[path[-1]]
         before = s[i] / (s[i] + f[i])
         s[i] += reward
         f[i] += 1.0 - reward
@@ -456,6 +436,7 @@ class TreeUcb(BanditPolicy):
         self._bind()
 
     def _bind(self) -> None:
+        super()._bind()
         self._nv, self._qv, self._cursor = memoryview(self._n), memoryview(self._q), memoryview(self._first_unvisited)
 
     def _log_term(self, t: int, parent_count: float) -> float:
@@ -481,7 +462,7 @@ class TreeUcb(BanditPolicy):
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
         path = self._path(choice)
-        n, q, slot = self._nv, self._qv, self._walk.slot
+        n, q, slot = self._nv, self._qv, self._slot
         for v in path:
             i = slot[v]
             n[i] += 1.0
@@ -530,13 +511,12 @@ class ClusteredUcb1(TreeUcb):
 # Registry
 # ---------------------------------------------------------------------------
 
-def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
-    """Reject an unknown key or parameter, a bad parameter value, and a ``d`` other than ``dim``.
+def check_params(key: str, params: dict | None) -> None:
+    """Reject an unknown key or parameter and a bad parameter value.
 
     A class accepts only the ``params`` it declares, so configuration typos
-    surface early: none for the Bernoulli policies, ``v`` and ``d`` for the
-    contextual Thompson ones and ``alpha`` and ``d`` for the contextual UCB
-    ones. ``d`` must match the instance dimension when both are known.
+    surface early: none for the Bernoulli policies, ``v`` for the contextual
+    Thompson ones and ``alpha`` for the contextual UCB ones.
     """
     if key not in POLICY_KEYS:
         raise ValueError(f"unknown policy key '{key}'; valid keys: {sorted(POLICY_KEYS)}")
@@ -546,24 +526,19 @@ def check_params(key: str, params: dict | None, dim: int | None = None) -> None:
         raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
     for name, value in params.items():
         kind, check = accepted[name]
-        value = typed(name, value, kind)
-        if check is not None:
-            check(value)
-    d = params.get("d")
-    if d is not None and dim is not None and d != dim:
-        raise ValueError(f"parameter d={d} does not match instance dimension {dim}")
+        check(typed(name, value, kind))
 
 
 def make_policy(key: str, instance, params: dict | None = None) -> BanditPolicy:
     """Instantiate a policy by string key for a given instance, after :func:`check_params`.
 
     Flat policies take the instance's arm count, the others its clustering or
-    tree; contextual policies also take its dimension, which ``d`` only checks.
+    tree; contextual policies also take its dimension.
     """
-    check_params(key, params, getattr(instance, "dim", None))
+    check_params(key, params)
     cls = POLICY_KEYS[key]
     if not cls.accepts(instance.structure):
         raise ValueError(f"policy '{key}' needs a {cls.needs} instance, got a {instance.structure} instance")
     arms = instance.n_arms if cls.flat else instance.tree if cls.needs == "tree" else instance.clustering
     args = (arms, instance.dim) if cls.needs == "contextual" else (arms,)
-    return cls(*args, **{k: float(value) for k, value in (params or {}).items() if k != "d"})
+    return cls(*args, **{k: float(value) for k, value in (params or {}).items()})

@@ -72,11 +72,11 @@ def simulate(
             update(choice, reward)
         else:
             x = contexts[i]
+            expected = instance.expected_rewards(x)  # the reward's mean and the regret read the same vector
             choice = select(i + 1, x, rng)
             arm = choice.arm
-            reward = instance.draw_reward(arm, x, rng)
+            reward = instance.draw_reward(arm, expected, rng)
             update(choice, x, reward)
-            expected = instance.expected_rewards(x)
             regret_at[i] = expected.max() - expected[arm]
         arm_at[i] = arm
         reward_at[i] = reward

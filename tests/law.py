@@ -173,7 +173,7 @@ class LeafBetaOffByOne(PerVisitTsc):
     """Draws Beta(s, f + 1) at the leaves."""
 
     def _pick(self, lo, hi, at, t, rng):
-        if at == len(self._walk.kids):  # the root: clusters as the reference
+        if at == len(self._kids):  # the root: clusters as the reference
             return super()._pick(lo, hi, at, t, rng)
         return random_argmax(rng.beta(self._s[lo:hi], self._f[lo:hi] + 1.0), rng)
 

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from clusterbandit import cli, harness
+from clusterbandit.analysis import hts_instance_bound
 from clusterbandit.cli import main
+from clusterbandit.core import rng_streams
+from clusterbandit.instances import build_instance
 
 SD_SPEC = {
     "kind": "strong_dominance",
@@ -17,6 +20,9 @@ SD_SPEC = {
     "optimal_width": 0.1,
     "separation": 0.1,
 }
+
+
+CTX_DOC = {"kind": "contextual", "theta": [[0.1, 0.2], [0.3, 0.4]], "labels": [0, 1], "epsilon": 0.0}
 
 
 @pytest.fixture
@@ -190,6 +196,40 @@ class TestAuditAndBounds:
         inst = tmp_path / "flat.json"
         inst.write_text(json.dumps({"kind": "bernoulli", "means": [0.5, 0.2]}))
         assert main(["bounds", "--instance", str(inst)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, doc, code, out, err",
+        [
+            ("audit", {"kind": "bernoulli", "means": [0.5, 0.2]}, 0,
+             {"n_arms": 2, "unique_optimum": True, "note": "flat instance: no clustering structure to audit"}, ""),
+            ("audit", CTX_DOC, 2, "", "error: instance: audits apply to Bernoulli instances only\n"),
+            ("bounds", CTX_DOC, 2, "", "error: instance: bound formulas apply to Bernoulli instances only "
+                                         "(contextual regret analysis is out of scope)\n"),
+        ],
+        ids=["audit-flat", "audit-contextual", "bounds-contextual"],
+    )
+    def test_audit_and_bounds_by_structure(self, tmp_path, capsys, command, doc, code, out, err):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(inst)]) == code
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out) if code == 0 else captured.out) == out
+        assert captured.err == err
+
+    def test_bounds_tree_instance(self, tmp_path, capsys):
+        spec = {"kind": "sorted_tree", "n_arms": 8}
+        path = tmp_path / "tree-spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["bounds", "--spec", str(path), "--seed", "2", "--horizon", "3000", "--eps", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"horizon", "eps", "hts_instance"}
+        ib = hts_instance_bound(build_instance(spec, rng_streams(2).instance), 3000, 0.1)
+        assert doc["hts_instance"] == {
+            "coefficient": ib.coefficient, "leading": ib.leading, "loglog_coefficient": ib.loglog_coefficient,
+            "loglog": ib.loglog, "finite": ib.finite, "dominance_ok": ib.dominance_ok, "caveat": ib.caveat,
+            "warnings": list(ib.warnings),
+        }
+        assert ib.finite and ib.leading > 0
 
     def test_exactly_one_source_required(self, capsys):
         assert main(["audit"]) == 2

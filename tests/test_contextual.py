@@ -265,12 +265,12 @@ class TestLinearBank:
         for t in range(1, 51):
             x = rng.random(4)
             choice = pol.select(t, x, rng)
-            pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
+            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
         twin = copy.deepcopy(pol)
         for t in range(51, 101):
             x = rng.random(4)
             choice = pol.select(t, x, rng)
-            reward = inst.draw_reward(choice.arm, x, rng)
+            reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
             pol.update(choice, x, reward)
             twin.update(choice, x, reward)
             xx = _outer(x)
@@ -345,7 +345,7 @@ class TestLinThompsonPolicies:
             choice = pol.select(t, x, rng)
             assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
             assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
-            pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
+            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
 
     def test_update_touches_exactly_two_beliefs(self):
         clustering = DisjointClustering([0, 0, 1])
@@ -365,7 +365,7 @@ class TestLinThompsonPolicies:
         for t in range(1, 101):
             x = rng.random(inst.dim)
             choice = pol.select(t, x, rng)
-            pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
+            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
             seen.append((choice.path[1] - 1, x))
         for c in range(inst.clustering.n_clusters):
             expected = np.eye(inst.dim)
@@ -431,7 +431,7 @@ class TestLinUcbPolicies:
             choice = pol.select(t, x, rng)
             assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
             assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
-            pol.update(choice, x, inst.draw_reward(choice.arm, x, rng))
+            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
 
 
 class TestSimulateContextual:
@@ -495,8 +495,8 @@ class TestDrawReward:
     """``draw_reward`` is ``Generator.uniform`` on the reward interval, drawn as one scalar ``random()``."""
 
     @staticmethod
-    def _uniform(inst, arm, x, rng):
-        m = inst.expected_reward(arm, x)
+    def _uniform(expected, arm, rng):
+        m = float(expected[arm])
         lo, hi = (0.0, 2.0 * m) if m >= 0.0 else (2.0 * m, 0.0)
         return float(rng.uniform(lo, hi))
 
@@ -510,9 +510,10 @@ class TestDrawReward:
         got, want, signs = [], [], set()
         for _ in range(12_000):
             arm, x = int(pairs.integers(14)), pairs.standard_normal(3)
-            signs.add(np.sign(inst.expected_reward(arm, x)))
-            got.append(inst.draw_reward(arm, x, got_rng))
-            want.append(self._uniform(inst, arm, x, want_rng))
+            expected = inst.expected_rewards(x)
+            signs.add(np.sign(expected[arm]))
+            got.append(inst.draw_reward(arm, expected, got_rng))
+            want.append(self._uniform(expected, arm, want_rng))
             assert type(got[-1]) is float
         assert signs == {-1.0, 0.0, 1.0}
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -534,9 +535,19 @@ class TestDrawReward:
         state = rng.bit_generator.state
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError):
-                self._uniform(inst, 0, x, rng)  # what the rule mirrors
+                self._uniform(inst.expected_rewards(x), 0, rng)  # what the rule mirrors
             with pytest.raises(OverflowError):
-                inst.draw_reward(0, x, rng)
+                inst.draw_reward(0, inst.expected_rewards(x), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_unknown_arm_raises_before_any_draw(self, arm):
+        # the expected-reward vector would take -1 as its last entry
+        inst = contextual.ContextualInstance(np.ones((2, 3)), DisjointClustering([0, 1]))
+        rng = np.random.default_rng(34)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^unknown arm id {arm}$"):
+            inst.draw_reward(arm, inst.expected_rewards(np.ones(3)), rng)
         assert rng.bit_generator.state == state
 
 
@@ -559,7 +570,7 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
         for t in range(start, stop):
             x = contexts[t]
             choice = pol.select(t + 1, x, rng)
-            reward = inst.draw_reward(choice.arm, x, rng)
+            reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
             pol.update(choice, x, reward)
             out.append((choice.arm, choice.path, reward))
         return out
@@ -578,8 +589,8 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
     together, together_choice, together_x, together_rng = clone((pol, choice, x, rng))
     alone = clone(pol)
     assert together._trusts(together_choice, together_x) and not alone._trusts(choice, x)
-    reward = inst.draw_reward(choice.arm, x, rng)
-    assert inst.draw_reward(together_choice.arm, together_x, together_rng) == reward
+    reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
+    assert inst.draw_reward(together_choice.arm, inst.expected_rewards(together_x), together_rng) == reward
     pol.update(choice, x, reward)
     together.update(together_choice, together_x, reward)
     alone.update(choice, x, reward)
@@ -594,9 +605,9 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
 def checks(monkeypatch):
     """Every context and path check the contextual policies make, in call order."""
     calls = []
-    context, path = contextual._check_context, policies._TreeTables.check_path
+    context, path = contextual._check_context, policies.BanditPolicy._check_path
     monkeypatch.setattr(contextual, "_check_context", lambda x, d: calls.append("x") or context(x, d))
-    monkeypatch.setattr(policies._TreeTables, "check_path", lambda self, c: calls.append("path") or path(self, c))
+    monkeypatch.setattr(policies.BanditPolicy, "_check_path", lambda self, c: calls.append("path") or path(self, c))
     return calls
 
 
@@ -693,11 +704,12 @@ class TestRegistry:
         assert make_policy("lints", inst, {"v": 0.5}).v == 0.5
         assert make_policy("linucb", inst, {"alpha": 1.0}).alpha == 1.0
 
-    def test_dim_checked(self):
+    def test_dim_is_not_a_parameter(self):
+        # the dimension comes from the instance, so no d is accepted, not even the instance's own
         inst = _ctx_instance(seed=8)
-        make_policy("lints", inst, {"d": inst.dim})
-        with pytest.raises(ValueError, match="dimension"):
-            make_policy("lints", inst, {"d": inst.dim + 1})
+        for d in (inst.dim, inst.dim + 1):
+            with pytest.raises(ValueError, match=r"^policy 'lints' does not accept parameters \['d'\]$"):
+                make_policy("lints", inst, {"d": d})
 
     def test_unknown_key_and_params(self):
         inst = _ctx_instance(seed=9)

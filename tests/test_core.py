@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
@@ -224,20 +225,24 @@ class TestClusterTree:
         assert tree.path_to_root(3) == [3, 1, 0]
 
     def test_internal_node_with_arm_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^leaf/arm mapping must cover exactly the leaf nodes$"):
             ClusterTree([[1, 2], [], []], [0, 1, 2])
 
     def test_leaf_without_arm_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^leaf/arm mapping must cover exactly the leaf nodes$"):
             ClusterTree([[1, 2], [], []], [-1, 0, -1])
 
     def test_duplicate_arm_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leaf arms must be a bijection onto 0\.\.n_arms-1$"):
             ClusterTree([[1, 2], [], []], [-1, 0, 0])
 
     def test_unreachable_node_rejected(self):
-        with pytest.raises(ValueError):
+        # node 2 is no node's child, which the adjacency check rejects first
+        with pytest.raises(ValueError, match="^malformed adjacency: each node but the root must be one node's child$"):
             ClusterTree([[1], [], []], [-1, 0, 1])
+        # every node but the root has one parent, but 2 and 3 form a cycle the root never reaches
+        with pytest.raises(ValueError, match="^tree has unreachable nodes$"):
+            ClusterTree([[1], [], [3], [2]], [-1, 0, -1, -1])
 
     @staticmethod
     def _assert_contiguous_children(tree):
@@ -476,3 +481,37 @@ class TestSimulationTrace:
                 rewards=np.zeros(2),
                 cum_regret=np.zeros(3),
             )
+
+
+# ---------------------------------------------------------------------------
+# Checks on outside input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: ClusterTree([[1], []], [-1]), "^children and leaf_arms must have equal length$"),
+        (lambda: ClusterTree([], []), "^tree must have at least one node$"),
+        (lambda: ClusterTree.from_csr([0, 2, 1], [1], [-1, 0]),
+         r"^ptr must rise from 0 to len\(kids\) in n_nodes \+ 1 offsets$"),
+        (lambda: DisjointClustering([]), "^labels must be a non-empty 1-D sequence$"),
+        (lambda: DisjointClustering([[0, 1]]), "^labels must be a non-empty 1-D sequence$"),
+        (lambda: DisjointClustering([0, -1]), "^cluster ids must be non-negative$"),
+        (lambda: BanditInstance([]), "^instance needs a non-empty 1-D array of arm means$"),
+        (lambda: BanditInstance([[0.5, 0.2]]), "^instance needs a non-empty 1-D array of arm means$"),
+        (lambda: BanditInstance([0.5, 0.2, 0.1], tree=ClusterTree.star(2)),
+         "^tree leaf count does not match arm count$"),
+        (lambda: ContextualInstance(np.ones(3), DisjointClustering([0, 0, 1])), r"^theta must be \(n_arms, dim\)$"),
+        (lambda: ContextualInstance(np.ones((3, 2)), DisjointClustering([0, 1])),
+         "^clustering size does not match arm count$"),
+        (lambda: ContextualInstance([[1.0, np.nan]], DisjointClustering([0])), "^theta has non-finite entries$"),
+        (lambda: simulate(BanditInstance([0.5]), make_policy("ts", BanditInstance([0.5])), 0, rng_streams(0).simulation),
+         "^horizon must be >= 1$"),
+    ],
+    ids=["tree-unequal-lengths", "tree-empty", "tree-malformed-ptr", "labels-empty", "labels-2d",
+         "labels-negative", "means-empty", "means-2d", "tree-arm-count", "theta-1d", "theta-clustering-size",
+         "theta-non-finite", "simulate-horizon-0"],
+)
+def test_malformed_input_fails_with_its_own_message(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

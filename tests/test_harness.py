@@ -159,7 +159,7 @@ class TestConfigValidation:
         assert ExperimentConfig.from_json(config.to_json()) == config
 
     @pytest.mark.parametrize("key, params", [("lints", {"v": -1}), ("linucbc", {"alpha": float("nan")})])
-    def test_bad_contextual_hyperparameter_names_policy_and_variant(self, key, params):
+    def test_bad_contextual_hyperparameter_names_policy_and_field(self, key, params):
         doc = {
             "name": "ctx",
             "horizon": 5,
@@ -169,9 +169,30 @@ class TestConfigValidation:
                 {"name": "ctx-variant", "spec": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 3, "epsilon": 0.5}}
             ],
         }
-        with pytest.raises(ConfigError, match="'bad-policy' on variant 'ctx-variant'") as err:
+        with pytest.raises(ConfigError, match="^policies: 'bad-policy': ") as err:
             run_experiment(ExperimentConfig.from_json(doc))
         assert next(iter(params)) + ": " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: doc.update(seeds=[]), "^seeds: need at least one seed$"),
+            (lambda doc: doc.update(seeds={"base": 3, "count": 0}), r"^seeds\.count: must be >= 1$"),
+            (lambda doc: doc.update(instances=[]), "^instances: need at least one instance spec$"),
+            (lambda doc: doc.pop("instance"), r"^instances: missing \('instance' or 'instances'\)$"),
+            (lambda doc: doc.update(stride=0), "^stride: must be >= 1, got 0$"),
+            (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC}] * 2),
+             "^instances: duplicate variant names$"),
+            (lambda doc: doc.update(policies=[{"key": "ts"}, {"label": "tsc"}]), "^policies: entry missing 'key'$"),
+        ],
+        ids=["no-seeds", "seed-count-0", "no-instances", "no-instance-field", "stride-0", "duplicate-variants",
+             "policy-without-key"],
+    )
+    def test_config_shape_errors_name_their_field(self, edit, match):
+        doc = {"name": "tiny", "horizon": 40, "seeds": [1, 2, 3], "policies": [{"key": "ts"}], "instance": TINY_SD_SPEC}
+        edit(doc)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_json(doc)
 
     def test_duplicate_seeds_rejected(self):
         # a repeated seed would run twice and count twice in n_seeds
@@ -287,8 +308,6 @@ class TestConfigValidation:
              "policies[1].params.alpha", "2", "number"),
             ({"policies": [{"key": "linucbc", "params": {"alpha": False}}]},
              "policies[0].params.alpha", False, "number"),
-            ({"policies": [{"key": "lintsc", "params": {"d": True}}]}, "policies[0].params.d", True, "integer"),
-            ({"policies": [{"key": "lintsc", "params": {"d": "4"}}]}, "policies[0].params.d", "4", "integer"),
         ],
     )
     def test_typed_numbers_and_params_fail_before_any_job(self, monkeypatch, overrides, field, bad, kind):
@@ -364,15 +383,19 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, params, match",
         [
-            ("tsc", {"x": 1}, r": 'tsc\(x=1\)' on variant 'b': policy 'tsc' does not accept parameters \['x'\]"),
-            ("linucb", {"v": 1.0}, r": 'linucb\(v=1.0\)' on variant 'b': .*does not accept parameters \['v'\]"),
-            ("linucb", {"alpha": -1}, r": 'linucb\(alpha=-1\)' on variant 'b': alpha: .*>= 0, got -1"),
-            ("lints", {"v": 0}, r": 'lints\(v=0\)' on variant 'b': v: .*> 0, got 0"),
-            ("lints", {"d": 7}, r": 'lints\(d=7\)' on variant 'b': parameter d=7 does not match instance dimension 5"),
-            # d is an integer, so a fractional one fails as it is read, naming the field
-            ("lints", {"d": 5.5}, r"\[1\]\.params\.d: must be an integer, got 5\.5$"),
+            ("tsc", {"x": 1}, r": 'tsc\(x=1\)': policy 'tsc' does not accept parameters \['x'\]$"),
+            ("linucb", {"v": 1.0}, r": 'linucb\(v=1.0\)': .*does not accept parameters \['v'\]$"),
+            ("linucb", {"alpha": -1}, r": 'linucb\(alpha=-1\)': alpha: .*>= 0, got -1"),
+            ("lints", {"v": 0}, r": 'lints\(v=0\)': v: .*> 0, got 0"),
+            # the dimension comes from the instance: d is no parameter, whatever its value or type
+            ("lints", {"d": 7}, r": 'lints\(d=7\)': policy 'lints' does not accept parameters \['d'\]$"),
+            ("lints", {"d": 5}, r": 'lints\(d=5\)': policy 'lints' does not accept parameters \['d'\]$"),
+            ("lints", {"d": 5.5}, r": 'lints\(d=5\.5\)': policy 'lints' does not accept parameters \['d'\]$"),
+            ("lintsc", {"d": True}, r": 'lintsc\(d=True\)': policy 'lintsc' does not accept parameters \['d'\]$"),
+            ("linucbc", {"d": "4"}, r": 'linucbc\(d=4\)': policy 'linucbc' does not accept parameters \['d'\]$"),
         ],
-        ids=["tsc-x", "linucb-v", "linucb-alpha", "lints-v", "lints-d", "lints-fractional-d"],
+        ids=["tsc-x", "linucb-v", "linucb-alpha", "lints-v", "lints-d", "lints-own-d", "lints-fractional-d",
+             "lintsc-bool-d", "linucbc-string-d"],
     )
     def test_bad_policy_params_fail_before_any_job(self, monkeypatch, key, params, match):
         # each of these used to run every job of variant 'a' before failing
@@ -389,18 +412,18 @@ class TestConfigValidation:
         assert jobs == []
 
     def test_serialized_contextual_dimension_fails_before_any_job(self, monkeypatch):
-        # a serialized spec's dimension is its theta's width, known before any build
+        # a serialized spec's dimension is its theta's width, which the policy reads from the instance
         jobs = self._count_jobs(monkeypatch)
         spec = instance_to_json(build_instance(TINY_CTX_SPEC, rng_streams(0).instance))
-        doc = {
-            "policies": [{"key": "lints", "params": {"d": 5}}],
-            "instances": [{"name": "a", "spec": {**TINY_CTX_SPEC, "dim": 5}}, {"name": "b", "spec": spec}],
-        }
-        with pytest.raises(ConfigError, match="on variant 'b': parameter d=5 does not match instance dimension 4"):
-            run_experiment(_tiny_config(**doc))
+        for d in (5, 4):  # another width and the spec's own: d is no parameter
+            doc = {
+                "policies": [{"key": "lints", "params": {"d": d}}],
+                "instances": [{"name": "a", "spec": {**TINY_CTX_SPEC, "dim": 5}}, {"name": "b", "spec": spec}],
+            }
+            with pytest.raises(ConfigError, match=rf"^policies: 'lints\(d={d}\)': policy 'lints' does not accept parameters \['d'\]$"):
+                run_experiment(_tiny_config(**doc))
         assert jobs == []
-        # the matching width runs
-        assert run_experiment(_tiny_config(policies=[{"key": "lints", "params": {"d": 4}}], instance=spec)).rows
+        assert run_experiment(_tiny_config(policies=[{"key": "lints"}], instance=spec)).rows
 
     @pytest.mark.parametrize(
         "edit, match",

@@ -371,19 +371,19 @@ class TestGenContextual:
     def test_reward_mean_positive_case(self, rng):
         inst = ContextualInstance(np.array([[1.0, 0.5]]), DisjointClustering([0]))
         x = np.array([0.6, 0.8])
-        draws = np.array([inst.draw_reward(0, x, rng) for _ in range(100_000)])
+        draws = np.array([inst.draw_reward(0, inst.expected_rewards(x), rng) for _ in range(100_000)])
         assert abs(draws.mean() - 1.0) < 0.02  # theta'x = 1.0
 
     def test_reward_signed_interval_convention(self, rng):
         inst = ContextualInstance(np.array([[-1.0]]), DisjointClustering([0]))
         x = np.array([1.0])
-        draws = np.array([inst.draw_reward(0, x, rng) for _ in range(100_000)])
+        draws = np.array([inst.draw_reward(0, inst.expected_rewards(x), rng) for _ in range(100_000)])
         assert draws.min() >= -2.0 and draws.max() <= 0.0
         assert abs(draws.mean() - (-1.0)) < 0.02
 
     def test_zero_expectation_point_mass(self, rng):
         inst = ContextualInstance(np.array([[0.0]]), DisjointClustering([0]))
-        assert inst.draw_reward(0, np.array([1.0]), rng) == 0.0
+        assert inst.draw_reward(0, inst.expected_rewards(np.array([1.0])), rng) == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -536,6 +536,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             instance_from_json({"kind": "bernoulli", "means": means, "clustering": {"labels": [0, 1]}})
 
+    @pytest.mark.parametrize("structure, match", [
+        ({"clustering": {"labels": [0, 1.7]}}, r"^clustering\.labels\[1\]: must be an integer, got 1\.7$"),
+        ({"clustering": {"labels": [0, True]}}, r"^clustering\.labels\[1\]: must be an integer, got True$"),
+        ({"clustering": {"labels": ["0", 1.0]}}, r"^clustering\.labels\[0\]: must be an integer, got '0'$"),
+        ({"clustering": "abc"}, r"^clustering: must be an object, got 'abc'$"),
+        ({"tree": {"children": [[1, 2.7], [], []], "leaf_arms": [-1, 0, 1]}},
+         r"^tree\.children\[0\]\[1\]: must be an integer, got 2\.7$"),
+        ({"tree": {"children": [[1, 2], [], []], "leaf_arms": [-1, 0, True]}},
+         r"^tree\.leaf_arms\[2\]: must be an integer, got True$"),
+        ({"tree": "abc"}, r"^tree: must be an object, got 'abc'$"),
+    ], ids=["fractional-label", "bool-label", "string-label", "string-clustering", "fractional-child",
+            "bool-leaf-arm", "string-tree"])
+    def test_bernoulli_document_structure_is_typed(self, structure, match):
+        # the fractional label and child were truncated, the bool and string ones taken as integers
+        doc = {"kind": "bernoulli", "means": [0.5, 0.25], **structure}
+        with pytest.raises(ValueError, match=match):
+            build_instance(doc, rng_streams(0).instance)
+        with pytest.raises(ValueError, match=match):
+            instance_from_json(doc)
+
     def test_bernoulli_document_takes_integral_means(self):
         assert build_instance({"kind": "bernoulli", "means": [1, 0]}, rng_streams(0).instance).means.tolist() == [1.0, 0.0]
 
@@ -547,6 +567,8 @@ class TestSerialization:
         (lambda doc: doc["theta"][0].__setitem__(0, False), r"^theta\[0\]\[0\]: must be a number, got False$"),
         (lambda doc: doc["theta"].__setitem__(3, 0.5), r"^theta\[3\]: must be a list, got 0.5$"),
         (lambda doc: doc.update(theta="[[0.1]]"), r"^theta: must be a list, got '\[\[0.1\]\]'$"),
+        (lambda doc: doc["labels"].__setitem__(1, True), r"^labels\[1\]: must be an integer, got True$"),
+        (lambda doc: doc["labels"].__setitem__(0, 0.5), r"^labels\[0\]: must be an integer, got 0\.5$"),
     ])
     def test_contextual_document_entries_are_typed(self, edit, match):
         doc = instance_to_json(gen_contextual(ContextualSpec(6, 2, 3, 0.2), rng_streams(18).instance))

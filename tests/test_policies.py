@@ -545,7 +545,7 @@ NEEDS = {"ts": "bernoulli", "ucb1": "bernoulli", "tsc": "clustering", "tsmax": "
          "hts": "tree", "uct": "tree", **dict.fromkeys(CONTEXTUAL_KEYS, "contextual")}
 ACCEPTED = {"bernoulli": {"flat", "clustering", "tree"}, "clustering": {"clustering"}, "tree": {"tree"},
             "contextual": {"contextual"}}
-PARAMS = {"lints": {"v", "d"}, "lintsc": {"v", "d"}, "linucb": {"alpha", "d"}, "linucbc": {"alpha", "d"}}
+PARAMS = {"lints": {"v"}, "lintsc": {"v"}, "linucb": {"alpha"}, "linucbc": {"alpha"}}
 
 
 def _one_instance_per_structure():
@@ -582,18 +582,13 @@ def test_make_policy_and_check_params_serve_every_key(key):
     assert set(cls.params) == accepted
     for name, value in (("v", 0.5), ("alpha", 1.0), ("d", 3), ("gamma", 1.0)):
         if name in accepted:
-            policies.check_params(key, {name: value}, dim=3)
-        else:
+            policies.check_params(key, {name: value})
+        else:  # no policy takes d: the dimension comes from the instance
             with pytest.raises(ValueError, match=rf"^policy '{key}' does not accept parameters \['{name}'\]$"):
-                policies.check_params(key, {name: value}, dim=3)
-    if "d" in accepted:
-        policies.check_params(key, {"d": 4})  # no dimension known: nothing to check d against
-        with pytest.raises(ValueError, match="^parameter d=4 does not match instance dimension 3$"):
-            policies.check_params(key, {"d": 4}, dim=3)
-        instance = _one_instance_per_structure()["contextual"]
-        assert make_policy(key, instance, {"d": 3}).key == key
-        with pytest.raises(ValueError, match="does not match instance dimension 3"):
-            make_policy(key, instance, {"d": 4})
+                policies.check_params(key, {name: value})
+    if NEEDS[key] == "contextual":  # not even the instance's own dimension
+        with pytest.raises(ValueError, match=rf"^policy '{key}' does not accept parameters \['d'\]$"):
+            make_policy(key, _one_instance_per_structure()["contextual"], {"d": 3})
 
 class TestMakePolicy:
     def test_all_keys(self):
@@ -689,8 +684,8 @@ def _run(policy, instance, rng, start, steps):
 @pytest.fixture
 def path_checks(monkeypatch):
     calls = []
-    check = policies._TreeTables.check_path
-    monkeypatch.setattr(policies._TreeTables, "check_path", lambda self, c: calls.append(c) or check(self, c))
+    check = policies.BanditPolicy._check_path
+    monkeypatch.setattr(policies.BanditPolicy, "_check_path", lambda self, c: calls.append(c) or check(self, c))
     return calls
 
 

@@ -12,13 +12,10 @@ two separately started benchmark processes.
 Each tree builds the instance of ``--spec`` (default: the ``ctx-large-eps05``
 variant) from the instance stream of ``--seed``, with the context sequence of
 that seed for a contextual spec. One job is a fresh policy plus one
-simulation run of ``--horizon`` steps on the simulation stream of ``--seed``.
-A tree has either one ``make_policy`` and ``simulate(..., contexts=)`` for
-every policy, or, before those served contextual policies too,
-``contextual.make_contextual_policy`` and ``simulate.simulate_contextual``
-for contextual ones; each side looks up what its tree has. Every round runs one job per key on each
-tree, the first tree alternating between rounds, and times it with
-``time.perf_counter``.
+simulation run of ``--horizon`` steps on the simulation stream of ``--seed``,
+made by the tree's ``make_policy`` and run by its ``simulate``. Every round
+runs one job per key on each tree, the first tree alternating between
+rounds, and times it with ``time.perf_counter``.
 
 Per key, the report gives the median µs/step of each tree, the median of the
 per-round ratios change/parent, how many rounds the change was faster, and
@@ -64,14 +61,11 @@ class Side:
         self.core = importlib.import_module(f"{name}.core")
         self.simulate = importlib.import_module(f"{name}.simulate")
         self.policies = importlib.import_module(f"{name}.policies")
-        self.contextual = importlib.import_module(f"{name}.contextual")
         instances = importlib.import_module(f"{name}.instances")
         streams = self.core.rng_streams(seed)
         self.instance = instances.build_instance(spec, streams.instance)
-        self.make, self.run, self.kwargs = self.policies.make_policy, self.simulate.simulate, {}
-        if isinstance(self.instance, self.contextual.ContextualInstance):
-            self.make = getattr(self.contextual, "make_contextual_policy", self.make)
-            self.run = getattr(self.simulate, "simulate_contextual", self.run)
+        self.kwargs = {}
+        if self.instance.structure == "contextual":
             self.kwargs = {"contexts": np.stack(
                 [instances.gen_context(self.instance.dim, streams.context) for _ in range(horizon)]
             )}
@@ -81,8 +75,8 @@ class Side:
         """(seconds, trace) of one fresh policy run on the seed's simulation stream."""
         rng = self.core.rng_streams(self.seed).simulation
         start = time.perf_counter()
-        policy = self.make(key, self.instance)
-        trace = self.run(self.instance, policy, self.horizon, rng, **self.kwargs)
+        policy = self.policies.make_policy(key, self.instance)
+        trace = self.simulate.simulate(self.instance, policy, self.horizon, rng, **self.kwargs)
         return time.perf_counter() - start, trace
 
 
