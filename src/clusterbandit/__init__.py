@@ -2,7 +2,7 @@
 
 Simulation library and benchmark harness: two-level and tree-recursive
 Thompson sampling with UCB-style baselines, linear contextual variants,
-synthetic instance generators with dominance audits, regret-bound
+synthetic instance generators, dominance audits and regret-bound
 calculators, and a reproducible experiment runner with CSV/JSON/SVG export.
 """
 from .analysis import (
@@ -13,12 +13,14 @@ from .analysis import (
     audit_hierarchical_dominance,
     cluster_stats,
     hts_instance_bound,
+    instance_bounds,
     kl_bernoulli,
     lai_robbins_lower,
     minimax_lower_reference,
     pooled_std,
     tsc_instance_bound,
     tsc_minimax_bound,
+    verify_strong_dominance,
 )
 from .contextual import (
     ContextualInstance,
@@ -68,7 +70,6 @@ from .instances import (
     kmeans,
     sorted_tree_from_means,
     truncate_tree,
-    verify_strong_dominance,
 )
 from .policies import (
     BanditPolicy,

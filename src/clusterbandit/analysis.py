@@ -3,8 +3,10 @@
 Implements the Bernoulli KL divergence, per-cluster width/distance/gap
 statistics with the clustering-quality ratio gamma, the instance-dependent
 and instance-independent upper-bound formulas for two-level and tree
-Thompson sampling, the asymptotic lower-bound reference curve, tree
-dominance audits, and trace aggregation helpers.
+Thompson sampling, the asymptotic lower-bound reference curve, the table
+of the bounds that apply to each instance structure (``instance_bounds``),
+the strong-dominance and tree-dominance audits, and trace aggregation
+helpers.
 
 All bound values are asymptotic leading terms: o(log T) remainders are not
 computable and are surfaced through an explicit caveat string, never added
@@ -29,6 +31,9 @@ __all__ = [
     "minimax_lower_reference",
     "hts_instance_bound",
     "lai_robbins_lower",
+    "instance_bounds",
+    "DominanceReport",
+    "verify_strong_dominance",
     "TreeDominanceViolation",
     "TreeDominanceReport",
     "audit_hierarchical_dominance",
@@ -210,9 +215,14 @@ class InstanceBound:
 
 
 def _check_horizon(T: float) -> float:
-    if T < 2:
-        raise ValueError(f"horizon must be >= 2, got {T}")
+    if not (math.isfinite(T) and T >= 2):
+        raise ValueError(f"horizon: must be finite and >= 2, got {T}")
     return float(T)
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps: must be finite and > 0, got {eps}")
 
 
 def _optimal_cluster_arm_sum(stats: ClusterStats, warnings: list[str]) -> float:
@@ -250,8 +260,7 @@ def tsc_instance_bound(stats: ClusterStats, T: float, eps: float = 0.1) -> Insta
     coefficient multiplies the companion log log T term.
     """
     T = _check_horizon(T)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     warnings: list[str] = []
     dominance_ok = True
     finite = True
@@ -377,8 +386,7 @@ def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> 
     if instance.tree is None:
         raise ValueError("instance has no cluster tree")
     T = _check_horizon(T)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     mu_star = instance.optimal_mean
 
     warnings: list[str] = []
@@ -403,9 +411,63 @@ def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> 
     )
 
 
+def instance_bounds(
+    instance: BanditInstance, T: float, eps: float = 0.1
+) -> dict[str, InstanceBound | float]:
+    """Every bound that applies to ``instance.structure``, by name.
+
+    A clustering has ``tsc_instance``, ``tsc_minimax``, ``lai_robbins_lower``
+    and ``minimax_lower_reference``; a tree has ``hts_instance``; a flat or
+    contextual instance has none. The two reference curves are plain values.
+    """
+    if instance.structure == "clustering":
+        stats = cluster_stats(instance)
+        return {
+            "tsc_instance": tsc_instance_bound(stats, T, eps),
+            "tsc_minimax": tsc_minimax_bound(stats, T),
+            "lai_robbins_lower": lai_robbins_lower(stats, T),
+            "minimax_lower_reference": minimax_lower_reference(stats, T),
+        }
+    if instance.structure == "tree":
+        return {"hts_instance": hts_instance_bound(instance, T, eps)}
+    return {}
+
+
 # ---------------------------------------------------------------------------
-# Tree dominance audit
+# Dominance audits
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DominanceReport:
+    """Result of the strong-dominance audit.
+
+    ``violations`` lists (optimal-cluster arm, other arm) pairs whose mean
+    difference is not positive; empty when the assumption holds.
+    """
+
+    holds: bool
+    violations: tuple[tuple[int, int], ...]
+    stats: ClusterStats
+
+
+def verify_strong_dominance(instance: BanditInstance) -> DominanceReport:
+    """Check that every optimal-cluster arm beats every other cluster's arms."""
+    clustering = instance.clustering
+    if clustering is None:
+        raise ValueError("instance has no disjoint clustering")
+    stats = cluster_stats(instance)
+    means = instance.means
+    star_arms = clustering.members(stats.optimal_cluster)
+    violations: list[tuple[int, int]] = []
+    for c in stats.suboptimal_clusters():
+        if stats.distance[c] > 0.0:
+            continue
+        for a in star_arms:
+            for b in clustering.members(int(c)):
+                if means[a] - means[b] <= 0.0:
+                    violations.append((int(a), int(b)))
+    return DominanceReport(holds=not violations, violations=tuple(violations), stats=stats)
+
 
 @dataclass(frozen=True)
 class TreeDominanceViolation:

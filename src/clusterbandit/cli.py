@@ -16,20 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
-from .analysis import (
-    cluster_stats,
-    audit_hierarchical_dominance,
-    hts_instance_bound,
-    lai_robbins_lower,
-    minimax_lower_reference,
-    tsc_instance_bound,
-    tsc_minimax_bound,
-)
-from .contextual import ContextualInstance
+from .analysis import InstanceBound, audit_hierarchical_dominance, instance_bounds, verify_strong_dominance
 from .core import rng_streams
 from .harness import (
     ConfigError,
@@ -41,7 +31,7 @@ from .harness import (
     preset_names,
     run_experiment,
 )
-from .instances import build_instance, instance_to_json, verify_strong_dominance
+from .instances import build_instance, instance_to_json
 
 __all__ = ["main"]
 
@@ -104,7 +94,8 @@ def _load_instance(args: argparse.Namespace):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    # a non-finite float, which JSON cannot hold, goes out as null
+    text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent=2)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -156,32 +147,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    if isinstance(instance, ContextualInstance):
+    if instance.structure == "contextual":
         raise ConfigError("instance: audits apply to Bernoulli instances only")
     doc: dict = {"n_arms": instance.n_arms, "unique_optimum": instance.has_unique_optimum}
-    if instance.clustering is not None:
+    if instance.structure == "clustering":
         report = verify_strong_dominance(instance)
-        doc["strong_dominance"] = {
-            "holds": report.holds,
-            "violations": [list(v) for v in report.violations],
-        }
+        doc["strong_dominance"] = {"holds": report.holds, "violations": report.violations}
         doc["cluster_stats"] = report.stats.to_json()
-    if instance.tree is not None:
-        report = audit_hierarchical_dominance(instance)
-        doc["hierarchical_dominance"] = {
-            "holds": report.holds,
-            "violations": [
-                {
-                    "level": v.level,
-                    "optimal_child": v.optimal_child,
-                    "sibling": v.sibling,
-                    "optimal_min": v.optimal_min,
-                    "sibling_max": v.sibling_max,
-                }
-                for v in report.violations
-            ],
-        }
-    if instance.clustering is None and instance.tree is None:
+    elif instance.structure == "tree":
+        doc["hierarchical_dominance"] = dataclasses.asdict(audit_hierarchical_dominance(instance))
+    else:
         doc["note"] = "flat instance: no clustering structure to audit"
     _emit(doc, args.out)
     return 0
@@ -189,42 +164,17 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    if isinstance(instance, ContextualInstance):
+    if instance.structure == "contextual":
         raise ConfigError(
             "instance: bound formulas apply to Bernoulli instances only "
             "(contextual regret analysis is out of scope)"
         )
-    T, eps = args.horizon, args.eps
-    doc: dict = {"horizon": T, "eps": eps}
-
-    def _ib_doc(ib) -> dict:
-        return {
-            "coefficient": _num(ib.coefficient),
-            "leading": _num(ib.leading),
-            "loglog_coefficient": _num(ib.loglog_coefficient),
-            "loglog": _num(ib.loglog),
-            "finite": ib.finite,
-            "dominance_ok": ib.dominance_ok,
-            "caveat": ib.caveat,
-            "warnings": list(ib.warnings),
-        }
-
-    if instance.clustering is not None:
-        stats = cluster_stats(instance)
-        doc["tsc_instance"] = _ib_doc(tsc_instance_bound(stats, T, eps))
-        doc["tsc_minimax"] = tsc_minimax_bound(stats, T)
-        doc["lai_robbins_lower"] = _ib_doc(lai_robbins_lower(stats, T))
-        doc["minimax_lower_reference"] = minimax_lower_reference(stats, T)
-    if instance.tree is not None:
-        doc["hts_instance"] = _ib_doc(hts_instance_bound(instance, T, eps))
-    if instance.clustering is None and instance.tree is None:
+    bounds = instance_bounds(instance, args.horizon, args.eps)
+    if not bounds:
         raise ConfigError("instance: flat instance has no clustering bounds")
-    _emit(doc, args.out)
+    doc = {name: dataclasses.asdict(b) if isinstance(b, InstanceBound) else b for name, b in bounds.items()}
+    _emit({"horizon": args.horizon, "eps": args.eps, **doc}, args.out)
     return 0
-
-
-def _num(v: float):
-    return v if math.isfinite(v) else None
 
 
 def main(argv: list[str] | None = None) -> int:

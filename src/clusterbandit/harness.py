@@ -34,15 +34,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analysis import (
-    TraceSummary,
-    aggregate_curves,
-    cluster_stats,
-    hts_instance_bound,
-    lai_robbins_lower,
-    tsc_instance_bound,
-    tsc_minimax_bound,
-)
+from .analysis import InstanceBound, TraceSummary, aggregate_curves, instance_bounds
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
 from .instances import StrongDominanceSpec, build_instance, gen_context, spec_structure
@@ -163,10 +155,6 @@ class ExperimentConfig:
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride: must be >= 1, got {self.stride}")
         for p in self.policies:
-            if p.key not in POLICY_KEYS:
-                raise ConfigError(
-                    f"policies: unknown policy key '{p.key}'; valid keys: {sorted(POLICY_KEYS)}"
-                )
             try:
                 check_params(p.key, p.params)
             except (TypeError, ValueError) as exc:
@@ -511,21 +499,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 def _seed_bounds(
     instance: BanditInstance | ContextualInstance, T: float, eps: float
 ) -> tuple[bool, dict[str, float]] | None:
-    """(dominance holds, bound values) of one instance; None where no bound applies."""
-    if isinstance(instance, ContextualInstance):
+    """(dominance holds, bound values) of one instance's ``analysis.instance_bounds``; None where no bound
+    applies. Dominance holds when every ``InstanceBound`` says so; a bound's value is its ``leading`` term."""
+    bounds = instance_bounds(instance, T, eps)
+    if not bounds:
         return None
-    if instance.clustering is not None:
-        stats = cluster_stats(instance)
-        ib = tsc_instance_bound(stats, T, eps)
-        return ib.dominance_ok, {
-            "tsc_instance": ib.leading,
-            "tsc_minimax": tsc_minimax_bound(stats, T),
-            "lai_robbins_lower": lai_robbins_lower(stats, T).leading,
-        }
-    if instance.tree is not None:
-        ib = hts_instance_bound(instance, T, eps)
-        return ib.dominance_ok, {"hts_instance": ib.leading}
-    return None
+    formulas = [b for b in bounds.values() if isinstance(b, InstanceBound)]
+    return all(b.dominance_ok for b in formulas), {
+        name: b.leading if isinstance(b, InstanceBound) else b for name, b in bounds.items()
+    }
 
 
 def _bound_rows(

@@ -1,4 +1,4 @@
-"""Synthetic instance generators, clustering routines, and instance audits.
+"""Synthetic instance generators, clustering routines, and instance (de)serialization.
 
 Generators cover: separation/width-controlled clustered instances where the
 optimal cluster dominates every other cluster, sorted balanced binary trees
@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import ClusterStats, cluster_stats
 from .contextual import ContextualInstance
 from .core import BanditInstance, ClusterTree, DisjointClustering, typed
 
@@ -46,8 +45,6 @@ __all__ = [
     "gen_context",
     "kmeans",
     "kmeans_distortion",
-    "DominanceReport",
-    "verify_strong_dominance",
     "instance_to_json",
     "instance_from_json",
     "SpecKind",
@@ -579,42 +576,6 @@ def gen_context(dim: int, rng: np.random.Generator, kind: str = "uniform") -> np
 
 
 # ---------------------------------------------------------------------------
-# Audits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Result of the strong-dominance audit.
-
-    ``violations`` lists (optimal-cluster arm, other arm) pairs whose mean
-    difference is not positive; empty when the assumption holds.
-    """
-
-    holds: bool
-    violations: tuple[tuple[int, int], ...]
-    stats: ClusterStats
-
-
-def verify_strong_dominance(instance: BanditInstance) -> DominanceReport:
-    """Check that every optimal-cluster arm beats every other cluster's arms."""
-    clustering = instance.clustering
-    if clustering is None:
-        raise ValueError("instance has no disjoint clustering")
-    stats = cluster_stats(instance)
-    means = instance.means
-    star_arms = clustering.members(stats.optimal_cluster)
-    violations: list[tuple[int, int]] = []
-    for c in stats.suboptimal_clusters():
-        if stats.distance[c] > 0.0:
-            continue
-        for a in star_arms:
-            for b in clustering.members(int(c)):
-                if means[a] - means[b] <= 0.0:
-                    violations.append((int(a), int(b)))
-    return DominanceReport(holds=not violations, violations=tuple(violations), stats=stats)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -648,15 +609,24 @@ def _numbers(field: str, values, kind: type, depth: int) -> list:
     return [_numbers(f"{field}[{i}]", row, kind, depth - 1) for i, row in enumerate(values)]
 
 
+def _read(doc: dict, field: str, kind: type, depth: int) -> list:
+    """The entry of ``doc`` that ``field`` names last (``labels`` for ``clustering.labels``) through
+    :func:`_numbers`; a missing entry fails naming the field."""
+    key = field.rpartition(".")[2]
+    if key not in doc:
+        raise ValueError(f"{field}: missing")
+    return _numbers(field, doc[key], kind, depth)
+
+
 def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     """Rebuild an instance from its JSON document; ``clustering`` and ``tree`` are read as objects and
     every number through ``core.typed`` (``means``, ``theta`` and ``epsilon`` as numbers, labels, child
-    ids and leaf arms as integers), so a bool, a string or a fraction fails naming its entry."""
+    ids and leaf arms as integers), so a missing field, a bool, a string or a fraction fails naming it."""
     kind = doc.get("kind")
     if kind == "contextual":
         return ContextualInstance(
-            np.asarray(_numbers("theta", doc["theta"], float, 2), dtype=np.float64),
-            DisjointClustering(_numbers("labels", doc["labels"], int, 1)),
+            np.asarray(_read(doc, "theta", float, 2), dtype=np.float64),
+            DisjointClustering(_read(doc, "labels", int, 1)),
             epsilon=typed("epsilon", doc.get("epsilon", 0.0), float),
         )
     if kind != "bernoulli":
@@ -664,13 +634,12 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     clustering = None
     tree = None
     if doc.get("clustering") is not None:
-        labels = typed("clustering", doc["clustering"], dict)["labels"]
-        clustering = DisjointClustering(_numbers("clustering.labels", labels, int, 1))
+        labels = _read(typed("clustering", doc["clustering"], dict), "clustering.labels", int, 1)
+        clustering = DisjointClustering(labels)
     if doc.get("tree") is not None:
         adjacency = typed("tree", doc["tree"], dict)
-        tree = ClusterTree(_numbers("tree.children", adjacency["children"], int, 2),
-                           _numbers("tree.leaf_arms", adjacency["leaf_arms"], int, 1))
-    return BanditInstance(_numbers("means", doc["means"], float, 1), clustering=clustering, tree=tree)
+        tree = ClusterTree(_read(adjacency, "tree.children", int, 2), _read(adjacency, "tree.leaf_arms", int, 1))
+    return BanditInstance(_read(doc, "means", float, 1), clustering=clustering, tree=tree)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +682,7 @@ def spec_fields(spec: dict) -> dict | None:
     """A spec's typed, range-checked fields as its generator takes them, an optional one missing or null at its
     default; None for a serialized document (``bernoulli``, or ``contextual`` with ``theta``), whose field names
     only are checked. Raises ValueError naming the field."""
-    if "kind" not in spec:
+    if "kind" not in typed("instance", spec, dict):
         raise ValueError("instance spec is missing the 'kind' field")
     name = typed("kind", spec["kind"], str)
     document = name == "bernoulli" or (name == "contextual" and "theta" in spec)

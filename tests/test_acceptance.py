@@ -19,6 +19,7 @@ from clusterbandit.analysis import (
     kl_bernoulli,
     pooled_std,
     tsc_instance_bound,
+    verify_strong_dominance,
 )
 from clusterbandit.contextual import _LinearBank, _outer
 from clusterbandit.core import (
@@ -33,7 +34,6 @@ from clusterbandit.instances import (
     build_instance,
     gen_sorted_binary_tree,
     gen_strong_dominance,
-    verify_strong_dominance,
 )
 from clusterbandit.policies import ClusteredThompsonSampling, HierarchicalThompsonSampling
 

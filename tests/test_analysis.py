@@ -11,6 +11,7 @@ from clusterbandit.analysis import (
     audit_hierarchical_dominance,
     cluster_stats,
     hts_instance_bound,
+    instance_bounds,
     kl_bernoulli,
     lai_robbins_lower,
     minimax_lower_reference,
@@ -18,6 +19,7 @@ from clusterbandit.analysis import (
     tsc_instance_bound,
     tsc_minimax_bound,
 )
+from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
@@ -192,6 +194,19 @@ class TestTscInstanceBound:
             tsc_instance_bound(stats, 1.0, 0.1)
         with pytest.raises(ValueError):
             tsc_instance_bound(stats, 100.0, 0.0)
+        tree = _balanced_4arm_instance()
+        for bad in (math.nan, math.inf, -math.inf):
+            for bound in (
+                lambda T: tsc_instance_bound(stats, T, 0.1), lambda T: tsc_minimax_bound(stats, T),
+                lambda T: minimax_lower_reference(stats, T), lambda T: lai_robbins_lower(stats, T),
+                lambda T: hts_instance_bound(tree, T, 0.1),
+            ):
+                with pytest.raises(ValueError, match=rf"^horizon: must be finite and >= 2, got {bad}$"):
+                    bound(bad)
+            with pytest.raises(ValueError, match=rf"^eps: must be finite and > 0, got {bad}$"):
+                tsc_instance_bound(stats, 100.0, bad)
+            with pytest.raises(ValueError, match=rf"^eps: must be finite and > 0, got {bad}$"):
+                hts_instance_bound(tree, 100.0, bad)
 
 
 class TestTscMinimaxBound:
@@ -343,6 +358,26 @@ class TestHtsInstanceBound:
     def test_requires_tree(self):
         with pytest.raises(ValueError):
             hts_instance_bound(BanditInstance([0.1, 0.2]), 100.0, 0.1)
+
+
+class TestInstanceBounds:
+    def test_one_table_by_structure(self):
+        T, eps = 500.0, 0.2
+        clustered = _reference_instance()
+        stats = cluster_stats(clustered)
+        bounds = instance_bounds(clustered, T, eps)
+        assert bounds == {
+            "tsc_instance": tsc_instance_bound(stats, T, eps),
+            "tsc_minimax": tsc_minimax_bound(stats, T),
+            "lai_robbins_lower": lai_robbins_lower(stats, T),
+            "minimax_lower_reference": minimax_lower_reference(stats, T),
+        }
+        assert list(bounds) == ["tsc_instance", "tsc_minimax", "lai_robbins_lower", "minimax_lower_reference"]
+        tree = _balanced_4arm_instance()
+        assert instance_bounds(tree, T, eps) == {"hts_instance": hts_instance_bound(tree, T, eps)}
+        assert instance_bounds(BanditInstance([0.5, 0.2]), T, eps) == {}
+        contextual = ContextualInstance(np.array([[0.1, 0.2], [0.3, 0.4]]), DisjointClustering([0, 1]))
+        assert instance_bounds(contextual, T, eps) == {}
 
 
 class TestAuditHierarchicalDominance:

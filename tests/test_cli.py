@@ -1,15 +1,17 @@
 """Command-line interface end to end on tiny workloads."""
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
 from clusterbandit import cli, harness
-from clusterbandit.analysis import hts_instance_bound
+from clusterbandit.analysis import hts_instance_bound, instance_bounds
 from clusterbandit.cli import main
 from clusterbandit.core import rng_streams
+from clusterbandit.harness import ConfigError, ExperimentConfig, run_experiment
 from clusterbandit.instances import build_instance
 
 SD_SPEC = {
@@ -23,6 +25,19 @@ SD_SPEC = {
 
 
 CTX_DOC = {"kind": "contextual", "theta": [[0.1, 0.2], [0.3, 0.4]], "labels": [0, 1], "epsilon": 0.0}
+
+FLAT_DOC = {"kind": "bernoulli", "means": [0.5, 0.2]}
+TREE_SPEC = {"kind": "sorted_tree", "n_arms": 8}
+# at seed 0 this clustering (hts-uct's L1) has gamma < -1 - A*/K, so its tsc_minimax is infinite
+L1_SPEC = {"kind": "kmeans", "n_arms": 5000, "n_clusters": 15, "reward_fn": "sin-product"}
+
+
+def _strict_json(text: str):
+    """``text`` as JSON, failing on NaN and Infinity, which JSON does not have."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -233,6 +248,83 @@ class TestAuditAndBounds:
 
     def test_exactly_one_source_required(self, capsys):
         assert main(["audit"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, spec, seed",
+        [("audit", FLAT_DOC, 0), ("audit", SD_SPEC, 2), ("audit", TREE_SPEC, 2), ("audit", L1_SPEC, 0),
+         ("bounds", SD_SPEC, 2), ("bounds", TREE_SPEC, 2), ("bounds", L1_SPEC, 0)],
+        ids=["audit-flat", "audit-clustered", "audit-tree", "audit-L1", "bounds-clustered", "bounds-tree",
+             "bounds-L1"],
+    )
+    def test_reports_are_standard_json(self, tmp_path, capsys, command, spec, seed):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        horizon = ["--horizon", "60"] if command == "bounds" else []
+        assert main([command, "--spec", str(path), "--seed", str(seed), *horizon]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        if command == "bounds":
+            instance = build_instance(spec, rng_streams(seed).instance)
+            assert list(doc) == ["horizon", "eps", *instance_bounds(instance, 60.0, 0.1)]
+        if command == "bounds" and spec is L1_SPEC:
+            assert doc["tsc_minimax"] is None
+
+    def test_run_bounds_reports_the_one_table(self, tmp_path):
+        specs = {"clustered": SD_SPEC, "tree": TREE_SPEC, "flat": FLAT_DOC,
+                 "contextual": {"kind": "contextual", "n_arms": 6, "n_clusters": 2, "dim": 3, "epsilon": 0.2}}
+        config = {"name": "table", "horizon": 300, "seeds": [3, 4], "bounds": True, "eps": 0.2,
+                  "policies": [{"key": "ts", "variants": ["flat"]}],
+                  "instances": [{"name": name, "spec": spec} for name, spec in specs.items()]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "table.json").read_text())["bounds"]
+        for name, spec in specs.items():
+            for seed in config["seeds"]:
+                table = instance_bounds(build_instance(spec, rng_streams(seed).instance), 300.0, 0.2)
+                assert [b["bound"] for b in rows if b["experiment_id"] == f"table/{name}"] == sorted(table)
+        assert {b["experiment_id"] for b in rows} == {"table/clustered", "table/tree"}
+
+    @pytest.mark.parametrize(
+        "structure, field",
+        [({"clustering": {}}, "clustering.labels"),
+         ({"tree": {"leaf_arms": [-1, 0, 1]}}, "tree.children"),
+         ({"tree": {"children": [[1, 2], [], []]}}, "tree.leaf_arms")],
+        ids=["clustering-labels", "tree-children", "tree-leaf-arms"],
+    )
+    def test_document_missing_nested_field_fails_naming_it(self, tmp_path, capsys, structure, field):
+        doc = {**FLAT_DOC, **structure}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        for command in ("audit", "bounds"):
+            assert main([command, "--instance", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {field}: missing\n")
+        config = ExperimentConfig.from_json(
+            {"name": "missing", "horizon": 10, "seeds": [1], "policies": [{"key": "ts"}], "instance": doc}
+        )
+        match = rf"^instances: variant 'default' at seed 1: {re.escape(field)}: missing$"
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("text, shown", [("5", "5"), ("null", "None"), ("[]", "[]")])
+    def test_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, shown):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        for argv in (["audit", "--instance", str(path)], ["generate", "--spec", str(path), "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: instance: must be an object, got {shown}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--horizon", "nan", "horizon: must be finite and >= 2, got nan"),
+         ("--horizon", "inf", "horizon: must be finite and >= 2, got inf"),
+         ("--eps", "nan", "eps: must be finite and > 0, got nan"),
+         ("--eps", "inf", "eps: must be finite and > 0, got inf")],
+    )
+    def test_bounds_rejects_a_non_finite_horizon_or_eps(self, spec_file, capsys, option, value, message):
+        assert main(["bounds", "--spec", str(spec_file), option, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestRunBounds:

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from clusterbandit import harness
-from clusterbandit.analysis import cluster_stats, lai_robbins_lower, tsc_instance_bound, tsc_minimax_bound
+from clusterbandit.analysis import (
+    cluster_stats,
+    lai_robbins_lower,
+    minimax_lower_reference,
+    tsc_instance_bound,
+    tsc_minimax_bound,
+)
 from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
@@ -936,17 +942,20 @@ class TestContextAndBoundReuse:
         )
         result = run_experiment(_tiny_config(bounds=True), workers=workers)
         assert len(log.read_text().split()) == 3
-        assert {b["bound"] for b in result.bounds} == {"tsc_instance", "tsc_minimax", "lai_robbins_lower"}
+        assert {b["bound"] for b in result.bounds} == {
+            "tsc_instance", "tsc_minimax", "lai_robbins_lower", "minimax_lower_reference"
+        }
 
     def test_bound_rows_equal_a_fresh_build_per_seed(self):
         config = _tiny_config(bounds=True, horizon=500, eps=0.2)
         T = float(config.horizon)
-        expected = {"tsc_instance": [], "tsc_minimax": [], "lai_robbins_lower": []}
+        expected = {"tsc_instance": [], "tsc_minimax": [], "lai_robbins_lower": [], "minimax_lower_reference": []}
         for seed in config.seeds:
             stats = cluster_stats(build_instance(TINY_SD_SPEC, rng_streams(seed).instance))
             expected["tsc_instance"].append(tsc_instance_bound(stats, T, config.eps).leading)
             expected["tsc_minimax"].append(tsc_minimax_bound(stats, T))
             expected["lai_robbins_lower"].append(lai_robbins_lower(stats, T).leading)
+            expected["minimax_lower_reference"].append(minimax_lower_reference(stats, T))
         for workers in (1, 2):
             rows = run_experiment(config, workers=workers).bounds
             assert [b["bound"] for b in rows] == sorted(expected)

@@ -1,11 +1,12 @@
 """Instance generators, k-means, agglomeration, audits, serialization."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from clusterbandit.analysis import audit_hierarchical_dominance
+from clusterbandit.analysis import audit_hierarchical_dominance, verify_strong_dominance
 from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
 from clusterbandit.instances import (
@@ -27,8 +28,8 @@ from clusterbandit.instances import (
     kmeans,
     kmeans_distortion,
     sorted_tree_from_means,
+    spec_fields,
     truncate_tree,
-    verify_strong_dominance,
 )
 
 # Frozen 40-digit evaluations of the closed-form reward landscapes.
@@ -555,6 +556,26 @@ class TestSerialization:
             build_instance(doc, rng_streams(0).instance)
         with pytest.raises(ValueError, match=match):
             instance_from_json(doc)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "bernoulli", "means": [0.5, 0.25], "clustering": {}}, r"clustering\.labels"),
+        ({"kind": "bernoulli", "means": [0.5, 0.25], "tree": {"leaf_arms": [-1, 0, 1]}}, r"tree\.children"),
+        ({"kind": "bernoulli", "means": [0.5, 0.25], "tree": {"children": [[1, 2], [], []]}}, r"tree\.leaf_arms"),
+        ({"kind": "bernoulli", "clustering": {"labels": [0, 1]}}, "means"),
+        ({"kind": "contextual", "labels": [0, 1]}, "theta"),
+        ({"kind": "contextual", "theta": [[0.1], [0.2]]}, "labels"),
+    ], ids=["clustering-labels", "tree-children", "tree-leaf-arms", "means", "theta", "labels"])
+    def test_document_missing_field_fails_naming_it(self, doc, field):
+        with pytest.raises(ValueError, match=rf"^{field}: missing$"):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize("spec", [5, None, [], "kmeans"])
+    def test_spec_must_be_an_object(self, spec):
+        match = rf"^instance: must be an object, got {re.escape(repr(spec))}$"
+        with pytest.raises(ValueError, match=match):
+            spec_fields(spec)
+        with pytest.raises(ValueError, match=match):
+            build_instance(spec, rng_streams(0).instance)
 
     def test_bernoulli_document_takes_integral_means(self):
         assert build_instance({"kind": "bernoulli", "means": [1, 0]}, rng_streams(0).instance).means.tolist() == [1.0, 0.0]

@@ -60,6 +60,13 @@ def test_module_table_names_exist():
     assert "ClusterTree" in checked and "BanditInstance" in checked
 
 
+def test_analysis_row_names_the_bound_table_and_both_audits():
+    (contents,) = [contents for module_name, contents in _module_table() if module_name == "clusterbandit.analysis"]
+    analysis = importlib.import_module("clusterbandit.analysis")
+    for name in ("instance_bounds", "verify_strong_dominance", "audit_hierarchical_dominance"):
+        assert f"`{name}" in contents and callable(getattr(analysis, name, None)), name
+
+
 def _spec_table() -> list[tuple[str, ...]]:
     """(kind, builds, field, type, default) of each row of the README's instance spec table."""
     table = README.read_text().split("| kind | builds | field | type | default | range |", 1)[1].split("\n\n", 1)[0]
