@@ -3,8 +3,11 @@
 Every criterion is a property or ordering assertion at desk scale, evaluated
 at the tolerances stated with it. Monte Carlo comparisons use pooled sample
 standard deviations; paired instances per seed come from the harness'
-fixed-offset seed splitting. Run with ``pytest -s tests/test_acceptance.py``
-to see the per-criterion lines.
+fixed-offset seed splitting. The criteria whose checks compare means across
+seeds (1, 2, 4, 7, 8 and 9) are defined in ``criteria.py``, their runs and
+their checks, which ``tools/criteria_margins.py`` also reads to measure how
+often each check passes under its law. Run with
+``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 import math
 import time
@@ -17,7 +20,6 @@ from clusterbandit.analysis import (
     audit_hierarchical_dominance,
     cluster_stats,
     kl_bernoulli,
-    pooled_std,
     tsc_instance_bound,
     verify_strong_dominance,
 )
@@ -37,6 +39,8 @@ from clusterbandit.instances import (
 )
 from clusterbandit.policies import ClusteredThompsonSampling, HierarchicalThompsonSampling
 
+import criteria
+
 WORKERS = 2
 
 TWO_CLUSTER_INSTANCE = {
@@ -49,17 +53,6 @@ TWO_CLUSTER_INSTANCE = {
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def _sd_spec(n, k, a_star, w, d) -> dict:
-    return {
-        "kind": "strong_dominance",
-        "n_arms": n,
-        "n_suboptimal_clusters": k,
-        "optimal_cluster_size": a_star,
-        "optimal_width": w,
-        "separation": d,
-    }
 
 
 def _run(name, variants, policies, horizon, n_seeds, base_seed, stride=None):
@@ -81,43 +74,23 @@ def _stats(result, variant, policy):
     return s.summary.final_mean, s.summary.final_std, s.summary.n
 
 
+def _finals(criterion: criteria.Criterion) -> dict:
+    """The final regrets of every run of ``criterion`` at the test's fixed seeds."""
+    found = {}
+    for run in criterion.runs:
+        found.update(criteria.finals(run, run_experiment(run.config(), workers=WORKERS)))
+    return found
+
+
 def test_criterion_1_separation_sweep():
     t0 = time.time()
-    ds = (0.05, 0.1, 0.2, 0.3)
-    variants = [{"name": f"d={d}", "spec": _sd_spec(100, 10, 10, 0.1, d)} for d in ds]
-    result = _run("c1", variants, [{"key": "ts"}, {"key": "tsc"}], 3000, 50, 42_000)
-
-    tsc = [_stats(result, f"d={d}", "tsc") for d in ds]
-    ts = [_stats(result, f"d={d}", "ts") for d in ds]
-
-    monotone = all(
-        tsc[i + 1][0] <= tsc[i][0] + 0.5 * pooled_std(tsc[i][1], tsc[i][2], tsc[i + 1][1], tsc[i + 1][2])
-        for i in range(len(ds) - 1)
-    )
-    separated = all(
-        ts[i][0] - tsc[i][0] >= pooled_std(ts[i][1], ts[i][2], tsc[i][1], tsc[i][2])
-        for i in range(len(ds))
-    )
+    ok, detail = criteria.CRITERION_1.check(_finals(criteria.CRITERION_1))
     elapsed = time.time() - t0
-    detail = (
-        f"TSC finals {[round(m, 1) for m, _, _ in tsc]} non-increasing in d={monotone}; "
-        f"TS finals {[round(m, 1) for m, _, _ in ts]} exceed TSC by >=1 pooled std={separated}; "
-        f"runtime {elapsed:.0f}s (target 120s)"
-    )
-    _report(1, monotone and separated and elapsed < 120.0, detail)
+    _report(1, ok and elapsed < 120.0, f"{detail}; runtime {elapsed:.0f}s (target 120s)")
 
 
 def test_criterion_2_width_sweep():
-    ws = (0.0, 0.1, 0.2, 0.3)
-    variants = [{"name": f"w={w}", "spec": _sd_spec(100, 10, 10, w, 0.1)} for w in ws]
-    result = _run("c2", variants, [{"key": "tsc"}], 3000, 50, 42_100)
-
-    tsc = [_stats(result, f"w={w}", "tsc") for w in ws]
-    monotone = all(
-        tsc[i + 1][0] >= tsc[i][0] - 0.5 * pooled_std(tsc[i][1], tsc[i][2], tsc[i + 1][1], tsc[i + 1][2])
-        for i in range(len(ws) - 1)
-    )
-    _report(2, monotone, f"TSC finals {[round(m, 1) for m, _, _ in tsc]} non-decreasing in w*")
+    _report(2, *criteria.CRITERION_2.check(_finals(criteria.CRITERION_2)))
 
 
 @pytest.mark.xfail(
@@ -134,7 +107,7 @@ def test_criterion_2_width_sweep():
 def test_criterion_3_scaling_ratio():
     ns = (25, 100, 400)
     variants = [
-        {"name": f"N={n}", "spec": _sd_spec(n, int(math.isqrt(n)), int(math.isqrt(n)), 0.1, 0.1)}
+        {"name": f"N={n}", "spec": criteria.sd_spec(n, int(math.isqrt(n)), int(math.isqrt(n)), 0.1, 0.1)}
         for n in ns
     ]
     result = _run("c3", variants, [{"key": "ts"}, {"key": "tsc"}], 3000, 50, 42_200)
@@ -149,22 +122,7 @@ def test_criterion_3_scaling_ratio():
 
 
 def test_criterion_4_depth_sweep():
-    levels = (0, 1, 8)
-    variants = [
-        {"name": f"L={lv}", "spec": {"kind": "sorted_tree", "n_arms": 256, "levels": lv}}
-        for lv in levels
-    ]
-    result = _run("c4", variants, [{"key": "hts"}], 3000, 50, 42_300)
-
-    by_level = {lv: _stats(result, f"L={lv}", "hts") for lv in levels}
-    m0, m1, m8 = by_level[0], by_level[1], by_level[8]
-    deep_le_two = m8[0] <= m1[0] + 0.5 * pooled_std(m8[1], m8[2], m1[1], m1[2])
-    two_le_flat = m1[0] <= m0[0] + 0.5 * pooled_std(m1[1], m1[2], m0[1], m0[2])
-    detail = (
-        f"final regret L=8: {m8[0]:.1f}, L=1: {m1[0]:.1f}, L=0: {m0[0]:.1f} "
-        f"(each step within +0.5 pooled std)"
-    )
-    _report(4, deep_le_two and two_le_flat, detail)
+    _report(4, *criteria.CRITERION_4.check(_finals(criteria.CRITERION_4)))
 
 
 def test_criterion_5_suboptimal_cluster_play_bound():
@@ -220,92 +178,15 @@ def test_criterion_6_regret_log_slope_bound():
 
 
 def test_criterion_7_violated_assumptions_benchmark():
-    policies = [{"key": k} for k in ("ts", "tsc", "ucb1", "ucbc", "tsmax")]
-    small = _run(
-        "c7-small",
-        [{"name": "i", "spec": {"kind": "kmeans", "n_arms": 100, "n_clusters": 10, "reward_fn": "sin-product"}}],
-        policies,
-        3000,
-        100,
-        45_000,
-    )
-    large = _run(
-        "c7-large",
-        [{"name": "i", "spec": {"kind": "kmeans", "n_arms": 1000, "n_clusters": 32, "reward_fn": "sin-product"}}],
-        policies,
-        3000,
-        100,
-        45_100,
-    )
-    details = []
-    ok = True
-    for label, result in (("N=100,K=10", small), ("N=1000,K=32", large)):
-        means = {p["key"]: _stats(result, "i", p["key"]) for p in policies}
-        tsc_mean = means["tsc"][0]
-        best_other = min(v[0] for k, v in means.items() if k != "tsc")
-        ok &= all(tsc_mean < v[0] for k, v in means.items() if k != "tsc")
-        details.append(
-            f"{label}: tsc {tsc_mean:.0f} < best other {best_other:.0f} "
-            f"(ts {means['ts'][0]:.0f}, ucb1 {means['ucb1'][0]:.0f}, "
-            f"ucbc {means['ucbc'][0]:.0f}, tsmax {means['tsmax'][0]:.0f})"
-        )
-    ts_m, ts_s, n = _stats(large, "i", "ts")
-    tsc_m, tsc_s, _ = _stats(large, "i", "tsc")
-    gap_ok = ts_m - tsc_m >= 2.0 * pooled_std(ts_s, n, tsc_s, n)
-    ok &= gap_ok
-    details.append(f"large-instance TS-TSC gap >= 2 pooled std: {gap_ok}")
-    _report(7, ok, "; ".join(details))
+    _report(7, *criteria.CRITERION_7.check(_finals(criteria.CRITERION_7)))
 
 
 def test_criterion_8_contextual_orderings():
-    configs = (
-        ("k20-n400-e05", 20, 400, 0.5, 46_000),
-        ("k30-n900-e05", 30, 900, 0.5, 46_100),
-        ("k30-n900-e01", 30, 900, 0.1, 46_200),
-    )
-    ok = True
-    details = []
-    for name, k, n, eps_val, base in configs:
-        result = _run(
-            f"c8-{name}",
-            [{"name": "i", "spec": {"kind": "contextual", "n_arms": n, "n_clusters": k, "dim": 5, "epsilon": eps_val}}],
-            [
-                {"key": "lints", "params": {"v": 1.0}, "label": "lints"},
-                {"key": "lintsc", "params": {"v": 1.0}, "label": "lintsc"},
-            ],
-            2000,
-            25,
-            base,
-        )
-        lints_m, lints_s, seeds = _stats(result, "i", "lints")
-        lintsc_m, lintsc_s, _ = _stats(result, "i", "lintsc")
-        margin = pooled_std(lints_s, seeds, lintsc_s, seeds)
-        good = lints_m - lintsc_m >= margin
-        ok &= good
-        details.append(f"{name}: LinTS {lints_m:.0f} - LinTSC {lintsc_m:.0f} >= pooled std {margin:.0f}: {good}")
-    _report(8, ok, "; ".join(details))
+    _report(8, *criteria.CRITERION_8.check(_finals(criteria.CRITERION_8)))
 
 
 def test_criterion_9_uniform_negative_control():
-    # The underlying ordering was verified at 1000 seeds (TSC worse by
-    # 11.6 +/- 2.9); the 25-seed base below is fixed to a draw consistent
-    # with that ordering since the prescribed point comparison is noisier
-    # than the effect.
-    result = _run(
-        "c9",
-        [{"name": "i", "spec": {"kind": "uniform", "n_arms": 50, "n_clusters": 10}}],
-        [{"key": "ts"}, {"key": "tsc"}],
-        3000,
-        25,
-        47_300,
-    )
-    ts_m, _, _ = _stats(result, "i", "ts")
-    tsc_m, _, _ = _stats(result, "i", "tsc")
-    _report(
-        9,
-        tsc_m >= ts_m,
-        f"uninformative clustering: TSC final regret {tsc_m:.1f} >= TS {ts_m:.1f}",
-    )
+    _report(9, *criteria.CRITERION_9.check(_finals(criteria.CRITERION_9)))
 
 
 def test_criterion_10_exact_invariants():
@@ -385,7 +266,7 @@ def test_criterion_10_exact_invariants():
             "horizon": 60,
             "seeds": [1, 2],
             "policies": [{"key": "ts"}, {"key": "tsc"}, {"key": "ucbc"}],
-            "instance": _sd_spec(20, 3, 4, 0.1, 0.1),
+            "instance": criteria.sd_spec(20, 3, 4, 0.1, 0.1),
         }
     )
     a, b = run_experiment(config), run_experiment(config, workers=WORKERS)
