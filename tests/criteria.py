@@ -121,12 +121,24 @@ CRITERION_1 = Criterion(1, (Run(
 # ---------------------------------------------------------------------------
 
 C2_WIDTHS = (0.0, 0.1, 0.2, 0.3)
+# The check covers the first three widths. The generator puts every sub-optimal cluster's top arm at
+# 0.6 - w* - d, so a wider optimal cluster also widens every sub-optimal gap, and in law the last step
+# falls: over 600 held-out seeds (tools/criteria_margins.py) tsc's mean final regret is 112.6, 184.3,
+# 184.3 and 167.1 (SE 1.3-1.6) at w* = 0, 0.1, 0.2 and 0.3, and the check over all four widths passed
+# in 0.52 of 50-seed subsets, by chance at the 0.2 -> 0.3 step. The run still reports w* = 0.3.
+C2_CHECKED = 3
 
 
 def _check_2(found: Finals) -> tuple[bool, str]:
     tsc = [_stats(found["c2", f"w={w}", "tsc"]) for w in C2_WIDTHS]
-    monotone = all(b[0] >= a[0] - 0.5 * _pooled(a, b) for a, b in zip(tsc, tsc[1:]))
-    return monotone, f"TSC finals {[round(m, 1) for m, _, _ in tsc]} non-decreasing in w*"
+    checked = tsc[:C2_CHECKED]
+    monotone = all(b[0] >= a[0] - 0.5 * _pooled(a, b) for a, b in zip(checked, checked[1:]))
+    detail = (
+        f"TSC finals {[round(m, 1) for m, _, _ in checked]} non-decreasing in w* over "
+        f"{list(C2_WIDTHS[:C2_CHECKED])}; not checked: w*={C2_WIDTHS[-1]} at {tsc[-1][0]:.1f}, since in law "
+        f"the 0.2 -> 0.3 step falls (184.3 -> 167.1 over 600 held-out seeds) as every sub-optimal gap widens"
+    )
+    return monotone, detail
 
 
 CRITERION_2 = Criterion(2, (Run(
@@ -242,14 +254,16 @@ def _check_9(found: Finals) -> tuple[bool, str]:
     return tsc >= ts, f"uninformative clustering: TSC final regret {tsc:.1f} >= TS {ts:.1f}"
 
 
-# The underlying ordering was verified at 1000 seeds (TSC worse by 11.6 +/- 2.9);
-# the 25-seed base below is fixed to a draw consistent with that ordering since
-# the prescribed point comparison is noisier than the effect.
+# The seed count is sized from the paired effect: over 2000 held-out seeds (tools/criteria_margins.py)
+# tsc's final regret exceeds ts's by 13.0 +/- 2.05 (paired SE), a per-seed spread of about 92, so the
+# mean difference over n seeds sits 13.0 * sqrt(n) / 92 standard errors above 0: 0.7 at the 25 seeds
+# this criterion used to run (it passed in 0.77 of 25-seed subsets) and 2.8 at 400, where the check
+# fails with probability about 0.002, and still under 0.01 if the effect is one SE smaller.
 CRITERION_9 = Criterion(9, (Run(
     "c9",
     ({"name": "i", "spec": {"kind": "uniform", "n_arms": 50, "n_clusters": 10}},),
     ({"key": "ts"}, {"key": "tsc"}),
-    3000, 25, 47_300,
+    3000, 400, 47_300,
 ),), _check_9)
 
 
