@@ -6,8 +6,8 @@ root-to-leaf node path that led to it, so the simulator can log and replay
 the full decision. Every policy, the contextual ones included, runs one
 descent, ``BanditPolicy._descend``, and differs only in its per-node rule
 ``_pick`` and its ``update``: ``HierarchicalThompsonSampling`` for ``ts``,
-``tsc`` and ``hts``, ``TsMax`` for ``tsmax``, and ``TreeUcb`` for ``ucb1``,
-``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are ``flat``: they descend
+``tsc``, ``hts`` and ``tsmax`` (whose root draws from other beliefs), and
+``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are ``flat``: they descend
 ``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
 traces keep no paths; ``tsc``, ``tsmax`` and ``ucbc`` descend
 ``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
@@ -243,14 +243,14 @@ class HierarchicalThompsonSampling(BanditPolicy):
         self._sv, self._fv = memoryview(self._s), memoryview(self._f)
 
     def _beliefs(self, lo: int, hi: int) -> tuple[Sequence[float], Sequence[float]]:
-        """The Beta parameters (s, f) that a block over the children in slots [lo, hi) draws from: their own."""
+        """The Beta parameters (s, f) that the values of the children in slots [lo, hi) are drawn from: their own."""
         return self._sv[lo:hi], self._fv[lo:hi]
 
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """The offset of the argmax of one value per child in slots [lo, hi): drawn afresh below
         ``_BLOCK_MIN`` children, else read as the next row of the node's block."""
         if hi - lo < _BLOCK_MIN:
-            return _random_argmax_list(list(map(rng.beta, self._sv[lo:hi], self._fv[lo:hi])), rng)
+            return _random_argmax_list(list(map(rng.beta, *self._beliefs(lo, hi))), rng)
         block = self._blocks.get(lo)
         if block is None or block.next == len(block.values):  # first visit, or used up
             rows = 1 if block is None else min(2 * block.next, _BLOCK_ROWS)
@@ -317,13 +317,6 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
     first samples one expected reward per cluster (node c+1) and commits to
     the argmax cluster, then samples among that cluster's arms only; the
     reward updates both, as on every descent path.
-
-    Unlike the other Thompson keys it draws one fresh value per child at
-    every visit, never from a block, so its output bytes are those of the
-    per-visit kernel. Acceptance criterion 2 runs ``tsc`` alone at fixed
-    seeds, and its check passes in about half of all 50-seed samples of the
-    same law, so any byte change to ``tsc`` decides it by chance (ROADMAP
-    item 0); blocks wait until that criterion is restated.
     """
 
     key = "tsc"
@@ -331,12 +324,6 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
 
     def __init__(self, clustering: DisjointClustering) -> None:
         super().__init__(ClusterTree.from_clustering(clustering))
-
-    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
-        """The offset of the argmax of one fresh value per child in slots [lo, hi)."""
-        if hi - lo <= _NARROW:
-            return _random_argmax_list(list(map(rng.beta, self._sv[lo:hi], self._fv[lo:hi])), rng)
-        return random_argmax(rng.beta(self._s[lo:hi], self._f[lo:hi]), rng)
 
 
 class TsMax(HierarchicalThompsonSampling):
@@ -378,12 +365,6 @@ class TsMax(HierarchicalThompsonSampling):
             return super()._beliefs(lo, hi)
         reps = self._reps
         return self._s[reps], self._f[reps]
-
-    def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
-        if lo or hi >= _BLOCK_MIN:  # below the root, or a root wide enough for a block
-            return HierarchicalThompsonSampling._pick(self, lo, hi, at, t, rng)
-        s, f = self._sv, self._fv
-        return _random_argmax_list([rng.beta(s[r], f[r]) for r in self._repv], rng)
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
