@@ -8,9 +8,10 @@ of the bounds that apply to each instance structure (``instance_bounds``),
 the strong-dominance and tree-dominance audits, and trace aggregation
 helpers.
 
-All bound values are asymptotic leading terms: o(log T) remainders are not
-computable and are surfaced through an explicit caveat string, never added
-silently.
+The instance bounds are asymptotic leading terms: o(log T) remainders are
+not computable and are surfaced through an explicit caveat string, never
+added silently. The two minimax curves are shapes with a unit leading
+constant, whose caveat is ``REFERENCE_CURVE_CAVEAT``.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ LEADING_TERM_CAVEAT = (
     "asymptotic leading term; the o(log T) remainder is not computable and "
     "is not included"
 )
+# the caveat of the two plain-number curves, ``tsc_minimax_bound`` and ``minimax_lower_reference``
+REFERENCE_CURVE_CAVEAT = "reference curve shape with a unit leading constant, not a certified bound"
 
 
 def kl_bernoulli(p: float, q: float) -> float:

@@ -34,7 +34,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analysis import InstanceBound, TraceSummary, aggregate_curves, instance_bounds
+from .analysis import REFERENCE_CURVE_CAVEAT, InstanceBound, TraceSummary, aggregate_curves, instance_bounds
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
 from .instances import StrongDominanceSpec, build_instance, gen_context, spec_structure
@@ -498,22 +498,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
 def _seed_bounds(
     instance: BanditInstance | ContextualInstance, T: float, eps: float
-) -> tuple[bool, dict[str, float]] | None:
-    """(dominance holds, bound values) of one instance's ``analysis.instance_bounds``; None where no bound
-    applies. Dominance holds when every ``InstanceBound`` says so; a bound's value is its ``leading`` term."""
+) -> tuple[bool, dict[str, tuple[float, str]]] | None:
+    """(dominance holds, (value, caveat) by bound name) of one instance's ``analysis.instance_bounds``; None
+    where no bound applies. Dominance holds when every ``InstanceBound`` says so; an ``InstanceBound`` gives
+    its ``leading`` term and its own caveat, a reference curve its value and ``REFERENCE_CURVE_CAVEAT``."""
     bounds = instance_bounds(instance, T, eps)
     if not bounds:
         return None
     formulas = [b for b in bounds.values() if isinstance(b, InstanceBound)]
     return all(b.dominance_ok for b in formulas), {
-        name: b.leading if isinstance(b, InstanceBound) else b for name, b in bounds.items()
+        name: (b.leading, b.caveat) if isinstance(b, InstanceBound) else (b, REFERENCE_CURVE_CAVEAT)
+        for name, b in bounds.items()
     }
 
 
 def _bound_rows(
     config: ExperimentConfig, seed_bounds: dict[tuple[str, int], tuple | None]
 ) -> tuple[dict, ...]:
-    """Per-variant theoretical reference values, averaged over seeds in ``config.seeds`` order.
+    """Per-variant theoretical reference values, averaged over seeds in ``config.seeds`` order, each with its
+    bound's caveat; a mean over a non-finite value is None, written as JSON ``null``.
 
     ``seed_bounds`` maps (variant name, seed) to ``_seed_bounds`` of that instance.
     """
@@ -522,15 +525,15 @@ def _bound_rows(
         found = [seed_bounds[(v.name, seed)] for seed in config.seeds]
         found = [b for b in found if b is not None]
         for name in sorted(found[0][1]) if found else ():
-            arr = np.asarray([values[name] for _, values in found])
+            arr = np.asarray([values[name][0] for _, values in found])
             out.append(
                 {
                     "experiment_id": config.experiment_id(v.name),
                     "bound": name,
-                    "mean_value_at_horizon": float(arr.mean()) if np.isfinite(arr).all() else math.inf,
+                    "mean_value_at_horizon": float(arr.mean()) if np.isfinite(arr).all() else None,
                     "n_seeds": int(arr.size),
                     "dominance_ok_fraction": sum(int(ok) for ok, _ in found) / len(found),
-                    "note": "asymptotic leading term; o(log T) remainder not included",
+                    "note": found[0][1][name][1],
                 }
             )
     return tuple(out)

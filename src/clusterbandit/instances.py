@@ -680,8 +680,8 @@ _DOCUMENT_FIELDS = {"bernoulli": ({"means"}, {"clustering", "tree"}), "contextua
 
 def spec_fields(spec: dict) -> dict | None:
     """A spec's typed, range-checked fields as its generator takes them, an optional one missing or null at its
-    default; None for a serialized document (``bernoulli``, or ``contextual`` with ``theta``), whose field names
-    only are checked. Raises ValueError naming the field."""
+    default; None for a serialized document (``bernoulli``, or ``contextual`` with ``theta``), whose top-level
+    field names are checked here and the rest by :func:`instance_from_json`. Raises ValueError naming the field."""
     if "kind" not in typed("instance", spec, dict):
         raise ValueError("instance spec is missing the 'kind' field")
     name = typed("kind", spec["kind"], str)
@@ -704,14 +704,12 @@ def spec_fields(spec: dict) -> dict | None:
 
 
 def spec_structure(spec: dict) -> str:
-    """Check a spec (:func:`spec_fields`) and name the structure it builds: ``"flat"``,
-    ``"clustering"``, ``"tree"`` or ``"contextual"``; a ``bernoulli`` document has the
-    ``clustering`` or ``tree`` it holds."""
+    """Check a spec and name the structure it builds: ``"flat"``, ``"clustering"``, ``"tree"`` or
+    ``"contextual"``. A generated kind is checked by :func:`spec_fields`; a serialized document is parsed
+    whole by :func:`instance_from_json`, and its structure is the parsed instance's."""
     if spec_fields(spec) is not None:
         return SPEC_KINDS[spec["kind"]].structure
-    if spec["kind"] == "contextual":
-        return "contextual"
-    return next((key for key in ("clustering", "tree") if spec.get(key) is not None), "flat")
+    return instance_from_json(spec).structure
 
 
 def build_instance(spec: dict, rng: np.random.Generator) -> BanditInstance | ContextualInstance:

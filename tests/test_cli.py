@@ -1,6 +1,5 @@
 """Command-line interface end to end on tiny workloads."""
 import json
-import math
 import re
 import subprocess
 import sys
@@ -8,7 +7,12 @@ import sys
 import pytest
 
 from clusterbandit import cli, harness
-from clusterbandit.analysis import hts_instance_bound, instance_bounds
+from clusterbandit.analysis import (
+    LEADING_TERM_CAVEAT,
+    REFERENCE_CURVE_CAVEAT,
+    hts_instance_bound,
+    instance_bounds,
+)
 from clusterbandit.cli import main
 from clusterbandit.core import rng_streams
 from clusterbandit.harness import ConfigError, ExperimentConfig, run_experiment
@@ -298,12 +302,11 @@ class TestAuditAndBounds:
         for command in ("audit", "bounds"):
             assert main([command, "--instance", str(path)]) == 2
             assert capsys.readouterr() == ("", f"error: {field}: missing\n")
-        config = ExperimentConfig.from_json(
-            {"name": "missing", "horizon": 10, "seeds": [1], "policies": [{"key": "ts"}], "instance": doc}
-        )
-        match = rf"^instances: variant 'default' at seed 1: {re.escape(field)}: missing$"
+        match = rf"^instances: variant 'default' spec: {re.escape(field)}: missing$"
         with pytest.raises(ConfigError, match=match):
-            run_experiment(config)
+            ExperimentConfig.from_json(
+                {"name": "missing", "horizon": 10, "seeds": [1], "policies": [{"key": "ts"}], "instance": doc}
+            )
 
     @pytest.mark.parametrize("text, shown", [("5", "5"), ("null", "None"), ("[]", "[]")])
     def test_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, shown):
@@ -335,10 +338,21 @@ class TestRunBounds:
             ["run", "--preset", "hts-uct", "--base-seed", "0", "--seeds", "1",
              "--horizon", "60", "--bounds", "--out", str(out)]
         ) == 0
-        doc = json.loads((out / "hts-uct.json").read_text())
+        doc = _strict_json((out / "hts-uct.json").read_text())
         (minimax,) = [b for b in doc["bounds"] if b["bound"] == "tsc_minimax"]
-        assert minimax["mean_value_at_horizon"] == math.inf
+        assert minimax["mean_value_at_horizon"] is None
         assert minimax["dominance_ok_fraction"] == 0.0
+        # each row carries its own bound's caveat
+        caveats = {
+            "tsc_instance": LEADING_TERM_CAVEAT,
+            "hts_instance": LEADING_TERM_CAVEAT,
+            "lai_robbins_lower": "asymptotic lower-bound reference (lim inf of regret / log T)",
+            "tsc_minimax": REFERENCE_CURVE_CAVEAT,
+            "minimax_lower_reference": REFERENCE_CURVE_CAVEAT,
+        }
+        assert {b["bound"] for b in doc["bounds"]} == set(caveats)
+        for b in doc["bounds"]:
+            assert b["note"] == caveats[b["bound"]], b
 
 
 class TestConsoleEntryPoint:

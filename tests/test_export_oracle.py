@@ -8,7 +8,6 @@ coordinates on whole arrays; every file they write must equal the
 reference's byte for byte.
 """
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -166,7 +165,7 @@ def test_presets_with_bounds(name, tmp_path):
 def test_infinite_bound_values_are_covered(tmp_path):
     # hts-uct's L1 clustering is non-dominant at seed 0, where tsc_minimax is inf
     result = run_experiment(_reduced("hts-uct", seeds=[0, 1]))
-    assert any(math.isinf(b["mean_value_at_horizon"]) for b in result.bounds)
+    assert any(b["mean_value_at_horizon"] is None for b in result.bounds)
     _assert_same_files(result, tmp_path)
 
 

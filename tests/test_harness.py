@@ -456,6 +456,27 @@ class TestConfigValidation:
             assert run_experiment(_tiny_config(policies=[{"key": "lints"}], instance=ok)).rows
 
     @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"kind": "bernoulli", "means": [0.5, 0.2], "clustering": {}}, "clustering.labels: missing"),
+            ({"kind": "bernoulli", "means": [0.5, 0.2], "tree": {"leaf_arms": [-1, 0, 1]}}, "tree.children: missing"),
+            ({"kind": "bernoulli", "means": [0.5, 0.2], "clustering": {"labels": [0]}},
+             "clustering size does not match arm count"),
+            ({"kind": "contextual", "theta": [[0.1, 0.2], [0.3, 0.4]], "labels": [0, 1.5]},
+             "labels[1]: must be an integer, got 1.5"),
+        ],
+        ids=["missing-labels", "missing-children", "short-labels", "fractional-label"],
+    )
+    def test_serialized_document_fails_when_the_config_is_made(self, monkeypatch, bad, message):
+        # a document's nested fields used to be read only when its instance was built, so the jobs of
+        # variant 'good' at both seeds ran before variant 'bad' failed
+        jobs = self._count_jobs(monkeypatch)
+        doc = {"seeds": [1, 2], "instances": [{"name": "good", "spec": TINY_SD_SPEC}, {"name": "bad", "spec": bad}]}
+        with pytest.raises(ConfigError, match=rf"^instances: variant 'bad' spec: {re.escape(message)}$"):
+            _tiny_config(**doc)
+        assert jobs == []
+
+    @pytest.mark.parametrize(
         "overrides, field, bad",
         [
             ({"seeds": [1.5]}, "seeds", 1.5),
