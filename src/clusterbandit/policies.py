@@ -7,11 +7,11 @@ the full decision. Every policy, the contextual ones included, runs one
 descent, ``BanditPolicy._descend``, and differs only in its per-node rule
 ``_pick`` and its ``update``: ``HierarchicalThompsonSampling`` for ``ts``,
 ``tsc``, ``hts`` and ``tsmax`` (whose root draws from other beliefs), and
-``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are ``flat``: they descend
-``ClusterTree.star(n)``, so their path to arm a is ``(0, a+1)`` and their
-traces keep no paths; ``tsc``, ``tsmax`` and ``ucbc`` descend
-``ClusterTree.from_clustering(c)``, so their path is ``(0, c+1, leaf)`` for
-cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
+``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are
+``flat``: they descend ``ClusterTree.star(n)``, so their path to arm a is
+``(0, a+1)`` and their traces keep no paths; ``tsc``, ``tsmax`` and
+``ucbc`` descend ``ClusterTree.from_clustering(c)``, so their path is
+``(0, c+1, leaf)`` for cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
 cluster belief. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log
 term of the UCB index: the global log t instead of log N_parent.
 

@@ -256,9 +256,9 @@ def _check_9(found: Finals) -> tuple[bool, str]:
 
 # The seed count is sized from the paired effect: over 2000 held-out seeds (tools/criteria_margins.py)
 # tsc's final regret exceeds ts's by 13.0 +/- 2.05 (paired SE), a per-seed spread of about 92, so the
-# mean difference over n seeds sits 13.0 * sqrt(n) / 92 standard errors above 0: 0.7 at the 25 seeds
-# this criterion used to run (it passed in 0.77 of 25-seed subsets) and 2.8 at 400, where the check
-# fails with probability about 0.002, and still under 0.01 if the effect is one SE smaller.
+# mean difference over n seeds sits 13.0 * sqrt(n) / 92 standard errors above 0: 0.7 at 25 seeds (the
+# check passed in 0.77 of 25-seed subsets) and 2.8 at 400, where it fails with probability about
+# 0.002, and still under 0.01 if the effect is one SE smaller.
 CRITERION_9 = Criterion(9, (Run(
     "c9",
     ({"name": "i", "spec": {"kind": "uniform", "n_arms": 50, "n_clusters": 10}},),
