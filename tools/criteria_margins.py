@@ -7,12 +7,13 @@ The criteria and their checks are those of ``tests/criteria.py``, which
 ``tests/test_acceptance.py`` asserts at its fixed seeds. Here each run of a
 criterion runs at ``--seeds`` held-out seeds instead, from the base
 ``HELD_OUT + 10 * (the test's base)``: 1 320 000 for criterion 1's 42 000.
-Every held-out base is at least 900 000 and a thousand seeds from the next,
-so no test and no other run shares these seeds. The criterion's own check
-is then applied to ``--subsets`` random subsets of the test's seed count,
-drawn without replacement and independently per run; within a run a
-subset's seeds are shared by every variant and policy, as the test's seed
-list is. The pass rate is the share of subsets that pass.
+Every held-out base is at least 900 000 and a thousand seeds below the next
+(criterion 9's is the last), so at up to 1000 seeds a run shares its seeds
+with no test and no other run. The criterion's own check is then applied to
+``--subsets`` random subsets of the test's seed count, drawn without
+replacement and independently per run; within a run a subset's seeds are
+shared by every variant and policy, as the test's seed list is. The pass
+rate is the share of subsets that pass.
 
 Per criterion, the report gives the pass rate and the law means: the mean
 final regret of each (run, variant, policy) over all held-out seeds with
@@ -95,6 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         chosen = [criteria.CRITERIA[int(n)] for n in args.criteria.split(",") if n]
     except (KeyError, ValueError):
+        chosen = []
+    if not chosen:
         parser.error(f"--criteria: choose from {sorted(criteria.CRITERIA)}")
     if args.subsets < 1 or args.workers < 1:
         parser.error("--subsets and --workers must be >= 1")
