@@ -258,12 +258,14 @@ def _check_9(found: Finals) -> tuple[bool, str]:
 # tsc's final regret exceeds ts's by 13.0 +/- 2.05 (paired SE), a per-seed spread of about 92, so the
 # mean difference over n seeds sits 13.0 * sqrt(n) / 92 standard errors above 0: 0.7 at 25 seeds (the
 # check passed in 0.77 of 25-seed subsets) and 2.8 at 400, where it fails with probability about
-# 0.002, and still under 0.01 if the effect is one SE smaller.
+# 0.002, and still under 0.01 if the effect is one SE smaller. The seed base, 49 000, is the first block
+# of a thousand that no other acceptance test draws from, fixed before any run at it: the 25-seed base
+# this criterion had before was chosen because its draw passed.
 CRITERION_9 = Criterion(9, (Run(
     "c9",
     ({"name": "i", "spec": {"kind": "uniform", "n_arms": 50, "n_clusters": 10}},),
     ({"key": "ts"}, {"key": "tsc"}),
-    3000, 400, 47_300,
+    3000, 400, 49_000,
 ),), _check_9)
 
 
