@@ -254,18 +254,19 @@ def _check_9(found: Finals) -> tuple[bool, str]:
     return tsc >= ts, f"uninformative clustering: TSC final regret {tsc:.1f} >= TS {ts:.1f}"
 
 
-# The seed count is sized from the paired effect: over 2000 held-out seeds (tools/criteria_margins.py)
-# tsc's final regret exceeds ts's by 13.0 +/- 2.05 (paired SE), a per-seed spread of about 92, so the
-# mean difference over n seeds sits 13.0 * sqrt(n) / 92 standard errors above 0: 0.7 at 25 seeds (the
-# check passed in 0.77 of 25-seed subsets) and 2.8 at 400, where it fails with probability about
-# 0.002, and still under 0.01 if the effect is one SE smaller. The seed base, 49 000, is the first block
-# of a thousand that no other acceptance test draws from, fixed before any run at it: the 25-seed base
-# this criterion had before was chosen because its draw passed.
+# The seed count is sized from the paired effect tsc - ts of the per-visit tsc kernel, which the tool
+# measured over 4000 held-out seeds from each of 1 373 000 and 1 390 000: 12.0 +/- 1.5 and 9.6 +/- 1.4
+# (paired SE), 10.8 +/- 1.0 pooled, with a per-seed spread of about 90. The mean difference over n seeds
+# then sits 10.8 * sqrt(n) / 90 standard errors above 0: 0.6 at 25 seeds (the check passed in 0.77 of
+# 25-seed subsets) and 2.4 at 400, where a fresh sample fails with probability about 0.01. At 800 it fails
+# with probability under 0.01 even if the effect is three pooled SEs smaller (7.8). The seed base, 49 000,
+# is the first block of a thousand that no other acceptance test draws from, fixed before any run at it:
+# the 25-seed base this criterion had before was chosen because its draw passed.
 CRITERION_9 = Criterion(9, (Run(
     "c9",
     ({"name": "i", "spec": {"kind": "uniform", "n_arms": 50, "n_clusters": 10}},),
     ({"key": "ts"}, {"key": "tsc"}),
-    3000, 400, 49_000,
+    3000, 800, 49_000,
 ),), _check_9)
 
 
