@@ -360,11 +360,14 @@ class TsMax(HierarchicalThompsonSampling):
         return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
 
     def _beliefs(self, lo: int, hi: int) -> tuple[Sequence[float], Sequence[float]]:
-        """At the root (the only node whose children start at slot 0) the representatives'; below it, as ``hts``."""
+        """At the root (the only node whose children start at slot 0) the representatives', as floats where
+        fewer than ``_BLOCK_MIN`` are drawn one by one, else as arrays; below it, as ``hts``."""
         if lo:
             return super()._beliefs(lo, hi)
-        reps = self._reps
-        return self._s[reps], self._f[reps]
+        if hi < _BLOCK_MIN:
+            s, f = self._sv, self._fv
+            return [s[r] for r in self._repv], [f[r] for r in self._repv]
+        return self._s[self._reps], self._f[self._reps]
 
     def update(self, choice: Choice, reward: float) -> None:
         reward = _check_reward(reward)
