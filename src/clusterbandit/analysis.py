@@ -33,6 +33,7 @@ __all__ = [
     "hts_instance_bound",
     "lai_robbins_lower",
     "instance_bounds",
+    "bound_caveat",
     "DominanceReport",
     "verify_strong_dominance",
     "TreeDominanceViolation",
@@ -421,7 +422,8 @@ def instance_bounds(
 
     A clustering has ``tsc_instance``, ``tsc_minimax``, ``lai_robbins_lower``
     and ``minimax_lower_reference``; a tree has ``hts_instance``; a flat or
-    contextual instance has none. The two reference curves are plain values.
+    contextual instance has none. The two reference curves are plain values;
+    ``bound_caveat`` gives each entry's caveat.
     """
     if instance.structure == "clustering":
         stats = cluster_stats(instance)
@@ -434,6 +436,12 @@ def instance_bounds(
     if instance.structure == "tree":
         return {"hts_instance": hts_instance_bound(instance, T, eps)}
     return {}
+
+
+def bound_caveat(bound: InstanceBound | float) -> str:
+    """The caveat of one entry of ``instance_bounds``: an ``InstanceBound``'s own, a reference curve's
+    ``REFERENCE_CURVE_CAVEAT``."""
+    return bound.caveat if isinstance(bound, InstanceBound) else REFERENCE_CURVE_CAVEAT
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import InstanceBound, audit_hierarchical_dominance, instance_bounds, verify_strong_dominance
+from .analysis import InstanceBound, audit_hierarchical_dominance, bound_caveat, instance_bounds, verify_strong_dominance
 from .core import rng_streams
 from .harness import (
     ConfigError,
@@ -172,7 +172,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     bounds = instance_bounds(instance, args.horizon, args.eps)
     if not bounds:
         raise ConfigError("instance: flat instance has no clustering bounds")
-    doc = {name: dataclasses.asdict(b) if isinstance(b, InstanceBound) else b for name, b in bounds.items()}
+    doc = {
+        name: dataclasses.asdict(b) if isinstance(b, InstanceBound) else {"value": b, "caveat": bound_caveat(b)}
+        for name, b in bounds.items()
+    }
     _emit({"horizon": args.horizon, "eps": args.eps, **doc}, args.out)
     return 0
 

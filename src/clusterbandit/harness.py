@@ -34,7 +34,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analysis import REFERENCE_CURVE_CAVEAT, InstanceBound, TraceSummary, aggregate_curves, instance_bounds
+from .analysis import InstanceBound, TraceSummary, aggregate_curves, bound_caveat, instance_bounds
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
 from .instances import StrongDominanceSpec, build_instance, gen_context, spec_structure
@@ -500,15 +500,14 @@ def _seed_bounds(
     instance: BanditInstance | ContextualInstance, T: float, eps: float
 ) -> tuple[bool, dict[str, tuple[float, str]]] | None:
     """(dominance holds, (value, caveat) by bound name) of one instance's ``analysis.instance_bounds``; None
-    where no bound applies. Dominance holds when every ``InstanceBound`` says so; an ``InstanceBound`` gives
-    its ``leading`` term and its own caveat, a reference curve its value and ``REFERENCE_CURVE_CAVEAT``."""
+    where no bound applies. Dominance holds when every ``InstanceBound`` says so; an ``InstanceBound``'s value
+    is its ``leading`` term, and each caveat is ``analysis.bound_caveat``'s."""
     bounds = instance_bounds(instance, T, eps)
     if not bounds:
         return None
     formulas = [b for b in bounds.values() if isinstance(b, InstanceBound)]
     return all(b.dominance_ok for b in formulas), {
-        name: (b.leading, b.caveat) if isinstance(b, InstanceBound) else (b, REFERENCE_CURVE_CAVEAT)
-        for name, b in bounds.items()
+        name: (b.leading if isinstance(b, InstanceBound) else b, bound_caveat(b)) for name, b in bounds.items()
     }
 
 

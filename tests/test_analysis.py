@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clusterbandit.analysis import (
+    LEADING_TERM_CAVEAT,
+    REFERENCE_CURVE_CAVEAT,
     aggregate_curves,
     audit_hierarchical_dominance,
+    bound_caveat,
     cluster_stats,
     hts_instance_bound,
     instance_bounds,
@@ -373,8 +376,12 @@ class TestInstanceBounds:
             "minimax_lower_reference": minimax_lower_reference(stats, T),
         }
         assert list(bounds) == ["tsc_instance", "tsc_minimax", "lai_robbins_lower", "minimax_lower_reference"]
+        assert [bound_caveat(b) for b in bounds.values()] == [
+            LEADING_TERM_CAVEAT, REFERENCE_CURVE_CAVEAT, bounds["lai_robbins_lower"].caveat, REFERENCE_CURVE_CAVEAT,
+        ]
         tree = _balanced_4arm_instance()
         assert instance_bounds(tree, T, eps) == {"hts_instance": hts_instance_bound(tree, T, eps)}
+        assert bound_caveat(instance_bounds(tree, T, eps)["hts_instance"]) == LEADING_TERM_CAVEAT
         assert instance_bounds(BanditInstance([0.5, 0.2]), T, eps) == {}
         contextual = ContextualInstance(np.array([[0.1, 0.2], [0.3, 0.4]]), DisjointClustering([0, 1]))
         assert instance_bounds(contextual, T, eps) == {}

@@ -210,6 +210,8 @@ class TestAuditAndBounds:
         assert doc["tsc_instance"]["leading"] > 0
         assert doc["lai_robbins_lower"]["leading"] <= doc["tsc_instance"]["leading"]
         assert "caveat" in doc["tsc_instance"]
+        for curve in ("tsc_minimax", "minimax_lower_reference"):
+            assert doc[curve]["value"] > 0 and doc[curve]["caveat"] == REFERENCE_CURVE_CAVEAT
 
     def test_bounds_requires_structure(self, tmp_path, capsys):
         inst = tmp_path / "flat.json"
@@ -270,7 +272,7 @@ class TestAuditAndBounds:
             instance = build_instance(spec, rng_streams(seed).instance)
             assert list(doc) == ["horizon", "eps", *instance_bounds(instance, 60.0, 0.1)]
         if command == "bounds" and spec is L1_SPEC:
-            assert doc["tsc_minimax"] is None
+            assert doc["tsc_minimax"] == {"value": None, "caveat": REFERENCE_CURVE_CAVEAT}
 
     def test_run_bounds_reports_the_one_table(self, tmp_path):
         specs = {"clustered": SD_SPEC, "tree": TREE_SPEC, "flat": FLAT_DOC,
