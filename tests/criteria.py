@@ -6,8 +6,10 @@ criterion at the test's fixed seeds and asserts its check;
 applies the same check to random subsets of the test's seed count, which
 measures how often the check passes under the law of the runs.
 
-A ``Run`` is one experiment config: its variants, its policies, its horizon
-(logged at the horizon only), and the test's seed count and seed base. A
+A ``Run`` is one experiment config: its variants, its policies, its horizon,
+the test's seed count and seed base, and its logging stride (at the horizon
+only unless given). ``run_finals`` runs a criterion at the test's seeds or at
+held-out ones, from each run's ``held_out_base``. A
 check takes the final regrets of every run of its criterion, keyed
 ``(run, variant, policy)``, each an array in seed order whose seeds are
 shared by every variant and policy of the run, and returns whether the
@@ -23,9 +25,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from clusterbandit.analysis import aggregate_curves, pooled_std
-from clusterbandit.harness import ExperimentConfig, ExperimentResult
+from clusterbandit.harness import ExperimentConfig, ExperimentResult, run_experiment
 
 Finals = Mapping[tuple[str, str, str], np.ndarray]
+
+HELD_OUT = 900_000
 
 
 def sd_spec(n, k, a_star, w, d) -> dict:
@@ -49,6 +53,13 @@ class Run:
     horizon: int
     seeds: int
     base_seed: int
+    stride: int | None = None  # None: log at the horizon only
+
+    @property
+    def held_out_base(self) -> int:
+        """The first of the run's held-out seeds: ``HELD_OUT + 10 * base_seed``, so that every held-out base is
+        at least 900 000 and a thousand seeds from the next (criterion 9's is the last)."""
+        return HELD_OUT + 10 * self.base_seed
 
     def config(self, base_seed: int | None = None, seeds: int | None = None,
                horizon: int | None = None) -> ExperimentConfig:
@@ -59,7 +70,7 @@ class Run:
             "horizon": horizon,
             "seeds": {"base": self.base_seed if base_seed is None else base_seed,
                       "count": self.seeds if seeds is None else seeds},
-            "stride": horizon,
+            "stride": horizon if self.stride is None else self.stride,
             "policies": list(self.policies),
             "instances": list(self.variants),
         })
@@ -77,6 +88,17 @@ def finals(run: Run, result: ExperimentResult) -> dict[tuple[str, str, str], np.
     config = result.config
     return {(run.name, v.name, p.name): result.final_regrets(v.name, p.name)
             for v in config.variants for p in config.policies}
+
+
+def run_finals(criterion: Criterion, held_out: int | None = None, horizon: int | None = None,
+               workers: int = 2) -> dict[tuple[str, str, str], np.ndarray]:
+    """The final regrets of every run of ``criterion``: at the test's seeds, or at ``held_out`` seeds from each
+    run's ``held_out_base``; at another horizon where given."""
+    found = {}
+    for run in criterion.runs:
+        base = None if held_out is None else run.held_out_base
+        found.update(finals(run, run_experiment(run.config(base, held_out, horizon), workers=workers)))
+    return found
 
 
 def _stats(values: np.ndarray) -> tuple[float, float, int]:

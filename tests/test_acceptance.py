@@ -6,7 +6,8 @@ standard deviations; paired instances per seed come from the harness'
 fixed-offset seed splitting. The criteria whose checks compare means across
 seeds (1, 2, 4, 7, 8 and 9) are defined in ``criteria.py``, their runs and
 their checks, which ``tools/criteria_margins.py`` also reads to measure how
-often each check passes under its law. Run with
+often each check passes under its law; the other criteria's runs are
+``criteria.Run`` configs too. Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 import math
@@ -30,7 +31,7 @@ from clusterbandit.core import (
     DisjointClustering,
     rng_streams,
 )
-from clusterbandit.harness import ExperimentConfig, run_experiment
+from clusterbandit.harness import run_experiment
 from clusterbandit.instances import (
     StrongDominanceSpec,
     build_instance,
@@ -48,6 +49,7 @@ TWO_CLUSTER_INSTANCE = {
     "means": [0.6, 0.55, 0.4, 0.35],
     "clustering": {"labels": [0, 0, 1, 1]},
 }
+TWO_CLUSTER_VARIANT = ({"name": "two-cluster", "spec": TWO_CLUSTER_INSTANCE},)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -55,42 +57,15 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _run(name, variants, policies, horizon, n_seeds, base_seed, stride=None):
-    config = ExperimentConfig.from_json(
-        {
-            "name": name,
-            "horizon": horizon,
-            "seeds": {"base": base_seed, "count": n_seeds},
-            "stride": horizon if stride is None else stride,
-            "policies": policies,
-            "instances": variants,
-        }
-    )
-    return run_experiment(config, workers=WORKERS)
-
-
-def _stats(result, variant, policy):
-    s = result.summary_for(variant, policy)
-    return s.summary.final_mean, s.summary.final_std, s.summary.n
-
-
-def _finals(criterion: criteria.Criterion) -> dict:
-    """The final regrets of every run of ``criterion`` at the test's fixed seeds."""
-    found = {}
-    for run in criterion.runs:
-        found.update(criteria.finals(run, run_experiment(run.config(), workers=WORKERS)))
-    return found
-
-
 def test_criterion_1_separation_sweep():
     t0 = time.time()
-    ok, detail = criteria.CRITERION_1.check(_finals(criteria.CRITERION_1))
+    ok, detail = criteria.CRITERION_1.check(criteria.run_finals(criteria.CRITERION_1, workers=WORKERS))
     elapsed = time.time() - t0
     _report(1, ok and elapsed < 120.0, f"{detail}; runtime {elapsed:.0f}s (target 120s)")
 
 
 def test_criterion_2_width_sweep():
-    _report(2, *criteria.CRITERION_2.check(_finals(criteria.CRITERION_2)))
+    _report(2, *criteria.CRITERION_2.check(criteria.run_finals(criteria.CRITERION_2, workers=WORKERS)))
 
 
 @pytest.mark.xfail(
@@ -106,35 +81,30 @@ def test_criterion_2_width_sweep():
 )
 def test_criterion_3_scaling_ratio():
     ns = (25, 100, 400)
-    variants = [
+    variants = tuple(
         {"name": f"N={n}", "spec": criteria.sd_spec(n, int(math.isqrt(n)), int(math.isqrt(n)), 0.1, 0.1)}
         for n in ns
-    ]
-    result = _run("c3", variants, [{"key": "ts"}, {"key": "tsc"}], 3000, 50, 42_200)
+    )
+    run = criteria.Run("c3", variants, ({"key": "ts"}, {"key": "tsc"}), 3000, 50, 42_200)
+    result = run_experiment(run.config(), workers=WORKERS)
 
     ratios = []
     for n in ns:
-        tsc_mean, _, _ = _stats(result, f"N={n}", "tsc")
-        ts_mean, _, _ = _stats(result, f"N={n}", "ts")
+        tsc_mean = result.summary_for(f"N={n}", "tsc").summary.final_mean
+        ts_mean = result.summary_for(f"N={n}", "ts").summary.final_mean
         ratios.append(tsc_mean / ts_mean)
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     _report(3, decreasing, f"TSC/TS final-regret ratios {[round(r, 3) for r in ratios]} strictly decreasing in N")
 
 
 def test_criterion_4_depth_sweep():
-    _report(4, *criteria.CRITERION_4.check(_finals(criteria.CRITERION_4)))
+    _report(4, *criteria.CRITERION_4.check(criteria.run_finals(criteria.CRITERION_4, workers=WORKERS)))
 
 
 def test_criterion_5_suboptimal_cluster_play_bound():
     T, runs = 2000, 2000
-    result = _run(
-        "c5",
-        [{"name": "two-cluster", "spec": TWO_CLUSTER_INSTANCE}],
-        [{"key": "tsc"}],
-        T,
-        runs,
-        43_000,
-    )
+    run = criteria.Run("c5", TWO_CLUSTER_VARIANT, ({"key": "tsc"},), T, runs, 43_000)
+    result = run_experiment(run.config(), workers=WORKERS)
     counts = np.array(
         [r.top_counts[1] for r in result.rows_for("two-cluster", "tsc")], dtype=float
     )
@@ -152,15 +122,8 @@ def test_criterion_5_suboptimal_cluster_play_bound():
 
 def test_criterion_6_regret_log_slope_bound():
     T1, T2, seeds = 5000, 20_000, 32
-    result = _run(
-        "c6",
-        [{"name": "two-cluster", "spec": TWO_CLUSTER_INSTANCE}],
-        [{"key": "tsc"}],
-        T2,
-        seeds,
-        44_000,
-        stride=T1,
-    )
+    run = criteria.Run("c6", TWO_CLUSTER_VARIANT, ({"key": "tsc"},), T2, seeds, 44_000, stride=T1)
+    result = run_experiment(run.config(), workers=WORKERS)
     rows = result.rows_for("two-cluster", "tsc")
     assert all(row.ts[0] == T1 and row.ts[-1] == T2 for row in rows)
     growth = np.array([row.regret[-1] - row.regret[0] for row in rows])
@@ -178,15 +141,15 @@ def test_criterion_6_regret_log_slope_bound():
 
 
 def test_criterion_7_violated_assumptions_benchmark():
-    _report(7, *criteria.CRITERION_7.check(_finals(criteria.CRITERION_7)))
+    _report(7, *criteria.CRITERION_7.check(criteria.run_finals(criteria.CRITERION_7, workers=WORKERS)))
 
 
 def test_criterion_8_contextual_orderings():
-    _report(8, *criteria.CRITERION_8.check(_finals(criteria.CRITERION_8)))
+    _report(8, *criteria.CRITERION_8.check(criteria.run_finals(criteria.CRITERION_8, workers=WORKERS)))
 
 
 def test_criterion_9_uniform_negative_control():
-    _report(9, *criteria.CRITERION_9.check(_finals(criteria.CRITERION_9)))
+    _report(9, *criteria.CRITERION_9.check(criteria.run_finals(criteria.CRITERION_9, workers=WORKERS)))
 
 
 def test_criterion_10_exact_invariants():
@@ -260,15 +223,12 @@ def test_criterion_10_exact_invariants():
         failures.append(f"Gaussian score KS distance {stat:.4f} > 0.01")
 
     # byte-identical replays under fixed seeds, end to end through the harness
-    config = ExperimentConfig.from_json(
-        {
-            "name": "replay",
-            "horizon": 60,
-            "seeds": [1, 2],
-            "policies": [{"key": "ts"}, {"key": "tsc"}, {"key": "ucbc"}],
-            "instance": criteria.sd_spec(20, 3, 4, 0.1, 0.1),
-        }
-    )
+    config = criteria.Run(
+        "replay",
+        ({"name": "default", "spec": criteria.sd_spec(20, 3, 4, 0.1, 0.1)},),
+        ({"key": "ts"}, {"key": "tsc"}, {"key": "ucbc"}),
+        60, 2, 1, stride=1,
+    ).config()
     a, b = run_experiment(config), run_experiment(config, workers=WORKERS)
     for ra, rb in zip(a.rows, b.rows):
         if not (np.array_equal(ra.regret, rb.regret) and ra.policy == rb.policy):
