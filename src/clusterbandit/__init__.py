@@ -73,7 +73,6 @@ from .instances import (
 )
 from .policies import (
     BanditPolicy,
-    Choice,
     ClusteredThompsonSampling,
     ClusteredUcb1,
     HierarchicalThompsonSampling,

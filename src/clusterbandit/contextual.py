@@ -8,16 +8,16 @@ variants score with mu'x + alpha sqrt(x'B^-1 x).
 
 Every policy is a ``ContextualPolicy``, a ``policies.BanditPolicy`` that
 ``needs`` a contextual instance and is made by ``policies.make_policy``. It
-runs the Bernoulli policies' one descent, time rule, copy rule and path
-check over one ``_LinearBank`` with a row per non-root node in ``tree.slot``
-order, so the children of node v are the contiguous rows
-``ptr[v]:ptr[v+1]``. At each node ``_pick`` scores the children and moves to
-the argmax, from the root to a leaf; the observed (context, reward) pair
-updates the row of every non-root node on the path. ``lints`` and ``linucb``
-are ``flat``: they descend ``ClusterTree.star(n)``, so their path to arm a
-is ``(0, a+1)`` and their traces keep no paths, as for ``ts``; ``lintsc``
-and ``linucbc`` descend ``ClusterTree.from_clustering(c)``, so their path is
-``(0, c+1, leaf)`` for cluster c, as for ``tsc``. The UCB variants only
+runs the Bernoulli policies' one descent, time rule and arm check over one
+``_LinearBank`` with a row per non-root node in ``tree.slot`` order, so the
+children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. At each
+node ``_pick`` scores the children and moves to the argmax, from the root
+to a leaf; the observed (context, reward) pair updates the row of every
+non-root node from the played arm's leaf up to the root. ``lints`` and
+``linucb`` are ``flat``: they descend ``ClusterTree.star(n)``, where arm a
+is leaf a+1, as for ``ts``; ``lintsc`` and ``linucbc`` descend
+``ClusterTree.from_clustering(c)``, where cluster c is node c+1, as for
+``tsc``. The UCB variants only
 score rows with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
 Inverses are maintained with rank-one updates and re-solved densely every
 1000 updates per row to cap numerical drift.
@@ -26,8 +26,8 @@ The bank reads its inverses as flat ``(n, d*d)`` rows, so x'B^-1 x for
 every row of a slice is one product of those rows with the flattened x x'.
 ``select`` forms that flattened x x' once per step (``_outer``); every
 level's scores read it, and ``update`` adds it to the precision of every
-path row. ``update`` forms it anew only for a (choice, context) pair other
-than the one ``select`` returned and saw.
+row it credits. ``update`` forms it anew only for a context other than the
+one ``select`` saw.
 Scores of bit-equal posteriors must stay bit-equal wherever the rows sit:
 UCB ties between unplayed arms are common, and a tie that rounding breaks
 changes the trace. So mu'x and x'B^-1 x use ``einsum``, which sums each row
@@ -47,7 +47,7 @@ from abc import abstractmethod
 import numpy as np
 
 from .core import ClusterTree, DisjointClustering, random_argmax
-from .policies import BanditPolicy, Choice
+from .policies import BanditPolicy
 
 __all__ = [
     "ContextualInstance",
@@ -157,8 +157,6 @@ class _LinearBank:
         return width
 
     def update(self, i: int, x: np.ndarray, xx: np.ndarray, reward: float) -> None:
-        if not math.isfinite(reward):
-            raise ValueError(f"non-finite reward {reward}")
         binv, b, f, mu = self.Binv[i], self._b_rows[i], self.F[i], self.Mu[i]
         u = binv @ x
         step = u[:, None] * u
@@ -249,12 +247,13 @@ class ContextualPolicy(BanditPolicy):
 
     ``_pick`` scores the children of each node on the way down, rows
     ``ptr[v]:ptr[v+1]`` of the bank, with ``_score`` and moves to the argmax
-    child. ``update`` credits the (context, reward) pair to the row of every
-    non-root node on the path. ``_seen`` and ``_xx`` are the checked context
-    the last ``select`` scored and its flattened outer product: ``update``
-    given ``_selected`` and ``_seen`` trusts them and reuses ``_xx``, so a
-    context must not change in place between the two calls; any other pair
-    is checked and its outer product formed anew.
+    child. ``update`` checks the arm and the reward, then credits the
+    (context, reward) pair to the row of every non-root node from the arm's
+    leaf up to the root. ``_seen`` and ``_xx`` are the checked context the
+    last ``select`` scored and its flattened outer product: ``update`` given
+    ``_seen`` itself reuses ``_xx``, so a context must not change in place
+    between the two calls; any other context is checked and its outer
+    product formed anew.
     """
 
     key: str = ""  # a class body with its own select/update declares the key its timings are named by
@@ -262,9 +261,6 @@ class ContextualPolicy(BanditPolicy):
     params = {"v": (float, _check_v)}
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
-
-    def _trusts(self, choice: Choice, x: np.ndarray) -> bool:
-        return choice is self._selected and x is self._seen
 
     def __init__(self, tree: ClusterTree, dim: int, v: float) -> None:
         super().__init__(tree)
@@ -280,28 +276,32 @@ class ContextualPolicy(BanditPolicy):
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         return random_argmax(self._score(self._seen, self._xx, rng, lo, hi), rng)
 
-    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> Choice:
+    def select(self, t: int, x: np.ndarray, rng: np.random.Generator) -> int:
         """Choose an arm for context ``x`` at step ``t`` (1-based), consuming only ``rng``."""
         x = self._seen = _check_context(x, self.dim)
         self._xx = _outer(x)
         return self._descend(t, rng)
 
-    def update(self, choice: Choice, x: np.ndarray, reward: float) -> None:
-        """Feed back the reward observed for ``choice`` under context ``x``."""
-        if self._trusts(choice, x):
-            path, xx = choice.path, self._xx
+    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        """Feed back the reward observed for ``arm`` under context ``x``."""
+        v = self._leaf(arm)
+        if not math.isfinite(reward):
+            raise ValueError(f"non-finite reward {reward}")
+        if x is self._seen:
+            xx = self._xx
         else:
-            x, path = _check_context(x, self.dim), self._check_path(choice)
+            x = _check_context(x, self.dim)
             xx = _outer(x)
-        bank, slot = self._bank, self._slot
-        for v in path[1:]:
+        bank, slot, parent = self._bank, self._slot, self._parent
+        while parent[v] >= 0:
             bank.update(slot[v], x, xx, reward)
+            v = parent[v]
 
 
 class LinThompson(ContextualPolicy):
     """Linear Thompson sampling over a flat action set: the descent on ``ClusterTree.star(n_arms)``.
 
-    Arm a is leaf a+1 and bank row a. Traces keep no paths.
+    Arm a is leaf a+1 and bank row a.
     """
 
     key = "lints"

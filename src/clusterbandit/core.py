@@ -396,25 +396,21 @@ def draw_reward(instance: BanditInstance, arm: int, rng: np.random.Generator) ->
 class SimulationTrace:
     """Per-step record of one simulation run.
 
-    ``paths`` holds each step's ``Choice.path``, padded with -1: a
-    root-to-leaf node path, ``(0, c+1, leaf)`` for the two-level policies;
-    None for flat policies. ``cum_regret[t]`` is the cumulative pseudo-regret
-    after step t+1: the ``np.cumsum`` of each chosen arm's gap to the best
-    expected reward, added in step order.
+    ``arms[t]`` is the arm played at step t+1; its root-to-leaf path is the
+    policy tree's path to that arm's leaf. ``cum_regret[t]`` is the
+    cumulative pseudo-regret after step t+1: the ``np.cumsum`` of each chosen
+    arm's gap to the best expected reward, added in step order.
     """
 
     seed: int | None
     arms: np.ndarray
     rewards: np.ndarray
     cum_regret: np.ndarray
-    paths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.arms.shape[0]
         if self.rewards.shape != (n,) or self.cum_regret.shape != (n,):
             raise ValueError("trace arrays must share one horizon")
-        if self.paths is not None and self.paths.shape[0] != n:
-            raise ValueError("paths must match the horizon")
 
     @property
     def horizon(self) -> int:

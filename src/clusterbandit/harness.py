@@ -362,19 +362,21 @@ def _run_job(payload: tuple) -> RunRow:
 
 
 def _top_counts(policy, trace) -> np.ndarray | None:
-    """Plays per child of the policy tree's root: per cluster on a two-level tree.
+    """Plays per child of the policy tree's root, per cluster on a two-level tree; None for a ``flat`` policy.
 
     The length is fixed by the instance (root children in ``children(0)``
-    order), whichever of them the run played. The root's children fill the
-    first slots of ``kids``, so a root child's slot is its position.
+    order), whichever of them the run played. The arms under each root
+    child are one run of the root's depth-first arm order, starting where
+    the child's subtree starts, so each child's plays are one sum over it.
     """
-    if trace.paths is None:
+    if policy.flat:
         return None
     tree = policy.tree
     n_kids = int(tree.ptr[1])
     if not n_kids:  # a one-arm tree: every path is the root alone
         return np.array([trace.horizon])
-    return np.bincount(tree.slot[trace.paths[:, 1]], minlength=n_kids)
+    plays = np.bincount(trace.arms, minlength=tree.n_arms)[tree.arms_under(0)]
+    return np.add.reduceat(plays, tree._first[tree.kids[:n_kids]])
 
 
 def _run_task(task: tuple) -> tuple[list[RunRow], tuple | None]:

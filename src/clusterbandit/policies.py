@@ -1,19 +1,19 @@
 """Bandit policies for flat, clustered, and tree-structured action sets.
 
-Every policy exposes ``select(t, rng) -> Choice`` and
-``update(choice, reward)``. A ``Choice`` carries the played arm plus the
-root-to-leaf node path that led to it, so the simulator can log and replay
-the full decision. Every policy, the contextual ones included, runs one
-descent, ``BanditPolicy._descend``, and differs only in its per-node rule
-``_pick`` and its ``update``: ``HierarchicalThompsonSampling`` for ``ts``,
-``tsc``, ``hts`` and ``tsmax`` (whose root draws from other beliefs), and
-``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and ``ucb1`` are
-``flat``: they descend ``ClusterTree.star(n)``, so their path to arm a is
-``(0, a+1)`` and their traces keep no paths; ``tsc``, ``tsmax`` and
-``ucbc`` descend ``ClusterTree.from_clustering(c)``, so their path is
-``(0, c+1, leaf)`` for cluster c. ``tsmax`` samples each cluster through its best leaf instead of a
-cluster belief. ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log
-term of the UCB index: the global log t instead of log N_parent.
+Every policy exposes ``select(t, rng) -> arm`` and ``update(arm, reward)``.
+Every arm is exactly one leaf of the policy's tree, so the arm is the whole
+decision: ``update`` credits the nodes on the way from the arm's leaf up to
+the root, the path the descent took. Every policy, the contextual ones
+included, runs one descent, ``BanditPolicy._descend``, and differs only in
+its per-node rule ``_pick`` and its ``update``: ``HierarchicalThompsonSampling``
+for ``ts``, ``tsc``, ``hts`` and ``tsmax`` (whose root draws from other
+beliefs), and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and
+``ucb1`` are ``flat``: they descend ``ClusterTree.star(n)``, where arm a is
+leaf a+1; ``tsc``, ``tsmax`` and ``ucbc`` descend
+``ClusterTree.from_clustering(c)``, where cluster c is node c+1. ``tsmax``
+samples each cluster through its best leaf instead of a cluster belief.
+``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of the UCB
+index: the global log t instead of log N_parent.
 
 Every policy class with a ``key``, the contextual ones included, declares
 the instance structure it ``needs`` and the ``params`` it accepts, and is
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +38,6 @@ from .core import (
 )
 
 __all__ = [
-    "Choice",
     "BanditPolicy",
     "ThompsonSampling",
     "ClusteredThompsonSampling",
@@ -52,14 +50,6 @@ __all__ = [
     "check_params",
     "make_policy",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Choice:
-    """One selection: the arm played and the root-to-leaf node path that chose it."""
-
-    arm: int
-    path: tuple[int, ...] = ()
 
 
 def _check_reward(reward: float) -> float:
@@ -93,12 +83,11 @@ class BanditPolicy(ABC):
     ``_descend`` moves from the root of ``tree`` to the child ``_pick``
     returns until it reaches a leaf, whose arm is played; the children of the
     node in slot ``at`` are the slots ``[lo, hi)`` (``tree.slot`` order).
-    ``path_depth`` is a logged path's width, 0 for ``flat`` policies. ``_path``
-    trusts ``_selected``, the ``Choice`` the last ``select`` returned, and
-    checks any other. The tree's arrays and the statistics are read through
-    memoryviews, which give Python numbers and copy nothing; ``_bind`` makes
-    them. Copies and pickles drop memoryviews only and remake them, so a copy
-    trusts only a ``Choice`` copied with it.
+    ``update`` finds the path again from the arm: ``_leaf`` checks the arm
+    and gives its leaf, and ``tree.parent`` leads from there to the root.
+    The tree's arrays and the statistics are read through memoryviews, which
+    give Python numbers and copy nothing; ``_bind`` makes them. Copies and
+    pickles drop memoryviews only and remake them.
 
     ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
@@ -110,7 +99,6 @@ class BanditPolicy(ABC):
     flat: bool = False
     needs: str = "bernoulli"
     params: dict[str, tuple[type, Callable[[float], None]]] = {}
-    _selected: Choice | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -124,7 +112,6 @@ class BanditPolicy(ABC):
 
     def __init__(self, tree: ClusterTree) -> None:
         self.tree = tree
-        self.path_depth = 0 if self.flat else tree.depth + 1
 
     def _bind(self) -> None:
         """Make the memoryviews the step reads, after construction, copy or unpickle: the tree's arrays
@@ -132,6 +119,7 @@ class BanditPolicy(ABC):
         tree = self.tree
         self._ptr, self._kids, self._slot = memoryview(tree.ptr), memoryview(tree.kids), memoryview(tree.slot)
         self._parent, self._leaf_arms = memoryview(tree.parent), memoryview(tree.leaf_arms)
+        self._leaf_of = memoryview(tree._leaf_of_arm)
 
     def __getstate__(self) -> dict:  # memoryviews do not pickle or copy
         return {k: v for k, v in vars(self).items() if not isinstance(v, memoryview)}
@@ -140,49 +128,36 @@ class BanditPolicy(ABC):
         vars(self).update(state)
         self._bind()
 
-    def _check_path(self, choice: Choice) -> tuple[int, ...]:
-        """``choice.path`` if it runs from the root along tree edges to the leaf of ``choice.arm``."""
-        path, leaf_arms = choice.path, self._leaf_arms
-        if not path or path[0] != 0 or leaf_arms[path[-1]] < 0:
-            raise ValueError(f"invalid root-to-leaf path {path}")
-        parent = self._parent
-        for v, w in zip(path, path[1:]):
-            if parent[w] != v:
-                raise ValueError(f"invalid root-to-leaf path {path}")
-        if leaf_arms[path[-1]] != choice.arm:
-            raise ValueError(f"path leaf does not map to arm {choice.arm}")
-        return path
-
-    def _path(self, choice: Choice) -> tuple[int, ...]:
-        return choice.path if choice is self._selected else self._check_path(choice)
+    def _leaf(self, arm: int) -> int:
+        """The leaf of ``arm``; an arm outside ``[0, n_arms)`` is rejected, not wrapped."""
+        if not 0 <= arm < len(self._leaf_of):
+            raise ValueError(f"unknown arm id {arm}")
+        return self._leaf_of[arm]
 
     @abstractmethod
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """The offset in ``[0, hi - lo)`` of the child to move to from the node in slot ``at``."""
 
-    def _descend(self, t: int, rng: np.random.Generator) -> Choice:
+    def _descend(self, t: int, rng: np.random.Generator) -> int:
         if t < 1:
             raise ValueError(f"time step must be >= 1, got {t}")
         ptr, kids, pick = self._ptr, self._kids, self._pick
         node = 0
         at = len(kids)  # the slot of ``node``
-        path = [node]
         lo, hi = ptr[0], ptr[1]
         while lo < hi:
             at = lo + pick(lo, hi, at, t, rng)
             node = kids[at]
-            path.append(node)
             lo, hi = ptr[node], ptr[node + 1]
-        choice = self._selected = Choice(arm=self._leaf_arms[node], path=tuple(path))
-        return choice
+        return self._leaf_arms[node]
 
-    def select(self, t: int, rng: np.random.Generator) -> Choice:
+    def select(self, t: int, rng: np.random.Generator) -> int:
         """Choose an arm for step ``t`` (1-based), consuming only ``rng``."""
         return self._descend(t, rng)
 
     @abstractmethod
-    def update(self, choice: Choice, reward: float) -> None:
-        """Feed back the observed reward for a previous choice."""
+    def update(self, arm: int, reward: float) -> None:
+        """Feed back the observed reward for a played arm."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +183,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
     Keeps a Beta belief per tree node. Each round descends from the root:
     at every internal node it samples one value per child subtree and moves
     to the argmax child, until it reaches a leaf, whose arm is played. The
-    reward updates every belief on the traversed root-to-leaf path, so each
+    reward updates every belief from the played leaf up to the root, so each
     internal node's counts stay the prior-adjusted sum of its children's.
     The counts are kept in ``tree.slot`` order.
 
@@ -217,10 +192,10 @@ class HierarchicalThompsonSampling(BanditPolicy):
     a block: one ``rng.beta`` call over the children's beliefs makes 1 row
     at the node's first visit, then twice the last block's rows whenever a
     block is used up, up to ``_BLOCK_ROWS``; each visit reads the next row.
-    ``update`` marks, in each block on the path, the child whose belief
-    moved, and the node's next visit redraws that child's remaining rows
-    with one call at its new belief; a second child moving first drops the
-    block. Every visit so reads independent Beta(s, f) values at the current
+    ``update`` marks, in each block above the played leaf, the child whose
+    belief moved, and the node's next visit redraws that child's remaining
+    rows with one call at its new belief; a second child moving first drops
+    the block. Every visit so reads independent Beta(s, f) values at the current
     beliefs, the law of a fresh draw per child per visit. Blocks exist for
     visited nodes only.
 
@@ -266,13 +241,14 @@ class HierarchicalThompsonSampling(BanditPolicy):
             return _random_argmax_list(row.tolist(), rng)
         return random_argmax(row, rng)
 
-    def _moved(self, path: tuple[int, ...]) -> None:
-        """Mark, in the block of each parent on ``path``, the child whose belief moved."""
-        blocks, ptr, slot = self._blocks, self._ptr, self._slot
+    def _moved(self, leaf: int) -> None:
+        """Mark, in the block of each node above ``leaf``, the child on the way to it: the one whose belief moved."""
+        blocks, ptr, slot, parent = self._blocks, self._ptr, self._slot, self._parent
         if not blocks:  # every node visited so far draws afresh
             return
-        lo = ptr[path[0]]
-        for w in path[1:]:
+        w, v = leaf, parent[leaf]
+        while v >= 0:
+            lo = ptr[v]
             block = blocks.get(lo)
             if block is not None:
                 i = slot[w] - lo
@@ -280,18 +256,19 @@ class HierarchicalThompsonSampling(BanditPolicy):
                     block.stale = i
                 else:  # a second child moved before the next visit
                     del blocks[lo]
-            lo = ptr[w]
+            w, v = v, parent[v]
 
-    def update(self, choice: Choice, reward: float) -> None:
+    def update(self, arm: int, reward: float) -> None:
+        v = leaf = self._leaf(arm)
         reward = _check_reward(reward)
-        path = self._path(choice)
         fail = 1.0 - reward
-        s, f, slot = self._sv, self._fv, self._slot
-        for v in path:
+        s, f, slot, parent = self._sv, self._fv, self._slot, self._parent
+        while v >= 0:
             i = slot[v]
             s[i] += reward
             f[i] += fail
-        self._moved(path)
+            v = parent[v]
+        self._moved(leaf)
 
 
 class ThompsonSampling(HierarchicalThompsonSampling):
@@ -299,7 +276,7 @@ class ThompsonSampling(HierarchicalThompsonSampling):
 
     Tree descent on ``ClusterTree.star(n_arms)``: one Beta(s, f) belief per
     arm (leaf a+1) from the uniform prior, one sampled expected reward per
-    arm each round, and the argmax is played. Traces keep no paths.
+    arm each round, and the argmax is played.
     """
 
     key = "ts"
@@ -316,7 +293,7 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
     Tree descent on ``ClusterTree.from_clustering(clustering)``: each round
     first samples one expected reward per cluster (node c+1) and commits to
     the argmax cluster, then samples among that cluster's arms only; the
-    reward updates both, as on every descent path.
+    reward updates both, as on every descent.
     """
 
     key = "tsc"
@@ -369,14 +346,14 @@ class TsMax(HierarchicalThompsonSampling):
             return [s[r] for r in self._repv], [f[r] for r in self._repv]
         return self._s[self._reps], self._f[self._reps]
 
-    def update(self, choice: Choice, reward: float) -> None:
+    def update(self, arm: int, reward: float) -> None:
+        leaf = self._leaf(arm)
         reward = _check_reward(reward)
-        path = self._path(choice)
-        s, f, i = self._sv, self._fv, self._slot[path[-1]]
+        s, f, i = self._sv, self._fv, self._slot[leaf]
         before = s[i] / (s[i] + f[i])
         s[i] += reward
         f[i] += 1.0 - reward
-        reps, cluster = self._repv, path[1] - 1
+        reps, cluster = self._repv, self._parent[leaf] - 1
         mean = s[i] / (s[i] + f[i])
         rep = reps[cluster]
         if rep == i and mean < before:  # the representative fell: re-take the cluster
@@ -385,7 +362,7 @@ class TsMax(HierarchicalThompsonSampling):
             rep_mean = s[rep] / (s[rep] + f[rep])
             if mean > rep_mean or (mean == rep_mean and i < rep):
                 reps[cluster] = i
-        self._moved(path)  # the root's column of the cluster, whose leaf or representative moved
+        self._moved(leaf)  # the root's column of the cluster, whose leaf or representative moved
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +380,7 @@ class TreeUcb(BanditPolicy):
     in child order, found from a per-node cursor that only moves forward,
     since counts never fall); otherwise the child maximizing
     mean + sqrt(2 log_term / N_child) is taken. The reward and one visit
-    propagate to every node on the played path. The log term is the only
+    propagate to every node from the played leaf up to the root. The log term is the only
     thing the UCB policies change: log N_parent here, the global log t for
     ``ucb1`` and ``ucbc``.
     """
@@ -443,14 +420,15 @@ class TreeUcb(BanditPolicy):
             return _random_argmax_list(index, rng)
         return random_argmax(_ucb_index(self._q[lo:hi], self._n[lo:hi], log_term), rng)
 
-    def update(self, choice: Choice, reward: float) -> None:
+    def update(self, arm: int, reward: float) -> None:
+        v = self._leaf(arm)
         reward = _check_reward(reward)
-        path = self._path(choice)
-        n, q, slot = self._nv, self._qv, self._slot
-        for v in path:
+        n, q, slot, parent = self._nv, self._qv, self._slot, self._parent
+        while v >= 0:
             i = slot[v]
             n[i] += 1.0
             q[i] += (reward - q[i]) / n[i]
+            v = parent[v]
 
 
 class Ucb1(TreeUcb):
@@ -458,7 +436,7 @@ class Ucb1(TreeUcb):
 
     Descent on ``ClusterTree.star(n_arms)`` with the global log t: plays each
     arm (leaf a+1) once first, lowest index first, then the argmax index with
-    uniform tie-breaking. Traces keep no paths.
+    uniform tie-breaking.
     """
 
     key = "ucb1"

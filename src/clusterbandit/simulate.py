@@ -20,12 +20,6 @@ from .policies import BanditPolicy
 __all__ = ["simulate"]
 
 
-def _path_buffer(policy, horizon: int) -> np.ndarray | None:
-    if policy.path_depth <= 0:
-        return None
-    return np.full((horizon, policy.path_depth), -1, dtype=np.int64)
-
-
 def simulate(
     instance: BanditInstance | ContextualInstance,
     policy: BanditPolicy,
@@ -57,35 +51,25 @@ def simulate(
     arms = np.empty(horizon, dtype=np.int64)
     rewards = np.empty(horizon)
     regret = np.empty(horizon)
-    paths = _path_buffer(policy, horizon)
     # the buffers are written through memoryviews, which take Python numbers directly
     arm_at, reward_at, regret_at = memoryview(arms), memoryview(rewards), memoryview(regret)
-    node_at = None if paths is None else memoryview(paths.reshape(-1))
-    depth = policy.path_depth
     select, update = policy.select, policy.update
 
     for i in range(horizon):
         if contexts is None:
-            choice = select(i + 1, rng)
-            arm = choice.arm
+            arm = select(i + 1, rng)
             reward = draw_reward(instance, arm, rng)
-            update(choice, reward)
+            update(arm, reward)
         else:
             x = contexts[i]
             expected = instance.expected_rewards(x)  # the reward's mean and the regret read the same vector
-            choice = select(i + 1, x, rng)
-            arm = choice.arm
+            arm = select(i + 1, x, rng)
             reward = instance.draw_reward(arm, expected, rng)
-            update(choice, x, reward)
+            update(arm, x, reward)
             regret_at[i] = expected.max() - expected[arm]
         arm_at[i] = arm
         reward_at[i] = reward
-        if node_at is not None:
-            if len(choice.path) > depth:
-                raise ValueError(f"path {choice.path} is longer than the policy's path_depth {depth}")
-            for j, v in enumerate(choice.path, i * depth):
-                node_at[j] = v
     if contexts is None:  # a Bernoulli step's regret depends on its arm only
         means = instance.means
         np.subtract(means.max(), means[arms], out=regret)
-    return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=np.cumsum(regret), paths=paths)
+    return SimulationTrace(seed=seed, arms=arms, rewards=rewards, cum_regret=np.cumsum(regret))

@@ -165,8 +165,7 @@ def test_criterion_10_exact_invariants():
         for c in range(clustering.n_clusters)
     ]
     for t in range(1, 1001):
-        choice = tsc.select(t, rng)
-        tsc.update(choice, float(rng.integers(2)))
+        tsc.update(tsc.select(t, rng), float(rng.integers(2)))
         s = tsc._s[tsc.tree.slot]  # counts by node id
         for c in range(clustering.n_clusters):
             members = leaves[c]
@@ -176,8 +175,7 @@ def test_criterion_10_exact_invariants():
     tree_inst = gen_sorted_binary_tree(32, rng_streams(48_001).instance)
     hts = HierarchicalThompsonSampling(tree_inst.tree)
     for t in range(1, 1001):
-        choice = hts.select(t, rng)
-        hts.update(choice, float(rng.integers(2)))
+        hts.update(hts.select(t, rng), float(rng.integers(2)))
     s = hts._s[tree_inst.tree.slot]  # counts by node id
     for v in range(tree_inst.tree.n_nodes):
         kids = tree_inst.tree.children(v)

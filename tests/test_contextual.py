@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from clusterbandit import contextual, policies
+from clusterbandit import contextual
 from clusterbandit.contextual import (
     RESOLVE_EVERY,
     ClusteredLinThompson,
@@ -19,7 +19,7 @@ from clusterbandit.contextual import (
 )
 from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, rng_streams
 from clusterbandit.instances import ContextualSpec, gen_contextual
-from clusterbandit.policies import Choice, make_policy
+from clusterbandit.policies import make_policy
 from clusterbandit.simulate import simulate
 
 CONTEXTUAL_POLICY_KEYS = ("lints", "lintsc", "linucb", "linucbc")
@@ -30,14 +30,16 @@ def _path_to(pol, arm):
     return tuple(reversed(pol.tree.path_to_root(pol.tree.leaf_of_arm(arm))))
 
 
+def _moved_rows(pol, update):
+    """The bank rows ``update()`` credits, in row order."""
+    before = pol._bank.counts.copy()
+    update()
+    return np.flatnonzero(pol._bank.counts != before).tolist()
+
+
 def _row(pol, arm):
     """The bank row of ``arm``: the slot of its leaf."""
     return int(pol.tree.slot[pol.tree.leaf_of_arm(arm)])
-
-
-def _first_choice(pol):
-    """A valid choice of arm 0 for ``pol``, with its root-to-leaf path."""
-    return Choice(arm=0, path=_path_to(pol, 0))
 
 
 def _update(bank, i, x, reward):
@@ -88,7 +90,7 @@ class TestLinSample:
             with pytest.raises(ValueError, match="shape"):
                 pol.select(1, np.zeros(2), rng)
             with pytest.raises(ValueError, match="shape"):
-                pol.update(_first_choice(pol), np.zeros(2), 1.0)
+                pol.update(0, np.zeros(2), 1.0)
         with pytest.raises(ValueError, match="dim"):
             _LinearBank(1, 0, 1.0)
 
@@ -100,7 +102,7 @@ class TestLinSample:
             with pytest.raises(ValueError, match="non-finite"):
                 pol.select(1, x, rng)
             with pytest.raises(ValueError, match="non-finite"):
-                pol.update(_first_choice(pol), x, 1.0)
+                pol.update(0, x, 1.0)
 
     def test_gaussian_law_ks(self):
         rng = np.random.default_rng(2)
@@ -161,10 +163,6 @@ class TestLinUpdate:
             _update(bank, 0, rng.standard_normal(6), rng.standard_normal())
         eigs = np.linalg.eigvalsh(bank.B[0])
         assert eigs.min() >= 1.0 - 1e-9
-
-    def test_non_finite_reward(self):
-        with pytest.raises(ValueError):
-            _update(_LinearBank(1, 2, 1.0), 0, np.ones(2), float("inf"))
 
     def test_long_run_drift_capped_with_periodic_resolve(self):
         rng = np.random.default_rng(7)
@@ -264,18 +262,18 @@ class TestLinearBank:
         rng = np.random.default_rng(13)
         for t in range(1, 51):
             x = rng.random(4)
-            choice = pol.select(t, x, rng)
-            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
+            arm = pol.select(t, x, rng)
+            pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng))
         twin = copy.deepcopy(pol)
         for t in range(51, 101):
             x = rng.random(4)
-            choice = pol.select(t, x, rng)
-            reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
-            pol.update(choice, x, reward)
-            twin.update(choice, x, reward)
+            arm = pol.select(t, x, rng)
+            reward = inst.draw_reward(arm, inst.expected_rewards(x), rng)
+            pol.update(arm, x, reward)
+            twin.update(arm, x, reward)
             xx = _outer(x)
             assert pol._bank.ucb(x, xx, 2.0, 0, 15).tobytes() == twin._bank.ucb(x, xx, 2.0, 0, 15).tobytes()  # 3 cluster rows, 12 arm rows
-        a = _row(pol, choice.arm)
+        a = _row(pol, arm)
         bank = copy.deepcopy(pol._bank)
         _update(bank, a, x, 1.0)
         assert bank.counts[a] == pol._bank.counts[a] + 1
@@ -316,12 +314,12 @@ class TestLinThompsonPolicies:
         rng = np.random.default_rng(8)
         freq = np.zeros(4)
         for _ in range(10_000):
-            freq[ClusteredLinThompson(clustering, 2).select(1, x, rng).arm] += 1
+            freq[ClusteredLinThompson(clustering, 2).select(1, x, rng)] += 1
         freq /= 10_000
         rng = np.random.default_rng(9)
         freq_flat = np.zeros(4)
         for _ in range(10_000):
-            freq_flat[LinThompson(4, 2).select(1, x, rng).arm] += 1
+            freq_flat[LinThompson(4, 2).select(1, x, rng)] += 1
         freq_flat /= 10_000
         assert np.all(np.abs(freq - freq_flat) < 0.02)
 
@@ -333,25 +331,26 @@ class TestLinThompsonPolicies:
             _update(pol._bank, 0, x, 1.0)
             _update(pol._bank, 1, x, 0.0)
         rng = np.random.default_rng(10)
-        hits = sum(pol.select(1, x, rng).path[1] == 1 for _ in range(2_000))  # cluster 0 is node 1
+        hits = sum(clustering.label_of(pol.select(1, x, rng)) == 0 for _ in range(2_000))
         assert hits / 2_000 >= 0.99
 
     def test_containment(self):
+        # the update credits the arm's own cluster row and leaf row, and no other
         inst = _ctx_instance()
         pol = ClusteredLinThompson(inst.clustering, inst.dim)
         rng = np.random.default_rng(11)
         for t in range(1, 201):
             x = rng.random(inst.dim)
-            choice = pol.select(t, x, rng)
-            assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
-            assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
-            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
+            arm = pol.select(t, x, rng)
+            assert _path_to(pol, arm) == (0, inst.clustering.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
+            moved = _moved_rows(pol, lambda: pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng)))
+            assert moved == sorted(pol.tree.slot[v] for v in _path_to(pol, arm)[1:])
 
     def test_update_touches_exactly_two_beliefs(self):
         clustering = DisjointClustering([0, 0, 1])
         pol = ClusteredLinThompson(clustering, 2)
         x = np.array([0.4, 0.7])
-        pol.update(Choice(arm=2, path=_path_to(pol, 2)), x, 1.0)
+        pol.update(2, x, 1.0)
         changed_arms = [a for a in range(3) if not np.array_equal(pol._bank.B[_row(pol, a)], np.eye(2))]
         changed_clusters = [c for c in range(2) if not np.array_equal(pol._bank.B[c], np.eye(2))]
         assert changed_arms == [2] and changed_clusters == [1]
@@ -364,9 +363,9 @@ class TestLinThompsonPolicies:
         seen: list[tuple[int, np.ndarray]] = []
         for t in range(1, 101):
             x = rng.random(inst.dim)
-            choice = pol.select(t, x, rng)
-            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
-            seen.append((choice.path[1] - 1, x))
+            arm = pol.select(t, x, rng)
+            pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng))
+            seen.append((inst.clustering.label_of(arm), x))
         for c in range(inst.clustering.n_clusters):
             expected = np.eye(inst.dim)
             for cluster, x in seen:
@@ -376,16 +375,9 @@ class TestLinThompsonPolicies:
 
     def test_zero_context_changes_nothing_numerically(self):
         pol = ClusteredLinThompson(DisjointClustering([0, 1]), 3)
-        pol.update(Choice(arm=0, path=_path_to(pol, 0)), np.zeros(3), 1.0)
+        pol.update(0, np.zeros(3), 1.0)
         np.testing.assert_array_equal(pol._bank.B[_row(pol, 0)], np.eye(3))
         np.testing.assert_array_equal(pol._bank.F[_row(pol, 0)], np.zeros(3))
-
-    def test_containment_violation_rejected(self):
-        pol = ClusteredLinThompson(DisjointClustering([0, 1]), 2)
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(0, 2, pol.tree.leaf_of_arm(0))), np.ones(2), 0.5)  # arm 0 is in cluster 0
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(1,)), np.ones(2), 0.5)  # the old (cluster,) path
 
 
 class TestLinUcbPolicies:
@@ -394,7 +386,7 @@ class TestLinUcbPolicies:
         x = np.array([0.5, 0.5])
         freq = np.zeros(3)
         for _ in range(10_000):
-            freq[LinUcb(3, 2, alpha=2.0).select(1, x, rng).arm] += 1
+            freq[LinUcb(3, 2, alpha=2.0).select(1, x, rng)] += 1
         freq /= 10_000
         assert np.all(np.abs(freq - 1 / 3) < 0.02)
 
@@ -414,13 +406,13 @@ class TestLinUcbPolicies:
         greedy = LinUcb(2, 2, alpha=0.0)
         for _ in range(10):
             _update(greedy._bank, 0, x, 1.0)
-        assert greedy.select(1, x, np.random.default_rng(0)).arm == 0
+        assert greedy.select(1, x, np.random.default_rng(0)) == 0
 
     def test_alpha_zero_greedy(self):
         x = np.array([0.0, 1.0])
         pol = LinUcb(2, 2, alpha=0.0)
         _update(pol._bank, 1, x, 1.0)
-        assert pol.select(1, x, np.random.default_rng(1)).arm == 1
+        assert pol.select(1, x, np.random.default_rng(1)) == 1
 
     def test_clustered_containment(self):
         inst = _ctx_instance(seed=2)
@@ -428,10 +420,10 @@ class TestLinUcbPolicies:
         rng = np.random.default_rng(14)
         for t in range(1, 201):
             x = rng.random(inst.dim)
-            choice = pol.select(t, x, rng)
-            assert inst.clustering.label_of(choice.arm) == choice.path[1] - 1
-            assert choice.path == (0, choice.path[1], pol.tree.leaf_of_arm(choice.arm))
-            pol.update(choice, x, inst.draw_reward(choice.arm, inst.expected_rewards(x), rng))
+            arm = pol.select(t, x, rng)
+            assert _path_to(pol, arm) == (0, inst.clustering.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
+            moved = _moved_rows(pol, lambda: pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng)))
+            assert moved == sorted(pol.tree.slot[v] for v in _path_to(pol, arm)[1:])
 
 
 class TestSimulateContextual:
@@ -569,31 +561,31 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
         out = []
         for t in range(start, stop):
             x = contexts[t]
-            choice = pol.select(t + 1, x, rng)
-            reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
-            pol.update(choice, x, reward)
-            out.append((choice.arm, choice.path, reward))
+            arm = pol.select(t + 1, x, rng)
+            reward = inst.draw_reward(arm, inst.expected_rewards(x), rng)
+            pol.update(arm, x, reward)
+            out.append((arm, reward))
         return out
 
     pol, rng = make_policy(key, inst), np.random.default_rng(21)
     steps(pol, rng, 0, 30)
-    # between steps: the copy trusts nothing of the original and continues alike
+    # between steps: the copy shares nothing with the original and continues alike
     twin, twin_rng = clone((pol, rng))
-    assert twin._selected is not pol._selected and twin._bank.B is not pol._bank.B
+    assert twin._bank.B is not pol._bank.B
     assert steps(twin, twin_rng, 30, 60) == steps(pol, rng, 30, 60)
     assert _bank_bytes(twin) == _bank_bytes(pol)
-    # within a step, after select: a copy taken with the returned pair trusts its own copy of it,
-    # and a copy of the policy alone checks the original's pair and forms its outer product anew
+    # within a step, after select: a copy taken with the seen context reuses its own copy of the
+    # outer product, and a copy of the policy alone checks the original's context and forms it anew
     x = contexts[60]
-    choice = pol.select(60, x, rng)
-    together, together_choice, together_x, together_rng = clone((pol, choice, x, rng))
+    arm = pol.select(60, x, rng)
+    together, together_x, together_rng = clone((pol, x, rng))
     alone = clone(pol)
-    assert together._trusts(together_choice, together_x) and not alone._trusts(choice, x)
-    reward = inst.draw_reward(choice.arm, inst.expected_rewards(x), rng)
-    assert inst.draw_reward(together_choice.arm, inst.expected_rewards(together_x), together_rng) == reward
-    pol.update(choice, x, reward)
-    together.update(together_choice, together_x, reward)
-    alone.update(choice, x, reward)
+    assert together_x is together._seen and x is not alone._seen
+    reward = inst.draw_reward(arm, inst.expected_rewards(x), rng)
+    assert inst.draw_reward(arm, inst.expected_rewards(together_x), together_rng) == reward
+    pol.update(arm, x, reward)
+    together.update(arm, together_x, reward)
+    alone.update(arm, x, reward)
     alone_rng = copy.deepcopy(rng)
     want = steps(pol, rng, 61, 90)
     assert steps(together, together_rng, 61, 90) == want
@@ -603,40 +595,54 @@ def test_copies_between_and_within_steps_continue_byte_identically(key, clone):
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Every context and path check the contextual policies make, in call order."""
+    """Every context check the contextual policies make."""
     calls = []
-    context, path = contextual._check_context, policies.BanditPolicy._check_path
+    context = contextual._check_context
     monkeypatch.setattr(contextual, "_check_context", lambda x, d: calls.append("x") or context(x, d))
-    monkeypatch.setattr(policies.BanditPolicy, "_check_path", lambda self, c: calls.append("path") or path(self, c))
     return calls
 
 
 @pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
-def test_update_trusts_only_the_selected_choice_with_the_seen_context(key, checks):
+def test_update_checks_every_context_but_the_seen_one(key, checks):
     inst = _ctx_instance(seed=14, n_arms=12, n_clusters=3, dim=4)
     pol = make_policy(key, inst)
     rng = np.random.default_rng(15)
     x = rng.random(4)
-    choice = pol.select(1, x, rng)
+    arm = pol.select(1, x, rng)
     assert checks == ["x"]  # select checks its context
-    pol.update(choice, x, 0.5)
-    assert checks == ["x"]  # the pair select returned and saw: no check
-    twin = Choice(arm=choice.arm, path=choice.path)
-    pol.update(twin, x, 0.5)  # an equal Choice that select did not return
-    assert checks == ["x", "x", "path"]
-    pol.update(choice, x.copy(), 0.5)  # an equal context that select did not see
-    assert checks == ["x", "x", "path", "x", "path"]
+    pol.update(arm, x, 0.5)
+    assert checks == ["x"]  # the context select saw: no check
+    pol.update((arm + 1) % inst.n_arms, x, 0.5)  # another arm with the seen context: still none
+    assert checks == ["x"]
+    pol.update(arm, x.copy(), 0.5)  # an equal context that select did not see
+    assert checks == ["x", "x"]
+    state = _bank_bytes(pol)
     with pytest.raises(ValueError, match="non-finite"):
-        pol.update(choice, np.array([np.nan, 0.0, 0.0, 0.0]), 0.5)
+        pol.update(arm, np.array([np.nan, 0.0, 0.0, 0.0]), 0.5)
     with pytest.raises(ValueError, match="shape"):
-        pol.update(choice, x[:3], 0.5)
-    with pytest.raises(ValueError, match="path"):
-        pol.update(Choice(arm=(choice.arm + 1) % inst.n_arms, path=choice.path), x, 0.5)
+        pol.update(arm, x[:3], 0.5)
+    assert _bank_bytes(pol) == state  # a rejected context moves no row
     del checks[:]
     listed = list(x)
-    choice = pol.select(2, listed, rng)
-    pol.update(choice, listed, 0.5)  # select checked the list into a new array: update checks again
-    assert checks == ["x", "x", "path"]
+    arm = pol.select(2, listed, rng)
+    pol.update(arm, listed, 0.5)  # select checked the list into a new array: update checks again
+    assert checks == ["x", "x"]
+
+
+@pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
+def test_a_non_finite_reward_moves_no_row(key, reward):
+    inst = _ctx_instance(seed=24, n_arms=12, n_clusters=3, dim=4)
+    pol = make_policy(key, inst)
+    rng = np.random.default_rng(25)
+    x = rng.random(4)
+    pol.update(pol.select(1, x, rng), x, 0.5)
+    x = rng.random(4)
+    arm = pol.select(2, x, rng)
+    state = _bank_bytes(pol)
+    with pytest.raises(ValueError, match=f"^non-finite reward {reward}$"):
+        pol.update(arm, x, reward)
+    assert _bank_bytes(pol) == state
 
 
 @pytest.mark.parametrize("key", CONTEXTUAL_POLICY_KEYS)
@@ -644,12 +650,12 @@ def test_an_unseen_context_gets_its_own_outer_product(key):
     inst = _ctx_instance(seed=22, n_arms=12, n_clusters=3, dim=4)
     pol, fresh = make_policy(key, inst), make_policy(key, inst)
     rng = np.random.default_rng(23)
-    choice = pol.select(1, rng.random(4), rng)
+    arm = pol.select(1, rng.random(4), rng)
     y = rng.standard_normal(4)
-    pol.update(choice, y, 0.5)  # the returned Choice with a context select did not see
-    fresh.update(Choice(arm=choice.arm, path=choice.path), y, 0.5)
+    pol.update(arm, y, 0.5)  # the played arm with a context select did not see
+    fresh.update(arm, y, 0.5)
     assert _bank_bytes(pol) == _bank_bytes(fresh)
-    for v in choice.path[1:]:
+    for v in _path_to(pol, arm)[1:]:
         np.testing.assert_array_equal(pol._bank.B[pol.tree.slot[v]], np.eye(4) + np.outer(y, y))
 
 
@@ -657,23 +663,13 @@ def test_an_unseen_context_gets_its_own_outer_product(key):
 def test_flat_policies_take_the_star_path(key):
     inst = _ctx_instance(seed=16, n_arms=6, n_clusters=2, dim=3)
     pol = make_policy(key, inst)
-    assert pol.tree == ClusterTree.star(6) and pol.path_depth == 0
+    assert pol.tree == ClusterTree.star(6) and pol.flat
     rng = np.random.default_rng(17)
     for t in range(1, 51):
         x = rng.random(3)
-        choice = pol.select(t, x, rng)
-        assert choice.path == (0, choice.arm + 1)
-        pol.update(choice, x, 0.5)
-    counts = pol._bank.counts.copy()
-    x = np.ones(3)
-    for path in ((), (2,), (0, 2), (0, 1, 2)):  # path-less, leaf only, another arm's leaf, too long
-        with pytest.raises(ValueError, match="path"):
-            pol.update(Choice(arm=0, path=path), x, 0.5)
-    assert pol._bank.counts.tolist() == counts.tolist()
-    pol.update(Choice(arm=0, path=(0, 1)), x, 0.5)
-    assert pol._bank.counts[0] == counts[0] + 1  # arm a is row a
-    trace = simulate(inst, pol, 20, rng, contexts=rng.random((20, 3)))
-    assert trace.paths is None
+        arm = pol.select(t, x, rng)
+        assert _path_to(pol, arm) == (0, arm + 1)
+        assert _moved_rows(pol, lambda: pol.update(arm, x, 0.5)) == [arm]  # arm a is row a
 
 
 @pytest.mark.parametrize("key", ["lintsc", "linucbc"])
@@ -686,7 +682,7 @@ def test_two_level_bank_rows_follow_the_tree_slots(key):
         assert _row(pol, arm) == k + position
     x = np.array([0.2, 0.5, 0.9])
     for arm in range(inst.n_arms):
-        pol.update(Choice(arm=arm, path=_path_to(pol, arm)), x, 1.0)
+        pol.update(arm, x, 1.0)
         assert pol._bank.counts[k + clustering._arms.tolist().index(arm)] == 1
     assert pol._bank.counts[:k].tolist() == np.bincount(clustering.labels, minlength=k).tolist()
 

@@ -1,5 +1,4 @@
 """Core types: Beta draws and updates, reward draws, regret accounting, RNG contract."""
-import importlib
 
 import numpy as np
 import pytest
@@ -19,11 +18,8 @@ from clusterbandit.core import (
 )
 from clusterbandit.harness import ExperimentConfig, run_experiment
 from clusterbandit.instances import build_instance
-from clusterbandit.policies import POLICY_KEYS, Choice, HierarchicalThompsonSampling, make_policy
+from clusterbandit.policies import POLICY_KEYS, HierarchicalThompsonSampling, make_policy
 from clusterbandit.simulate import simulate
-
-simulate_module = importlib.import_module("clusterbandit.simulate")  # the package exports a function of that name
-
 
 # ---------------------------------------------------------------------------
 # Beta beliefs
@@ -66,7 +62,7 @@ def _one_arm_posterior(*rewards):
     pol = HierarchicalThompsonSampling(ClusterTree.star(1))
 
     def observe(r):
-        pol.update(Choice(arm=0, path=(0, 1)), r)
+        pol.update(0, r)
 
     for r in rewards:
         observe(r)
@@ -379,7 +375,6 @@ class TestSimulationTrace:
         assert np.array_equal(a.arms, b.arms)
         assert np.array_equal(a.rewards, b.rewards)
         assert np.array_equal(a.cum_regret, b.cum_regret)
-        assert np.array_equal(a.paths, b.paths)
 
     @pytest.mark.parametrize("key", sorted(k for k, cls in POLICY_KEYS.items() if cls.needs != "contextual"))
     def test_cumulative_regret_equals_sum_of_regret_of(self, key):
@@ -405,9 +400,7 @@ class TestSimulationTrace:
         trace = simulate(inst, make_policy("tsc", inst), 10, rng_streams(2).simulation)
         assert trace.horizon == 10
         assert trace.arms.shape == trace.rewards.shape == trace.cum_regret.shape == (10,)
-        path = trace.paths[0]
-        assert len(path) == 3  # (0, c+1, leaf)
-        assert path[0] == 0 and path[1] == inst.clustering.label_of(int(trace.arms[0])) + 1
+        assert trace.arms.dtype == np.int64 and 0 <= trace.arms.min() <= trace.arms.max() < inst.n_arms
         assert trace.rewards[0] in (0.0, 1.0)
 
     @staticmethod
@@ -429,47 +422,19 @@ class TestSimulationTrace:
                 trace = simulate(instance, make_policy(key, instance), 100, rng_streams(4).simulation)
                 assert counts.tolist() == np.bincount(instance.clustering.labels[trace.arms], minlength=k).tolist()
 
-    def test_paths_of_uneven_depth_are_padded_and_overlong_ones_rejected(self):
-        # leaves at depths 1 and 2: a shorter path leaves -1 in its row's tail
+    def test_arms_of_uneven_depth_are_logged_as_played(self):
+        # leaves at depths 1 and 2: the trace holds each step's arm, whatever its leaf's depth
         tree = ClusterTree([[1, 2], [], [3, 4], [], []], [-1, 0, -1, 1, 2])
         inst = BanditInstance([0.5, 0.4, 0.6], tree=tree)
         policy = make_policy("hts", inst)
         chosen, select = [], policy.select
         policy.select = lambda t, rng: chosen.append(select(t, rng)) or chosen[-1]
         trace = simulate(inst, policy, 200, rng_streams(5).simulation)
-        assert trace.paths.shape == (200, 3)
-        want = [list(c.path) + [-1] * (3 - len(c.path)) for c in chosen]
-        assert trace.paths.tolist() == want
-        assert {len(c.path) for c in chosen} == {2, 3}
-        policy.path_depth = 2  # now the depth-2 leaves' paths do not fit a row
-        with pytest.raises(ValueError, match="longer than the policy's path_depth 2"):
-            simulate(inst, policy, 200, rng_streams(5).simulation)
+        assert trace.arms.tolist() == chosen
+        assert {tree.node_depth(tree.leaf_of_arm(a)) for a in chosen} == {1, 2}
 
-    def test_both_loops_reject_an_overlong_path_alike_and_write_no_next_row(self, monkeypatch):
-        buffers = []
-        make_buffer = simulate_module._path_buffer
-        monkeypatch.setattr(
-            simulate_module, "_path_buffer", lambda policy, horizon: buffers.append(make_buffer(policy, horizon)) or buffers[-1]
-        )
+    def test_flat_run_has_no_top_counts(self):
         inst = _small_clustered_instance()
-        ctx = build_instance({"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}, rng_streams(6).instance)
-        contexts = rng_streams(6).context.random((5, 4))
-        runs = [
-            (make_policy("tsc", inst), lambda p: simulate(inst, p, 5, rng_streams(6).simulation)),
-            (make_policy("lintsc", ctx), lambda p: simulate(ctx, p, 5, rng_streams(6).simulation, contexts=contexts)),
-        ]
-        for policy, run in runs:
-            policy.path_depth = 2  # the (0, c+1, leaf) paths do not fit a row
-            with pytest.raises(ValueError) as err:
-                run(policy)
-            assert str(err.value) == f"path {policy._selected.path} is longer than the policy's path_depth 2"
-            assert buffers[-1].shape == (5, 2)
-            assert (buffers[-1] == -1).all()  # the first step wrote nothing: not its row, not the next
-
-    def test_flat_trace_has_no_paths(self):
-        inst = _small_clustered_instance()
-        trace = simulate(inst, make_policy("ts", inst), 20, rng_streams(4).simulation)
-        assert trace.paths is None
         spec = {"kind": "bernoulli", "means": inst.means.tolist()}
         assert self._row("ts", spec, 20).top_counts is None
 

@@ -734,32 +734,46 @@ class TestTopCounts:
         for row in run_experiment(config).rows:
             assert row.top_counts.tolist() == [7]
 
+    # per structure a non-flat key runs on: a kmeans clustering, an agglomerative tree with leaves at
+    # several depths, a contextual clustering; and each with one arm
+    PATH_SPECS = {
+        "clustering": {"kind": "kmeans", "n_arms": 60, "n_clusters": 12, "reward_fn": "sin-product"},
+        "tree": {"kind": "agglomerative", "n_arms": 40, "reward_fn": "bump-2d", "linkage": "average"},
+        "contextual": TINY_CTX_SPEC,
+    }
+    ONE_ARM_SPECS = {
+        "clustering": {"kind": "kmeans", "n_arms": 1, "n_clusters": 1, "reward_fn": "sin-product"},
+        "tree": {"kind": "kmeans_tree", "n_arms": 1, "branching": 2, "depth": 1, "reward_fn": "sin-product"},
+        "contextual": {**TINY_CTX_SPEC, "n_arms": 1, "n_clusters": 1},
+    }
+
+    @pytest.mark.parametrize("specs", [PATH_SPECS, ONE_ARM_SPECS], ids=["arms", "one-arm"])
     @pytest.mark.parametrize("key", sorted(POLICY_KEYS))
-    def test_every_path_runs_root_to_leaf(self, monkeypatch, key):
-        # one path rule for every policy: from the root along tree.parent to
-        # the played arm's leaf; flat policies keep no paths and no counts
+    def test_counts_the_root_child_on_each_played_arms_path(self, monkeypatch, key, specs):
+        # per step, the root child on tree.path_to_root(tree.leaf_of_arm(arm)), or the root of a
+        # one-leaf tree; flat policies keep no counts
         runs = []
 
         def traced(instance, policy, *args, **kwargs):
             runs.append((policy, simulate(instance, policy, *args, **kwargs)))
             return runs[-1][1]
         monkeypatch.setattr(harness, "simulate", traced)
-        spec = {"clustering": self.SPECS["flat"], "bernoulli": self.SPECS["flat"],
-                "tree": self.SPECS["tree"], "contextual": TINY_CTX_SPEC}[POLICY_KEYS[key].needs]
+        needs = POLICY_KEYS[key].needs
+        spec = specs["clustering" if needs == "bernoulli" else needs]
         doc = {"name": "paths", "horizon": 60, "seeds": [0, 1], "policies": [{"key": key}], "instance": spec}
         rows = run_experiment(ExperimentConfig.from_json(doc)).rows
         assert [row.seed for row in rows] == [0, 1] and len(runs) == 2
         for row, (policy, trace) in zip(rows, runs):
-            if trace.paths is None:
-                assert policy.path_depth == 0 and row.top_counts is None
+            if policy.flat:
+                assert row.top_counts is None
                 continue
             tree = policy.tree
-            for arm, path in zip(trace.arms.tolist(), trace.paths.tolist()):
-                path = [v for v in path if v >= 0]
-                assert path[0] == 0, (key, path)
-                assert all(tree.parent[w] == v for v, w in zip(path, path[1:])), (key, path)
-                assert path[-1] == tree.leaf_of_arm(arm), (key, path, arm)
-            assert row.top_counts.sum() == 60
+            if needs == "tree" and specs is self.PATH_SPECS:
+                assert len({tree.node_depth(tree.leaf_of_arm(a)) for a in range(tree.n_arms)}) > 1
+            tops = tree.children(0).tolist()
+            paths = [tree.path_to_root(tree.leaf_of_arm(arm)) for arm in trace.arms.tolist()]
+            want = np.bincount([tops.index(path[-2]) for path in paths], minlength=len(tops)) if tops else [60]
+            assert row.top_counts.tolist() == list(want), (key, row.seed)
 
 
 class TestInstanceReuse:

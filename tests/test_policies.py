@@ -17,7 +17,6 @@ from clusterbandit import contextual, policies
 from clusterbandit.instances import gen_sorted_binary_tree, sorted_tree_from_means
 from clusterbandit.policies import (
     BanditPolicy,
-    Choice,
     ClusteredThompsonSampling,
     ClusteredUcb1,
     HierarchicalThompsonSampling,
@@ -52,7 +51,7 @@ def _selection_freq(select, n_trials, n_entities, seed=0):
 class TestThompsonSampling:
     def test_single_arm(self):
         pol = ThompsonSampling(1)
-        assert pol.select(1, np.random.default_rng(0)).arm == 0
+        assert pol.select(1, np.random.default_rng(0)) == 0
 
     def test_concentrated_beliefs_dominate(self):
         rng = np.random.default_rng(1)
@@ -60,26 +59,22 @@ class TestThompsonSampling:
         leaves = pol.tree.slot[1:]  # arm a is leaf a+1 of the star; counts sit at its slot
         pol._s[leaves] = [1e6, 1.0]
         pol._f[leaves] = [1.0, 1e6]
-        picks = sum(pol.select(1, rng).arm == 0 for _ in range(10_000))
+        picks = sum(pol.select(1, rng) == 0 for _ in range(10_000))
         assert picks / 10_000 >= 0.999
 
     def test_fresh_state_symmetry(self):
         freq = _selection_freq(
-            lambda rng: ThompsonSampling(4).select(1, rng).arm, 10_000, 4
+            lambda rng: ThompsonSampling(4).select(1, rng), 10_000, 4
         )
         assert np.all(np.abs(freq - 0.25) < 0.02)
 
     def test_update_moves_only_chosen_arm(self):
         pol = ThompsonSampling(3)
-        pol.update(Choice(arm=1, path=(0, 2)), 1.0)
+        pol.update(1, 1.0)
         beliefs = _beliefs(pol)  # arm a is leaf a+1 of the star
         assert beliefs[2] == (2, 1)
         assert beliefs[1] == beliefs[3] == (1, 1)
         assert beliefs[0] == (2, 1)  # the root sums its leaves
-
-    def test_update_needs_the_star_path(self):
-        with pytest.raises(ValueError):
-            ThompsonSampling(3).update(Choice(arm=1), 1.0)
 
 
 TWO_CLUSTERS = DisjointClustering([0, 0, 1, 1])
@@ -98,7 +93,7 @@ class TestClusteredThompsonSampling:
     def test_singleton_clusters_symmetry(self):
         clustering = DisjointClustering([0, 1, 2, 3])
         freq = _selection_freq(
-            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng).arm,
+            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng),
             10_000,
             4,
         )
@@ -110,20 +105,22 @@ class TestClusteredThompsonSampling:
         for _ in range(2_000):
             pol = _two_cluster_policy()
             pol._s[pol.tree.slot[1]] = 1e6  # cluster 0's success count
-            picks += pol.select(1, rng).path[1] == 1
+            picks += TWO_CLUSTERS.label_of(pol.select(1, rng)) == 0
         assert picks / 2_000 >= 0.99
 
     def test_containment(self):
+        # the arm is the whole decision: its path in the tree runs through its own cluster
         rng = np.random.default_rng(3)
         pol = _two_cluster_policy()
+        tree = pol.tree
         for t in range(1, 1001):
-            choice = pol.select(t, rng)
-            assert choice.path == _path(pol, choice.arm)
-            pol.update(choice, float(rng.integers(2)))
+            arm = pol.select(t, rng)
+            assert tuple(reversed(tree.path_to_root(tree.leaf_of_arm(arm)))) == _path(pol, arm)
+            pol.update(arm, float(rng.integers(2)))
 
     def test_update_touches_exactly_two_beliefs(self):
         pol = _two_cluster_policy()
-        pol.update(Choice(arm=2, path=_path(pol, 2)), 1.0)
+        pol.update(2, 1.0)
         beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm
         assert beliefs[leaf(2)] == (2, 1)
@@ -134,14 +131,9 @@ class TestClusteredThompsonSampling:
 
     def test_update_failure_reward(self):
         pol = _two_cluster_policy()
-        pol.update(Choice(arm=0, path=_path(pol, 0)), 0.0)
+        pol.update(0, 0.0)
         assert _beliefs(pol)[pol.tree.leaf_of_arm(0)] == (1, 2)
         assert _beliefs(pol)[1] == (1, 2)
-
-    def test_containment_violation_rejected(self):
-        pol = _two_cluster_policy()
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(0, 2, pol.tree.leaf_of_arm(0))), 1.0)
 
     def test_count_consistency_replay(self):
         rng = np.random.default_rng(4)
@@ -152,13 +144,13 @@ class TestClusteredThompsonSampling:
         cl_f = np.ones(2)
         leaves = np.array([pol.tree.leaf_of_arm(a) for a in range(4)])
         for t in range(1, 1001):
-            choice = pol.select(t, rng)
+            arm = pol.select(t, rng)
             r = float(rng.integers(2))
-            pol.update(choice, r)
-            arm_s[choice.arm] += r
-            arm_f[choice.arm] += 1 - r
-            cl_s[choice.path[1] - 1] += r
-            cl_f[choice.path[1] - 1] += 1 - r
+            pol.update(arm, r)
+            arm_s[arm] += r
+            arm_f[arm] += 1 - r
+            cl_s[TWO_CLUSTERS.label_of(arm)] += r
+            cl_f[TWO_CLUSTERS.label_of(arm)] += 1 - r
             # cluster pseudo-counts equal prior-adjusted member sums
             s, f = pol._s[pol.tree.slot], pol._f[pol.tree.slot]  # by node id
             for c in range(2):
@@ -171,13 +163,13 @@ class TestClusteredThompsonSampling:
     def test_single_cluster_reduces_to_ts_law(self):
         clustering = DisjointClustering([0, 0, 0, 0])
         freq_tsc = _selection_freq(
-            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng).arm,
+            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng),
             10_000,
             4,
             seed=5,
         )
         freq_ts = _selection_freq(
-            lambda rng: ThompsonSampling(4).select(1, rng).arm, 10_000, 4, seed=6
+            lambda rng: ThompsonSampling(4).select(1, rng), 10_000, 4, seed=6
         )
         assert np.all(np.abs(freq_tsc - freq_ts) < 0.02)
 
@@ -197,20 +189,20 @@ def _depth2_tree():
 class TestHierarchicalThompsonSampling:
     def test_depth_zero_tree(self):
         pol = HierarchicalThompsonSampling(ClusterTree([[]], [0]))
-        choice = pol.select(1, np.random.default_rng(0))
-        assert choice.arm == 0
-        assert choice.path == (0,)
+        assert pol.select(1, np.random.default_rng(0)) == 0
+        pol.update(0, 1.0)  # the root is the arm's leaf: its path is the root alone
+        assert _beliefs(pol) == {0: (2, 1)}
 
     def test_depth_one_matches_flat_ts_law(self):
         star = ClusterTree([[1, 2, 3, 4], [], [], [], []], [-1, 0, 1, 2, 3])
         freq_hts = _selection_freq(
-            lambda rng: HierarchicalThompsonSampling(star).select(1, rng).arm,
+            lambda rng: HierarchicalThompsonSampling(star).select(1, rng),
             10_000,
             4,
             seed=7,
         )
         freq_ts = _selection_freq(
-            lambda rng: ThompsonSampling(4).select(1, rng).arm, 10_000, 4, seed=8
+            lambda rng: ThompsonSampling(4).select(1, rng), 10_000, 4, seed=8
         )
         assert np.all(np.abs(freq_hts - freq_ts) < 0.02)
 
@@ -220,12 +212,12 @@ class TestHierarchicalThompsonSampling:
         for _ in range(2_000):
             pol = HierarchicalThompsonSampling(_depth2_tree())
             pol._s[pol.tree.slot[1]] = 1e6
-            entered += pol.select(1, rng).path[1] == 1
+            entered += pol.select(1, rng) in pol.tree.arms_under(1)
         assert entered / 2_000 >= 0.99
 
     def test_update_increments_exactly_path_nodes(self):
         pol = HierarchicalThompsonSampling(_depth2_tree())
-        pol.update(Choice(arm=0, path=(0, 1, 3)), 1.0)
+        pol.update(0, 1.0)  # arm 0 is leaf 3, under node 1
         beliefs = _beliefs(pol)
         assert beliefs[0] == beliefs[1] == beliefs[3] == (2, 1)
         for v in (2, 4, 5, 6):
@@ -233,19 +225,10 @@ class TestHierarchicalThompsonSampling:
 
     def test_update_failure_on_fresh_state(self):
         pol = HierarchicalThompsonSampling(_depth2_tree())
-        pol.update(Choice(arm=3, path=(0, 2, 6)), 0.0)
+        pol.update(3, 0.0)  # arm 3 is leaf 6, under node 2
         beliefs = _beliefs(pol)
         assert beliefs[0] == beliefs[2] == beliefs[6] == (1, 2)
         assert beliefs[1] == (1, 1)
-
-    def test_invalid_path_rejected(self):
-        pol = HierarchicalThompsonSampling(_depth2_tree())
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(0, 2, 3)), 1.0)  # 3 is not a child of 2
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(1, 3)), 1.0)  # does not start at root
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=1, path=(0, 1, 3)), 1.0)  # leaf maps to arm 0
 
     def test_parent_counts_equal_child_sums_after_run(self):
         tree_inst = gen_sorted_binary_tree(16, rng_streams(30).instance)
@@ -261,15 +244,18 @@ class TestHierarchicalThompsonSampling:
             assert s[v] - 1 == pytest.approx((s[kids] - 1).sum())
             assert f[v] - 1 == pytest.approx((f[kids] - 1).sum())
 
-    def test_containment_along_path(self):
+    def test_update_credits_exactly_the_arms_path(self):
         rng = np.random.default_rng(10)
         tree = _depth2_tree()
         pol = HierarchicalThompsonSampling(tree)
         for t in range(1, 301):
-            choice = pol.select(t, rng)
-            for node in choice.path:
-                assert choice.arm in tree.arms_under(node)
-            pol.update(choice, float(rng.integers(2)))
+            arm = pol.select(t, rng)
+            before = _beliefs(pol)
+            pol.update(arm, float(rng.integers(2)))
+            moved = {v for v, b in _beliefs(pol).items() if b != before[v]}
+            assert moved == set(tree.path_to_root(tree.leaf_of_arm(arm)))
+            for node in moved:
+                assert arm in tree.arms_under(node)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +266,9 @@ class TestUcb1:
     def test_initialization_order(self):
         pol = Ucb1(3)
         rng = np.random.default_rng(0)
-        assert pol.select(1, rng).arm == 0
-        pol.update(Choice(arm=0, path=(0, 1)), 1.0)
-        assert pol.select(2, rng).arm == 1
+        assert pol.select(1, rng) == 0
+        pol.update(0, 1.0)
+        assert pol.select(2, rng) == 1
 
     def test_index_evaluation(self):
         pol = Ucb1(2)
@@ -292,7 +278,7 @@ class TestUcb1:
         # direct index oracle: 0.9 + sqrt(2 ln 100 / 10) beats 0.1 + same bonus
         bonus = math.sqrt(2 * math.log(100) / 10)
         assert 0.9 + bonus > 0.1 + bonus
-        assert pol.select(100, np.random.default_rng(0)).arm == 0
+        assert pol.select(100, np.random.default_rng(0)) == 0
 
     def test_uniform_tie_break(self):
         rng = np.random.default_rng(11)
@@ -300,21 +286,18 @@ class TestUcb1:
         leaves = pol.tree.slot[1:]
         pol._n[leaves] = [5, 5]
         pol._q[leaves] = [0.4, 0.4]
-        freq = sum(pol.select(50, rng).arm == 0 for _ in range(10_000)) / 10_000
+        freq = sum(pol.select(50, rng) == 0 for _ in range(10_000)) / 10_000
         assert abs(freq - 0.5) < 0.02
 
     def test_time_validation(self):
         with pytest.raises(ValueError):
             Ucb1(2).select(0, np.random.default_rng(0))
 
-    def test_update_needs_the_star_path(self):
+    def test_update_credits_the_arms_leaf(self):
         pol = Ucb1(3)
-        for path in ((), (2,), (0, 1)):  # path-less, leaf only, another arm's leaf
-            with pytest.raises(ValueError):
-                pol.update(Choice(arm=1, path=path), 1.0)
-        assert not pol._n.any()
-        pol.update(Choice(arm=1, path=(0, 2)), 1.0)
-        assert pol._n[pol.tree.slot[2]] == 1
+        pol.update(1, 1.0)
+        assert pol._n[pol.tree.slot[2]] == 1  # arm a is leaf a+1
+        assert pol._n.sum() == 2  # the leaf and the root
 
 
 class TestClusteredUcb1:
@@ -329,8 +312,8 @@ class TestClusteredUcb1:
         for t in range(1, 201):
             a = flat.select(t, rng_a)
             b = two.select(t, rng_b)
-            assert a.arm == b.arm
-            r = float(reward_rng.random() < inst.means[a.arm])
+            assert a == b
+            r = float(reward_rng.random() < inst.means[a])
             flat.update(a, r)
             two.update(b, r)
 
@@ -343,9 +326,9 @@ class TestClusteredUcb1:
         pol._q[slot[[1, 2]]] = [0.9, 0.1]
         pol._n[leaves] = [50, 50, 50, 50]
         pol._q[leaves] = [0.9, 0.8, 0.1, 0.2]
-        choice = pol.select(1000, np.random.default_rng(0))
-        assert choice.path[:2] == (0, 1)
-        assert choice.arm == 0
+        arm = pol.select(1000, np.random.default_rng(0))
+        assert clustering.label_of(arm) == 0
+        assert arm == 0
 
     def test_round_robin_cluster_initialization(self):
         clustering = DisjointClustering([0, 0, 1, 1, 2, 2])
@@ -353,22 +336,18 @@ class TestClusteredUcb1:
         rng = np.random.default_rng(14)
         seen = []
         for t in range(1, 4):
-            choice = pol.select(t, rng)
-            seen.append(choice.path[1] - 1)
-            pol.update(choice, 0.0)
+            arm = pol.select(t, rng)
+            seen.append(clustering.label_of(arm))
+            pol.update(arm, 0.0)
         assert seen == [0, 1, 2]
 
-    def test_update_needs_the_tree_path(self):
+    def test_update_credits_the_arms_cluster_and_leaf(self):
         clustering = DisjointClustering([0, 0, 1, 1])
         pol = ClusteredUcb1(clustering)
-        leaf = pol.tree.leaf_of_arm
-        # path-less, (cluster,), the other cluster, another arm's leaf
-        for path in ((), (1,), (0, 1, leaf(2)), (0, 2, leaf(3))):
-            with pytest.raises(ValueError):
-                pol.update(Choice(arm=2, path=path), 1.0)
-        assert not pol._n.any()
-        pol.update(Choice(arm=2, path=(0, 2, leaf(2))), 1.0)
-        assert pol._n[pol.tree.slot[2]] == 1
+        pol.update(2, 1.0)
+        assert pol._n[pol.tree.slot[2]] == 1  # cluster 1 is node 2
+        assert pol._n[pol.tree.slot[pol.tree.leaf_of_arm(2)]] == 1
+        assert pol._n.sum() == 3  # the leaf, its cluster and the root
 
     def test_containment_and_aggregation(self):
         rng = np.random.default_rng(15)
@@ -377,11 +356,10 @@ class TestClusteredUcb1:
         total = {0: 0.0, 1: 0.0}
         count = {0: 0, 1: 0}
         for t in range(1, 501):
-            choice = pol.select(t, rng)
-            cluster = choice.path[1] - 1
-            assert clustering.label_of(choice.arm) == cluster
+            arm = pol.select(t, rng)
+            cluster = clustering.label_of(arm)
             r = float(rng.integers(2))
-            pol.update(choice, r)
+            pol.update(arm, r)
             total[cluster] += r
             count[cluster] += 1
         for c in (0, 1):
@@ -399,18 +377,14 @@ def _leaf_slots(pol, arms):
     return pol.tree.slot[[pol.tree.leaf_of_arm(a) for a in arms]]
 
 
-def _path_to(pol, arm, cluster):
-    return (0, cluster + 1, pol.tree.leaf_of_arm(arm))
-
-
 class TestTsMax:
     def test_singleton_clusters_match_ts_law(self):
         clustering = DisjointClustering([0, 1, 2, 3])
         freq_max = _selection_freq(
-            lambda rng: TsMax(clustering).select(1, rng).arm, 10_000, 4, seed=16
+            lambda rng: TsMax(clustering).select(1, rng), 10_000, 4, seed=16
         )
         freq_ts = _selection_freq(
-            lambda rng: ThompsonSampling(4).select(1, rng).arm, 10_000, 4, seed=17
+            lambda rng: ThompsonSampling(4).select(1, rng), 10_000, 4, seed=17
         )
         assert np.all(np.abs(freq_max - freq_ts) < 0.02)
 
@@ -424,15 +398,15 @@ class TestTsMax:
         picks = 0
         for _ in range(2_000):
             pol = TsMax(clustering)
-            pol.update(Choice(arm=1, path=_path_to(pol, 1, 0)), 1.0)
+            pol.update(1, 1.0)
             pol._s[_leaf_slots(pol, [1])] = 1e6
-            picks += pol.select(1, rng).path[1] == 1
+            picks += clustering.label_of(pol.select(1, rng)) == 0
         assert picks / 2_000 >= 0.99
 
     def test_fresh_uniform_cluster_choice(self):
         clustering = DisjointClustering([0, 0, 1, 1, 2, 2])
         freq = _selection_freq(
-            lambda rng: TsMax(clustering).select(1, rng).path[1] - 1, 10_000, 3, seed=19
+            lambda rng: clustering.label_of(TsMax(clustering).select(1, rng)), 10_000, 3, seed=19
         )
         assert np.all(np.abs(freq - 1 / 3) < 0.02)
 
@@ -454,7 +428,7 @@ class TestTsMax:
     def test_update_is_arm_only(self):
         clustering = DisjointClustering([0, 0, 1])
         pol = TsMax(clustering)
-        pol.update(Choice(arm=0, path=_path_to(pol, 0, 0)), 1.0)
+        pol.update(0, 1.0)
         beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm(0)
         assert beliefs[leaf] == (2, 1)
@@ -462,29 +436,19 @@ class TestTsMax:
         assert all(b == (1, 1) for v, b in beliefs.items() if v != leaf)
         assert len(beliefs) == pol.tree.n_nodes
 
-    @pytest.mark.parametrize("make", [
-        lambda c: TsMax(c),
-        lambda c: contextual.ClusteredLinThompson(c, 2),
-    ])
-    def test_update_needs_the_tree_path(self, make):
-        pol = make(DisjointClustering([0, 0, 1]))
-        update = pol.update if isinstance(pol, TsMax) else (lambda ch, r: pol.update(ch, np.ones(2), r))
-        with pytest.raises(ValueError, match="invalid root-to-leaf path"):
-            update(Choice(arm=2, path=(1,)), 1.0)  # the old (cluster,) path
-        with pytest.raises(ValueError, match="does not map to arm 1"):
-            update(Choice(arm=1, path=_path_to(pol, 0, 0)), 1.0)  # the leaf of arm 0
-        with pytest.raises(ValueError, match="invalid root-to-leaf path"):
-            update(Choice(arm=2, path=(0, 1, pol.tree.leaf_of_arm(2))), 1.0)  # arm 2 is in cluster 1
-        update(Choice(arm=2, path=_path_to(pol, 2, 1)), 1.0)
-
     def test_containment(self):
+        # only the played arm's leaf moves, and it sits under the arm's own cluster
         rng = np.random.default_rng(20)
         clustering = DisjointClustering([0, 0, 1, 1])
         pol = TsMax(clustering)
+        tree = pol.tree
         for t in range(1, 301):
-            choice = pol.select(t, rng)
-            assert choice.path == _path_to(pol, choice.arm, clustering.label_of(choice.arm))
-            pol.update(choice, float(rng.integers(2)))
+            arm = pol.select(t, rng)
+            leaf = tree.leaf_of_arm(arm)
+            assert tree.parent[leaf] == clustering.label_of(arm) + 1
+            before = _beliefs(pol)
+            pol.update(arm, float(rng.integers(2)))
+            assert {v for v, b in _beliefs(pol).items() if b != before[v]} == {leaf}
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +458,7 @@ class TestTsMax:
 class TestTreeUcb:
     def test_depth_zero(self):
         pol = TreeUcb(ClusterTree([[]], [0]))
-        assert pol.select(1, np.random.default_rng(0)).arm == 0
+        assert pol.select(1, np.random.default_rng(0)) == 0
 
     def test_child_index_evaluation(self):
         tree = ClusterTree([[1, 2], [], []], [-1, 0, 1])
@@ -502,8 +466,7 @@ class TestTreeUcb:
         pol._n[tree.slot] = [100, 50, 50]  # by node id; the counts sit at tree.slot
         pol._q[tree.slot] = [0.5, 0.8, 0.2]
         # direct oracle: equal bonuses, higher mean wins
-        choice = pol.select(101, np.random.default_rng(0))
-        assert choice.arm == 0
+        assert pol.select(101, np.random.default_rng(0)) == 0
 
     def test_unvisited_children_first(self):
         tree = _depth2_tree()
@@ -511,27 +474,22 @@ class TestTreeUcb:
         rng = np.random.default_rng(21)
         first_nodes = []
         for t in range(1, 5):
-            choice = pol.select(t, rng)
-            first_nodes.append(choice.path[1])
-            pol.update(choice, 0.0)
+            arm = pol.select(t, rng)
+            first_nodes.append(tree.path_to_root(tree.leaf_of_arm(arm))[-2])  # the root child above it
+            pol.update(arm, 0.0)
         # both root children explored before any index comparison
         assert set(first_nodes[:2]) == {1, 2}
 
     def test_path_statistics_propagate(self):
         tree = _depth2_tree()
         pol = TreeUcb(tree)
-        pol.update(Choice(arm=0, path=(0, 1, 3)), 1.0)
-        pol.update(Choice(arm=1, path=(0, 1, 4)), 0.0)
+        pol.update(0, 1.0)  # leaf 3
+        pol.update(1, 0.0)  # leaf 4
         n, q = pol._n[tree.slot], pol._q[tree.slot]  # by node id
         assert n[0] == 2 and q[0] == pytest.approx(0.5)
         assert n[1] == 2 and q[1] == pytest.approx(0.5)
         assert n[3] == 1 and q[3] == 1.0
         assert n[2] == 0
-
-    def test_invalid_path_rejected(self):
-        pol = TreeUcb(_depth2_tree())
-        with pytest.raises(ValueError):
-            pol.update(Choice(arm=0, path=(0, 3)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +581,7 @@ class TestMakePolicy:
     def test_reward_validation(self):
         pol = make_policy("ts", BanditInstance([0.5]))
         with pytest.raises(ValueError):
-            pol.update(Choice(arm=0), 1.5)
+            pol.update(0, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +606,7 @@ def test_policy_classes_with_own_select_or_update_name_their_key(module, base):
 
 
 # ---------------------------------------------------------------------------
-# The step: trust in the selected Choice, copies and pickles
+# The step: the arm check, copies and pickles
 # ---------------------------------------------------------------------------
 
 def _instance_for(key):
@@ -671,46 +629,39 @@ def _arrays(policy):
     return {k: v.tobytes() for k, v in vars(policy).items() if isinstance(v, np.ndarray)}
 
 
+def _state(policy):
+    """The bytes of every statistic: the policy's arrays, and its bank's for a contextual policy."""
+    bank = vars(policy).get("_bank")
+    return _arrays(policy), {} if bank is None else _arrays(bank)
+
+
 def _run(policy, instance, rng, start, steps):
     out = []
     for t in range(start, start + steps):
-        choice = policy.select(t, rng)
-        reward = 1.0 if rng.random() < instance.means[choice.arm] else 0.0
-        policy.update(choice, reward)
-        out.append((choice.arm, choice.path, reward))
+        arm = policy.select(t, rng)
+        reward = 1.0 if rng.random() < instance.means[arm] else 0.0
+        policy.update(arm, reward)
+        out.append((arm, reward))
     return out
 
 
-@pytest.fixture
-def path_checks(monkeypatch):
-    calls = []
-    check = policies.BanditPolicy._check_path
-    monkeypatch.setattr(policies.BanditPolicy, "_check_path", lambda self, c: calls.append(c) or check(self, c))
-    return calls
-
-
-@pytest.mark.parametrize("key", BERNOULLI_KEYS)
-def test_update_checks_every_choice_but_the_selected_one(key, path_checks):
-    instance = _instance_for(key)
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_update_rejects_an_arm_outside_the_tree_and_moves_nothing(key):
+    # -1 would otherwise index the last leaf, and n_arms past the leaves
+    instance = _any_instance_for(key)
     policy = make_policy(key, instance)
+    x = (np.ones(instance.dim),) if policy.needs == "contextual" else ()  # the context a contextual update takes
     rng = np.random.default_rng(3)
-    choice = policy.select(1, rng)
-    policy.update(choice, 1.0)
-    assert path_checks == []
-    twin = Choice(arm=choice.arm, path=choice.path)
-    assert twin == choice and twin is not choice
-    policy.update(twin, 0.0)  # equal, but not the object select returned
-    assert path_checks == [twin]
-    state = _arrays(policy)
-    other = next(a for a in range(instance.n_arms) if a != choice.arm)
-    with pytest.raises(ValueError, match="path"):
-        policy.update(Choice(arm=other, path=choice.path), 1.0)
-    with pytest.raises(ValueError, match="path"):
-        policy.update(Choice(arm=choice.arm, path=(0,) + choice.path), 1.0)
-    assert _arrays(policy) == state  # a rejected update changes nothing
-    policy.select(2, rng)
-    with pytest.raises(ValueError, match="outside"):
-        policy.update(policy._selected, 2.0)  # the selected Choice still has its reward checked
+    arm = policy.select(1, *x, rng)
+    policy.update(arm, *x, 1.0)
+    state = _state(policy)
+    for bad in (-1, instance.n_arms):
+        with pytest.raises(ValueError, match=f"^unknown arm id {bad}$"):
+            policy.update(bad, *x, 1.0)
+    bad_reward, message = (float("nan"), "non-finite reward") if x else (2.0, "outside")
+    with pytest.raises(ValueError, match=message):
+        policy.update(arm, *x, bad_reward)  # a played arm still has its reward checked
+    assert _state(policy) == state  # a rejected update changes nothing
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -723,22 +674,7 @@ def test_select_rejects_a_time_step_below_one(key):
     for t in (0, -1, -5):
         with pytest.raises(ValueError, match=f"time step must be >= 1, got {t}"):
             policy.select(t, *x, rng)
-    assert rng.bit_generator.state == state and policy._selected is None
-
-
-@pytest.mark.parametrize("key", BERNOULLI_KEYS)
-def test_a_valid_copy_of_the_choice_updates_like_the_selected_one(key):
-    instance = _instance_for(key)
-    original, copied = make_policy(key, instance), make_policy(key, instance)
-    rng, twin_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for t in range(1, 301):
-        a, b = original.select(t, rng), copied.select(t, twin_rng)
-        reward = float(rng.random() < instance.means[a.arm])
-        twin_rng.random()
-        original.update(a, reward)
-        copied.update(Choice(arm=b.arm, path=b.path), reward)
-    assert _arrays(copied) == _arrays(original)
-    assert rng.bit_generator.state == twin_rng.bit_generator.state
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("key", BERNOULLI_KEYS)
@@ -760,33 +696,10 @@ def test_deep_copies_and_pickles_continue_byte_identically(key):
         assert _arrays(clone) == _arrays(policy)
 
 
-def _pickled(obj):
-    return pickle.loads(pickle.dumps(obj))
-
-
-@pytest.mark.parametrize("clone", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
-@pytest.mark.parametrize("key", BERNOULLI_KEYS)
-def test_a_copy_trusts_only_a_choice_copied_together_with_it(key, clone, path_checks):
-    instance = _instance_for(key)
-    policy = make_policy(key, instance)
-    rng = np.random.default_rng(9)
-    _run(policy, instance, rng, 1, 50)
-    choice = policy.select(51, rng)
-    alone = clone(policy)
-    together, together_choice = clone((policy, choice))
-    assert together_choice == choice and together_choice is not choice
-    together.update(together_choice, 1.0)
-    assert path_checks == []  # its own copy of the Choice select returned: trusted
-    alone.update(choice, 1.0)
-    assert path_checks == [choice]  # the original's Choice: checked
-    policy.update(choice, 1.0)
-    assert path_checks == [choice]
-    assert _arrays(alone) == _arrays(together) == _arrays(policy)
-
-
 @pytest.mark.parametrize("key", ALL_KEYS)
-def test_path_depth_is_the_tree_depth_plus_one_unless_flat(key):
-    policy = make_policy(key, _any_instance_for(key))
+def test_flat_policies_descend_the_star(key):
+    instance = _any_instance_for(key)
+    policy = make_policy(key, instance)
     flat = key in ("ts", "ucb1", "lints", "linucb")
     assert policy.flat is flat
-    assert policy.path_depth == (0 if flat else policy.tree.depth + 1)
+    assert (policy.tree == ClusterTree.star(instance.n_arms)) is flat

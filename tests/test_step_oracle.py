@@ -15,7 +15,7 @@ two-level Thompson sampling as their own kernels: one block over the arms,
 or one over the clusters and one per cluster over its members. ``ts`` and
 ``tsc`` run the tree-descent kernel on a star and on the clustering's
 two-level tree, and must reproduce their traces exactly, arm, reward and
-regret; a ``tsc`` path ``(0, c+1, leaf)`` must name the reference's cluster c.
+regret.
 
 ``RefUcb1`` and ``RefClusteredUcb1`` likewise keep flat and two-level UCB1
 as their own bodies over arm and cluster counts, with play-once rules that
@@ -35,11 +35,12 @@ The other reference policies below keep the straightforward per-step
 bodies: tree descent through ``ClusterTree`` accessors and a tie count by
 ``sum``, and ``RefTsMax``, the arm-order two-level TsMax that recomputes
 every cluster's representative at every step, draws the root's block over
-the representatives' beliefs, marks cluster c moved on every update in it,
-and logs a cluster path ``(c,)``. The table-driven descents, ``tsmax``'s
-included with the representatives that ``update`` keeps per played cluster,
-must reproduce their traces exactly, arm, path and regret, since they
-consume the generator in the same order. Updates from outside ``select``
+the representatives' beliefs and marks cluster c moved on every update in
+it. The references' updates take the arm alone, as the policies' do, and
+find its cluster or its path in the clustering or the tree. The
+table-driven descents, ``tsmax``'s included with the representatives that
+``update`` keeps per played cluster, must reproduce their traces exactly,
+arm, reward and regret, since they consume the generator in the same order. Updates from outside ``select``
 move several children of one node between visits, which drops its block.
 
 ``RefLinearBank`` keeps the straightforward ridge-posterior kernel: a
@@ -55,9 +56,7 @@ or on a cluster's members gathered by index. The contextual policies run one
 descent over one bank in ``tree.slot`` order that reads a node's children
 as a contiguous slice; they must reproduce the references' traces and end
 with bit-equal posteriors, cluster c in row c and arm a in the row of its
-leaf's slot. The references log a cluster path ``(c,)``;
-``lintsc``/``linucbc`` log ``(0, c+1, leaf)`` and ``lints``/``linucb``
-keep no paths.
+leaf's slot.
 """
 import functools
 import math
@@ -72,7 +71,6 @@ from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
     _BLOCK_MIN,
     _NARROW,
-    Choice,
     ClusteredThompsonSampling,
     ClusteredUcb1,
     HierarchicalThompsonSampling,
@@ -98,12 +96,9 @@ def _ref_random_argmax(values, rng):
     return best
 
 
-def _ref_check_path(tree, path):
-    if not path or path[0] != tree.root or tree.ptr[path[-1]] != tree.ptr[path[-1] + 1]:
-        raise ValueError(f"invalid root-to-leaf path {path}")
-    for v, w in zip(path, path[1:]):
-        if int(tree.parent[w]) != v:
-            raise ValueError(f"invalid root-to-leaf path {path}")
+def _ref_path(tree, arm):
+    """The root-to-leaf node path of ``arm``, by the tree's accessors."""
+    return tree.path_to_root(tree.leaf_of_arm(arm))[::-1]
 
 
 def _position(items, item):
@@ -127,20 +122,15 @@ class RefHts(HierarchicalThompsonSampling):
     def select(self, t, rng):
         tree = self.tree
         node = tree.root
-        path = [node]
         while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
             theta = _values(self._draws, node, self._s[kids], self._f[kids], rng)
             node = int(kids[_ref_random_argmax(theta, rng)])
-            path.append(node)
-        return Choice(arm=int(tree.leaf_arms[node]), path=tuple(path))
+        return int(tree.leaf_arms[node])
 
-    def update(self, choice, reward):
+    def update(self, arm, reward):
         tree = self.tree
-        path = choice.path
-        _ref_check_path(tree, path)
-        if tree.leaf_arms[path[-1]] != choice.arm:
-            raise ValueError(f"path leaf does not map to arm {choice.arm}")
+        path = _ref_path(tree, arm)
         fail = 1.0 - reward
         for v in path:
             self._s[v] += reward
@@ -150,8 +140,6 @@ class RefHts(HierarchicalThompsonSampling):
 
 
 class RefThompsonSampling:
-    path_depth = 0
-
     def __init__(self, n_arms):
         self._s = np.ones(n_arms)
         self._f = np.ones(n_arms)
@@ -159,17 +147,15 @@ class RefThompsonSampling:
 
     def select(self, t, rng):
         theta = _values(self._draws, "arms", self._s, self._f, rng)
-        return Choice(arm=_ref_random_argmax(theta, rng))
+        return _ref_random_argmax(theta, rng)
 
-    def update(self, choice, reward):
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
-        self._draws.moved("arms", choice.arm)
+    def update(self, arm, reward):
+        self._s[arm] += reward
+        self._f[arm] += 1.0 - reward
+        self._draws.moved("arms", arm)
 
 
 class RefClusteredThompsonSampling:
-    path_depth = 1
-
     def __init__(self, clustering):
         self.clustering = clustering
         n, k = clustering.n_arms, clustering.n_clusters
@@ -184,19 +170,16 @@ class RefClusteredThompsonSampling:
         cluster = _ref_random_argmax(theta_c, rng)
         members = self.clustering.members(cluster)
         theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
-        arm = int(members[_ref_random_argmax(theta_a, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        return int(members[_ref_random_argmax(theta_a, rng)])
 
-    def update(self, choice, reward):
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
+    def update(self, arm, reward):
+        cluster = self.clustering.label_of(arm)
+        self._s[arm] += reward
+        self._f[arm] += 1.0 - reward
         self._cs[cluster] += reward
         self._cf[cluster] += 1.0 - reward
         self._draws.moved("clusters", cluster)
-        self._draws.moved(cluster, _position(self.clustering.members(cluster), choice.arm))
+        self._draws.moved(cluster, _position(self.clustering.members(cluster), arm))
 
 
 class RefUct(TreeUcb):
@@ -206,7 +189,6 @@ class RefUct(TreeUcb):
     def select(self, t, rng):
         tree = self.tree
         node = tree.root
-        path = [node]
         while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
             counts = self._n[kids]
@@ -216,13 +198,10 @@ class RefUct(TreeUcb):
             else:
                 idx = self._q[kids] + np.sqrt(2.0 * self._ref_log(t, self._n[node]) / counts)
                 node = int(kids[_ref_random_argmax(idx, rng)])
-            path.append(node)
-        return Choice(arm=int(tree.leaf_arms[node]), path=tuple(path))
+        return int(tree.leaf_arms[node])
 
-    def update(self, choice, reward):
-        path = choice.path
-        _ref_check_path(self.tree, path)
-        for v in path:
+    def update(self, arm, reward):
+        for v in _ref_path(self.tree, arm):
             self._n[v] += 1.0
             self._q[v] += (reward - self._q[v]) / self._n[v]
 
@@ -235,8 +214,6 @@ class RefUctGlobalLog(RefUct):
 
 
 class RefTsMax:
-    path_depth = 1
-
     def __init__(self, clustering):
         self.clustering = clustering
         self._s = np.ones(clustering.n_arms)
@@ -257,17 +234,14 @@ class RefTsMax:
         cluster = _ref_random_argmax(theta_c, rng)
         members = self._members[cluster]
         theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
-        arm = int(members[_ref_random_argmax(theta_a, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        return int(members[_ref_random_argmax(theta_a, rng)])
 
-    def update(self, choice, reward):
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._s[choice.arm] += reward
-        self._f[choice.arm] += 1.0 - reward
+    def update(self, arm, reward):
+        cluster = self.clustering.label_of(arm)
+        self._s[arm] += reward
+        self._f[arm] += 1.0 - reward
         self._draws.moved("clusters", cluster)  # its representative's belief, or its representative, moved
-        self._draws.moved(cluster, _position(self._members[cluster], choice.arm))
+        self._draws.moved(cluster, _position(self._members[cluster], arm))
 
 
 def _ref_ucb_index(means, counts, log_term):
@@ -275,8 +249,6 @@ def _ref_ucb_index(means, counts, log_term):
 
 
 class RefUcb1:
-    path_depth = 0
-
     def __init__(self, n_arms):
         self._n = np.zeros(n_arms)
         self._q = np.zeros(n_arms)
@@ -284,19 +256,16 @@ class RefUcb1:
     def select(self, t, rng):
         unpulled = np.flatnonzero(self._n == 0)
         if unpulled.size:
-            return Choice(arm=int(unpulled[0]))
+            return int(unpulled[0])
         idx = _ref_ucb_index(self._q, self._n, math.log(t))
-        return Choice(arm=_ref_random_argmax(idx, rng))
+        return _ref_random_argmax(idx, rng)
 
-    def update(self, choice, reward):
-        a = choice.arm
+    def update(self, a, reward):
         self._n[a] += 1.0
         self._q[a] += (reward - self._q[a]) / self._n[a]
 
 
 class RefClusteredUcb1:
-    path_depth = 1
-
     def __init__(self, clustering):
         self.clustering = clustering
         n, k = clustering.n_arms, clustering.n_clusters
@@ -319,13 +288,10 @@ class RefClusteredUcb1:
         else:
             idx = _ref_ucb_index(self._q[members], self._n[members], log_t)
             arm = int(members[_ref_random_argmax(idx, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        return arm
 
-    def update(self, choice, reward):
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        a = choice.arm
+    def update(self, a, reward):
+        cluster = self.clustering.label_of(a)
         self._n[a] += 1.0
         self._q[a] += (reward - self._q[a]) / self._n[a]
         self._cn[cluster] += 1.0
@@ -364,19 +330,6 @@ def _tied_instance():
     return BanditInstance(means, clustering=DisjointClustering(labels))
 
 
-def _assert_same_paths(got, want, policy):
-    """Equal paths, or a two-level descent's ``(0, c+1, leaf)`` against a reference's ``(c,)``."""
-    if want.paths is None:
-        assert got.paths is None
-        return
-    if want.paths.shape == got.paths.shape:
-        assert np.array_equal(got.paths, want.paths)
-        return
-    assert np.array_equal(got.paths[:, 0], np.zeros(got.horizon, dtype=np.int64))
-    assert np.array_equal(got.paths[:, 1] - 1, want.paths[:, 0])
-    assert np.array_equal(policy.tree.leaf_arms[got.paths[:, 2]], got.arms)
-
-
 def _slots_of_arms(policy, arms):
     """The slots of the leaves of ``arms`` in the policy's tree, where its counts sit."""
     return policy.tree.slot[[policy.tree.leaf_of_arm(a) for a in arms]]
@@ -391,7 +344,6 @@ def _assert_same_trace(instance, policy, reference, seed, horizon=HORIZON):
     want = simulate(instance, reference, horizon, rng_streams(seed).simulation)
     assert np.array_equal(got.arms, want.arms)
     assert np.array_equal(got.rewards, want.rewards)
-    _assert_same_paths(got, want, policy)
     assert np.array_equal(got.cum_regret, want.cum_regret)
 
 
@@ -478,7 +430,6 @@ def test_descents_match_references_across_the_narrow_crossover(key, root_width, 
     assert got.arms.tobytes() == want.arms.tobytes()
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
-    _assert_same_paths(got, want, policy)
     assert rng._rng.bit_generator.state == ref_rng._rng.bit_generator.state
     assert rng.ties == ref_rng.ties
     if key in ("uct", "ucbc"):
@@ -541,18 +492,12 @@ def test_kept_state_matches_reference_after_external_updates(key, seed):
     make, make_ref = EXTERNAL_UPDATES[key]
     policy, reference = make(instance), make_ref(instance)
     rng = np.random.default_rng(seed)
-    labels = instance.clustering.labels
     for _ in range(2):
         arms = rng.choice(instance.n_arms, size=40, replace=False)
         rewards = rng.integers(0, 2, size=40).astype(float)
         for arm, reward in zip(arms.tolist(), rewards.tolist()):
-            cluster = int(labels[arm])
-            if key in ("ucb1", "ts"):  # arm a is leaf a+1 of the star
-                path, ref_path = (0, arm + 1), ()
-            else:  # cluster c is node c+1
-                path, ref_path = (0, cluster + 1, policy.tree.leaf_of_arm(arm)), (cluster,)
-            policy.update(Choice(arm=arm, path=path), reward)
-            reference.update(Choice(arm=arm, path=ref_path), reward)
+            policy.update(arm, reward)
+            reference.update(arm, reward)
         _assert_same_trace(instance, policy, reference, seed, horizon=300)
     if key == "tsmax":
         assert _arms_of_slots(policy, policy._reps) == reference.cluster_representatives().tolist()
@@ -592,16 +537,14 @@ def test_tied_representatives_go_to_the_lowest_arm_id():
 
 def test_kept_representatives_follow_falls_and_lower_id_ties():
     instance = _tied_instance()  # cluster 0 = arms 0, 3, 6, 9
-    labels = instance.clustering.labels.tolist()
     policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
     policy.select(1, np.random.default_rng(0))  # reads the representatives, moves none
     reference.select(1, np.random.default_rng(0))  # so that both hold the same blocks
     assert _arms_of_slots(policy, policy._reps) == [0, 1, 2]  # the uniform prior: each first leaf
 
     def play(arm, reward, rep):
-        c = labels[arm]
-        policy.update(Choice(arm=arm, path=(0, c + 1, policy.tree.leaf_of_arm(arm))), reward)
-        reference.update(Choice(arm=arm, path=(c,)), reward)
+        policy.update(arm, reward)
+        reference.update(arm, reward)
         want = reference.cluster_representatives()
         assert _arms_of_slots(policy, policy._reps) == want.tolist()
         assert int(want[0]) == rep
@@ -637,8 +580,6 @@ class RefLinearBank:
         return self.Mu[lo:hi] @ x + alpha * np.sqrt(self._quad(x, lo, hi))
 
     def update(self, i, x, xx, reward):
-        if not np.isfinite(reward):
-            raise ValueError(f"non-finite reward {reward}")
         u = self.Binv[i] @ x
         self.Binv[i] -= np.outer(u, u) / (1.0 + x @ u)
         self.B[i] += np.outer(x, x)
@@ -692,7 +633,7 @@ def test_linear_bank_matches_reference(name, seed, key):
     # the update is the same arithmetic, so the posteriors end bit-equal too
     for field in ("B", "Binv", "F", "Mu", "counts"):
         assert getattr(policy._bank, field).tobytes() == getattr(reference._bank, field).tobytes(), field
-    if name.startswith("two-clusters") and policy.path_depth:
+    if name.startswith("two-clusters") and not policy.flat:
         assert policy._bank.counts[:2].max() >= RESOLVE_EVERY  # a cluster row ran the dense re-solve
 
 
@@ -719,8 +660,6 @@ class GatherBank(RefLinearBank):
 
 
 class RefLinThompson:
-    path_depth = 0
-
     def __init__(self, n_arms, dim, v=1.0):
         self._arms = GatherBank(n_arms, dim, v)
         self.dim = dim
@@ -728,16 +667,14 @@ class RefLinThompson:
     def select(self, t, x, rng):
         x = _check_context(x, self.dim)
         theta = self._arms.sample(x, rng)
-        return Choice(arm=random_argmax(theta, rng))
+        return random_argmax(theta, rng)
 
-    def update(self, choice, x, reward):
+    def update(self, arm, x, reward):
         x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, None, reward)
+        self._arms.update(arm, x, None, reward)
 
 
 class RefClusteredLinThompson:
-    path_depth = 1
-
     def __init__(self, clustering, dim, v=1.0):
         self.clustering = clustering
         self.dim = dim
@@ -749,21 +686,15 @@ class RefClusteredLinThompson:
         cluster = random_argmax(self._clusters.sample(x, rng), rng)
         members = self.clustering.members(cluster)
         theta = self._arms.sample(x, rng, subset=members)
-        arm = int(members[random_argmax(theta, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        return int(members[random_argmax(theta, rng)])
 
-    def update(self, choice, x, reward):
+    def update(self, arm, x, reward):
         x = _check_context(x, self.dim)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, None, reward)
-        self._arms.update(choice.arm, x, None, reward)
+        self._clusters.update(self.clustering.label_of(arm), x, None, reward)
+        self._arms.update(arm, x, None, reward)
 
 
 class RefLinUcb:
-    path_depth = 0
-
     def __init__(self, n_arms, dim, alpha=2.0):
         self._arms = GatherBank(n_arms, dim, 1.0)
         self.dim = dim
@@ -771,16 +702,14 @@ class RefLinUcb:
 
     def select(self, t, x, rng):
         x = _check_context(x, self.dim)
-        return Choice(arm=random_argmax(self._arms.ucb(x, self.alpha), rng))
+        return random_argmax(self._arms.ucb(x, self.alpha), rng)
 
-    def update(self, choice, x, reward):
+    def update(self, arm, x, reward):
         x = _check_context(x, self.dim)
-        self._arms.update(choice.arm, x, None, reward)
+        self._arms.update(arm, x, None, reward)
 
 
 class RefClusteredLinUcb:
-    path_depth = 1
-
     def __init__(self, clustering, dim, alpha=2.0):
         self.clustering = clustering
         self.dim = dim
@@ -793,16 +722,12 @@ class RefClusteredLinUcb:
         cluster = random_argmax(self._clusters.ucb(x, self.alpha), rng)
         members = self.clustering.members(cluster)
         idx = self._arms.ucb(x, self.alpha, subset=members)
-        arm = int(members[random_argmax(idx, rng)])
-        return Choice(arm=arm, path=(cluster,))
+        return int(members[random_argmax(idx, rng)])
 
-    def update(self, choice, x, reward):
+    def update(self, arm, x, reward):
         x = _check_context(x, self.dim)
-        (cluster,) = choice.path
-        if self.clustering.label_of(choice.arm) != cluster:
-            raise ValueError(f"arm {choice.arm} is not in cluster {cluster}")
-        self._clusters.update(cluster, x, None, reward)
-        self._arms.update(choice.arm, x, None, reward)
+        self._clusters.update(self.clustering.label_of(arm), x, None, reward)
+        self._arms.update(arm, x, None, reward)
 
 
 CTX_REFS = {
@@ -824,9 +749,8 @@ def test_contextual_policies_match_their_own_references(name, seed, key):
     assert got.arms.tobytes() == want.arms.tobytes()
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
-    _assert_same_paths(got, want, policy)
     tree, bank = policy.tree, policy._bank
-    k = int(tree.ptr[1]) if policy.path_depth else 0  # cluster c is row c
+    k = 0 if policy.flat else int(tree.ptr[1])  # cluster c is row c
     arm_rows = tree.slot[[tree.leaf_of_arm(a) for a in range(instance.n_arms)]]
     assert hasattr(reference, "_clusters") == (k > 0)
     assert bank.n == k + instance.n_arms

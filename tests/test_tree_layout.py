@@ -379,10 +379,10 @@ def test_thompson_blocks_hold_little_memory_after_a_run(preset_name, variant, ke
     policy = make_policy(key, instance)
     trace = simulate(instance, policy, horizon, rng_streams(seed).simulation)
     tree = policy.tree
-    visits = {0: horizon}  # a flat policy logs no paths: it visits the root only
-    if trace.paths is not None:
-        nodes, counts = np.unique(trace.paths[trace.paths >= 0], return_counts=True)
-        visits = dict(zip(nodes.tolist(), counts.tolist()))
+    visits = dict.fromkeys(range(tree.n_nodes), 0)  # each node's visits: the plays of the arms under it
+    for arm, plays in zip(*np.unique(trace.arms, return_counts=True)):
+        for v in tree.path_to_root(tree.leaf_of_arm(int(arm))):
+            visits[v] += int(plays)
     node_of = {int(tree.ptr[v]): v for v in range(tree.n_nodes) if tree.ptr[v] < tree.ptr[v + 1]}
     assert policy._blocks
     for lo, block in policy._blocks.items():

@@ -19,8 +19,10 @@ rounds, and times it with ``time.perf_counter``.
 
 Per key, the report gives the median µs/step of each tree, the median of the
 per-round ratios change/parent, how many rounds the change was faster, and
-whether the two trees' traces (arms, rewards, cumulative regret, paths) were
+whether the two trees' traces (arms, rewards, cumulative regret) were
 byte-identical in every round; the exit status is 1 if any key's were not.
+A step's root-to-leaf path is a function of its arm, so the comparison
+holds between trees whose traces carry other fields too.
 """
 from __future__ import annotations
 
@@ -81,8 +83,7 @@ class Side:
 
 
 def _trace_bytes(trace) -> tuple[bytes, ...]:
-    paths = b"" if trace.paths is None else trace.paths.tobytes()
-    return trace.arms.tobytes(), trace.rewards.tobytes(), trace.cum_regret.tobytes(), paths
+    return trace.arms.tobytes(), trace.rewards.tobytes(), trace.cum_regret.tobytes()
 
 
 def compare(parent: Side, change: Side, keys: list[str], rounds: int) -> dict:
