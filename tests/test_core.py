@@ -433,6 +433,22 @@ class TestSimulationTrace:
         assert trace.arms.tolist() == chosen
         assert {tree.node_depth(tree.leaf_of_arm(a)) for a in chosen} == {1, 2}
 
+    def test_both_loops_reject_an_arm_outside_the_instance_alike_and_credit_nothing(self):
+        inst = _small_clustered_instance()
+        ctx = build_instance({"kind": "contextual", "n_arms": 9, "n_clusters": 3, "dim": 4, "epsilon": 0.5}, rng_streams(6).instance)
+        contexts = rng_streams(6).context.random((5, 4))
+        runs = [
+            (make_policy("tsc", inst), inst, lambda p: simulate(inst, p, 5, rng_streams(6).simulation)),
+            (make_policy("lintsc", ctx), ctx, lambda p: simulate(ctx, p, 5, rng_streams(6).simulation, contexts=contexts)),
+        ]
+        for policy, instance, run in runs:
+            credited = []
+            policy.select = lambda *args, n=instance.n_arms: n  # a faulty policy's arm, one past the last
+            policy.update = lambda *args, log=credited: log.append(args)
+            with pytest.raises(ValueError, match=f"^unknown arm id {instance.n_arms}$"):
+                run(policy)
+            assert credited == []  # the first step fails before its update
+
     def test_flat_run_has_no_top_counts(self):
         inst = _small_clustered_instance()
         spec = {"kind": "bernoulli", "means": inst.means.tolist()}

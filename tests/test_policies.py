@@ -677,6 +677,24 @@ def test_select_rejects_a_time_step_below_one(key):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_an_equal_arm_of_another_int_type_updates_like_the_selected_one(key):
+    # a replay feeds back ``trace.arms[i]``, a numpy integer, where select returned an int
+    instance = _any_instance_for(key)
+    original, replayed = make_policy(key, instance), make_policy(key, instance)
+    rng, twin_rng, context_rng = np.random.default_rng(5), np.random.default_rng(5), np.random.default_rng(6)
+    for t in range(1, 301):
+        x = (context_rng.standard_normal(instance.dim),) if original.needs == "contextual" else ()
+        a, b = original.select(t, *x, rng), replayed.select(t, *x, twin_rng)
+        assert type(a) is int and a == b
+        reward = rng.random() if x else float(rng.random() < instance.means[a])
+        twin_rng.random()
+        original.update(a, *x, reward)
+        replayed.update(np.int64(b), *x, reward)
+    assert _state(replayed) == _state(original)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("key", BERNOULLI_KEYS)
 def test_deep_copies_and_pickles_continue_byte_identically(key):
     instance = _instance_for(key)
