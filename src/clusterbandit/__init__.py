@@ -53,8 +53,6 @@ from .harness import (
     run_experiment,
 )
 from .instances import (
-    ContextualSpec,
-    StrongDominanceSpec,
     build_instance,
     gen_agglomerative_instance,
     gen_agglomerative_tree,

@@ -13,11 +13,12 @@ runs the Bernoulli policies' one descent, time rule and arm check over one
 children of node v are the contiguous rows ``ptr[v]:ptr[v+1]``. At each
 node ``_pick`` scores the children and moves to the argmax, from the root
 to a leaf; the observed (context, reward) pair updates the row of every
-non-root node from the played arm's leaf up to the root. ``lints`` and
-``linucb`` are ``flat``: they descend ``ClusterTree.star(n)``, where arm a
-is leaf a+1, as for ``ts``; ``lintsc`` and ``linucbc`` descend
-``ClusterTree.from_clustering(c)``, where cluster c is node c+1, as for
-``tsc``. The UCB variants only
+non-root node from the played arm's leaf up to the root. The tree is made
+as for the Bernoulli policies, by ``BanditPolicy.__init__``: ``lints`` and
+``linucb`` are ``flat`` and descend ``ClusterTree.star(n)`` of an arm
+count, where arm a is leaf a+1, as for ``ts``; ``lintsc`` and ``linucbc``,
+their twins with ``flat = False``, descend ``ClusterTree.from_clustering(c)``,
+where cluster c is node c+1, as for ``tsc``. The UCB variants only
 score rows with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
 Inverses are maintained with rank-one updates and re-solved densely every
 1000 updates per row to cap numerical drift.
@@ -46,7 +47,7 @@ import math
 from abc import abstractmethod
 import numpy as np
 
-from .core import ClusterTree, DisjointClustering, random_argmax
+from .core import DisjointClustering, random_argmax
 from .policies import BanditPolicy
 
 __all__ = [
@@ -262,11 +263,11 @@ class ContextualPolicy(BanditPolicy):
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
-    def __init__(self, tree: ClusterTree, dim: int, v: float) -> None:
-        super().__init__(tree)
+    def __init__(self, arms: int | DisjointClustering, dim: int, v: float = 1.0) -> None:
+        super().__init__(arms)
         self.dim = dim
         self.v = float(v)
-        self._bank = _LinearBank(len(tree.kids), dim, v)
+        self._bank = _LinearBank(len(self.tree.kids), dim, v)
         self._bind()
 
     @abstractmethod
@@ -307,15 +308,12 @@ class LinThompson(ContextualPolicy):
     key = "lints"
     flat = True
 
-    def __init__(self, n_arms: int, dim: int, v: float = 1.0) -> None:
-        super().__init__(ClusterTree.star(n_arms), dim, v)
-
     def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
         """One score per row in ``[lo, hi)``: a posterior draw."""
         return self._bank.sample(x, xx, rng, lo, hi)
 
 
-class ClusteredLinThompson(ContextualPolicy):
+class ClusteredLinThompson(LinThompson):
     """Two-level linear Thompson sampling over a disjoint clustering.
 
     The descent on ``ClusterTree.from_clustering(clustering)``: cluster
@@ -325,10 +323,7 @@ class ClusteredLinThompson(ContextualPolicy):
     """
 
     key = "lintsc"
-    _score = LinThompson._score
-
-    def __init__(self, clustering: DisjointClustering, dim: int, v: float = 1.0) -> None:
-        super().__init__(ClusterTree.from_clustering(clustering), dim, v)
+    flat = False
 
 
 class LinUcb(LinThompson):
@@ -337,9 +332,9 @@ class LinUcb(LinThompson):
     key = "linucb"
     params = {"alpha": (float, _check_alpha)}
 
-    def __init__(self, n_arms: int, dim: int, alpha: float = 2.0) -> None:
+    def __init__(self, arms: int | DisjointClustering, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)
-        super().__init__(n_arms, dim)
+        super().__init__(arms, dim)
         self.alpha = float(alpha)
 
     def _score(self, x: np.ndarray, xx: np.ndarray, rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
@@ -347,14 +342,8 @@ class LinUcb(LinThompson):
         return self._bank.ucb(x, xx, self.alpha, lo, hi)
 
 
-class ClusteredLinUcb(ClusteredLinThompson):
-    """Two-level linear UCB over a disjoint clustering."""
+class ClusteredLinUcb(LinUcb):
+    """Two-level linear UCB over a disjoint clustering: the UCB index on ``lintsc``'s descent."""
 
     key = "linucbc"
-    params = LinUcb.params
-    _score = LinUcb._score
-
-    def __init__(self, clustering: DisjointClustering, dim: int, alpha: float = 2.0) -> None:
-        _check_alpha(alpha)
-        super().__init__(clustering, dim)
-        self.alpha = float(alpha)
+    flat = False

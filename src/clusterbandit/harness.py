@@ -25,10 +25,12 @@ writer that builds the whole document first peaks at about 390 MB.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -37,7 +39,7 @@ import numpy as np
 from .analysis import InstanceBound, TraceSummary, aggregate_curves, bound_caveat, instance_bounds
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
-from .instances import StrongDominanceSpec, build_instance, gen_context, spec_structure
+from .instances import SPEC_KINDS, build_instance, gen_context, spec_structure
 from .policies import POLICY_KEYS, check_params, make_policy
 from .simulate import simulate
 
@@ -165,6 +167,11 @@ class ExperimentConfig:
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("instances: duplicate variant names")
+        files: dict[str, str] = {}  # variant name by the SVG file name write_svgs gives it
+        for name in names:
+            if (other := files.setdefault(_safe_name(name), name)) != name:
+                raise ConfigError(f"instances: variants '{other}' and '{name}' both export to the SVG file name "
+                                  f"'{_safe_name(name)}'")
         for p in self.policies:
             if p.variants is not None and (not p.variants or not set(p.variants) <= set(names)):
                 raise ConfigError(
@@ -549,10 +556,18 @@ def write_csv(result: ExperimentResult, path: Path) -> None:
     with path.open("w") as fh:
         fh.write("experiment_id,policy,seed,t,cumulative_regret\n")
         for row in result.rows:
-            prefix = f"{result.config.experiment_id(row.variant)},{row.policy},{row.seed},"
+            prefix = _csv_fields(result.config.experiment_id(row.variant), row.policy, row.seed)
             fh.write("".join(
                 [f"{prefix}{t},{value!r}\n" for t, value in zip(row.ts.tolist(), row.regret.tolist())]
             ))
+
+
+def _csv_fields(*fields) -> str:
+    """The start of a CSV line: ``fields`` as ``csv.writer`` writes them (quoted, with quotes doubled, where one
+    holds a comma, a quote or a line break), then the comma before the next field."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue()[:-2] + ","  # less the writer's "\r\n"
 
 
 def write_json(result: ExperimentResult, path: Path) -> None:
@@ -570,6 +585,11 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 )
+
+
+# what XML character data or a double-quoted attribute value would not keep as written
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                              "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
 
 
 def _write_svg(fh: TextIO, title: str, summaries: Sequence[PolicySummary]) -> None:
@@ -599,6 +619,8 @@ def _write_svg(fh: TextIO, title: str, summaries: Sequence[PolicySummary]) -> No
         fh.write(line)
         fh.write("\n")
 
+    title = title.translate(_XML_ESCAPES)
+
     put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
@@ -625,18 +647,18 @@ def _write_svg(fh: TextIO, title: str, summaries: Sequence[PolicySummary]) -> No
         )
 
     for i, s in enumerate(summaries):
-        color = _PALETTE[i % len(_PALETTE)]
+        color, label = _PALETTE[i % len(_PALETTE)], s.policy.translate(_XML_ESCAPES)
         xs = sx(s.ts.astype(float))
         mean, std = s.summary.mean_curve, s.summary.std_curve
         # the band runs right along its upper edge and back along its lower one
         upper = points(xs, sy(np.minimum(mean + std, y_max)))
         lower = points(xs[::-1], sy(np.maximum(mean - std, 0.0))[::-1])
         put(
-            f'<polygon class="band" data-policy="{s.policy}" fill="{color}" '
+            f'<polygon class="band" data-policy="{label}" fill="{color}" '
             f'fill-opacity="0.15" stroke="none" points="{upper} {lower}"/>'
         )
         put(
-            f'<polyline class="mean" data-policy="{s.policy}" fill="none" '
+            f'<polyline class="mean" data-policy="{label}" fill="none" '
             f'stroke="{color}" stroke-width="1.6" points="{points(xs, sy(mean))}"/>'
         )
         ly = mt + 16 + 18 * i
@@ -644,7 +666,7 @@ def _write_svg(fh: TextIO, title: str, summaries: Sequence[PolicySummary]) -> No
             f'<line x1="{ml + pw + 12:.1f}" y1="{ly:.1f}" x2="{ml + pw + 36:.1f}" '
             f'y2="{ly:.1f}" stroke="{color}" stroke-width="2"/>'
         )
-        put(f'<text x="{ml + pw + 42:.1f}" y="{ly + 4:.1f}" font-size="12">{s.policy}</text>')
+        put(f'<text x="{ml + pw + 42:.1f}" y="{ly + 4:.1f}" font-size="12">{label}</text>')
     put("</svg>")
 
 
@@ -709,7 +731,8 @@ def _policies(*keys: str, **kw) -> list[dict]:
 
 def _preset_docs() -> dict[str, dict]:
     docs: dict[str, dict] = {}
-    # the figure sweeps of the dominance generator: (name, seed base, variant label, values, parameters of a value)
+    # the figure sweeps of the dominance generator: (name, seed base, variant label, values, fields of a value)
+    fields = SPEC_KINDS["strong_dominance"].required
     for name, base, label, values, args in (
         ("fig-d-sweep", 1000, "d", (0.05, 0.1, 0.2, 0.3), lambda d: (100, 10, 10, 0.1, d)),
         ("fig-w-sweep", 1100, "w", (0.0, 0.1, 0.2, 0.3), lambda w: (100, 10, 10, w, 0.1)),
@@ -723,7 +746,7 @@ def _preset_docs() -> dict[str, dict]:
             "seeds": {"base": base, "count": 50},
             "policies": _policies("ts", "tsc"),
             "instances": [
-                {"name": f"{label}={v}", "spec": {"kind": "strong_dominance", **asdict(StrongDominanceSpec(*args(v)))}}
+                {"name": f"{label}={v}", "spec": {"kind": "strong_dominance", **dict(zip(fields, args(v)))}}
                 for v in values
             ],
         }

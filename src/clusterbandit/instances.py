@@ -10,15 +10,16 @@ centroids.
 Every generator is a pure function of (spec, seed stream): identical seeds
 reproduce identical instances. Instances serialize to JSON for exact replay.
 
-``SPEC_KINDS`` is the one schema of the generated spec kinds. A config
-reads its specs through it (:func:`spec_fields`) with no draw and no build,
-running the checks each generator runs before its first draw, so a bad spec
-fails before any job with an error naming the field.
+``SPEC_KINDS`` is the one schema of the generated spec kinds. Every
+generator takes its kind's fields by name, with the random stream as
+``rng``, and runs its kind's ``check`` before its first draw. A config
+reads its specs through the schema (:func:`spec_fields`) with no draw and no
+build, running those checks, so a bad spec fails before any job with an
+error naming the field.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,8 +31,6 @@ __all__ = [
     "REWARD_FUNCTIONS",
     "reward_function",
     "evaluate_reward_fn",
-    "StrongDominanceSpec",
-    "ContextualSpec",
     "gen_strong_dominance",
     "sorted_tree_from_means",
     "gen_sorted_binary_tree",
@@ -106,7 +105,7 @@ def evaluate_reward_fn(fn_id: str, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Specs
+# Field checks
 # ---------------------------------------------------------------------------
 
 def _at_least(field: str, value, low) -> None:
@@ -119,51 +118,6 @@ def _check_n_clusters(n_arms: int, n_clusters: int) -> None:
     """Every one of ``n_clusters`` clusters gets at least one of ``n_arms`` arms."""
     if not 1 <= n_clusters <= n_arms:
         raise ValueError(f"n_clusters: must be in [1, n_arms], got n_clusters={n_clusters} with n_arms={n_arms}")
-
-
-@dataclass(frozen=True)
-class StrongDominanceSpec:
-    """Parameters of the dominance-by-construction generator.
-
-    The optimal cluster holds ``optimal_cluster_size`` arms spanning exactly
-    ``optimal_width`` below a 0.6 peak; each of the ``n_suboptimal_clusters``
-    other clusters tops out exactly ``separation`` below the optimal
-    cluster's worst arm and spans 0.1.
-    """
-
-    n_arms: int
-    n_suboptimal_clusters: int
-    optimal_cluster_size: int
-    optimal_width: float
-    separation: float
-
-    def __post_init__(self) -> None:
-        _at_least("optimal_cluster_size", self.optimal_cluster_size, 2)
-        _at_least("n_suboptimal_clusters", self.n_suboptimal_clusters, 1)
-        # every sub-optimal cluster needs an arm
-        _at_least("n_arms", self.n_arms, self.optimal_cluster_size + self.n_suboptimal_clusters)
-        if not (0.0 <= self.optimal_width < 1.0):
-            raise ValueError(f"optimal_width: must be in [0, 1), got {self.optimal_width}")
-        if not self.separation > 0.0:
-            raise ValueError(f"separation: must be > 0, got {self.separation}")
-        if 0.5 - self.optimal_width - self.separation < -1e-12:
-            raise ValueError(f"separation: optimal_width + separation must be <= 0.5, got {self.separation}")
-
-
-@dataclass(frozen=True)
-class ContextualSpec:
-    """Parameters of the linear contextual generator."""
-
-    n_arms: int
-    n_clusters: int
-    dim: int = 5
-    epsilon: float = 0.5
-
-    def __post_init__(self) -> None:
-        _at_least("dim", self.dim, 1)
-        if not (0.0 <= self.epsilon < math.inf):
-            raise ValueError(f"epsilon: must be finite and >= 0, got {self.epsilon}")
-        _check_n_clusters(self.n_arms, self.n_clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +219,35 @@ def _uniform_nonempty_labels(
             return cluster_ids[pick]
 
 
-def gen_strong_dominance(
-    spec: StrongDominanceSpec, rng: np.random.Generator
-) -> BanditInstance:
+def _check_strong_dominance(n_arms: int, n_suboptimal_clusters: int, optimal_cluster_size: int,
+                            optimal_width: float, separation: float) -> None:
+    """``gen_strong_dominance``'s checks, made before its first draw."""
+    _at_least("optimal_cluster_size", optimal_cluster_size, 2)
+    _at_least("n_suboptimal_clusters", n_suboptimal_clusters, 1)
+    # every sub-optimal cluster needs an arm
+    _at_least("n_arms", n_arms, optimal_cluster_size + n_suboptimal_clusters)
+    if not (0.0 <= optimal_width < 1.0):
+        raise ValueError(f"optimal_width: must be in [0, 1), got {optimal_width}")
+    if not separation > 0.0:
+        raise ValueError(f"separation: must be > 0, got {separation}")
+    if 0.5 - optimal_width - separation < -1e-12:
+        raise ValueError(f"separation: optimal_width + separation must be <= 0.5, got {separation}")
+
+
+def gen_strong_dominance(n_arms: int, n_suboptimal_clusters: int, optimal_cluster_size: int, optimal_width: float,
+                         separation: float, rng: np.random.Generator) -> BanditInstance:
     """Instance where every optimal-cluster arm beats every other arm.
 
-    Cluster 0 is the optimal cluster: its best arm has mean 0.6, its worst
-    0.6 - w, and the rest are uniform in between. Every other cluster gets a
-    best arm at exactly 0.6 - w - d, a worst at 0.5 - w - d when it has two
-    or more arms, and the rest uniform in between; membership of the
-    remaining arms is uniform over the sub-optimal clusters (re-drawn until
-    none is empty). The realized optimal width is exactly w and every
-    cluster distance exactly d.
+    Cluster 0 is the optimal cluster of A* arms: its best arm has mean 0.6,
+    its worst 0.6 - w, and the rest are uniform in between. Every one of the
+    K other clusters gets a best arm at exactly 0.6 - w - d, a worst at
+    0.5 - w - d when it has two or more arms, and the rest uniform in
+    between; membership of the remaining arms is uniform over the
+    sub-optimal clusters (re-drawn until none is empty). The realized
+    optimal width is exactly w and every cluster distance exactly d.
     """
-    n, k = spec.n_arms, spec.n_suboptimal_clusters
-    a_star = spec.optimal_cluster_size
-    w, d = spec.optimal_width, spec.separation
+    _check_strong_dominance(n_arms, n_suboptimal_clusters, optimal_cluster_size, optimal_width, separation)
+    n, k, a_star, w, d = n_arms, n_suboptimal_clusters, optimal_cluster_size, optimal_width, separation
 
     labels = np.zeros(n, dtype=np.int64)
     labels[a_star:] = _uniform_nonempty_labels(
@@ -549,7 +516,16 @@ def gen_agglomerative_instance(
 # Contextual generator
 # ---------------------------------------------------------------------------
 
-def gen_contextual(spec: ContextualSpec, rng: np.random.Generator) -> ContextualInstance:
+def _check_contextual(n_arms: int, n_clusters: int, epsilon: float, dim: int) -> None:
+    """``gen_contextual``'s checks, made before its first draw."""
+    _at_least("dim", dim, 1)
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon: must be finite and >= 0, got {epsilon}")
+    _check_n_clusters(n_arms, n_clusters)
+
+
+def gen_contextual(n_arms: int, n_clusters: int, epsilon: float, rng: np.random.Generator,
+                   dim: int = 5) -> ContextualInstance:
     """Linear contextual instance with perturbed cluster centroids.
 
     Each cluster gets a standard-normal centroid; each arm's coefficient
@@ -557,12 +533,11 @@ def gen_contextual(spec: ContextualSpec, rng: np.random.Generator) -> Contextual
     noise, so epsilon controls the expected cluster diameter (epsilon=0
     collapses every cluster onto one coefficient vector).
     """
-    labels = _uniform_nonempty_labels(spec.n_arms, np.arange(spec.n_clusters), rng)
-    centroids = rng.standard_normal((spec.n_clusters, spec.dim))
-    theta = centroids[labels] + spec.epsilon * rng.standard_normal(
-        (spec.n_arms, spec.dim)
-    )
-    return ContextualInstance(theta, DisjointClustering(labels), epsilon=spec.epsilon)
+    _check_contextual(n_arms, n_clusters, epsilon, dim)
+    labels = _uniform_nonempty_labels(n_arms, np.arange(n_clusters), rng)
+    centroids = rng.standard_normal((n_clusters, dim))
+    theta = centroids[labels] + epsilon * rng.standard_normal((n_arms, dim))
+    return ContextualInstance(theta, DisjointClustering(labels), epsilon=epsilon)
 
 
 def gen_context(dim: int, rng: np.random.Generator, kind: str = "uniform") -> np.ndarray:
@@ -661,7 +636,7 @@ SPEC_KINDS: dict[str, SpecKind] = {
     "strong_dominance": SpecKind(
         "clustering", {"n_arms": int, "n_suboptimal_clusters": int, "optimal_cluster_size": int,
                        "optimal_width": float, "separation": float}, {},
-        StrongDominanceSpec, lambda rng, **fields: gen_strong_dominance(StrongDominanceSpec(**fields), rng)),
+        _check_strong_dominance, gen_strong_dominance),
     "sorted_tree": SpecKind("tree", {"n_arms": int}, {"levels": (int, None)}, _check_tree, _sorted_tree),
     "kmeans": SpecKind("clustering", {"n_arms": int, "n_clusters": int, "reward_fn": str}, {},
                        _check_kmeans, gen_kmeans_instance),
@@ -670,9 +645,8 @@ SPEC_KINDS: dict[str, SpecKind] = {
     "agglomerative": SpecKind("tree", {"n_arms": int, "reward_fn": str}, {"linkage": (str, "single")},
                               _check_agglomerative, gen_agglomerative_instance),
     "uniform": SpecKind("clustering", {"n_arms": int, "n_clusters": int}, {}, _check_n_clusters, gen_uniform_instance),
-    "contextual": SpecKind("contextual", {"n_arms": int, "n_clusters": int, "epsilon": float},
-                           {"dim": (int, ContextualSpec.dim)}, ContextualSpec,
-                           lambda rng, **fields: gen_contextual(ContextualSpec(**fields), rng)),
+    "contextual": SpecKind("contextual", {"n_arms": int, "n_clusters": int, "epsilon": float}, {"dim": (int, 5)},
+                           _check_contextual, gen_contextual),
 }
 # a serialized document's (required, optional) fields, as ``instance_to_json`` writes it
 _DOCUMENT_FIELDS = {"bernoulli": ({"means"}, {"clustering", "tree"}), "contextual": ({"theta", "labels"}, {"epsilon"})}

@@ -7,9 +7,11 @@ the root, the path the descent took. Every policy, the contextual ones
 included, runs one descent, ``BanditPolicy._descend``, and differs only in
 its per-node rule ``_pick`` and its ``update``: ``HierarchicalThompsonSampling``
 for ``ts``, ``tsc``, ``hts`` and ``tsmax`` (whose root draws from other
-beliefs), and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. ``ts`` and
-``ucb1`` are ``flat``: they descend ``ClusterTree.star(n)``, where arm a is
-leaf a+1; ``tsc``, ``tsmax`` and ``ucbc`` descend
+beliefs), and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. The class
+decides the tree ``BanditPolicy.__init__`` makes of its argument: the
+``flat`` ``ts`` and ``ucb1`` descend ``ClusterTree.star(n)``, where arm a is
+leaf a+1; ``hts`` and ``uct`` the tree they are given; ``tsc`` and ``ucbc``
+(``ts`` and ``ucb1`` with ``flat = False``) and ``tsmax`` descend
 ``ClusterTree.from_clustering(c)``, where cluster c is node c+1. ``tsmax``
 samples each cluster through its best leaf instead of a cluster belief.
 ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of the UCB
@@ -91,8 +93,9 @@ class BanditPolicy(ABC):
 
     ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
-    ``"tree"`` or ``"contextual"``. ``params`` maps each parameter the class
-    accepts to its type, as ``core.typed`` reads it, and its value check.
+    ``"tree"`` or ``"contextual"``. With ``flat`` it also decides the tree
+    ``__init__`` makes. ``params`` maps each parameter the class accepts to
+    its type, as ``core.typed`` reads it, and its value check.
     """
 
     key: str = ""
@@ -110,8 +113,11 @@ class BanditPolicy(ABC):
         """Whether the class runs on an instance of ``structure``, named as ``instances.spec_structure`` names it."""
         return structure == cls.needs or (cls.needs == "bernoulli" and structure != "contextual")
 
-    def __init__(self, tree: ClusterTree) -> None:
-        self.tree = tree
+    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
+        """Make the tree the class declares from ``arms``: the star of an arm count if ``flat``, the tree itself
+        if it ``needs`` one, else the two-level tree of a clustering."""
+        self.tree = (ClusterTree.star(arms) if self.flat
+                     else arms if self.needs == "tree" else ClusterTree.from_clustering(arms))
 
     def _bind(self) -> None:
         """Make the memoryviews the step reads, after construction, copy or unpickle: the tree's arrays
@@ -206,10 +212,10 @@ class HierarchicalThompsonSampling(BanditPolicy):
     key = "hts"
     needs = "tree"
 
-    def __init__(self, tree: ClusterTree) -> None:
-        super().__init__(tree)
-        self._s = np.ones(tree.n_nodes)
-        self._f = np.ones(tree.n_nodes)
+    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
+        super().__init__(arms)
+        self._s = np.ones(self.tree.n_nodes)
+        self._f = np.ones(self.tree.n_nodes)
         self._blocks: dict[int, _Block] = {}  # by the slot of a node's first child
         self._bind()
 
@@ -272,7 +278,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
 
 class ThompsonSampling(HierarchicalThompsonSampling):
-    """Beta-Bernoulli Thompson sampling over a flat action set.
+    """Beta-Bernoulli Thompson sampling over a flat action set, made from an arm count.
 
     Tree descent on ``ClusterTree.star(n_arms)``: one Beta(s, f) belief per
     arm (leaf a+1) from the uniform prior, one sampled expected reward per
@@ -283,11 +289,8 @@ class ThompsonSampling(HierarchicalThompsonSampling):
     flat = True
     needs = "bernoulli"
 
-    def __init__(self, n_arms: int) -> None:
-        super().__init__(ClusterTree.star(n_arms))
 
-
-class ClusteredThompsonSampling(HierarchicalThompsonSampling):
+class ClusteredThompsonSampling(ThompsonSampling):
     """Two-level Thompson sampling over a disjoint clustering.
 
     Tree descent on ``ClusterTree.from_clustering(clustering)``: each round
@@ -297,10 +300,8 @@ class ClusteredThompsonSampling(HierarchicalThompsonSampling):
     """
 
     key = "tsc"
+    flat = False
     needs = "clustering"
-
-    def __init__(self, clustering: DisjointClustering) -> None:
-        super().__init__(ClusterTree.from_clustering(clustering))
 
 
 class TsMax(HierarchicalThompsonSampling):
@@ -321,14 +322,15 @@ class TsMax(HierarchicalThompsonSampling):
     needs = "clustering"
 
     def __init__(self, clustering: DisjointClustering) -> None:
-        tree = ClusterTree.from_clustering(clustering)
+        super().__init__(clustering)
+        ptr = self.tree.ptr
         # Representatives as the root's _beliefs reads them (leaf slots), kept by update for
         # the played cluster only; at the uniform prior each cluster's first leaf.
-        self._reps = tree.ptr[1:tree.ptr[1] + 1].copy()
-        super().__init__(tree)
+        self._reps = ptr[1:ptr[1] + 1].copy()
+        self._repv = memoryview(self._reps)
 
-    def _bind(self) -> None:
-        super()._bind()
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
         self._repv = memoryview(self._reps)
 
     def _best_member(self, cluster: int) -> int:
@@ -388,12 +390,12 @@ class TreeUcb(BanditPolicy):
     key = "uct"
     needs = "tree"
 
-    def __init__(self, tree: ClusterTree) -> None:
-        super().__init__(tree)
-        self._n = np.zeros(tree.n_nodes)  # per node in tree.slot order, as for hts
-        self._q = np.zeros(tree.n_nodes)
+    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
+        super().__init__(arms)
+        self._n = np.zeros(self.tree.n_nodes)  # per node in tree.slot order, as for hts
+        self._q = np.zeros(self.tree.n_nodes)
         # per node, by its slot: the offset below which every child has been visited (counts never fall)
-        self._first_unvisited = np.zeros(tree.n_nodes, dtype=np.int64)
+        self._first_unvisited = np.zeros(self.tree.n_nodes, dtype=np.int64)
         self._bind()
 
     def _bind(self) -> None:
@@ -432,7 +434,7 @@ class TreeUcb(BanditPolicy):
 
 
 class Ucb1(TreeUcb):
-    """UCB1: empirical mean plus sqrt(2 ln t / N) exploration bonus.
+    """UCB1, made from an arm count: empirical mean plus sqrt(2 ln t / N) exploration bonus.
 
     Descent on ``ClusterTree.star(n_arms)`` with the global log t: plays each
     arm (leaf a+1) once first, lowest index first, then the argmax index with
@@ -443,14 +445,11 @@ class Ucb1(TreeUcb):
     flat = True
     needs = "bernoulli"
 
-    def __init__(self, n_arms: int) -> None:
-        super().__init__(ClusterTree.star(n_arms))
-
     def _log_term(self, t: int, parent_count: float) -> float:
         return math.log(t)
 
 
-class ClusteredUcb1(TreeUcb):
+class ClusteredUcb1(Ucb1):
     """Two-level UCB1 over a disjoint clustering.
 
     Descent on ``ClusterTree.from_clustering(clustering)`` with the global
@@ -460,13 +459,8 @@ class ClusteredUcb1(TreeUcb):
     """
 
     key = "ucbc"
+    flat = False
     needs = "clustering"
-
-    def __init__(self, clustering: DisjointClustering) -> None:
-        super().__init__(ClusterTree.from_clustering(clustering))
-
-    def _log_term(self, t: int, parent_count: float) -> float:
-        return math.log(t)
 
 
 # ---------------------------------------------------------------------------

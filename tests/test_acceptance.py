@@ -33,7 +33,6 @@ from clusterbandit.core import (
 )
 from clusterbandit.harness import run_experiment
 from clusterbandit.instances import (
-    StrongDominanceSpec,
     build_instance,
     gen_sorted_binary_tree,
     gen_strong_dominance,
@@ -235,8 +234,7 @@ def test_criterion_10_exact_invariants():
 
     # generator audit exactness: realized w* and d within 1e-12 of the request
     for seed in range(5):
-        spec = StrongDominanceSpec(60, 6, 8, 0.15, 0.05)
-        inst = gen_strong_dominance(spec, rng_streams(48_400 + seed).instance)
+        inst = gen_strong_dominance(60, 6, 8, 0.15, 0.05, rng_streams(48_400 + seed).instance)
         report = verify_strong_dominance(inst)
         if not report.holds:
             failures.append(f"dominance audit failed on seed {seed}")

@@ -30,7 +30,7 @@ from clusterbandit.core import (
     SimulationTrace,
     rng_streams,
 )
-from clusterbandit.instances import StrongDominanceSpec, gen_sorted_binary_tree, gen_strong_dominance
+from clusterbandit.instances import gen_sorted_binary_tree, gen_strong_dominance
 
 # High-precision evaluations of the divergence definition (40-digit arithmetic).
 KL_06_05 = 0.020135513550688873
@@ -85,7 +85,7 @@ class TestKlBernoulli:
 
 def _reference_instance():
     streams = rng_streams(11)
-    return gen_strong_dominance(StrongDominanceSpec(100, 10, 10, 0.1, 0.1), streams.instance)
+    return gen_strong_dominance(100, 10, 10, 0.1, 0.1, streams.instance)
 
 
 class TestClusterStats:
@@ -100,7 +100,7 @@ class TestClusterStats:
 
     def test_zero_width_optimal_cluster(self):
         streams = rng_streams(12)
-        inst = gen_strong_dominance(StrongDominanceSpec(30, 5, 5, 0.0, 0.1), streams.instance)
+        inst = gen_strong_dominance(30, 5, 5, 0.0, 0.1, streams.instance)
         stats = cluster_stats(inst)
         assert stats.w_star == 0.0
         assert stats.gamma == 0.0

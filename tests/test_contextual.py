@@ -18,7 +18,7 @@ from clusterbandit.contextual import (
     _outer,
 )
 from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, rng_streams
-from clusterbandit.instances import ContextualSpec, gen_contextual
+from clusterbandit.instances import gen_contextual
 from clusterbandit.policies import make_policy
 from clusterbandit.simulate import simulate
 
@@ -301,10 +301,7 @@ class TestLinearBank:
 # ---------------------------------------------------------------------------
 
 def _ctx_instance(seed=0, n_arms=8, n_clusters=3, dim=4, epsilon=0.3):
-    return gen_contextual(
-        ContextualSpec(n_arms=n_arms, n_clusters=n_clusters, dim=dim, epsilon=epsilon),
-        rng_streams(seed).instance,
-    )
+    return gen_contextual(n_arms, n_clusters, epsilon, rng_streams(seed).instance, dim=dim)
 
 
 class TestLinThompsonPolicies:

@@ -9,6 +9,7 @@ reference's byte for byte.
 """
 import json
 import tracemalloc
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -38,12 +39,22 @@ def _ref_safe_name(name):
     return "".join(c if c.isalnum() or c in "-_." else "-" for c in name)
 
 
+def _ref_csv_field(text):
+    """A CSV field as RFC 4180 writes it: quoted, its quotes doubled, if it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _ref_xml(text):
+    """Text escaped for XML character data and double-quoted attribute values."""
+    return escape(text, {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+
+
 def ref_write_csv(result, path):
     lines = ["experiment_id,policy,seed,t,cumulative_regret"]
     for row in result.rows:
-        eid = result.config.experiment_id(row.variant)
+        eid, policy = _ref_csv_field(result.config.experiment_id(row.variant)), _ref_csv_field(row.policy)
         for t, value in zip(row.ts, row.regret):
-            lines.append(f"{eid},{row.policy},{row.seed},{int(t)},{float(value)!r}")
+            lines.append(f"{eid},{policy},{row.seed},{int(t)},{float(value)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -52,6 +63,7 @@ def ref_write_json(result, path):
 
 
 def _ref_svg_document(title, summaries):
+    title = _ref_xml(title)
     width, height = 860.0, 520.0
     ml, mr, mt, mb = 70.0, 190.0, 40.0, 50.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -89,7 +101,7 @@ def _ref_svg_document(title, summaries):
             f'font-size="11">{y_tick:.1f}</text>'
         )
     for i, s in enumerate(summaries):
-        color = _PALETTE[i % len(_PALETTE)]
+        color, label = _PALETTE[i % len(_PALETTE)], _ref_xml(s.policy)
         ts = s.ts.astype(float)
         mean, std = s.summary.mean_curve, s.summary.std_curve
         upper = [f"{sx(t):.2f},{sy(min(m + d, y_max)):.2f}" for t, m, d in zip(ts, mean, std)]
@@ -98,12 +110,12 @@ def _ref_svg_document(title, summaries):
             for t, m, d in zip(ts[::-1], mean[::-1], std[::-1])
         ]
         parts.append(
-            f'<polygon class="band" data-policy="{s.policy}" fill="{color}" '
+            f'<polygon class="band" data-policy="{label}" fill="{color}" '
             f'fill-opacity="0.15" stroke="none" points="{" ".join(upper + lower)}"/>'
         )
         points = " ".join(f"{sx(t):.2f},{sy(m):.2f}" for t, m in zip(ts, mean))
         parts.append(
-            f'<polyline class="mean" data-policy="{s.policy}" fill="none" '
+            f'<polyline class="mean" data-policy="{label}" fill="none" '
             f'stroke="{color}" stroke-width="1.6" points="{points}"/>'
         )
         ly = mt + 16 + 18 * i
@@ -112,7 +124,7 @@ def _ref_svg_document(title, summaries):
             f'y2="{ly:.1f}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{ml + pw + 42:.1f}" y="{ly + 4:.1f}" font-size="12">{s.policy}</text>'
+            f'<text x="{ml + pw + 42:.1f}" y="{ly + 4:.1f}" font-size="12">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

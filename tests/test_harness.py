@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, determinism, pairing, exports, presets."""
 import functools
+import csv
 import json
 import multiprocessing
 import os
@@ -199,6 +200,13 @@ class TestConfigValidation:
         edit(doc)
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("names", [("w=0.1", "w-0.1"), ("a b", "a/b"), ("x", "y", "c:d", "c?d")])
+    def test_variant_names_sharing_a_file_name_rejected(self, names):
+        variants = [{"name": name, "spec": TINY_SD_SPEC} for name in names]
+        first, second = names[-2:]
+        with pytest.raises(ConfigError, match=rf"^instances: variants '{re.escape(first)}' and '{re.escape(second)}' "):
+            _tiny_config(instances=variants)
 
     def test_duplicate_seeds_rejected(self):
         # a repeated seed would run twice and count twice in n_seeds
@@ -1060,6 +1068,40 @@ class TestExports:
         bands = [e for e in root.iter(f"{ns}polygon") if e.get("class") == "band"]
         assert {p.get("data-policy") for p in polylines} == {"ts", "tsc"}
         assert {p.get("data-policy") for p in bands} == {"ts", "tsc"}
+
+    def test_csv_quotes_names_with_commas_quotes_and_line_breaks(self, tmp_path):
+        labels = ["ts, fast", 'tsc "b"', "ts\nnew line"]
+        result = run_experiment(_tiny_config(
+            name="c",
+            seeds=[1],
+            policies=[{"key": key, "label": label} for key, label in zip(("ts", "tsc", "ts"), labels)],
+            instances=[{"name": "a,b", "spec": TINY_SD_SPEC}],
+        ))
+        (path,) = export_result(result, tmp_path, formats=("csv",))
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["experiment_id", "policy", "seed", "t", "cumulative_regret"]
+        assert len(rows) == 3 * 40 and {len(row) for row in rows} == {5}
+        assert {row[0] for row in rows} == {"c/a,b"}
+        assert [row[1] for row in rows[::40]] == sorted(labels)
+        for row, run in zip(rows[::40], result.rows):
+            assert (int(row[2]), int(row[3]), float(row[4])) == (run.seed, 1, run.regret[0])
+
+    def test_svg_escapes_title_and_labels(self, tmp_path):
+        labels = ['ts "<fast>" & co', "tsc\tnew\nline"]
+        result = run_experiment(_tiny_config(
+            name="a<b>&c",
+            policies=[{"key": "ts", "label": labels[0]}, {"key": "tsc", "label": labels[1]}],
+        ))
+        (path,) = export_result(result, tmp_path, formats=("svg",))
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}title").text == "a<b>&c/default"
+        texts = [e.text for e in root.iter(f"{ns}text")]
+        assert "a<b>&c/default" in texts and set(labels) <= set(texts)
+        for tag, cls in (("polyline", "mean"), ("polygon", "band")):
+            drawn = [e.get("data-policy") for e in root.iter(f"{ns}{tag}") if e.get("class") == cls]
+            assert drawn == labels
 
     def test_unknown_format(self, tmp_path):
         result = run_experiment(_tiny_config())

@@ -1,4 +1,5 @@
 """Instance generators, k-means, agglomeration, audits, serialization."""
+import inspect
 import itertools
 import math
 import re
@@ -10,8 +11,7 @@ from clusterbandit.analysis import audit_hierarchical_dominance, verify_strong_d
 from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
 from clusterbandit.instances import (
-    ContextualSpec,
-    StrongDominanceSpec,
+    SPEC_KINDS,
     build_instance,
     evaluate_reward_fn,
     gen_agglomerative_instance,
@@ -89,22 +89,10 @@ class TestRewardFunctions:
 # Strong dominance generator
 # ---------------------------------------------------------------------------
 
-class TestStrongDominanceSpec:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            StrongDominanceSpec(100, 10, 1, 0.1, 0.1)  # A* < 2
-        with pytest.raises(ValueError):
-            StrongDominanceSpec(15, 10, 10, 0.1, 0.1)  # N - A* < K
-        with pytest.raises(ValueError):
-            StrongDominanceSpec(100, 10, 10, 0.3, 0.3)  # means would go negative
-        with pytest.raises(ValueError):
-            StrongDominanceSpec(100, 10, 10, 0.1, 0.0)  # separation must be > 0
-
-
 class TestGenStrongDominance:
     def test_reference_pin_values(self):
         streams = rng_streams(3)
-        inst = gen_strong_dominance(StrongDominanceSpec(100, 10, 10, 0.1, 0.1), streams.instance)
+        inst = gen_strong_dominance(100, 10, 10, 0.1, 0.1, streams.instance)
         labels = inst.clustering.labels
         optimal = inst.means[labels == 0]
         suboptimal = inst.means[labels != 0]
@@ -116,7 +104,7 @@ class TestGenStrongDominance:
 
     def test_zero_width(self):
         streams = rng_streams(4)
-        inst = gen_strong_dominance(StrongDominanceSpec(40, 5, 10, 0.0, 0.1), streams.instance)
+        inst = gen_strong_dominance(40, 5, 10, 0.0, 0.1, streams.instance)
         optimal = inst.means[inst.clustering.labels == 0]
         assert np.all(optimal == optimal[0])
         report = verify_strong_dominance(inst)
@@ -126,7 +114,7 @@ class TestGenStrongDominance:
     def test_audit_passes_with_exact_parameters(self, seed):
         w, d = 0.15, 0.05
         streams = rng_streams(seed)
-        inst = gen_strong_dominance(StrongDominanceSpec(60, 7, 8, w, d), streams.instance)
+        inst = gen_strong_dominance(60, 7, 8, w, d, streams.instance)
         report = verify_strong_dominance(inst)
         assert report.holds
         assert report.stats.w_star == pytest.approx(w, abs=1e-12)
@@ -134,8 +122,8 @@ class TestGenStrongDominance:
             assert report.stats.distance[c] == pytest.approx(d, abs=1e-12)
 
     def test_deterministic_under_seed(self):
-        a = gen_strong_dominance(StrongDominanceSpec(50, 5, 6, 0.1, 0.1), rng_streams(9).instance)
-        b = gen_strong_dominance(StrongDominanceSpec(50, 5, 6, 0.1, 0.1), rng_streams(9).instance)
+        a = gen_strong_dominance(50, 5, 6, 0.1, 0.1, rng_streams(9).instance)
+        b = gen_strong_dominance(50, 5, 6, 0.1, 0.1, rng_streams(9).instance)
         assert np.array_equal(a.means, b.means)
         assert a.clustering == b.clustering
 
@@ -363,8 +351,7 @@ class TestGenUniformInstance:
 
 class TestGenContextual:
     def test_zero_epsilon_collapses_clusters(self):
-        spec = ContextualSpec(n_arms=20, n_clusters=4, dim=5, epsilon=0.0)
-        inst = gen_contextual(spec, rng_streams(1).instance)
+        inst = gen_contextual(n_arms=20, n_clusters=4, epsilon=0.0, rng=rng_streams(1).instance, dim=5)
         for c in range(4):
             block = inst.theta[inst.clustering.members(c)]
             assert np.allclose(block, block[0])
@@ -385,12 +372,6 @@ class TestGenContextual:
     def test_zero_expectation_point_mass(self, rng):
         inst = ContextualInstance(np.array([[0.0]]), DisjointClustering([0]))
         assert inst.draw_reward(0, inst.expected_rewards(np.array([1.0])), rng) == 0.0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ContextualSpec(n_arms=5, n_clusters=9)
-        with pytest.raises(ValueError):
-            ContextualSpec(n_arms=5, n_clusters=2, epsilon=-0.5)
 
 
 class TestGenContext:
@@ -484,7 +465,15 @@ class TestGeneratorChecks:
             (lambda rng: gen_agglomerative_instance(10, "bump-2d", rng, linkage="nearest"), "linkage"),
             (lambda rng: gen_sorted_binary_tree(1, rng), "n_arms"),
             (lambda rng: gen_uniform_instance(3, 5, rng), "n_clusters"),
-            (lambda rng: gen_contextual(ContextualSpec(6, 2, dim=0), rng), "dim"),
+            (lambda rng: gen_contextual(6, 2, 0.5, rng, dim=0), "dim"),
+            (lambda rng: gen_contextual(5, 9, 0.5, rng), "n_clusters"),
+            (lambda rng: gen_contextual(5, 2, -0.5, rng), "epsilon"),
+            (lambda rng: gen_strong_dominance(100, 10, 1, 0.1, 0.1, rng), "optimal_cluster_size"),  # A* < 2
+            (lambda rng: gen_strong_dominance(30, 0, 5, 0.1, 0.1, rng), "n_suboptimal_clusters"),
+            (lambda rng: gen_strong_dominance(15, 10, 10, 0.1, 0.1, rng), "n_arms"),  # N - A* < K
+            (lambda rng: gen_strong_dominance(30, 4, 5, 1.0, 0.1, rng), "optimal_width"),
+            (lambda rng: gen_strong_dominance(100, 10, 10, 0.3, 0.3, rng), "separation"),  # means would go negative
+            (lambda rng: gen_strong_dominance(100, 10, 10, 0.1, 0.0, rng), "separation"),  # separation must be > 0
             (lambda rng: gen_context(0, rng), "dim"),
         ],
     )
@@ -495,6 +484,18 @@ class TestGeneratorChecks:
             call(rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+    def test_check_and_generate_take_exactly_the_kind_fields_by_name(self, kind):
+        schema = SPEC_KINDS[kind]
+        fields = {*schema.required, *schema.optional}
+        by_name = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        for fn, extra in ((schema.check, set()), (schema.generate, {"rng"})):
+            params = inspect.signature(fn).parameters
+            assert set(params) == fields | extra, fn.__name__
+            assert all(p.kind in by_name for p in params.values()), fn.__name__
+            for name, (_, default) in schema.optional.items():  # a default the function states is the schema's
+                assert params[name].default in (inspect.Parameter.empty, default), (fn.__name__, name)
+
     def test_truncate_rejects_negative_levels(self):
         with pytest.raises(ValueError, match="^levels: must be >= 0, got -1$"):
             truncate_tree(gen_sorted_binary_tree(8, rng_streams(0).instance).tree, -1)
@@ -504,7 +505,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "builder",
         [
-            lambda s: gen_strong_dominance(StrongDominanceSpec(30, 4, 5, 0.1, 0.1), s),
+            lambda s: gen_strong_dominance(30, 4, 5, 0.1, 0.1, s),
             lambda s: gen_sorted_binary_tree(12, s),
             lambda s: BanditInstance([0.5, 0.25]),
         ],
@@ -517,7 +518,7 @@ class TestSerialization:
         assert clone.tree == inst.tree
 
     def test_contextual_roundtrip(self):
-        inst = gen_contextual(ContextualSpec(10, 3, 4, 0.2), rng_streams(18).instance)
+        inst = gen_contextual(10, 3, 0.2, rng_streams(18).instance, dim=4)
         clone = instance_from_json(instance_to_json(inst))
         assert isinstance(clone, ContextualInstance)
         assert np.array_equal(clone.theta, inst.theta)
@@ -592,7 +593,7 @@ class TestSerialization:
         (lambda doc: doc["labels"].__setitem__(0, 0.5), r"^labels\[0\]: must be an integer, got 0\.5$"),
     ])
     def test_contextual_document_entries_are_typed(self, edit, match):
-        doc = instance_to_json(gen_contextual(ContextualSpec(6, 2, 3, 0.2), rng_streams(18).instance))
+        doc = instance_to_json(gen_contextual(6, 2, 0.2, rng_streams(18).instance, dim=3))
         assert build_instance(doc, rng_streams(0).instance).epsilon == 0.2
         edit(doc)
         with pytest.raises(ValueError, match=match):

@@ -714,6 +714,22 @@ def test_deep_copies_and_pickles_continue_byte_identically(key):
         assert _arrays(clone) == _arrays(policy)
 
 
+# the instance attribute each key's class is built from, and the tree it makes of it
+ARGUMENT = {**dict.fromkeys(("ts", "ucb1", "lints", "linucb"), "n_arms"), "hts": "tree", "uct": "tree",
+            **dict.fromkeys(("tsc", "tsmax", "ucbc", "lintsc", "linucbc"), "clustering")}
+TREE_OF = {"n_arms": ClusterTree.star, "tree": lambda tree: tree, "clustering": ClusterTree.from_clustering}
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_a_class_built_from_its_argument_descends_the_tree_make_policy_gives_it(key):
+    instance = _any_instance_for(key)
+    arms = getattr(instance, ARGUMENT[key])
+    args = (arms, instance.dim) if key in CONTEXTUAL_KEYS else (arms,)
+    policy, made = policies.POLICY_KEYS[key](*args), make_policy(key, instance)
+    assert policy.tree == made.tree == TREE_OF[ARGUMENT[key]](arms)
+    assert _state(policy) == _state(made)
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_flat_policies_descend_the_star(key):
     instance = _any_instance_for(key)
