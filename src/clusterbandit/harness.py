@@ -145,6 +145,10 @@ class ExperimentConfig:
             raise ConfigError("policies: need at least one policy")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
+        try:  # a numpy integer becomes the int that JSON writes
+            object.__setattr__(self, "seeds", tuple(typed("seeds", s, int) for s in self.seeds))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if len(set(self.seeds)) != len(self.seeds):
             dups = sorted(s for s in set(self.seeds) if self.seeds.count(s) > 1)
             raise ConfigError(f"seeds: duplicate seeds {dups}")
@@ -181,7 +185,8 @@ class ExperimentConfig:
         for v in self.variants:
             try:
                 has = spec_structure(v.spec)
-            except ValueError as exc:
+                json.dumps(v.spec, sort_keys=True)  # the instance cache key and the JSON export
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"instances: variant '{v.name}' spec: {exc}") from exc
             for p in filter(lambda p: p.runs_on(v.name), self.policies):
                 cls = POLICY_KEYS[p.key]
@@ -239,7 +244,7 @@ def _parse_seeds(raw) -> tuple[int, ...]:
         if count < 1:
             raise ConfigError("seeds.count: must be >= 1")
         return tuple(range(base, base + count))
-    return tuple(typed("seeds", s, int) for s in raw)
+    return tuple(raw)  # each seed is read when the config is made
 
 
 def _parse_policy(i: int, doc) -> PolicySpec:
@@ -248,13 +253,14 @@ def _parse_policy(i: int, doc) -> PolicySpec:
         raise ConfigError("policies: entry missing 'key'")
     key, params = typed(f"{field}.key", doc["key"], str), typed(f"{field}.params", doc.get("params", {}), dict)
     declared = POLICY_KEYS[key].params if key in POLICY_KEYS else {}
-    for name in filter(declared.__contains__, params):  # an unknown key or name is reported when the config is made
-        typed(f"{field}.params.{name}", params[name], declared[name][0])
+    # a declared value is stored as read (1 and 1.0 label one policy); an unknown key or name fails later
+    params = {name: typed(f"{field}.params.{name}", value, declared[name][0]) if name in declared else value
+              for name, value in params.items()}
     variants, label = doc.get("variants"), doc.get("label")
     if variants is not None:
         variants = tuple(typed(f"{field}.variants[{j}]", name, str)
                          for j, name in enumerate(typed(f"{field}.variants", variants, list)))
-    return PolicySpec(key, dict(params), variants, None if label is None else typed(f"{field}.label", label, str))
+    return PolicySpec(key, params, variants, None if label is None else typed(f"{field}.label", label, str))
 
 
 def _parse_variants(doc: dict) -> tuple[InstanceVariant, ...]:
@@ -711,13 +717,15 @@ def export_result(
 
 
 def check_formats(formats: Sequence[str]) -> tuple[str, ...]:
-    """The export formats as a tuple; none, or an unknown one, is a ``ConfigError``."""
+    """The export formats as a tuple; none, an unknown one or a repeated one is a ``ConfigError``."""
     formats = tuple(formats)
     if not formats:
         raise ConfigError(f"format: no export format given ({', '.join(EXPORT_FORMATS)})")
-    for fmt in formats:
+    for i, fmt in enumerate(formats):
         if fmt not in EXPORT_FORMATS:
             raise ConfigError(f"format: unknown export format '{fmt}' ({', '.join(EXPORT_FORMATS)})")
+        if fmt in formats[:i]:
+            raise ConfigError(f"format: export format '{fmt}' given twice")
     return formats
 
 

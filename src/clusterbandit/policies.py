@@ -3,17 +3,17 @@
 Every policy exposes ``select(t, rng) -> arm`` and ``update(arm, reward)``.
 Every arm is exactly one leaf of the policy's tree, so the arm is the whole
 decision: ``update`` credits the nodes on the way from the arm's leaf up to
-the root, the path the descent took. Every policy, the contextual ones
-included, runs one descent, ``BanditPolicy._descend``, and differs only in
-its per-node rule ``_pick`` and its ``update``: ``HierarchicalThompsonSampling``
-for ``ts``, ``tsc``, ``hts`` and ``tsmax`` (whose root draws from other
-beliefs), and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. The class
-decides the tree ``BanditPolicy.__init__`` makes of its argument: the
-``flat`` ``ts`` and ``ucb1`` descend ``ClusterTree.star(n)``, where arm a is
-leaf a+1; ``hts`` and ``uct`` the tree they are given; ``tsc`` and ``ucbc``
-(``ts`` and ``ucb1`` with ``flat = False``) and ``tsmax`` descend
+the root, the path the descent took (``tsmax`` the leaf alone). Every policy,
+the contextual ones included, runs one descent, ``BanditPolicy._descend``,
+and differs only in its per-node rule ``_pick`` and its ``update``:
+``HierarchicalThompsonSampling`` for ``ts``, ``tsc``, ``hts`` and ``tsmax``,
+and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. The class decides the
+tree ``BanditPolicy.__init__`` makes of its argument: the ``flat`` ``ts`` and
+``ucb1`` descend ``ClusterTree.star(n)``, where arm a is leaf a+1; ``hts``
+and ``uct`` the tree they are given; ``tsc`` and ``ucbc`` (``ts`` and
+``ucb1`` with ``flat = False``) and ``tsmax`` descend
 ``ClusterTree.from_clustering(c)``, where cluster c is node c+1. ``tsmax``
-samples each cluster through its best leaf instead of a cluster belief.
+changes only ``update``: a cluster's belief is a copy of its best leaf's.
 ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of the UCB
 index: the global log t instead of log N_parent.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -191,7 +191,8 @@ class HierarchicalThompsonSampling(BanditPolicy):
     to the argmax child, until it reaches a leaf, whose arm is played. The
     reward updates every belief from the played leaf up to the root, so each
     internal node's counts stay the prior-adjusted sum of its children's.
-    The counts are kept in ``tree.slot`` order.
+    The counts are kept in ``tree.slot`` order; ``_pick`` draws each child's
+    values from the counts in the child's own slot, which only ``update`` sets.
 
     A node of fewer than ``_BLOCK_MIN`` children draws one fresh scalar per
     child at every visit. A wider node draws its children's values ahead, in
@@ -223,23 +224,19 @@ class HierarchicalThompsonSampling(BanditPolicy):
         super()._bind()
         self._sv, self._fv = memoryview(self._s), memoryview(self._f)
 
-    def _beliefs(self, lo: int, hi: int) -> tuple[Sequence[float], Sequence[float]]:
-        """The Beta parameters (s, f) that the values of the children in slots [lo, hi) are drawn from: their own."""
-        return self._sv[lo:hi], self._fv[lo:hi]
-
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """The offset of the argmax of one value per child in slots [lo, hi): drawn afresh below
         ``_BLOCK_MIN`` children, else read as the next row of the node's block."""
+        s, f = self._sv, self._fv
         if hi - lo < _BLOCK_MIN:
-            return _random_argmax_list(list(map(rng.beta, *self._beliefs(lo, hi))), rng)
+            return _random_argmax_list(list(map(rng.beta, s[lo:hi], f[lo:hi])), rng)
         block = self._blocks.get(lo)
         if block is None or block.next == len(block.values):  # first visit, or used up
             rows = 1 if block is None else min(2 * block.next, _BLOCK_ROWS)
-            block = self._blocks[lo] = _Block(rng.beta(*self._beliefs(lo, hi), size=(rows, hi - lo)))
+            block = self._blocks[lo] = _Block(rng.beta(s[lo:hi], f[lo:hi], size=(rows, hi - lo)))
         elif block.stale >= 0:
             i, r = block.stale, block.next
-            s, f = self._beliefs(lo, hi)
-            block.values[r:, i] = rng.beta(s[i], f[i], size=len(block.values) - r)
+            block.values[r:, i] = rng.beta(s[lo + i], f[lo + i], size=len(block.values) - r)
             block.stale = -1
         row = block.values[block.next]
         block.next += 1
@@ -307,15 +304,13 @@ class ClusteredThompsonSampling(ThompsonSampling):
 class TsMax(HierarchicalThompsonSampling):
     """Two-level Thompson sampling with best-member cluster proxies.
 
-    Descent on ``ClusterTree.from_clustering(clustering)`` without cluster
-    beliefs: each round every cluster (node c+1) is represented by the Beta
-    belief of its leaf with the highest empirical mean s/(s+f) (ties going
-    to the lowest arm id). One value is sampled from each representative,
-    the argmax cluster wins, and ordinary Thompson sampling runs among its
-    leaves. Only the played leaf's belief is updated. The root's block
-    column c holds values of cluster c's representative, and any update in
-    cluster c marks that column moved, whether it moves the representative's
-    belief or changes the representative.
+    Descent on ``ClusterTree.from_clustering(clustering)`` where each cluster
+    (node c+1, in slot c) holds a copy of the belief of its leaf with the
+    highest empirical mean s/(s+f) (ties going to the lowest arm id), its
+    representative, and the root keeps the prior. Only ``update`` differs
+    from ``hts``: it credits the played leaf alone, settles its cluster's
+    representative and copies that belief into the cluster's slot; any update
+    in cluster c so marks the root's block column c moved.
     """
 
     key = "tsmax"
@@ -324,29 +319,14 @@ class TsMax(HierarchicalThompsonSampling):
     def __init__(self, clustering: DisjointClustering) -> None:
         super().__init__(clustering)
         ptr = self.tree.ptr
-        # Representatives as the root's _beliefs reads them (leaf slots), kept by update for
-        # the played cluster only; at the uniform prior each cluster's first leaf.
-        self._reps = ptr[1:ptr[1] + 1].copy()
-        self._repv = memoryview(self._reps)
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._repv = memoryview(self._reps)
+        # Each cluster's representative (a leaf slot), kept by update for the played cluster only;
+        # at the uniform prior each cluster's first leaf, whose belief its cluster's slot already holds.
+        self._reps = ptr[1:ptr[1] + 1].tolist()
 
     def _best_member(self, cluster: int) -> int:
         lo, hi = self._ptr[cluster + 1], self._ptr[cluster + 2]
         s, f = self._s[lo:hi], self._f[lo:hi]
         return lo + int(np.argmax(s / (s + f)))  # first maximum: the lowest arm id
-
-    def _beliefs(self, lo: int, hi: int) -> tuple[Sequence[float], Sequence[float]]:
-        """At the root (the only node whose children start at slot 0) the representatives', as floats where
-        fewer than ``_BLOCK_MIN`` are drawn one by one, else as arrays; below it, as ``hts``."""
-        if lo:
-            return super()._beliefs(lo, hi)
-        if hi < _BLOCK_MIN:
-            s, f = self._sv, self._fv
-            return [s[r] for r in self._repv], [f[r] for r in self._repv]
-        return self._s[self._reps], self._f[self._reps]
 
     def update(self, arm: int, reward: float) -> None:
         leaf = self._leaf(arm)
@@ -355,15 +335,16 @@ class TsMax(HierarchicalThompsonSampling):
         before = s[i] / (s[i] + f[i])
         s[i] += reward
         f[i] += 1.0 - reward
-        reps, cluster = self._repv, self._parent[leaf] - 1
+        reps, cluster = self._reps, self._parent[leaf] - 1
         mean = s[i] / (s[i] + f[i])
         rep = reps[cluster]
         if rep == i and mean < before:  # the representative fell: re-take the cluster
-            reps[cluster] = self._best_member(cluster)
+            rep = reps[cluster] = self._best_member(cluster)
         elif rep != i:  # only this leaf moved: it wins on a higher mean, or a tie and a lower arm id
             rep_mean = s[rep] / (s[rep] + f[rep])
             if mean > rep_mean or (mean == rep_mean and i < rep):
-                reps[cluster] = i
+                rep = reps[cluster] = i
+        s[cluster], f[cluster] = s[rep], f[rep]  # the cluster's slot holds its representative's belief
         self._moved(leaf)  # the root's column of the cluster, whose leaf or representative moved
 
 

@@ -33,10 +33,13 @@ def simulate(
     ``contexts`` is the (horizon, dim) context sequence of a contextual
     instance, given so that several policies can see the identical sequence,
     and None for a Bernoulli instance; its shape and finiteness are checked
-    once per run.
+    once per run. A ``BanditPolicy`` (not a tree-less test reference) built
+    for another arm count than the instance's is rejected before any draw.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if isinstance(policy, BanditPolicy) and policy.tree.n_arms != instance.n_arms:
+        raise ValueError(f"the policy is built for {policy.tree.n_arms} arms, the instance has {instance.n_arms}")
     if (contexts is None) != (instance.structure != "contextual"):
         raise ValueError("contexts are given for a contextual instance, and only for one")
     if contexts is not None:

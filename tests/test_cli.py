@@ -148,7 +148,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "option, value, field",
         [("--format", "csv,xml", "format"), ("--format", "", "format"), ("--format", " , ", "format"),
-         ("--workers", "0", "workers"), ("--workers", "-3", "workers")],
+         ("--format", "json,json", "format"), ("--workers", "0", "workers"), ("--workers", "-3", "workers")],
     )
     def test_bad_format_or_workers_fails_before_any_job(self, tmp_path, monkeypatch, capsys, option, value, field):
         self._assert_fails_before_any_job(tmp_path, monkeypatch, capsys, [option, value], field)

@@ -449,6 +449,26 @@ class TestSimulationTrace:
                 run(policy)
             assert credited == []  # the first step fails before its update
 
+    @pytest.mark.parametrize("factor", [0.5, 2])
+    def test_a_policy_built_for_another_arm_count_is_rejected_before_the_first_draw(self, factor):
+        # with fewer arms the policy would never play the instance's last ones, with more it would fail
+        # only on drawing an arm the instance lacks
+        bern = BanditInstance(np.linspace(0.1, 0.9, 10))
+        ctx_spec = {"kind": "contextual", "n_arms": 12, "n_clusters": 3, "dim": 4, "epsilon": 0.5}
+        ctx = build_instance(ctx_spec, rng_streams(6).instance)
+        other_ctx = build_instance({**ctx_spec, "n_arms": int(12 * factor)}, rng_streams(6).instance)
+        runs = [
+            (bern, make_policy("ts", BanditInstance(np.full(int(10 * factor), 0.5))), {}),
+            (ctx, make_policy("lints", other_ctx), {"contexts": rng_streams(6).context.random((5, 4))}),
+        ]
+        for instance, policy, kwargs in runs:
+            rng = rng_streams(6).simulation
+            state = rng.bit_generator.state
+            message = f"^the policy is built for {int(instance.n_arms * factor)} arms, the instance has {instance.n_arms}$"
+            with pytest.raises(ValueError, match=message):
+                simulate(instance, policy, 5, rng, **kwargs)
+            assert rng.bit_generator.state == state
+
     def test_flat_run_has_no_top_counts(self):
         inst = _small_clustered_instance()
         spec = {"kind": "bernoulli", "means": inst.means.tolist()}

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, determinism, pairing, exports, presets."""
-import functools
 import csv
+import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -154,6 +155,27 @@ class TestConfigValidation:
     def test_duplicate_policy_labels(self):
         with pytest.raises(ConfigError, match="duplicate"):
             _tiny_config(policies=[{"key": "ts"}, {"key": "ts"}])
+
+    def test_policy_params_are_stored_as_read_so_equal_values_share_one_label(self):
+        doc = {"name": "ctx", "horizon": 5, "seeds": [0], "instance": TINY_CTX_SPEC,
+               "policies": [{"key": "lints", "params": {"v": 1}}, {"key": "linucb", "params": {"alpha": 2}}]}
+        config = ExperimentConfig.from_json(doc)
+        assert [p.name for p in config.policies] == ["lints(v=1.0)", "linucb(alpha=2.0)"]
+        written = [p["params"] for p in config.to_json()["policies"]]
+        assert written == [{"v": 1.0}, {"alpha": 2.0}] and all(type(v) is float for d in written for v in d.values())
+        doc["policies"] = [{"key": "lints", "params": {"v": 1}}, {"key": "lints", "params": {"v": 1.0}}]
+        with pytest.raises(ConfigError, match="^policies: duplicate policy labels"):
+            ExperimentConfig.from_json(doc)  # one policy listed twice
+
+    def test_numpy_integers_in_a_config_built_directly(self, tmp_path):
+        # seeds are stored as ints, which JSON writes; a spec JSON cannot write is rejected when the config is made
+        config = dataclasses.replace(_tiny_config(horizon=5), seeds=(np.int64(4), np.int32(2)))
+        assert config.seeds == (4, 2) and all(type(s) is int for s in config.seeds)
+        (path,) = export_result(run_experiment(config), tmp_path, ["json"])
+        assert json.loads(path.read_text())["config"]["seeds"] == [4, 2]
+        variant = harness.InstanceVariant("np-arms", {**TINY_SD_SPEC, "n_arms": np.int64(12)})
+        with pytest.raises(ConfigError, match="^instances: variant 'np-arms' spec: .*int64"):
+            dataclasses.replace(config, variants=(variant,))
 
     def test_duplicate_labels_resolved_by_params_or_label(self):
         config = _tiny_config(
@@ -399,8 +421,8 @@ class TestConfigValidation:
         [
             ("tsc", {"x": 1}, r": 'tsc\(x=1\)': policy 'tsc' does not accept parameters \['x'\]$"),
             ("linucb", {"v": 1.0}, r": 'linucb\(v=1.0\)': .*does not accept parameters \['v'\]$"),
-            ("linucb", {"alpha": -1}, r": 'linucb\(alpha=-1\)': alpha: .*>= 0, got -1"),
-            ("lints", {"v": 0}, r": 'lints\(v=0\)': v: .*> 0, got 0"),
+            ("linucb", {"alpha": -1}, r": 'linucb\(alpha=-1\.0\)': alpha: .*>= 0, got -1"),
+            ("lints", {"v": 0}, r": 'lints\(v=0\.0\)': v: .*> 0, got 0"),
             # the dimension comes from the instance: d is no parameter, whatever its value or type
             ("lints", {"d": 7}, r": 'lints\(d=7\)': policy 'lints' does not accept parameters \['d'\]$"),
             ("lints", {"d": 5}, r": 'lints\(d=5\)': policy 'lints' does not accept parameters \['d'\]$"),
@@ -1108,12 +1130,18 @@ class TestExports:
         with pytest.raises(ConfigError, match="format"):
             export_result(result, tmp_path, formats=("parquet",))
 
-    @pytest.mark.parametrize("formats", [("csv", "xml"), ()])
+    @pytest.mark.parametrize("formats", [("csv", "xml"), (), ("json", "csv", "json")])
     def test_bad_formats_write_nothing(self, tmp_path, formats):
         result = run_experiment(_tiny_config())
         with pytest.raises(ConfigError, match="^format: "):
             export_result(result, tmp_path / "out", formats=formats)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("formats", [["csv", "csv"], ["svg", "json", "svg"]])
+    def test_a_repeated_format_is_rejected_by_name(self, formats):
+        # a repeated format would write its files twice and list each path twice
+        with pytest.raises(ConfigError, match=f"^format: export format '{formats[-1]}' given twice$"):
+            harness.check_formats(formats)
 
 
 class TestPresets:

@@ -389,18 +389,17 @@ class TestTsMax:
         assert np.all(np.abs(freq_max - freq_ts) < 0.02)
 
     def test_strong_arm_attracts_cluster_choice(self):
-        # arm 1 becomes cluster 0's representative by a higher mean, then its
-        # belief concentrates near 1: cluster 0 (node 1) must win nearly always.
-        # Were cluster 0 represented by its first arm instead, both clusters
-        # would sample Beta(1, 1) and each win about half the rounds.
+        # arm 1 becomes cluster 0's representative by a higher mean, then 1000
+        # successes concentrate its belief near 1: cluster 0 (node 1) must win
+        # nearly always. Were cluster 0 represented by its first arm instead,
+        # both clusters would sample Beta(1, 1) and each win about half the rounds.
         rng = np.random.default_rng(18)
         clustering = DisjointClustering([0, 0, 1, 1])
-        picks = 0
-        for _ in range(2_000):
-            pol = TsMax(clustering)
+        pol = TsMax(clustering)
+        for _ in range(1_000):
             pol.update(1, 1.0)
-            pol._s[_leaf_slots(pol, [1])] = 1e6
-            picks += clustering.label_of(pol.select(1, rng)) == 0
+        # every node has fewer than _BLOCK_MIN children, so a select draws afresh and keeps no state
+        picks = sum(clustering.label_of(pol.select(1, rng)) == 0 for _ in range(2_000))
         assert picks / 2_000 >= 0.99
 
     def test_fresh_uniform_cluster_choice(self):
@@ -432,12 +431,15 @@ class TestTsMax:
         beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm(0)
         assert beliefs[leaf] == (2, 1)
-        # the other arms, both clusters and the root keep the prior
-        assert all(b == (1, 1) for v, b in beliefs.items() if v != leaf)
+        # arm 0 stays cluster 0's representative, whose belief cluster 0 (node 1) copies
+        assert beliefs[1] == (2, 1)
+        # the other arms, the other cluster and the root keep the prior
+        assert all(b == (1, 1) for v, b in beliefs.items() if v not in (leaf, 1))
         assert len(beliefs) == pol.tree.n_nodes
 
     def test_containment(self):
-        # only the played arm's leaf moves, and it sits under the arm's own cluster
+        # exactly one leaf moves, the played arm's, and it sits under the arm's own cluster;
+        # besides it only that cluster's node may move, to its representative's belief
         rng = np.random.default_rng(20)
         clustering = DisjointClustering([0, 0, 1, 1])
         pol = TsMax(clustering)
@@ -445,10 +447,30 @@ class TestTsMax:
         for t in range(1, 301):
             arm = pol.select(t, rng)
             leaf = tree.leaf_of_arm(arm)
-            assert tree.parent[leaf] == clustering.label_of(arm) + 1
+            cluster = clustering.label_of(arm) + 1
+            assert tree.parent[leaf] == cluster
             before = _beliefs(pol)
             pol.update(arm, float(rng.integers(2)))
-            assert {v for v, b in _beliefs(pol).items() if b != before[v]} == {leaf}
+            after = _beliefs(pol)
+            assert {v for v, b in after.items() if b != before[v]} - {cluster} == {leaf}
+            assert after[cluster] == after[tree.kids[pol._best_member(cluster - 1)]]
+
+    @pytest.mark.parametrize("n_clusters", [3, 8])
+    def test_each_cluster_holds_its_best_members_belief_and_the_root_the_prior(self, n_clusters):
+        # a root of fewer than _BLOCK_MIN clusters draws one scalar per cluster, a wider one reads blocks:
+        # either way it draws from the clusters' own slots, which must follow their representatives
+        rng = np.random.default_rng(22)
+        labels = rng.permutation(np.arange(40) % n_clusters)
+        instance = BanditInstance(rng.uniform(0.1, 0.9, 40), clustering=DisjointClustering(labels))
+        pol = make_policy("tsmax", instance)
+        tree = pol.tree
+        for t in range(1, 401):
+            arm = pol.select(t, rng)
+            pol.update(arm, float(rng.random() < instance.means[arm]))
+            beliefs = _beliefs(pol)
+            for c in range(n_clusters):
+                assert beliefs[c + 1] == beliefs[tree.kids[pol._best_member(c)]], (t, c)
+            assert beliefs[0] == (1, 1)
 
 
 # ---------------------------------------------------------------------------
