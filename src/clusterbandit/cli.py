@@ -86,11 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_instance(args: argparse.Namespace):
     if bool(args.instance) == bool(args.spec):
         raise ConfigError("instance: provide exactly one of --instance or --spec")
-    if args.instance:
-        doc = json.loads(Path(args.instance).read_text())
-        return build_instance(doc, rng_streams(0).instance)
-    spec = json.loads(Path(args.spec).read_text())
-    return build_instance(spec, rng_streams(args.seed).instance)
+    path, seed = (args.instance, 0) if args.instance else (args.spec, args.seed)  # a document ignores its seed
+    return build_instance(json.loads(Path(path).read_text()), rng_streams(seed).instance)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -184,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # generate, audit and bounds; read before any file or build
+            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         if args.command == "list-presets":
             for name in preset_names():
                 print(name)

@@ -33,10 +33,11 @@ def typed(field: str, value, kind: type):
     """``value`` as ``kind``, else a ValueError ``<field>: must be an integer, got <value!r>``.
 
     An integer (``int``) is any integral real number and a number (``float``) any real one, never a bool, and
-    each comes back as ``kind``; ``str``, ``bool``, ``list`` and ``dict`` take exactly their type.
+    each comes back as ``kind``; ``str``, ``bool`` and ``dict`` take exactly their type, ``list`` a list or tuple.
     """
     numeric = kind is int or kind is float
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) if numeric else isinstance(value, kind)
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) if numeric else \
+        isinstance(value, (list, tuple) if kind is list else kind)
     if not ok or (kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer()):
         raise ValueError(f"{field}: must be {_TYPE_NAMES[kind]}, got {value!r}")
     return kind(value) if numeric else value

@@ -9,10 +9,12 @@ each task builds its instance (and draws its context sequence) once, runs
 every policy of the variant on it as one (variant, policy, seed) job, and
 computes the instance's bound values when bounds are requested. Aggregation
 sorts on (variant, policy, seed) first, so output is byte-identical
-regardless of scheduling. A config is checked when it is made: every value
-is read through ``core.typed`` and every spec through
-``instances.spec_fields``, so a bad one fails before any job with a
-``ConfigError`` naming the field.
+regardless of scheduling. A config built in Python is read exactly as one
+from JSON: when it is made, every field is read through ``core.typed`` and
+every spec through ``instances.spec_fields``, so a bad one fails before any
+job with a ``ConfigError`` naming the field. Its defaults live in the
+dataclass, and a config given no variants, policies, seeds or horizon fails
+naming the field; ``from_json`` reads only a document's shape.
 
 Results export to CSV (one row per logged step), JSON (config plus
 summaries, round-trippable), and SVG (mean regret curve per policy with a
@@ -25,6 +27,7 @@ writer that builds the whole document first peaks at about 390 MB.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -39,7 +42,7 @@ import numpy as np
 from .analysis import InstanceBound, TraceSummary, aggregate_curves, bound_caveat, instance_bounds
 from .contextual import ContextualInstance
 from .core import BanditInstance, RngStreams, rng_streams, typed
-from .instances import SPEC_KINDS, build_instance, gen_context, spec_structure
+from .instances import CONTEXT_KINDS, SPEC_KINDS, build_instance, gen_context, spec_structure
 from .policies import POLICY_KEYS, check_params, make_policy
 from .simulate import simulate
 
@@ -122,33 +125,44 @@ class InstanceVariant:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    variants: tuple[InstanceVariant, ...]
-    policies: tuple[PolicySpec, ...]
-    horizon: int
-    seeds: tuple[int, ...]
+    name: str = "experiment"
+    variants: tuple[InstanceVariant, ...] = ()
+    policies: tuple[PolicySpec, ...] = ()
+    horizon: int = 0
+    seeds: tuple[int, ...] = ()
     stride: int | None = None
     bounds: bool = False
     eps: float = 0.1
     context_kind: str = "uniform"
 
     def __post_init__(self) -> None:
+        try:  # each field as ``typed`` reads it (a numpy scalar becomes the int or float JSON writes), set past frozen
+            vars(self).update(
+                seeds=tuple(typed("seeds", s, int) for s in typed("seeds", self.seeds, list)),
+                policies=tuple(_read_policy(f"policies[{i}]", p)
+                               for i, p in enumerate(typed("policies", self.policies, list))),
+                variants=tuple(InstanceVariant(typed(f"instances[{i}].name", v.name, str),
+                                               copy.deepcopy(typed(f"instances[{i}].spec", v.spec, dict)))
+                               for i, v in enumerate(typed("instances", self.variants, list))),
+                name=typed("name", self.name, str),
+                horizon=typed("horizon", self.horizon, int),
+                stride=None if self.stride is None else typed("stride", self.stride, int),
+                bounds=typed("bounds", self.bounds, bool),
+                eps=typed("eps", self.eps, float),
+                context_kind=typed("context_kind", self.context_kind, str),
+            )
+        except ValueError as exc:  # ``typed``'s error names its field
+            raise ConfigError(str(exc)) from exc
         if self.horizon < 1:
             raise ConfigError(f"horizon: must be >= 1, got {self.horizon}")
         if self.bounds and self.horizon < 2:
             raise ConfigError(f"horizon: bounds need a horizon >= 2, got {self.horizon}")
-        if self.context_kind not in ("uniform", "gaussian"):
-            raise ConfigError(
-                f"context_kind: unknown distribution '{self.context_kind}' (uniform, gaussian)"
-            )
+        if self.context_kind not in CONTEXT_KINDS:
+            raise ConfigError(f"context_kind: unknown distribution '{self.context_kind}' ({', '.join(CONTEXT_KINDS)})")
         if not self.policies:
             raise ConfigError("policies: need at least one policy")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
-        try:  # a numpy integer becomes the int that JSON writes
-            object.__setattr__(self, "seeds", tuple(typed("seeds", s, int) for s in self.seeds))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if len(set(self.seeds)) != len(self.seeds):
             dups = sorted(s for s in set(self.seeds) if self.seeds.count(s) > 1)
             raise ConfigError(f"seeds: duplicate seeds {dups}")
@@ -214,67 +228,48 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
+        """The config of the fields a JSON document holds, the others at their defaults. Only the document's shape
+        is read here: its containers are lists of objects, each policy has a ``key``, and ``seeds`` may be a range."""
         try:
-            seeds = _parse_seeds(doc.get("seeds"))
-            entries = typed("policies", doc.get("policies", []), list)
-            policies = tuple(_parse_policy(i, p) for i, p in enumerate(entries))
-            variants = _parse_variants(doc)
-            return ExperimentConfig(
-                name=typed("name", doc.get("name", "experiment"), str),
-                variants=variants,
-                policies=policies,
-                horizon=typed("horizon", doc.get("horizon", 0), int),
-                seeds=seeds,
-                stride=None if doc.get("stride") is None else typed("stride", doc["stride"], int),
-                bounds=typed("bounds", doc.get("bounds", False), bool),
-                eps=typed("eps", doc.get("eps", 0.1), float),
-                context_kind=typed("context_kind", doc.get("context_kind", "uniform"), str),
-            )
+            fields = {k: doc[k] for k in ("name", "horizon", "seeds", "stride", "bounds", "eps", "context_kind")
+                      if k in doc}
+            if isinstance(fields.get("seeds"), dict):  # {"base": b, "count": n}
+                base, count = (typed(f"seeds.{k}", fields["seeds"].get(k, 0), int) for k in ("base", "count"))
+                if count < 1:
+                    raise ConfigError("seeds.count: must be >= 1")
+                fields["seeds"] = tuple(range(base, base + count))
+            if "policies" in doc:
+                entries = typed("policies", doc["policies"], list)
+                for i, entry in enumerate(entries):
+                    if "key" not in typed(f"policies[{i}]", entry, dict):
+                        raise ConfigError("policies: entry missing 'key'")
+                fields["policies"] = tuple(PolicySpec(**{k: p[k] for k in ("key", "params", "variants", "label")
+                                                         if k in p}) for p in entries)
+            if "instances" in doc:  # an unnamed entry i is named v<i>
+                fields["variants"] = tuple(InstanceVariant(typed(f"instances[{i}]", v, dict).get("name", f"v{i}"),
+                                                           v["spec"])
+                                           for i, v in enumerate(typed("instances", doc["instances"], list)))
+            elif "instance" in doc:
+                fields["variants"] = (InstanceVariant("default", typed("instance", doc["instance"], dict)),)
+            else:
+                raise ConfigError("instances: missing ('instance' or 'instances')")
+            return ExperimentConfig(**fields)
         except ValueError as exc:  # a ConfigError, or ``typed``'s error naming its field
             raise ConfigError(str(exc)) from exc
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid config document: {exc}") from exc
 
 
-def _parse_seeds(raw) -> tuple[int, ...]:
-    if raw is None:
-        raise ConfigError("seeds: missing")
-    if isinstance(raw, dict):
-        base, count = typed("seeds.base", raw.get("base", 0), int), typed("seeds.count", raw.get("count", 0), int)
-        if count < 1:
-            raise ConfigError("seeds.count: must be >= 1")
-        return tuple(range(base, base + count))
-    return tuple(raw)  # each seed is read when the config is made
-
-
-def _parse_policy(i: int, doc) -> PolicySpec:
-    field = f"policies[{i}]"
-    if "key" not in typed(field, doc, dict):
-        raise ConfigError("policies: entry missing 'key'")
-    key, params = typed(f"{field}.key", doc["key"], str), typed(f"{field}.params", doc.get("params", {}), dict)
+def _read_policy(field: str, p: PolicySpec) -> PolicySpec:
+    """``p`` with every field read through ``typed`` under its name in the config, such as ``policies[1].label``."""
+    key = typed(f"{field}.key", p.key, str)
     declared = POLICY_KEYS[key].params if key in POLICY_KEYS else {}
     # a declared value is stored as read (1 and 1.0 label one policy); an unknown key or name fails later
     params = {name: typed(f"{field}.params.{name}", value, declared[name][0]) if name in declared else value
-              for name, value in params.items()}
-    variants, label = doc.get("variants"), doc.get("label")
-    if variants is not None:
-        variants = tuple(typed(f"{field}.variants[{j}]", name, str)
-                         for j, name in enumerate(typed(f"{field}.variants", variants, list)))
-    return PolicySpec(key, params, variants, None if label is None else typed(f"{field}.label", label, str))
-
-
-def _parse_variants(doc: dict) -> tuple[InstanceVariant, ...]:
-    if "instances" in doc:
-        return tuple(
-            InstanceVariant(
-                name=typed(f"instances[{i}].name", typed(f"instances[{i}]", v, dict).get("name", f"v{i}"), str),
-                spec=dict(typed(f"instances[{i}].spec", v["spec"], dict)),
-            )
-            for i, v in enumerate(typed("instances", doc["instances"], list))
-        )
-    if "instance" in doc:
-        return (InstanceVariant(name="default", spec=dict(typed("instance", doc["instance"], dict))),)
-    raise ConfigError("instances: missing ('instance' or 'instances')")
+              for name, value in typed(f"{field}.params", p.params, dict).items()}
+    names = p.variants if p.variants is None else typed(f"{field}.variants", p.variants, list)
+    variants = names if names is None else tuple(typed(f"{field}.variants[{j}]", n, str) for j, n in enumerate(names))
+    return PolicySpec(key, params, variants, p.label if p.label is None else typed(f"{field}.label", p.label, str))
 
 
 def logging_grid(horizon: int, stride: int | None = None) -> np.ndarray:

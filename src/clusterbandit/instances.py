@@ -41,6 +41,7 @@ __all__ = [
     "gen_agglomerative_instance",
     "gen_uniform_instance",
     "gen_contextual",
+    "CONTEXT_KINDS",
     "gen_context",
     "kmeans",
     "kmeans_distortion",
@@ -540,14 +541,17 @@ def gen_contextual(n_arms: int, n_clusters: int, epsilon: float, rng: np.random.
     return ContextualInstance(theta, DisjointClustering(labels), epsilon=epsilon)
 
 
+# each context distribution by name: the name of the generator method that draws one (dim,) vector (a name, as
+# reading ``np.random.Generator`` here would import ``numpy.random`` with this module)
+CONTEXT_KINDS = {"uniform": "random", "gaussian": "standard_normal"}
+
+
 def gen_context(dim: int, rng: np.random.Generator, kind: str = "uniform") -> np.ndarray:
-    """One context vector: U([0,1]^d) by default, or standard normal."""
+    """One context vector of a ``CONTEXT_KINDS`` distribution: U([0,1]^d) by default, or standard normal."""
     _at_least("dim", dim, 1)
-    if kind == "uniform":
-        return rng.random(dim)
-    if kind == "gaussian":
-        return rng.standard_normal(dim)
-    raise ValueError(f"unknown context distribution '{kind}'")
+    if kind not in CONTEXT_KINDS:
+        raise ValueError(f"unknown context distribution '{kind}'")
+    return getattr(rng, CONTEXT_KINDS[kind])(dim)
 
 
 # ---------------------------------------------------------------------------

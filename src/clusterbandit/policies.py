@@ -448,8 +448,8 @@ class ClusteredUcb1(Ucb1):
 # Registry
 # ---------------------------------------------------------------------------
 
-def check_params(key: str, params: dict | None) -> None:
-    """Reject an unknown key or parameter and a bad parameter value.
+def check_params(key: str, params: dict | None) -> dict:
+    """The parameters as ``core.typed`` reads them; an unknown key or parameter or a bad value raises ValueError.
 
     A class accepts only the ``params`` it declares, so configuration typos
     surface early: none for the Bernoulli policies, ``v`` for the contextual
@@ -461,21 +461,22 @@ def check_params(key: str, params: dict | None) -> None:
     unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(f"policy '{key}' does not accept parameters {sorted(unknown)}")
-    for name, value in params.items():
-        kind, check = accepted[name]
-        check(typed(name, value, kind))
+    read = {name: typed(name, value, accepted[name][0]) for name, value in params.items()}
+    for name, value in read.items():
+        accepted[name][1](value)
+    return read
 
 
 def make_policy(key: str, instance, params: dict | None = None) -> BanditPolicy:
-    """Instantiate a policy by string key for a given instance, after :func:`check_params`.
+    """Instantiate a policy by string key for a given instance, with the parameters :func:`check_params` reads.
 
     Flat policies take the instance's arm count, the others its clustering or
     tree; contextual policies also take its dimension.
     """
-    check_params(key, params)
+    params = check_params(key, params)
     cls = POLICY_KEYS[key]
     if not cls.accepts(instance.structure):
         raise ValueError(f"policy '{key}' needs a {cls.needs} instance, got a {instance.structure} instance")
     arms = instance.n_arms if cls.flat else instance.tree if cls.needs == "tree" else instance.clustering
     args = (arms, instance.dim) if cls.needs == "contextual" else (arms,)
-    return cls(*args, **{k: float(value) for k, value in (params or {}).items()})
+    return cls(*args, **params)

@@ -2,8 +2,12 @@
 
 No timing is asserted: a tree against itself has byte-identical traces and
 reports every key it was asked for, and a tree against a copy that draws
-differently reports the difference and exits 1.
+differently reports the difference and exits 1, also when the reader of the
+report closes it early.
 """
+import errno
+import importlib.util
+import io
 import json
 import shutil
 import subprocess
@@ -55,3 +59,45 @@ def test_ab_steps_reports_trees_that_draw_differently(tmp_path):
     assert proc.returncode == 1, proc.stdout[-4000:] + proc.stderr[-4000:]
     report = json.loads(proc.stdout.splitlines()[-1])
     assert list(report) == ["ts"] and report["ts"]["identical"] is False
+
+
+class _ClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away after the first line, as ``| head -1`` does; its descriptor is ``fd``."""
+
+    def __init__(self, fd: int) -> None:
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, text: str) -> int:
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.fixture
+def ab_steps():
+    """``tools/ab_steps.py`` as a module; the trees it imports are dropped afterwards, so each test imports its own."""
+    spec = importlib.util.spec_from_file_location("ab_steps", ROOT / "tools" / "ab_steps.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in [m for m in sys.modules if m.split(".")[0] in ("ab_parent", "ab_change")]:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("blocks, status", [(5, 0), (31, 1)], ids=["identical", "different"])
+def test_a_reader_that_closes_the_report_early_gets_the_usual_status(tmp_path, monkeypatch, ab_steps, blocks, status):
+    # the report went to a closed pipe, so main ended with BrokenPipeError instead of its status
+    shutil.copytree(ROOT / "src" / "clusterbandit", tmp_path / "clusterbandit")
+    policies = tmp_path / "clusterbandit" / "policies.py"
+    policies.write_text(policies.read_text().replace("\n_BLOCK_MIN = 5\n", f"\n_BLOCK_MIN = {blocks}\n"))
+    with open(tmp_path / "stdout", "w") as target:
+        stdout = _ClosedAfterOneLine(target.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = [str(ROOT / "src"), str(tmp_path), "--keys", "ts", "--spec", json.dumps(KMEANS), "--horizon", "20",
+                "--rounds", "2"]
+        assert ab_steps.main(argv) == status
+    assert stdout.getvalue().startswith("key ") and stdout.getvalue().count("\n") == 1

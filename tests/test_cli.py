@@ -255,6 +255,14 @@ class TestAuditAndBounds:
     def test_exactly_one_source_required(self, capsys):
         assert main(["audit"]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "audit", "bounds"])
+    def test_a_negative_seed_fails_naming_the_field_before_anything_is_read(self, tmp_path, capsys, command):
+        # the spec file does not exist: it was read, and numpy's SeedSequence rejected -1 without naming the field
+        out = tmp_path / "out.json"
+        assert main([command, "--spec", str(tmp_path / "missing.json"), "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: seed: must be >= 0, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, spec, seed",
         [("audit", FLAT_DOC, 0), ("audit", SD_SPEC, 2), ("audit", TREE_SPEC, 2), ("audit", L1_SPEC, 0),
@@ -377,3 +385,10 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_numpy_random(self):
+        # numpy imports numpy.random on first use, about 6 MB that the main process of a pooled run never needs
+        script = "import sys, clusterbandit.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

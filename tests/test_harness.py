@@ -28,7 +28,9 @@ from clusterbandit.core import rng_streams
 from clusterbandit.harness import (
     ConfigError,
     ExperimentConfig,
+    InstanceVariant,
     JobError,
+    PolicySpec,
     export_result,
     load_results_json,
     logging_grid,
@@ -36,7 +38,14 @@ from clusterbandit.harness import (
     preset_names,
     run_experiment,
 )
-from clusterbandit.instances import SPEC_KINDS, build_instance, gen_context, instance_to_json, spec_fields
+from clusterbandit.instances import (
+    CONTEXT_KINDS,
+    SPEC_KINDS,
+    build_instance,
+    gen_context,
+    instance_to_json,
+    spec_fields,
+)
 from clusterbandit.policies import POLICY_KEYS, make_policy
 from clusterbandit.simulate import simulate
 
@@ -113,6 +122,13 @@ def _tiny_config(**overrides):
     return ExperimentConfig.from_json(doc)
 
 
+def _built_directly(**fields):
+    """``_tiny_config``'s twin built in Python: the dataclasses made directly, with ``fields`` in place of its own."""
+    return ExperimentConfig(**{"name": "tiny", "horizon": 40, "seeds": (1, 2, 3),
+                               "policies": (PolicySpec("ts"), PolicySpec("tsc")),
+                               "variants": (InstanceVariant("default", TINY_SD_SPEC),), **fields})
+
+
 class TestLoggingGrid:
     def test_stride_one_by_default_at_small_horizons(self):
         assert logging_grid(10).tolist() == list(range(1, 11))
@@ -166,6 +182,13 @@ class TestConfigValidation:
         doc["policies"] = [{"key": "lints", "params": {"v": 1}}, {"key": "lints", "params": {"v": 1.0}}]
         with pytest.raises(ConfigError, match="^policies: duplicate policy labels"):
             ExperimentConfig.from_json(doc)  # one policy listed twice
+        # the same policies built in Python: 'lints(v=1)' and 'lints(v=1.0)' used to run one policy twice
+        variants = (InstanceVariant("ctx", TINY_CTX_SPEC),)
+        config = _built_directly(variants=variants, policies=(PolicySpec("lints", {"v": 1}),))
+        assert config.policies[0].name == "lints(v=1.0)" and type(config.policies[0].params["v"]) is float
+        with pytest.raises(ConfigError, match="^policies: duplicate policy labels"):
+            _built_directly(variants=variants,
+                            policies=(PolicySpec("lints", {"v": 1}), PolicySpec("lints", {"v": 1.0})))
 
     def test_numpy_integers_in_a_config_built_directly(self, tmp_path):
         # seeds are stored as ints, which JSON writes; a spec JSON cannot write is rejected when the config is made
@@ -176,6 +199,36 @@ class TestConfigValidation:
         variant = harness.InstanceVariant("np-arms", {**TINY_SD_SPEC, "n_arms": np.int64(12)})
         with pytest.raises(ConfigError, match="^instances: variant 'np-arms' spec: .*int64"):
             dataclasses.replace(config, variants=(variant,))
+
+    @pytest.mark.parametrize("horizon", [5.0, np.int64(5)])
+    def test_a_config_built_with_numpy_scalars_and_list_filters_reads_like_its_json(self, tmp_path, horizon):
+        # horizon=5.0 used to fail inside the job, np.int64(5) at the JSON export after every job
+        config = ExperimentConfig(
+            name="np", horizon=horizon, seeds=[np.int32(3), np.int64(1)], stride=np.int64(2), eps=np.float32(0.25),
+            policies=[PolicySpec("ts", variants=["a"]), PolicySpec("tsc", variants=["a", "b"], label="c")],
+            variants=[InstanceVariant("a", TINY_SD_SPEC), InstanceVariant("b", TINY_SD_SPEC)],
+        )
+        assert (config.horizon, config.seeds, config.stride, config.eps) == (5, (3, 1), 2, 0.25)
+        assert {type(v) for v in (config.horizon, *config.seeds, config.stride)} == {int} and type(config.eps) is float
+        assert isinstance(config.policies, tuple) and isinstance(config.variants, tuple)
+        assert [p.variants for p in config.policies] == [("a",), ("a", "b")]
+        assert ExperimentConfig.from_json(config.to_json()) == config
+        (path,) = export_result(run_experiment(config), tmp_path, ["json"])
+        assert json.loads(path.read_text())["config"] == config.to_json()
+
+    def test_a_config_keeps_its_own_copy_of_each_spec_params_and_filter(self):
+        spec, params, names = dict(TINY_CTX_SPEC), {"v": 1.0}, ["ctx"]
+        document = {"kind": "bernoulli", "means": [0.1, 0.2], "clustering": {"labels": [0, 1]}}
+        config = _built_directly(
+            variants=(InstanceVariant("ctx", spec), InstanceVariant("doc", document)),
+            policies=(PolicySpec("lints", params, names), PolicySpec("ts", variants=("doc",))),
+        )
+        before = config.to_json()
+        spec["n_arms"], params["v"] = 2, -1.0
+        names.append("doc")
+        document["means"][0], document["clustering"]["labels"][1] = 0.9, 0
+        assert config.to_json() == before
+        assert config.variants[0].spec == TINY_CTX_SPEC and config.policies[0].params == {"v": 1.0}
 
     def test_duplicate_labels_resolved_by_params_or_label(self):
         config = _tiny_config(
@@ -361,6 +414,29 @@ class TestConfigValidation:
                             {name: value})
 
     @pytest.mark.parametrize(
+        "fields, field, bad",
+        [
+            ({"eps": True}, "eps", True),
+            ({"eps": "0.2"}, "eps", "0.2"),
+            ({"eps": "x"}, "eps", "x"),
+            ({"policies": (PolicySpec("lints", {"v": True}),)}, "policies[0].params.v", True),
+            ({"policies": (PolicySpec("lints", {"v": "1"}),)}, "policies[0].params.v", "1"),
+            ({"policies": (PolicySpec("lints"), PolicySpec("linucb", {"alpha": "2"}))},
+             "policies[1].params.alpha", "2"),
+            ({"policies": (PolicySpec("linucbc", {"alpha": False}),)}, "policies[0].params.alpha", False),
+        ],
+    )
+    def test_typed_numbers_and_params_fail_before_any_job_in_a_config_built_directly(
+        self, monkeypatch, fields, field, bad
+    ):
+        # eps="x" raised a bare TypeError, and {"v": True} failed as 'lints(v=True)', not as the field of its entry
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be a number, got {re.escape(repr(bad))}$"):
+            run_experiment(_built_directly(**{"variants": (InstanceVariant("ctx", TINY_CTX_SPEC),),
+                                              "policies": (PolicySpec("lints"),), **fields}))
+        assert jobs == []
+
+    @pytest.mark.parametrize(
         "overrides, match",
         [
             ({"policies": [{"key": "ts"}, {"key": "tsc", "variants": "ab"}]},
@@ -387,6 +463,33 @@ class TestConfigValidation:
             del doc["instances"]
         with pytest.raises(ConfigError, match=match):
             run_experiment(_tiny_config(**doc))
+        assert jobs == []
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"policies": (PolicySpec("ts"), PolicySpec("tsc", variants="ab"))},
+             r"^policies\[1\]\.variants: must be a list, got 'ab'$"),
+            ({"policies": (PolicySpec("ts"), PolicySpec("tsc", variants=("a", 2)))},
+             r"^policies\[1\]\.variants\[1\]: must be a string, got 2$"),
+            ({"policies": (PolicySpec("ts"), PolicySpec("tsc", None))},
+             r"^policies\[1\]\.params: must be an object, got None$"),
+            ({"variants": (InstanceVariant("a", TINY_SD_SPEC), InstanceVariant("b", "kmeans"))},
+             r"^instances\[1\]\.spec: must be an object, got 'kmeans'$"),
+            ({"variants": {"a": TINY_SD_SPEC}}, r"^instances: must be a list, got \{"),
+            ({"policies": {"key": "ts"}}, r"^policies: must be a list, got \{"),
+            ({"policies": PolicySpec("ts")}, r"^policies: must be a list, got PolicySpec\("),
+            ({"seeds": 5}, r"^seeds: must be a list, got 5$"),
+        ],
+        ids=["variants-string", "variants-element", "params-null", "spec-string", "instances-object",
+             "policies-object", "policies-one-spec", "seeds-number"],
+    )
+    def test_container_fields_name_themselves_in_a_config_built_directly(self, monkeypatch, fields, match):
+        # variants="ab" was read as ['a', 'b'] by the filter check and as a substring by runs_on
+        jobs = self._count_jobs(monkeypatch)
+        variants = (InstanceVariant("a", TINY_SD_SPEC), InstanceVariant("b", TINY_SD_SPEC))
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(_built_directly(**{"variants": variants, **fields}))
         assert jobs == []
 
     @pytest.mark.parametrize(
@@ -550,6 +653,50 @@ class TestConfigValidation:
             run_experiment(_tiny_config(**overrides))
         assert jobs == []
 
+    @pytest.mark.parametrize(
+        "fields, field, bad",
+        [
+            ({"seeds": (1.5,)}, "seeds", 1.5),
+            ({"seeds": [0, True]}, "seeds", True),
+            ({"horizon": 2.9}, "horizon", 2.9),
+            ({"horizon": True}, "horizon", True),
+            ({"horizon": float("inf")}, "horizon", float("inf")),
+            ({"horizon": "5"}, "horizon", "5"),
+            ({"stride": 1.5}, "stride", 1.5),
+            ({"stride": True}, "stride", True),
+            ({"stride": np.float64(2.5)}, "stride", np.float64(2.5)),
+        ],
+    )
+    def test_non_integral_numbers_fail_before_any_job_in_a_config_built_directly(self, monkeypatch, fields, field, bad):
+        # a config built in Python was read for its seeds only: horizon=2.9 failed inside a job, "5" without a name
+        jobs = self._count_jobs(monkeypatch)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be an integer, got {re.escape(repr(bad))}$"):
+            run_experiment(_built_directly(**fields))
+        assert jobs == []
+
+    @pytest.mark.parametrize(
+        "fields, field, bad",
+        [
+            ({"bounds": "false"}, "bounds", "false"),
+            ({"bounds": 1}, "bounds", 1),
+            ({"bounds": None}, "bounds", None),
+            ({"name": None}, "name", None),
+            ({"name": 3}, "name", 3),
+            ({"variants": (InstanceVariant("a", TINY_SD_SPEC), InstanceVariant(None, TINY_SD_SPEC))},
+             "instances[1].name", None),
+            ({"policies": (PolicySpec("ts"), PolicySpec("tsc", label=7))}, "policies[1].label", 7),
+            ({"policies": (PolicySpec(3),)}, "policies[0].key", 3),
+            ({"context_kind": None}, "context_kind", None),
+        ],
+    )
+    def test_untyped_fields_fail_before_any_job_in_a_config_built_directly(self, monkeypatch, fields, field, bad):
+        # bounds=1 was accepted, and name=3 and label=7 ran every job and failed in the export
+        jobs = self._count_jobs(monkeypatch)
+        kind = "boolean" if field == "bounds" else "string"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be a {kind}, got {re.escape(repr(bad))}$"):
+            run_experiment(_built_directly(**fields))
+        assert jobs == []
+
     def test_typed_fields_keep_their_values_and_defaults(self):
         config = _tiny_config(bounds=False, policies=[{"key": "ts", "label": "ts-a"}],
                               instances=[{"name": "a", "spec": TINY_SD_SPEC}, {"spec": TINY_SD_SPEC}])
@@ -684,6 +831,19 @@ class TestRunExperiment:
         )  # different context law, same seed
         with pytest.raises(ConfigError, match="context_kind"):
             ExperimentConfig.from_json({**doc, "context_kind": "cauchy"})
+
+    def test_the_config_and_the_generator_read_one_table_of_context_kinds(self, monkeypatch):
+        for kind, draw in (("uniform", "random"), ("gaussian", "standard_normal")):  # the generator calls as they were
+            assert gen_context(4, rng_streams(3).context, kind).tobytes() == \
+                getattr(rng_streams(3).context, draw)(4).tobytes()
+        monkeypatch.setitem(CONTEXT_KINDS, "exponential", "standard_exponential")
+        assert gen_context(3, rng_streams(0).context, "exponential").tobytes() == \
+            rng_streams(0).context.standard_exponential(3).tobytes()
+        config = _tiny_config(context_kind="exponential", policies=[{"key": "lints"}], instance=TINY_CTX_SPEC)
+        assert run_experiment(config).rows
+        match = r"^context_kind: unknown distribution 'cauchy' \(uniform, gaussian, exponential\)$"
+        with pytest.raises(ConfigError, match=match):
+            _tiny_config(context_kind="cauchy", policies=[{"key": "lints"}], instance=TINY_CTX_SPEC)
 
     def test_tree_policy_on_clustered_instance_rejected(self):
         with pytest.raises(ConfigError, match="tree"):

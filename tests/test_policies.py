@@ -570,6 +570,13 @@ def test_make_policy_and_check_params_serve_every_key(key):
         with pytest.raises(ValueError, match=rf"^policy '{key}' does not accept parameters \['d'\]$"):
             make_policy(key, _one_instance_per_structure()["contextual"], {"d": 3})
 
+def test_check_params_returns_each_parameter_as_typed_reads_it():
+    # make_policy passes these on, so a parameter's type is read from its class's params alone
+    for key, given, read in (("lints", {"v": 1}, {"v": 1.0}), ("linucbc", {"alpha": np.float32(0.5)}, {"alpha": 0.5}),
+                             ("ts", None, {}), ("ucb1", {}, {})):
+        assert policies.check_params(key, given) == read
+        assert all(type(value) is float for value in policies.check_params(key, given).values())
+
 class TestMakePolicy:
     def test_all_keys(self):
         flat = BanditInstance([0.5, 0.4])

@@ -20,7 +20,8 @@ rounds, and times it with ``time.perf_counter``.
 Per key, the report gives the median µs/step of each tree, the median of the
 per-round ratios change/parent, how many rounds the change was faster, and
 whether the two trees' traces (arms, rewards, cumulative regret) were
-byte-identical in every round; the exit status is 1 if any key's were not.
+byte-identical in every round; the exit status is 1 if any key's were not,
+also when the reader of the report closes it early (``| head -1``).
 A step's root-to-leaf path is a function of its arm, so the comparison
 holds between trees whose traces carry other fields too.
 """
@@ -30,6 +31,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import os
 import statistics
 import sys
 import time
@@ -130,14 +132,21 @@ def main(argv: list[str] | None = None) -> int:
     parent = Side("ab_parent", args.parent, spec, args.horizon, args.seed)
     change = Side("ab_change", args.change, spec, args.horizon, args.seed)
     report = compare(parent, change, keys, args.rounds)
-    print(f"{'key':<9} {'parent us/step':>14} {'change us/step':>14} {'ratio':>7} {'faster':>7}  identical")
-    for key, row in report.items():
-        print(
-            f"{key:<9} {row['parent_us_per_step']:>14.1f} {row['change_us_per_step']:>14.1f} "
-            f"{row['ratio_median']:>7.3f} {row['change_faster']:>3}/{row['rounds']:<3}  "
-            f"{'yes' if row['identical'] else 'NO'}"
-        )
-    print(json.dumps(report, sort_keys=True))
+    try:
+        print(f"{'key':<9} {'parent us/step':>14} {'change us/step':>14} {'ratio':>7} {'faster':>7}  identical")
+        for key, row in report.items():
+            print(
+                f"{key:<9} {row['parent_us_per_step']:>14.1f} {row['change_us_per_step']:>14.1f} "
+                f"{row['ratio_median']:>7.3f} {row['change_faster']:>3}/{row['rounds']:<3}  "
+                f"{'yes' if row['identical'] else 'NO'}"
+            )
+        print(json.dumps(report, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe, as `| head -1` does: the rest of the report goes nowhere
+        # point stdout at devnull, as the signal module's docs advise, so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if all(row["identical"] for row in report.values()) else 1
 
 
