@@ -14,7 +14,8 @@ from JSON: when it is made, every field is read through ``core.typed`` and
 every spec through ``instances.spec_fields``, so a bad one fails before any
 job with a ``ConfigError`` naming the field. Its defaults live in the
 dataclass, and a config given no variants, policies, seeds or horizon fails
-naming the field; ``from_json`` reads only a document's shape.
+naming the field; ``from_json`` reads only a document's shape, and a key it
+does not know fails naming the key and its entry.
 
 Results export to CSV (one row per logged step), JSON (config plus
 summaries, round-trippable), and SVG (mean regret curve per policy with a
@@ -141,8 +142,7 @@ class ExperimentConfig:
                 seeds=tuple(typed("seeds", s, int) for s in typed("seeds", self.seeds, list)),
                 policies=tuple(_read_policy(f"policies[{i}]", p)
                                for i, p in enumerate(typed("policies", self.policies, list))),
-                variants=tuple(InstanceVariant(typed(f"instances[{i}].name", v.name, str),
-                                               copy.deepcopy(typed(f"instances[{i}].spec", v.spec, dict)))
+                variants=tuple(_read_variant(f"instances[{i}]", v)
                                for i, v in enumerate(typed("instances", self.variants, list))),
                 name=typed("name", self.name, str),
                 horizon=typed("horizon", self.horizon, int),
@@ -231,9 +231,10 @@ class ExperimentConfig:
         """The config of the fields a JSON document holds, the others at their defaults. Only the document's shape
         is read here: its containers are lists of objects, each policy has a ``key``, and ``seeds`` may be a range."""
         try:
-            fields = {k: doc[k] for k in ("name", "horizon", "seeds", "stride", "bounds", "eps", "context_kind")
-                      if k in doc}
+            _known("config", doc, _FIELD_KEYS + ("policies", "instances", "instance"))
+            fields = {k: doc[k] for k in _FIELD_KEYS if k in doc}
             if isinstance(fields.get("seeds"), dict):  # {"base": b, "count": n}
+                _known("seeds", fields["seeds"], ("base", "count"))
                 base, count = (typed(f"seeds.{k}", fields["seeds"].get(k, 0), int) for k in ("base", "count"))
                 if count < 1:
                     raise ConfigError("seeds.count: must be >= 1")
@@ -241,14 +242,14 @@ class ExperimentConfig:
             if "policies" in doc:
                 entries = typed("policies", doc["policies"], list)
                 for i, entry in enumerate(entries):
-                    if "key" not in typed(f"policies[{i}]", entry, dict):
+                    if "key" not in _known(f"policies[{i}]", typed(f"policies[{i}]", entry, dict), _ENTRY_KEYS):
                         raise ConfigError("policies: entry missing 'key'")
-                fields["policies"] = tuple(PolicySpec(**{k: p[k] for k in ("key", "params", "variants", "label")
-                                                         if k in p}) for p in entries)
+                fields["policies"] = tuple(PolicySpec(**p) for p in entries)
             if "instances" in doc:  # an unnamed entry i is named v<i>
-                fields["variants"] = tuple(InstanceVariant(typed(f"instances[{i}]", v, dict).get("name", f"v{i}"),
-                                                           v["spec"])
-                                           for i, v in enumerate(typed("instances", doc["instances"], list)))
+                fields["variants"] = tuple(
+                    InstanceVariant(_known(f"instances[{i}]", typed(f"instances[{i}]", v, dict), ("name", "spec"))
+                                    .get("name", f"v{i}"), v["spec"])
+                    for i, v in enumerate(typed("instances", doc["instances"], list)))
             elif "instance" in doc:
                 fields["variants"] = (InstanceVariant("default", typed("instance", doc["instance"], dict)),)
             else:
@@ -260,8 +261,30 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config document: {exc}") from exc
 
 
+# the keys of a config document that name a field of the config as they are, and those of a policy entry
+_FIELD_KEYS = ("name", "horizon", "seeds", "stride", "bounds", "eps", "context_kind")
+_ENTRY_KEYS = ("key", "params", "variants", "label")
+
+
+def _known(field: str, doc: dict, keys: tuple[str, ...]) -> dict:
+    """``doc``, if it holds only ``keys``; else a ``ConfigError`` that names ``field`` and each unknown key."""
+    unknown = [k for k in doc if k not in keys]
+    if unknown:
+        raise ConfigError(f"{field}: unknown keys {unknown}; known keys: {', '.join(keys)}")
+    return doc
+
+
+def _read_variant(field: str, v: InstanceVariant) -> InstanceVariant:
+    """``v`` with its name and a copy of its spec read through ``typed`` under their names in the config."""
+    if not isinstance(v, InstanceVariant):
+        raise ValueError(f"{field}: must be an InstanceVariant, got {v!r}")
+    return InstanceVariant(typed(f"{field}.name", v.name, str), copy.deepcopy(typed(f"{field}.spec", v.spec, dict)))
+
+
 def _read_policy(field: str, p: PolicySpec) -> PolicySpec:
     """``p`` with every field read through ``typed`` under its name in the config, such as ``policies[1].label``."""
+    if not isinstance(p, PolicySpec):
+        raise ValueError(f"{field}: must be a PolicySpec, got {p!r}")
     key = typed(f"{field}.key", p.key, str)
     declared = POLICY_KEYS[key].params if key in POLICY_KEYS else {}
     # a declared value is stored as read (1 and 1.0 label one policy); an unknown key or name fails later

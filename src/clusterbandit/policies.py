@@ -17,6 +17,12 @@ changes only ``update``: a cluster's belief is a copy of its best leaf's.
 ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of the UCB
 index: the global log t instead of log N_parent.
 
+A Thompson node draws one fresh value per child below ``_BLOCK_MIN``
+children and reads pre-drawn blocks above; while at least ``_GROUP_MIN`` of
+its children have a belief with s == 1 or f == 1, it draws once per group of
+equal such beliefs instead. Each rule has the law of a fresh draw per child
+per visit, which ``tests/law.py`` checks.
+
 Every policy class with a ``key``, the contextual ones included, declares
 the instance structure it ``needs`` and the ``params`` it accepts, and is
 recorded in ``POLICY_KEYS``; :func:`make_policy` and :func:`check_params`
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, insort
 from typing import Callable
 
 import numpy as np
@@ -71,6 +78,12 @@ _NARROW = 16
 # block made a 2-arm step 32% and the binary tree's step 47% slower.
 _BLOCK_MIN = 5
 _BLOCK_ROWS = 32
+# A Thompson node of at least _GROUP_MIN children keeps its children grouped by belief (_Groups), and
+# draws one value per group while at least _GROUP_MIN of them sit in a group. On numpy 2.4, flat ts on
+# 1000 arms stepped at 40-45 us on groups against 93-95 us on blocks with 889 arms grouped, 60 against
+# 72 with 540, and even at about 300; groups at every node of 5 or more children made tsc 2.6x and
+# hts on 15-child nodes 1.9x slower, so the narrow nodes keep their blocks.
+_GROUP_MIN = 400
 
 
 # key -> policy class: every class whose body sets a non-empty ``key``, recorded by
@@ -183,6 +196,58 @@ class _Block:
         self.values, self.next, self.stale = values, 0, -1
 
 
+class _Groups:
+    """A wide node's children by belief: the closed-form ones grouped by their exact (s, f), the others apart.
+
+    A child is closed-form when s == 1 or f == 1. ``keys`` holds the
+    closed-form beliefs in ascending order, so those of s == 1 come first;
+    ``members[g]`` holds the ascending offsets of the children of belief
+    ``keys[g]``, and ``params[g]`` the parameter its draw reads: f if
+    s == 1, else s. ``others`` holds the ascending offsets of the other
+    children, ``index`` their slots as an array (None until a visit needs
+    it), and ``filed`` each child's belief as filed here.
+    """
+
+    __slots__ = ("keys", "params", "members", "others", "index", "filed")
+
+    def __init__(self, width: int) -> None:  # every child at the uniform prior
+        self.keys, self.params, self.members = [(1.0, 1.0)], [1.0], [list(range(width))]
+        self.others, self.index, self.filed = [], None, [(1.0, 1.0)] * width
+
+    @property
+    def closed(self) -> int:
+        """The number of closed-form children."""
+        return len(self.filed) - len(self.others)
+
+    def refile(self, i: int, s: float, f: float) -> None:
+        """Move child ``i`` to its belief Beta(s, f)."""
+        old, new = self.filed[i], (s, f)
+        if old == new:  # a tsmax cluster whose representative's belief did not move
+            return
+        self.filed[i] = new
+        keys, members, others = self.keys, self.members, self.others
+        was, now = old[0] == 1.0 or old[1] == 1.0, s == 1.0 or f == 1.0
+        if was:
+            g = bisect_left(keys, old)
+            group = members[g]
+            del group[bisect_left(group, i)]
+            if not group:
+                del keys[g], members[g], self.params[g]
+        else:
+            del others[bisect_left(others, i)]
+        if now:
+            g = bisect_left(keys, new)
+            if g == len(keys) or keys[g] != new:
+                keys.insert(g, new)
+                members.insert(g, [])
+                self.params.insert(g, f if s == 1.0 else s)
+            insort(members[g], i)
+        else:
+            insort(others, i)
+        if was != now:
+            self.index = None
+
+
 class HierarchicalThompsonSampling(BanditPolicy):
     """Tree-recursive Thompson sampling.
 
@@ -206,6 +271,21 @@ class HierarchicalThompsonSampling(BanditPolicy):
     beliefs, the law of a fresh draw per child per visit. Blocks exist for
     visited nodes only.
 
+    A node of at least ``_GROUP_MIN`` children also keeps its children in
+    ``_Groups``, from construction on: those whose belief has s == 1 or
+    f == 1 grouped by their exact (s, f), the others apart; ``update``
+    refiles the one child that moved at each node above the played leaf.
+    While at least ``_GROUP_MIN`` of them sit in groups, a visit draws one
+    value per group and one per other child, afresh, and reads no block
+    (``_pick_group``). Children of equal belief are exchangeable, so the
+    maximum of a group's m draws, drawn as one value, and a uniform member
+    of the group have the law of the group's argmax under m fresh draws; a
+    visit so has the law of a fresh draw per child. Below that count the
+    node reads its block: ``_moved`` marked every move meanwhile, so its
+    unread rows are still independent draws at the current beliefs. On
+    kmeans-large's 1000 arms, flat ``ts`` so draws about 220 values a step
+    over 3000 steps (about 480 at the last), where a block row draws 1000.
+
     Works on arbitrary trees: branching may vary and leaves may sit at
     different depths.
     """
@@ -218,6 +298,9 @@ class HierarchicalThompsonSampling(BanditPolicy):
         self._s = np.ones(self.tree.n_nodes)
         self._f = np.ones(self.tree.n_nodes)
         self._blocks: dict[int, _Block] = {}  # by the slot of a node's first child
+        ptr = self.tree.ptr
+        wide = np.flatnonzero(np.diff(ptr) >= _GROUP_MIN).tolist()
+        self._groups = {int(ptr[v]): _Groups(int(ptr[v + 1] - ptr[v])) for v in wide}  # keyed as _blocks
         self._bind()
 
     def _bind(self) -> None:
@@ -226,10 +309,15 @@ class HierarchicalThompsonSampling(BanditPolicy):
 
     def _pick(self, lo: int, hi: int, at: int, t: int, rng: np.random.Generator) -> int:
         """The offset of the argmax of one value per child in slots [lo, hi): drawn afresh below
-        ``_BLOCK_MIN`` children, else read as the next row of the node's block."""
+        ``_BLOCK_MIN`` children, by groups where the node's groups hold enough children, else read as the
+        next row of the node's block."""
         s, f = self._sv, self._fv
         if hi - lo < _BLOCK_MIN:
             return _random_argmax_list(list(map(rng.beta, s[lo:hi], f[lo:hi])), rng)
+        if hi - lo >= _GROUP_MIN:
+            groups = self._groups[lo]
+            if hi - lo - len(groups.others) >= _GROUP_MIN:  # enough closed-form children
+                return self._pick_group(groups, lo, rng)
         block = self._blocks.get(lo)
         if block is None or block.next == len(block.values):  # first visit, or used up
             rows = 1 if block is None else min(2 * block.next, _BLOCK_ROWS)
@@ -244,21 +332,53 @@ class HierarchicalThompsonSampling(BanditPolicy):
             return _random_argmax_list(row.tolist(), rng)
         return random_argmax(row, rng)
 
+    def _pick_group(self, groups: _Groups, lo: int, rng: np.random.Generator) -> int:
+        """The offset of the argmax of one value per group of ``groups`` and one per other child.
+
+        A group of m children of belief Beta(s, f) draws the maximum of m such
+        draws by inversion, F^-1(V^(1/m)): V^(1/(s m)) at f == 1, and
+        1 - (1 - V^(1/m))^(1/f) at s == 1. The G groups' V and one more uniform,
+        which picks a uniform member of the winning group, come from one
+        ``rng.random(G + 1)`` call; the other children's values from one
+        ``rng.beta`` call, if there are any.
+        """
+        keys, members, others = groups.keys, groups.members, groups.others
+        n = len(keys)
+        ones = bisect_left(keys, (1.0, math.inf))  # the groups of s == 1
+        u = rng.random(n + 1)
+        x = np.log(u[:n]) / np.array(list(map(len, members)))
+        param = np.array(groups.params)
+        values = np.empty(n + len(others))
+        values[:ones] = -np.expm1(np.log(-np.expm1(x[:ones])) / param[:ones])
+        values[ones:n] = np.exp(x[ones:] / param[ones:])
+        if others:
+            if groups.index is None:
+                groups.index = np.array(others) + lo
+            values[n:] = rng.beta(self._s[groups.index], self._f[groups.index])
+        w = random_argmax(values, rng)
+        if w >= n:
+            return others[w - n]
+        group = members[w]
+        return group[int(u[n] * len(group))]
+
     def _moved(self, leaf: int) -> None:
-        """Mark, in the block of each node above ``leaf``, the child on the way to it: the one whose belief moved."""
-        blocks, ptr, slot, parent = self._blocks, self._ptr, self._slot, self._parent
-        if not blocks:  # every node visited so far draws afresh
+        """Mark, in the block of each node above ``leaf``, the child on the way to it: the one whose belief moved;
+        and refile that child in the node's groups, if it has them."""
+        blocks, groups, ptr, slot, parent = self._blocks, self._groups, self._ptr, self._slot, self._parent
+        if not blocks and not groups:  # every node visited so far draws afresh
             return
         w, v = leaf, parent[leaf]
         while v >= 0:
             lo = ptr[v]
+            i = slot[w] - lo
             block = blocks.get(lo)
             if block is not None:
-                i = slot[w] - lo
                 if block.stale < 0 or block.stale == i:
                     block.stale = i
                 else:  # a second child moved before the next visit
                     del blocks[lo]
+            if groups and lo in groups:
+                groups[lo].refile(i, self._sv[lo + i], self._fv[lo + i])
             w, v = v, parent[v]
 
     def update(self, arm: int, reward: float) -> None:

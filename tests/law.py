@@ -6,8 +6,9 @@ instead that its runs follow the same law as the reference's. Its parameters
 are fixed here, before any such kernel, and are not tuned to a candidate:
 
 - instances: criterion 5's two-cluster instance, criterion 1's strong-dominance
-  instance (N=100, K=10, A*=10, w=0.1, d=0.1) and the sorted binary tree of 256
-  arms (8 levels), each built from the instance stream of seed 0;
+  instance (N=100, K=10, A*=10, w=0.1, d=0.1), the sorted binary tree of 256
+  arms (8 levels) and the kmeans-large preset's 1000 arms, each built from the
+  instance stream of seed 0;
 - runs: ``simulate`` for ``HORIZON`` = 400 steps, the reference on the
   simulation streams of seeds 0-199 and the candidate on seeds 1000-1199
   (a calibration candidate on seeds 2000-2199);
@@ -24,10 +25,13 @@ afresh at every visit (``PerVisit``, a ``_pick`` override of the shipped
 policies). ``BlockDraws`` is the block contract written out plainly: per node,
 rows of pre-drawn values, one row per visit, 1, 2, 4, ... up to ``BLOCK_ROWS``
 rows per refill, the moved child's remaining rows redrawn at the next visit,
-and the block dropped when a second child moves first.
+and the block dropped when a second child moves first. ``GroupDraws`` is the
+group contract of the nodes of at least ``_GROUP_MIN`` children, likewise.
 
 The known-wrong candidates the gate must reject are here too: Beta(s, f + 1)
-at the leaves, and a block whose moved child is never redrawn. A stale value
+at the leaves, a block whose moved child is never redrawn, and two group
+draws: a group's maximum drawn without the 1/m power, so as one draw, and
+its first member played instead of a uniform one. A stale value
 of the child just played shows first in how often it is played again, which
 is what the two replay checks count; without them no check resolved a
 never-redrawn block at 200 seeds.
@@ -68,6 +72,8 @@ INSTANCES = {
     "criterion-1": {"kind": "strong_dominance", "n_arms": 100, "n_suboptimal_clusters": 10,
                     "optimal_cluster_size": 10, "optimal_width": 0.1, "separation": 0.1},
     "sorted-tree-256": {"kind": "sorted_tree", "n_arms": 256},
+    # the kmeans-large preset's instance: flat ts draws by groups at its 1000-arm root
+    "kmeans-1000": {"kind": "kmeans", "n_arms": 1000, "n_clusters": 32, "reward_fn": "sin-product"},
 }
 
 
@@ -166,6 +172,50 @@ class BlockDraws:
 
 
 # ---------------------------------------------------------------------------
+# The group contract, plainly
+# ---------------------------------------------------------------------------
+
+class GroupDraws:
+    """One value per group of children that share a closed-form belief, one per other child, at every visit.
+
+    A child is closed-form when s == 1 or f == 1. The closed-form children
+    are grouped by their exact (s, f), the groups in ascending (s, f) and each
+    group's members in child order. One ``rng.random(G + 1)`` call gives the G
+    groups' uniforms V and one more uniform U; a group of m children of belief
+    Beta(s, f) takes the maximum of m such draws, F^-1(V^(1/m)): with
+    x = log(V) / m, exp(x / s) at f == 1 and -expm1(log(-expm1(x)) / f) at
+    s == 1. One ``rng.beta`` call, if there are any, gives the other
+    children's values in child order. The argmax of the group values and
+    then the others' values, ties broken as ``random_argmax`` breaks them,
+    is played; a group plays its member number floor(U m).
+
+    ``power=False`` (the maximum drawn as one draw, without the 1/m power)
+    and ``first=True`` (a group's first member played) are the two
+    known-wrong variants the gate must reject.
+    """
+
+    def __init__(self, power: bool = True, first: bool = False):
+        self.power, self.first = power, first
+
+    def pick(self, s, f, rng) -> int:
+        """The child offset played among children of beliefs Beta(s, f) (arrays in child order)."""
+        closed = np.flatnonzero((s == 1.0) | (f == 1.0))
+        others = np.flatnonzero((s != 1.0) & (f != 1.0))
+        # complex numbers sort by real part, then imaginary part: the groups in ascending (s, f)
+        keys, group = np.unique(s[closed] + 1j * f[closed], return_inverse=True)
+        gs, gf, m = keys.real, keys.imag, np.bincount(group)
+        u = rng.random(len(keys) + 1)
+        x = np.log(u[:-1]) / (m if self.power else 1.0)
+        values = np.where(gs == 1.0, -np.expm1(np.log(-np.expm1(x)) / gf), np.exp(x / gs))
+        if others.size:
+            values = np.concatenate((values, rng.beta(s[others], f[others])))
+        w = random_argmax(values, rng)
+        if w >= len(keys):
+            return int(others[w - len(keys)])
+        return int(closed[group == w][0 if self.first else int(u[-1] * m[w])])
+
+
+# ---------------------------------------------------------------------------
 # Known-wrong candidates
 # ---------------------------------------------------------------------------
 
@@ -194,11 +244,30 @@ class NeverRedrawnTsc(NeverRedrawn, ClusteredThompsonSampling):
     pass
 
 
+class Grouped:
+    """Every node drawn by ``GroupDraws`` with the class's ``draws``."""
+
+    draws = GroupDraws()
+
+    def _pick(self, lo, hi, at, t, rng):
+        return self.draws.pick(self._s[lo:hi], self._f[lo:hi], rng)
+
+
+class GroupMaxWithoutPower(Grouped, ThompsonSampling):
+    draws = GroupDraws(power=False)
+
+
+class GroupFirstMember(Grouped, ThompsonSampling):
+    draws = GroupDraws(first=True)
+
+
 WRONG: dict[str, Callable] = {
     "leaf-beta-f+1": lambda inst: LeafBetaOffByOne(inst.clustering),
     "ts-for-tsc": lambda inst: ThompsonSampling(inst.n_arms),
     "never-redrawn-tsc": lambda inst: NeverRedrawnTsc(inst.clustering),
     "never-redrawn-ts": lambda inst: NeverRedrawnTs(inst.n_arms),
+    "group-max-without-power": lambda inst: GroupMaxWithoutPower(inst.n_arms),
+    "group-first-member": lambda inst: GroupFirstMember(inst.n_arms),
 }
 
 

@@ -386,6 +386,24 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_group_draws_load_no_scipy(self):
+        # a group's maximum is drawn by closed forms, not by scipy.special.betaincinv, whose import adds
+        # about 22 MB of RSS and 0.2 s to a run
+        script = (
+            "import sys\n"
+            "from clusterbandit.core import BanditInstance, rng_streams\n"
+            "from clusterbandit.policies import _GROUP_MIN, make_policy\n"
+            "from clusterbandit.simulate import simulate\n"
+            "n = 2 * _GROUP_MIN\n"
+            "instance = BanditInstance([(a % 7) / 7 for a in range(n)])\n"
+            "policy = make_policy('ts', instance)\n"
+            "simulate(instance, policy, 300, rng_streams(0).simulation)\n"
+            "print(policy._groups[0].closed >= _GROUP_MIN, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True []"  # the root drew by groups all run long, and scipy stayed out
+
     def test_import_loads_no_numpy_random(self):
         # numpy imports numpy.random on first use, about 6 MB that the main process of a pooled run never needs
         script = "import sys, clusterbandit.cli; print('numpy.random' in sys.modules)"

@@ -266,9 +266,18 @@ class TestConfigValidation:
             (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC}] * 2),
              "^instances: duplicate variant names$"),
             (lambda doc: doc.update(policies=[{"key": "ts"}, {"label": "tsc"}]), "^policies: entry missing 'key'$"),
+            # each of these typos was dropped, and the config ran without bounds, stride or label
+            (lambda doc: doc.update(bound=True), r"^config: unknown keys \['bound'\]; known keys: name, horizon, "),
+            (lambda doc: doc.update(strid=2, bound=True), r"^config: unknown keys \['strid', 'bound'\]; "),
+            (lambda doc: doc.update(policies=[{"key": "ts"}, {"key": "tsc", "lable": "x"}]),
+             r"^policies\[1\]: unknown keys \['lable'\]; known keys: key, params, variants, label$"),
+            (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC, "nmae": "b"}]),
+             r"^instances\[0\]: unknown keys \['nmae'\]; known keys: name, spec$"),
+            (lambda doc: doc.update(seeds={"base": 3, "cuont": 2}), r"^seeds: unknown keys \['cuont'\]; "),
         ],
         ids=["no-seeds", "seed-count-0", "no-instances", "no-instance-field", "stride-0", "duplicate-variants",
-             "policy-without-key"],
+             "policy-without-key", "unknown-key", "unknown-keys", "unknown-policy-key", "unknown-variant-key",
+             "unknown-seeds-key"],
     )
     def test_config_shape_errors_name_their_field(self, edit, match):
         doc = {"name": "tiny", "horizon": 40, "seeds": [1, 2, 3], "policies": [{"key": "ts"}], "instance": TINY_SD_SPEC}
@@ -480,9 +489,14 @@ class TestConfigValidation:
             ({"policies": {"key": "ts"}}, r"^policies: must be a list, got \{"),
             ({"policies": PolicySpec("ts")}, r"^policies: must be a list, got PolicySpec\("),
             ({"seeds": 5}, r"^seeds: must be a list, got 5$"),
+            # these failed with a bare AttributeError: 'dict' object has no attribute 'key' (or 'name')
+            ({"policies": (PolicySpec("ts"), {"key": "tsc"})},
+             r"^policies\[1\]: must be a PolicySpec, got \{'key': 'tsc'\}$"),
+            ({"variants": (InstanceVariant("a", TINY_SD_SPEC), {"name": "b", "spec": TINY_SD_SPEC})},
+             r"^instances\[1\]: must be an InstanceVariant, got \{'name': 'b', "),
         ],
         ids=["variants-string", "variants-element", "params-null", "spec-string", "instances-object",
-             "policies-object", "policies-one-spec", "seeds-number"],
+             "policies-object", "policies-one-spec", "seeds-number", "policy-dict", "variant-dict"],
     )
     def test_container_fields_name_themselves_in_a_config_built_directly(self, monkeypatch, fields, match):
         # variants="ab" was read as ['a', 'b'] by the filter check and as a substring by runs_on

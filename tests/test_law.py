@@ -1,7 +1,8 @@
 """The law gate of ``law.py`` on the shipped Thompson kernels, with its calibration and its power.
 
 Every shipped ``ts``, ``tsc``, ``hts`` and ``tsmax`` kernel must pass the
-gate against the per-visit reference. The reference must pass against
+gate against the per-visit reference, flat ``ts`` on 1000 arms, whose root
+draws by groups, included. The reference must pass against
 itself on a third seed list (calibration), and each known-wrong candidate
 must fail (power); two of them on criterion 5 are strict xfails, with the
 seed counts that resolve them. Run with ``pytest -s`` to see each run's
@@ -18,6 +19,7 @@ KERNEL_CASES = [
     ("criterion-1", "tsc"),
     ("criterion-1", "tsmax"),
     ("sorted-tree-256", "hts"),
+    ("kmeans-1000", "ts"),  # its 1000-arm root draws by groups
 ]
 
 
@@ -59,6 +61,8 @@ UNRESOLVED_AT_200_SEEDS = pytest.mark.xfail(
     pytest.param("criterion-5", "tsc", "never-redrawn-tsc", marks=UNRESOLVED_AT_200_SEEDS),
     ("criterion-1", "ts", "never-redrawn-ts"),
     ("criterion-1", "tsc", "never-redrawn-tsc"),
+    ("kmeans-1000", "ts", "group-max-without-power"),
+    ("kmeans-1000", "ts", "group-first-member"),
 ])
 def test_known_wrong_candidates_fail(name, key, wrong):
     passed, p = law.gate(name, key, law.WRONG[wrong])

@@ -1,14 +1,21 @@
 """Step-for-step oracle for the per-step code of the Thompson, TsMax, UCB and linear policies.
 
 The Thompson references (``RefHts``, ``RefThompsonSampling``,
-``RefClusteredThompsonSampling`` and ``RefTsMax``) draw through
-``_values``: a fresh scalar per child at a node of fewer than ``_BLOCK_MIN``
-children, else ``law.BlockDraws``, the block contract written out plainly:
-per node (or per cluster, and a root key), rows of pre-drawn values over the
-children's beliefs gathered by index, and after an update the moved child,
-as a position in the node's child order. Whether that law is Thompson
-sampling's is ``test_law.py``'s question, against the per-visit kernel;
-here the kernels must draw exactly what the contract draws.
+``RefClusteredThompsonSampling`` and ``RefTsMax``) pick through
+``_choose``: ``law.GroupDraws``, the group contract written out plainly and
+recomputed from the beliefs at every visit, at a node of at least
+``_GROUP_MIN`` children of which at least ``_GROUP_MIN`` have s == 1 or
+f == 1; else the argmax of ``_values``: a fresh scalar per child at a node
+of fewer than ``_BLOCK_MIN`` children, else ``law.BlockDraws``, the block
+contract written out plainly: per node (or per cluster, and a root key),
+rows of pre-drawn values over the children's beliefs gathered by index, and
+after an update the moved child, as a position in the node's child order.
+Whether that law is Thompson sampling's is ``test_law.py``'s question,
+against the per-visit kernel; here the kernels must draw exactly what the
+contracts draw. Nodes of ``_GROUP_MIN - 1`` and ``_GROUP_MIN`` children,
+and (with the threshold lowered) nodes that move from groups to blocks
+mid-run and group tables under updates from outside ``select``, are checked
+as well.
 
 ``RefThompsonSampling`` and ``RefClusteredThompsonSampling`` keep flat and
 two-level Thompson sampling as their own kernels: one block over the arms,
@@ -80,8 +87,9 @@ from clusterbandit.policies import (
     Ucb1,
     make_policy,
 )
+from clusterbandit import policies
 from clusterbandit.simulate import simulate
-from law import BlockDraws
+from law import BlockDraws, GroupDraws
 
 SEEDS = (0, 1, 2)
 HORIZON = 2000
@@ -112,6 +120,21 @@ def _values(draws, key, s, f, rng):
     return draws.row(key, s, f, rng)
 
 
+def _grouped(s, f):
+    """Whether children of beliefs Beta(s, f) draw by groups: at least ``_GROUP_MIN`` of them, and as many
+    closed-form (s == 1 or f == 1). The threshold is read at each call, so a test may patch it."""
+    least = policies._GROUP_MIN
+    return len(s) >= least and np.count_nonzero((s == 1.0) | (f == 1.0)) >= least
+
+
+def _choose(draws, key, s, f, rng):
+    """The position of the child played among children of beliefs Beta(s, f): ``GroupDraws`` where
+    ``_grouped``, else the argmax of ``_values``, whose block the group draws leave as it is."""
+    if _grouped(s, f):
+        return GroupDraws().pick(s, f, rng)
+    return _ref_random_argmax(_values(draws, key, s, f, rng), rng)
+
+
 class RefHts(HierarchicalThompsonSampling):
     """Beliefs by node id, one block per node."""
 
@@ -124,8 +147,7 @@ class RefHts(HierarchicalThompsonSampling):
         node = tree.root
         while tree.ptr[node] != tree.ptr[node + 1]:
             kids = tree.children(node)
-            theta = _values(self._draws, node, self._s[kids], self._f[kids], rng)
-            node = int(kids[_ref_random_argmax(theta, rng)])
+            node = int(kids[_choose(self._draws, node, self._s[kids], self._f[kids], rng)])
         return int(tree.leaf_arms[node])
 
     def update(self, arm, reward):
@@ -146,8 +168,7 @@ class RefThompsonSampling:
         self._draws = BlockDraws()
 
     def select(self, t, rng):
-        theta = _values(self._draws, "arms", self._s, self._f, rng)
-        return _ref_random_argmax(theta, rng)
+        return _choose(self._draws, "arms", self._s, self._f, rng)
 
     def update(self, arm, reward):
         self._s[arm] += reward
@@ -166,11 +187,9 @@ class RefClusteredThompsonSampling:
         self._draws = BlockDraws()
 
     def select(self, t, rng):
-        theta_c = _values(self._draws, "clusters", self._cs, self._cf, rng)
-        cluster = _ref_random_argmax(theta_c, rng)
+        cluster = _choose(self._draws, "clusters", self._cs, self._cf, rng)
         members = self.clustering.members(cluster)
-        theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
-        return int(members[_ref_random_argmax(theta_a, rng)])
+        return int(members[_choose(self._draws, cluster, self._s[members], self._f[members], rng)])
 
     def update(self, arm, reward):
         cluster = self.clustering.label_of(arm)
@@ -230,11 +249,9 @@ class RefTsMax:
 
     def select(self, t, rng):
         reps = self.cluster_representatives()
-        theta_c = _values(self._draws, "clusters", self._s[reps], self._f[reps], rng)
-        cluster = _ref_random_argmax(theta_c, rng)
+        cluster = _choose(self._draws, "clusters", self._s[reps], self._f[reps], rng)
         members = self._members[cluster]
-        theta_a = _values(self._draws, cluster, self._s[members], self._f[members], rng)
-        return int(members[_ref_random_argmax(theta_a, rng)])
+        return int(members[_choose(self._draws, cluster, self._s[members], self._f[members], rng)])
 
     def update(self, arm, reward):
         cluster = self.clustering.label_of(arm)
@@ -516,6 +533,97 @@ def test_thompson_descent_matches_own_beta_kernels(key, name, seed):
         policy = ClusteredThompsonSampling(instance.clustering)
         reference = RefClusteredThompsonSampling(instance.clustering)
     _assert_same_trace(instance, policy, reference, seed)
+
+
+# key -> (policy, reference) for the group tests; hts on a clustering descends its two-level tree
+GROUPED = {
+    **{key: EXTERNAL_UPDATES[key] for key in ("ts", "tsc", "tsmax")},
+    "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree or ClusterTree.from_clustering(inst.clustering)),
+            lambda inst: RefHts(inst.tree or ClusterTree.from_clustering(inst.clustering))),
+}
+
+
+def _counting_group_visits(policy):
+    """Count the policy's visits that draw by groups, in ``policy.group_visits``."""
+    pick_group = policy._pick_group
+    policy.group_visits = 0
+
+    def counted(*args):
+        policy.group_visits += 1
+        return pick_group(*args)
+
+    policy._pick_group = counted
+    return policy
+
+
+def _group_crossover_instance(flat):
+    """``_GROUP_MIN`` arms alone if ``flat``, else clusters of ``_GROUP_MIN - 1`` and ``_GROUP_MIN`` arms, labels
+    interleaved. The arms of the ``_GROUP_MIN`` (every arm if ``flat``) have means of 0 and 1, which keep every
+    belief there closed-form (s == 1 or f == 1) all run long; the others have means of 0.2."""
+    least = policies._GROUP_MIN
+    sizes = [least] if flat else [least - 1, least]
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    labels = labels[np.random.default_rng(len(sizes)).permutation(labels.size)]
+    means = [(1.0, 0.0, 0.0)[a % 3] if sizes[c] == least else 0.2 for a, c in enumerate(labels)]
+    return BanditInstance(means, clustering=None if flat else DisjointClustering(labels))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key", sorted(GROUPED))
+def test_thompson_descents_match_references_across_the_group_crossover(key, seed):
+    # a node of _GROUP_MIN children draws by groups, one of _GROUP_MIN - 1 by blocks
+    instance = _group_crossover_instance(flat=key == "ts")
+    make, make_ref = GROUPED[key]
+    policy, reference = _counting_group_visits(make(instance)), make_ref(instance)
+    widths = {int(lo): int(hi - lo) for lo, hi in zip(policy.tree.ptr[:-1], policy.tree.ptr[1:]) if hi > lo}
+    assert sorted(widths[lo] for lo in policy._groups) == [policies._GROUP_MIN]
+    assert key == "ts" or policies._GROUP_MIN - 1 in widths.values()
+    rng, ref_rng = rng_streams(seed).simulation, rng_streams(seed).simulation
+    got, want = simulate(instance, policy, HORIZON, rng), simulate(instance, reference, HORIZON, ref_rng)
+    assert got.arms.tobytes() == want.arms.tobytes()
+    assert got.cum_regret.tobytes() == want.cum_regret.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert policy.group_visits > 50
+    # the node of _GROUP_MIN - 1 children drew by blocks
+    assert key == "ts" or [widths[lo] for lo in policy._blocks if widths[lo] >= _BLOCK_MIN] == [policies._GROUP_MIN - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key, name, least", [
+    ("ts", "kmeans-small", 40), ("tsc", "kmeans-small", 8), ("tsmax", "kmeans-small", 8), ("hts", "hts-uct/L2", 15),
+])
+def test_thompson_descents_switch_from_groups_to_blocks_mid_run(key, name, least, seed, monkeypatch):
+    # with a lower threshold, nodes start on groups and move to blocks as their beliefs leave closed form
+    monkeypatch.setattr(policies, "_GROUP_MIN", least)
+    instance = _instance(name, seed)
+    make, make_ref = GROUPED[key]
+    policy, reference = _counting_group_visits(make(instance)), make_ref(instance)
+    _assert_same_trace(instance, policy, reference, seed)
+    assert policy.group_visits > 50
+    assert any(table.closed < least and lo in policy._blocks for lo, table in policy._groups.items())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key", ["ts", "tsc", "tsmax"])
+def test_group_tables_follow_external_updates(key, seed, monkeypatch):
+    # updates from outside select, in scrambled arm order, before the first select and between runs
+    monkeypatch.setattr(policies, "_GROUP_MIN", 8)
+    instance = _instance("kmeans-small", seed)
+    make, make_ref = GROUPED[key]
+    policy, reference = make(instance), make_ref(instance)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        arms = rng.choice(instance.n_arms, size=40, replace=False)
+        rewards = rng.choice([0.0, 0.5, 1.0], size=40)
+        for arm, reward in zip(arms.tolist(), rewards.tolist()):
+            policy.update(arm, reward)
+            reference.update(arm, reward)
+        _assert_same_trace(instance, policy, reference, seed, horizon=300)
+    for lo, table in policy._groups.items():  # each table files every child at its belief
+        hi = lo + len(table.filed)
+        assert table.filed == list(zip(policy._s[lo:hi].tolist(), policy._f[lo:hi].tolist()))
+        closed = [(s, f) for s, f in table.filed if s == 1.0 or f == 1.0]
+        assert table.keys == sorted(set(closed)) and table.closed == len(closed) == sum(map(len, table.members))
 
 
 def test_tied_representatives_go_to_the_lowest_arm_id():

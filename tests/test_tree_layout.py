@@ -23,7 +23,7 @@ import pytest
 from clusterbandit.core import ClusterTree, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import _merge_tree, build_instance, kmeans, reward_function
-from clusterbandit.policies import make_policy
+from clusterbandit.policies import _GROUP_MIN, make_policy
 from clusterbandit.simulate import simulate
 
 SEEDS = range(5)
@@ -371,13 +371,17 @@ def test_thompson_blocks_hold_little_memory_after_a_run(preset_name, variant, ke
         return policy
 
     run()  # warm one-time caches
-    # lazy blocks, one per visited node, held +0.12 (hts) and +0.26 MB (ts); one (n_nodes, 32)
-    # array made at construction would hold 2.2 MB on L3
+    # lazy blocks, one per visited node, held +0.12 MB (hts); blocks held +0.26 MB for ts, whose 1000-arm
+    # root now draws by groups, whose tables held +0.11 MB; one (n_nodes, 32) array made at construction
+    # would hold 2.2 MB on L3
     assert _held_mb(run) - _held_mb(lambda: make_policy(key, instance)) < 0.5
 
     # blocks sit at visited nodes only, each with at most 32 rows and at most twice its node's visits
     policy = make_policy(key, instance)
     trace = simulate(instance, policy, horizon, rng_streams(seed).simulation)
+    if key == "ts":  # the root drew by groups all run long, and so drew nothing ahead
+        assert policy._blocks == {} and policy._groups[0].closed >= _GROUP_MIN
+        return
     tree = policy.tree
     visits = dict.fromkeys(range(tree.n_nodes), 0)  # each node's visits: the plays of the arms under it
     for arm, plays in zip(*np.unique(trace.arms, return_counts=True)):
