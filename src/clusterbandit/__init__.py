@@ -33,7 +33,6 @@ from .contextual import (
 from .core import (
     BanditInstance,
     ClusterTree,
-    DisjointClustering,
     SimulationTrace,
     draw_reward,
     random_argmax,

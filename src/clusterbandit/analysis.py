@@ -137,21 +137,20 @@ class ClusterStats:
 
 def cluster_stats(instance: BanditInstance) -> ClusterStats:
     """Compute all clustering-quality statistics of a clustered instance."""
-    clustering = instance.clustering
-    if clustering is None:
+    if instance.labels is None:
         raise ValueError("instance has no disjoint clustering")
-    means = instance.means
+    tree, means = instance.tree, instance.means
     mu_star = float(means.max())
     optimal_arm = instance.optimal_arm
-    c_star = clustering.label_of(optimal_arm)
-    n_clusters = clustering.n_clusters
+    c_star = int(instance.labels[optimal_arm])
+    star_arms = tree.arms_under(c_star + 1)
+    n_clusters = int(tree.ptr[1])  # the root's children, clusters 1..k
 
-    mu_bar = np.empty(n_clusters)
-    mu_under = np.empty(n_clusters)
-    for c in range(n_clusters):
-        cluster_means = means[clustering.members(c)]
-        mu_bar[c] = cluster_means.max()
-        mu_under[c] = cluster_means.min()
+    # Cluster c's arms are the run [ptr[c+1] - k, ptr[c+2] - k) of the depth-first arm order.
+    by_cluster = means[tree.arms_under(0)]
+    starts = tree.ptr[1:n_clusters + 1] - n_clusters
+    mu_bar = np.maximum.reduceat(by_cluster, starts)
+    mu_under = np.minimum.reduceat(by_cluster, starts)
     width = mu_bar - mu_under
     gap = mu_star - mu_bar
 
@@ -175,7 +174,7 @@ def cluster_stats(instance: BanditInstance) -> ClusterStats:
         mu_star=mu_star,
         optimal_arm=optimal_arm,
         optimal_cluster=c_star,
-        a_star=int(clustering.members(c_star).size),
+        a_star=int(star_arms.size),
         k_suboptimal=k_suboptimal,
         w_star=w_star,
         gamma=gamma,
@@ -187,7 +186,7 @@ def cluster_stats(instance: BanditInstance) -> ClusterStats:
         gap=gap,
         gamma_c=gamma_c,
         arm_gaps=mu_star - means,
-        optimal_cluster_means=np.sort(means[clustering.members(c_star)]),
+        optimal_cluster_means=np.sort(means[star_arms]),
     )
 
 
@@ -387,7 +386,7 @@ def hts_instance_bound(instance: BanditInstance, T: float, eps: float = 0.1) -> 
     Sibling terms with a non-positive denominator (tree dominance violated)
     are skipped and ``dominance_ok`` is set to False.
     """
-    if instance.tree is None:
+    if instance.structure != "tree":
         raise ValueError("instance has no cluster tree")
     T = _check_horizon(T)
     _check_eps(eps)
@@ -463,18 +462,15 @@ class DominanceReport:
 
 def verify_strong_dominance(instance: BanditInstance) -> DominanceReport:
     """Check that every optimal-cluster arm beats every other cluster's arms."""
-    clustering = instance.clustering
-    if clustering is None:
-        raise ValueError("instance has no disjoint clustering")
     stats = cluster_stats(instance)
-    means = instance.means
-    star_arms = clustering.members(stats.optimal_cluster)
+    tree, means = instance.tree, instance.means
+    star_arms = tree.arms_under(stats.optimal_cluster + 1)
     violations: list[tuple[int, int]] = []
     for c in stats.suboptimal_clusters():
         if stats.distance[c] > 0.0:
             continue
         for a in star_arms:
-            for b in clustering.members(int(c)):
+            for b in tree.arms_under(int(c) + 1):
                 if means[a] - means[b] <= 0.0:
                     violations.append((int(a), int(b)))
     return DominanceReport(holds=not violations, violations=tuple(violations), stats=stats)
@@ -502,7 +498,7 @@ def audit_hierarchical_dominance(instance: BanditInstance) -> TreeDominanceRepor
     the on-path child subtree must exceed the maximum mean of every sibling
     subtree. A depth-0 tree passes vacuously.
     """
-    if instance.tree is None:
+    if instance.structure != "tree":
         raise ValueError("instance has no cluster tree")
     violations = tuple(
         TreeDominanceViolation(instance.tree.node_depth(nxt), nxt, sib, opt_min, sib_max)

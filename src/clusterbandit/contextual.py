@@ -17,9 +17,10 @@ non-root node from the played arm's leaf up to the root. The tree is made
 as for the Bernoulli policies, by ``BanditPolicy.__init__``: ``lints`` and
 ``linucb`` are ``flat`` and descend ``ClusterTree.star(n)`` of an arm
 count, where arm a is leaf a+1, as for ``ts``; ``lintsc`` and ``linucbc``,
-their twins with ``flat = False``, descend ``ClusterTree.from_clustering(c)``,
-where cluster c is node c+1, as for ``tsc``. The UCB variants only
-score rows with ``_LinearBank.ucb`` instead of ``_LinearBank.sample``.
+their twins with ``flat = False``, descend the instance's tree,
+``ClusterTree.from_labels(labels)``, where cluster c is node c+1, as for
+``tsc``. The UCB variants only score rows with ``_LinearBank.ucb`` instead
+of ``_LinearBank.sample``.
 Inverses are maintained with rank-one updates and re-solved densely every
 1000 updates per row to cap numerical drift.
 
@@ -45,9 +46,11 @@ from __future__ import annotations
 
 import math
 from abc import abstractmethod
+from typing import Sequence
+
 import numpy as np
 
-from .core import DisjointClustering, random_argmax
+from .core import ClusterTree, _clustered, random_argmax
 from .policies import BanditPolicy
 
 __all__ = [
@@ -191,17 +194,16 @@ class ContextualInstance:
 
     structure = "contextual"  # as ``instances.spec_structure`` names a contextual spec's
 
-    def __init__(self, theta: np.ndarray, clustering: DisjointClustering, epsilon: float = 0.0) -> None:
+    def __init__(self, theta: np.ndarray, labels: Sequence[int], epsilon: float = 0.0) -> None:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim != 2:
             raise ValueError("theta must be (n_arms, dim)")
-        if clustering.n_arms != theta.shape[0]:
-            raise ValueError("clustering size does not match arm count")
+        labels, tree = _clustered(labels, theta.shape[0])
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta has non-finite entries")
         self.theta = theta
         self.theta.setflags(write=False)
-        self.clustering = clustering
+        self.labels, self.tree = labels, tree
         self.epsilon = float(epsilon)
 
     @property
@@ -235,7 +237,7 @@ class ContextualInstance:
     def __repr__(self) -> str:
         return (
             f"ContextualInstance(n_arms={self.n_arms}, dim={self.dim}, "
-            f"n_clusters={self.clustering.n_clusters}, epsilon={self.epsilon})"
+            f"n_clusters={len(self.tree.children(0))}, epsilon={self.epsilon})"
         )
 
 
@@ -263,7 +265,7 @@ class ContextualPolicy(BanditPolicy):
     _seen: np.ndarray | None = None
     _xx: np.ndarray | None = None
 
-    def __init__(self, arms: int | DisjointClustering, dim: int, v: float = 1.0) -> None:
+    def __init__(self, arms: int | ClusterTree, dim: int, v: float = 1.0) -> None:
         super().__init__(arms)
         self.dim = dim
         self.v = float(v)
@@ -316,7 +318,7 @@ class LinThompson(ContextualPolicy):
 class ClusteredLinThompson(LinThompson):
     """Two-level linear Thompson sampling over a disjoint clustering.
 
-    The descent on ``ClusterTree.from_clustering(clustering)``: cluster
+    The descent on ``ClusterTree.from_labels(labels)``: cluster
     posteriors (rows ``0..k-1``) pick the cluster, node c+1, and then the
     posteriors of its arms, one contiguous run of rows, pick the arm; both
     levels are updated with the same observed (context, reward) pair.
@@ -332,7 +334,7 @@ class LinUcb(LinThompson):
     key = "linucb"
     params = {"alpha": (float, _check_alpha)}
 
-    def __init__(self, arms: int | DisjointClustering, dim: int, alpha: float = 2.0) -> None:
+    def __init__(self, arms: int | ClusterTree, dim: int, alpha: float = 2.0) -> None:
         _check_alpha(alpha)
         super().__init__(arms, dim)
         self.alpha = float(alpha)

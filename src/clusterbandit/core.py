@@ -1,6 +1,6 @@
 """Core domain types for bandits with clustered arms.
 
-Defines the Bernoulli instance / clustering / tree containers shared by
+Defines the Bernoulli instance and cluster tree containers shared by
 every policy, the seeded-randomness contract, the simulation trace, and
 ``typed``, the one rule every value read from a config or spec passes.
 """
@@ -13,7 +13,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "DisjointClustering",
     "ClusterTree",
     "BanditInstance",
     "SimulationTrace",
@@ -98,61 +97,6 @@ def _random_argmax_list(values: list[float], rng: np.random.Generator) -> int:
 # ---------------------------------------------------------------------------
 # Arms, clusterings, trees
 # ---------------------------------------------------------------------------
-
-class DisjointClustering:
-    """Partition of arms into non-empty clusters.
-
-    Parameters
-    ----------
-    labels : sequence of int
-        ``labels[a]`` is the cluster id of arm ``a``. Cluster ids must be
-        exactly ``0..n_clusters-1`` with every cluster non-empty.
-    """
-
-    def __init__(self, labels: Sequence[int]) -> None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("labels must be a non-empty 1-D sequence")
-        n_clusters = int(labels.max()) + 1
-        if labels.min() < 0:
-            raise ValueError("cluster ids must be non-negative")
-        counts = np.bincount(labels, minlength=n_clusters)
-        if (counts == 0).any():
-            empty = np.flatnonzero(counts == 0).tolist()
-            raise ValueError(f"empty clusters: {empty}")
-        # Arm ids by cluster, ascending within each: cluster c is _arms[_first[c]:_first[c+1]].
-        self._labels, self._arms = labels, np.argsort(labels, kind="stable")
-        self._first = np.concatenate(([0], np.cumsum(counts)))
-        for a in (self._labels, self._arms, self._first):
-            a.setflags(write=False)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._labels
-
-    @property
-    def n_arms(self) -> int:
-        return int(self._labels.size)
-
-    @property
-    def n_clusters(self) -> int:
-        return self._first.size - 1
-
-    def label_of(self, arm: int) -> int:
-        return int(self._labels[arm])
-
-    def members(self, cluster: int) -> np.ndarray:
-        """Arm ids of a cluster, ascending."""
-        return self._arms[self._first[cluster]:self._first[cluster + 1]]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DisjointClustering) and np.array_equal(
-            self._labels, other._labels
-        )
-
-    def __repr__(self) -> str:
-        return f"DisjointClustering(n_arms={self.n_arms}, n_clusters={self.n_clusters})"
-
 
 class ClusterTree:
     """Rooted tree whose leaves are arms, held as flat read-only arrays.
@@ -253,15 +197,24 @@ class ClusterTree:
         return cls.from_csr(ptr, np.arange(1, n_arms + 1), np.arange(-1, n_arms))
 
     @classmethod
-    def from_clustering(cls, clustering: DisjointClustering) -> "ClusterTree":
-        """Two-level tree of a clustering: cluster c is node c+1 under the root.
+    def from_labels(cls, labels: Sequence[int]) -> "ClusterTree":
+        """Two-level tree of a clustering: arm a is in cluster ``labels[a]``, and cluster c is node c+1 under the root.
 
+        Cluster ids must be exactly ``0..k-1`` with every cluster non-empty.
         Leaves follow the clusters, cluster by cluster in ascending arm order,
         so every node's children are one ascending contiguous run of ids.
         """
-        k, n = clustering.n_clusters, clustering.n_arms
-        ptr = np.concatenate(([0], k + clustering._first, np.full(n, k + n)))
-        leaf_arms = np.concatenate((np.full(k + 1, -1), clustering._arms))
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError("labels must be a non-empty 1-D sequence")
+        if labels.min() < 0:
+            raise ValueError("cluster ids must be non-negative")
+        counts = np.bincount(labels)
+        if (counts == 0).any():
+            raise ValueError(f"empty clusters: {np.flatnonzero(counts == 0).tolist()}")
+        k, n = counts.size, labels.size
+        ptr = np.concatenate(([0, k], k + np.cumsum(counts), np.full(n, k + n)))
+        leaf_arms = np.concatenate((np.full(k + 1, -1), np.argsort(labels, kind="stable")))
         return cls.from_csr(ptr, np.arange(1, k + n + 1), leaf_arms)
 
     @property
@@ -316,6 +269,16 @@ class ClusterTree:
         )
 
 
+def _clustered(labels: Sequence[int], n_arms: int) -> tuple[np.ndarray, ClusterTree]:
+    """The read-only int64 labels of a clustering of ``n_arms`` arms and its ``ClusterTree.from_labels`` tree."""
+    tree = ClusterTree.from_labels(labels)
+    if tree.n_arms != n_arms:
+        raise ValueError("clustering size does not match arm count")
+    labels = tree.parent[tree._leaf_of_arm] - 1  # an arm's cluster is its leaf's parent - 1
+    labels.setflags(write=False)
+    return labels, tree
+
+
 # ---------------------------------------------------------------------------
 # Bandit instances
 # ---------------------------------------------------------------------------
@@ -324,14 +287,16 @@ class BanditInstance:
     """A set of Bernoulli arms with an optional clustering or cluster tree.
 
     The arms are held as one read-only array of means. At most one of
-    ``clustering`` / ``tree`` may be present; neither means a flat
-    multi-armed bandit.
+    ``labels`` / ``tree`` may be given; neither means a flat multi-armed
+    bandit. A clustering, ``labels[a]`` the cluster of arm ``a``, is held as
+    its two-level tree ``ClusterTree.from_labels(labels)``, next to the
+    read-only labels.
     """
 
     def __init__(
         self,
         means: Sequence[float],
-        clustering: DisjointClustering | None = None,
+        labels: Sequence[int] | None = None,
         tree: ClusterTree | None = None,
     ) -> None:
         means = np.array(means, dtype=np.float64)
@@ -341,13 +306,13 @@ class BanditInstance:
         if outside.size:
             arm = int(outside[0])
             raise ValueError(f"arm {arm}: mean {means[arm]} outside [0, 1]")
-        if clustering is not None and tree is not None:
+        if labels is not None and tree is not None:
             raise ValueError("instance may have a clustering or a tree, not both")
-        if clustering is not None and clustering.n_arms != means.size:
-            raise ValueError("clustering size does not match arm count")
-        if tree is not None and tree.n_arms != means.size:
+        if labels is not None:
+            labels, tree = _clustered(labels, means.size)
+        elif tree is not None and tree.n_arms != means.size:
             raise ValueError("tree leaf count does not match arm count")
-        self.clustering = clustering
+        self.labels = labels
         self.tree = tree
         self._means = means
         self._means.setflags(write=False)
@@ -376,7 +341,7 @@ class BanditInstance:
     @property
     def structure(self) -> str:
         """``"clustering"``, ``"tree"`` or ``"flat"``, as ``instances.spec_structure`` names a spec's."""
-        return "clustering" if self.clustering is not None else "tree" if self.tree is not None else "flat"
+        return "clustering" if self.labels is not None else "tree" if self.tree is not None else "flat"
 
     def __repr__(self) -> str:
         return f"BanditInstance(n_arms={self.n_arms}, structure={self.structure})"

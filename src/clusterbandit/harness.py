@@ -245,6 +245,8 @@ class ExperimentConfig:
                     if "key" not in _known(f"policies[{i}]", typed(f"policies[{i}]", entry, dict), _ENTRY_KEYS):
                         raise ConfigError("policies: entry missing 'key'")
                 fields["policies"] = tuple(PolicySpec(**p) for p in entries)
+            if "instance" in doc and "instances" in doc:
+                raise ConfigError("instances: give 'instance' or 'instances', not both")
             if "instances" in doc:  # an unnamed entry i is named v<i>
                 fields["variants"] = tuple(
                     InstanceVariant(_known(f"instances[{i}]", typed(f"instances[{i}]", v, dict), ("name", "spec"))

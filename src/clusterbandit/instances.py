@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .contextual import ContextualInstance
-from .core import BanditInstance, ClusterTree, DisjointClustering, typed
+from .core import BanditInstance, ClusterTree, typed
 
 __all__ = [
     "REWARD_FUNCTIONS",
@@ -268,7 +268,7 @@ def gen_strong_dominance(n_arms: int, n_suboptimal_clusters: int, optimal_cluste
             means[members[1]] = bottom
         if members.size > 2:
             means[members[2:]] = rng.uniform(bottom, top, size=members.size - 2)
-    return BanditInstance(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, labels=labels)
 
 
 def gen_uniform_instance(
@@ -278,7 +278,7 @@ def gen_uniform_instance(
     _check_n_clusters(n_arms, n_clusters)
     means = rng.uniform(0.0, 1.0, size=n_arms)
     labels = _uniform_nonempty_labels(n_arms, np.arange(n_clusters), rng)
-    return BanditInstance(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, labels=labels)
 
 
 def _check_kmeans(n_arms: int, n_clusters: int, reward_fn: str) -> tuple[Callable, int]:
@@ -300,7 +300,7 @@ def gen_kmeans_instance(
     features = rng.random((n_arms, dim))
     labels = kmeans(features, n_clusters, rng)
     labels = _compact_labels(labels)
-    return BanditInstance(fn(features), clustering=DisjointClustering(labels))
+    return BanditInstance(fn(features), labels=labels)
 
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
@@ -538,7 +538,7 @@ def gen_contextual(n_arms: int, n_clusters: int, epsilon: float, rng: np.random.
     labels = _uniform_nonempty_labels(n_arms, np.arange(n_clusters), rng)
     centroids = rng.standard_normal((n_clusters, dim))
     theta = centroids[labels] + epsilon * rng.standard_normal((n_arms, dim))
-    return ContextualInstance(theta, DisjointClustering(labels), epsilon=epsilon)
+    return ContextualInstance(theta, labels, epsilon=epsilon)
 
 
 # each context distribution by name: the name of the generator method that draws one (dim,) vector (a name, as
@@ -564,13 +564,13 @@ def instance_to_json(instance: BanditInstance | ContextualInstance) -> dict:
         return {
             "kind": "contextual",
             "theta": instance.theta.tolist(),
-            "labels": instance.clustering.labels.tolist(),
+            "labels": instance.labels.tolist(),
             "epsilon": instance.epsilon,
         }
     doc: dict = {"kind": "bernoulli", "means": instance.means.tolist()}
-    if instance.clustering is not None:
-        doc["clustering"] = {"labels": instance.clustering.labels.tolist()}
-    if instance.tree is not None:
+    if instance.structure == "clustering":
+        doc["clustering"] = {"labels": instance.labels.tolist()}
+    elif instance.structure == "tree":
         doc["tree"] = {
             "children": [kids.tolist() for kids in
                          (instance.tree.children(v) for v in range(instance.tree.n_nodes))],
@@ -605,20 +605,18 @@ def instance_from_json(doc: dict) -> BanditInstance | ContextualInstance:
     if kind == "contextual":
         return ContextualInstance(
             np.asarray(_read(doc, "theta", float, 2), dtype=np.float64),
-            DisjointClustering(_read(doc, "labels", int, 1)),
+            _read(doc, "labels", int, 1),
             epsilon=typed("epsilon", doc.get("epsilon", 0.0), float),
         )
     if kind != "bernoulli":
         raise ValueError(f"unknown instance kind '{kind}'")
-    clustering = None
-    tree = None
+    labels = tree = None
     if doc.get("clustering") is not None:
         labels = _read(typed("clustering", doc["clustering"], dict), "clustering.labels", int, 1)
-        clustering = DisjointClustering(labels)
     if doc.get("tree") is not None:
         adjacency = typed("tree", doc["tree"], dict)
         tree = ClusterTree(_read(adjacency, "tree.children", int, 2), _read(adjacency, "tree.leaf_arms", int, 1))
-    return BanditInstance(_read(doc, "means", float, 1), clustering=clustering, tree=tree)
+    return BanditInstance(_read(doc, "means", float, 1), labels=labels, tree=tree)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ the contextual ones included, runs one descent, ``BanditPolicy._descend``,
 and differs only in its per-node rule ``_pick`` and its ``update``:
 ``HierarchicalThompsonSampling`` for ``ts``, ``tsc``, ``hts`` and ``tsmax``,
 and ``TreeUcb`` for ``ucb1``, ``ucbc`` and ``uct``. The class decides the
-tree ``BanditPolicy.__init__`` makes of its argument: the ``flat`` ``ts`` and
-``ucb1`` descend ``ClusterTree.star(n)``, where arm a is leaf a+1; ``hts``
-and ``uct`` the tree they are given; ``tsc`` and ``ucbc`` (``ts`` and
-``ucb1`` with ``flat = False``) and ``tsmax`` descend
-``ClusterTree.from_clustering(c)``, where cluster c is node c+1. ``tsmax``
+tree ``BanditPolicy.__init__`` keeps: the ``flat`` ``ts`` and
+``ucb1`` descend ``ClusterTree.star(n)``, where arm a is leaf a+1, and the
+others the tree they are given: ``hts`` and ``uct`` any tree, ``tsc`` and
+``ucbc`` (``ts`` and ``ucb1`` with ``flat = False``) and ``tsmax`` the
+two-level tree ``ClusterTree.from_labels(labels)`` of a clustering, where
+cluster c is node c+1, which an instance holds. ``tsmax``
 changes only ``update``: a cluster's belief is a copy of its best leaf's.
 ``ucb1`` and ``ucbc`` differ from ``uct`` only in the log term of the UCB
 index: the global log t instead of log N_parent.
@@ -40,7 +41,6 @@ import numpy as np
 
 from .core import (
     ClusterTree,
-    DisjointClustering,
     _random_argmax_list,
     random_argmax,
     typed,
@@ -86,6 +86,14 @@ _BLOCK_ROWS = 32
 _GROUP_MIN = 400
 
 
+def _two_level(tree: ClusterTree) -> bool:
+    """Whether ``tree`` is in ``ClusterTree.from_labels`` layout: the root's children are nodes 1..k, and every
+    leaf is a child of one of them."""
+    leaves = tree.leaf_arms >= 0
+    return np.array_equal(tree.children(0), np.arange(1, tree.ptr[1] + 1)) and bool(
+        (tree.parent[tree.parent[leaves]] == 0).all())
+
+
 # key -> policy class: every class whose body sets a non-empty ``key``, recorded by
 # ``BanditPolicy.__init_subclass__``. Importing this module imports the package,
 # which imports ``contextual``, so the contextual classes are always recorded.
@@ -106,8 +114,10 @@ class BanditPolicy(ABC):
 
     ``needs`` is the instance structure a class runs on: ``"bernoulli"`` (any
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
-    ``"tree"`` or ``"contextual"``. With ``flat`` it also decides the tree
-    ``__init__`` makes. ``params`` maps each parameter the class accepts to
+    ``"tree"`` or ``"contextual"``. ``flat`` decides whether ``__init__``
+    makes a star of an arm count or takes the tree it is given; a class that
+    needs a clustering takes only a tree in ``ClusterTree.from_labels``
+    layout. ``params`` maps each parameter the class accepts to
     its type, as ``core.typed`` reads it, and its value check.
     """
 
@@ -126,11 +136,13 @@ class BanditPolicy(ABC):
         """Whether the class runs on an instance of ``structure``, named as ``instances.spec_structure`` names it."""
         return structure == cls.needs or (cls.needs == "bernoulli" and structure != "contextual")
 
-    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
-        """Make the tree the class declares from ``arms``: the star of an arm count if ``flat``, the tree itself
-        if it ``needs`` one, else the two-level tree of a clustering."""
-        self.tree = (ClusterTree.star(arms) if self.flat
-                     else arms if self.needs == "tree" else ClusterTree.from_clustering(arms))
+    def __init__(self, arms: int | ClusterTree) -> None:
+        """Take the tree the class declares: the star of an arm count if ``flat``, else the tree ``arms``,
+        which a class that needs a clustering rejects unless it is in ``ClusterTree.from_labels`` layout."""
+        self.tree = ClusterTree.star(arms) if self.flat else arms
+        if self.needs == "clustering" and not _two_level(arms):
+            raise ValueError(f"{type(self).__name__} needs a tree in ClusterTree.from_labels layout: "
+                             "clusters 1..k under the root, leaves under them")
 
     def _bind(self) -> None:
         """Make the memoryviews the step reads, after construction, copy or unpickle: the tree's arrays
@@ -293,7 +305,7 @@ class HierarchicalThompsonSampling(BanditPolicy):
     key = "hts"
     needs = "tree"
 
-    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
+    def __init__(self, arms: int | ClusterTree) -> None:
         super().__init__(arms)
         self._s = np.ones(self.tree.n_nodes)
         self._f = np.ones(self.tree.n_nodes)
@@ -410,7 +422,7 @@ class ThompsonSampling(HierarchicalThompsonSampling):
 class ClusteredThompsonSampling(ThompsonSampling):
     """Two-level Thompson sampling over a disjoint clustering.
 
-    Tree descent on ``ClusterTree.from_clustering(clustering)``: each round
+    Tree descent on ``ClusterTree.from_labels(labels)``: each round
     first samples one expected reward per cluster (node c+1) and commits to
     the argmax cluster, then samples among that cluster's arms only; the
     reward updates both, as on every descent.
@@ -424,7 +436,7 @@ class ClusteredThompsonSampling(ThompsonSampling):
 class TsMax(HierarchicalThompsonSampling):
     """Two-level Thompson sampling with best-member cluster proxies.
 
-    Descent on ``ClusterTree.from_clustering(clustering)`` where each cluster
+    Descent on ``ClusterTree.from_labels(labels)`` where each cluster
     (node c+1, in slot c) holds a copy of the belief of its leaf with the
     highest empirical mean s/(s+f) (ties going to the lowest arm id), its
     representative, and the root keeps the prior. Only ``update`` differs
@@ -436,8 +448,8 @@ class TsMax(HierarchicalThompsonSampling):
     key = "tsmax"
     needs = "clustering"
 
-    def __init__(self, clustering: DisjointClustering) -> None:
-        super().__init__(clustering)
+    def __init__(self, arms: ClusterTree) -> None:
+        super().__init__(arms)
         ptr = self.tree.ptr
         # Each cluster's representative (a leaf slot), kept by update for the played cluster only;
         # at the uniform prior each cluster's first leaf, whose belief its cluster's slot already holds.
@@ -491,7 +503,7 @@ class TreeUcb(BanditPolicy):
     key = "uct"
     needs = "tree"
 
-    def __init__(self, arms: int | DisjointClustering | ClusterTree) -> None:
+    def __init__(self, arms: int | ClusterTree) -> None:
         super().__init__(arms)
         self._n = np.zeros(self.tree.n_nodes)  # per node in tree.slot order, as for hts
         self._q = np.zeros(self.tree.n_nodes)
@@ -553,7 +565,7 @@ class Ucb1(TreeUcb):
 class ClusteredUcb1(Ucb1):
     """Two-level UCB1 over a disjoint clustering.
 
-    Descent on ``ClusterTree.from_clustering(clustering)`` with the global
+    Descent on ``ClusterTree.from_labels(labels)`` with the global
     log t: the UCB1 index, with the play-once rule, picks a cluster (node
     c+1, whose statistics aggregate every reward observed from it) and then
     one of its arms.
@@ -590,13 +602,13 @@ def check_params(key: str, params: dict | None) -> dict:
 def make_policy(key: str, instance, params: dict | None = None) -> BanditPolicy:
     """Instantiate a policy by string key for a given instance, with the parameters :func:`check_params` reads.
 
-    Flat policies take the instance's arm count, the others its clustering or
-    tree; contextual policies also take its dimension.
+    Flat policies take the instance's arm count, the others its tree; contextual policies also take its
+    dimension.
     """
     params = check_params(key, params)
     cls = POLICY_KEYS[key]
     if not cls.accepts(instance.structure):
         raise ValueError(f"policy '{key}' needs a {cls.needs} instance, got a {instance.structure} instance")
-    arms = instance.n_arms if cls.flat else instance.tree if cls.needs == "tree" else instance.clustering
+    arms = instance.n_arms if cls.flat else instance.tree
     args = (arms, instance.dim) if cls.needs == "contextual" else (arms,)
     return cls(*args, **params)

@@ -120,8 +120,8 @@ class PerVisitTsMax(TsMax):
 REFERENCES: dict[str, Callable] = {
     "hts": lambda inst: PerVisitHts(inst.tree),
     "ts": lambda inst: PerVisitTs(inst.n_arms),
-    "tsc": lambda inst: PerVisitTsc(inst.clustering),
-    "tsmax": lambda inst: PerVisitTsMax(inst.clustering),
+    "tsc": lambda inst: PerVisitTsc(inst.tree),
+    "tsmax": lambda inst: PerVisitTsMax(inst.tree),
 }
 
 
@@ -262,9 +262,9 @@ class GroupFirstMember(Grouped, ThompsonSampling):
 
 
 WRONG: dict[str, Callable] = {
-    "leaf-beta-f+1": lambda inst: LeafBetaOffByOne(inst.clustering),
+    "leaf-beta-f+1": lambda inst: LeafBetaOffByOne(inst.tree),
     "ts-for-tsc": lambda inst: ThompsonSampling(inst.n_arms),
-    "never-redrawn-tsc": lambda inst: NeverRedrawnTsc(inst.clustering),
+    "never-redrawn-tsc": lambda inst: NeverRedrawnTsc(inst.tree),
     "never-redrawn-ts": lambda inst: NeverRedrawnTs(inst.n_arms),
     "group-max-without-power": lambda inst: GroupMaxWithoutPower(inst.n_arms),
     "group-first-member": lambda inst: GroupFirstMember(inst.n_arms),

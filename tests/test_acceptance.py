@@ -28,7 +28,6 @@ from clusterbandit.contextual import _LinearBank, _outer
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
-    DisjointClustering,
     rng_streams,
 )
 from clusterbandit.harness import run_experiment
@@ -156,17 +155,17 @@ def test_criterion_10_exact_invariants():
 
     # count consistency on >= 10^3 step random runs, checked at every step
     rng = np.random.default_rng(48_000)
-    clustering = DisjointClustering(rng.integers(0, 4, 30))
-    tsc = ClusteredThompsonSampling(clustering)
+    labels = rng.integers(0, 4, 30)
+    tsc = ClusteredThompsonSampling(ClusterTree.from_labels(labels))
     # cluster c is node c+1 of the tsc tree; its members' leaves by arm id
     leaves = [
-        [tsc.tree.leaf_of_arm(a) for a in clustering.members(c)]
-        for c in range(clustering.n_clusters)
+        [tsc.tree.leaf_of_arm(a) for a in np.flatnonzero(labels == c)]
+        for c in range(labels.max() + 1)
     ]
     for t in range(1, 1001):
         tsc.update(tsc.select(t, rng), float(rng.integers(2)))
         s = tsc._s[tsc.tree.slot]  # counts by node id
-        for c in range(clustering.n_clusters):
+        for c in range(len(leaves)):
             members = leaves[c]
             if abs((s[c + 1] - 1) - (s[members] - 1).sum()) > 1e-9:
                 failures.append(f"tsc count consistency broke at t={t}")

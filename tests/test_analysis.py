@@ -26,7 +26,6 @@ from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
-    DisjointClustering,
     SimulationTrace,
     rng_streams,
 )
@@ -107,7 +106,7 @@ class TestClusterStats:
 
     def test_singleton_optimal_cluster(self):
         inst = BanditInstance(
-            [0.6, 0.4, 0.3], clustering=DisjointClustering([0, 1, 1])
+            [0.6, 0.4, 0.3], labels=[0, 1, 1]
         )
         stats = cluster_stats(inst)
         assert stats.w_star == 0.0
@@ -126,7 +125,7 @@ class TestClusterStats:
             labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
             rng.shuffle(labels)
             means = rng.random(n)
-            inst = BanditInstance(means, clustering=DisjointClustering(labels))
+            inst = BanditInstance(means, labels=labels)
             stats = cluster_stats(inst)
 
             c_star = labels[int(np.argmax(means))]
@@ -155,7 +154,7 @@ class TestClusterStats:
 
 def _two_cluster_stats(means, labels):
     return cluster_stats(
-        BanditInstance(means, clustering=DisjointClustering(labels))
+        BanditInstance(means, labels=labels)
     )
 
 
@@ -215,7 +214,7 @@ class TestTscInstanceBound:
 class TestTscMinimaxBound:
     def test_single_cluster_degenerate(self):
         stats = cluster_stats(
-            BanditInstance([0.6, 0.5, 0.4], clustering=DisjointClustering([0, 0, 0]))
+            BanditInstance([0.6, 0.5, 0.4], labels=[0, 0, 0])
         )
         assert stats.k_suboptimal == 0 and stats.gamma == 0.0
         T = 3000.0
@@ -237,7 +236,7 @@ class TestTscMinimaxBound:
         # optimal cluster {0.9, 0.1} (A* = 2, width 0.8) sits below the other
         # cluster's 0.3: distance -0.2, gamma = -4, A* + K(1 + gamma) = -1
         instance = BanditInstance(
-            [0.9, 0.1, 0.3], clustering=DisjointClustering([0, 0, 1])
+            [0.9, 0.1, 0.3], labels=[0, 0, 1]
         )
         stats = cluster_stats(instance)
         assert stats.gamma == pytest.approx(-4.0, abs=1e-12)
@@ -268,7 +267,7 @@ class TestLaiRobbinsLower:
             means = np.sort(rng.uniform(0.05, 0.95, n))[::-1]
             if len(np.unique(means)) < n:
                 continue
-            inst = BanditInstance(means, clustering=DisjointClustering(list(range(n))))
+            inst = BanditInstance(means, labels=list(range(n)))
             stats = cluster_stats(inst)
             for T in (10.0, 100.0, 10_000.0):
                 lower = lai_robbins_lower(stats, T).leading
@@ -277,7 +276,7 @@ class TestLaiRobbinsLower:
 
     def test_empty_suboptimal_set(self):
         stats = cluster_stats(
-            BanditInstance([0.6, 0.5], clustering=DisjointClustering([0, 0]))
+            BanditInstance([0.6, 0.5], labels=[0, 0])
         )
         bound = lai_robbins_lower(stats, 100.0)
         expected = 0.1 / kl_bernoulli(0.5, 0.6) * math.log(100.0)
@@ -383,7 +382,7 @@ class TestInstanceBounds:
         assert instance_bounds(tree, T, eps) == {"hts_instance": hts_instance_bound(tree, T, eps)}
         assert bound_caveat(instance_bounds(tree, T, eps)["hts_instance"]) == LEADING_TERM_CAVEAT
         assert instance_bounds(BanditInstance([0.5, 0.2]), T, eps) == {}
-        contextual = ContextualInstance(np.array([[0.1, 0.2], [0.3, 0.4]]), DisjointClustering([0, 1]))
+        contextual = ContextualInstance(np.array([[0.1, 0.2], [0.3, 0.4]]), [0, 1])
         assert instance_bounds(contextual, T, eps) == {}
 
 

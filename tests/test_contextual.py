@@ -17,7 +17,7 @@ from clusterbandit.contextual import (
     _LinearBank,
     _outer,
 )
-from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, rng_streams
+from clusterbandit.core import BanditInstance, ClusterTree, rng_streams
 from clusterbandit.instances import gen_contextual
 from clusterbandit.policies import make_policy
 from clusterbandit.simulate import simulate
@@ -258,7 +258,7 @@ class TestLinearBank:
 
     def test_deep_copied_policy_continues_identically(self):
         inst = _ctx_instance(seed=12, n_arms=12, n_clusters=3, dim=4)
-        pol = ClusteredLinUcb(inst.clustering, inst.dim)
+        pol = ClusteredLinUcb(inst.tree, inst.dim)
         rng = np.random.default_rng(13)
         for t in range(1, 51):
             x = rng.random(4)
@@ -306,12 +306,12 @@ def _ctx_instance(seed=0, n_arms=8, n_clusters=3, dim=4, epsilon=0.3):
 
 class TestLinThompsonPolicies:
     def test_single_cluster_reduces_to_flat(self):
-        clustering = DisjointClustering([0, 0, 0, 0])
+        clusters = ClusterTree.from_labels([0, 0, 0, 0])
         x = np.array([0.5, 0.2])
         rng = np.random.default_rng(8)
         freq = np.zeros(4)
         for _ in range(10_000):
-            freq[ClusteredLinThompson(clustering, 2).select(1, x, rng)] += 1
+            freq[ClusteredLinThompson(clusters, 2).select(1, x, rng)] += 1
         freq /= 10_000
         rng = np.random.default_rng(9)
         freq_flat = np.zeros(4)
@@ -321,31 +321,32 @@ class TestLinThompsonPolicies:
         assert np.all(np.abs(freq - freq_flat) < 0.02)
 
     def test_trained_cluster_dominates(self):
-        clustering = DisjointClustering([0, 0, 1, 1])
+        labels = [0, 0, 1, 1]
+        clusters = ClusterTree.from_labels(labels)
         x = np.array([1.0, 0.0])
-        pol = ClusteredLinThompson(clustering, 2)
+        pol = ClusteredLinThompson(clusters, 2)
         for _ in range(10_000):  # cluster c is row c
             _update(pol._bank, 0, x, 1.0)
             _update(pol._bank, 1, x, 0.0)
         rng = np.random.default_rng(10)
-        hits = sum(clustering.label_of(pol.select(1, x, rng)) == 0 for _ in range(2_000))
+        hits = sum(labels[pol.select(1, x, rng)] == 0 for _ in range(2_000))
         assert hits / 2_000 >= 0.99
 
     def test_containment(self):
         # the update credits the arm's own cluster row and leaf row, and no other
         inst = _ctx_instance()
-        pol = ClusteredLinThompson(inst.clustering, inst.dim)
+        pol = ClusteredLinThompson(inst.tree, inst.dim)
         rng = np.random.default_rng(11)
         for t in range(1, 201):
             x = rng.random(inst.dim)
             arm = pol.select(t, x, rng)
-            assert _path_to(pol, arm) == (0, inst.clustering.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
+            assert _path_to(pol, arm) == (0, inst.labels[arm] + 1, pol.tree.leaf_of_arm(arm))
             moved = _moved_rows(pol, lambda: pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng)))
             assert moved == sorted(pol.tree.slot[v] for v in _path_to(pol, arm)[1:])
 
     def test_update_touches_exactly_two_beliefs(self):
-        clustering = DisjointClustering([0, 0, 1])
-        pol = ClusteredLinThompson(clustering, 2)
+        clusters = ClusterTree.from_labels([0, 0, 1])
+        pol = ClusteredLinThompson(clusters, 2)
         x = np.array([0.4, 0.7])
         pol.update(2, x, 1.0)
         changed_arms = [a for a in range(3) if not np.array_equal(pol._bank.B[_row(pol, a)], np.eye(2))]
@@ -355,15 +356,15 @@ class TestLinThompsonPolicies:
 
     def test_cluster_matrix_replay(self):
         inst = _ctx_instance(seed=1)
-        pol = ClusteredLinThompson(inst.clustering, inst.dim)
+        pol = ClusteredLinThompson(inst.tree, inst.dim)
         rng = np.random.default_rng(12)
         seen: list[tuple[int, np.ndarray]] = []
         for t in range(1, 101):
             x = rng.random(inst.dim)
             arm = pol.select(t, x, rng)
             pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng))
-            seen.append((inst.clustering.label_of(arm), x))
-        for c in range(inst.clustering.n_clusters):
+            seen.append((inst.labels[arm], x))
+        for c in range(int(inst.labels.max()) + 1):
             expected = np.eye(inst.dim)
             for cluster, x in seen:
                 if cluster == c:
@@ -371,7 +372,7 @@ class TestLinThompsonPolicies:
             np.testing.assert_allclose(pol._bank.B[c], expected, atol=1e-12)
 
     def test_zero_context_changes_nothing_numerically(self):
-        pol = ClusteredLinThompson(DisjointClustering([0, 1]), 3)
+        pol = ClusteredLinThompson(ClusterTree.from_labels([0, 1]), 3)
         pol.update(0, np.zeros(3), 1.0)
         np.testing.assert_array_equal(pol._bank.B[_row(pol, 0)], np.eye(3))
         np.testing.assert_array_equal(pol._bank.F[_row(pol, 0)], np.zeros(3))
@@ -413,12 +414,12 @@ class TestLinUcbPolicies:
 
     def test_clustered_containment(self):
         inst = _ctx_instance(seed=2)
-        pol = ClusteredLinUcb(inst.clustering, inst.dim, alpha=2.0)
+        pol = ClusteredLinUcb(inst.tree, inst.dim, alpha=2.0)
         rng = np.random.default_rng(14)
         for t in range(1, 201):
             x = rng.random(inst.dim)
             arm = pol.select(t, x, rng)
-            assert _path_to(pol, arm) == (0, inst.clustering.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
+            assert _path_to(pol, arm) == (0, inst.labels[arm] + 1, pol.tree.leaf_of_arm(arm))
             moved = _moved_rows(pol, lambda: pol.update(arm, x, inst.draw_reward(arm, inst.expected_rewards(x), rng)))
             assert moved == sorted(pol.tree.slot[v] for v in _path_to(pol, arm)[1:])
 
@@ -493,7 +494,7 @@ class TestDrawReward:
         # 12 arms of mixed sign and two zero arms, under signed contexts
         theta = np.random.default_rng(30).standard_normal((14, 3))
         theta[[5, 11]] = 0.0
-        inst = contextual.ContextualInstance(theta, DisjointClustering(np.arange(14) % 2))
+        inst = contextual.ContextualInstance(theta, np.arange(14) % 2)
         pairs = np.random.default_rng(31)
         got_rng, want_rng = np.random.default_rng(32), np.random.default_rng(32)
         got, want, signs = [], [], set()
@@ -518,7 +519,7 @@ class TestDrawReward:
         ],
     )
     def test_non_finite_range_raises_before_any_draw(self, row, x):
-        inst = contextual.ContextualInstance(np.array([row]), DisjointClustering([0]))
+        inst = contextual.ContextualInstance(np.array([row]), [0])
         x = np.array(x)
         rng = np.random.default_rng(33)
         state = rng.bit_generator.state
@@ -532,7 +533,7 @@ class TestDrawReward:
     @pytest.mark.parametrize("arm", [-1, 2])
     def test_unknown_arm_raises_before_any_draw(self, arm):
         # the expected-reward vector would take -1 as its last entry
-        inst = contextual.ContextualInstance(np.ones((2, 3)), DisjointClustering([0, 1]))
+        inst = contextual.ContextualInstance(np.ones((2, 3)), [0, 1])
         rng = np.random.default_rng(34)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=f"^unknown arm id {arm}$"):
@@ -673,15 +674,15 @@ def test_flat_policies_take_the_star_path(key):
 def test_two_level_bank_rows_follow_the_tree_slots(key):
     inst = _ctx_instance(seed=18, n_arms=12, n_clusters=4, dim=3)
     pol = make_policy(key, inst)
-    k, clustering = inst.clustering.n_clusters, inst.clustering
+    k, by_cluster = int(inst.labels.max()) + 1, np.argsort(inst.labels, kind="stable").tolist()
     assert pol._bank.n == len(pol.tree.kids) == k + inst.n_arms
-    for position, arm in enumerate(clustering._arms.tolist()):
+    for position, arm in enumerate(by_cluster):
         assert _row(pol, arm) == k + position
     x = np.array([0.2, 0.5, 0.9])
     for arm in range(inst.n_arms):
         pol.update(arm, x, 1.0)
-        assert pol._bank.counts[k + clustering._arms.tolist().index(arm)] == 1
-    assert pol._bank.counts[:k].tolist() == np.bincount(clustering.labels, minlength=k).tolist()
+        assert pol._bank.counts[k + by_cluster.index(arm)] == 1
+    assert pol._bank.counts[:k].tolist() == np.bincount(inst.labels, minlength=k).tolist()
 
 
 class TestRegistry:
@@ -720,11 +721,11 @@ class TestHyperparameterValidation:
 
     @pytest.mark.parametrize("v", BAD_V)
     def test_thompson_policies_reject_bad_v(self, v):
-        clustering = DisjointClustering([0, 0, 1])
+        clusters = ClusterTree.from_labels([0, 0, 1])
         with pytest.raises(ValueError, match="v: "):
             LinThompson(3, 2, v=v)
         with pytest.raises(ValueError, match="v: "):
-            ClusteredLinThompson(clustering, 2, v=v)
+            ClusteredLinThompson(clusters, 2, v=v)
         with pytest.raises(ValueError, match="v: "):
             _LinearBank(1, 2, v)
         with pytest.raises(ValueError, match="v: "):
@@ -732,16 +733,16 @@ class TestHyperparameterValidation:
 
     @pytest.mark.parametrize("alpha", BAD_ALPHA)
     def test_ucb_policies_reject_bad_alpha(self, alpha):
-        clustering = DisjointClustering([0, 0, 1])
+        clusters = ClusterTree.from_labels([0, 0, 1])
         with pytest.raises(ValueError, match="alpha: "):
             LinUcb(3, 2, alpha=alpha)
         with pytest.raises(ValueError, match="alpha: "):
-            ClusteredLinUcb(clustering, 2, alpha=alpha)
+            ClusteredLinUcb(clusters, 2, alpha=alpha)
         with pytest.raises(ValueError, match="alpha: "):
             make_policy("linucbc", _ctx_instance(seed=10), {"alpha": alpha})
 
     def test_boundary_values_accepted(self):
-        clustering = DisjointClustering([0, 0, 1])
+        clusters = ClusterTree.from_labels([0, 0, 1])
         assert LinThompson(3, 2, v=1e-12).v == 1e-12
-        assert ClusteredLinUcb(clustering, 2, alpha=0.0).alpha == 0.0
+        assert ClusteredLinUcb(clusters, 2, alpha=0.0).alpha == 0.0
         assert LinUcb(3, 2, alpha=0.0).alpha == 0.0

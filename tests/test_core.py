@@ -9,7 +9,6 @@ from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
-    DisjointClustering,
     SimulationTrace,
     _random_argmax_list,
     draw_reward,
@@ -165,14 +164,25 @@ class TestRegretOf:
 
 class TestBanditInstance:
     def test_exactly_one_structure(self):
-        labels = DisjointClustering([0, 0, 1])
         tree = ClusterTree([[1, 2, 3], [], [], []], [-1, 0, 1, 2])
         with pytest.raises(ValueError):
-            BanditInstance([0.1, 0.2, 0.3], clustering=labels, tree=tree)
+            BanditInstance([0.1, 0.2, 0.3], labels=[0, 0, 1], tree=tree)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            BanditInstance([0.1, 0.2], clustering=DisjointClustering([0, 0, 1]))
+            BanditInstance([0.1, 0.2], labels=[0, 0, 1])
+
+    def test_labels_are_held_with_their_two_level_tree(self):
+        inst = BanditInstance([0.1, 0.2, 0.3, 0.4], labels=[1, 0, 1, 0])
+        assert inst.structure == "clustering"
+        assert inst.tree == ClusterTree.from_labels([1, 0, 1, 0])
+        assert inst.labels.dtype == np.int64 and inst.labels.tolist() == [1, 0, 1, 0]
+        with pytest.raises(ValueError):
+            inst.labels[0] = 0
+        assert BanditInstance([0.1]).labels is None and BanditInstance([0.1]).tree is None
+        tree = ClusterTree.star(2)
+        assert BanditInstance([0.1, 0.2], tree=tree).labels is None
+        assert BanditInstance([0.1, 0.2], tree=tree).structure == "tree"
 
     def test_means_read_only(self):
         inst = BanditInstance([0.1, 0.2])
@@ -194,19 +204,6 @@ class TestBanditInstance:
         assert "arms" not in vars(inst)  # the instance holds its means only
         assert inst.means.tolist() == [0.25, 0.75]
         assert inst.means.dtype == np.float64
-
-
-class TestDisjointClustering:
-    def test_members_partition(self):
-        c = DisjointClustering([0, 1, 0, 2, 1])
-        assert c.n_clusters == 3
-        assert c.members(0).tolist() == [0, 2]
-        assert c.members(1).tolist() == [1, 4]
-        assert c.label_of(3) == 2
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            DisjointClustering([0, 0, 2])
 
 
 class TestClusterTree:
@@ -260,12 +257,23 @@ class TestClusterTree:
         with pytest.raises(ValueError):
             ClusterTree.star(0)
 
-    def test_from_clustering(self):
+    def test_from_labels_members_partition(self):
+        tree = ClusterTree.from_labels([0, 1, 0, 2, 1])
+        assert len(tree.children(0)) == 3
+        assert tree.arms_under(1).tolist() == [0, 2]
+        assert tree.arms_under(2).tolist() == [1, 4]
+        assert tree.parent[tree.leaf_of_arm(3)] - 1 == 2
+
+    def test_from_labels_empty_cluster_rejected(self):
+        with pytest.raises(ValueError):
+            ClusterTree.from_labels([0, 0, 2])
+
+    def test_from_labels(self):
         # interleaved labels: cluster order differs from arm order
-        clustering = DisjointClustering([2, 0, 1, 0, 2, 2, 1])
-        tree = ClusterTree.from_clustering(clustering)
-        k = clustering.n_clusters
-        assert tree.n_nodes == 1 + k + clustering.n_arms and tree.depth == 2
+        labels = [2, 0, 1, 0, 2, 2, 1]
+        tree = ClusterTree.from_labels(labels)
+        k = 3
+        assert tree.n_nodes == 1 + k + len(labels) and tree.depth == 2
         assert tree.children(0).tolist() == [1, 2, 3]  # cluster c is node c+1
         assert tree.children(1).tolist() == [4, 5]
         assert tree.children(2).tolist() == [6, 7]
@@ -273,14 +281,15 @@ class TestClusterTree:
         for c in range(k):
             # a cluster's leaves hold its members in ascending arm order
             leaves = tree.children(c + 1)
-            assert tree.leaf_arms[leaves].tolist() == clustering.members(c).tolist()
-            assert tree.arms_under(c + 1).tolist() == clustering.members(c).tolist()
+            members = [a for a, label in enumerate(labels) if label == c]
+            assert tree.leaf_arms[leaves].tolist() == members
+            assert tree.arms_under(c + 1).tolist() == members
         # every arm maps to exactly one leaf, under its own cluster's node
-        leaves = [tree.leaf_of_arm(a) for a in range(clustering.n_arms)]
+        leaves = [tree.leaf_of_arm(a) for a in range(len(labels))]
         assert sorted(leaves) == list(range(1 + k, tree.n_nodes))
         for a, leaf in enumerate(leaves):
             assert tree.leaf_arms[leaf] == a
-            assert tree.path_to_root(leaf) == [leaf, clustering.label_of(a) + 1, 0]
+            assert tree.path_to_root(leaf) == [leaf, labels[a] + 1, 0]
         self._assert_contiguous_children(tree)
 
 
@@ -357,9 +366,7 @@ class TestRandomArgmax:
 # ---------------------------------------------------------------------------
 
 def _small_clustered_instance():
-    return BanditInstance(
-        [0.6, 0.5, 0.4, 0.3], clustering=DisjointClustering([0, 0, 1, 1])
-    )
+    return BanditInstance([0.6, 0.5, 0.4, 0.3], labels=[0, 0, 1, 1])
 
 
 class TestSimulationTrace:
@@ -380,7 +387,7 @@ class TestSimulationTrace:
     def test_cumulative_regret_equals_sum_of_regret_of(self, key):
         inst = _small_clustered_instance()
         if key in ("hts", "uct"):  # the same means on the clustering's two-level tree
-            inst = BanditInstance(inst.means, tree=ClusterTree.from_clustering(inst.clustering))
+            inst = BanditInstance(inst.means, tree=inst.tree)
         streams = rng_streams(3)
         trace = simulate(inst, make_policy(key, inst), 500, streams.simulation)
         running, creg = [], 0.0
@@ -416,11 +423,11 @@ class TestSimulationTrace:
         ]:
             counts = self._row(key, spec, 100).top_counts
             instance = build_instance(spec, rng_streams(4).instance)
-            k = instance.clustering.n_clusters
+            k = len(instance.tree.children(0))
             assert counts.shape == (k,) and counts.sum() == 100, key
             if key == "tsmax":  # the plays per cluster of the same run
                 trace = simulate(instance, make_policy(key, instance), 100, rng_streams(4).simulation)
-                assert counts.tolist() == np.bincount(instance.clustering.labels[trace.arms], minlength=k).tolist()
+                assert counts.tolist() == np.bincount(instance.labels[trace.arms], minlength=k).tolist()
 
     def test_arms_of_uneven_depth_are_logged_as_played(self):
         # leaves at depths 1 and 2: the trace holds each step's arm, whatever its leaf's depth
@@ -495,23 +502,24 @@ class TestSimulationTrace:
         (lambda: ClusterTree([], []), "^tree must have at least one node$"),
         (lambda: ClusterTree.from_csr([0, 2, 1], [1], [-1, 0]),
          r"^ptr must rise from 0 to len\(kids\) in n_nodes \+ 1 offsets$"),
-        (lambda: DisjointClustering([]), "^labels must be a non-empty 1-D sequence$"),
-        (lambda: DisjointClustering([[0, 1]]), "^labels must be a non-empty 1-D sequence$"),
-        (lambda: DisjointClustering([0, -1]), "^cluster ids must be non-negative$"),
+        (lambda: ClusterTree.from_labels([]), "^labels must be a non-empty 1-D sequence$"),
+        (lambda: ClusterTree.from_labels([[0, 1]]), "^labels must be a non-empty 1-D sequence$"),
+        (lambda: ClusterTree.from_labels([0, -1]), "^cluster ids must be non-negative$"),
+        (lambda: ClusterTree.from_labels([0, 3, 3]), r"^empty clusters: \[1, 2\]$"),
         (lambda: BanditInstance([]), "^instance needs a non-empty 1-D array of arm means$"),
         (lambda: BanditInstance([[0.5, 0.2]]), "^instance needs a non-empty 1-D array of arm means$"),
         (lambda: BanditInstance([0.5, 0.2, 0.1], tree=ClusterTree.star(2)),
          "^tree leaf count does not match arm count$"),
-        (lambda: ContextualInstance(np.ones(3), DisjointClustering([0, 0, 1])), r"^theta must be \(n_arms, dim\)$"),
-        (lambda: ContextualInstance(np.ones((3, 2)), DisjointClustering([0, 1])),
-         "^clustering size does not match arm count$"),
-        (lambda: ContextualInstance([[1.0, np.nan]], DisjointClustering([0])), "^theta has non-finite entries$"),
+        (lambda: ContextualInstance(np.ones(3), [0, 0, 1]), r"^theta must be \(n_arms, dim\)$"),
+        (lambda: ContextualInstance(np.ones((3, 2)), [0, 1]), "^clustering size does not match arm count$"),
+        (lambda: BanditInstance([0.5, 0.2, 0.1], labels=[0, 1]), "^clustering size does not match arm count$"),
+        (lambda: ContextualInstance([[1.0, np.nan]], [0]), "^theta has non-finite entries$"),
         (lambda: simulate(BanditInstance([0.5]), make_policy("ts", BanditInstance([0.5])), 0, rng_streams(0).simulation),
          "^horizon must be >= 1$"),
     ],
     ids=["tree-unequal-lengths", "tree-empty", "tree-malformed-ptr", "labels-empty", "labels-2d",
-         "labels-negative", "means-empty", "means-2d", "tree-arm-count", "theta-1d", "theta-clustering-size",
-         "theta-non-finite", "simulate-horizon-0"],
+         "labels-negative", "labels-empty-cluster", "means-empty", "means-2d", "tree-arm-count", "theta-1d",
+         "theta-clustering-size", "labels-arm-count", "theta-non-finite", "simulate-horizon-0"],
 )
 def test_malformed_input_fails_with_its_own_message(build, match):
     with pytest.raises(ValueError, match=match):

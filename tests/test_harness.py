@@ -118,8 +118,18 @@ def _tiny_config(**overrides):
         "policies": [{"key": "ts"}, {"key": "tsc"}],
         "instance": TINY_SD_SPEC,
     }
+    if "instances" in overrides:  # the variants replace the one instance
+        del doc["instance"]
     doc.update(overrides)
     return ExperimentConfig.from_json(doc)
+
+
+def _variants(entries):
+    """A config document edit that replaces the document's one ``instance`` with the variants ``entries``."""
+    def edit(doc):
+        del doc["instance"]
+        doc["instances"] = entries
+    return edit
 
 
 def _built_directly(**fields):
@@ -260,23 +270,25 @@ class TestConfigValidation:
         [
             (lambda doc: doc.update(seeds=[]), "^seeds: need at least one seed$"),
             (lambda doc: doc.update(seeds={"base": 3, "count": 0}), r"^seeds\.count: must be >= 1$"),
-            (lambda doc: doc.update(instances=[]), "^instances: need at least one instance spec$"),
+            (_variants([]), "^instances: need at least one instance spec$"),
             (lambda doc: doc.pop("instance"), r"^instances: missing \('instance' or 'instances'\)$"),
             (lambda doc: doc.update(stride=0), "^stride: must be >= 1, got 0$"),
-            (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC}] * 2),
-             "^instances: duplicate variant names$"),
+            (_variants([{"name": "a", "spec": TINY_SD_SPEC}] * 2), "^instances: duplicate variant names$"),
+            # both were read as the variants alone, the one instance dropped without a word
+            (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC}]),
+             r"^instances: give 'instance' or 'instances', not both$"),
             (lambda doc: doc.update(policies=[{"key": "ts"}, {"label": "tsc"}]), "^policies: entry missing 'key'$"),
             # each of these typos was dropped, and the config ran without bounds, stride or label
             (lambda doc: doc.update(bound=True), r"^config: unknown keys \['bound'\]; known keys: name, horizon, "),
             (lambda doc: doc.update(strid=2, bound=True), r"^config: unknown keys \['strid', 'bound'\]; "),
             (lambda doc: doc.update(policies=[{"key": "ts"}, {"key": "tsc", "lable": "x"}]),
              r"^policies\[1\]: unknown keys \['lable'\]; known keys: key, params, variants, label$"),
-            (lambda doc: doc.update(instances=[{"name": "a", "spec": TINY_SD_SPEC, "nmae": "b"}]),
+            (_variants([{"name": "a", "spec": TINY_SD_SPEC, "nmae": "b"}]),
              r"^instances\[0\]: unknown keys \['nmae'\]; known keys: name, spec$"),
             (lambda doc: doc.update(seeds={"base": 3, "cuont": 2}), r"^seeds: unknown keys \['cuont'\]; "),
         ],
         ids=["no-seeds", "seed-count-0", "no-instances", "no-instance-field", "stride-0", "duplicate-variants",
-             "policy-without-key", "unknown-key", "unknown-keys", "unknown-policy-key", "unknown-variant-key",
+             "instance-and-instances", "policy-without-key", "unknown-key", "unknown-keys", "unknown-policy-key", "unknown-variant-key",
              "unknown-seeds-key"],
     )
     def test_config_shape_errors_name_their_field(self, edit, match):
@@ -907,7 +919,7 @@ class TestTopCounts:
     def test_fixed_length_and_sum_to_horizon(self):
         result = self._result()
         n_top = {
-            "flat": build_instance(self.SPECS["flat"], rng_streams(0).instance).clustering.n_clusters,
+            "flat": build_instance(self.SPECS["flat"], rng_streams(0).instance).labels.max() + 1,
             "tree": build_instance(self.SPECS["tree"], rng_streams(0).instance).tree.children(0).size,
         }
         assert len(result.rows) == 5 * 4
@@ -921,13 +933,11 @@ class TestTopCounts:
             streams = rng_streams(row.seed)
             instance = build_instance(self.SPECS[row.variant], streams.instance)
             trace = simulate(instance, make_policy(row.policy, instance), self.HORIZON, streams.simulation)
-            if instance.tree is None:
-                groups = instance.clustering.members
-                tops = range(instance.clustering.n_clusters)
+            if instance.labels is not None:  # the plays of each cluster, by the labels
+                want = np.bincount(instance.labels[trace.arms], minlength=instance.labels.max() + 1).tolist()
             else:
-                groups = instance.tree.arms_under
-                tops = instance.tree.children(0).tolist()
-            want = [int(np.isin(trace.arms, groups(c)).sum()) for c in tops]
+                tree = instance.tree
+                want = [int(np.isin(trace.arms, tree.arms_under(c)).sum()) for c in tree.children(0).tolist()]
             assert row.top_counts.tolist() == want, (row.variant, row.policy, row.seed)
 
     def test_one_arm_tree_counts_the_root(self):

@@ -1,6 +1,8 @@
 """Instance generators, k-means, agglomeration, audits, serialization."""
+import hashlib
 import inspect
 import itertools
+import json
 import math
 import re
 
@@ -9,7 +11,7 @@ import pytest
 
 from clusterbandit.analysis import audit_hierarchical_dominance, verify_strong_dominance
 from clusterbandit.contextual import ContextualInstance
-from clusterbandit.core import BanditInstance, DisjointClustering, rng_streams
+from clusterbandit.core import BanditInstance, ClusterTree, rng_streams
 from clusterbandit.instances import (
     SPEC_KINDS,
     build_instance,
@@ -31,6 +33,7 @@ from clusterbandit.instances import (
     spec_fields,
     truncate_tree,
 )
+from clusterbandit.policies import POLICY_KEYS, make_policy
 
 # Frozen 40-digit evaluations of the closed-form reward landscapes.
 GAUSS_MIX_AT_01 = 0.7246644820586108
@@ -93,7 +96,7 @@ class TestGenStrongDominance:
     def test_reference_pin_values(self):
         streams = rng_streams(3)
         inst = gen_strong_dominance(100, 10, 10, 0.1, 0.1, streams.instance)
-        labels = inst.clustering.labels
+        labels = inst.labels
         optimal = inst.means[labels == 0]
         suboptimal = inst.means[labels != 0]
         assert optimal.max() == pytest.approx(0.6, abs=1e-12)
@@ -105,7 +108,7 @@ class TestGenStrongDominance:
     def test_zero_width(self):
         streams = rng_streams(4)
         inst = gen_strong_dominance(40, 5, 10, 0.0, 0.1, streams.instance)
-        optimal = inst.means[inst.clustering.labels == 0]
+        optimal = inst.means[inst.labels == 0]
         assert np.all(optimal == optimal[0])
         report = verify_strong_dominance(inst)
         assert report.stats.gamma == 0.0
@@ -125,7 +128,7 @@ class TestGenStrongDominance:
         a = gen_strong_dominance(50, 5, 6, 0.1, 0.1, rng_streams(9).instance)
         b = gen_strong_dominance(50, 5, 6, 0.1, 0.1, rng_streams(9).instance)
         assert np.array_equal(a.means, b.means)
-        assert a.clustering == b.clustering
+        assert np.array_equal(a.labels, b.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,8 @@ class TestGenKmeansInstance:
     def test_means_follow_reward_fn(self):
         streams = rng_streams(5)
         inst = gen_kmeans_instance(50, 6, "sin-product", streams.instance)
-        assert inst.clustering is not None
-        assert inst.clustering.n_clusters <= 6
+        assert inst.labels is not None
+        assert inst.labels.max() + 1 <= 6
         # regenerate the features to confirm means = f(features)
         streams2 = rng_streams(5)
         features = streams2.instance.random((50, 1))
@@ -257,8 +260,8 @@ class TestGenKmeansTree:
         flat = gen_kmeans_instance(60, 5, "sin-product", rng_streams(6).instance)
         treed = gen_kmeans_tree(60, 5, 1, "sin-product", rng_streams(6).instance)
         blocks_flat = {
-            frozenset(flat.clustering.members(c).tolist())
-            for c in range(flat.clustering.n_clusters)
+            frozenset(np.flatnonzero(flat.labels == c).tolist())
+            for c in range(flat.labels.max() + 1)
         }
         tree = treed.tree
         blocks_tree = {
@@ -333,7 +336,7 @@ class TestGenUniformInstance:
     def test_appendix_shape(self):
         inst = gen_uniform_instance(50, 10, rng_streams(13).instance)
         assert inst.n_arms == 50
-        assert inst.clustering.n_clusters == 10
+        assert inst.labels.max() + 1 == 10
 
     def test_dominance_generally_fails(self):
         holds = [
@@ -345,7 +348,7 @@ class TestGenUniformInstance:
     def test_every_cluster_non_empty(self):
         for s in range(5):
             inst = gen_uniform_instance(12, 10, rng_streams(s).instance)
-            sizes = [inst.clustering.members(c).size for c in range(10)]
+            sizes = np.bincount(inst.labels, minlength=10)
             assert min(sizes) >= 1
 
 
@@ -353,24 +356,24 @@ class TestGenContextual:
     def test_zero_epsilon_collapses_clusters(self):
         inst = gen_contextual(n_arms=20, n_clusters=4, epsilon=0.0, rng=rng_streams(1).instance, dim=5)
         for c in range(4):
-            block = inst.theta[inst.clustering.members(c)]
+            block = inst.theta[inst.labels == c]
             assert np.allclose(block, block[0])
 
     def test_reward_mean_positive_case(self, rng):
-        inst = ContextualInstance(np.array([[1.0, 0.5]]), DisjointClustering([0]))
+        inst = ContextualInstance(np.array([[1.0, 0.5]]), [0])
         x = np.array([0.6, 0.8])
         draws = np.array([inst.draw_reward(0, inst.expected_rewards(x), rng) for _ in range(100_000)])
         assert abs(draws.mean() - 1.0) < 0.02  # theta'x = 1.0
 
     def test_reward_signed_interval_convention(self, rng):
-        inst = ContextualInstance(np.array([[-1.0]]), DisjointClustering([0]))
+        inst = ContextualInstance(np.array([[-1.0]]), [0])
         x = np.array([1.0])
         draws = np.array([inst.draw_reward(0, inst.expected_rewards(x), rng) for _ in range(100_000)])
         assert draws.min() >= -2.0 and draws.max() <= 0.0
         assert abs(draws.mean() - (-1.0)) < 0.02
 
     def test_zero_expectation_point_mass(self, rng):
-        inst = ContextualInstance(np.array([[0.0]]), DisjointClustering([0]))
+        inst = ContextualInstance(np.array([[0.0]]), [0])
         assert inst.draw_reward(0, inst.expected_rewards(np.array([1.0])), rng) == 0.0
 
 
@@ -399,7 +402,7 @@ class TestGenContext:
 class TestVerifyStrongDominance:
     def test_violating_pairs_reported(self):
         inst = BanditInstance(
-            [0.6, 0.3, 0.5], clustering=DisjointClustering([0, 0, 1])
+            [0.6, 0.3, 0.5], labels=[0, 0, 1]
         )
         report = verify_strong_dominance(inst)
         assert not report.holds
@@ -409,7 +412,7 @@ class TestVerifyStrongDominance:
         for seed in range(5):
             inst = gen_uniform_instance(20, 4, rng_streams(seed).instance)
             report = verify_strong_dominance(inst)
-            labels, means = inst.clustering.labels, inst.means
+            labels, means = inst.labels, inst.means
             c_star = labels[int(np.argmax(means))]
             oracle_holds = all(
                 means[a] > means[b]
@@ -419,7 +422,7 @@ class TestVerifyStrongDominance:
             assert report.holds == oracle_holds
 
     def test_single_cluster_vacuous(self):
-        inst = BanditInstance([0.4, 0.2], clustering=DisjointClustering([0, 0]))
+        inst = BanditInstance([0.4, 0.2], labels=[0, 0])
         assert verify_strong_dominance(inst).holds
 
 
@@ -514,7 +517,7 @@ class TestSerialization:
         inst = builder(rng_streams(17).instance)
         clone = instance_from_json(instance_to_json(inst))
         assert np.array_equal(clone.means, inst.means)
-        assert clone.clustering == inst.clustering
+        assert clone.structure == inst.structure and np.array_equal(clone.labels, inst.labels)
         assert clone.tree == inst.tree
 
     def test_contextual_roundtrip(self):
@@ -522,7 +525,7 @@ class TestSerialization:
         clone = instance_from_json(instance_to_json(inst))
         assert isinstance(clone, ContextualInstance)
         assert np.array_equal(clone.theta, inst.theta)
-        assert clone.clustering == inst.clustering
+        assert np.array_equal(clone.labels, inst.labels) and clone.tree == inst.tree
         assert clone.epsilon == inst.epsilon
 
     @pytest.mark.parametrize("means, match", [
@@ -635,3 +638,51 @@ class TestSerialization:
                 {"kind": "uniform", "n_arms": 10, "n_clusters": 2, "bogus": 1},
                 rng_streams(0).instance,
             )
+
+
+# ---------------------------------------------------------------------------
+# A clustering is its two-level tree, built once with the instance
+# ---------------------------------------------------------------------------
+
+# one small spec of each generated kind, with the sha256 of ``json.dumps(instance_to_json(inst), sort_keys=True)``
+# at seed 0, recorded while clusterings were still held apart from their trees
+DOCUMENT_DIGESTS = {
+    "strong_dominance": ({"n_arms": 30, "n_suboptimal_clusters": 4, "optimal_cluster_size": 5,
+                          "optimal_width": 0.1, "separation": 0.05},
+                         "d3ab0069fbff70bfccd879f7a95e0dc1a8240008b6a9926fd468162b22052518"),
+    "kmeans": ({"n_arms": 40, "n_clusters": 5, "reward_fn": "sin-product"},
+               "d0ffaa2f761d07f54ae9b8b48ad4750b9a034c2cabffb7a856d1064f89cc6166"),
+    "uniform": ({"n_arms": 30, "n_clusters": 4}, "48d762a51c042bf11a64894404b9c30abcc79fd512d4e16495955adaf05858d6"),
+    "contextual": ({"n_arms": 30, "n_clusters": 4, "dim": 3, "epsilon": 0.5},
+                   "f739d401fd8d069bf52da0bdba4632c73ae86e66a024c62f587ef2559a26212c"),
+    "sorted_tree": ({"n_arms": 16, "levels": 3}, "dccfef38932f3dd9b9f8b5449a798ec7d78e1a4d434f76d4fc22607fb9f8cb39"),
+    "kmeans_tree": ({"n_arms": 30, "branching": 3, "depth": 2, "reward_fn": "gaussian-mix-1d"},
+                    "3a7eea88c1aec2a6d9bfa3c0f9992849feae3afc171351fc7e974e5648cb056c"),
+    "agglomerative": ({"n_arms": 20, "reward_fn": "sin-product"},
+                      "e1e41555cc92c9ba797828952ebffc83a2182fa80d77f0087ca6f08532a5b406"),
+}
+CLUSTERED_KEYS = ("tsc", "ucbc", "tsmax", "lintsc", "linucbc")
+
+
+def test_document_digests_cover_every_spec_kind():
+    assert sorted(DOCUMENT_DIGESTS) == sorted(SPEC_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_DIGESTS))
+def test_instance_documents_keep_their_bytes(kind):
+    fields, digest = DOCUMENT_DIGESTS[kind]
+    inst = build_instance({"kind": kind, **fields}, rng_streams(0).instance)
+    doc = instance_to_json(inst)
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+    clone = instance_from_json(doc)
+    assert clone.tree == inst.tree and instance_to_json(clone) == doc
+
+
+@pytest.mark.parametrize("kind", [k for k in sorted(SPEC_KINDS) if SPEC_KINDS[k].structure in ("clustering", "contextual")])
+def test_every_clustered_policy_descends_the_instances_one_tree(kind):
+    inst = build_instance({"kind": kind, **DOCUMENT_DIGESTS[kind][0]}, rng_streams(0).instance)
+    assert inst.tree == ClusterTree.from_labels(inst.labels)
+    keys = [key for key in CLUSTERED_KEYS if POLICY_KEYS[key].accepts(inst.structure)]
+    assert len(keys) == (2 if kind == "contextual" else 3)
+    for key in keys:
+        assert make_policy(key, inst).tree is inst.tree, key

@@ -51,9 +51,9 @@ KMEANS_VARIANTS = [
 
 def _same_instance(a, b):
     assert np.array_equal(a.means, b.means)
-    assert (a.clustering is None) == (b.clustering is None)
-    if a.clustering is not None:
-        assert np.array_equal(a.clustering.labels, b.clustering.labels)
+    assert (a.labels is None) == (b.labels is None)
+    if a.labels is not None:
+        assert np.array_equal(a.labels, b.labels)
     assert (a.tree is None) == (b.tree is None)
     if a.tree is not None:
         assert a.tree == b.tree

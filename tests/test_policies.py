@@ -10,7 +10,6 @@ import pytest
 from clusterbandit.core import (
     BanditInstance,
     ClusterTree,
-    DisjointClustering,
     rng_streams,
 )
 from clusterbandit import contextual, policies
@@ -77,7 +76,8 @@ class TestThompsonSampling:
         assert beliefs[0] == (2, 1)  # the root sums its leaves
 
 
-TWO_CLUSTERS = DisjointClustering([0, 0, 1, 1])
+TWO_LABELS = [0, 0, 1, 1]
+TWO_CLUSTERS = ClusterTree.from_labels(TWO_LABELS)
 
 
 def _two_cluster_policy():
@@ -86,14 +86,14 @@ def _two_cluster_policy():
 
 def _path(pol, arm):
     """The root-to-leaf path of ``arm`` in a tsc tree: cluster c is node c+1."""
-    return (0, TWO_CLUSTERS.label_of(arm) + 1, pol.tree.leaf_of_arm(arm))
+    return (0, TWO_LABELS[arm] + 1, pol.tree.leaf_of_arm(arm))
 
 
 class TestClusteredThompsonSampling:
     def test_singleton_clusters_symmetry(self):
-        clustering = DisjointClustering([0, 1, 2, 3])
+        clusters = ClusterTree.from_labels([0, 1, 2, 3])
         freq = _selection_freq(
-            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng),
+            lambda rng: ClusteredThompsonSampling(clusters).select(1, rng),
             10_000,
             4,
         )
@@ -105,7 +105,7 @@ class TestClusteredThompsonSampling:
         for _ in range(2_000):
             pol = _two_cluster_policy()
             pol._s[pol.tree.slot[1]] = 1e6  # cluster 0's success count
-            picks += TWO_CLUSTERS.label_of(pol.select(1, rng)) == 0
+            picks += TWO_LABELS[pol.select(1, rng)] == 0
         assert picks / 2_000 >= 0.99
 
     def test_containment(self):
@@ -149,21 +149,21 @@ class TestClusteredThompsonSampling:
             pol.update(arm, r)
             arm_s[arm] += r
             arm_f[arm] += 1 - r
-            cl_s[TWO_CLUSTERS.label_of(arm)] += r
-            cl_f[TWO_CLUSTERS.label_of(arm)] += 1 - r
+            cl_s[TWO_LABELS[arm]] += r
+            cl_f[TWO_LABELS[arm]] += 1 - r
             # cluster pseudo-counts equal prior-adjusted member sums
             s, f = pol._s[pol.tree.slot], pol._f[pol.tree.slot]  # by node id
             for c in range(2):
-                members = leaves[TWO_CLUSTERS.members(c)]
+                members = leaves[TWO_CLUSTERS.arms_under(c + 1)]
                 assert s[c + 1] - 1 == pytest.approx((s[members] - 1).sum())
                 assert f[c + 1] - 1 == pytest.approx((f[members] - 1).sum())
         assert np.array_equal(s[leaves], arm_s) and np.array_equal(f[leaves], arm_f)
         assert np.array_equal(s[1:3], cl_s) and np.array_equal(f[1:3], cl_f)
 
     def test_single_cluster_reduces_to_ts_law(self):
-        clustering = DisjointClustering([0, 0, 0, 0])
+        clusters = ClusterTree.from_labels([0, 0, 0, 0])
         freq_tsc = _selection_freq(
-            lambda rng: ClusteredThompsonSampling(clustering).select(1, rng),
+            lambda rng: ClusteredThompsonSampling(clusters).select(1, rng),
             10_000,
             4,
             seed=5,
@@ -302,11 +302,9 @@ class TestUcb1:
 
 class TestClusteredUcb1:
     def test_singleton_clusters_reduce_to_ucb1(self):
-        inst = BanditInstance(
-            [0.8, 0.5, 0.2], clustering=DisjointClustering([0, 1, 2])
-        )
+        inst = BanditInstance([0.8, 0.5, 0.2], labels=[0, 1, 2])
         flat = Ucb1(3)
-        two = ClusteredUcb1(inst.clustering)
+        two = ClusteredUcb1(inst.tree)
         rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
         reward_rng = np.random.default_rng(13)
         for t in range(1, 201):
@@ -318,8 +316,9 @@ class TestClusteredUcb1:
             two.update(b, r)
 
     def test_cluster_index_evaluation(self):
-        clustering = DisjointClustering([0, 0, 1, 1])
-        pol = ClusteredUcb1(clustering)
+        labels = [0, 0, 1, 1]
+        clusters = ClusterTree.from_labels(labels)
+        pol = ClusteredUcb1(clusters)
         slot = pol.tree.slot  # cluster c is node c+1; counts sit at a node's slot
         leaves = slot[[pol.tree.leaf_of_arm(a) for a in range(4)]]
         pol._n[slot[[1, 2]]] = [100, 100]
@@ -327,23 +326,24 @@ class TestClusteredUcb1:
         pol._n[leaves] = [50, 50, 50, 50]
         pol._q[leaves] = [0.9, 0.8, 0.1, 0.2]
         arm = pol.select(1000, np.random.default_rng(0))
-        assert clustering.label_of(arm) == 0
+        assert labels[arm] == 0
         assert arm == 0
 
     def test_round_robin_cluster_initialization(self):
-        clustering = DisjointClustering([0, 0, 1, 1, 2, 2])
-        pol = ClusteredUcb1(clustering)
+        labels = [0, 0, 1, 1, 2, 2]
+        clusters = ClusterTree.from_labels(labels)
+        pol = ClusteredUcb1(clusters)
         rng = np.random.default_rng(14)
         seen = []
         for t in range(1, 4):
             arm = pol.select(t, rng)
-            seen.append(clustering.label_of(arm))
+            seen.append(labels[arm])
             pol.update(arm, 0.0)
         assert seen == [0, 1, 2]
 
     def test_update_credits_the_arms_cluster_and_leaf(self):
-        clustering = DisjointClustering([0, 0, 1, 1])
-        pol = ClusteredUcb1(clustering)
+        clusters = ClusterTree.from_labels([0, 0, 1, 1])
+        pol = ClusteredUcb1(clusters)
         pol.update(2, 1.0)
         assert pol._n[pol.tree.slot[2]] == 1  # cluster 1 is node 2
         assert pol._n[pol.tree.slot[pol.tree.leaf_of_arm(2)]] == 1
@@ -351,13 +351,14 @@ class TestClusteredUcb1:
 
     def test_containment_and_aggregation(self):
         rng = np.random.default_rng(15)
-        clustering = DisjointClustering([0, 0, 1, 1])
-        pol = ClusteredUcb1(clustering)
+        labels = [0, 0, 1, 1]
+        clusters = ClusterTree.from_labels(labels)
+        pol = ClusteredUcb1(clusters)
         total = {0: 0.0, 1: 0.0}
         count = {0: 0, 1: 0}
         for t in range(1, 501):
             arm = pol.select(t, rng)
-            cluster = clustering.label_of(arm)
+            cluster = labels[arm]
             r = float(rng.integers(2))
             pol.update(arm, r)
             total[cluster] += r
@@ -379,9 +380,9 @@ def _leaf_slots(pol, arms):
 
 class TestTsMax:
     def test_singleton_clusters_match_ts_law(self):
-        clustering = DisjointClustering([0, 1, 2, 3])
+        clusters = ClusterTree.from_labels([0, 1, 2, 3])
         freq_max = _selection_freq(
-            lambda rng: TsMax(clustering).select(1, rng), 10_000, 4, seed=16
+            lambda rng: TsMax(clusters).select(1, rng), 10_000, 4, seed=16
         )
         freq_ts = _selection_freq(
             lambda rng: ThompsonSampling(4).select(1, rng), 10_000, 4, seed=17
@@ -394,24 +395,26 @@ class TestTsMax:
         # nearly always. Were cluster 0 represented by its first arm instead,
         # both clusters would sample Beta(1, 1) and each win about half the rounds.
         rng = np.random.default_rng(18)
-        clustering = DisjointClustering([0, 0, 1, 1])
-        pol = TsMax(clustering)
+        labels = [0, 0, 1, 1]
+        clusters = ClusterTree.from_labels(labels)
+        pol = TsMax(clusters)
         for _ in range(1_000):
             pol.update(1, 1.0)
         # every node has fewer than _BLOCK_MIN children, so a select draws afresh and keeps no state
-        picks = sum(clustering.label_of(pol.select(1, rng)) == 0 for _ in range(2_000))
+        picks = sum(labels[pol.select(1, rng)] == 0 for _ in range(2_000))
         assert picks / 2_000 >= 0.99
 
     def test_fresh_uniform_cluster_choice(self):
-        clustering = DisjointClustering([0, 0, 1, 1, 2, 2])
+        labels = [0, 0, 1, 1, 2, 2]
+        clusters = ClusterTree.from_labels(labels)
         freq = _selection_freq(
-            lambda rng: clustering.label_of(TsMax(clustering).select(1, rng)), 10_000, 3, seed=19
+            lambda rng: labels[TsMax(clusters).select(1, rng)], 10_000, 3, seed=19
         )
         assert np.all(np.abs(freq - 1 / 3) < 0.02)
 
     def test_representative_is_best_empirical_mean_lowest_index(self):
-        clustering = DisjointClustering([0, 0, 0, 1])
-        pol = TsMax(clustering)
+        clusters = ClusterTree.from_labels([0, 0, 0, 1])
+        pol = TsMax(clusters)
         leaves = _leaf_slots(pol, range(4))
         pol._s[leaves] = [3, 3, 9, 1]
         pol._f[leaves] = [1, 1, 3, 1]  # arms 0,1 tie at 0.75; arm 2 also at 0.75
@@ -425,8 +428,8 @@ class TestTsMax:
         assert rep_arm(0) == 1
 
     def test_update_is_arm_only(self):
-        clustering = DisjointClustering([0, 0, 1])
-        pol = TsMax(clustering)
+        clusters = ClusterTree.from_labels([0, 0, 1])
+        pol = TsMax(clusters)
         pol.update(0, 1.0)
         beliefs = _beliefs(pol)
         leaf = pol.tree.leaf_of_arm(0)
@@ -441,13 +444,14 @@ class TestTsMax:
         # exactly one leaf moves, the played arm's, and it sits under the arm's own cluster;
         # besides it only that cluster's node may move, to its representative's belief
         rng = np.random.default_rng(20)
-        clustering = DisjointClustering([0, 0, 1, 1])
-        pol = TsMax(clustering)
+        labels = [0, 0, 1, 1]
+        clusters = ClusterTree.from_labels(labels)
+        pol = TsMax(clusters)
         tree = pol.tree
         for t in range(1, 301):
             arm = pol.select(t, rng)
             leaf = tree.leaf_of_arm(arm)
-            cluster = clustering.label_of(arm) + 1
+            cluster = labels[arm] + 1
             assert tree.parent[leaf] == cluster
             before = _beliefs(pol)
             pol.update(arm, float(rng.integers(2)))
@@ -461,7 +465,7 @@ class TestTsMax:
         # either way it draws from the clusters' own slots, which must follow their representatives
         rng = np.random.default_rng(22)
         labels = rng.permutation(np.arange(40) % n_clusters)
-        instance = BanditInstance(rng.uniform(0.1, 0.9, 40), clustering=DisjointClustering(labels))
+        instance = BanditInstance(rng.uniform(0.1, 0.9, 40), labels=labels)
         pol = make_policy("tsmax", instance)
         tree = pol.tree
         for t in range(1, 401):
@@ -531,12 +535,12 @@ PARAMS = {"lints": {"v"}, "lintsc": {"v"}, "linucb": {"alpha"}, "linucbc": {"alp
 def _one_instance_per_structure():
     """Four arms as each structure ``instances.spec_structure`` names; the contextual one has dimension 3."""
     means = [0.5, 0.4, 0.3, 0.2]
-    clustering = DisjointClustering([0, 0, 1, 1])
+    labels = [0, 0, 1, 1]
     return {
         "flat": BanditInstance(means),
-        "clustering": BanditInstance(means, clustering=clustering),
+        "clustering": BanditInstance(means, labels=labels),
         "tree": sorted_tree_from_means(means),
-        "contextual": contextual.ContextualInstance(np.ones((4, 3)), clustering),
+        "contextual": contextual.ContextualInstance(np.ones((4, 3)), labels),
     }
 
 
@@ -580,9 +584,7 @@ def test_check_params_returns_each_parameter_as_typed_reads_it():
 class TestMakePolicy:
     def test_all_keys(self):
         flat = BanditInstance([0.5, 0.4])
-        clustered = BanditInstance(
-            [0.5, 0.4], clustering=DisjointClustering([0, 1])
-        )
+        clustered = BanditInstance([0.5, 0.4], labels=[0, 1])
         treed = sorted_tree_from_means([0.5, 0.4])
         assert make_policy("ts", flat).key == "ts"
         assert make_policy("ucb1", flat).key == "ucb1"
@@ -602,6 +604,15 @@ class TestMakePolicy:
             make_policy("tsc", flat)
         with pytest.raises(ValueError, match="tree"):
             make_policy("hts", flat)
+
+    @pytest.mark.parametrize("cls, tree", [
+        (TsMax, ClusterTree.star(4)),  # clusters with no leaves under them
+        (ClusteredThompsonSampling, gen_sorted_binary_tree(8, np.random.default_rng(0)).tree),  # depth 3
+        (ClusteredUcb1, ClusterTree([[2, 1], [3], [4], [], []], [-1, -1, -1, 0, 1])),  # clusters out of order
+    ], ids=["tsmax-star", "tsc-depth-3", "ucbc-unordered"])
+    def test_a_clustered_class_rejects_a_tree_out_of_from_labels_layout(self, cls, tree):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__} needs a tree in ClusterTree\.from_labels layout"):
+            cls(tree)
 
     def test_rejects_parameters(self):
         with pytest.raises(ValueError, match="parameters"):
@@ -643,14 +654,14 @@ def _instance_for(key):
     means = np.random.default_rng(11).random(40)
     if key in ("hts", "uct"):
         return sorted_tree_from_means(means)
-    return BanditInstance(means, clustering=DisjointClustering(np.arange(40) % 6))
+    return BanditInstance(means, labels=np.arange(40) % 6)
 
 
 def _any_instance_for(key):
     """``_instance_for(key)``, or 40 arms in 6 clusters with 3-dimensional coefficients for a contextual key."""
     if key in CONTEXTUAL_KEYS:
         theta = np.random.default_rng(12).standard_normal((40, 3))
-        return contextual.ContextualInstance(theta, DisjointClustering(np.arange(40) % 6))
+        return contextual.ContextualInstance(theta, np.arange(40) % 6)
     return _instance_for(key)
 
 
@@ -744,9 +755,9 @@ def test_deep_copies_and_pickles_continue_byte_identically(key):
 
 
 # the instance attribute each key's class is built from, and the tree it makes of it
-ARGUMENT = {**dict.fromkeys(("ts", "ucb1", "lints", "linucb"), "n_arms"), "hts": "tree", "uct": "tree",
-            **dict.fromkeys(("tsc", "tsmax", "ucbc", "lintsc", "linucbc"), "clustering")}
-TREE_OF = {"n_arms": ClusterTree.star, "tree": lambda tree: tree, "clustering": ClusterTree.from_clustering}
+ARGUMENT = {**dict.fromkeys(("ts", "ucb1", "lints", "linucb"), "n_arms"),
+            **dict.fromkeys(("hts", "uct", "tsc", "tsmax", "ucbc", "lintsc", "linucbc"), "tree")}
+TREE_OF = {"n_arms": ClusterTree.star, "tree": lambda tree: tree}
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

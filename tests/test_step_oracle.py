@@ -72,7 +72,7 @@ import numpy as np
 import pytest
 
 from clusterbandit.contextual import RESOLVE_EVERY, _check_context
-from clusterbandit.core import BanditInstance, ClusterTree, DisjointClustering, random_argmax, rng_streams
+from clusterbandit.core import BanditInstance, ClusterTree, random_argmax, rng_streams
 from clusterbandit.harness import preset
 from clusterbandit.instances import build_instance, gen_context
 from clusterbandit.policies import (
@@ -176,9 +176,24 @@ class RefThompsonSampling:
         self._draws.moved("arms", arm)
 
 
+class RefClustering:
+    """A clustering as the references read it: ``labels[a]`` is arm a's cluster, whose arms are found by a scan."""
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.n_arms, self.n_clusters = self.labels.size, int(self.labels.max()) + 1
+        self._members = [np.flatnonzero(self.labels == c) for c in range(self.n_clusters)]
+
+    def members(self, cluster):
+        return self._members[cluster]
+
+    def label_of(self, arm):
+        return int(self.labels[arm])
+
+
 class RefClusteredThompsonSampling:
-    def __init__(self, clustering):
-        self.clustering = clustering
+    def __init__(self, labels):
+        self.clustering = clustering = RefClustering(labels)
         n, k = clustering.n_arms, clustering.n_clusters
         self._s = np.ones(n)
         self._f = np.ones(n)
@@ -233,8 +248,8 @@ class RefUctGlobalLog(RefUct):
 
 
 class RefTsMax:
-    def __init__(self, clustering):
-        self.clustering = clustering
+    def __init__(self, labels):
+        self.clustering = clustering = RefClustering(labels)
         self._s = np.ones(clustering.n_arms)
         self._f = np.ones(clustering.n_arms)
         self._members = [clustering.members(c) for c in range(clustering.n_clusters)]
@@ -283,8 +298,8 @@ class RefUcb1:
 
 
 class RefClusteredUcb1:
-    def __init__(self, clustering):
-        self.clustering = clustering
+    def __init__(self, labels):
+        self.clustering = clustering = RefClustering(labels)
         n, k = clustering.n_arms, clustering.n_clusters
         self._n = np.zeros(n)
         self._q = np.zeros(n)
@@ -344,7 +359,7 @@ def _tied_instance():
     # itself is checked on the representatives below.
     means = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
     labels = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
-    return BanditInstance(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, labels=labels)
 
 
 def _slots_of_arms(policy, arms):
@@ -401,7 +416,7 @@ def _crossover_clustering(root_width):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     labels = labels[np.random.default_rng(len(sizes)).permutation(labels.size)]
     means = [(1.0, 0.0, 0.5, 0.0)[a % 4] for a in range(labels.size)]
-    return BanditInstance(means, clustering=DisjointClustering(labels))
+    return BanditInstance(means, labels=labels)
 
 
 class _CountingTies:
@@ -421,11 +436,9 @@ class _CountingTies:
 CROSSOVER = {
     "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree), lambda inst: RefHts(inst.tree)),
     "uct": (lambda inst: TreeUcb(inst.tree), lambda inst: RefUct(inst.tree)),
-    "tsc": (lambda inst: ClusteredThompsonSampling(inst.clustering),
-            lambda inst: RefHts(ClusterTree.from_clustering(inst.clustering))),
-    "ucbc": (lambda inst: ClusteredUcb1(inst.clustering),
-             lambda inst: RefUctGlobalLog(ClusterTree.from_clustering(inst.clustering))),
-    "tsmax": (lambda inst: TsMax(inst.clustering), lambda inst: RefTsMax(inst.clustering)),
+    "tsc": (lambda inst: ClusteredThompsonSampling(inst.tree), lambda inst: RefHts(inst.tree)),
+    "ucbc": (lambda inst: ClusteredUcb1(inst.tree), lambda inst: RefUctGlobalLog(inst.tree)),
+    "tsmax": (lambda inst: TsMax(inst.tree), lambda inst: RefTsMax(inst.labels)),
 }
 
 
@@ -463,20 +476,19 @@ def test_descents_match_references_across_the_narrow_crossover(key, root_width, 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tsmax_matches_reference_on_kmeans_large(seed):
     instance = _instance("kmeans-large", seed)
-    clustering = instance.clustering
-    _assert_same_trace(instance, TsMax(clustering), RefTsMax(clustering), seed)
+    _assert_same_trace(instance, TsMax(instance.tree), RefTsMax(instance.labels), seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tsmax_matches_reference_with_tied_representatives(seed):
     instance = _tied_instance()
-    _assert_same_trace(instance, TsMax(instance.clustering), RefTsMax(instance.clustering), seed)
+    _assert_same_trace(instance, TsMax(instance.tree), RefTsMax(instance.labels), seed)
 
 
 FLAT_AND_TWO_LEVEL = {
-    "tsmax": (lambda inst: TsMax(inst.clustering), lambda inst: RefTsMax(inst.clustering)),
+    "tsmax": (lambda inst: TsMax(inst.tree), lambda inst: RefTsMax(inst.labels)),
     "ucb1": (lambda inst: Ucb1(inst.n_arms), lambda inst: RefUcb1(inst.n_arms)),
-    "ucbc": (lambda inst: ClusteredUcb1(inst.clustering), lambda inst: RefClusteredUcb1(inst.clustering)),
+    "ucbc": (lambda inst: ClusteredUcb1(inst.tree), lambda inst: RefClusteredUcb1(inst.labels)),
 }
 
 
@@ -495,8 +507,8 @@ def test_kept_state_matches_rescanning_reference(key, name, seed):
 EXTERNAL_UPDATES = {
     **FLAT_AND_TWO_LEVEL,
     "ts": (lambda inst: ThompsonSampling(inst.n_arms), lambda inst: RefThompsonSampling(inst.n_arms)),
-    "tsc": (lambda inst: ClusteredThompsonSampling(inst.clustering),
-            lambda inst: RefClusteredThompsonSampling(inst.clustering)),
+    "tsc": (lambda inst: ClusteredThompsonSampling(inst.tree),
+            lambda inst: RefClusteredThompsonSampling(inst.labels)),
 }
 
 
@@ -530,16 +542,16 @@ def test_thompson_descent_matches_own_beta_kernels(key, name, seed):
     if key == "ts":
         policy, reference = ThompsonSampling(instance.n_arms), RefThompsonSampling(instance.n_arms)
     else:
-        policy = ClusteredThompsonSampling(instance.clustering)
-        reference = RefClusteredThompsonSampling(instance.clustering)
+        policy = ClusteredThompsonSampling(instance.tree)
+        reference = RefClusteredThompsonSampling(instance.labels)
     _assert_same_trace(instance, policy, reference, seed)
 
 
 # key -> (policy, reference) for the group tests; hts on a clustering descends its two-level tree
 GROUPED = {
     **{key: EXTERNAL_UPDATES[key] for key in ("ts", "tsc", "tsmax")},
-    "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree or ClusterTree.from_clustering(inst.clustering)),
-            lambda inst: RefHts(inst.tree or ClusterTree.from_clustering(inst.clustering))),
+    "hts": (lambda inst: HierarchicalThompsonSampling(inst.tree),
+            lambda inst: RefHts(inst.tree)),
 }
 
 
@@ -565,7 +577,7 @@ def _group_crossover_instance(flat):
     labels = np.repeat(np.arange(len(sizes)), sizes)
     labels = labels[np.random.default_rng(len(sizes)).permutation(labels.size)]
     means = [(1.0, 0.0, 0.0)[a % 3] if sizes[c] == least else 0.2 for a, c in enumerate(labels)]
-    return BanditInstance(means, clustering=None if flat else DisjointClustering(labels))
+    return BanditInstance(means, labels=None if flat else labels)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -628,7 +640,7 @@ def test_group_tables_follow_external_updates(key, seed, monkeypatch):
 
 def test_tied_representatives_go_to_the_lowest_arm_id():
     instance = _tied_instance()
-    policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
+    policy, reference = TsMax(instance.tree), RefTsMax(instance.labels)
 
     def retaken():  # the policy's rule over every cluster, as arm ids
         return _arms_of_slots(policy, [policy._best_member(c) for c in range(3)])
@@ -645,7 +657,7 @@ def test_tied_representatives_go_to_the_lowest_arm_id():
 
 def test_kept_representatives_follow_falls_and_lower_id_ties():
     instance = _tied_instance()  # cluster 0 = arms 0, 3, 6, 9
-    policy, reference = TsMax(instance.clustering), RefTsMax(instance.clustering)
+    policy, reference = TsMax(instance.tree), RefTsMax(instance.labels)
     policy.select(1, np.random.default_rng(0))  # reads the representatives, moves none
     reference.select(1, np.random.default_rng(0))  # so that both hold the same blocks
     assert _arms_of_slots(policy, policy._reps) == [0, 1, 2]  # the uniform prior: each first leaf
@@ -783,8 +795,8 @@ class RefLinThompson:
 
 
 class RefClusteredLinThompson:
-    def __init__(self, clustering, dim, v=1.0):
-        self.clustering = clustering
+    def __init__(self, labels, dim, v=1.0):
+        self.clustering = clustering = RefClustering(labels)
         self.dim = dim
         self._clusters = GatherBank(clustering.n_clusters, dim, v)
         self._arms = GatherBank(clustering.n_arms, dim, v)
@@ -818,8 +830,8 @@ class RefLinUcb:
 
 
 class RefClusteredLinUcb:
-    def __init__(self, clustering, dim, alpha=2.0):
-        self.clustering = clustering
+    def __init__(self, labels, dim, alpha=2.0):
+        self.clustering = clustering = RefClustering(labels)
         self.dim = dim
         self.alpha = float(alpha)
         self._clusters = GatherBank(clustering.n_clusters, dim, 1.0)
@@ -840,9 +852,9 @@ class RefClusteredLinUcb:
 
 CTX_REFS = {
     "lints": lambda inst: RefLinThompson(inst.n_arms, inst.dim),
-    "lintsc": lambda inst: RefClusteredLinThompson(inst.clustering, inst.dim),
+    "lintsc": lambda inst: RefClusteredLinThompson(inst.labels, inst.dim),
     "linucb": lambda inst: RefLinUcb(inst.n_arms, inst.dim),
-    "linucbc": lambda inst: RefClusteredLinUcb(inst.clustering, inst.dim),
+    "linucbc": lambda inst: RefClusteredLinUcb(inst.labels, inst.dim),
 }
 
 

@@ -77,15 +77,16 @@ class RefClusterTree:
         return cls([range(1, n_arms + 1)] + [()] * n_arms, [-1, *range(n_arms)])
 
     @classmethod
-    def from_clustering(cls, clustering):
-        k = clustering.n_clusters
+    def from_clustering(cls, labels):
+        labels = np.asarray(labels)
+        k = int(labels.max()) + 1
         children = [range(1, k + 1)]
         leaf_arms = [-1] * (k + 1)
         for c in range(k):
-            members = clustering.members(c).tolist()
+            members = np.flatnonzero(labels == c).tolist()
             children.append(range(len(leaf_arms), len(leaf_arms) + len(members)))
             leaf_arms += members
-        return cls(children + [()] * clustering.n_arms, leaf_arms)
+        return cls(children + [()] * labels.size, leaf_arms)
 
     @property
     def n_nodes(self):
@@ -291,9 +292,11 @@ def test_star_matches_reference(seed):
     {"kind": "kmeans", "n_arms": 500, "n_clusters": 15, "reward_fn": "sin-product"},
     {"kind": "uniform", "n_arms": 60, "n_clusters": 7},
 ])
-def test_from_clustering_matches_reference(spec, seed):
-    clustering = build_instance(spec, rng_streams(seed).instance).clustering
-    assert_same_tree(ClusterTree.from_clustering(clustering), RefClusterTree.from_clustering(clustering))
+def test_from_labels_matches_reference(spec, seed):
+    instance = build_instance(spec, rng_streams(seed).instance)
+    reference = RefClusterTree.from_clustering(instance.labels)
+    assert_same_tree(ClusterTree.from_labels(instance.labels), reference)
+    assert_same_tree(instance.tree, reference)
 
 
 def test_constructor_matches_reference_on_any_child_order():
