@@ -139,18 +139,17 @@ def cluster_stats(instance: BanditInstance) -> ClusterStats:
     """Compute all clustering-quality statistics of a clustered instance."""
     if instance.labels is None:
         raise ValueError("instance has no disjoint clustering")
-    tree, means = instance.tree, instance.means
+    labels, means = instance.labels, instance.means
     mu_star = float(means.max())
     optimal_arm = instance.optimal_arm
-    c_star = int(instance.labels[optimal_arm])
-    star_arms = tree.arms_under(c_star + 1)
-    n_clusters = int(tree.ptr[1])  # the root's children, clusters 1..k
+    c_star = int(labels[optimal_arm])
+    star_arms = instance.tree.arms_under(c_star + 1)
+    n_clusters = int(labels.max()) + 1
 
-    # Cluster c's arms are the run [ptr[c+1] - k, ptr[c+2] - k) of the depth-first arm order.
-    by_cluster = means[tree.arms_under(0)]
-    starts = tree.ptr[1:n_clusters + 1] - n_clusters
-    mu_bar = np.maximum.reduceat(by_cluster, starts)
-    mu_under = np.minimum.reduceat(by_cluster, starts)
+    mu_bar = np.full(n_clusters, -np.inf)
+    mu_under = np.full(n_clusters, np.inf)
+    np.maximum.at(mu_bar, labels, means)
+    np.minimum.at(mu_under, labels, means)
     width = mu_bar - mu_under
     gap = mu_star - mu_bar
 

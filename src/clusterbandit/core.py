@@ -217,6 +217,14 @@ class ClusterTree:
         leaf_arms = np.concatenate((np.full(k + 1, -1), np.argsort(labels, kind="stable")))
         return cls.from_csr(ptr, np.arange(1, k + n + 1), leaf_arms)
 
+    def is_from_labels(self) -> bool:
+        """Whether the tree is ``from_labels`` of its own clustering, an arm's cluster being its leaf's parent - 1:
+        clusters 1..k under the root, each one's leaves under it in ascending arm order."""
+        try:
+            return self == ClusterTree.from_labels(self.parent[self._leaf_of_arm] - 1)
+        except ValueError:  # a leaf under the root, or an inner node that is not a cluster
+            return False
+
     @property
     def n_nodes(self) -> int:
         return int(self.leaf_arms.size)

@@ -86,14 +86,6 @@ _BLOCK_ROWS = 32
 _GROUP_MIN = 400
 
 
-def _two_level(tree: ClusterTree) -> bool:
-    """Whether ``tree`` is in ``ClusterTree.from_labels`` layout: the root's children are nodes 1..k, and every
-    leaf is a child of one of them."""
-    leaves = tree.leaf_arms >= 0
-    return np.array_equal(tree.children(0), np.arange(1, tree.ptr[1] + 1)) and bool(
-        (tree.parent[tree.parent[leaves]] == 0).all())
-
-
 # key -> policy class: every class whose body sets a non-empty ``key``, recorded by
 # ``BanditPolicy.__init_subclass__``. Importing this module imports the package,
 # which imports ``contextual``, so the contextual classes are always recorded.
@@ -116,8 +108,8 @@ class BanditPolicy(ABC):
     Bernoulli instance: flat, clustered or a tree), ``"clustering"``,
     ``"tree"`` or ``"contextual"``. ``flat`` decides whether ``__init__``
     makes a star of an arm count or takes the tree it is given; a class that
-    needs a clustering takes only a tree in ``ClusterTree.from_labels``
-    layout. ``params`` maps each parameter the class accepts to
+    is neither flat nor needs a tree takes only a tree in
+    ``ClusterTree.from_labels`` layout. ``params`` maps each parameter the class accepts to
     its type, as ``core.typed`` reads it, and its value check.
     """
 
@@ -138,11 +130,11 @@ class BanditPolicy(ABC):
 
     def __init__(self, arms: int | ClusterTree) -> None:
         """Take the tree the class declares: the star of an arm count if ``flat``, else the tree ``arms``,
-        which a class that needs a clustering rejects unless it is in ``ClusterTree.from_labels`` layout."""
+        which a class that needs no tree rejects unless it is in ``ClusterTree.from_labels`` layout."""
         self.tree = ClusterTree.star(arms) if self.flat else arms
-        if self.needs == "clustering" and not _two_level(arms):
+        if not self.flat and self.needs != "tree" and not arms.is_from_labels():
             raise ValueError(f"{type(self).__name__} needs a tree in ClusterTree.from_labels layout: "
-                             "clusters 1..k under the root, leaves under them")
+                             "clusters 1..k under the root, each one's leaves in ascending arm order")
 
     def _bind(self) -> None:
         """Make the memoryviews the step reads, after construction, copy or unpickle: the tree's arrays

@@ -693,6 +693,11 @@ class TestRegistry:
         assert make_policy("linucb", inst).alpha == 2.0
         assert make_policy("linucbc", inst).alpha == 2.0
 
+    @pytest.mark.parametrize("cls", [ClusteredLinThompson, ClusteredLinUcb])
+    def test_a_clustered_class_rejects_a_tree_out_of_from_labels_layout(self, cls):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__} needs a tree in ClusterTree\.from_labels layout"):
+            cls(ClusterTree.star(4), 2)
+
     def test_param_overrides(self):
         inst = _ctx_instance(seed=7)
         assert make_policy("lints", inst, {"v": 0.5}).v == 0.5

@@ -268,6 +268,18 @@ class TestClusterTree:
         with pytest.raises(ValueError):
             ClusterTree.from_labels([0, 0, 2])
 
+    @pytest.mark.parametrize("tree, layout", [
+        (ClusterTree.from_labels([2, 0, 1, 0, 2, 2, 1]), True),
+        (ClusterTree.from_labels([0]), True),
+        (ClusterTree([[1, 2], [3, 4], [5], [], [], []], [-1, -1, -1, 0, 1, 2]), True),
+        (ClusterTree.star(4), False),  # leaves under the root
+        (ClusterTree([[1, 2], [3, 4], [5], [], [], []], [-1, -1, -1, 1, 0, 2]), False),  # descending arm order
+        (ClusterTree([[2, 1], [3], [4], [], []], [-1, -1, -1, 0, 1]), False),  # clusters out of order
+        (ClusterTree([[1], [2], [3], []], [-1, -1, -1, 0]), False),  # depth 3
+    ], ids=["interleaved", "one-arm", "built", "star", "descending", "unordered", "depth-3"])
+    def test_is_from_labels(self, tree, layout):
+        assert tree.is_from_labels() is layout
+
     def test_from_labels(self):
         # interleaved labels: cluster order differs from arm order
         labels = [2, 0, 1, 0, 2, 2, 1]

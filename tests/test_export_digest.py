@@ -24,8 +24,8 @@ def _tool():
     return module
 
 
-def _export_digest(out, *extra):
-    return subprocess.run([sys.executable, "tools/export_digest.py", "src", str(out), *extra],
+def _export_digest(out):
+    return subprocess.run([sys.executable, "tools/export_digest.py", "src", str(out)],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
 
 
@@ -33,11 +33,10 @@ def test_every_spec_kind_has_a_spec():
     assert sorted(_tool().SPECS) == sorted(SPEC_KINDS)
 
 
-def test_one_preset_digests_every_export(tmp_path):
+def test_one_preset_digests_every_export(tmp_path, capsys):
     out = tmp_path / "out"
-    proc = _export_digest(out, "--presets", "kmeans-small")
-    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
-    lines = proc.stdout.splitlines()
+    assert _tool().main([str(ROOT / "src"), str(out)], presets=["kmeans-small"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     digests = dict(line.split(" ", 1)[::-1] for line in lines)
     assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in lines)
     files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())

@@ -609,7 +609,8 @@ class TestMakePolicy:
         (TsMax, ClusterTree.star(4)),  # clusters with no leaves under them
         (ClusteredThompsonSampling, gen_sorted_binary_tree(8, np.random.default_rng(0)).tree),  # depth 3
         (ClusteredUcb1, ClusterTree([[2, 1], [3], [4], [], []], [-1, -1, -1, 0, 1])),  # clusters out of order
-    ], ids=["tsmax-star", "tsc-depth-3", "ucbc-unordered"])
+        (TsMax, ClusterTree([[1, 2], [3, 4], [5], [], [], []], [-1, -1, -1, 1, 0, 2])),  # leaves in descending arm order
+    ], ids=["tsmax-star", "tsc-depth-3", "ucbc-unordered", "tsmax-descending"])
     def test_a_clustered_class_rejects_a_tree_out_of_from_labels_layout(self, cls, tree):
         with pytest.raises(ValueError, match=rf"^{cls.__name__} needs a tree in ClusterTree\.from_labels layout"):
             cls(tree)

@@ -1,14 +1,14 @@
 """The sha256 of every file a source tree's CLI exports, for a byte-identity check between two trees.
 
-    python tools/export_digest.py SRC OUT [--presets kmeans-small,hts-uct]
+    python tools/export_digest.py SRC OUT
 
 ``SRC`` is a directory holding a ``clusterbandit`` package (a checkout's
 ``src``); its CLI runs in a subprocess with ``SRC`` first on ``PYTHONPATH``.
 Into the directory ``OUT`` it writes:
 
-* ``run/<preset>/plain`` and ``run/<preset>/bounds``: every preset (or those
-  ``--presets`` names) run with ``--seeds 2 --horizon 300 --format
-  csv,json,svg``, without and with ``--bounds``;
+* ``run/<preset>/plain`` and ``run/<preset>/bounds``: every preset run with
+  ``--seeds 2 --horizon 300 --format csv,json,svg``, without and with
+  ``--bounds``;
 * ``generate/<kind>.json``: ``generate`` of one small spec of each generated
   kind (``SPECS``) at seed 0;
 * ``audit/<kind>.json`` and ``bounds/<kind>.json``: ``audit`` and ``bounds``
@@ -76,15 +76,14 @@ def export_all(src: Path, out: Path, presets: list[str] | None) -> None:
                 cli(src, sub, "--instance", str(doc), "--out", str(out / sub / f"{kind}.json"))
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, presets: list[str] | None = None) -> int:
+    """Export and digest every preset, or only ``presets`` when a caller names them."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="directory holding the clusterbandit package")
     parser.add_argument("out", type=Path, help="directory to export into (must be empty or absent)")
-    parser.add_argument("--presets", help="comma-separated preset names (default: every preset)")
     args = parser.parse_args(argv)
     if args.out.exists() and any(args.out.iterdir()):
         parser.error(f"{args.out} is not empty")
-    presets = args.presets.split(",") if args.presets else None
     export_all(args.src.resolve(), args.out, presets)
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(args.out).as_posix())
