@@ -203,7 +203,12 @@ class ClusterTree:
         Cluster ids must be exactly ``0..k-1`` with every cluster non-empty.
         Leaves follow the clusters, cluster by cluster in ascending arm order,
         so every node's children are one ascending contiguous run of ids.
+        A label ``typed`` does not read as an integer, such as 0.5 or True, fails naming its index.
         """
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):  # an integer array needs no check
+            labels = np.asarray(labels, dtype=object)
+            if labels.ndim == 1:
+                labels = [typed(f"labels[{i}]", a, int) for i, a in enumerate(labels)]
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D sequence")

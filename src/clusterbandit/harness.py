@@ -2,12 +2,13 @@
 
 An experiment is a set of instance variants, a set of policies, a horizon,
 and a list of seeds. For every (variant, seed) the instance is generated
-from the seed's instance sub-stream, so every policy sees the identical
-instance realization (and, for contextual runs, the identical context
-sequence). Tasks fan out over (variant, seed) across worker processes;
-each task builds its instance (and draws its context sequence) once, runs
-every policy of the variant on it as one (variant, policy, seed) job, and
-computes the instance's bound values when bounds are requested. Aggregation
+from the seed's instance sub-stream and a contextual job's context sequence
+from its context sub-stream, so every policy sees the identical instance
+realization and context sequence. Tasks fan out over (variant, seed) across
+worker processes; each task builds its instance once, runs every policy of
+the variant on it as one (variant, policy, seed) job, and computes the
+instance's bound values when bounds are requested. Every run is logged at
+the steps of one ``logging_grid``, a fact of the result. Aggregation
 sorts on (variant, policy, seed) first, so output is byte-identical
 regardless of scheduling. A config built in Python is read exactly as one
 from JSON: when it is made, every field is read through ``core.typed`` and
@@ -248,10 +249,12 @@ class ExperimentConfig:
             if "instance" in doc and "instances" in doc:
                 raise ConfigError("instances: give 'instance' or 'instances', not both")
             if "instances" in doc:  # an unnamed entry i is named v<i>
-                fields["variants"] = tuple(
-                    InstanceVariant(_known(f"instances[{i}]", typed(f"instances[{i}]", v, dict), ("name", "spec"))
-                                    .get("name", f"v{i}"), v["spec"])
-                    for i, v in enumerate(typed("instances", doc["instances"], list)))
+                entries = typed("instances", doc["instances"], list)
+                for i, v in enumerate(entries):
+                    if "spec" not in _known(f"instances[{i}]", typed(f"instances[{i}]", v, dict), ("name", "spec")):
+                        raise ConfigError(f"instances[{i}].spec: missing")
+                fields["variants"] = tuple(InstanceVariant(v.get("name", f"v{i}"), v["spec"])
+                                           for i, v in enumerate(entries))
             elif "instance" in doc:
                 fields["variants"] = (InstanceVariant("default", typed("instance", doc["instance"], dict)),)
             else:
@@ -316,12 +319,11 @@ def logging_grid(horizon: int, stride: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunRow:
-    """Logged curve of one (variant, policy, seed) simulation."""
+    """Logged curve of one (variant, policy, seed) simulation, at the steps of its result's ``ts``."""
 
     variant: str
     policy: str
     seed: int
-    ts: np.ndarray
     regret: np.ndarray
     top_counts: np.ndarray | None
 
@@ -330,14 +332,10 @@ class RunRow:
         return float(self.regret[-1])
 
 
-# [key, instance, context key, contexts]: the last instance built in this
-# process, keyed on (canonical spec JSON, seed), and the last context
-# sequence drawn for it, keyed on (horizon, context kind). The jobs of one
-# (variant, seed) task run back to back, so each task builds its instance
-# and draws its contexts once; the key is the spec rather than the variant
-# name because different configs may reuse a name. Sharing is safe because
-# instances and contexts are read-only.
-_last_instance: list | None = None
+# (key, instance): the last instance built in this process, keyed on (canonical spec JSON, seed), so the back to
+# back jobs of one (variant, seed) task build it once. It stays while ``_run_job(payload)`` is the job boundary
+# that perfbench traces and calls; instances are read-only, so sharing one is safe.
+_last_instance: tuple | None = None
 
 
 def _instance(
@@ -354,18 +352,8 @@ def _instance(
         raise ConfigError(
             f"instances: variant '{variant_name}' at seed {seed}: {exc}"
         ) from exc
-    _last_instance = [key, instance, None, None]
+    _last_instance = (key, instance)
     return instance
-
-
-def _contexts(instance: ContextualInstance, streams: RngStreams, horizon: int, kind: str) -> np.ndarray:
-    """The (horizon, dim) context sequence of the instance ``_instance`` just returned."""
-    ctx_key = (horizon, kind)
-    if _last_instance[2] != ctx_key:
-        contexts = np.stack([gen_context(instance.dim, streams.context, kind) for _ in range(horizon)])
-        contexts.setflags(write=False)
-        _last_instance[2:] = [ctx_key, contexts]
-    return _last_instance[3]
 
 
 def _run_job(payload: tuple) -> RunRow:
@@ -374,7 +362,8 @@ def _run_job(payload: tuple) -> RunRow:
     instance = _instance(variant_name, spec, seed, streams)
     try:  # the config has matched every policy to its variants' instance kind
         policy = make_policy(key, instance, params)
-        contexts = _contexts(instance, streams, horizon, context_kind) if policy.needs == "contextual" else None
+        contexts = gen_context(horizon, instance.dim, streams.context, context_kind) \
+            if policy.needs == "contextual" else None
         trace = simulate(instance, policy, horizon, streams.simulation, seed=seed, contexts=contexts)
     except ValueError as exc:
         raise ConfigError(f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {exc}") from exc
@@ -383,15 +372,8 @@ def _run_job(payload: tuple) -> RunRow:
             f"policies: '{label}' on variant '{variant_name}' at seed {seed}: {type(exc).__name__}: {exc}"
         ) from exc
 
-    ts = logging_grid(horizon, stride)
-    return RunRow(
-        variant=variant_name,
-        policy=label,
-        seed=seed,
-        ts=ts,
-        regret=trace.cum_regret[ts - 1].copy(),
-        top_counts=_top_counts(policy, trace),
-    )
+    return RunRow(variant_name, label, seed, trace.cum_regret[logging_grid(horizon, stride) - 1],
+                  _top_counts(policy, trace))
 
 
 def _top_counts(policy, trace) -> np.ndarray | None:
@@ -457,6 +439,11 @@ class ExperimentResult:
     summaries: tuple[PolicySummary, ...]
     bounds: tuple[dict, ...] = ()
 
+    @property
+    def ts(self) -> np.ndarray:
+        """The logged steps of every row and summary: ``logging_grid(config.horizon, config.stride)``."""
+        return logging_grid(self.config.horizon, self.config.stride)
+
     def summary_for(self, variant: str, policy: str) -> PolicySummary:
         for s in self.summaries:
             if s.variant == variant and s.policy == policy:
@@ -507,21 +494,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     rows = [row for task_rows, _ in done for row in task_rows]
     rows.sort(key=lambda r: (r.variant, r.policy, r.seed))
 
+    ts = logging_grid(config.horizon, config.stride)
     summaries = []
     for v in config.variants:
         for p in config.policies:
             if not p.runs_on(v.name):
                 continue
             group = [r for r in rows if r.variant == v.name and r.policy == p.name]
-            summaries.append(
-                PolicySummary(
-                    experiment_id=config.experiment_id(v.name),
-                    variant=v.name,
-                    policy=p.name,
-                    ts=group[0].ts,
-                    summary=aggregate_curves(np.stack([r.regret for r in group])),
-                )
-            )
+            summaries.append(PolicySummary(config.experiment_id(v.name), v.name, p.name, ts,
+                                           aggregate_curves(np.stack([r.regret for r in group]))))
 
     bounds = ()
     if config.bounds:
@@ -579,13 +560,12 @@ def _bound_rows(
 
 def write_csv(result: ExperimentResult, path: Path) -> None:
     """One line per logged step, written one run row at a time."""
+    steps = [f"{t}," for t in result.ts.tolist()]
     with path.open("w") as fh:
         fh.write("experiment_id,policy,seed,t,cumulative_regret\n")
         for row in result.rows:
             prefix = _csv_fields(result.config.experiment_id(row.variant), row.policy, row.seed)
-            fh.write("".join(
-                [f"{prefix}{t},{value!r}\n" for t, value in zip(row.ts.tolist(), row.regret.tolist())]
-            ))
+            fh.write("".join([f"{prefix}{t}{value!r}\n" for t, value in zip(steps, row.regret.tolist())]))
 
 
 def _csv_fields(*fields) -> str:

@@ -541,17 +541,19 @@ def gen_contextual(n_arms: int, n_clusters: int, epsilon: float, rng: np.random.
     return ContextualInstance(theta, labels, epsilon=epsilon)
 
 
-# each context distribution by name: the name of the generator method that draws one (dim,) vector (a name, as
-# reading ``np.random.Generator`` here would import ``numpy.random`` with this module)
+# each context distribution by name: the name of the generator method that draws it (a name, as reading
+# ``np.random.Generator`` here would import ``numpy.random`` with this module)
 CONTEXT_KINDS = {"uniform": "random", "gaussian": "standard_normal"}
 
 
-def gen_context(dim: int, rng: np.random.Generator, kind: str = "uniform") -> np.ndarray:
-    """One context vector of a ``CONTEXT_KINDS`` distribution: U([0,1]^d) by default, or standard normal."""
+def gen_context(horizon: int, dim: int, rng: np.random.Generator, kind: str = "uniform") -> np.ndarray:
+    """The (horizon, dim) context sequence of a ``CONTEXT_KINDS`` distribution, U([0,1]^d) by default, from one
+    generator call; its bytes and the generator's state after it are those of ``horizon`` one-row draws."""
+    _at_least("horizon", horizon, 1)
     _at_least("dim", dim, 1)
     if kind not in CONTEXT_KINDS:
         raise ValueError(f"unknown context distribution '{kind}'")
-    return getattr(rng, CONTEXT_KINDS[kind])(dim)
+    return getattr(rng, CONTEXT_KINDS[kind])((horizon, dim))
 
 
 # ---------------------------------------------------------------------------

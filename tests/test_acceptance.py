@@ -123,7 +123,7 @@ def test_criterion_6_regret_log_slope_bound():
     run = criteria.Run("c6", TWO_CLUSTER_VARIANT, ({"key": "tsc"},), T2, seeds, 44_000, stride=T1)
     result = run_experiment(run.config(), workers=WORKERS)
     rows = result.rows_for("two-cluster", "tsc")
-    assert all(row.ts[0] == T1 and row.ts[-1] == T2 for row in rows)
+    assert result.ts[0] == T1 and result.ts[-1] == T2 and all(row.regret.size == result.ts.size for row in rows)
     growth = np.array([row.regret[-1] - row.regret[0] for row in rows])
     empirical_slope = growth.mean() / (math.log(T2) - math.log(T1))
 

@@ -407,6 +407,12 @@ class TestAuditHierarchicalDominance:
         inst = BanditInstance([0.4], tree=ClusterTree([[]], [0]))
         assert audit_hierarchical_dominance(inst).holds
 
+    @pytest.mark.parametrize("inst", [BanditInstance([0.2, 0.7, 0.5], labels=[0, 1, 1]), BanditInstance([0.2, 0.7])],
+                             ids=["clustering", "flat"])
+    def test_an_instance_without_a_declared_tree_is_rejected(self, inst):
+        with pytest.raises(ValueError, match="^instance has no cluster tree$"):
+            audit_hierarchical_dominance(inst)
+
 
 # ---------------------------------------------------------------------------
 # Aggregation

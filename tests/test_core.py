@@ -518,6 +518,11 @@ class TestSimulationTrace:
         (lambda: ClusterTree.from_labels([[0, 1]]), "^labels must be a non-empty 1-D sequence$"),
         (lambda: ClusterTree.from_labels([0, -1]), "^cluster ids must be non-negative$"),
         (lambda: ClusterTree.from_labels([0, 3, 3]), r"^empty clusters: \[1, 2\]$"),
+        (lambda: BanditInstance([0.1, 0.2, 0.3], labels=[0, 1.7, 0.2]), r"^labels\[1\]: must be an integer, got 1\.7$"),
+        (lambda: BanditInstance([0.1, 0.2], labels=[False, True]), r"^labels\[0\]: must be an integer, got False$"),
+        (lambda: ContextualInstance(np.ones((2, 2)), np.array([0.0, 0.5])), r"^labels\[1\]: must be an integer, got 0\.5$"),
+        (lambda: ClusterTree.from_labels(np.array([True, False])), r"^labels\[0\]: must be an integer, got True$"),
+        (lambda: ClusterTree.from_labels([0, "1"]), r"^labels\[1\]: must be an integer, got '1'$"),
         (lambda: BanditInstance([]), "^instance needs a non-empty 1-D array of arm means$"),
         (lambda: BanditInstance([[0.5, 0.2]]), "^instance needs a non-empty 1-D array of arm means$"),
         (lambda: BanditInstance([0.5, 0.2, 0.1], tree=ClusterTree.star(2)),
@@ -530,9 +535,18 @@ class TestSimulationTrace:
          "^horizon must be >= 1$"),
     ],
     ids=["tree-unequal-lengths", "tree-empty", "tree-malformed-ptr", "labels-empty", "labels-2d",
-         "labels-negative", "labels-empty-cluster", "means-empty", "means-2d", "tree-arm-count", "theta-1d",
+         "labels-negative", "labels-empty-cluster", "labels-fraction", "labels-bool", "labels-float-array",
+         "labels-bool-array", "labels-str", "means-empty", "means-2d", "tree-arm-count", "theta-1d",
          "theta-clustering-size", "labels-arm-count", "theta-non-finite", "simulate-horizon-0"],
 )
 def test_malformed_input_fails_with_its_own_message(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_labels_are_read_as_typed_reads_an_integer():
+    want = ClusterTree.from_labels(np.array([1, 0, 1]))  # an integer array takes the unchecked path
+    for labels in ([1, 0, 1], (1.0, np.int32(0), np.float64(1.0)), np.array([1.0, 0.0, 1.0]),
+                   np.array([1, 0, 1], dtype=np.uint8)):
+        assert ClusterTree.from_labels(labels) == want, labels
+        assert BanditInstance([0.1, 0.2, 0.3], labels=labels).labels.tolist() == [1, 0, 1]

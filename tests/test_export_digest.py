@@ -1,12 +1,14 @@
 """``tools/export_digest.py`` end to end on one small preset, so that it cannot rot.
 
 One run digests every file it exported, by its path under the output
-directory in path order: both runs of the preset with their CSV, JSON and SVG
-exports, the ``generate`` document of every spec kind, and the ``audit`` and
-``bounds`` reports of every Bernoulli one.
+directory in path order: both runs of the preset and the one run on Gaussian
+contexts with their CSV, JSON and SVG exports, the ``generate`` document of
+every spec kind, and the ``audit`` and ``bounds`` reports of every Bernoulli
+one.
 """
 import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -46,6 +48,12 @@ def test_one_preset_digests_every_export(tmp_path, capsys):
     for mode in ("plain", "bounds"):
         run = {p for p in files if p.startswith(f"run/kmeans-small/{mode}/")}
         assert {p.rsplit(".", 1)[1] for p in run} == {"csv", "json", "svg"}, mode
+    gaussian = {p for p in files if p.startswith("run/gaussian-contexts/")}
+    assert gaussian == {f"run/gaussian-contexts/plain/gaussian-contexts{end}"
+                        for end in (".csv", ".json", "__default.svg")}
+    assert {p.split("/")[1] for p in files if p.startswith("run/")} == {"kmeans-small", "gaussian-contexts"}
+    doc = json.loads((out / "run/gaussian-contexts/plain/gaussian-contexts.json").read_text())
+    assert doc["config"]["context_kind"] == "gaussian"
     bernoulli = [kind for kind, schema in SPEC_KINDS.items() if schema.structure != "contextual"]
     assert {p for p in files if not p.startswith("run/")} == {
         *(f"generate/{kind}.json" for kind in SPEC_KINDS),

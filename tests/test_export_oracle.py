@@ -53,7 +53,7 @@ def ref_write_csv(result, path):
     lines = ["experiment_id,policy,seed,t,cumulative_regret"]
     for row in result.rows:
         eid, policy = _ref_csv_field(result.config.experiment_id(row.variant)), _ref_csv_field(row.policy)
-        for t, value in zip(row.ts, row.regret):
+        for t, value in zip(result.ts, row.regret):
             lines.append(f"{eid},{policy},{row.seed},{int(t)},{float(value)!r}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -189,7 +189,7 @@ def test_single_seed_has_zero_std(tmp_path):
 
 def test_stride(tmp_path):
     result = run_experiment(_reduced("fig-k-sweep", horizon=97, stride=7))
-    assert result.rows[0].ts.tolist()[-2:] == [91, 97]
+    assert result.ts.tolist()[-2:] == [91, 97]
     _assert_same_files(result, tmp_path)
 
 
@@ -221,10 +221,7 @@ def test_names_that_need_safe_name(tmp_path):
 def test_csv_writer_holds_no_whole_document(tmp_path):
     rng = np.random.default_rng(0)
     horizon = 3000
-    ts = np.arange(1, horizon + 1, dtype=np.int64)
-    rows = tuple(
-        RunRow("v", "p", seed, ts, np.cumsum(rng.random(horizon)), None) for seed in range(100)
-    )
+    rows = tuple(RunRow("v", "p", seed, np.cumsum(rng.random(horizon)), None) for seed in range(100))
     config = ExperimentConfig.from_json(
         {"name": "mem", "horizon": horizon, "seeds": list(range(100)), "policies": [{"key": "ts"}],
          "instance": {"kind": "uniform", "n_arms": 4, "n_clusters": 2}}

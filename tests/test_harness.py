@@ -286,10 +286,12 @@ class TestConfigValidation:
             (_variants([{"name": "a", "spec": TINY_SD_SPEC, "nmae": "b"}]),
              r"^instances\[0\]: unknown keys \['nmae'\]; known keys: name, spec$"),
             (lambda doc: doc.update(seeds={"base": 3, "cuont": 2}), r"^seeds: unknown keys \['cuont'\]; "),
+            # read as "invalid config document: 'spec'", which names no entry
+            (_variants([{"name": "a", "spec": TINY_SD_SPEC}, {"name": "b"}]), r"^instances\[1\]\.spec: missing$"),
         ],
         ids=["no-seeds", "seed-count-0", "no-instances", "no-instance-field", "stride-0", "duplicate-variants",
              "instance-and-instances", "policy-without-key", "unknown-key", "unknown-keys", "unknown-policy-key", "unknown-variant-key",
-             "unknown-seeds-key"],
+             "unknown-seeds-key", "variant-without-spec"],
     )
     def test_config_shape_errors_name_their_field(self, edit, match):
         doc = {"name": "tiny", "horizon": 40, "seeds": [1, 2, 3], "policies": [{"key": "ts"}], "instance": TINY_SD_SPEC}
@@ -860,11 +862,11 @@ class TestRunExperiment:
 
     def test_the_config_and_the_generator_read_one_table_of_context_kinds(self, monkeypatch):
         for kind, draw in (("uniform", "random"), ("gaussian", "standard_normal")):  # the generator calls as they were
-            assert gen_context(4, rng_streams(3).context, kind).tobytes() == \
-                getattr(rng_streams(3).context, draw)(4).tobytes()
+            assert gen_context(5, 4, rng_streams(3).context, kind).tobytes() == \
+                getattr(rng_streams(3).context, draw)((5, 4)).tobytes()
         monkeypatch.setitem(CONTEXT_KINDS, "exponential", "standard_exponential")
-        assert gen_context(3, rng_streams(0).context, "exponential").tobytes() == \
-            rng_streams(0).context.standard_exponential(3).tobytes()
+        assert gen_context(5, 3, rng_streams(0).context, "exponential").tobytes() == \
+            rng_streams(0).context.standard_exponential((5, 3)).tobytes()
         config = _tiny_config(context_kind="exponential", policies=[{"key": "lints"}], instance=TINY_CTX_SPEC)
         assert run_experiment(config).rows
         match = r"^context_kind: unknown distribution 'cauchy' \(uniform, gaussian, exponential\)$"
@@ -1032,7 +1034,7 @@ class TestInstanceReuse:
                 (row.variant, specs[row.variant], keys[row.policy], {}, row.policy, row.seed,
                  config.horizon, config.stride, config.context_kind)
             )
-            assert np.array_equal(row.ts, fresh.ts)
+            assert row.regret.shape == fresh.regret.shape == result.ts.shape
             assert np.array_equal(row.regret, fresh.regret)
             assert np.array_equal(row.top_counts, fresh.top_counts)
 
@@ -1141,13 +1143,13 @@ class TestInstanceReuse:
 
 
 class TestContextAndBoundReuse:
-    def test_contexts_drawn_once_per_variant_and_seed(self, monkeypatch):
+    def test_one_context_draw_per_contextual_job(self, monkeypatch):
         calls = []
         gen = harness.gen_context
 
-        def counting_gen(dim, rng, kind="uniform"):
-            calls.append(dim)
-            return gen(dim, rng, kind)
+        def counting_gen(horizon, dim, rng, kind="uniform"):
+            calls.append((horizon, dim))
+            return gen(horizon, dim, rng, kind)
 
         monkeypatch.setattr(harness, "gen_context", counting_gen)
         monkeypatch.setattr(harness, "_last_instance", None)
@@ -1161,16 +1163,16 @@ class TestContextAndBoundReuse:
             }
         )
         result = run_experiment(config)
-        assert len(calls) == 30  # one per step, not one per step and policy
-        assert not harness._last_instance[3].flags.writeable
+        assert calls == [(30, TINY_CTX_SPEC["dim"])] * 4  # one whole sequence per job, not one row per step
+        assert len(harness._last_instance) == 2  # the cache holds the spec key and the instance, no contexts
         # each row equals a run on contexts drawn afresh for its job
         for row in result.rows:
             streams = rng_streams(row.seed)
             instance = build_instance(TINY_CTX_SPEC, streams.instance)
-            contexts = np.stack([gen(instance.dim, streams.context) for _ in range(30)])
+            contexts = np.stack([streams.context.random(instance.dim) for _ in range(30)])
             policy = make_policy(row.policy, instance)
             trace = simulate(instance, policy, 30, streams.simulation, contexts=contexts)
-            assert np.array_equal(row.regret, trace.cum_regret[row.ts - 1])
+            assert np.array_equal(row.regret, trace.cum_regret[result.ts - 1])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bounds_build_each_instance_once(self, monkeypatch, tmp_path, workers):
@@ -1212,7 +1214,7 @@ class TestContextAndBoundReuse:
                 assert b["mean_value_at_horizon"] == float(np.mean(expected[b["bound"]]))
                 assert b["n_seeds"] == len(config.seeds)
 
-    def test_variant_without_policies_keeps_its_bound_rows(self):
+    def test_variant_without_policies_keeps_its_bound_rows(self, tmp_path):
         config = ExperimentConfig.from_json(
             {
                 "name": "unplayed",
@@ -1230,6 +1232,10 @@ class TestContextAndBoundReuse:
         assert {r.variant for r in result.rows} == {"played"}
         (tree_row,) = [b for b in result.bounds if b["experiment_id"] == "unplayed/unplayed"]
         assert tree_row["bound"] == "hts_instance" and tree_row["n_seeds"] == 2
+        # its bound rows are exported; it has no curve, so no SVG
+        paths = export_result(result, tmp_path, formats=("json", "svg"))
+        assert sorted(p.name for p in paths) == ["unplayed.json", "unplayed__played.svg"]
+        assert tree_row in load_results_json(tmp_path / "unplayed.json")["bounds"]
 
 
 class TestExports:

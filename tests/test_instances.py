@@ -13,6 +13,7 @@ from clusterbandit.analysis import audit_hierarchical_dominance, verify_strong_d
 from clusterbandit.contextual import ContextualInstance
 from clusterbandit.core import BanditInstance, ClusterTree, rng_streams
 from clusterbandit.instances import (
+    CONTEXT_KINDS,
     SPEC_KINDS,
     build_instance,
     evaluate_reward_fn,
@@ -379,20 +380,32 @@ class TestGenContextual:
 
 class TestGenContext:
     def test_uniform_range_and_mean(self, rng):
-        xs = np.array([gen_context(3, rng) for _ in range(100_000)])
+        xs = gen_context(100_000, 3, rng)
+        assert xs.shape == (100_000, 3)
         assert xs.min() >= 0.0 and xs.max() <= 1.0
         assert np.all(np.abs(xs.mean(axis=0) - 0.5) < 0.01)
 
     def test_seeded_determinism(self):
-        a = gen_context(4, rng_streams(5).context)
-        b = gen_context(4, rng_streams(5).context)
+        a = gen_context(6, 4, rng_streams(5).context)
+        b = gen_context(6, 4, rng_streams(5).context)
         assert np.array_equal(a, b)
 
     def test_gaussian_variant(self, rng):
-        x = gen_context(4, rng, kind="gaussian")
-        assert x.shape == (4,)
-        with pytest.raises(ValueError):
-            gen_context(4, rng, kind="cauchy")
+        x = gen_context(7, 4, rng, kind="gaussian")
+        assert x.shape == (7, 4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^unknown context distribution 'cauchy'$"):
+            gen_context(7, 4, rng, kind="cauchy")
+        assert rng.bit_generator.state == state  # rejected before any draw
+
+    @pytest.mark.parametrize("kind", sorted(CONTEXT_KINDS))
+    @pytest.mark.parametrize("horizon, dim", [(1, 1), (3, 5), (200, 2), (2000, 5)])
+    def test_one_call_equals_one_row_per_step(self, kind, horizon, dim):
+        whole, rows = rng_streams(11).context, rng_streams(11).context
+        got = gen_context(horizon, dim, whole, kind)
+        want = np.stack([gen_context(1, dim, rows, kind)[0] for _ in range(horizon)])
+        assert got.shape == (horizon, dim) and got.tobytes() == want.tobytes()
+        assert whole.bit_generator.state == rows.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +490,8 @@ class TestGeneratorChecks:
             (lambda rng: gen_strong_dominance(30, 4, 5, 1.0, 0.1, rng), "optimal_width"),
             (lambda rng: gen_strong_dominance(100, 10, 10, 0.3, 0.3, rng), "separation"),  # means would go negative
             (lambda rng: gen_strong_dominance(100, 10, 10, 0.1, 0.0, rng), "separation"),  # separation must be > 0
-            (lambda rng: gen_context(0, rng), "dim"),
+            (lambda rng: gen_context(5, 0, rng), "dim"),
+            (lambda rng: gen_context(0, 3, rng), "horizon"),
         ],
     )
     def test_rejected_before_any_draw(self, call, field):

@@ -733,7 +733,7 @@ def _ctx_case(name, seed):
     spec, kind = CTX_CASES[name]
     streams = rng_streams(seed)
     instance = build_instance(spec, streams.instance)
-    return instance, np.stack([gen_context(instance.dim, streams.context, kind) for _ in range(HORIZON)])
+    return instance, gen_context(HORIZON, instance.dim, streams.context, kind)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -37,8 +37,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 CTX_LARGE_EPS05 = {"kind": "contextual", "n_arms": 900, "n_clusters": 30, "dim": 5, "epsilon": 0.5}
 CONTEXTUAL_KEYS = ("lints", "lintsc", "linucb", "linucbc")
 
@@ -69,10 +67,8 @@ class Side:
         streams = self.core.rng_streams(seed)
         self.instance = instances.build_instance(spec, streams.instance)
         self.kwargs = {}
-        if self.instance.structure == "contextual":
-            self.kwargs = {"contexts": np.stack(
-                [instances.gen_context(self.instance.dim, streams.context) for _ in range(horizon)]
-            )}
+        if self.instance.structure == "contextual":  # the harness's uniform draw, whatever the tree's gen_context
+            self.kwargs = {"contexts": streams.context.random((horizon, self.instance.dim))}
         self.horizon, self.seed = horizon, seed
 
     def job(self, key: str):

@@ -9,6 +9,8 @@ Into the directory ``OUT`` it writes:
 * ``run/<preset>/plain`` and ``run/<preset>/bounds``: every preset run with
   ``--seeds 2 --horizon 300 --format csv,json,svg``, without and with
   ``--bounds``;
+* ``run/gaussian-contexts/plain``: the contextual config ``GAUSSIAN_CONTEXTS``
+  run with ``--format csv,json,svg``, as no preset draws Gaussian contexts;
 * ``generate/<kind>.json``: ``generate`` of one small spec of each generated
   kind (``SPECS``) at seed 0;
 * ``audit/<kind>.json`` and ``bounds/<kind>.json``: ``audit`` and ``bounds``
@@ -46,6 +48,11 @@ SPECS = {
     "contextual": {"n_arms": 30, "n_clusters": 4, "epsilon": 0.5},
 }
 RUN_ARGS = ("--seeds", "2", "--horizon", "300", "--format", "csv,json,svg")
+GAUSSIAN_CONTEXTS = {
+    "name": "gaussian-contexts", "horizon": 300, "seeds": [0, 1], "context_kind": "gaussian",
+    "policies": [{"key": key} for key in ("lints", "lintsc", "linucb", "linucbc")],
+    "instance": {"kind": "contextual", **SPECS["contextual"]},
+}
 
 
 def cli(src: Path, *args: str) -> str:
@@ -63,6 +70,12 @@ def export_all(src: Path, out: Path, presets: list[str] | None) -> None:
     for name in presets or cli(src, "list-presets").split():
         for mode, extra in (("plain", ()), ("bounds", ("--bounds",))):
             cli(src, "run", "--preset", name, *RUN_ARGS, *extra, "--out", str(out / "run" / name / mode))
+    config = out / "run" / "gaussian-contexts.config"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    config.write_text(json.dumps(GAUSSIAN_CONTEXTS))
+    cli(src, "run", "--config", str(config), "--format", "csv,json,svg",
+        "--out", str(out / "run" / "gaussian-contexts" / "plain"))
+    config.unlink()
     for sub in ("generate", "audit", "bounds"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     for kind, fields in SPECS.items():
